@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test bench campaign campaign-sharded campaign-paper chaos-quick chaos-regional serve-demo examples docs-check clean
+.PHONY: install test bench bench-smoke campaign campaign-sharded campaign-paper chaos-quick chaos-regional serve-demo examples docs-check clean
 
 install:
 	pip install -e '.[test]'
@@ -10,6 +10,12 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark (benchmarks/e2e) at 1/20 size, then the
+# harness's own tests; neither is part of tier-1.
+bench-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+	python -m pytest benchmarks/e2e/tests -q
 
 campaign:
 	python -m repro.experiments.run_all --scale quick

@@ -8,9 +8,16 @@ affected connections would successfully activate their backups, and
 aggregates: ``P_act-bk = total successes / total attempts``.
 
 The sweep is exhaustive rather than sampled — each hypothetical
-failure is assessed analytically against the live APLV/spare state, so
-enumerating all |links| cases costs far less than simulating failures
-event by event, with zero estimation variance given the snapshot.
+failure is assessed analytically against the live spare state, with
+zero estimation variance given the snapshot.  It is not free: one
+Figure-4 cell asks several thousand what-if questions, and filtering
+the whole connection table for each would dominate the cell's run time
+(``analysis.ft_share`` in the ``benchmarks/e2e`` ledger watches it).
+Every observer here therefore asks the service, which hands the
+recovery engine only the connections whose primary crosses the failed
+links (the connection store's primary-incidence index,
+:mod:`repro.core.slab`), so a sweep costs O(sum of affected) rather
+than O(links x connections).
 """
 
 from __future__ import annotations
@@ -132,14 +139,15 @@ class GroupFaultToleranceObserver(Observer):
         for link_id in service.links_carrying_primaries():
             at_risk.add(groups.group_of(link_id))
         for group_id in sorted(at_risk):
+            members = groups.members(group_id)
             impact = assess_group_failure(
                 service.state,
-                service.connections(),
+                service.connections_crossing(members),
                 group_id,
                 groups,
                 use_free_bandwidth=self.use_free_bandwidth,
             )
-            self.stats.links_swept += len(groups.members(group_id))
+            self.stats.links_swept += len(members)
             self.stats.absorb(impact)
 
 
@@ -156,7 +164,7 @@ class ReactiveRecoveryObserver(Observer):
             impact = assess_reactive_recovery(
                 service.network,
                 service.state,
-                service.connections(),
+                service.connections_crossing((link_id,)),
                 link_id,
             )
             self.stats.links_swept += 1

@@ -191,10 +191,11 @@ def assess_double_failures(
         rng = rng or random_module.Random(0)
         pairs = rng.sample(pairs, max_pairs)
     attempts = successes = 0
-    connections = list(service.connections())
     for a, b in pairs:
         impact = assess_failed_links(
-            service.state, connections, frozenset({a, b})
+            service.state,
+            service.connections_crossing((a, b)),
+            frozenset({a, b}),
         )
         attempts += impact.affected
         successes += impact.activated

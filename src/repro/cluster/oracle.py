@@ -101,6 +101,19 @@ async def _drive(
     return {"report": report, "killed_pid": killed["pid"]}
 
 
+def _without_pids(value: Any) -> Any:
+    """``value`` minus every ``"pid"`` key, at any depth."""
+    if isinstance(value, dict):
+        return {
+            key: _without_pids(item)
+            for key, item in value.items()
+            if key != "pid"
+        }
+    if isinstance(value, list):
+        return [_without_pids(item) for item in value]
+    return value
+
+
 def run_cluster_oracle(
     *,
     workers: int = 2,
@@ -122,7 +135,9 @@ def run_cluster_oracle(
     Raises :class:`ClusterOracleDivergence` if the live sharded run and
     the sequential epoch replay disagree in any observable way.  The
     report (written to ``out_path`` when given, divergent or not)
-    records the kill, every requeue/resync, and the per-shard totals.
+    records the kill, every requeue/resync, and the per-shard totals;
+    the written copy leaves out process ids, so archiving the same
+    campaign twice yields the same file.
     """
     network = mesh_network(rows, cols, capacity)
     timeline = build_timeline(
@@ -243,7 +258,9 @@ def run_cluster_oracle(
     if out_path is not None:
         out = Path(out_path)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        out.write_text(
+            json.dumps(_without_pids(result), indent=2, sort_keys=True) + "\n"
+        )
 
     if divergences:
         raise ClusterOracleDivergence(

@@ -62,6 +62,12 @@ class Channel:
             return connection_id
         return (connection_id, self.registration_index)
 
+    @staticmethod
+    def registration_owner(key) -> int:
+        """The connection id behind a per-link backup-table key (the
+        inverse of :meth:`registration_key`)."""
+        return key[0] if isinstance(key, tuple) else key
+
     @property
     def hop_count(self) -> int:
         return self.route.hop_count

@@ -24,6 +24,14 @@ Contention order: affected connections activate in establishment
 order (``established_seq``), a deterministic stand-in for the paper's
 near-simultaneous races; each success consumes spare tokens that later
 activations can no longer use.
+
+Finding the affected: the ``assess_*`` functions filter whatever
+candidate population they are handed (active, primary crossing a failed
+link), so a caller may hand them any superset of the affected — the
+service hands them the connection store's primary-incidence index entry
+for the failed links instead of the whole table.  The ``apply_*``
+functions take the :class:`~repro.core.slab.SlabConnectionStore` itself
+and read the same index.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from ..network.state import BW_EPSILON, NetworkState
+from .channel import Channel
 from .connection import ConnectionState, DRConnection
 from .errors import RecoveryError
 from .multiplexing import SparePolicy
+from .slab import SlabConnectionStore
 
 #: Activation-outcome reason strings.
 ACTIVATED = "activated"
@@ -119,6 +129,16 @@ def assess_link_failure(
     )
 
 
+def incident_link_ids(network, node: int) -> FrozenSet[int]:
+    """Every link touching ``node`` — what a switch failure takes down,
+    and (a primary leaves its source and enters its destination over
+    one of them) where every connection terminating there is indexed."""
+    return frozenset(
+        link.link_id
+        for link in network.out_links(node) + network.in_links(node)
+    )
+
+
 def assess_node_failure(
     state: NetworkState,
     connections: Iterable[DRConnection],
@@ -136,10 +156,7 @@ def assess_node_failure(
     appear with reason :data:`ENDPOINT_FAILED` — keeping the
     fault-tolerance metric about routing quality, not topology luck.
     """
-    failed = frozenset(
-        link.link_id
-        for link in network.out_links(node) + network.in_links(node)
-    )
+    failed = incident_link_ids(network, node)
     impact = assess_failed_links(
         state,
         connections,
@@ -189,7 +206,7 @@ def assess_group_failure(
 def apply_group_failure(
     state: NetworkState,
     policy: SparePolicy,
-    connections: Dict[int, DRConnection],
+    connections: SlabConnectionStore,
     group_id: int,
     risk_groups,
 ) -> FailureImpact:
@@ -299,7 +316,7 @@ def assess_failed_links(
 def apply_link_failure(
     state: NetworkState,
     policy: SparePolicy,
-    connections: Dict[int, DRConnection],
+    connections: SlabConnectionStore,
     link_id: int,
 ) -> FailureImpact:
     """Mutating recovery: switch survivors to their backups.
@@ -328,7 +345,7 @@ def apply_link_failure(
 def apply_node_failure(
     state: NetworkState,
     policy: SparePolicy,
-    connections: Dict[int, DRConnection],
+    connections: SlabConnectionStore,
     node: int,
     network,
 ) -> FailureImpact:
@@ -339,13 +356,11 @@ def apply_node_failure(
     to the pool) and reported with :data:`ENDPOINT_FAILED` appended to
     the transit-impact outcomes.
     """
-    failed = frozenset(
-        link.link_id
-        for link in network.out_links(node) + network.in_links(node)
-    )
-    # Endpoint casualties first: release everything they hold.
+    failed = incident_link_ids(network, node)
+    # Endpoint casualties first: release everything they hold.  They
+    # all cross a link of ``failed`` (see :func:`incident_link_ids`).
     endpoint_outcomes = []
-    for conn in list(connections.values()):
+    for conn in connections.crossing(failed):
         if not conn.is_active:
             continue
         if node in (conn.source, conn.destination):
@@ -371,19 +386,29 @@ def apply_node_failure(
 def apply_failed_links(
     state: NetworkState,
     policy: SparePolicy,
-    connections: Dict[int, DRConnection],
+    connections: SlabConnectionStore,
     failed_links: FrozenSet[int],
     label_link: int = -1,
 ) -> FailureImpact:
     """Core mutating recovery for a set of simultaneously dead links."""
     impact = assess_failed_links(
-        state, connections.values(), failed_links, label_link=label_link
+        state,
+        connections.crossing(failed_links),
+        failed_links,
+        label_link=label_link,
     )
     outcome_by_id = {o.connection_id: o for o in impact.outcomes}
 
     # Backups broken by the failure on connections whose primary is
     # intact: release those registrations (the routes are unusable).
-    for conn in list(connections.values()):
+    # The dead links' own backup registries name their owners; they are
+    # visited in store order, as the table scan this replaces did.
+    owners = {
+        Channel.registration_owner(key)
+        for link_id in failed_links
+        for key in state.ledger(link_id).backups()
+    }
+    for conn in connections.ordered(owners):
         if conn.connection_id in outcome_by_id or not conn.is_active:
             continue
         for channel in list(conn.all_backups):
@@ -402,6 +427,7 @@ def apply_failed_links(
             for channel in list(conn.extra_backups):
                 _drop_channel(state, policy, conn, channel)
             _promote(state, policy, conn)
+            connections.reindex(conn_id)
         else:
             for channel in list(conn.all_backups):
                 _drop_channel(state, policy, conn, channel)
@@ -424,7 +450,7 @@ def reconfigure_unprotected(
     """
     from .signaling import BackupRegisterPacket, register_backup_path
     from ..routing.base import RouteQuery
-    from .channel import Channel, ChannelRole
+    from .channel import ChannelRole
 
     restored = 0
     for conn in connections.values():

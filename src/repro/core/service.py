@@ -44,6 +44,7 @@ from .recovery import (
     assess_group_failure,
     assess_link_failure,
     assess_node_failure,
+    incident_link_ids,
     reconfigure_unprotected,
 )
 
@@ -525,7 +526,7 @@ class DRTPService:
         """What would happen if this link failed right now (pure)."""
         return assess_link_failure(
             self.state,
-            self._connections.values(),
+            self._connections.crossing((link_id,)),
             link_id,
             use_free_bandwidth=use_free_bandwidth,
         )
@@ -540,7 +541,9 @@ class DRTPService:
         all of its links die at once."""
         return assess_node_failure(
             self.state,
-            list(self._connections.values()),
+            self._connections.crossing(
+                incident_link_ids(self.network, node)
+            ),
             node,
             self.network,
             use_free_bandwidth=use_free_bandwidth,
@@ -651,11 +654,12 @@ class DRTPService:
         """What would happen if every link of one shared-risk group
         failed simultaneously (pure).  Aggregated over groups this
         yields the generalized survivability metric ``P_act-bk^(g)``."""
+        groups = self._require_risk_groups()
         return assess_group_failure(
             self.state,
-            self._connections.values(),
+            self._connections.crossing(groups.members(group_id)),
             group_id,
-            self._require_risk_groups(),
+            groups,
             use_free_bandwidth=use_free_bandwidth,
         )
 
@@ -800,6 +804,15 @@ class DRTPService:
     def connections(self) -> Iterator[DRConnection]:
         return iter(self._connections.values())
 
+    def connections_crossing(
+        self, link_ids: Iterable[int]
+    ) -> List[DRConnection]:
+        """The live connections whose primary crosses any of
+        ``link_ids``, in :meth:`connections` order — the candidate
+        population of that failure, read off the store's
+        primary-incidence index instead of a scan of the table."""
+        return self._connections.crossing(link_ids)
+
     def connection(self, connection_id: int) -> DRConnection:
         try:
             return self._connections[connection_id]
@@ -832,15 +845,13 @@ class DRTPService:
     def links_carrying_primaries(self) -> List[int]:
         """Link ids crossed by at least one active primary — the
         failure sites that matter for the ``P_act-bk`` sweep."""
-        seen = set()
-        for conn in self._connections.values():
-            if conn.is_active:
-                seen.update(conn.primary_route.link_ids)
-        return sorted(seen)
+        return sorted(self._connections.crossed_links())
 
     def check_invariants(self) -> None:
-        """Cross-check ledgers against the live connection table."""
+        """Cross-check ledgers against the live connection table, and
+        the table's incidence index against a rebuild from it."""
         self.state.check_invariants()
+        self._connections.check()
         for conn in self._connections.values():
             for channel in conn.all_backups:
                 key = channel.registration_key(conn.connection_id)

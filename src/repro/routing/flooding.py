@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..network.state import BW_EPSILON
@@ -286,6 +286,10 @@ class BoundedFloodingScheme(RoutingScheme):
         network = ctx.network
         database = ctx.database
         table = ctx.distance_tables[node]
+        # Every copy leaving this node carries the same bumped hop
+        # count and the same extended path.
+        hc_next = packet.hc_curr + 1
+        path_next = packet.path + (node,)
         for link in network.out_links(node):
             neighbor = link.dst
             # Failed links carry nothing (topology-change information
@@ -309,11 +313,17 @@ class BoundedFloodingScheme(RoutingScheme):
                 database.primary_headroom(link.link_id) + BW_EPSILON
                 >= packet.bw_req
             )
-            forwarded = replace(
-                packet,
-                primary_flag=flag,
-                hc_curr=packet.hc_curr + 1,
-                path=packet.path + (node,),
+            # Built positionally (the CDP field order): this runs once
+            # per transmission, where dataclasses.replace() is slow.
+            forwarded = CDP(
+                packet.srce_id,
+                packet.dest_id,
+                packet.conn_id,
+                packet.hc_limit,
+                hc_next,
+                packet.bw_req,
+                flag,
+                path_next,
             )
             result.cdp_transmissions += 1
             queue.append((neighbor, forwarded))

@@ -1,11 +1,14 @@
 """Slab connection store: dict-compatible semantics, slot recycling,
 and the no-aliasing invariant under random churn (model-based)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SlabConnectionStore
+from repro.core.slab import primary_link_ids
 
 
 class _Conn:
@@ -118,3 +121,124 @@ def test_reuse_never_aliases_live_connections(ops):
             assert store[cid] is conn  # identity, not equality: no alias
     assert len(store) == len(model)
     assert store.stats()["live"] == len(model)
+
+
+# ----------------------------------------------------------------------
+# Primary-incidence index
+# ----------------------------------------------------------------------
+class _Routed(_Conn):
+    """Stand-in with just enough shape for the index: a primary channel
+    whose route has ``link_ids``."""
+
+    __slots__ = ("primary",)
+
+    def __init__(self, connection_id, link_ids):
+        super().__init__(connection_id)
+        self.reroute(link_ids)
+
+    def reroute(self, link_ids):
+        self.primary = SimpleNamespace(
+            route=SimpleNamespace(link_ids=tuple(link_ids))
+        )
+
+
+def _ids(connections):
+    return [conn.connection_id for conn in connections]
+
+
+def test_connection_without_a_primary_crosses_no_link():
+    """The index's one seam: an object with no ``primary`` channel is
+    stored like any other and is a candidate of no failure."""
+    assert primary_link_ids(_Conn(1)) == ()
+    assert primary_link_ids(_Routed(2, (4, 5))) == (4, 5)
+    store = SlabConnectionStore()
+    store[1] = _Conn(1)
+    store[2] = _Routed(2, (4, 5))
+    assert list(store.crossed_links()) == [4, 5]
+    assert _ids(store.crossing((4,))) == [2]
+    assert _ids(store.ordered([2, 1, 99])) == [1, 2]
+    store.check()
+    del store[2]
+    assert list(store.crossed_links()) == []
+    assert store.crossing((4, 5)) == []
+    store.check()
+
+
+def test_crossing_answers_in_insertion_order():
+    store = SlabConnectionStore()
+    # Ids deliberately not in insertion order; 8 reuses 5's slot.
+    store[7] = _Routed(7, (1, 2))
+    store[5] = _Routed(5, (2,))
+    store[3] = _Routed(3, (2, 9))
+    del store[5]
+    store[8] = _Routed(8, (9, 1))
+    assert _ids(store.crossing((2,))) == [7, 3]
+    assert _ids(store.crossing((1,))) == [7, 8]
+    # A union over several links is still one pass in table order.
+    assert _ids(store.crossing((9, 1, 2, 404))) == [7, 3, 8] == _ids(
+        store.values()
+    )
+    assert sorted(store.crossed_links()) == [1, 2, 9]
+    store.check()
+
+
+def test_reindex_moves_links_but_not_position():
+    store = SlabConnectionStore()
+    for cid, links in ((1, (10, 11)), (2, (11,)), (3, (11, 12))):
+        store[cid] = _Routed(cid, links)
+    store[1].reroute((12, 13))  # what a backup promotion does
+    with pytest.raises(AssertionError):
+        store.check()  # the rebuild notices the stale entries
+    store.reindex(1)
+    store.check()
+    assert _ids(store.crossing((10,))) == []
+    assert _ids(store.crossing((11,))) == [2, 3]
+    assert _ids(store.crossing((12,))) == [1, 3]  # 1 keeps its place
+    assert sorted(store.crossed_links()) == [11, 12, 13]
+    # Replacing a connection re-reads its primary the same way.
+    store[2] = _Routed(2, (10,))
+    assert _ids(store.crossing((10, 11, 12))) == [1, 2, 3]
+    store.check()
+
+
+routed_churn = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "replace", "reroute"]),
+        st.integers(min_value=0, max_value=30),
+        st.lists(st.integers(min_value=0, max_value=7), max_size=4,
+                 unique=True),
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+@given(routed_churn)
+@settings(max_examples=60, deadline=None)
+def test_index_agrees_with_a_scan_under_churn(ops):
+    store = SlabConnectionStore()
+    model = {}
+    next_id = 0
+    for kind, pick, links in ops:
+        if kind == "add":
+            store[next_id] = model[next_id] = _Routed(next_id, links)
+            next_id += 1
+        elif model:
+            victim = list(model)[pick % len(model)]
+            if kind == "remove":
+                del model[victim]
+                store.pop(victim)
+            elif kind == "replace":
+                store[victim] = model[victim] = _Routed(victim, links)
+            else:
+                model[victim].reroute(links)
+                store.reindex(victim)
+        store.check()
+        for link_id in range(8):
+            assert store.crossing((link_id,)) == [
+                conn for conn in model.values()
+                if link_id in conn.primary.route.link_ids
+            ]
+        assert store.crossing(range(8)) == [
+            conn for conn in model.values() if conn.primary.route.link_ids
+        ]
