@@ -276,6 +276,10 @@ class ReplicaDatabase:
         self._record(link_id)  # bounds check
         return link_id in self._failed
 
+    def failed_links(self) -> FrozenSet[int]:
+        """The failed-link set frozen at the replica's epoch."""
+        return self._failed
+
     def conflict_count(self, link_id: int, primary_lset: Iterable[int]) -> int:
         """D-LSR's cost term off the replica's support bitset."""
         mask = self._record(link_id)[1]

@@ -37,7 +37,7 @@ and read the same index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..network.state import BW_EPSILON, NetworkState
 from .channel import Channel
@@ -441,12 +441,16 @@ def reconfigure_unprotected(
     policy: SparePolicy,
     connections: Dict[int, DRConnection],
     scheme,
+    hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
 ) -> int:
     """DRTP step 4: find new backups for unprotected connections.
 
     ``scheme`` is any bound :class:`~repro.routing.base.RoutingScheme`;
     its backup-selection machinery is reused by planning against the
-    existing primary.  Returns how many connections were re-protected.
+    existing primary.  ``hop_bound(source, destination)`` is the
+    delay-QoS bound a replacement backup must keep, exactly as at
+    admission; ``None`` plans unbounded.  Returns how many connections
+    were re-protected.
     """
     from .signaling import BackupRegisterPacket, register_backup_path
     from ..routing.base import RouteQuery
@@ -456,8 +460,12 @@ def reconfigure_unprotected(
     for conn in connections.values():
         if conn.backup is not None or not conn.is_active:
             continue
+        max_hops = (
+            hop_bound(conn.source, conn.destination)
+            if hop_bound is not None else None
+        )
         backup = scheme.plan_backup(
-            RouteQuery(conn.source, conn.destination, conn.bw_req),
+            RouteQuery(conn.source, conn.destination, conn.bw_req, max_hops),
             conn.primary_route,
         )
         if backup is None or backup.lset == conn.primary_route.lset:

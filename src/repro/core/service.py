@@ -392,9 +392,7 @@ class DRTPService:
         service imposes no delay QoS."""
         if self.qos_slack is None:
             return None
-        distance = self.scheme.context.distance_tables[source].distance(
-            destination
-        )
+        distance = self.scheme.context.hop_counts[source][destination]
         if distance == float("inf"):
             return 1  # unreachable; any bound rejects cleanly
         return int(distance) + self.qos_slack
@@ -578,7 +576,8 @@ class DRTPService:
         )
         if reconfigure:
             reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections, self.scheme
+                self.state, self.spare_policy, self._connections,
+                self.scheme, self._qos_bound,
             )
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
@@ -618,7 +617,8 @@ class DRTPService:
         )
         if reconfigure:
             reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections, self.scheme
+                self.state, self.spare_policy, self._connections,
+                self.scheme, self._qos_bound,
             )
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
@@ -700,7 +700,8 @@ class DRTPService:
         )
         if reconfigure:
             reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections, self.scheme
+                self.state, self.spare_policy, self._connections,
+                self.scheme, self._qos_bound,
             )
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
@@ -747,7 +748,8 @@ class DRTPService:
         )
         if reconfigure:
             reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections, self.scheme
+                self.state, self.spare_policy, self._connections,
+                self.scheme, self._qos_bound,
             )
         if self.metrics is not None:
             self.metrics.observe_failure(impact)

@@ -244,6 +244,11 @@ class LinkStateDatabase:
         modes read it live."""
         return self._state.is_link_failed(link_id)
 
+    def failed_links(self) -> frozenset:
+        """Every link :meth:`is_failed` holds for, as one set — for
+        readers that test many links against one instant."""
+        return self._state.failed_links()
+
     def conflict_count(self, link_id: int, primary_lset) -> int:
         """D-LSR's cost term: how many links of ``primary_lset`` have
         their Conflict-Vector bit set on ``link_id``.  In live mode the

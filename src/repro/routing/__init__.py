@@ -16,11 +16,9 @@ from .dlsr import DLSRScheme
 from .flooding import (
     BFParameters,
     BoundedFloodingScheme,
-    CDP,
     CRTEntry,
     FloodingError,
     FloodResult,
-    PendingEntry,
 )
 from .baselines import DisjointBackupScheme, NoBackupScheme, RandomBackupScheme
 from .reactive import (
@@ -51,9 +49,7 @@ __all__ = [
     "DLSRScheme",
     "BoundedFloodingScheme",
     "BFParameters",
-    "CDP",
     "CRTEntry",
-    "PendingEntry",
     "FloodResult",
     "FloodingError",
     "NoBackupScheme",

@@ -22,7 +22,11 @@ from typing import List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
 from ..network.state import NetworkState
-from ..topology.distance import DistanceTable, build_distance_tables
+from ..topology.distance import (
+    DistanceTable,
+    all_pairs_hop_counts,
+    build_distance_tables,
+)
 from ..topology.graph import Network, Route
 from .dijkstra import bounded_shortest_path, shortest_path
 
@@ -90,8 +94,9 @@ class RoutePlan:
 
 class RoutingContext:
     """Everything a scheme may consult: topology, authoritative
-    ledgers, the link-state database view, and per-node distance
-    tables (built lazily — only bounded flooding needs them)."""
+    ledgers, the link-state database view, and the hop-count matrix
+    with the per-node distance tables that view it (built lazily —
+    only bounded flooding and delay-QoS bounds need them)."""
 
     def __init__(
         self,
@@ -102,12 +107,24 @@ class RoutingContext:
         self.network = network
         self.state = state
         self.database = database or LinkStateDatabase(state)
+        self._hop_counts: Optional[List[List[float]]] = None
         self._distance_tables: Optional[List[DistanceTable]] = None
+
+    @property
+    def hop_counts(self) -> List[List[float]]:
+        """All-pairs minimum hop counts ``D[i][j]`` — the one matrix
+        every distance table and flood column is read from.  The
+        topology is frozen, so it is never rebuilt."""
+        if self._hop_counts is None:
+            self._hop_counts = all_pairs_hop_counts(self.network)
+        return self._hop_counts
 
     @property
     def distance_tables(self) -> List[DistanceTable]:
         if self._distance_tables is None:
-            self._distance_tables = build_distance_tables(self.network)
+            self._distance_tables = build_distance_tables(
+                self.network, self.hop_counts
+            )
         return self._distance_tables
 
     def distance_table(self, node: int) -> DistanceTable:

@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from ..kernels.bitset import mask_from_ids
 from ..network.state import BW_EPSILON
 from ..topology.distance import UNREACHABLE
 from ..topology.graph import Route
-from .base import RoutePlan, RouteQuery, RoutingScheme
+from .base import RoutePlan, RouteQuery, RoutingContext, RoutingScheme
 
 
 class FloodingError(RuntimeError):
@@ -78,38 +79,64 @@ class BFParameters:
         return int(math.floor(self.rho * min_distance)) + self.p
 
 
-@dataclass(frozen=True)
-class CDP:
-    """Channel-discovery packet (Section 4.1 field list)."""
-
-    srce_id: int
-    dest_id: int
-    conn_id: int
-    hc_limit: int
-    hc_curr: int
-    bw_req: float
-    primary_flag: bool
-    path: Tuple[int, ...]  # the paper's ``list``: nodes traversed so far
-
-
-@dataclass
-class PendingEntry:
-    """One Pending Connection Table (PCT) row (Section 4.1)."""
-
-    conn_id: int
-    bw_req: float
-    min_dist: int
-    time_out: float
-
-
-@dataclass
 class CRTEntry:
     """One Candidate Route Table row: a route that reached the
-    destination, with the flag saying whether it can host the primary."""
+    destination, with the flag saying whether it can host the primary.
 
-    primary_flag: bool
-    hop_count: int
-    route: Route
+    A flood files a row as the CDP's node and link-id tuples plus the
+    link bitmask selection computes overlap on; the :class:`Route` is
+    built on first read of :attr:`route`, so only the rows selection
+    actually picks ever pay for one.
+    """
+
+    __slots__ = (
+        "primary_flag", "hop_count", "nodes", "link_ids", "link_mask",
+        "_route",
+    )
+
+    def __init__(self, primary_flag: bool, hop_count: int,
+                 route: Route) -> None:
+        self.primary_flag = primary_flag
+        self.hop_count = hop_count
+        self.nodes = route.nodes
+        self.link_ids = route.link_ids
+        self.link_mask = mask_from_ids(route.link_ids)
+        self._route: Optional[Route] = route
+
+    @classmethod
+    def from_cdp(cls, primary_flag: bool, nodes: Tuple[int, ...],
+                 link_ids: Tuple[int, ...], link_mask: int) -> "CRTEntry":
+        """The row a delivered CDP files; no :class:`Route` yet."""
+        entry = cls.__new__(cls)
+        entry.primary_flag = primary_flag
+        entry.hop_count = len(link_ids)
+        entry.nodes = nodes
+        entry.link_ids = link_ids
+        entry.link_mask = link_mask
+        entry._route = None
+        return entry
+
+    @property
+    def route(self) -> Route:
+        route = self._route
+        if route is None:
+            route = self._route = Route(self.nodes, self.link_ids)
+        return route
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CRTEntry):
+            return NotImplemented
+        return (
+            self.primary_flag == other.primary_flag
+            and self.hop_count == other.hop_count
+            and self.nodes == other.nodes
+            and self.link_ids == other.link_ids
+        )
+
+    def __repr__(self) -> str:
+        return "CRTEntry(primary_flag={!r}, hop_count={!r}, nodes={!r})".format(
+            self.primary_flag, self.hop_count, self.nodes
+        )
 
 
 @dataclass
@@ -127,6 +154,12 @@ class FloodResult:
     nodes_reached: int = 0
     deliveries: int = 0
     hc_limit: int = 0
+
+
+#: Per-flood verdict of the two link tests that do not depend on the
+#: CDP: failed or no backup headroom / backup headroom only (clears
+#: ``primary_flag``) / primary headroom too.
+_BLOCKED, _BACKUP_ONLY, _PRIMARY_OK = 1, 2, 3
 
 
 class BoundedFloodingScheme(RoutingScheme):
@@ -147,12 +180,31 @@ class BoundedFloodingScheme(RoutingScheme):
                 "num_backups must be >= 1, got {}".format(num_backups)
             )
         self.parameters = parameters or BFParameters()
-        #: Used only to populate PCT/CRT timeout fields per Section 4.1
-        #: ("no less than the average link delay times the hop limit").
+        #: Section 4.1 sizes the PCT/CRT timeouts from it ("no less
+        #: than the average link delay times the hop limit"); the
+        #: synchronous flood never lets one expire.
         self.average_link_delay = average_link_delay
         #: Backup channels to pick from the CRT (Section 2's "one or
         #: more"); 1 matches the paper's evaluation.
         self.num_backups = num_backups
+
+    def bind(self, context: RoutingContext) -> None:
+        """Attach to a network and lay its topology out flat: per node
+        the ``(neighbor, neighbor bit, link id, link bit)`` rows in
+        ``out_links`` order, per destination the column of every
+        node's distance table the flood's distance test reads."""
+        super().bind(context)
+        network = context.network
+        self._adjacency = tuple(
+            tuple(
+                (link.dst, 1 << link.dst, link.link_id, 1 << link.link_id)
+                for link in network.out_links(node)
+            )
+            for node in network.nodes()
+        )
+        # _hops_to[j][k] = D[k][j]: hops from k to destination j.
+        self._hops_to = list(zip(*context.hop_counts))
+        self._num_links = network.num_links
 
     # ------------------------------------------------------------------
     # Flooding
@@ -178,14 +230,22 @@ class BoundedFloodingScheme(RoutingScheme):
         return result
 
     def _flood(self, query: RouteQuery, conn_id: int) -> FloodResult:
-        """The untraced flood (the pre-tracing instruction stream)."""
-        ctx = self.context
-        network = ctx.network
-        database = ctx.database
-        tables = ctx.distance_tables
-        result = FloodResult()
+        """The untraced flood.
 
-        min_distance = tables[query.source].distance(query.destination)
+        A CDP in flight is the tuple ``(node, hc_curr, primary_flag,
+        path, link_ids, path_mask, link_mask)`` — ``path`` the paper's
+        ``list`` (nodes traversed before ``node``), the masks its node
+        and link sets as bitsets.  ``srce_id``/``dest_id``/``hc_limit``
+        /``bw_req`` are the same on every copy and ``conn_id`` names
+        the one connection the flood serves, so they stay locals.  The
+        PCT is ``node → min_dist`` for the same reason.
+        """
+        database = self.context.database
+        result = FloodResult()
+        source = query.source
+        destination = query.destination
+        hops_to_destination = self._hops_to[destination]
+        min_distance = hops_to_destination[source]
         if min_distance == UNREACHABLE:
             return result
         hc_limit = self.parameters.hop_limit(min_distance)
@@ -194,154 +254,140 @@ class BoundedFloodingScheme(RoutingScheme):
             # longer than max_hops is usable, so none is discovered.
             hc_limit = min(hc_limit, query.max_hops)
         result.hc_limit = hc_limit
-        timeout = self.average_link_delay * hc_limit
 
-        pct: Dict[int, PendingEntry] = {}
-        seed = CDP(
-            srce_id=query.source,
-            dest_id=query.destination,
-            conn_id=conn_id,
-            hc_limit=hc_limit,
-            hc_curr=0,
-            bw_req=query.bw_req,
-            primary_flag=True,
-            path=(),
-        )
-        queue: deque = deque()
-        # Section 4.2: the source applies the distance and bandwidth
-        # tests per neighbor, then updates and forwards.
-        self._forward_from(query.source, seed, queue, result)
-
-        reached = {query.source}
-        deliveries = 0
+        adjacency = self._adjacency
+        alpha = self.parameters.alpha
+        beta = self.parameters.beta
+        max_deliveries = self.max_deliveries
+        bw_req = query.bw_req
+        # Failed links carry nothing (topology-change information
+        # propagates immediately in the fault model).
+        failed = database.failed_links()
+        backup_headroom = database.backup_headroom
+        primary_headroom = database.primary_headroom
+        # Neither the bandwidth test nor the primary_flag update
+        # depends on the copy, so each link is judged once per flood.
+        verdicts = [0] * self._num_links
+        candidates = result.candidates
+        pct: dict = {}
+        transmissions = 0
+        # Section 4.2: the source applies the same per-neighbor tests,
+        # then updates and forwards — so the flood starts by handing
+        # it a seed CDP, which opens the source's PCT row (min_dist 0;
+        # loop-freedom keeps every copy away from it afterwards) but
+        # is not a delivery.
+        deliveries = -1
+        queue: deque = deque([(source, 0, True, (), (), 0, 0)])
         while queue:
-            node, packet = queue.popleft()
+            (node, hc_curr, flag, path, link_ids, path_mask,
+             link_mask) = queue.popleft()
             deliveries += 1
-            if deliveries > self.max_deliveries:
+            if deliveries > max_deliveries:
                 raise FloodingError(
                     "flood for {}->{} exceeded {} deliveries".format(
-                        query.source, query.destination, self.max_deliveries
+                        source, destination, max_deliveries
                     )
                 )
-            reached.add(node)
-            if node == query.destination:
-                route_nodes = packet.path + (node,)
-                result.candidates.append(
-                    CRTEntry(
-                        primary_flag=packet.primary_flag,
-                        hop_count=packet.hc_curr,
-                        route=Route.from_nodes(network, route_nodes),
-                    )
-                )
+            if node == destination:
+                candidates.append(CRTEntry.from_cdp(
+                    flag, path + (node,), link_ids, link_mask
+                ))
                 continue
-            entry = self._pct_for(pct, node, packet, timeout)
-            if entry is None:
-                continue  # failed the valid-detour test
-            self._forward_from(node, packet, queue, result)
+            min_dist = pct.get(node)
+            if min_dist is None:
+                pct[node] = hc_curr
+            # Section 4.3 valid-detour test, on packets seen again.
+            elif hc_curr > alpha * min_dist + beta:
+                continue
+            elif hc_curr < min_dist:
+                pct[node] = hc_curr
+            # Every copy leaving this node carries the same bumped hop
+            # count and the same extended path.
+            hc_next = hc_curr + 1
+            path_next = path + (node,)
+            path_mask_next = path_mask | (1 << node)
+            for neighbor, neighbor_bit, link_id, link_bit in adjacency[node]:
+                # Loop-freedom test (trivially passes at the source).
+                if path_mask & neighbor_bit:
+                    continue
+                # Distance test: can the CDP still make it in time?
+                # (UNREACHABLE is inf and fails it.)
+                if hc_next + hops_to_destination[neighbor] > hc_limit:
+                    continue
+                verdict = verdicts[link_id]
+                if not verdict:
+                    # Bandwidth test: usable at least as a
+                    # spare-sharing backup; primary_flag survives only
+                    # where a primary fits too.
+                    if (
+                        link_id in failed
+                        or backup_headroom(link_id) + BW_EPSILON < bw_req
+                    ):
+                        verdict = _BLOCKED
+                    elif primary_headroom(link_id) + BW_EPSILON >= bw_req:
+                        verdict = _PRIMARY_OK
+                    else:
+                        verdict = _BACKUP_ONLY
+                    verdicts[link_id] = verdict
+                if verdict == _BLOCKED:
+                    continue
+                transmissions += 1
+                queue.append((
+                    neighbor,
+                    hc_next,
+                    flag and verdict == _PRIMARY_OK,
+                    path_next,
+                    link_ids + (link_id,),
+                    path_mask_next,
+                    link_mask | link_bit,
+                ))
 
-        result.nodes_reached = len(reached)
+        result.cdp_transmissions = transmissions
         result.deliveries = deliveries
+        # Every delivery opened or found a PCT row, except those at the
+        # destination.
+        result.nodes_reached = len(pct) + bool(candidates)
         return result
-
-    def _pct_for(
-        self,
-        pct: Dict[int, PendingEntry],
-        node: int,
-        packet: CDP,
-        timeout: float,
-    ) -> Optional[PendingEntry]:
-        """Apply the valid-detour test and maintain the node's PCT.
-
-        The PCT dict is keyed by ``(node, conn_id)`` conceptually; the
-        flood handles a single connection, so the node id suffices.
-        Returns ``None`` when the packet must be dropped.
-        """
-        key = node
-        entry = pct.get(key)
-        if entry is None:
-            pct[key] = PendingEntry(
-                conn_id=packet.conn_id,
-                bw_req=packet.bw_req,
-                min_dist=packet.hc_curr,
-                time_out=timeout,
-            )
-            return pct[key]
-        # Section 4.3: an additional test on packets seen again.
-        limit = self.parameters.alpha * entry.min_dist + self.parameters.beta
-        if packet.hc_curr > limit:
-            return None
-        if packet.hc_curr < entry.min_dist:
-            entry.min_dist = packet.hc_curr
-        return entry
-
-    def _forward_from(
-        self,
-        node: int,
-        packet: CDP,
-        queue: deque,
-        result: FloodResult,
-    ) -> None:
-        """Apply per-neighbor tests; enqueue updated copies."""
-        ctx = self.context
-        network = ctx.network
-        database = ctx.database
-        table = ctx.distance_tables[node]
-        # Every copy leaving this node carries the same bumped hop
-        # count and the same extended path.
-        hc_next = packet.hc_curr + 1
-        path_next = packet.path + (node,)
-        for link in network.out_links(node):
-            neighbor = link.dst
-            # Failed links carry nothing (topology-change information
-            # propagates immediately in the fault model).
-            if database.is_failed(link.link_id):
-                continue
-            # Loop-freedom test (trivially passes at the source).
-            if neighbor in packet.path:
-                continue
-            # Distance test: can the CDP still make it in time?
-            remaining = table.via(packet.dest_id, neighbor)
-            if remaining == UNREACHABLE:
-                continue
-            if packet.hc_curr + remaining + 1 > packet.hc_limit:
-                continue
-            # Bandwidth test: usable at least as a spare-sharing backup.
-            if database.backup_headroom(link.link_id) + BW_EPSILON < packet.bw_req:
-                continue
-            # Update: recalculate primary_flag, bump hc_curr, append i.
-            flag = packet.primary_flag and (
-                database.primary_headroom(link.link_id) + BW_EPSILON
-                >= packet.bw_req
-            )
-            # Built positionally (the CDP field order): this runs once
-            # per transmission, where dataclasses.replace() is slow.
-            forwarded = CDP(
-                packet.srce_id,
-                packet.dest_id,
-                packet.conn_id,
-                packet.hc_limit,
-                hc_next,
-                packet.bw_req,
-                flag,
-                path_next,
-            )
-            result.cdp_transmissions += 1
-            queue.append((neighbor, forwarded))
 
     # ------------------------------------------------------------------
     # Destination selection (Section 4.4)
     # ------------------------------------------------------------------
     @staticmethod
-    def _overlap(lset, other_lset, risk_groups) -> int:
-        """Selection overlap between two link sets: shared links
-        without an SRLG assignment, shared *risk groups* with one.
-        Singleton groups map each link to its own group, so the two
-        counts coincide and selection is unchanged."""
+    def _least_overlapping(
+        candidates: List[CRTEntry],
+        avoid_ids,
+        risk_groups,
+        excluded=(),
+        skip: int = -1,
+    ) -> Optional[CRTEntry]:
+        """The row minimizing ``(overlap with avoid_ids, hop count,
+        arrival order)``, passing over row ``skip`` and every row whose
+        link bitmask is in ``excluded``.
+
+        Overlap counts shared links without an SRLG assignment, shared
+        *risk groups* with one.  Singleton groups map each link to its
+        own group, so the two counts coincide and selection is
+        unchanged."""
         if risk_groups is None:
-            return len(lset & other_lset)
-        return len(
-            risk_groups.groups_of(lset) & risk_groups.groups_of(other_lset)
-        )
+            avoid_mask = mask_from_ids(avoid_ids)
+        else:
+            avoid_groups = risk_groups.groups_of(avoid_ids)
+        best = None
+        best_key = None
+        for index, entry in enumerate(candidates):
+            if index == skip or entry.link_mask in excluded:
+                continue
+            if risk_groups is None:
+                overlap = (entry.link_mask & avoid_mask).bit_count()
+            else:
+                overlap = len(
+                    risk_groups.groups_of(entry.link_ids) & avoid_groups
+                )
+            key = (overlap, entry.hop_count, index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = entry
+        return best
 
     @staticmethod
     def select_routes(
@@ -366,19 +412,11 @@ class BoundedFloodingScheme(RoutingScheme):
                 primary_index = index
         if primary_entry is None:
             return None, None
-        best_backup = None
-        best_key = None
-        for index, entry in enumerate(candidates):
-            if index == primary_index:
-                continue
-            overlap = BoundedFloodingScheme._overlap(
-                entry.route.lset, primary_entry.route.lset, risk_groups
-            )
-            key = (overlap, entry.hop_count, index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_backup = entry
-        backup = best_backup.route if best_backup is not None else None
+        backup_entry = BoundedFloodingScheme._least_overlapping(
+            candidates, primary_entry.link_ids, risk_groups,
+            skip=primary_index,
+        )
+        backup = backup_entry.route if backup_entry is not None else None
         return primary_entry.route, backup
 
     @staticmethod
@@ -399,26 +437,17 @@ class BoundedFloodingScheme(RoutingScheme):
         if primary is None or first is None:
             return primary, []
         backups = [first]
-        taken = {primary.lset, first.lset}
-        avoid = set(primary.lset) | set(first.lset)
+        avoid = primary.link_ids + first.link_ids
+        taken = {mask_from_ids(primary.link_ids), mask_from_ids(first.link_ids)}
         while len(backups) < num_backups:
-            best = None
-            best_key = None
-            for index, entry in enumerate(candidates):
-                if entry.route.lset in taken:
-                    continue
-                overlap = BoundedFloodingScheme._overlap(
-                    entry.route.lset, avoid, risk_groups
-                )
-                key = (overlap, entry.hop_count, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = entry.route
+            best = BoundedFloodingScheme._least_overlapping(
+                candidates, avoid, risk_groups, excluded=taken
+            )
             if best is None:
                 break
-            backups.append(best)
-            taken.add(best.lset)
-            avoid.update(best.lset)
+            backups.append(best.route)
+            avoid += best.link_ids
+            taken.add(best.link_mask)
         return primary, backups
 
     def _risk_groups(self):
@@ -429,22 +458,16 @@ class BoundedFloodingScheme(RoutingScheme):
 
     def plan_backup(self, query: RouteQuery, primary: Route):
         """Re-flood and pick the candidate that minimally overlaps the
-        *established* primary (reconfiguration path)."""
+        *established* primary (reconfiguration path); the primary
+        itself is not a backup."""
         result = self.flood(query)
-        risk_groups = self._risk_groups()
-        best = None
-        best_key = None
-        for index, entry in enumerate(result.candidates):
-            if entry.route.lset == primary.lset:
-                continue  # the primary itself is not a backup
-            overlap = self._overlap(
-                entry.route.lset, primary.lset, risk_groups
-            )
-            key = (overlap, entry.hop_count, index)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = entry.route
-        return best
+        best = self._least_overlapping(
+            result.candidates,
+            primary.link_ids,
+            self._risk_groups(),
+            excluded=(mask_from_ids(primary.link_ids),),
+        )
+        return best.route if best is not None else None
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         result = self.flood(query)

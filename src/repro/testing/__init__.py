@@ -7,11 +7,14 @@ This package keeps them honest:
 * :mod:`repro.testing.reference` — rebuild-from-scratch counterparts
   of every optimized component (naive searches, APLV rebuilds, a
   no-cache database) preserved from before the optimization;
+* :mod:`repro.testing.flooding` — the object-per-CDP bounded flood and
+  set-based destination selection the flat-table flood replaced;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
   wrapper that replays every operation into a naive shadow service and
   asserts bit-identical decisions, routes and state fingerprints.
 """
 
+from .flooding import CDP, PendingEntry, ReferenceFloodingScheme
 from .oracle import DifferentialOracle, OracleDivergence
 from .reference import (
     ReferenceDatabase,
@@ -22,9 +25,12 @@ from .reference import (
 )
 
 __all__ = [
+    "CDP",
     "DifferentialOracle",
     "OracleDivergence",
+    "PendingEntry",
     "ReferenceDatabase",
+    "ReferenceFloodingScheme",
     "make_reference_service",
     "naive_bounded_shortest_path",
     "naive_shortest_path",

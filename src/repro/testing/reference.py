@@ -30,8 +30,10 @@ from ..network.conflict_vector import ConflictVector
 from ..network.database import LinkStateDatabase
 from ..network.state import LinkLedger
 from ..routing.base import RoutingContext
+from ..routing.flooding import BoundedFloodingScheme
 from ..topology.graph import Network, Route
 from ..routing.dijkstra import LinkCost, hop_cost
+from .flooding import ReferenceFloodingScheme
 
 
 def naive_shortest_path(
@@ -208,16 +210,21 @@ def make_reference_service(service: DRTPService) -> DRTPService:
     fresh :class:`~repro.network.state.NetworkState` over the same
     (immutable) topology, a :class:`ReferenceDatabase`, a copy of the
     spare policy, and a copy of the routing scheme whose search hooks
-    are overridden with the naive reference searches.  Replaying the
-    same operations through both must produce bit-identical decisions
-    and state fingerprints.
+    are overridden with the naive reference searches — for bounded
+    flooding, which searches no paths, the object flood of
+    :mod:`repro.testing.flooding` instead.  Replaying the same
+    operations through both must produce bit-identical decisions and
+    state fingerprints.
 
     Fault injection is deliberately not carried over: the injector
     draws from a shared RNG, so two services would observe different
     fault sequences and diverge by design.  The oracle refuses faulted
     services for the same reason.
     """
-    scheme = copy.copy(service.scheme)
+    if isinstance(service.scheme, BoundedFloodingScheme):
+        scheme = ReferenceFloodingScheme.shadowing(service.scheme)
+    else:
+        scheme = copy.copy(service.scheme)
     shadow = DRTPService(
         service.network,
         scheme,

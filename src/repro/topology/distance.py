@@ -74,7 +74,9 @@ class DistanceTable:
 
     Built from all-pairs BFS: the hop count from ``i`` to ``j`` via
     neighbor ``k`` equals ``1 + D[k][j]`` minimized over nothing (the
-    table stores ``D[k][j]`` itself; Eq. 7 adds the ``+1``).
+    table reads ``D[k][j]`` itself; Eq. 7 adds the ``+1``).  The table
+    is a read-only view of the all-pairs matrix: every node's table
+    built from one matrix shares its rows.
     """
 
     def __init__(self, network: Network, node: int,
@@ -86,7 +88,7 @@ class DistanceTable:
         # _via[k][j] = min hops k -> j (the D^i_{j,k} matrix transposed
         # for cache-friendly row access per neighbor).
         self._via: Dict[int, List[float]] = {
-            k: list(pairs[k]) for k in self._neighbors
+            k: pairs[k] for k in self._neighbors
         }
         self._num_nodes = network.num_nodes
 
@@ -121,7 +123,10 @@ class DistanceTable:
         return min(self._via[k][destination] for k in self._neighbors) + 1
 
 
-def build_distance_tables(network: Network) -> List[DistanceTable]:
-    """Distance tables for every node, sharing one all-pairs BFS."""
-    pairs = all_pairs_hop_counts(network)
+def build_distance_tables(
+    network: Network, all_pairs: Optional[List[List[float]]] = None
+) -> List[DistanceTable]:
+    """Distance tables for every node, all views of one all-pairs
+    matrix (``all_pairs`` when the caller already holds it)."""
+    pairs = all_pairs if all_pairs is not None else all_pairs_hop_counts(network)
     return [DistanceTable(network, node, pairs) for node in network.nodes()]

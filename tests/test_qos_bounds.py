@@ -1,5 +1,7 @@
 """Tests for delay-QoS hop bounds (bounded search + service slack)."""
 
+import random
+
 import pytest
 
 from repro.core import DRTPService
@@ -12,7 +14,7 @@ from repro.routing import (
     RoutingContext,
 )
 from repro.routing.dijkstra import bounded_shortest_path, hop_cost
-from repro.topology import mesh_network, ring_network
+from repro.topology import all_pairs_hop_counts, mesh_network, ring_network
 
 
 def bound(scheme, net):
@@ -129,3 +131,28 @@ class TestServiceQoS:
         net = ring_network(6, 10.0)
         service = DRTPService(net, DLSRScheme())
         assert service.request(0, 2, 1.0).accepted
+
+
+@pytest.mark.parametrize(
+    "scheme_cls, slack",
+    # BF's default flood bound is D + 2 hops; a slack of 1 is tighter.
+    [(DLSRScheme, 2), (BoundedFloodingScheme, 1)],
+)
+def test_reconfigured_backups_keep_the_qos_bound(scheme_cls, slack):
+    """The backups DRTP re-plans after a failure obey the same hop
+    bound as the ones planned at admission (unbounded re-planning left
+    a 7-hop backup against a bound of 5 here)."""
+    net = mesh_network(4, 4, 4.0)
+    hops = all_pairs_hop_counts(net)
+    service = DRTPService(net, scheme_cls(), qos_slack=slack)
+    rng = random.Random(0)
+    for _ in range(40):
+        source, destination = rng.sample(range(16), 2)
+        service.request(source, destination, 1.0)
+    for link_id in rng.sample(range(net.num_links), 6):
+        service.fail_link(link_id)
+        for conn in service.connections():
+            bound = hops[conn.source][conn.destination] + slack
+            for channel in conn.all_backups:
+                assert channel.route.hop_count <= bound
+    service.check_invariants()
