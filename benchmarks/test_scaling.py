@@ -1,14 +1,15 @@
-"""Scaling benchmark: fast-path admissions/sec vs the naive rebuild path.
+"""Scaling benchmark: production admissions/sec vs the naive reference.
 
 Sustained-admission throughput on square meshes from 8x8 to 20x20,
 measured twice per mesh over the identical seeded workload:
 
 * **fast** — the production :class:`DRTPService` (incremental APLV
-  deltas, support-versioned CV caches, dirty-set database refresh,
-  cached-workspace Dijkstra);
+  deltas, dirty-set link tables, batch cost builds, array Dijkstra,
+  batched commit);
 * **naive** — :func:`make_reference_service`: same scheme and policies,
-  but every APLV/CV read rebuilds from the raw backup registries and
-  every search runs the dict-based reference Dijkstra.
+  but every APLV/CV read rebuilds from the raw backup registries, every
+  link cost is a closure call and every search runs the dict-based
+  reference Dijkstra.
 
 The workload is admission-heavy on purpose: each accepted connection
 registers its backup LSET on every spare link, so per-link registries
@@ -84,13 +85,7 @@ def measure_mesh(rows):
     net = mesh_network(rows, rows, capacity=CAPACITY)
     pairs = _workload(net)
 
-    # Pin the object kernel: this benchmark compares the PR-2
-    # incremental fast path against the naive rebuild path.  The
-    # array-compiled kernel has its own paired benchmark
-    # (test_kernel_speedup.py) measured against this fast path.
-    scheme = make_scheme(SCHEME)
-    scheme.kernel = "object"
-    fast = DRTPService(net, scheme)
+    fast = DRTPService(net, make_scheme(SCHEME))
     naive = make_reference_service(fast)
 
     fast_timer = ArmTimer("fast")

@@ -34,15 +34,11 @@ from ..experiments.sweep import make_scheme
 from ..server.loadgen import LoadGenConfig, LoadGenerator, build_timeline
 from ..topology.mesh import mesh_network
 from .authority import DEFAULT_BATCH, DEFAULT_LOOKAHEAD
-from .reference import run_cluster_reference
+from .reference import ClusterOracleDivergence, run_cluster_reference
 from .server import ClusterControlPlaneServer
 
 #: Schema version of the archived oracle report.
 ORACLE_VERSION = 1
-
-
-class ClusterOracleDivergence(AssertionError):
-    """A live cluster run disagreed with the sequential replay."""
 
 
 def _diff_decisions(live: List[int], reference: List[int]) -> List[int]:

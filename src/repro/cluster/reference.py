@@ -10,7 +10,9 @@ process, with no workers to kill.  Because the epoch schedule is a
 pure function of the operation sequence number, this replay and a
 live ``repro serve --workers N`` run (any N, any kill schedule) must
 produce identical decision traces; the cluster differential oracle
-asserts exactly that.
+asserts exactly that.  The replay also checks the replication itself:
+whenever its planner's replica reaches an epoch, the replica's table
+must equal the authority's kernel table as it stood at that boundary.
 
 The report dict is shaped like
 :func:`~repro.server.loadgen.run_sequential_reference` so the loadtest
@@ -37,6 +39,11 @@ from .authority import (
     epoch_for,
 )
 from .replica import DatabaseSnapshot, DeltaTracker, LinkStateDelta
+
+
+class ClusterOracleDivergence(AssertionError):
+    """A live cluster run disagreed with the sequential replay, or a
+    replica's table with the authority's at the same epoch."""
 
 
 class SequentialClusterAuthority:
@@ -66,11 +73,41 @@ class SequentialClusterAuthority:
             DatabaseSnapshot.capture(service.state, 0),
             risk_groups=service.risk_groups,
         )
+        #: epoch -> the authority's kernel-table rows at that boundary,
+        #: kept until the planner's replica has been checked against it.
+        self._authority_rows: Dict[int, List[tuple]] = {}
+        self._record_authority_rows(0)
+        self._check_replica()
+
+    def _record_authority_rows(self, epoch: int) -> None:
+        tables = self.service.database.kernel_arrays()
+        tables.flush()
+        self._authority_rows[epoch] = tables.rows(
+            6 if tables.have_group_tables else 4
+        )
+
+    def _check_replica(self) -> None:
+        """The planner's delta-fed table equals the authority's at the
+        epoch the replica just reached."""
+        replica = self._planner.replica
+        expected = self._authority_rows.get(replica.epoch)
+        if expected is None:
+            return  # checked on arrival, image since dropped
+        stored = replica.kernel_arrays().rows(len(expected[0]))
+        if stored != expected:
+            raise ClusterOracleDivergence(
+                "replica table at epoch {} differs from the authority's "
+                "on links {}".format(
+                    replica.epoch,
+                    [i for i, row in enumerate(stored) if row != expected[i]],
+                )
+            )
 
     def admit(self, args: Dict[str, Any]) -> Dict[str, Any]:
         """Plan at the epoch view for this seq, commit via the authority."""
         target = epoch_for(self.seq, self.batch, self.lookahead)
         self._planner.advance_to(target, self._deltas)
+        self._check_replica()
         plan = self._planner.plan(args["source"], args["destination"], args["bw"])
         result = commit_admission(self.service, args, plan, self.stats)
         self._finish_commit()
@@ -96,9 +133,13 @@ class SequentialClusterAuthority:
         if self.seq % self.batch == 0:
             epoch = self.seq // self.batch
             self._deltas[epoch] = self._tracker.capture(epoch)
-            # Deltas already behind the planner can never be re-read.
-            for old in [e for e in self._deltas if e <= self._planner.replica.epoch]:
-                del self._deltas[old]
+            self._record_authority_rows(epoch)
+            # Deltas (and table images) already behind the planner can
+            # never be re-read.
+            floor = self._planner.replica.epoch
+            for retained in (self._deltas, self._authority_rows):
+                for old in [e for e in retained if e <= floor]:
+                    del retained[old]
 
     def close(self) -> None:
         """Detach the delta tracker from the service's state."""

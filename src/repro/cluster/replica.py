@@ -9,14 +9,17 @@ changed since the previous boundary — the same incremental-update
 discipline the PR-2 APLV fast path uses in-process, lifted across
 process boundaries.
 
-A replica record stores exactly the advertised quantities the routing
-schemes read through the :class:`~repro.network.database.LinkStateDatabase`
-API (``||APLV||_1``, the CV support bitset, headrooms, and the SRLG
-aggregates), so a :class:`ReplicaDatabase` can be bound into a
-:class:`~repro.routing.base.RoutingContext` as a drop-in database.
-``supports_compiled_kernel`` is ``False`` on purpose: replicas plan on
-the object path, and so does the sequential cluster reference, keeping
-the differential oracle comparison apples-to-apples.
+A replica record carries exactly the advertised quantities the routing
+schemes price from (``||APLV||_1``, the CV support bitset, headrooms,
+and the SRLG aggregates) — the six columns of
+:class:`~repro.kernels.arrays.LinkTables`.  That table *is* the
+replica's storage: :meth:`ReplicaDatabase.ingest` and
+:meth:`~ReplicaDatabase.resync` write its rows,
+:meth:`~ReplicaDatabase.kernel_arrays` hands it to the link-state
+schemes, so a :class:`ReplicaDatabase` bound into a
+:class:`~repro.routing.base.RoutingContext` plans on the same array
+kernel as the authority — in shards, in the router's inline replanner
+and in the sequential cluster reference alike.
 
 Delivery is sequence-numbered and gap-detected: a replica applies
 delta ``epoch = current + 1``, ignores duplicates (``epoch <=
@@ -30,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from ..kernels.arrays import LinkTables
+from ..kernels.bitset import bits_of, mask_from_ids
 from ..network.conflict_vector import ConflictVector
 from ..network.state import LinkLedger, NetworkState, ResourceError
 from ..topology.srlg import RiskGroupSet
@@ -151,24 +156,36 @@ class ReplicaDatabase:
     live health before reserving bandwidth.
     """
 
-    #: Replicas plan on the object path (see module docstring).
-    supports_compiled_kernel = False
-
     def __init__(
         self,
         snapshot: DatabaseSnapshot,
         risk_groups: Optional[RiskGroupSet] = None,
     ) -> None:
         self.num_links = snapshot.num_links
-        self._records: List[LinkRecord] = list(snapshot.records)
-        self._failed: FrozenSet[int] = snapshot.failed
-        self.epoch = snapshot.epoch
         self._risk_groups = risk_groups
+        #: The advertised columns; priced against this replica's own
+        #: frozen failed set and risk groups.
+        self._tables = LinkTables(snapshot.num_links, self)
+        self._tables.have_group_tables = True
+        self._load(snapshot)
         self.needs_resync = False
         self.deltas_applied = 0
         self.duplicates_ignored = 0
         self.gaps_detected = 0
         self.resyncs = 0
+
+    def _write(self, link_id: int, record: LinkRecord) -> None:
+        l1, support, primary, backup, group_l1, group_support = record
+        self._tables.write_row(link_id, l1, support, primary, backup)
+        self._tables.write_group_row(
+            link_id, group_l1, mask_from_ids(group_support)
+        )
+
+    def _load(self, snapshot: DatabaseSnapshot) -> None:
+        for link_id, record in enumerate(snapshot.records):
+            self._write(link_id, record)
+        self._failed: FrozenSet[int] = snapshot.failed
+        self.epoch = snapshot.epoch
 
     # ------------------------------------------------------------------
     # Replication feed
@@ -194,7 +211,7 @@ class ReplicaDatabase:
         if self.needs_resync:
             return INGEST_BLOCKED
         for link_id, record in delta.changes:
-            self._records[link_id] = record
+            self._write(link_id, record)
         self._failed = delta.failed
         self.epoch = delta.epoch
         self.deltas_applied += 1
@@ -209,9 +226,7 @@ class ReplicaDatabase:
                     snapshot.num_links, self.num_links
                 )
             )
-        self._records = list(snapshot.records)
-        self._failed = snapshot.failed
-        self.epoch = snapshot.epoch
+        self._load(snapshot)
         self.needs_resync = False
         self.resyncs += 1
 
@@ -221,7 +236,9 @@ class ReplicaDatabase:
         return DatabaseSnapshot(
             epoch=self.epoch,
             num_links=self.num_links,
-            records=tuple(self._records),
+            records=tuple(
+                self._record(link_id) for link_id in range(self.num_links)
+            ),
             failed=self._failed,
         )
 
@@ -256,25 +273,37 @@ class ReplicaDatabase:
     def has_risk_groups(self) -> bool:
         return self._risk_groups is not None
 
-    def _record(self, link_id: int) -> LinkRecord:
+    def kernel_arrays(self) -> LinkTables:
+        """The replica's tables, for the link-state schemes' batch
+        cost builds — frozen at the replica's epoch (nothing to
+        flush), failed links and risk groups read from the replica."""
+        return self._tables
+
+    def warmstart_cache(self):
+        """Replicas keep no warm-candidate cache (its validity proofs
+        follow a live state's mutation feed); every search runs cold."""
+        return None
+
+    def _check(self, link_id: int) -> int:
         if not 0 <= link_id < self.num_links:
             raise ResourceError("unknown link id {}".format(link_id))
-        return self._records[link_id]
+        return link_id
+
+    def _record(self, link_id: int) -> LinkRecord:
+        row = self._tables.row(self._check(link_id))
+        return row[:5] + (bits_of(row[5]),)
 
     def aplv_l1(self, link_id: int) -> int:
         """P-LSR's advertised scalar at the replica's epoch."""
-        return self._record(link_id)[0]
+        return self._tables.l1[self._check(link_id)]
 
     def conflict_vector(self, link_id: int) -> ConflictVector:
         """D-LSR's advertised bit-vector, rebuilt from the support mask."""
-        mask = self._record(link_id)[1]
-        positions = [bit for bit in range(self.num_links) if (mask >> bit) & 1]
-        return ConflictVector(self.num_links, positions)
+        return self._tables.conflict_vector(self._check(link_id))
 
     def is_failed(self, link_id: int) -> bool:
         """Link health frozen at the replica's epoch (see class docs)."""
-        self._record(link_id)  # bounds check
-        return link_id in self._failed
+        return self._check(link_id) in self._failed
 
     def failed_links(self) -> FrozenSet[int]:
         """The failed-link set frozen at the replica's epoch."""
@@ -282,28 +311,24 @@ class ReplicaDatabase:
 
     def conflict_count(self, link_id: int, primary_lset: Iterable[int]) -> int:
         """D-LSR's cost term off the replica's support bitset."""
-        mask = self._record(link_id)[1]
-        return sum(1 for member in primary_lset if (mask >> member) & 1)
+        return self._tables.conflict_count(
+            self._check(link_id), primary_lset
+        )
 
     def group_aplv_l1(self, link_id: int) -> int:
         """P-LSR's SRLG-generalized scalar at the replica's epoch."""
-        return self._record(link_id)[4]
+        return self._tables.gl1[self._check(link_id)]
 
     def group_conflict_count(self, link_id: int, primary_lset: Iterable[int]) -> int:
         """D-LSR's SRLG-generalized cost term at the replica's epoch."""
-        if self._risk_groups is None:
-            raise ResourceError("no risk groups installed")
-        support = self._record(link_id)[5]
-        return sum(
-            1
-            for group in self._risk_groups.groups_of(primary_lset)
-            if group in support
+        return self._tables.group_conflict_count(
+            self._check(link_id), primary_lset
         )
 
     def primary_headroom(self, link_id: int) -> float:
         """Bandwidth a new primary could reserve, at the epoch."""
-        return self._record(link_id)[2]
+        return self._tables.ph[self._check(link_id)]
 
     def backup_headroom(self, link_id: int) -> float:
         """Bandwidth visible to a backup search, at the epoch."""
-        return self._record(link_id)[3]
+        return self._tables.bh[self._check(link_id)]

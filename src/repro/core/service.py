@@ -834,13 +834,12 @@ class DRTPService:
     def warmstart_stats(self) -> Optional[Dict[str, int]]:
         """Warm backup-candidate cache effectiveness counters
         (probes/hits/misses/invalidations; see
-        :mod:`repro.routing.warmstart`), or ``None`` when the database
-        runs without the cache — object-path kernels, the rebuilt
-        reference database, or ``REPRO_WARMSTART=0``."""
+        :mod:`repro.routing.warmstart`), or ``None`` while no backup
+        search has consulted the cache (schemes that do not plan on
+        the link tables never do)."""
         cache = getattr(self.database, "_warmstart_cache", None)
         if cache is None:
-            # Never consulted (object path, reference database, or
-            # gated off) — don't create one just to report zeros.
+            # Don't create one just to report zeros.
             return None
         return cache.stats()
 
@@ -850,10 +849,14 @@ class DRTPService:
         return sorted(self._connections.crossed_links())
 
     def check_invariants(self) -> None:
-        """Cross-check ledgers against the live connection table, and
-        the table's incidence index against a rebuild from it."""
+        """Cross-check ledgers against the live connection table, the
+        table's incidence index against a rebuild from it, and the
+        routing kernel's link tables (once built) against the ledgers."""
         self.state.check_invariants()
         self._connections.check()
+        arrays = getattr(self.database, "_kernel_arrays", None)
+        if arrays is not None:
+            arrays.check()
         for conn in self._connections.values():
             for channel in conn.all_backups:
                 key = channel.registration_key(conn.connection_id)

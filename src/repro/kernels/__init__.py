@@ -1,92 +1,42 @@
-"""Array-compiled routing kernels.
+"""Array routing kernels — the link-state planner's one engine.
 
-The object-based routing engine (PR 2) evaluates APLV/CV conflict
-costs through per-edge closures: every edge Dijkstra expands calls
-back into the link-state database, which walks a sparse dict per
-``LSET_P`` position.  This package *compiles* that hot path into
-contiguous integer arrays:
+Evaluating APLV/CV conflict costs through per-edge closures makes
+every edge Dijkstra expands call back into the link-state database,
+which walks a sparse dict per ``LSET_P`` position.  This package keeps
+that hot path in contiguous arrays instead:
 
 * per-link APLV L1 norms, Conflict-Vector bitsets, headrooms and the
-  SRLG group tables live in flat arrays
-  (:class:`~repro.kernels.arrays.CompiledLinkArrays`), refreshed in
-  batch from the ledgers' dirty set instead of being re-read per edge;
-* the backup cost of *every* link is computed in one vectorized pass
-  per search (bit-AND + popcount against the primary's ``LSET`` mask),
-  producing a scalar cost array;
+  SRLG group columns live in flat tables
+  (:class:`~repro.kernels.arrays.LinkTables`) — refreshed in batch
+  from the ledgers' dirty set on the authority
+  (:class:`~repro.kernels.arrays.CompiledLinkArrays`), written row by
+  row from the delta stream on a cluster replica;
+* the backup cost of *every* link is computed in one vectorized numpy
+  pass per search (bit-AND + popcount of the packed ``uint64``
+  bit-matrix against the primary's ``LSET`` mask), producing a scalar
+  cost array;
 * Dijkstra runs over that array with flat ``(dst, link_id)`` pair
   adjacency (:mod:`repro.kernels.search`), no cost closures and no
   tuple arithmetic — and the unbounded unit-cost primary search
-  degenerates (provably bit-identically) to a deque BFS.
+  degenerates (provably bit-identically) to a deque BFS;
+* the admission commit is one validate-then-apply transaction per walk
+  (:mod:`repro.kernels.apply`).
 
 Lexicographic ``(conflict_cost, hops)`` tuples are encoded as the
 single float ``conflict_cost * scale + hops`` with ``scale`` larger
 than any reachable hop count.  Both components are integer-valued and
 every encoded sum stays far below 2**53, so the encoding is **exact**
-in IEEE doubles and the compiled search reproduces the object path's
-routes — including every tie-break — bit for bit.  The conformance
-suite (``tests/test_kernel_equivalence.py``) holds the compiled
-kernel to that bar against both the naive reference and the object
-fast path.
-
-Backends: the stdlib backend keeps Conflict Vectors as Python int
-bitsets (``&`` + ``int.bit_count``); when numpy is importable an
-optional backend stores them as a packed ``uint8`` bit-matrix and
-evaluates whole cost arrays with vectorized popcounts.  Selection is
-automatic at import, overridable per process with the
-``REPRO_KERNELS_BACKEND`` environment variable (``auto`` | ``numpy``
-| ``stdlib``) — the CI matrix uses it to exercise both legs.
+in IEEE doubles and the search reproduces the closure planner's routes
+— including every tie-break — bit for bit.  That planner (per-edge
+closures over a rebuild-per-read database, dict Dijkstra) is kept in
+:mod:`repro.testing` as the reference the conformance suite
+(``tests/test_kernel_equivalence.py``) holds this package to.
 """
 
 from __future__ import annotations
 
-import os
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except Exception:  # pragma: no cover - stdlib-only environments
-    HAS_NUMPY = False
-
-#: Environment variable overriding backend auto-detection.
-BACKEND_ENV = "REPRO_KERNELS_BACKEND"
-
-#: Valid kernel selector values on a routing scheme.
-KERNEL_MODES = ("auto", "compiled", "object")
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be used in this process."""
-    return HAS_NUMPY
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"stdlib"``.
-
-    ``"auto"`` consults the :data:`BACKEND_ENV` environment variable
-    first (so a test matrix can force the stdlib leg with numpy still
-    installed), then picks numpy when importable.  Requesting
-    ``"numpy"`` without numpy installed raises ``RuntimeError``.
-    """
-    if backend == "auto":
-        backend = os.environ.get(BACKEND_ENV, "auto") or "auto"
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "stdlib"
-    if backend == "numpy":
-        if not HAS_NUMPY:
-            raise RuntimeError("numpy backend requested but numpy is missing")
-        return "numpy"
-    if backend == "stdlib":
-        return "stdlib"
-    raise ValueError(
-        "unknown kernels backend {!r} (want auto, numpy or stdlib)".format(
-            backend
-        )
-    )
-
-
-from .arrays import CompiledLinkArrays  # noqa: E402
-from .bitset import (  # noqa: E402
+from .arrays import CompiledLinkArrays, LinkTables
+from .bitset import (
     and_popcount,
     bits_of,
     mask_from_ids,
@@ -94,7 +44,7 @@ from .bitset import (  # noqa: E402
     popcount,
     to_packed_bytes,
 )
-from .search import (  # noqa: E402
+from .search import (
     encode_scale,
     flat_bounded_shortest_path,
     flat_min_hop_path,
@@ -102,10 +52,8 @@ from .search import (  # noqa: E402
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "CompiledLinkArrays",
-    "HAS_NUMPY",
-    "KERNEL_MODES",
+    "LinkTables",
     "and_popcount",
     "bits_of",
     "encode_scale",
@@ -113,9 +61,7 @@ __all__ = [
     "flat_min_hop_path",
     "flat_shortest_path",
     "mask_from_ids",
-    "numpy_available",
     "or_fold",
     "popcount",
-    "resolve_backend",
     "to_packed_bytes",
 ]

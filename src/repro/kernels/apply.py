@@ -31,45 +31,20 @@ argument fails (duplicate link ids in a route, an already-registered
 key, an out-of-range LSET position, a mismatched per-ledger SRLG
 view), the entry point returns ``None`` and the caller falls back to
 the per-hop walk, which reproduces the legacy behavior — including
-its exception semantics — exactly.  ``REPRO_BATCH_APPLY=0`` disables
-the batched path entirely for A/B comparison.
+its exception semantics — exactly.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 from ..network.state import BW_EPSILON, NetworkState
-
-#: Environment variable gating the batched apply path ("0"/"off"
-#: disables it and every walk takes the legacy per-hop loop).
-BATCH_APPLY_ENV = "REPRO_BATCH_APPLY"
-
-_DISABLED = {"0", "false", "off", "no"}
-
-_enabled = os.environ.get(BATCH_APPLY_ENV, "1").strip().lower() not in _DISABLED
 
 #: Lazily resolved ``(ResizeOutcome, SharedSparePolicy)`` — imported at
 #: first use so ``repro.kernels.apply`` can be imported before
 #: ``repro.core`` finishes initializing (core.signaling imports this
 #: module at its own import time).
 _CORE_TYPES = None
-
-
-def batch_apply_enabled() -> bool:
-    """Whether the batched commit path is active (see
-    :data:`BATCH_APPLY_ENV`)."""
-    return _enabled
-
-
-def set_batch_apply(flag: bool) -> bool:
-    """Toggle the batched commit path at runtime (tests and paired
-    benchmarks); returns the previous setting."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
 
 
 def _core_types():
@@ -117,7 +92,7 @@ def batch_register_walk(
     nothing — observably identical to the per-hop register/unwind
     cycle, whose fingerprint is unchanged by construction.
     """
-    if not _enabled or bw <= 0:
+    if bw <= 0:
         return None
     n = len(link_ids)
     if n == 0:
@@ -250,8 +225,6 @@ def batch_release_walk(
     decrement can never underflow where the per-hop walk would have
     raised instead.
     """
-    if not _enabled:
-        return None
     if not link_ids:
         return []
     if not _batchable_route(link_ids):
@@ -356,7 +329,7 @@ def batch_reserve_primary(
     then apply in one fused loop.  Returns ``None`` to fall back,
     ``False`` for an infeasible route (nothing mutated — identical to
     the per-hop reserve/undo cycle), ``True`` once reserved."""
-    if not _enabled or bw <= 0:
+    if bw <= 0:
         return None
     if not _batchable_route(link_ids):
         return None
@@ -390,7 +363,7 @@ def batch_release_primary(
     Returns ``False`` to fall back to the per-hop loop (which
     reproduces the exact :class:`~repro.network.state.ResourceError`
     on over-release)."""
-    if not _enabled or bw <= 0:
+    if bw <= 0:
         return False
     if not _batchable_route(link_ids):
         return False

@@ -1,57 +1,59 @@
-"""Compiled per-link state tables and batch cost builders.
+"""Per-link state tables and batch cost builders.
 
-:class:`CompiledLinkArrays` mirrors a
-:class:`~repro.network.database.LinkStateDatabase` into flat tables —
-APLV L1 norms, Conflict-Vector bitsets, primary/backup headrooms and
-the SRLG group aggregates — and builds the *entire* per-link cost
-array for a search in one batch pass, replacing the object path's
-per-edge closure calls.
+:class:`LinkTables` holds the six advertised per-link columns — APLV
+L1 norm, Conflict-Vector bitset, primary/backup headroom and the SRLG
+group aggregates — in flat buffers, and builds the *entire* per-link
+cost array for a search in one vectorized pass.  It is the storage of
+a cluster replica (:class:`~repro.cluster.replica.ReplicaDatabase`
+writes rows as deltas arrive) and the base of
+:class:`CompiledLinkArrays`, which keeps the same tables in step with
+a :class:`~repro.network.database.LinkStateDatabase`'s ledgers.
 
-Refresh discipline mirrors the database's exactly.  The arrays hold
-their own change subscription and dirty set (never the database's —
-sharing would corrupt snapshot refreshes):
+The ledger-fed tables are the database's snapshot.  They hold their
+own change subscription and dirty set (never the database's, which
+counts re-advertisements from refresh to refresh):
 
 * **live serving** — every cost build flushes the dirty links from
   the ledgers first, so builds read exactly what the live database
   would serve;
 * **snapshot / injected staleness** — builds do *not* flush; the
-  arrays stay frozen at the last :meth:`flush`, which
-  :meth:`LinkStateDatabase.refresh` calls after its own rescan.
+  tables stay frozen at the last :meth:`CompiledLinkArrays.flush`,
+  which only :meth:`LinkStateDatabase.refresh` calls then, and the
+  database serves its per-link reads from them.
 
 Cost encoding: each builder returns a plain list of floats, one per
 link id — ``-1.0`` excludes the link (failed links, bandwidth-short
 primaries), anything else is the encoded scalar
 ``(Q + conflict) * scale + 1.0`` consumed by
-:mod:`repro.kernels.search`.  Feasibility tests replicate the object
-path's float expressions verbatim (``headroom + BW_EPSILON <
-bw_req``), and every arithmetic step stays on exactly-representable
+:mod:`repro.kernels.search`.  Feasibility tests are written
+``headroom + BW_EPSILON < bw_req`` — the exact float expression of the
+closure reference (:mod:`repro.testing.link_state`), *not* an
+algebraically "equivalent" rewrite, which differs in floating point —
+and every arithmetic step stays on exactly-representable
 integer-valued doubles, so the produced ordering is bit-identical to
-the cost tuples of :mod:`repro.routing.costs`.
+the reference's cost tuples (``tests/test_kernel_equivalence.py``
+holds it there).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Tuple
 
+import numpy as _np
+
+from ..network.conflict_vector import ConflictVector
 from ..network.state import BW_EPSILON, ResourceError
 from ..routing.costs import Q_PENALTY
-from . import HAS_NUMPY, resolve_backend
-from .bitset import mask_from_ids, packed_width
+from .bitset import and_popcount, bits_of, mask_from_ids, packed_width
 
-if HAS_NUMPY:  # pragma: no branch - fixed per environment
-    import numpy as _np
+_HAS_BITWISE_COUNT = hasattr(_np, "bitwise_count")
 
-    #: Per-byte popcount lookup table for the packed bit-matrix path
-    #: (fallback when the ``bitwise_count`` ufunc is unavailable).
-    _POP8 = _np.array(
-        [bin(value).count("1") for value in range(256)], dtype=_np.int64
-    )
-    _HAS_BITWISE_COUNT = hasattr(_np, "bitwise_count")
-else:  # pragma: no cover - stdlib-only environments
-    _np = None
-    _POP8 = None
-    _HAS_BITWISE_COUNT = False
+#: Per-byte popcount lookup table for the packed bit-matrix path
+#: (fallback when the ``bitwise_count`` ufunc is unavailable).
+_POP8 = _np.array(
+    [bin(value).count("1") for value in range(256)], dtype=_np.int64
+)
 
 
 def _row_popcounts(matrix):
@@ -62,8 +64,21 @@ def _row_popcounts(matrix):
         matrix = matrix.view(_np.uint8).reshape(matrix.shape[0], -1)
     return _POP8[matrix].sum(axis=1)  # pragma: no cover - numpy < 2.0
 
-#: Conflict-term flavors a compiled backup cost build understands.
+#: Conflict-term flavors a backup cost build understands.
 CONFLICT_KINDS = ("plsr", "dlsr", "disjoint")
+
+
+def _ledger_row(ledger) -> tuple:
+    """A ledger's advertised quantities, in :meth:`LinkTables.row`
+    order."""
+    return (
+        ledger.aplv.l1_norm,
+        ledger.support_mask(),
+        ledger.primary_headroom(),
+        ledger.backup_headroom(),
+        ledger.group_aplv_l1(),
+        ledger.group_support_mask(),
+    )
 
 
 def _word_padded(num_bytes: int) -> int:
@@ -71,278 +86,156 @@ def _word_padded(num_bytes: int) -> int:
     return ((num_bytes + 7) // 8) * 8
 
 
-class CompiledLinkArrays:
-    """Flat mirror of a link-state database plus batch cost builders.
+class LinkTables:
+    """The advertised per-link columns plus the batch cost builders.
 
-    Create via :meth:`LinkStateDatabase.kernel_arrays` (which caches
-    one instance per database) rather than directly.
+    ``view`` is what the tables are priced against: anything answering
+    ``failed_links()`` and ``risk_groups`` — the authoritative
+    :class:`~repro.network.state.NetworkState` for ledger-fed tables
+    (health and groups always read live), the replica itself for a
+    shard's tables (both frozen at its epoch).  Whoever owns the
+    tables writes rows; the builders only read.
     """
 
-    def __init__(self, database, backend: str = "auto") -> None:
-        self.backend = resolve_backend(backend)
-        self._database = database
-        self._state = database._state
-        self._num_links = num_links = self._state.network.num_links
-        self._cv_width = packed_width(num_links)
-
-        if self.backend == "numpy":
-            # Scalar tables live in stdlib arrays (C-speed per-element
-            # writes on the flush path — numpy scalar assignment costs
-            # ~10x more) with numpy views sharing the same buffer for
-            # the vectorized cost builds.
-            self._l1 = array("q", bytes(8 * num_links))
-            self._ph = array("d", bytes(8 * num_links))
-            self._bh = array("d", bytes(8 * num_links))
-            self._l1_np = _np.frombuffer(self._l1, dtype=_np.int64)
-            self._ph_np = _np.frombuffer(self._ph, dtype=_np.float64)
-            self._bh_np = _np.frombuffer(self._bh, dtype=_np.float64)
-            # The packed bit-matrices are views over plain bytearrays:
-            # a row write is then one C-level slice copy of
-            # ``mask.to_bytes(...)`` instead of a per-row frombuffer
-            # round-trip, which dominates flush cost otherwise.  Rows
-            # are padded to whole 64-bit words and *viewed* as uint64
-            # so the per-search AND+popcount touches 8x fewer elements
-            # than a byte-wise matrix would.
-            self._cv_width = _word_padded(self._cv_width)
-            self._cv_buf = bytearray(num_links * self._cv_width)
-            self._cv = _np.frombuffer(
-                self._cv_buf, dtype=_np.uint64
-            ).reshape(num_links, self._cv_width // 8)
-            self._gl1 = array("q", bytes(8 * num_links))
-            self._gl1_np = _np.frombuffer(self._gl1, dtype=_np.int64)
-            self._gmask_width = 8
-            self._gmask_buf = bytearray(num_links * 8)
-            self._gmask = _np.frombuffer(
-                self._gmask_buf, dtype=_np.uint64
-            ).reshape(num_links, 1)
-        else:
-            self._l1 = array("q", bytes(8 * num_links))
-            self._ph = array("d", bytes(8 * num_links))
-            self._bh = array("d", bytes(8 * num_links))
-            self._cv: List[int] = [0] * num_links
-            self._gl1 = array("q", bytes(8 * num_links))
-            self._gmask: List[int] = [0] * num_links
-
-        #: Group tables are valid only after a sync performed while an
-        #: SRLG assignment was visible (mirrors the database's
-        #: snapshot-group-table corner).
-        self._have_group_tables = False
-        self._group_table_token = None
-        #: Identity key for the cached group-of mapping (always live,
-        #: like ``database.risk_groups`` reads).
+    def __init__(self, num_links: int, view) -> None:
+        self._num_links = num_links
+        self._view = view
+        # Scalar columns live in stdlib arrays (C-speed per-element
+        # writes on the row-write path — numpy scalar assignment costs
+        # ~10x more) with numpy views sharing the same buffer for the
+        # vectorized cost builds.
+        self.l1 = array("q", bytes(8 * num_links))
+        self.ph = array("d", bytes(8 * num_links))
+        self.bh = array("d", bytes(8 * num_links))
+        self.gl1 = array("q", bytes(8 * num_links))
+        self._l1_np = _np.frombuffer(self.l1, dtype=_np.int64)
+        self._ph_np = _np.frombuffer(self.ph, dtype=_np.float64)
+        self._bh_np = _np.frombuffer(self.bh, dtype=_np.float64)
+        self._gl1_np = _np.frombuffer(self.gl1, dtype=_np.int64)
+        # The packed bit-matrices are views over plain bytearrays: a
+        # row write is then one C-level slice copy of
+        # ``mask.to_bytes(...)``.  Rows are padded to whole 64-bit
+        # words and *viewed* as uint64 so the per-search AND+popcount
+        # touches 8x fewer elements than a byte-wise matrix would.
+        self._cv_width = _word_padded(packed_width(num_links))
+        self._cv_buf = bytearray(num_links * self._cv_width)
+        self._cv = _np.frombuffer(self._cv_buf, dtype=_np.uint64).reshape(
+            num_links, self._cv_width // 8
+        )
+        self._gmask_width = 8
+        self._gmask_buf = bytearray(num_links * 8)
+        self._gmask = _np.frombuffer(
+            self._gmask_buf, dtype=_np.uint64
+        ).reshape(num_links, 1)
+        #: Set by the owner once the group columns hold rows written
+        #: while an SRLG assignment was visible; conflict terms over
+        #: risk groups refuse to price from columns never written.
+        self.have_group_tables = False
+        #: Identity key for the cached group-of mapping.
         self._groups_token = None
         self._group_of = None
 
-        self._dirty: set = set()
-        self.flushes = 0
-        self.links_rescanned = 0
-        self.builds = 0
-        self._state.subscribe(self._mark_dirty)
-
-        if database._serving_live():
-            self._rebuild_from_ledgers()
-        else:
-            self._load_snapshot()
-            # Mutations between the database's last refresh and this
-            # lazy creation predate our subscription; adopt them so the
-            # next refresh-flush rescans those links too.
-            self._dirty.update(database._dirty_links)
-
-    def _mark_dirty(self, link_id: int) -> None:
-        self._dirty.add(link_id)
-
-    def dirty_links(self) -> frozenset:
-        """Links awaiting rescan at the next flush (introspection)."""
-        return frozenset(self._dirty)
-
-    @property
-    def have_group_tables(self) -> bool:
-        return self._have_group_tables
-
     # ------------------------------------------------------------------
-    # Table maintenance
+    # Rows
     # ------------------------------------------------------------------
-    def _write_link(self, link_id: int, ledger) -> None:
-        self._l1[link_id] = ledger.aplv.l1_norm
-        self._ph[link_id] = ledger.primary_headroom()
-        self._bh[link_id] = ledger.backup_headroom()
-        self._set_cv(link_id, ledger.support_mask())
+    def write_row(
+        self, link_id: int, l1: int, cv_mask: int, ph: float, bh: float
+    ) -> None:
+        self.l1[link_id] = l1
+        self.ph[link_id] = ph
+        self.bh[link_id] = bh
+        width = self._cv_width
+        offset = link_id * width
+        self._cv_buf[offset:offset + width] = cv_mask.to_bytes(
+            width, "little"
+        )
 
-    def _set_cv(self, link_id: int, mask: int) -> None:
-        if self.backend == "numpy":
-            width = self._cv_width
-            offset = link_id * width
-            self._cv_buf[offset:offset + width] = mask.to_bytes(
-                width, "little"
-            )
-        else:
-            self._cv[link_id] = mask
-
-    def _set_group(self, link_id: int, gl1: int, gmask: int) -> None:
-        self._gl1[link_id] = gl1
-        if self.backend == "numpy":
-            width = self._gmask_width
-            need = _word_padded(max(1, packed_width(gmask.bit_length())))
-            if need > width:
-                wider = bytearray(self._num_links * need)
-                for row in range(self._num_links):
-                    wider[row * need:row * need + width] = (
-                        self._gmask_buf[row * width:(row + 1) * width]
-                    )
-                self._gmask_buf = wider
-                self._gmask = _np.frombuffer(
-                    wider, dtype=_np.uint64
-                ).reshape(self._num_links, need // 8)
-                self._gmask_width = width = need
-            offset = link_id * width
-            self._gmask_buf[offset:offset + width] = gmask.to_bytes(
-                width, "little"
-            )
-        else:
-            self._gmask[link_id] = gmask
-
-    def _rebuild_from_ledgers(self) -> None:
-        track_groups = self._database.has_risk_groups
-        for ledger in self._state.ledgers():
-            self._write_link(ledger.link_id, ledger)
-            if track_groups:
-                self._set_group(
-                    ledger.link_id,
-                    ledger.group_aplv_l1(),
-                    ledger.group_support_mask(),
+    def write_group_row(self, link_id: int, gl1: int, gmask: int) -> None:
+        self.gl1[link_id] = gl1
+        width = self._gmask_width
+        need = _word_padded(max(1, packed_width(gmask.bit_length())))
+        if need > width:
+            wider = bytearray(self._num_links * need)
+            for row in range(self._num_links):
+                wider[row * need:row * need + width] = (
+                    self._gmask_buf[row * width:(row + 1) * width]
                 )
-        if track_groups:
-            self._have_group_tables = True
-            self._group_table_token = self._state.risk_groups
-        self._dirty.clear()
-        self.links_rescanned += self._num_links
-
-    def _load_snapshot(self) -> None:
-        database = self._database
-        if not database._snapshot_l1:
-            raise ResourceError("snapshot database never refreshed")
-        for link_id in range(self._num_links):
-            self._l1[link_id] = database._snapshot_l1[link_id]
-            self._ph[link_id] = database._snapshot_primary_headroom[link_id]
-            self._bh[link_id] = database._snapshot_backup_headroom[link_id]
-            self._set_cv(
-                link_id,
-                mask_from_ids(database._snapshot_cv[link_id].bits),
+            self._gmask_buf = wider
+            self._gmask = _np.frombuffer(wider, dtype=_np.uint64).reshape(
+                self._num_links, need // 8
             )
-        if database._snapshot_group_l1:
-            for link_id in range(self._num_links):
-                self._set_group(
-                    link_id,
-                    database._snapshot_group_l1[link_id],
-                    mask_from_ids(
-                        database._snapshot_group_support[link_id]
-                    ),
-                )
-            self._have_group_tables = True
-            self._group_table_token = database.risk_groups
-        self.links_rescanned += self._num_links
+            self._gmask_width = width = need
+        offset = link_id * width
+        self._gmask_buf[offset:offset + width] = gmask.to_bytes(
+            width, "little"
+        )
 
-    def flush(self) -> int:
-        """Rescan every dirty link from its ledger; returns the number
-        of links rescanned.  Called before each cost build while the
-        database serves live, and by :meth:`LinkStateDatabase.refresh`
-        after its own snapshot rescan — never during a snapshot or
-        staleness window, which must keep serving frozen tables."""
-        self.flushes += 1
-        rescanned = 0
-        state = self._state
-        groups = state.risk_groups
-        if groups is not None and (
-            not self._have_group_tables
-            or groups is not self._group_table_token
-        ):
-            # First sight of an assignment (or a reinstalled one whose
-            # group ids mean something new): build the group tables in
-            # one full pass, like the database's late-group refresh.
-            for ledger in state.ledgers():
-                self._set_group(
-                    ledger.link_id,
-                    ledger.group_aplv_l1(),
-                    ledger.group_support_mask(),
-                )
-            self._have_group_tables = True
-            self._group_table_token = groups
-            rescanned += self._num_links
-        elif groups is None:
-            self._have_group_tables = False
-            self._group_table_token = None
-        if self._dirty:
-            track_groups = self._have_group_tables
-            ledger_of = state.ledger
-            if not track_groups:
-                # Hot path: every admission dirties ~|route| links, so
-                # the rescan loop runs inlined against the ledgers'
-                # underlying fields (their exact float expressions:
-                # ``free = capacity - prime - spare`` and headrooms
-                # ``free`` / ``free + spare``) instead of paying four
-                # method/property calls per link via _write_link.
-                l1 = self._l1
-                ph = self._ph
-                bh = self._bh
-                if self.backend == "numpy":
-                    buf = self._cv_buf
-                    width = self._cv_width
-                    for link_id in self._dirty:
-                        ledger = ledger_of(link_id)
-                        aplv = ledger._aplv
-                        l1[link_id] = aplv._l1
-                        spare = ledger._spare_bw
-                        free = ledger.capacity - ledger._prime_bw - spare
-                        ph[link_id] = free
-                        bh[link_id] = free + spare
-                        offset = link_id * width
-                        buf[offset:offset + width] = (
-                            aplv._support_mask.to_bytes(width, "little")
-                        )
-                else:
-                    cv = self._cv
-                    for link_id in self._dirty:
-                        ledger = ledger_of(link_id)
-                        aplv = ledger._aplv
-                        l1[link_id] = aplv._l1
-                        spare = ledger._spare_bw
-                        free = ledger.capacity - ledger._prime_bw - spare
-                        ph[link_id] = free
-                        bh[link_id] = free + spare
-                        cv[link_id] = aplv._support_mask
-            else:
-                for link_id in self._dirty:
-                    ledger = ledger_of(link_id)
-                    self._write_link(link_id, ledger)
-                    self._set_group(
-                        link_id,
-                        ledger.group_aplv_l1(),
-                        ledger.group_support_mask(),
-                    )
-            rescanned += len(self._dirty)
-            self._dirty.clear()
-        self.links_rescanned += rescanned
-        return rescanned
+    def cv_mask(self, link_id: int) -> int:
+        """The link's Conflict Vector read back as an int bitset."""
+        width = self._cv_width
+        offset = link_id * width
+        return int.from_bytes(self._cv_buf[offset:offset + width], "little")
 
-    def _sync_for_build(self) -> None:
-        self.builds += 1
-        if self._database._serving_live():
-            self.flush()
+    def group_mask(self, link_id: int) -> int:
+        """The link's group-support row read back as an int bitset."""
+        width = self._gmask_width
+        offset = link_id * width
+        return int.from_bytes(
+            self._gmask_buf[offset:offset + width], "little"
+        )
+
+    def conflict_vector(self, link_id: int) -> ConflictVector:
+        """D-LSR's advertised bit-vector, rebuilt from the stored row."""
+        return ConflictVector(
+            self._num_links, sorted(bits_of(self.cv_mask(link_id)))
+        )
+
+    def conflict_count(self, link_id: int, primary_lset) -> int:
+        """D-LSR's cost term for one link: ``|CV_i ∩ LSET_P|``."""
+        return and_popcount(
+            self.cv_mask(link_id), mask_from_ids(primary_lset)
+        )
+
+    def group_conflict_count(self, link_id: int, primary_lset) -> int:
+        """The same term over risk groups: how many groups of
+        ``primary_lset`` already have an interested backup here."""
+        groups = self._view.risk_groups
+        if groups is None:
+            raise ResourceError("no risk groups installed")
+        return and_popcount(
+            self.group_mask(link_id),
+            mask_from_ids(groups.groups_of(primary_lset)),
+        )
+
+    def row(self, link_id: int) -> Tuple[int, int, float, float, int, int]:
+        """``(l1, cv mask, primary headroom, backup headroom, group l1,
+        group mask)`` as stored."""
+        return (
+            self.l1[link_id],
+            self.cv_mask(link_id),
+            self.ph[link_id],
+            self.bh[link_id],
+            self.gl1[link_id],
+            self.group_mask(link_id),
+        )
+
+    def rows(self, columns: int = 6) -> List[tuple]:
+        """The first ``columns`` columns of every :meth:`row`."""
+        return [
+            self.row(link_id)[:columns] for link_id in range(self._num_links)
+        ]
 
     def _live_group_of(self):
-        """The current (always-live) link→group mapping, cached per
+        """The view's link→group mapping, cached per
         :class:`~repro.topology.srlg.RiskGroupSet` identity."""
-        groups = self._state.risk_groups
+        groups = self._view.risk_groups
         if groups is not self._groups_token:
             self._groups_token = groups
-            if groups is None:
-                self._group_of = None
-            elif self.backend == "numpy":
-                self._group_of = _np.array(
-                    groups._group_of, dtype=_np.int64
-                )
-            else:
-                self._group_of = groups._group_of
+            self._group_of = (
+                None
+                if groups is None
+                else _np.array(groups._group_of, dtype=_np.int64)
+            )
         return groups
 
     # ------------------------------------------------------------------
@@ -350,25 +243,13 @@ class CompiledLinkArrays:
     # ------------------------------------------------------------------
     def primary_costs(self, bw_req: float) -> List[float]:
         """Per-link primary costs: ``1.0`` per feasible link, ``-1.0``
-        for failed or bandwidth-short links — the array form of
-        :func:`repro.routing.costs.primary_link_cost`."""
-        self._sync_for_build()
-        if self.backend == "numpy":
-            costs = _np.where(
-                self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0
-            )
-            failed = self._state.failed_links()
-            if failed:
-                costs[list(failed)] = -1.0
-            return costs.tolist()
-        ph = self._ph
-        costs = [1.0] * self._num_links
-        for link_id in range(self._num_links):
-            if ph[link_id] + BW_EPSILON < bw_req:
-                costs[link_id] = -1.0
-        for link_id in self._state.failed_links():
-            costs[link_id] = -1.0
-        return costs
+        for failed or bandwidth-short links (hard feasibility: a
+        primary without bandwidth is useless)."""
+        costs = _np.where(self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0)
+        failed = self._view.failed_links()
+        if failed:
+            costs[list(failed)] = -1.0
+        return costs.tolist()
 
     def backup_costs(
         self,
@@ -381,11 +262,13 @@ class CompiledLinkArrays:
         """Per-link encoded backup costs
         ``(Q + conflict) * scale + 1.0`` (``-1.0`` for failed links).
 
-        ``kind`` picks the conflict term: ``"plsr"`` (APLV L1),
-        ``"dlsr"`` (CV ∩ LSET popcount) or ``"disjoint"`` (0).  With an
-        SRLG assignment visible on the database all terms switch to
-        their group aggregates, exactly like the closures in
-        :mod:`repro.routing.costs`.
+        ``kind`` picks the conflict term: ``"plsr"`` (APLV L1, Eq. 4),
+        ``"dlsr"`` (CV ∩ LSET popcount, Section 3.2) or ``"disjoint"``
+        (0).  ``primary_lset`` feeds the conflict term; ``avoid_lset``
+        (a superset including earlier backups) the ``Q`` penalty.  With
+        an SRLG assignment visible all terms switch to their group
+        aggregates: ``Q`` charges sharing a risk group with the avoided
+        set, and the conflict counts per group.
         """
         if kind not in CONFLICT_KINDS:
             raise ValueError(
@@ -393,70 +276,21 @@ class CompiledLinkArrays:
                     kind, CONFLICT_KINDS
                 )
             )
-        self._sync_for_build()
         lset = frozenset(primary_lset)
         avoid = frozenset(avoid_lset) if avoid_lset is not None else lset
-        if self._database.has_risk_groups:
+        if self._view.risk_groups is not None:
             costs = self._group_backup_costs(
                 kind, bw_req, lset, avoid, scale
             )
-        elif self.backend == "numpy":
-            costs = self._np_backup_costs(kind, bw_req, lset, avoid, scale)
         else:
-            costs = self._py_backup_costs(kind, bw_req, lset, avoid, scale)
-        failed = self._state.failed_links()
+            costs = self._link_backup_costs(kind, bw_req, lset, avoid, scale)
+        failed = self._view.failed_links()
         if failed:
             for link_id in failed:
                 costs[link_id] = -1.0
         return costs
 
-    def _py_backup_costs(
-        self,
-        kind: str,
-        bw_req: float,
-        lset: FrozenSet[int],
-        avoid: FrozenSet[int],
-        scale: float,
-    ) -> List[float]:
-        num_links = self._num_links
-        bh = self._bh
-        avoid_mask = mask_from_ids(avoid)
-        costs = [0.0] * num_links
-        if kind == "plsr":
-            l1 = self._l1
-            for link_id in range(num_links):
-                if (avoid_mask >> link_id) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    q = Q_PENALTY
-                else:
-                    q = 0.0
-                costs[link_id] = (q + l1[link_id]) * scale + 1.0
-        elif kind == "dlsr":
-            cv = self._cv
-            lmask = mask_from_ids(lset)
-            for link_id in range(num_links):
-                if (avoid_mask >> link_id) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    q = Q_PENALTY
-                else:
-                    q = 0.0
-                conflict = (cv[link_id] & lmask).bit_count()
-                costs[link_id] = (q + conflict) * scale + 1.0
-        else:
-            base = 0.0 * scale + 1.0
-            penalized = Q_PENALTY * scale + 1.0
-            for link_id in range(num_links):
-                if (avoid_mask >> link_id) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    costs[link_id] = penalized
-                else:
-                    costs[link_id] = base
-        return costs
-
-    def _np_backup_costs(
+    def _link_backup_costs(
         self,
         kind: str,
         bw_req: float,
@@ -466,8 +300,8 @@ class CompiledLinkArrays:
     ) -> List[float]:
         q = _np.where(self._bh_np + BW_EPSILON < bw_req, Q_PENALTY, 0.0)
         if avoid:
-            # Avoided links get Q regardless of bandwidth — same single
-            # charge as the object path's if/elif (never 2Q).
+            # Avoided links get Q regardless of bandwidth — one charge,
+            # never 2Q.
             q[list(avoid)] = Q_PENALTY
         if kind == "plsr":
             conflict = self._l1_np
@@ -499,75 +333,172 @@ class CompiledLinkArrays:
         scale: float,
     ) -> List[float]:
         groups = self._live_group_of()
-        if kind != "disjoint" and not self._have_group_tables:
-            # The conflict aggregates would come from group tables the
-            # database has never snapshotted (groups installed after
-            # the last refresh) — the object path's read raises this
-            # same error.
+        if kind != "disjoint" and not self.have_group_tables:
+            # The conflict aggregates would come from group columns
+            # never written (groups installed after the last refresh).
             raise ResourceError("snapshot database never refreshed")
         avoid_groups = groups.groups_of(avoid)
-        num_links = self._num_links
-        group_of = self._group_of
-        if self.backend == "numpy":
-            avoided_group = _np.zeros(groups.num_groups, dtype=bool)
-            if avoid_groups:
-                avoided_group[list(avoid_groups)] = True
-            q = _np.where(
-                avoided_group[group_of]
-                | (self._bh_np + BW_EPSILON < bw_req),
-                Q_PENALTY,
-                0.0,
-            )
-            if kind == "plsr":
-                conflict = self._gl1_np
-            elif kind == "dlsr":
-                width = self._gmask_width
-                # Group ids beyond the table width (a wider reinstalled
-                # assignment not yet resynced) cannot intersect stored
-                # rows — mask them off instead of overflowing to_bytes.
-                lset_gmask = mask_from_ids(groups.groups_of(lset))
-                lset_gmask &= (1 << (8 * width)) - 1
-                grow = _np.frombuffer(
-                    lset_gmask.to_bytes(width, "little"),
-                    dtype=_np.uint64,
-                )
-                conflict = _row_popcounts(self._gmask & grow)
-            else:
-                conflict = 0
-            return ((q + conflict) * scale + 1.0).tolist()
-        bh = self._bh
-        avoid_gmask = mask_from_ids(avoid_groups)
-        costs = [0.0] * num_links
+        avoided_group = _np.zeros(groups.num_groups, dtype=bool)
+        if avoid_groups:
+            avoided_group[list(avoid_groups)] = True
+        q = _np.where(
+            avoided_group[self._group_of]
+            | (self._bh_np + BW_EPSILON < bw_req),
+            Q_PENALTY,
+            0.0,
+        )
         if kind == "plsr":
-            gl1 = self._gl1
-            for link_id in range(num_links):
-                if (avoid_gmask >> group_of[link_id]) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    q = Q_PENALTY
-                else:
-                    q = 0.0
-                costs[link_id] = (q + gl1[link_id]) * scale + 1.0
+            conflict = self._gl1_np
         elif kind == "dlsr":
-            gmask = self._gmask
+            width = self._gmask_width
+            # Group ids beyond the table width (a wider reinstalled
+            # assignment not yet resynced) cannot intersect stored
+            # rows — mask them off instead of overflowing to_bytes.
             lset_gmask = mask_from_ids(groups.groups_of(lset))
-            for link_id in range(num_links):
-                if (avoid_gmask >> group_of[link_id]) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    q = Q_PENALTY
-                else:
-                    q = 0.0
-                conflict = (gmask[link_id] & lset_gmask).bit_count()
-                costs[link_id] = (q + conflict) * scale + 1.0
+            lset_gmask &= (1 << (8 * width)) - 1
+            grow = _np.frombuffer(
+                lset_gmask.to_bytes(width, "little"),
+                dtype=_np.uint64,
+            )
+            conflict = _row_popcounts(self._gmask & grow)
         else:
-            base = 0.0 * scale + 1.0
-            penalized = Q_PENALTY * scale + 1.0
-            for link_id in range(num_links):
-                if (avoid_gmask >> group_of[link_id]) & 1 or (
-                    bh[link_id] + BW_EPSILON < bw_req
-                ):
-                    costs[link_id] = penalized
-                else:
-                    costs[link_id] = base
-        return costs
+            conflict = 0
+        return ((q + conflict) * scale + 1.0).tolist()
+
+
+class CompiledLinkArrays(LinkTables):
+    """:class:`LinkTables` kept in step with a link-state database's
+    ledgers through a dirty-set flush.
+
+    Create via :meth:`LinkStateDatabase.kernel_arrays` (which caches
+    one instance per database) rather than directly.
+    """
+
+    def __init__(self, database) -> None:
+        state = database._state
+        super().__init__(state.network.num_links, state)
+        self._database = database
+        self._state = state
+        #: The assignment the group columns were last built under.
+        self._group_table_token = None
+        self._dirty: set = set()
+        state.subscribe(self._mark_dirty)
+        # Created while serving live or by a refresh — either way the
+        # ledgers are what the tables must hold right now.
+        self._rebuild_from_ledgers()
+
+    def _mark_dirty(self, link_id: int) -> None:
+        self._dirty.add(link_id)
+
+    # ------------------------------------------------------------------
+    # Table maintenance
+    # ------------------------------------------------------------------
+    def _write_ledger(self, ledger, track_groups: bool) -> None:
+        row = _ledger_row(ledger)
+        self.write_row(ledger.link_id, *row[:4])
+        if track_groups:
+            self.write_group_row(ledger.link_id, *row[4:])
+
+    def _rebuild_from_ledgers(self) -> None:
+        groups = self._state.risk_groups
+        for ledger in self._state.ledgers():
+            self._write_ledger(ledger, groups is not None)
+        if groups is not None:
+            self.have_group_tables = True
+            self._group_table_token = groups
+        self._dirty.clear()
+
+    def flush(self) -> None:
+        """Rescan every dirty link from its ledger.  Called before each
+        cost build while the database serves live, and by
+        :meth:`LinkStateDatabase.refresh` — never during a snapshot or
+        staleness window, which must keep serving frozen tables."""
+        state = self._state
+        groups = state.risk_groups
+        if groups is not None and (
+            not self.have_group_tables
+            or groups is not self._group_table_token
+        ):
+            # First sight of an assignment (or a reinstalled one whose
+            # group ids mean something new): build the group columns in
+            # one full pass, like the database's late-group refresh.
+            for ledger in state.ledgers():
+                self.write_group_row(ledger.link_id, *_ledger_row(ledger)[4:])
+            self.have_group_tables = True
+            self._group_table_token = groups
+        elif groups is None:
+            self.have_group_tables = False
+            self._group_table_token = None
+        if self._dirty:
+            ledger_of = state.ledger
+            if not self.have_group_tables:
+                # Hot path: every admission dirties ~|route| links, so
+                # the rescan loop runs inlined against the ledgers'
+                # underlying fields (their exact float expressions:
+                # ``free = capacity - prime - spare`` and headrooms
+                # ``free`` / ``free + spare``) instead of paying four
+                # method/property calls per link via write_row.
+                l1 = self.l1
+                ph = self.ph
+                bh = self.bh
+                buf = self._cv_buf
+                width = self._cv_width
+                for link_id in self._dirty:
+                    ledger = ledger_of(link_id)
+                    aplv = ledger._aplv
+                    l1[link_id] = aplv._l1
+                    spare = ledger._spare_bw
+                    free = ledger.capacity - ledger._prime_bw - spare
+                    ph[link_id] = free
+                    bh[link_id] = free + spare
+                    offset = link_id * width
+                    buf[offset:offset + width] = (
+                        aplv._support_mask.to_bytes(width, "little")
+                    )
+            else:
+                for link_id in self._dirty:
+                    self._write_ledger(ledger_of(link_id), True)
+            self._dirty.clear()
+
+    def check(self) -> None:
+        """Every row not awaiting a flush equals a rebuild from its
+        ledger (the group columns too, while they are current)."""
+        state = self._state
+        current_groups = (
+            self.have_group_tables
+            and state.risk_groups is self._group_table_token
+        )
+        columns = 6 if current_groups else 4
+        for ledger in state.ledgers():
+            link_id = ledger.link_id
+            if link_id in self._dirty:
+                continue
+            expected = _ledger_row(ledger)[:columns]
+            stored = self.row(link_id)[:columns]
+            if stored != expected:
+                raise ResourceError(
+                    "kernel table row {} is {} but its ledger says "
+                    "{}".format(link_id, stored, expected)
+                )
+
+    # ------------------------------------------------------------------
+    # Batch cost builders: flush first while the database serves live
+    # ------------------------------------------------------------------
+    def primary_costs(self, bw_req: float) -> List[float]:
+        if self._database._serving_live():
+            self.flush()
+        return super().primary_costs(bw_req)
+
+    def backup_costs(
+        self,
+        kind: str,
+        bw_req: float,
+        primary_lset,
+        avoid_lset,
+        scale: float,
+    ) -> List[float]:
+        if self._database._serving_live():
+            self.flush()
+        return super().backup_costs(
+            kind, bw_req, primary_lset, avoid_lset, scale
+        )

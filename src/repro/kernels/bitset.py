@@ -1,13 +1,14 @@
-"""Bitset primitives shared by the compiled kernel backends.
+"""Bitset primitives of the kernel tables.
 
 A link's Conflict Vector — the support of its APLV — is held as one
 arbitrary-precision Python int: bit ``j`` set means ``a_{i,j} > 0``.
 D-LSR's cost term ``Σ_{L_j ∈ LSET_P} c_{i,j}`` then collapses to
 ``popcount(cv_i & lset_mask)``, one C-level AND and bit-count instead
 of ``|LSET_P|`` dict probes.  The same layout, serialized little-endian
-(bit ``j`` lives in byte ``j // 8`` at weight ``1 << (j % 8)``), backs
-the numpy packed bit-matrix, so both backends agree byte for byte —
-the property suite (``tests/test_property_kernels.py``) checks these
+(bit ``j`` lives in byte ``j // 8`` at weight ``1 << (j % 8)``), is the
+row format of the numpy packed bit-matrix the cost builds run over,
+so ledgers, replica records and table rows agree byte for byte — the
+property suite (``tests/test_property_kernels.py``) checks these
 primitives against the deliberately-naive ``*_naive`` oracles kept
 alongside them.
 """
@@ -86,7 +87,7 @@ def packed_width(num_bits: int) -> int:
 def to_packed_bytes(mask: int, num_bits: int) -> bytes:
     """Serialize a bitset to the shared little-endian packed layout
     (bit ``j`` → byte ``j // 8``, weight ``1 << (j % 8)``) — the row
-    format of the numpy bit-matrix backend."""
+    format of the numpy bit-matrix."""
     if mask < 0:
         raise ValueError("bitsets are non-negative")
     if mask.bit_length() > num_bits:

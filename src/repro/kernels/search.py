@@ -1,15 +1,15 @@
-"""Flat-array Dijkstra searches for compiled cost kernels.
+"""Flat-array Dijkstra searches over batch-built cost arrays.
 
 These searches consume a *cost array* — one float per link id, built
 in a single batch pass by
-:class:`~repro.kernels.arrays.CompiledLinkArrays` — instead of a cost
+:class:`~repro.kernels.arrays.LinkTables` — instead of a cost
 closure, and walk the workspace's flat pair adjacency
 (:meth:`~repro.routing.dijkstra.SearchWorkspace.flat_adjacency`).  A
 negative entry excludes the link from the search (the closure path's
 ``None``).
 
-Bit-exactness contract: the object path's lexicographic cost tuples
-``(conflict, hops)`` are encoded as ``conflict * scale + hops`` with
+Bit-exactness contract: the closure searches' lexicographic cost
+tuples ``(conflict, hops)`` are encoded as ``conflict * scale + hops`` with
 ``scale`` computed by :func:`encode_scale`.  Both components are
 integer-valued floats and every partial-path sum stays far below
 2**53, so tuple order and encoded order coincide *exactly* — every
@@ -17,7 +17,8 @@ relaxation decision, every heap comparison and therefore every
 returned route (tie-breaks included) matches
 :func:`repro.routing.dijkstra.shortest_path` /
 :func:`~repro.routing.dijkstra.bounded_shortest_path` run over the
-equivalent closure.  The three-way differential suite pins this.
+equivalent closure.  The differential suite
+(``tests/test_kernel_equivalence.py``) pins this.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def flat_bounded_shortest_path(
     nodes.reverse()
     links.reverse()
     if len(set(nodes)) != len(nodes):
-        # Same guard as the object path: unreachable with non-negative
+        # Same guard as the closure search: unreachable with non-negative
         # costs, kept for exact behavioral parity.
         return None
     return Route(nodes=tuple(nodes), link_ids=tuple(links))

@@ -24,6 +24,9 @@ instead of O(N) — exactly the delta a real router would learn from the
 flooded advertisements.  The first refresh (and only the first) builds
 the full snapshot.  ``links_rescanned`` counts per-link record rebuilds
 so tests and benchmarks can assert the fast path stays incremental.
+The snapshot is not a copy of its own: it is the kernel table
+(:meth:`LinkStateDatabase.kernel_arrays`) the link-state schemes plan
+from, which outside live serving stays frozen at the last refresh.
 
 Fault injection adds a third, transient regime:
 :meth:`LinkStateDatabase.inject_staleness` freezes reads at the
@@ -36,7 +39,7 @@ link-state protocol.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Optional
 
 from ..topology.srlg import RiskGroupSet
 from .conflict_vector import ConflictVector
@@ -46,36 +49,23 @@ from .state import NetworkState, ResourceError
 class LinkStateDatabase:
     """What a router knows about every link in the network."""
 
-    #: Whether routing may compile this database into flat cost tables
-    #: (:mod:`repro.kernels`).  Subclasses with per-read semantics the
-    #: arrays cannot mirror (e.g. the rebuild-per-read reference
-    #: database) opt out by overriding this to False.
-    supports_compiled_kernel = True
-
     def __init__(self, state: NetworkState, live: bool = True) -> None:
         self._state = state
         self._live = live
         self._stale = False
         self.staleness_injections = 0
-        self._snapshot_l1: List[int] = []
-        self._snapshot_cv: List[ConflictVector] = []
-        self._snapshot_primary_headroom: List[float] = []
-        self._snapshot_backup_headroom: List[float] = []
-        self._snapshot_group_l1: List[int] = []
-        self._snapshot_group_support: List[FrozenSet[int]] = []
         #: Links whose ledgers mutated since the last refresh — the
         #: incremental-refresh work list.
         self._dirty_links: set = set()
         self.refreshes = 0
         self.links_rescanned = 0
         #: Lazily-created compiled mirror of this database's records
-        #: (see :meth:`kernel_arrays`).
+        #: (see :meth:`kernel_arrays`); what snapshot and staleness
+        #: reads are served from.
         self._kernel_arrays = None
         #: Lazily-created warm backup-candidate cache (see
-        #: :meth:`warmstart_cache`); ``warmstart = False`` disables it
-        #: for this database instance.
+        #: :meth:`warmstart_cache`).
         self._warmstart_cache = None
-        self.warmstart = True
         state.subscribe(self._mark_dirty)
         if not live:
             self.refresh()
@@ -120,62 +110,14 @@ class LinkStateDatabase:
         builds the complete snapshot."""
         self._stale = False
         self.refreshes += 1
-        if not self._snapshot_l1:
-            ledgers = self._state.ledgers()
-            self._snapshot_l1 = [ledger.aplv.l1_norm for ledger in ledgers]
-            self._snapshot_cv = [
-                ledger.conflict_vector() for ledger in ledgers
-            ]
-            self._snapshot_primary_headroom = [
-                ledger.primary_headroom() for ledger in ledgers
-            ]
-            self._snapshot_backup_headroom = [
-                ledger.backup_headroom() for ledger in ledgers
-            ]
-            if self.has_risk_groups:
-                self._snapshot_group_l1 = [
-                    ledger.group_aplv_l1() for ledger in ledgers
-                ]
-                self._snapshot_group_support = [
-                    ledger.group_support() for ledger in ledgers
-                ]
-            self.links_rescanned += len(ledgers)
-        else:
-            track_groups = self.has_risk_groups and bool(
-                self._snapshot_group_l1
-            )
-            for link_id in self._dirty_links:
-                ledger = self._state.ledger(link_id)
-                self._snapshot_l1[link_id] = ledger.aplv.l1_norm
-                self._snapshot_cv[link_id] = ledger.conflict_vector()
-                self._snapshot_primary_headroom[link_id] = (
-                    ledger.primary_headroom()
-                )
-                self._snapshot_backup_headroom[link_id] = (
-                    ledger.backup_headroom()
-                )
-                if track_groups:
-                    self._snapshot_group_l1[link_id] = ledger.group_aplv_l1()
-                    self._snapshot_group_support[link_id] = (
-                        ledger.group_support()
-                    )
-            if self.has_risk_groups and not self._snapshot_group_l1:
-                # Risk groups were installed after the first full
-                # snapshot: build the group tables in one pass now.
-                ledgers = self._state.ledgers()
-                self._snapshot_group_l1 = [
-                    ledger.group_aplv_l1() for ledger in ledgers
-                ]
-                self._snapshot_group_support = [
-                    ledger.group_support() for ledger in ledgers
-                ]
-            self.links_rescanned += len(self._dirty_links)
+        self.links_rescanned += (
+            self.num_links if self.refreshes == 1 else len(self._dirty_links)
+        )
         self._dirty_links.clear()
-        if self._kernel_arrays is not None:
-            # The compiled mirror follows the same re-flood boundary:
-            # its own dirty set is rescanned exactly when the snapshot
-            # tables are.
-            self._kernel_arrays.flush()
+        # The kernel table is the snapshot: its own dirty set is
+        # rescanned exactly here (and, while serving live, before
+        # every cost build).
+        self.kernel_arrays().flush()
 
     def inject_staleness(self) -> None:
         """Open a staleness window: freeze all resource reads at the
@@ -204,21 +146,12 @@ class LinkStateDatabase:
     def warmstart_cache(self):
         """The warm backup-candidate cache for schemes routing against
         this database (:class:`~repro.routing.warmstart.WarmstartCache`),
-        created on first use.  Returns ``None`` — and the schemes run
-        every search cold — when the instance's ``warmstart`` flag or
-        the ``REPRO_WARMSTART`` environment gate is off, or when the
-        database cannot serve the compiled kernel (candidate validity
-        is argued against the deterministic flat searches)."""
-        if not self.warmstart or not self.supports_compiled_kernel:
-            return None
+        created on first use."""
         if self._warmstart_cache is None:
             # Imported here for the same layering reason as the
             # compiled arrays above.
-            from ..routing.warmstart import WarmstartCache, warmstart_enabled
+            from ..routing.warmstart import WarmstartCache
 
-            if not warmstart_enabled():
-                self.warmstart = False
-                return None
             self._warmstart_cache = WarmstartCache(self._state)
         return self._warmstart_cache
 
@@ -229,14 +162,14 @@ class LinkStateDatabase:
         """P-LSR's advertised scalar ``||APLV_i||_1``."""
         if self._serving_live():
             return self._state.ledger(link_id).aplv.l1_norm
-        return self._read_snapshot(self._snapshot_l1, link_id)
+        return self._snapshot(link_id).l1[link_id]
 
     def conflict_vector(self, link_id: int) -> ConflictVector:
         """D-LSR's advertised bit-vector ``CV_i`` (live reads serve the
         ledger's support-versioned CV cache)."""
         if self._serving_live():
             return self._state.ledger(link_id).conflict_vector()
-        return self._read_snapshot(self._snapshot_cv, link_id)
+        return self._snapshot(link_id).conflict_vector(link_id)
 
     def is_failed(self, link_id: int) -> bool:
         """Link health is topology-change information, flooded
@@ -256,7 +189,7 @@ class LinkStateDatabase:
         result, no bit-vector materialization)."""
         if self._serving_live():
             return self._state.ledger(link_id).aplv.conflict_count(primary_lset)
-        return self.conflict_vector(link_id).conflict_count(primary_lset)
+        return self._snapshot(link_id).conflict_count(link_id, primary_lset)
 
     def group_aplv_l1(self, link_id: int) -> int:
         """P-LSR's scalar generalized to risk groups: Σ_g (# backups on
@@ -264,7 +197,7 @@ class LinkStateDatabase:
         :meth:`aplv_l1` under singleton groups."""
         if self._serving_live():
             return self._state.ledger(link_id).group_aplv_l1()
-        return self._read_snapshot(self._snapshot_group_l1, link_id)
+        return self._snapshot(link_id, groups=True).gl1[link_id]
 
     def group_conflict_count(self, link_id: int, primary_lset) -> int:
         """D-LSR's cost term generalized to risk groups: how many
@@ -275,29 +208,29 @@ class LinkStateDatabase:
             return self._state.ledger(link_id).group_conflict_count(
                 primary_lset
             )
-        groups = self.risk_groups
-        if groups is None:
-            raise ResourceError("no risk groups installed")
-        support = self._read_snapshot(self._snapshot_group_support, link_id)
-        return sum(
-            1 for group in groups.groups_of(primary_lset) if group in support
+        return self._snapshot(link_id, groups=True).group_conflict_count(
+            link_id, primary_lset
         )
 
     def primary_headroom(self, link_id: int) -> float:
         """Bandwidth a new primary could reserve on the link."""
         if self._serving_live():
             return self._state.ledger(link_id).primary_headroom()
-        return self._read_snapshot(self._snapshot_primary_headroom, link_id)
+        return self._snapshot(link_id).ph[link_id]
 
     def backup_headroom(self, link_id: int) -> float:
         """Bandwidth visible to a backup route search on the link."""
         if self._serving_live():
             return self._state.ledger(link_id).backup_headroom()
-        return self._read_snapshot(self._snapshot_backup_headroom, link_id)
+        return self._snapshot(link_id).bh[link_id]
 
-    def _read_snapshot(self, table, link_id: int):
+    def _snapshot(self, link_id: int, groups: bool = False):
+        """The frozen table a snapshot / staleness read of ``link_id``
+        is served from (``groups``: the read needs its SRLG columns,
+        which exist only once a refresh has seen the assignment)."""
         if not 0 <= link_id < self.num_links:
             raise ResourceError("unknown link id {}".format(link_id))
-        if not table:
+        tables = self._kernel_arrays
+        if groups and not tables.have_group_tables:
             raise ResourceError("snapshot database never refreshed")
-        return table[link_id]
+        return tables

@@ -1,13 +1,7 @@
 """Routing schemes: P-LSR, D-LSR, bounded flooding, and baselines."""
 
 from .base import RoutePlan, RouteQuery, RoutingContext, RoutingScheme
-from .costs import (
-    Q_PENALTY,
-    disjoint_backup_cost,
-    dlsr_backup_cost,
-    plsr_backup_cost,
-    primary_link_cost,
-)
+from .costs import Q_PENALTY, primary_link_cost
 from .dijkstra import hop_cost, min_hop_path, path_cost, shortest_path
 from .bellman_ford import bellman_ford_vectors, next_hop_table
 from .link_state import LinkStateScheme
@@ -35,9 +29,6 @@ __all__ = [
     "RoutePlan",
     "Q_PENALTY",
     "primary_link_cost",
-    "plsr_backup_cost",
-    "dlsr_backup_cost",
-    "disjoint_backup_cost",
     "shortest_path",
     "min_hop_path",
     "path_cost",

@@ -28,7 +28,6 @@ from ..topology.distance import (
     build_distance_tables,
 )
 from ..topology.graph import Network, Route
-from .dijkstra import bounded_shortest_path, shortest_path
 
 
 @dataclass(frozen=True)
@@ -137,31 +136,6 @@ class RoutingScheme(abc.ABC):
     #: Short identifier used in reports ("P-LSR", "D-LSR", "BF", ...).
     name: str = "abstract"
 
-    #: Path-search entry points.  Schemes route through these instead
-    #: of calling :mod:`repro.routing.dijkstra` directly so a harness
-    #: can swap the search per *instance* (assigning plain functions to
-    #: an instance attribute overrides the class staticmethod) — the
-    #: differential-testing oracle runs its shadow scheme with the
-    #: naive reference searches this way.
-    search_unbounded = staticmethod(shortest_path)
-    search_bounded = staticmethod(bounded_shortest_path)
-
-    #: Kernel selector: ``"auto"`` routes through the compiled array
-    #: kernel (:mod:`repro.kernels`) whenever this scheme and its
-    #: database support it, ``"object"`` forces the per-edge closure
-    #: path, ``"compiled"`` demands the array kernel and raises when it
-    #: is unavailable.  Settable per instance (and as a constructor
-    #: argument on :class:`~repro.routing.link_state.LinkStateScheme`).
-    kernel: str = "auto"
-
-    #: Which compiled conflict term reproduces this scheme's backup
-    #: cost (``"plsr"`` | ``"dlsr"`` | ``"disjoint"``).  ``None`` — the
-    #: default — means the scheme has no compiled equivalent and always
-    #: routes through the object path; subclasses that override
-    #: ``backup_cost`` with new semantics inherit ``None`` and are
-    #: therefore never silently miscompiled.
-    compiled_conflict: Optional[str] = None
-
     #: Optional :class:`~repro.metrics.ServiceMetrics`; set by an
     #: instrumented service so :meth:`plan_instrumented` can record
     #: planning counters and latency without touching the scheme
@@ -190,46 +164,6 @@ class RoutingScheme(abc.ABC):
                 )
             )
         return self._context
-
-    def resolved_kernel(self) -> str:
-        """Which kernel a plan issued now would execute on:
-        ``"compiled"`` or ``"object"``.
-
-        ``"auto"`` (and ``"compiled"``) resolve to the array kernel
-        only when every precondition holds: the scheme declares a
-        :attr:`compiled_conflict` term, the bound database supports
-        compilation, and the search hooks have not been swapped at the
-        instance level.  Instance-level hook overrides (the
-        differential oracle's naive shadow) always force the object
-        path — the hooks exist precisely to intercept it."""
-        kernel = self.kernel
-        if kernel not in ("auto", "compiled", "object"):
-            raise ValueError(
-                "unknown kernel selector {!r} "
-                "(want auto, compiled or object)".format(kernel)
-            )
-        if kernel == "object":
-            return "object"
-        if (
-            "search_unbounded" in self.__dict__
-            or "search_bounded" in self.__dict__
-        ):
-            return "object"
-        if self.compiled_conflict is None:
-            if kernel == "compiled":
-                raise ValueError(
-                    "{} has no compiled cost kernel".format(self.name)
-                )
-            return "object"
-        database = self.context.database
-        if not getattr(database, "supports_compiled_kernel", False):
-            if kernel == "compiled":
-                raise ValueError(
-                    "database {} does not support the compiled "
-                    "kernel".format(type(database).__name__)
-                )
-            return "object"
-        return "compiled"
 
     @abc.abstractmethod
     def plan(self, query: RouteQuery) -> RoutePlan:

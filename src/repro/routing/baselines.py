@@ -20,8 +20,8 @@ from typing import Optional, Tuple
 
 from ..topology.graph import Link, Route
 from .base import RoutePlan, RouteQuery, RoutingScheme
-from .costs import Q_PENALTY, disjoint_backup_cost, primary_link_cost
-from .dijkstra import shortest_path
+from .costs import Q_PENALTY, primary_link_cost
+from .dijkstra import search
 from .link_state import LinkStateScheme
 
 
@@ -32,11 +32,12 @@ class NoBackupScheme(RoutingScheme):
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         ctx = self.context
-        primary = shortest_path(
+        primary = search(
             ctx.network,
             query.source,
             query.destination,
             primary_link_cost(ctx.database, query.bw_req),
+            query.max_hops,
         )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")
@@ -47,12 +48,7 @@ class DisjointBackupScheme(LinkStateScheme):
     """Shortest primary-disjoint backup, blind to conflicts."""
 
     name = "disjoint"
-    compiled_conflict = "disjoint"
-
-    def backup_cost(self, bw_req, primary_lset, avoid_lset):
-        return disjoint_backup_cost(
-            self.context.database, bw_req, primary_lset, avoid_lset
-        )
+    conflict_kind = "disjoint"
 
 
 class RandomBackupScheme(RoutingScheme):
@@ -67,11 +63,12 @@ class RandomBackupScheme(RoutingScheme):
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         ctx = self.context
-        primary = shortest_path(
+        primary = search(
             ctx.network,
             query.source,
             query.destination,
             primary_link_cost(ctx.database, query.bw_req),
+            query.max_hops,
         )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")
@@ -92,8 +89,8 @@ class RandomBackupScheme(RoutingScheme):
                 weights[link.link_id] = 1.0 + rng.random()
             return (q + weights[link.link_id],)
 
-        backup = shortest_path(
-            ctx.network, query.source, query.destination, cost
+        backup = search(
+            ctx.network, query.source, query.destination, cost, query.max_hops
         )
         if backup is None:
             return RoutePlan(primary=primary, note="no backup route")

@@ -1,37 +1,30 @@
-"""Link-cost functions implementing the paper's Eq. 4 and Section 3.2.
+"""Link-cost vocabulary shared by the routing schemes.
 
-Both LSR backup costs have the shape ``C_i = Q + conflict_term + eps``:
+Both LSR backup costs have the shape ``C_i = Q + conflict_term + eps``
+(the paper's Eq. 4 and Section 3.2):
 
 * ``Q`` is "a very large constant" charged when the new connection's
   primary traverses ``L_i`` or when the link lacks the bandwidth the
   QoS requires.  It is *additive*, not an exclusion: when no clean
-  path exists Dijkstra still returns the least-bad route (e.g. a
+  path exists the search still returns the least-bad route (e.g. a
   backup that unavoidably shares one link with its primary), exactly
   as the paper's formulation allows.
 * the conflict term is ``||APLV_i||_1`` for P-LSR and
   ``sum_{L_j in LSET_P} c_{i,j}`` for D-LSR;
-* ``eps`` breaks ties toward the shortest route.  We realize it as a
-  second lexicographic cost component of 1 per hop (see
-  :mod:`repro.routing.dijkstra`), which orders paths identically to
-  any ``0 < eps < 1`` without floating-point hazards.
+* ``eps`` breaks ties toward the shortest route: a second
+  lexicographic cost component of 1 per hop, which orders paths
+  identically to any ``0 < eps < 1`` without floating-point hazards.
 
-Costs are closures over the link-state database and the connection
-being routed, matching how a router would evaluate them from its own
-database copy.
-
-**Compiled-kernel contract:** the batch builders in
-:mod:`repro.kernels.arrays` re-implement these closures as array
-passes and are held bit-identical to them by the three-way conformance
-suite.  Any change to a feasibility expression here (for instance the
-exact form ``headroom + BW_EPSILON < bw_req`` — *not* algebraically
-"equivalent" rewrites, which differ in floating point) or to a
-conflict term must be mirrored there, and will otherwise be caught as
-a kernel divergence by ``tests/test_kernel_equivalence.py``.
+The link-state schemes evaluate that cost for every link at once
+(:meth:`repro.kernels.arrays.LinkTables.backup_costs`); the per-link
+closure form of the same three costs is the oracle's reference planner
+(:mod:`repro.testing.link_state`).  What stays here is what both — and
+the closure-searching baselines — share: ``Q`` and the primary cost.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..network.database import LinkStateDatabase
 from ..network.state import BW_EPSILON
@@ -59,174 +52,3 @@ def primary_link_cost(database: LinkStateDatabase, bw_req: float) -> LinkCost:
         return (1.0,)
 
     return cost
-
-
-def _q_penalty(
-    database: LinkStateDatabase,
-    link: Link,
-    bw_req: float,
-    primary_lset: FrozenSet[int],
-) -> float:
-    """Eq. 4's ``Q`` term for one link (0 when neither condition holds)."""
-    if link.link_id in primary_lset:
-        return Q_PENALTY
-    if database.backup_headroom(link.link_id) + BW_EPSILON < bw_req:
-        return Q_PENALTY
-    return 0.0
-
-
-def _q_penalty_groups(
-    database: LinkStateDatabase,
-    link: Link,
-    bw_req: float,
-    avoid_groups: FrozenSet[int],
-) -> float:
-    """SRLG generalization of the ``Q`` term: a backup link is charged
-    ``Q`` when it shares a *risk group* with any link it must survive
-    (the primary, plus sibling backups), not merely when it *is* one of
-    those links.  With singleton groups the two tests coincide, so this
-    path reduces bit-identically to :func:`_q_penalty`."""
-    if database.risk_groups.group_of(link.link_id) in avoid_groups:
-        return Q_PENALTY
-    if database.backup_headroom(link.link_id) + BW_EPSILON < bw_req:
-        return Q_PENALTY
-    return 0.0
-
-
-def plsr_backup_cost(
-    database: LinkStateDatabase,
-    bw_req: float,
-    primary_lset: Iterable[int],
-    avoid_lset: Optional[Iterable[int]] = None,
-) -> LinkCost:
-    """P-LSR backup cost: ``(Q + ||APLV_i||_1, 1 hop)`` per link.
-
-    ``avoid_lset`` extends the ``Q``-charged set beyond the primary —
-    used when planning second and further backups, which should also
-    stay off the already-chosen backup routes.
-
-    When the network carries an SRLG assignment both terms generalize
-    per-group: ``Q`` is charged for sharing a risk group with the
-    avoided set and the conflict scalar counts backups per group.
-    """
-    lset = frozenset(primary_lset)
-    avoid = frozenset(avoid_lset) if avoid_lset is not None else lset
-
-    if database.has_risk_groups:
-        avoid_groups = database.risk_groups.groups_of(avoid)
-
-        def cost(link: Link) -> Optional[Tuple[float, ...]]:
-            if database.is_failed(link.link_id):
-                return None
-            q = _q_penalty_groups(database, link, bw_req, avoid_groups)
-            return (q + database.group_aplv_l1(link.link_id), 1.0)
-
-        return cost
-
-    def cost(link: Link) -> Optional[Tuple[float, ...]]:
-        if database.is_failed(link.link_id):
-            return None
-        q = _q_penalty(database, link, bw_req, avoid)
-        return (q + database.aplv_l1(link.link_id), 1.0)
-
-    return cost
-
-
-def dlsr_backup_cost(
-    database: LinkStateDatabase,
-    bw_req: float,
-    primary_lset: Iterable[int],
-    avoid_lset: Optional[Iterable[int]] = None,
-) -> LinkCost:
-    """D-LSR backup cost: ``(Q + Σ_{L_j∈LSET_P} c_{i,j}, 1 hop)``.
-
-    With an SRLG assignment the conflict sum runs over the primary's
-    risk groups instead of its individual links (and ``Q`` charges
-    group-sharing), counting each correlated failure domain once.
-    """
-    lset = frozenset(primary_lset)
-    avoid = frozenset(avoid_lset) if avoid_lset is not None else lset
-
-    if database.has_risk_groups:
-        avoid_groups = database.risk_groups.groups_of(avoid)
-
-        def cost(link: Link) -> Optional[Tuple[float, ...]]:
-            if database.is_failed(link.link_id):
-                return None
-            q = _q_penalty_groups(database, link, bw_req, avoid_groups)
-            return (
-                q + database.group_conflict_count(link.link_id, lset), 1.0
-            )
-
-        return cost
-
-    def cost(link: Link) -> Optional[Tuple[float, ...]]:
-        if database.is_failed(link.link_id):
-            return None
-        q = _q_penalty(database, link, bw_req, avoid)
-        return (q + database.conflict_count(link.link_id, lset), 1.0)
-
-    return cost
-
-
-def disjoint_backup_cost(
-    database: LinkStateDatabase,
-    bw_req: float,
-    primary_lset: Iterable[int],
-    avoid_lset: Optional[Iterable[int]] = None,
-) -> LinkCost:
-    """Conflict-blind baseline: shortest backup avoiding the primary.
-
-    Charges ``Q`` for primary overlap and bandwidth shortage but knows
-    nothing about other connections' backups — this isolates how much
-    of the schemes' fault tolerance comes from conflict awareness as
-    opposed to mere primary-disjointness.
-    """
-    lset = frozenset(primary_lset)
-    avoid = frozenset(avoid_lset) if avoid_lset is not None else lset
-
-    if database.has_risk_groups:
-        avoid_groups = database.risk_groups.groups_of(avoid)
-
-        def cost(link: Link) -> Optional[Tuple[float, ...]]:
-            if database.is_failed(link.link_id):
-                return None
-            return (
-                _q_penalty_groups(database, link, bw_req, avoid_groups), 1.0
-            )
-
-        return cost
-
-    def cost(link: Link) -> Optional[Tuple[float, ...]]:
-        if database.is_failed(link.link_id):
-            return None
-        return (_q_penalty(database, link, bw_req, avoid), 1.0)
-
-    return cost
-
-
-def route_has_q_violation(
-    database: LinkStateDatabase,
-    bw_req: float,
-    primary_lset: Iterable[int],
-    backup_link_ids: Iterable[int],
-    network,
-) -> bool:
-    """True when a chosen backup crosses any ``Q``-charged link, i.e.
-    Dijkstra could not avoid a primary overlap or a bandwidth-short
-    link.  Admission uses this to decide whether the backup is
-    acceptable-but-degraded (primary overlap) or unusable (no
-    bandwidth)."""
-    lset = frozenset(primary_lset)
-    if database.has_risk_groups:
-        avoid_groups = database.risk_groups.groups_of(lset)
-        return any(
-            _q_penalty_groups(
-                database, network.link(link_id), bw_req, avoid_groups
-            ) > 0
-            for link_id in backup_link_ids
-        )
-    return any(
-        _q_penalty(database, network.link(link_id), bw_req, lset) > 0
-        for link_id in backup_link_ids
-    )

@@ -303,6 +303,22 @@ def bounded_shortest_path(
     return Route(nodes=tuple(nodes), link_ids=tuple(links))
 
 
+def search(
+    network: Network,
+    source: int,
+    destination: int,
+    link_cost: LinkCost,
+    max_hops: Optional[int] = None,
+) -> Optional[Route]:
+    """The closure search a query asks for: :func:`shortest_path`, or
+    :func:`bounded_shortest_path` when it carries a delay bound."""
+    if max_hops is None:
+        return shortest_path(network, source, destination, link_cost)
+    return bounded_shortest_path(
+        network, source, destination, link_cost, max_hops
+    )
+
+
 def min_hop_path(
     network: Network,
     source: int,

@@ -15,10 +15,6 @@ P-LSR may not distinguish two equally-popular links.
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
-from .costs import dlsr_backup_cost
-from .dijkstra import LinkCost
 from .link_state import LinkStateScheme
 
 
@@ -31,17 +27,4 @@ class DLSRScheme(LinkStateScheme):
     """
 
     name = "D-LSR"
-    #: ``backup_cost`` below is exactly the CV ∩ LSET popcount term
-    #: the compiled kernel evaluates in batch (see
-    #: :mod:`repro.kernels`).
-    compiled_conflict = "dlsr"
-
-    def backup_cost(
-        self,
-        bw_req: float,
-        primary_lset: FrozenSet[int],
-        avoid_lset: FrozenSet[int],
-    ) -> LinkCost:
-        return dlsr_backup_cost(
-            self.context.database, bw_req, primary_lset, avoid_lset
-        )
+    conflict_kind = "dlsr"

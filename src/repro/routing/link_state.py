@@ -15,7 +15,6 @@ only return a route identical to one already chosen.
 
 from __future__ import annotations
 
-import abc
 from typing import FrozenSet, List, Optional, Sequence
 
 from ..kernels.search import (
@@ -26,75 +25,7 @@ from ..kernels.search import (
 )
 from ..topology.graph import Route
 from .base import RoutePlan, RouteQuery, RoutingScheme
-from .costs import Q_PENALTY, primary_link_cost
-from .dijkstra import LinkCost
-
-
-def _search(scheme: RoutingScheme, query: RouteQuery, cost: LinkCost):
-    """Dispatch to the scheme's QoS-bounded search when the query
-    carries a delay bound (the search functions themselves are the
-    scheme's pluggable ``search_*`` hooks)."""
-    network = scheme.context.network
-    if query.max_hops is None:
-        return scheme.search_unbounded(
-            network, query.source, query.destination, cost
-        )
-    return scheme.search_bounded(
-        network, query.source, query.destination, cost, query.max_hops
-    )
-
-
-def _cost_breakdown(scheme: RoutingScheme, cost: LinkCost, route: Route):
-    """Decompose a chosen route's cost: total of the first (conflict)
-    component, the summed conflict with ``Q`` penalties subtracted out,
-    and how many links were ``Q``-charged.  Pure re-evaluation of the
-    cost closure — never touches routing state."""
-    network = scheme.context.network
-    total = 0.0
-    q_links = 0
-    for link_id in route.link_ids:
-        value = cost(network.link(link_id))
-        if value is None:
-            continue
-        total += value[0]
-        if value[0] >= Q_PENALTY:
-            q_links += 1
-    return total, total - q_links * Q_PENALTY, q_links
-
-
-def _traced_search(
-    scheme: RoutingScheme,
-    query: RouteQuery,
-    cost: LinkCost,
-    name: str,
-    detail: bool = False,
-    **tags,
-):
-    """:func:`_search` wrapped in a routing span when the scheme has a
-    trace collector bound; ``detail`` adds the conflict-cost breakdown
-    of the chosen route (the backup-search evaluation the walkthrough
-    in ``EXPERIMENTS.md`` reads) when the collector opted into
-    detail-level tags — the breakdown re-evaluates the conflict cost
-    per route link, which a production collector must not pay for."""
-    trace = scheme.trace
-    if trace is None:
-        return _search(scheme, query, cost)
-    with trace.span(name, category="routing", **tags) as span:
-        route = _search(scheme, query, cost)
-        if route is None:
-            span.tag(found=False)
-        else:
-            span.tag(found=True, hops=len(route.link_ids))
-            if detail and trace.detail:
-                total, conflict, q_links = _cost_breakdown(
-                    scheme, cost, route
-                )
-                span.tag(
-                    cost=round(total, 6),
-                    conflict=round(conflict, 6),
-                    q_links=q_links,
-                )
-    return route
+from .costs import Q_PENALTY
 
 
 def _flat_search(
@@ -103,11 +34,9 @@ def _flat_search(
     costs: Sequence[float],
     unit: bool = False,
 ):
-    """Compiled-kernel counterpart of :func:`_search`: the whole cost
-    array is already built, so dispatch goes straight to the flat
-    searches (never through the pluggable ``search_*`` hooks — when
-    those are overridden, :meth:`RoutingScheme.resolved_kernel` keeps
-    the scheme on the object path in the first place).
+    """Dispatch one search over an already-built cost array: the
+    layered hop-bounded search when the query carries a delay bound,
+    the unbounded flat search otherwise.
 
     ``unit`` marks cost arrays whose only allowed value is ``1.0``
     (primary searches), unlocking the BFS specialization for the
@@ -128,11 +57,13 @@ def _flat_search(
 
 
 def _cost_breakdown_flat(costs: Sequence[float], route: Route, scale: float):
-    """:func:`_cost_breakdown` over an encoded cost array.  Per-link
-    conflict components are recovered as ``(encoded - 1.0) / scale`` —
-    exact, because the encoded value is the integer
-    ``conflict * scale + 1`` and both factors are exactly
-    representable — then summed in route order like the object path."""
+    """Decompose a chosen route's cost: total of the conflict
+    component, the summed conflict with ``Q`` penalties subtracted out,
+    and how many links were ``Q``-charged.  Per-link conflict
+    components are recovered from the encoded cost array as
+    ``(encoded - 1.0) / scale`` — exact, because the encoded value is
+    the integer ``conflict * scale + 1`` and both factors are exactly
+    representable — then summed in route order."""
     total = 0.0
     q_links = 0
     for link_id in route.link_ids:
@@ -143,6 +74,11 @@ def _cost_breakdown_flat(costs: Sequence[float], route: Route, scale: float):
     return total, total - q_links * Q_PENALTY, q_links
 
 
+#: "No candidate was served — run the search" (``None`` is a servable
+#: result: a cached no-route).
+_SEARCH = object()
+
+
 def _traced_flat_search(
     scheme: RoutingScheme,
     query: RouteQuery,
@@ -151,17 +87,25 @@ def _traced_flat_search(
     name: str,
     detail: bool = False,
     unit: bool = False,
+    served=_SEARCH,
     **tags,
 ):
-    """:func:`_traced_search` for the compiled path — same span names
-    and tags, with the detail breakdown read off the cost array
-    (``scale is None`` for primary searches, whose single-component
-    cost has no breakdown to report)."""
+    """:func:`_flat_search` — or, given ``served``, a warm candidate
+    standing in for it — wrapped in a routing span when the scheme has
+    a trace collector bound; ``detail`` adds the conflict-cost
+    breakdown of the chosen route (the backup-search evaluation the
+    walkthrough in ``EXPERIMENTS.md`` reads) when the collector opted
+    into detail-level tags (``scale is None`` for primary searches,
+    whose single-component cost has no breakdown to report)."""
     trace = scheme.trace
     if trace is None:
+        if served is not _SEARCH:
+            return served
         return _flat_search(scheme, query, costs, unit=unit)
     with trace.span(name, category="routing", **tags) as span:
-        route = _flat_search(scheme, query, costs, unit=unit)
+        route = served
+        if route is _SEARCH:
+            route = _flat_search(scheme, query, costs, unit=unit)
         if route is None:
             span.tag(found=False)
         else:
@@ -206,7 +150,7 @@ def _warm_flat_search(
             scheme, query, costs, scale, name, detail=detail, **tags
         )
     key = (
-        scheme.compiled_conflict,
+        scheme.conflict_kind,
         query.source,
         query.destination,
         query.max_hops,
@@ -216,26 +160,10 @@ def _warm_flat_search(
     )
     probe = cache.probe(key, costs)
     if probe.hit:
-        route = probe.route
-        trace = scheme.trace
-        if trace is not None:
-            with trace.span(
-                name, category="routing", warm=True, **tags
-            ) as span:
-                if route is None:
-                    span.tag(found=False)
-                else:
-                    span.tag(found=True, hops=len(route.link_ids))
-                    if detail and trace.detail and scale is not None:
-                        total, conflict, q_links = _cost_breakdown_flat(
-                            costs, route, scale
-                        )
-                        span.tag(
-                            cost=round(total, 6),
-                            conflict=round(conflict, 6),
-                            q_links=q_links,
-                        )
-        return route
+        return _traced_flat_search(
+            scheme, query, costs, scale, name, detail=detail,
+            served=probe.route, warm=True, **tags
+        )
     route = _traced_flat_search(
         scheme, query, costs, scale, name, detail=detail, warm=False, **tags
     )
@@ -244,53 +172,38 @@ def _warm_flat_search(
 
 
 class LinkStateScheme(RoutingScheme):
-    """Base for schemes that route from the link-state database."""
+    """Base for schemes that route from the link-state database's
+    array tables (:meth:`LinkStateDatabase.kernel_arrays`, or a
+    cluster replica's)."""
 
-    def __init__(self, num_backups: int = 1, kernel: str = "auto") -> None:
+    #: Which conflict term of
+    #: :meth:`~repro.kernels.arrays.LinkTables.backup_costs` is this
+    #: scheme's backup link cost (Eq. 4 / Section 3.2).
+    conflict_kind: str = ""
+
+    def __init__(self, num_backups: int = 1) -> None:
         super().__init__()
         if num_backups < 1:
             raise ValueError(
                 "num_backups must be >= 1, got {}".format(num_backups)
             )
         self.num_backups = num_backups
-        self.kernel = kernel
-
-    @abc.abstractmethod
-    def backup_cost(
-        self,
-        bw_req: float,
-        primary_lset: FrozenSet[int],
-        avoid_lset: FrozenSet[int],
-    ) -> LinkCost:
-        """The scheme-specific backup link cost (Eq. 4 / Section 3.2).
-
-        ``primary_lset`` feeds the conflict term; ``avoid_lset`` (a
-        superset including earlier backups) feeds the ``Q`` penalty.
-        """
 
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
     def plan(self, query: RouteQuery) -> RoutePlan:
-        ctx = self.context
-        compiled = self.resolved_kernel() == "compiled"
-        if compiled:
-            primary = _traced_flat_search(
-                self,
-                query,
-                ctx.database.kernel_arrays().primary_costs(query.bw_req),
-                None,
-                "route.primary_search",
-                unit=True,
-            )
-        else:
-            primary = _traced_search(
-                self, query, primary_link_cost(ctx.database, query.bw_req),
-                "route.primary_search",
-            )
+        primary = _traced_flat_search(
+            self,
+            query,
+            self.context.database.kernel_arrays().primary_costs(query.bw_req),
+            None,
+            "route.primary_search",
+            unit=True,
+        )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary within QoS")
-        backups = self._plan_backups(query, primary, compiled=compiled)
+        backups = self._plan_backups(query, primary)
         if not backups:
             return RoutePlan(primary=primary, note="no backup route")
         return RoutePlan(
@@ -302,79 +215,50 @@ class LinkStateScheme(RoutingScheme):
     def plan_backup(self, query: RouteQuery, primary: Route) -> Optional[Route]:
         """Single-backup search against an established primary (the
         reconfiguration entry point)."""
-        if self.resolved_kernel() == "compiled":
-            costs, scale = self._compiled_backup_costs(
-                query, primary.lset, primary.lset
-            )
-            return _warm_flat_search(
-                self,
-                query,
-                costs,
-                scale,
-                primary.lset,
-                primary.lset,
-                "route.backup_search",
-                detail=True,
-                reconfigure=True,
-            )
-        return _traced_search(
-            self,
-            query,
-            self.backup_cost(query.bw_req, primary.lset, primary.lset),
-            "route.backup_search",
-            detail=True,
-            reconfigure=True,
+        return self._backup_search(
+            query, primary.lset, primary.lset, reconfigure=True
         )
 
-    def _compiled_backup_costs(self, query, primary_lset, avoid_lset):
-        """One batch cost build for a backup search: the database's
-        compiled tables evaluate this scheme's conflict term for every
-        link at once, encoded at the hop scale of this query's search
-        space."""
+    def _backup_search(
+        self,
+        query: RouteQuery,
+        primary_lset: FrozenSet[int],
+        avoid_lset: FrozenSet[int],
+        **tags,
+    ) -> Optional[Route]:
+        """One batch cost build — the database's tables evaluate this
+        scheme's conflict term for every link at once, encoded at the
+        hop scale of this query's search space — and one search over
+        it.  ``primary_lset`` feeds the conflict term; ``avoid_lset``
+        (a superset including earlier backups) the ``Q`` penalty."""
         scale = encode_scale(self.context.network, query.max_hops)
         costs = self.context.database.kernel_arrays().backup_costs(
-            self.compiled_conflict,
+            self.conflict_kind,
             query.bw_req,
             primary_lset,
             avoid_lset,
             scale,
         )
-        return costs, scale
+        return _warm_flat_search(
+            self,
+            query,
+            costs,
+            scale,
+            avoid_lset,
+            primary_lset,
+            "route.backup_search",
+            detail=True,
+            **tags,
+        )
 
-    def _plan_backups(
-        self, query: RouteQuery, primary: Route, compiled: bool = False
-    ) -> List[Route]:
+    def _plan_backups(self, query: RouteQuery, primary: Route) -> List[Route]:
         backups: List[Route] = []
         avoid = set(primary.lset)
         seen = {primary.lset}
         for index in range(self.num_backups):
-            if compiled:
-                avoid_f = frozenset(avoid)
-                costs, scale = self._compiled_backup_costs(
-                    query, primary.lset, avoid_f
-                )
-                route = _warm_flat_search(
-                    self,
-                    query,
-                    costs,
-                    scale,
-                    avoid_f,
-                    primary.lset,
-                    "route.backup_search",
-                    detail=True,
-                    backup_index=index,
-                )
-            else:
-                route = _traced_search(
-                    self,
-                    query,
-                    self.backup_cost(
-                        query.bw_req, primary.lset, frozenset(avoid)
-                    ),
-                    "route.backup_search",
-                    detail=True,
-                    backup_index=index,
-                )
+            route = self._backup_search(
+                query, primary.lset, frozenset(avoid), backup_index=index
+            )
             if route is None or route.lset in seen:
                 break
             backups.append(route)

@@ -14,10 +14,6 @@ then backup by Dijkstra with ``C_i = Q + ||APLV_i||_1 + ε``.
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
-from .costs import plsr_backup_cost
-from .dijkstra import LinkCost
 from .link_state import LinkStateScheme
 
 
@@ -30,16 +26,4 @@ class PLSRScheme(LinkStateScheme):
     """
 
     name = "P-LSR"
-    #: ``backup_cost`` below is exactly the APLV-L1 term the compiled
-    #: kernel evaluates in batch (see :mod:`repro.kernels`).
-    compiled_conflict = "plsr"
-
-    def backup_cost(
-        self,
-        bw_req: float,
-        primary_lset: FrozenSet[int],
-        avoid_lset: FrozenSet[int],
-    ) -> LinkCost:
-        return plsr_backup_cost(
-            self.context.database, bw_req, primary_lset, avoid_lset
-        )
+    conflict_kind = "plsr"

@@ -26,7 +26,7 @@ from ..network.state import BW_EPSILON, NetworkState
 from ..topology.graph import Link, Network
 from .base import RoutePlan, RouteQuery, RoutingScheme
 from .costs import primary_link_cost
-from .dijkstra import shortest_path
+from .dijkstra import search, shortest_path
 
 #: Outcome reason for a successful reactive re-route.
 REROUTED = "rerouted"
@@ -41,11 +41,12 @@ class ReactiveScheme(RoutingScheme):
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         ctx = self.context
-        primary = self.search_unbounded(
+        primary = search(
             ctx.network,
             query.source,
             query.destination,
             primary_link_cost(ctx.database, query.bw_req),
+            query.max_hops,
         )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")

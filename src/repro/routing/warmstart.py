@@ -41,33 +41,17 @@ crosses a failed or changed link.
 
 ``None`` results (no feasible backup) are cached too: re-proving
 no-route is exactly as expensive as a full search, and saturated tails
-repeat those queries most.  ``REPRO_WARMSTART=0`` disables the cache.
+repeat those queries most.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from hashlib import blake2b
 from typing import Dict, List, Optional, Sequence
 
 from ..network.state import NetworkState
 from ..topology.graph import Route
-
-#: Environment variable gating the warm-candidate cache ("0"/"off"
-#: disables it; every backup search then runs cold).
-WARMSTART_ENV = "REPRO_WARMSTART"
-
-_DISABLED = {"0", "false", "off", "no"}
-
-
-def warmstart_enabled() -> bool:
-    """Whether new databases attach a warm-candidate cache (see
-    :data:`WARMSTART_ENV`; consulted at cache-creation time)."""
-    return (
-        os.environ.get(WARMSTART_ENV, "1").strip().lower() not in _DISABLED
-    )
-
 
 def _digest(costs: Sequence[float]) -> bytes:
     """16-byte ``blake2b`` over the exact float bytes of a cost array

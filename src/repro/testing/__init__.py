@@ -9,16 +9,28 @@ This package keeps them honest:
   no-cache database) preserved from before the optimization;
 * :mod:`repro.testing.flooding` — the object-per-CDP bounded flood and
   set-based destination selection the flat-table flood replaced;
+* :mod:`repro.testing.link_state` — the per-edge cost closures and
+  the closure planner the array kernel replaced;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
-  wrapper that replays every operation into a naive shadow service and
-  asserts bit-identical decisions, routes and state fingerprints.
+  wrapper that replays every operation into a naive shadow service
+  (:func:`make_reference_service`) and asserts bit-identical
+  decisions, routes and state fingerprints.
 """
 
 from .flooding import CDP, PendingEntry, ReferenceFloodingScheme
-from .oracle import DifferentialOracle, OracleDivergence
+from .link_state import (
+    ReferenceLinkStateScheme,
+    disjoint_backup_cost,
+    dlsr_backup_cost,
+    plsr_backup_cost,
+)
+from .oracle import (
+    DifferentialOracle,
+    OracleDivergence,
+    make_reference_service,
+)
 from .reference import (
     ReferenceDatabase,
-    make_reference_service,
     naive_bounded_shortest_path,
     naive_shortest_path,
     rebuilt_aplv,
@@ -31,8 +43,12 @@ __all__ = [
     "PendingEntry",
     "ReferenceDatabase",
     "ReferenceFloodingScheme",
+    "ReferenceLinkStateScheme",
+    "disjoint_backup_cost",
+    "dlsr_backup_cost",
     "make_reference_service",
     "naive_bounded_shortest_path",
     "naive_shortest_path",
+    "plsr_backup_cost",
     "rebuilt_aplv",
 ]

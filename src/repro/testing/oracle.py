@@ -4,9 +4,8 @@
 the way :class:`~repro.simulation.tracing.TracingService` does — same
 lifecycle surface, attribute pass-through for everything else — but
 mirrors every operation into a shadow service built by
-:func:`~repro.testing.reference.make_reference_service`: same scheme,
-naive reference searches, rebuild-per-read database, independent
-ledgers.  After each operation the oracle asserts the two worlds are
+:func:`make_reference_service`: the scheme's reference planner, naive
+searches, rebuild-per-read database, independent ledgers.  After each operation the oracle asserts the two worlds are
 **bit-identical**:
 
 * the admission decision (accepted/reason/degraded) and every route in
@@ -32,14 +31,59 @@ different fault sequences and diverge by design, not by bug.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from ..core.service import DRTPService
-from .reference import make_reference_service, rebuilt_aplv
+from ..routing.base import RoutingContext
+from ..routing.flooding import BoundedFloodingScheme
+from ..routing.link_state import LinkStateScheme
+from .flooding import ReferenceFloodingScheme
+from .link_state import ReferenceLinkStateScheme
+from .reference import ReferenceDatabase, rebuilt_aplv
 
 
 class OracleDivergence(AssertionError):
     """The fast path and the naive reference disagreed."""
+
+
+def make_reference_service(service: DRTPService) -> DRTPService:
+    """A shadow :class:`DRTPService` computing ground truth.
+
+    The shadow shares nothing mutable with ``service``: it owns a
+    fresh :class:`~repro.network.state.NetworkState` over the same
+    (immutable) topology, a :class:`ReferenceDatabase`, a copy of the
+    spare policy, and the *reference* planner of the routing scheme —
+    the closure planner of :mod:`repro.testing.link_state` for the
+    link-state schemes, the object flood of
+    :mod:`repro.testing.flooding` for bounded flooding, a plain copy
+    for the baselines (which have one closure-search implementation).
+    Replaying the same operations through both must produce
+    bit-identical decisions and state fingerprints.
+
+    Fault injection is deliberately not carried over: the injector
+    draws from a shared RNG, so two services would observe different
+    fault sequences and diverge by design.  The oracle refuses faulted
+    services for the same reason.
+    """
+    if isinstance(service.scheme, LinkStateScheme):
+        scheme = ReferenceLinkStateScheme.shadowing(service.scheme)
+    elif isinstance(service.scheme, BoundedFloodingScheme):
+        scheme = ReferenceFloodingScheme.shadowing(service.scheme)
+    else:
+        scheme = copy.copy(service.scheme)
+    shadow = DRTPService(
+        service.network,
+        scheme,
+        spare_policy=copy.copy(service.spare_policy),
+        require_backup=service._admission._require_backup,
+        live_database=True,
+        qos_slack=service.qos_slack,
+    )
+    shadow.state.unsubscribe(shadow.database._mark_dirty)
+    shadow.database = ReferenceDatabase(shadow.state)
+    scheme.bind(RoutingContext(service.network, shadow.state, shadow.database))
+    return shadow
 
 
 def _route_key(route) -> Optional[tuple]:

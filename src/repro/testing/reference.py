@@ -15,25 +15,24 @@ pre-optimization searches, preserved verbatim (dict-based distance
 maps, adjacency re-materialized from the topology on every expansion).
 Their tie-breaking — heap insertion counter over ``network.out_links``
 order — is the contract the fast searches must reproduce bit for bit.
+The planners that search with them live next door
+(:mod:`repro.testing.link_state`, :mod:`repro.testing.flooding`); the
+shadow service that binds it all together is
+:func:`repro.testing.oracle.make_reference_service`.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 from itertools import count
 from typing import Optional
 
-from ..core.service import DRTPService
 from ..network.aplv import APLV
 from ..network.conflict_vector import ConflictVector
 from ..network.database import LinkStateDatabase
 from ..network.state import LinkLedger
-from ..routing.base import RoutingContext
-from ..routing.flooding import BoundedFloodingScheme
 from ..topology.graph import Network, Route
 from ..routing.dijkstra import LinkCost, hop_cost
-from .flooding import ReferenceFloodingScheme
 
 
 def naive_shortest_path(
@@ -182,10 +181,6 @@ class ReferenceDatabase(LinkStateDatabase):
     ground-truth decision.
     """
 
-    #: Rebuild-per-read semantics cannot be mirrored into flat tables;
-    #: schemes routing from this database always take the object path.
-    supports_compiled_kernel = False
-
     def __init__(self, state) -> None:
         super().__init__(state, live=True)
 
@@ -201,48 +196,3 @@ class ReferenceDatabase(LinkStateDatabase):
         return rebuilt_aplv(self._state.ledger(link_id)).conflict_count(
             primary_lset
         )
-
-
-def make_reference_service(service: DRTPService) -> DRTPService:
-    """A shadow :class:`DRTPService` computing ground truth.
-
-    The shadow shares nothing mutable with ``service``: it owns a
-    fresh :class:`~repro.network.state.NetworkState` over the same
-    (immutable) topology, a :class:`ReferenceDatabase`, a copy of the
-    spare policy, and a copy of the routing scheme whose search hooks
-    are overridden with the naive reference searches — for bounded
-    flooding, which searches no paths, the object flood of
-    :mod:`repro.testing.flooding` instead.  Replaying the same
-    operations through both must produce bit-identical decisions and
-    state fingerprints.
-
-    Fault injection is deliberately not carried over: the injector
-    draws from a shared RNG, so two services would observe different
-    fault sequences and diverge by design.  The oracle refuses faulted
-    services for the same reason.
-    """
-    if isinstance(service.scheme, BoundedFloodingScheme):
-        scheme = ReferenceFloodingScheme.shadowing(service.scheme)
-    else:
-        scheme = copy.copy(service.scheme)
-    shadow = DRTPService(
-        service.network,
-        scheme,
-        spare_policy=copy.copy(service.spare_policy),
-        require_backup=service._admission._require_backup,
-        live_database=True,
-        qos_slack=service.qos_slack,
-    )
-    shadow.state.unsubscribe(shadow.database._mark_dirty)
-    shadow.database = ReferenceDatabase(shadow.state)
-    # Instance-attribute functions shadow the class staticmethod hooks
-    # without binding, so the naive searches slot straight in.  The
-    # kernel selector is pinned to the object path as well — belt and
-    # braces on top of resolved_kernel()'s hook-override fallback and
-    # the reference database's compiled-kernel opt-out, so the shadow
-    # can never route around the naive searches.
-    scheme.search_unbounded = naive_shortest_path
-    scheme.search_bounded = naive_bounded_shortest_path
-    scheme.kernel = "object"
-    scheme.bind(RoutingContext(service.network, shadow.state, shadow.database))
-    return shadow

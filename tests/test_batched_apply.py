@@ -5,9 +5,11 @@ The batched commit path (:mod:`repro.kernels.apply`) promises
 release / reserve loops: same decisions, same ``rejected_link``, same
 ``hops_signaled``, same resize outcomes, same ``NetworkState``
 fingerprints — and same ledger ``version`` counters, which the
-compiled cost caches key on.  These tests run both modes in lockstep
-(:func:`~repro.kernels.apply.set_batch_apply` toggles the path at
-runtime) and compare after every operation.
+compiled cost caches key on.  These tests run both in lockstep and
+compare after every operation; the per-hop reference is reached the
+way production reaches it — a batched entry point answering "fall
+back" — by patching the four names the callers import to always say
+so (:func:`per_hop`).
 
 The fault-injected walk intentionally stays per-hop; the mid-walk
 fault cases here pin the interop instead: registrations committed by
@@ -17,7 +19,7 @@ fingerprint.
 """
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -30,11 +32,6 @@ from repro.core import (
 )
 from repro.core.multiplexing import GroupAwareSparePolicy
 from repro.core.signaling import release_backup_path
-from repro.kernels.apply import (
-    batch_apply_enabled,
-    batch_register_walk,
-    set_batch_apply,
-)
 from repro.network import NetworkState
 from repro.routing import DLSRScheme
 from repro.topology import Route, mesh_conduit_groups, mesh_network
@@ -66,13 +63,34 @@ class ScriptedInjector:
         return None
 
 
+#: The batched entry points, at the names their callers resolve.
+BATCH_ENTRY_POINTS = (
+    "repro.core.signaling.batch_register_walk",
+    "repro.core.signaling.batch_release_walk",
+    "repro.core.admission.batch_reserve_primary",
+    "repro.core.admission.batch_release_primary",
+)
+
+
 @contextmanager
-def batching(flag):
-    previous = set_batch_apply(flag)
-    try:
+def per_hop():
+    """Every batched entry point reports "fall back" (``None``), so
+    each walk inside the block takes the per-hop loop."""
+    asked = []
+
+    def fall_back(*args, **kwargs):
+        asked.append(args)
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        for target in BATCH_ENTRY_POINTS:
+            patch.setattr(target, fall_back)
         yield
-    finally:
-        set_batch_apply(previous)
+    assert asked, "the per-hop arm never reached a batched entry point"
+
+
+def batching(flag):
+    return nullcontext() if flag else per_hop()
 
 
 def _random_packet(net, rng, conn_id, bw=1.0):
@@ -231,27 +249,6 @@ class TestWalkEquivalence:
                     register_backup_path(state, policy, pkt)
             outcomes.append((type(excinfo.value), str(excinfo.value)))
         assert outcomes[0] == outcomes[1]
-
-    def test_disabled_gate_returns_none(self):
-        """``set_batch_apply(False)`` short-circuits every batch entry
-        point (the paired benchmark's A/B switch)."""
-        net = mesh_network(ROWS, COLS, 8.0)
-        state = NetworkState(net)
-        with batching(False):
-            assert not batch_apply_enabled()
-            assert (
-                batch_register_walk(
-                    state,
-                    SharedSparePolicy(),
-                    1,
-                    (0, 1),
-                    frozenset([5]),
-                    1.0,
-                )
-                is None
-            )
-        previous = set_batch_apply(True)
-        set_batch_apply(previous)
 
 
 class TestGroupAccounting:

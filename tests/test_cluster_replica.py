@@ -4,7 +4,10 @@ Read-API equivalence against the live database, the ingest verdict
 state machine (in-order, duplicate, gap, blocked, resync), and the
 hypothesis property the whole replication design leans on: replaying
 any prefix of the delta stream — optionally finished off by a snapshot
-resync — lands on exactly the image a fresh capture would produce.
+resync — lands on exactly the image a fresh capture would produce.  A
+second property holds the planning input itself: a delta-fed replica's
+kernel table builds the cost arrays the authority's builds at the same
+epoch.
 """
 
 import random
@@ -218,3 +221,87 @@ class TestReplayProperty:
             assert fresh.ingest(deltas[epoch]) == INGEST_APPLIED
         assert replica.fingerprint() == fresh.fingerprint()
         assert replica.fingerprint() == snapshots[max(deltas)].fingerprint()
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["admit", "admit", "admit", "release", "fail", "repair",
+             "epoch", "epoch"]
+        ),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+
+class TestKernelTableLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ops=_OPS,
+        srlg=st.booleans(),
+        lost=st.integers(min_value=1, max_value=6),
+    )
+    def test_replica_cost_arrays_equal_the_authoritys_at_the_same_epoch(
+        self, ops, srlg, lost
+    ):
+        """Admit / release / fail / repair on the authority, one delta
+        per epoch boundary (delta ``lost`` never arrives, so the next
+        one reports a gap and the replica resyncs): whenever the
+        replica reaches the authority's epoch, its table rows and every
+        cost array built from them equal the authority's."""
+        network = mesh_network(ROWS, COLS, CAPACITY)
+        groups = mesh_conduit_groups(network, ROWS, COLS) if srlg else None
+        service = DRTPService(network, DLSRScheme(), risk_groups=groups)
+        tracker = DeltaTracker(service.state)
+        replica = ReplicaDatabase(
+            DatabaseSnapshot.capture(service.state, 0), risk_groups=groups
+        )
+        authority = service.database.kernel_arrays()
+        num_nodes, num_links = network.num_nodes, network.num_links
+        live = []
+        epoch = 0
+        for kind, a, b in ops:
+            if kind == "admit":
+                if a % num_nodes != b % num_nodes:
+                    decision = service.request(
+                        a % num_nodes, b % num_nodes, 1.0
+                    )
+                    if decision.accepted:
+                        live.append(decision.connection.connection_id)
+            elif kind == "release" and live:
+                cid = live.pop(a % len(live))
+                if service.has_connection(cid):
+                    service.release(cid)
+            elif kind == "fail":
+                service.fail_link(a % num_links)
+            elif kind == "repair":
+                for link in sorted(service.state.failed_links())[:1]:
+                    service.repair_link(link)
+            if kind != "epoch":
+                continue
+            epoch += 1
+            delta = tracker.capture(epoch)
+            if epoch == lost:
+                continue
+            if replica.ingest(delta) != INGEST_APPLIED:
+                assert replica.needs_resync
+                replica.resync(DatabaseSnapshot.capture(service.state, epoch))
+            assert replica.epoch == epoch
+            authority.flush()
+            tables = replica.kernel_arrays()
+            columns = 6 if srlg else 4
+            assert tables.rows(columns) == authority.rows(columns)
+            bw = (1.0, 2.5, 9.0)[b % 3]
+            lset = frozenset({a % num_links, b % num_links})
+            avoid = lset | {(a + b) % num_links}
+            scale = float(num_nodes)
+            assert tables.primary_costs(bw) == authority.primary_costs(bw)
+            for conflict in ("plsr", "dlsr", "disjoint"):
+                assert tables.backup_costs(
+                    conflict, bw, lset, avoid, scale
+                ) == authority.backup_costs(conflict, bw, lset, avoid, scale)
+        tracker.close()
+        service.check_invariants()

@@ -7,6 +7,7 @@ from repro.core import (
     DRTPService,
     SharedSparePolicy,
 )
+from repro.network.state import ResourceError
 from repro.routing import DLSRScheme, NoBackupScheme, PLSRScheme
 from repro.topology import line_network, mesh_network
 
@@ -97,6 +98,20 @@ class TestViews:
         service.state.ledger(link_id).release_backup(conn.connection_id)
         with pytest.raises(ConnectionStateError):
             service.check_invariants()
+
+    def test_invariant_check_detects_corrupt_kernel_table_row(self, service):
+        decision = service.request(0, 8, 1.0)
+        service.check_invariants()
+        tables = service.database.kernel_arrays()
+        tables.flush()
+        # Corrupt by hand: one stored L1 norm drifts from its ledger.
+        link_id = decision.connection.backup_route.link_ids[0]
+        tables.l1[link_id] += 1
+        with pytest.raises(ResourceError):
+            service.check_invariants()
+        # A row awaiting its flush is allowed to lag: dirty, not wrong.
+        service.state.ledger(link_id).reserve_primary(1.0)
+        service.check_invariants()
 
     def test_repair_link_restores_routing(self, service):
         link_id = 0

@@ -8,22 +8,25 @@ committed JSONL fixture.  Any refactor that silently changes a routing
 decision, a tie-break, an activation outcome, or event ordering fails
 here with the first differing event.
 
-Every fixture is replayed under both routing kernels: the object fast
-path and, for the schemes that declare a compiled conflict term, the
-array-compiled kernel (``kernel="compiled"``) — one committed trace,
-two engines, byte-identical output.  A second replay family installs a
+Every fixture is replayed by both planners of its scheme: the
+production engine (``compiled`` — array tables for the link-state
+schemes, the flat-table flood for BF) and the object planner kept as
+the oracle's reference in :mod:`repro.testing` (``object`` — cost
+closures and dict Dijkstra, the object-per-CDP flood), so the
+reference is itself pinned to the committed traces — one trace, two
+planners, byte-identical output.  A second replay family installs a
 *singleton* SRLG assignment (one risk group per link, the paper's
 fault model) and must reproduce the same fixtures byte for byte: group
-aggregation over singletons degenerates to the per-link terms on both
-kernels.
+aggregation over singletons degenerates to the per-link terms in both
+planners.
 
 Regenerating fixtures (after an *intentional* behavior change)::
 
     REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_traces.py
 
 then review the fixture diff like any other code change.  Fixtures
-regenerate only from the object-kernel replay — the compiled kernel is
-always held to the object path's output, never the other way around.
+regenerate only from the reference replay — the production engine is
+always held to the reference's output, never the other way around.
 """
 
 import json
@@ -42,6 +45,7 @@ from repro.simulation import (
 )
 from repro.simulation.arrivals import HoldingTimeDistribution
 from repro.simulation.scenario import LinkEvent
+from repro.testing import make_reference_service
 from repro.topology import mesh_network
 from repro.topology.srlg import RiskGroupSet
 
@@ -49,14 +53,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SCHEMES = ("P-LSR", "D-LSR", "BF")
 
-#: Kernels each scheme's fixture replays under.  BF's flooding planner
-#: has no compiled equivalent, so its trace pins the object path only.
-SCHEME_KERNELS = [
-    (scheme_name, kernel)
+#: Planners each scheme's fixture replays under (see module docstring).
+SCHEME_PLANNERS = [
+    (scheme_name, planner)
     for scheme_name in SCHEMES
-    for kernel in (
-        ("object",) if scheme_name == "BF" else ("object", "compiled")
-    )
+    for planner in ("object", "compiled")
 ]
 
 
@@ -67,7 +68,7 @@ def golden_path(scheme_name: str) -> Path:
 
 
 def run_traced_scenario(
-    scheme_name: str, kernel: str = "object", singleton_srlg: bool = False
+    scheme_name: str, planner: str = "compiled", singleton_srlg: bool = False
 ) -> Tracer:
     """One deterministic replay: 4x4 mesh, seeded arrivals, one
     scripted mid-run link failure and repair."""
@@ -87,9 +88,9 @@ def run_traced_scenario(
          LinkEvent(time=90.0, link_id=5, action="repair")]
     )
     tracer = Tracer()
-    scheme = make_scheme(scheme_name)
-    scheme.kernel = kernel
-    inner = DRTPService(net, scheme)
+    inner = DRTPService(net, make_scheme(scheme_name))
+    if planner == "object":
+        inner = make_reference_service(inner)
     if singleton_srlg:
         inner.state.install_risk_groups(RiskGroupSet.singleton(net))
     service = TracingService(inner, tracer)
@@ -124,30 +125,28 @@ def _diff_against_golden(actual: str, path: Path) -> None:
         )
 
 
-@pytest.mark.parametrize("scheme_name,kernel", SCHEME_KERNELS)
-def test_golden_trace(scheme_name, kernel):
-    actual = serialize(run_traced_scenario(scheme_name, kernel=kernel))
+@pytest.mark.parametrize("scheme_name,planner", SCHEME_PLANNERS)
+def test_golden_trace(scheme_name, planner):
+    actual = serialize(run_traced_scenario(scheme_name, planner))
     path = golden_path(scheme_name)
     if os.environ.get("REGEN_GOLDEN"):
-        if kernel != "object":
-            pytest.skip(
-                "fixtures regenerate from the object-kernel replay only"
-            )
+        if planner != "object":
+            pytest.skip("fixtures regenerate from the reference replay only")
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(actual)
         pytest.skip("regenerated {}".format(path.name))
     _diff_against_golden(actual, path)
 
 
-@pytest.mark.parametrize("scheme_name,kernel", SCHEME_KERNELS)
-def test_golden_trace_singleton_srlg(scheme_name, kernel):
+@pytest.mark.parametrize("scheme_name,planner", SCHEME_PLANNERS)
+def test_golden_trace_singleton_srlg(scheme_name, planner):
     """With one risk group per link (the paper's fault model), group
-    aggregation must collapse to the per-link terms: the replay — on
-    either kernel — reproduces the no-SRLG fixture byte for byte."""
+    aggregation must collapse to the per-link terms: the replay — by
+    either planner — reproduces the no-SRLG fixture byte for byte."""
     if os.environ.get("REGEN_GOLDEN"):
-        pytest.skip("fixtures regenerate from the no-SRLG object replay")
+        pytest.skip("fixtures regenerate from the no-SRLG reference replay")
     actual = serialize(
-        run_traced_scenario(scheme_name, kernel=kernel, singleton_srlg=True)
+        run_traced_scenario(scheme_name, planner, singleton_srlg=True)
     )
     _diff_against_golden(actual, golden_path(scheme_name))
 

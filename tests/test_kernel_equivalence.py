@@ -1,27 +1,25 @@
-"""Three-way conformance campaigns for the compiled routing kernels.
+"""Conformance campaigns for the array routing kernel.
 
-The compiled kernel (:mod:`repro.kernels`) replaces the object path's
-cost closures and tuple-cost searches with flat arrays, bitset
-popcounts and scalar-encoded Dijkstra.  Its acceptance bar is
-**bit-exactness**, checked three ways on every randomized operation:
-
-* **compiled vs naive reference** — the campaign service plans with
-  ``kernel="compiled"`` and runs under
-  :class:`~repro.testing.DifferentialOracle`, which mirrors every
-  operation into the rebuild-from-scratch shadow (naive dict Dijkstra,
-  rebuild-per-read database) and diffs decisions, routes and state
-  fingerprints;
-* **compiled vs object fast path** — a twin service with
-  ``kernel="object"`` (the PR-2 incremental engine) replays the same
-  operations; decisions, failure impacts and fingerprints must match
-  link id for link id.
+The link-state schemes plan on flat tables
+(:mod:`repro.kernels`): batch cost builds, bitset popcounts and
+scalar-encoded Dijkstra.  The acceptance bar is **bit-exactness**
+against the closure planner kept in :mod:`repro.testing` — per-edge
+cost closures, dict Dijkstra — checked on every randomized operation:
+the campaign service runs under
+:class:`~repro.testing.DifferentialOracle`, which mirrors every
+operation into the rebuild-from-scratch shadow
+(:func:`~repro.testing.make_reference_service`: reference planner,
+rebuild-per-read database) and diffs decisions, routes and state
+fingerprints.
 
 Zero divergences over ≥ 500 operations per scheme, with and without
 SRLG risk groups, is the bar.  Campaign totals are recorded to
 ``benchmarks/results/kernel_conformance.json`` so CI archives an
 auditable artifact.  Snapshot-mode and hop-bounded (``qos_slack``)
 configurations — where the always-live naive shadow would diverge by
-design — are covered by compiled-vs-object lockstep replays instead.
+design — are covered by lockstep replays instead: the same operation
+stream through the production scheme and through the reference planner
+bound to the same kind of database.
 """
 
 import json
@@ -32,7 +30,7 @@ import pytest
 
 from repro.core import DRTPService
 from repro.experiments import make_scheme
-from repro.testing import DifferentialOracle
+from repro.testing import DifferentialOracle, ReferenceLinkStateScheme
 from repro.topology import mesh_network
 from repro.topology.srlg import mesh_conduit_groups
 
@@ -43,9 +41,8 @@ RESULTS_PATH = (
     / "kernel_conformance.json"
 )
 
-#: Schemes declaring a compiled conflict term (BF's flooding planner
-#: has no compiled equivalent and always routes through the object
-#: path — resolved_kernel() covers that refusal in the routing tests).
+#: The schemes that plan on the link tables (BF's flood has its own
+#: lockstep suite, ``tests/test_flood_lockstep.py``).
 SCHEMES = ("P-LSR", "D-LSR", "disjoint")
 
 #: Randomized operations per scheme (the acceptance bar is >= 500).
@@ -77,90 +74,44 @@ def _impact_key(impact):
     )
 
 
-def _expect(op_index, what, compiled, other):
-    assert compiled == other, (
-        "operation #{}: compiled kernel diverged from {}\n"
-        "  compiled: {!r}\n"
-        "  other:    {!r}".format(op_index, what, compiled, other)
-    )
-
-
-def run_three_way(scheme_name, rows, cols, num_ops, seed, srlg=False):
-    """Drive ``num_ops`` randomized operations through a
-    compiled-kernel service checked two ways at once: wrapped in the
-    :class:`DifferentialOracle` (vs the naive reference) while an
-    object-kernel twin replays the identical stream in lockstep.
-
-    Returns ``(oracle, lockstep_checks)`` for inspection.
-    """
+def run_campaign(scheme_name, rows, cols, num_ops, seed, srlg=False):
+    """Drive ``num_ops`` randomized operations through a service
+    wrapped in the :class:`DifferentialOracle`; returns the oracle."""
     net = mesh_network(rows, cols, capacity=12.0)
-    compiled_scheme = make_scheme(scheme_name)
-    compiled_scheme.kernel = "compiled"
-    service = DRTPService(net, compiled_scheme, live_database=True)
+    service = DRTPService(net, make_scheme(scheme_name), live_database=True)
     oracle = DifferentialOracle(service, check_database=False)
-    object_scheme = make_scheme(scheme_name)
-    object_scheme.kernel = "object"
-    twin = DRTPService(net, object_scheme, live_database=True)
     if srlg:
         groups = mesh_conduit_groups(net, rows, cols)
-        for state in (service.state, oracle.shadow.state, twin.state):
+        for state in (service.state, oracle.shadow.state):
             state.install_risk_groups(groups)
-    # The campaign is only meaningful if the arms run the kernels they
-    # claim to: the unit under test must actually compile, the twin and
-    # the naive shadow must not.
-    assert compiled_scheme.resolved_kernel() == "compiled"
-    assert object_scheme.resolved_kernel() == "object"
-    assert oracle.shadow.scheme.resolved_kernel() == "object"
+    # The campaign is only meaningful if the shadow plans with the
+    # closure reference, not with a copy of the unit under test.
+    assert isinstance(oracle.shadow.scheme, ReferenceLinkStateScheme)
 
     rng = random.Random(seed)
     live = []
     failed = []
-    lockstep_checks = 0
     while oracle.operations < num_ops:
-        op_index = oracle.operations + 1
         roll = rng.random()
         if roll < 0.55 or not live:
             src, dst = rng.sample(range(net.num_nodes), 2)
             decision = oracle.request(src, dst, 1.0)
-            # Re-admit the same request object so all arms agree on
-            # the connection id (the oracle does this for its shadow).
-            twin_decision = twin.admit(decision.request)
-            _expect(
-                op_index, "object twin (decision)",
-                _decision_key(decision), _decision_key(twin_decision),
-            )
-            lockstep_checks += 1
             if decision.accepted:
                 live.append(decision.connection.connection_id)
         elif roll < 0.80:
-            connection_id = live.pop(rng.randrange(len(live)))
-            oracle.release(connection_id)
-            twin.release(connection_id)
+            oracle.release(live.pop(rng.randrange(len(live))))
         elif roll < 0.90 and len(failed) < 3:
             link_id = rng.randrange(net.num_links)
             if not service.state.is_link_failed(link_id):
-                impact = oracle.fail_link(link_id)
-                twin_impact = twin.fail_link(link_id)
-                _expect(
-                    op_index, "object twin (failure impact)",
-                    _impact_key(impact), _impact_key(twin_impact),
-                )
-                lockstep_checks += 1
+                oracle.fail_link(link_id)
                 failed.append(link_id)
                 live = [c for c in live if service.has_connection(c)]
         elif failed:
-            link_id = failed.pop(rng.randrange(len(failed)))
-            oracle.repair_link(link_id)
-            twin.repair_link(link_id)
+            oracle.repair_link(failed.pop(rng.randrange(len(failed))))
         else:
             oracle.refresh_database()
-            twin.refresh_database()
-        _expect(
-            op_index, "object twin (state fingerprint)",
-            service.state.fingerprint(), twin.state.fingerprint(),
-        )
-        lockstep_checks += 1
-    return oracle, lockstep_checks
+    service.check_invariants()
+    return oracle
 
 
 def _record(key, record):
@@ -177,11 +128,10 @@ def _record(key, record):
 @pytest.mark.oracle
 @pytest.mark.slow
 @pytest.mark.parametrize("scheme_name", SCHEMES)
-def test_three_way_campaign(scheme_name):
-    """≥ 500 randomized operations per scheme, compiled kernel diffed
-    against both the naive reference and the object fast path — zero
-    divergences."""
-    oracle, lockstep_checks = run_three_way(
+def test_two_way_campaign(scheme_name):
+    """≥ 500 randomized operations per scheme, the array kernel diffed
+    against the naive reference — zero divergences."""
+    oracle = run_campaign(
         scheme_name, rows=6, cols=6, num_ops=CAMPAIGN_OPS, seed=2026
     )
     assert oracle.operations >= 500
@@ -191,7 +141,6 @@ def test_three_way_campaign(scheme_name):
         "srlg": False,
         "operations": oracle.operations,
         "oracle_checks": oracle.checks,
-        "lockstep_checks": lockstep_checks,
         "divergences": 0,
     })
 
@@ -199,11 +148,11 @@ def test_three_way_campaign(scheme_name):
 @pytest.mark.oracle
 @pytest.mark.slow
 @pytest.mark.parametrize("scheme_name", ("P-LSR", "D-LSR"))
-def test_three_way_campaign_srlg(scheme_name):
+def test_two_way_campaign_srlg(scheme_name):
     """The same bar with conduit SRLG groups installed, exercising the
-    group-aggregated conflict terms and group tables of the compiled
-    kernel."""
-    oracle, lockstep_checks = run_three_way(
+    group-aggregated conflict terms and group columns of the kernel
+    tables."""
+    oracle = run_campaign(
         scheme_name, rows=6, cols=6, num_ops=CAMPAIGN_OPS, seed=7,
         srlg=True,
     )
@@ -214,23 +163,25 @@ def test_three_way_campaign_srlg(scheme_name):
         "srlg": True,
         "operations": oracle.operations,
         "oracle_checks": oracle.checks,
-        "lockstep_checks": lockstep_checks,
         "divergences": 0,
     })
 
 
 # ----------------------------------------------------------------------
-# Compiled-vs-object lockstep replays for configurations the always-live
-# naive shadow cannot mirror (stale snapshots, hop-bounded planning).
+# Production-vs-reference lockstep replays for configurations the
+# always-live naive shadow cannot mirror (stale snapshots, hop-bounded
+# planning).
 # ----------------------------------------------------------------------
-def run_lockstep(scheme_name, kernel, seed, num_ops, live_database,
+def run_lockstep(scheme_name, reference, seed, num_ops, live_database,
                  srlg, qos_slack):
     """Replay one randomized operation stream on a single service and
-    return ``(operation log, state fingerprint)`` — two runs of this
-    with different ``kernel`` values must return equal pairs."""
+    return ``(operation log, state fingerprint)`` — the production
+    scheme and the closure reference planner (``reference=True``) must
+    return equal pairs."""
     net = mesh_network(6, 6, capacity=12.0)
     scheme = make_scheme(scheme_name)
-    scheme.kernel = kernel
+    if reference:
+        scheme = ReferenceLinkStateScheme.shadowing(scheme)
     service = DRTPService(
         net, scheme, live_database=live_database, qos_slack=qos_slack
     )
@@ -238,7 +189,6 @@ def run_lockstep(scheme_name, kernel, seed, num_ops, live_database,
         service.state.install_risk_groups(mesh_conduit_groups(net, 6, 6))
     if not live_database:
         service.refresh_database()
-    assert scheme.resolved_kernel() == kernel
     rng = random.Random(seed)
     log = []
     active = []
@@ -281,45 +231,46 @@ def run_lockstep(scheme_name, kernel, seed, num_ops, live_database,
 @pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_lockstep_snapshot_database(scheme_name):
     """Snapshot-mode planning (periodically refreshed, stale between
-    refreshes) must be bit-identical across kernels — including the
-    decisions taken *on* stale data."""
-    compiled = run_lockstep(
-        scheme_name, "compiled", seed=11, num_ops=200,
+    refreshes) must be bit-identical to the reference planner reading
+    the same snapshot — including the decisions taken *on* stale
+    data."""
+    production = run_lockstep(
+        scheme_name, False, seed=11, num_ops=200,
         live_database=False, srlg=False, qos_slack=None,
     )
-    obj = run_lockstep(
-        scheme_name, "object", seed=11, num_ops=200,
+    reference = run_lockstep(
+        scheme_name, True, seed=11, num_ops=200,
         live_database=False, srlg=False, qos_slack=None,
     )
-    assert compiled == obj
+    assert production == reference
 
 
 @pytest.mark.oracle
 @pytest.mark.parametrize("scheme_name", ("P-LSR", "D-LSR"))
 def test_lockstep_bounded_search(scheme_name):
     """Hop-bounded planning (``qos_slack``) routes through the layered
-    bounded search on both kernels; tie-breaks must agree."""
-    compiled = run_lockstep(
-        scheme_name, "compiled", seed=13, num_ops=200,
+    bounded search in both planners; tie-breaks must agree."""
+    production = run_lockstep(
+        scheme_name, False, seed=13, num_ops=200,
         live_database=True, srlg=False, qos_slack=3,
     )
-    obj = run_lockstep(
-        scheme_name, "object", seed=13, num_ops=200,
+    reference = run_lockstep(
+        scheme_name, True, seed=13, num_ops=200,
         live_database=True, srlg=False, qos_slack=3,
     )
-    assert compiled == obj
+    assert production == reference
 
 
 @pytest.mark.oracle
 def test_lockstep_snapshot_with_srlg():
     """Snapshot mode with SRLG groups installed mid-stream semantics:
-    group tables come from the last refresh on both kernels."""
-    compiled = run_lockstep(
-        "D-LSR", "compiled", seed=17, num_ops=200,
+    group tables come from the last refresh in both planners."""
+    production = run_lockstep(
+        "D-LSR", False, seed=17, num_ops=200,
         live_database=False, srlg=True, qos_slack=None,
     )
-    obj = run_lockstep(
-        "D-LSR", "object", seed=17, num_ops=200,
+    reference = run_lockstep(
+        "D-LSR", True, seed=17, num_ops=200,
         live_database=False, srlg=True, qos_slack=None,
     )
-    assert compiled == obj
+    assert production == reference

@@ -1,4 +1,4 @@
-"""Property-based tests for the compiled-kernel primitives.
+"""Property-based tests for the array-kernel primitives.
 
 Three layers, each diffed against a deliberately-naive oracle:
 
@@ -8,22 +8,21 @@ Three layers, each diffed against a deliberately-naive oracle:
 * the incrementally-maintained ledger aggregates the kernel tables
   sync from — APLV support masks and the (group-)demand maxima that
   size spare bandwidth — against rebuild-from-registry recomputation;
-* the numpy and stdlib backends of
-  :class:`~repro.kernels.arrays.CompiledLinkArrays` against each
-  other: identical cost arrays from identical databases, element for
-  element (skipped where numpy is absent).
+* the batch cost builders of
+  :class:`~repro.kernels.arrays.CompiledLinkArrays` against the
+  per-link cost closures of :mod:`repro.testing.link_state`, element
+  for element.
 
 Bandwidths are drawn from dyadic rationals so every running sum is
 exactly representable — the equality assertions are bitwise, never
 approximate, matching the kernel's bit-exactness contract.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import HAS_NUMPY
-from repro.kernels.arrays import CompiledLinkArrays
+from repro.kernels.arrays import CONFLICT_KINDS, _row_popcounts, _word_padded
 from repro.kernels.bitset import (
     and_popcount,
     and_popcount_naive,
@@ -40,6 +39,8 @@ from repro.kernels.bitset import (
 from repro.core import DRTPService
 from repro.experiments import make_scheme
 from repro.network.state import LinkLedger
+from repro.routing import primary_link_cost
+from repro.testing.link_state import backup_cost
 from repro.topology import mesh_network
 from repro.topology.srlg import RiskGroupSet
 
@@ -101,15 +102,10 @@ def test_packed_layout_is_little_endian(ids):
         assert bit == (1 if j in ids else 0)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not available")
 @given(st.lists(positions, min_size=1, max_size=12))
 def test_numpy_row_popcounts_match_stdlib(id_sets):
     """The numpy packed-matrix per-row popcount equals the stdlib int
     popcount of the same masks, including across word padding."""
-    import numpy as np
-
-    from repro.kernels.arrays import _row_popcounts, _word_padded
-
     width = _word_padded(packed_width(NUM_LINKS))
     buf = bytearray(len(id_sets) * width)
     for row_index, ids in enumerate(id_sets):
@@ -212,15 +208,28 @@ def test_ledger_group_demand_max_matches_rebuild(regs, data):
 
 
 # ----------------------------------------------------------------------
-# numpy backend vs stdlib backend
+# Batch cost builders vs the reference cost closures
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend not available")
+def _encoded(cost, network, scale):
+    """A closure evaluated link by link, in the builders' encoding."""
+    encoded = []
+    for link_id in range(network.num_links):
+        value = cost(network.link(link_id))
+        if value is None:
+            encoded.append(-1.0)
+        elif len(value) == 1:
+            encoded.append(value[0])
+        else:
+            encoded.append(value[0] * scale + value[1])
+    return encoded
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_backends_build_identical_cost_arrays(data):
-    """Both backends, synced from the same live database, must emit
-    element-identical primary and backup cost arrays for every
-    conflict kind."""
+def test_cost_arrays_match_the_reference_closures(data):
+    """One batch build emits, for every link, exactly what the cost
+    closure answers for that link — primary and every conflict kind,
+    with a failed link and an avoid set beyond the primary's."""
     net = mesh_network(3, 3, capacity=12.0)
     service = DRTPService(net, make_scheme("D-LSR"), live_database=True)
     num_requests = data.draw(st.integers(min_value=0, max_value=12))
@@ -230,22 +239,27 @@ def test_backends_build_identical_cost_arrays(data):
             st.integers(0, net.num_nodes - 1).filter(lambda n: n != src)
         )
         service.request(src, dst, bw_req=1.0)
-    numpy_arrays = CompiledLinkArrays(service.database, backend="numpy")
-    stdlib_arrays = CompiledLinkArrays(service.database, backend="stdlib")
+    if data.draw(st.booleans()):
+        service.fail_link(data.draw(st.integers(0, net.num_links - 1)))
+    database = service.database
+    arrays = database.kernel_arrays()
     bw_req = data.draw(bandwidths)
     lset = data.draw(
         st.frozensets(
             st.integers(0, net.num_links - 1), min_size=1, max_size=6
         )
     )
-    avoid = data.draw(
+    avoid = lset | data.draw(
         st.frozensets(st.integers(0, net.num_links - 1), max_size=4)
     )
     scale = float(net.num_nodes)
-    assert numpy_arrays.primary_costs(bw_req) == (
-        stdlib_arrays.primary_costs(bw_req)
+    assert arrays.primary_costs(bw_req) == _encoded(
+        primary_link_cost(database, bw_req), net, scale
     )
-    for kind in ("plsr", "dlsr", "disjoint"):
-        assert numpy_arrays.backup_costs(
+    for kind in CONFLICT_KINDS:
+        assert arrays.backup_costs(
             kind, bw_req, lset, avoid, scale
-        ) == stdlib_arrays.backup_costs(kind, bw_req, lset, avoid, scale)
+        ) == _encoded(
+            backup_cost(kind, database, bw_req, lset, avoid), net, scale
+        )
+    service.check_invariants()

@@ -9,7 +9,10 @@ from repro.network import NetworkState
 from repro.routing import (
     BoundedFloodingScheme,
     DLSRScheme,
+    NoBackupScheme,
     PLSRScheme,
+    RandomBackupScheme,
+    ReactiveScheme,
     RouteQuery,
     RoutingContext,
 )
@@ -131,6 +134,25 @@ class TestServiceQoS:
         net = ring_network(6, 10.0)
         service = DRTPService(net, DLSRScheme())
         assert service.request(0, 2, 1.0).accepted
+
+    @pytest.mark.parametrize(
+        "scheme_cls", [NoBackupScheme, ReactiveScheme, RandomBackupScheme]
+    )
+    def test_closure_searching_schemes_keep_the_bound(self, scheme_cls):
+        """With the direct link saturated every other route 0 -> 1 is
+        a 3-hop detour; slack 0 allows 1 hop, so no primary (and, for
+        the random scheme, no backup) may take it — the schemes that
+        search over cost closures used to ignore ``max_hops``."""
+        net = mesh_network(3, 3, 10.0)
+        service = DRTPService(
+            net, scheme_cls(), qos_slack=0, require_backup=False
+        )
+        direct = net.link_between(0, 1).link_id
+        plan = service.scheme.plan(RouteQuery(0, 1, 1.0, max_hops=1))
+        assert plan.primary.link_ids == (direct,)
+        assert all(route.hop_count <= 1 for route in plan.all_backups)
+        service.state.ledger(direct).reserve_primary(10.0)
+        assert not service.request(0, 1, 1.0).accepted
 
 
 @pytest.mark.parametrize(

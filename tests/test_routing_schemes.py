@@ -1,7 +1,11 @@
 """Tests for the LSR routing schemes and baselines."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import DRTPService
 from repro.network import LinkStateDatabase, NetworkState
 from repro.routing import (
@@ -13,10 +17,9 @@ from repro.routing import (
     RandomBackupScheme,
     RouteQuery,
     RoutingContext,
-    dlsr_backup_cost,
-    plsr_backup_cost,
     primary_link_cost,
 )
+from repro.testing import dlsr_backup_cost, plsr_backup_cost
 from repro.topology import Route, line_network, mesh_network, ring_network
 
 
@@ -210,3 +213,18 @@ class TestBaselines:
         decision = service.request(0, 3, 1.0)
         assert decision.accepted
         assert decision.connection.backup is None
+
+
+class TestOneEngine:
+    def test_engine_packages_read_no_environment(self):
+        """How an admission is planned and committed is not selectable
+        from outside the process: no module of the engine consults an
+        environment variable."""
+        root = Path(repro.__file__).parent
+        offenders = [
+            str(path.relative_to(root))
+            for package in ("kernels", "routing", "network", "core", "cluster")
+            for path in sorted((root / package).rglob("*.py"))
+            if re.search(r"\b(environ|getenv)\b", path.read_text())
+        ]
+        assert offenders == []

@@ -8,7 +8,9 @@ result.  These tests pin that bar three ways:
   equality) and for eager invalidation of candidates crossing failed
   or mutated links;
 * a service-level lockstep: identical churn workloads with the cache
-  on and off produce identical decisions and fingerprints;
+  and without it (the cold arm's ``database.warmstart_cache`` is
+  patched to answer ``None``, as a replica's does) produce identical
+  decisions and fingerprints;
 * a hypothesis property that instruments every probe: each *hit* is
   re-checked against a cold flat search under the live cost array, and
   a served route must never cross a currently-failed link.
@@ -182,8 +184,7 @@ class TestLockstep:
         cold = DRTPService(
             mesh_network(ROWS, COLS, capacity), scheme_cls()
         )
-        cold.database.warmstart = False
-        assert warm.scheme.resolved_kernel() == "compiled"
+        cold.database.warmstart_cache = lambda: None
         return warm, cold
 
     def test_saturated_churn_identical_and_warm_hits(self):
