@@ -8,9 +8,13 @@ admission controller performs the first three atomically:
 3. send the backup-path register packet along it.
 
 Route *selection* is delegated to the bound routing scheme; this
-module owns the resource transaction: reserving primary bandwidth hop
-by hop, running backup registration, and rolling everything back when
-any stage fails, so a rejected request never leaks reservations.
+module owns the resource transaction: reserving primary bandwidth,
+running backup registration, and rolling everything back when any
+stage fails, so a rejected request never leaks reservations.  Every
+ledger mutation along a route is one of the four validate-then-apply
+walks of :mod:`repro.kernels.apply` — an infeasible primary or a
+rejected backup mutates nothing, and a broken precondition raises
+before the first write.
 
 Policy knob: ``require_backup`` (default True) rejects a request whose
 backup cannot be routed or registered — a DR-connection without a
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..kernels.apply import batch_release_primary, batch_reserve_primary
-from ..network.state import BW_EPSILON, NetworkState
+from ..network.state import NetworkState
 from ..routing.base import RoutePlan
 from ..topology.graph import Route
 from .channel import Channel, ChannelRole
@@ -126,7 +130,9 @@ class AdmissionController:
         if plan.primary is None:
             decision.reason = REASON_NO_PRIMARY
             return decision
-        if not self._reserve_primary(plan.primary, request.bw_req):
+        if not batch_reserve_primary(
+            self._state, plan.primary.link_ids, request.bw_req
+        ):
             decision.reason = REASON_PRIMARY_RESERVATION
             return decision
 
@@ -232,32 +238,6 @@ class AdmissionController:
             )
         connection.terminate()
 
-    # ------------------------------------------------------------------
-    # Primary reservation plumbing
-    # ------------------------------------------------------------------
-    def _reserve_primary(self, route: Route, bw: float) -> bool:
-        # Batched validate-then-apply commit; the per-hop loop below
-        # stays as the fallback and lockstep reference (see
-        # repro.kernels.apply for the equivalence argument).
-        batched = batch_reserve_primary(self._state, route.link_ids, bw)
-        if batched is not None:
-            return batched
-        reserved: List[int] = []
-        for link_id in route.link_ids:
-            ledger = self._state.ledger(link_id)
-            if ledger.primary_headroom() + BW_EPSILON < bw:
-                for undo in reversed(reserved):
-                    self._state.ledger(undo).release_primary(bw)
-                return False
-            ledger.reserve_primary(bw)
-            reserved.append(link_id)
-        return True
-
     def _release_primary(self, route: Route, bw: float) -> None:
-        if batch_release_primary(self._state, self._policy, route.link_ids, bw):
-            return
-        for link_id in route.link_ids:
-            ledger = self._state.ledger(link_id)
-            ledger.release_primary(bw)
-            # Freed bandwidth may cover a spare deficit on this link.
-            self._policy.resize(ledger)
+        # Freed bandwidth may cover a spare deficit along the route.
+        batch_release_primary(self._state, self._policy, route.link_ids, bw)

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
+from ..kernels.apply import batch_release_primary, batch_release_walk
 from ..network.state import BW_EPSILON, NetworkState
 from .channel import Channel
 from .connection import ConnectionState, DRConnection
@@ -364,7 +365,9 @@ def apply_node_failure(
         if not conn.is_active:
             continue
         if node in (conn.source, conn.destination):
-            _release_route_primary(state, policy, conn)
+            batch_release_primary(
+                state, policy, conn.primary_route.link_ids, conn.bw_req
+            )
             for channel in list(conn.all_backups):
                 _drop_channel(state, policy, conn, channel)
             conn.mark_failed()
@@ -418,7 +421,9 @@ def apply_failed_links(
     for conn_id, outcome in outcome_by_id.items():
         conn = connections[conn_id]
         conn.mark_recovering()
-        _release_route_primary(state, policy, conn)
+        batch_release_primary(
+            state, policy, conn.primary_route.link_ids, conn.bw_req
+        )
         if outcome.success:
             # Bring the winning backup to the front, then promote it;
             # the rest were routed against the dead primary and are
@@ -442,6 +447,8 @@ def reconfigure_unprotected(
     connections: Dict[int, DRConnection],
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
+    metrics=None,
+    trace=None,
 ) -> int:
     """DRTP step 4: find new backups for unprotected connections.
 
@@ -449,8 +456,10 @@ def reconfigure_unprotected(
     its backup-selection machinery is reused by planning against the
     existing primary.  ``hop_bound(source, destination)`` is the
     delay-QoS bound a replacement backup must keep, exactly as at
-    admission; ``None`` plans unbounded.  Returns how many connections
-    were re-protected.
+    admission; ``None`` plans unbounded.  ``metrics`` / ``trace``
+    receive each re-protection walk's signaling accounting and
+    ``signal.register`` span, as at admission.  Returns how many
+    connections were re-protected.
     """
     from .signaling import BackupRegisterPacket, register_backup_path
     from ..routing.base import RouteQuery
@@ -476,7 +485,9 @@ def reconfigure_unprotected(
             primary_lset=conn.primary_route.lset,
             bw_req=conn.bw_req,
         )
-        if register_backup_path(state, policy, packet).success:
+        if register_backup_path(
+            state, policy, packet, metrics=metrics, trace=trace
+        ).success:
             conn.backup = Channel(
                 role=ChannelRole.BACKUP, route=backup, registration_index=0
             )
@@ -488,15 +499,6 @@ def reconfigure_unprotected(
 # ----------------------------------------------------------------------
 # Mutation helpers
 # ----------------------------------------------------------------------
-def _release_route_primary(
-    state: NetworkState, policy: SparePolicy, conn: DRConnection
-) -> None:
-    for b in conn.primary_route.link_ids:
-        ledger = state.ledger(b)
-        ledger.release_primary(conn.bw_req)
-        policy.resize(ledger)
-
-
 def _drop_channel(
     state: NetworkState,
     policy: SparePolicy,
@@ -504,11 +506,12 @@ def _drop_channel(
     channel,
 ) -> None:
     """Release one backup channel's registrations and detach it."""
-    key = channel.registration_key(conn.connection_id)
-    for b in channel.route.link_ids:
-        ledger = state.ledger(b)
-        ledger.release_backup(key)
-        policy.resize(ledger)
+    batch_release_walk(
+        state,
+        policy,
+        channel.registration_key(conn.connection_id),
+        channel.route.link_ids,
+    )
     channel.release()
     if conn.backup is channel:
         conn.backup = (

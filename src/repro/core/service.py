@@ -569,16 +569,23 @@ class DRTPService:
             )
             return impact
 
+    def _reconfigure(self) -> int:
+        """DRTP step 4 after a failure: re-protect what it stripped.
+        The walks are fault-free on purpose — the injector's streams
+        belong to admissions and the re-establishment queue."""
+        return reconfigure_unprotected(
+            self.state, self.spare_policy, self._connections,
+            self.scheme, self._qos_bound,
+            metrics=self.metrics, trace=self.trace,
+        )
+
     def _fail_link(self, link_id: int, reconfigure: bool) -> FailureImpact:
         self.state.mark_link_failed(link_id)
         impact = apply_link_failure(
             self.state, self.spare_policy, self._connections, link_id
         )
         if reconfigure:
-            reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound,
-            )
+            self._reconfigure()
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
         return impact
@@ -616,10 +623,7 @@ class DRTPService:
             self.network,
         )
         if reconfigure:
-            reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound,
-            )
+            self._reconfigure()
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
         return impact
@@ -699,10 +703,7 @@ class DRTPService:
             groups,
         )
         if reconfigure:
-            reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound,
-            )
+            self._reconfigure()
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
             self.metrics.observe_group_failure(
@@ -747,10 +748,7 @@ class DRTPService:
             label_link=min(failed) if len(failed) == 1 else -1,
         )
         if reconfigure:
-            reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound,
-            )
+            self._reconfigure()
         if self.metrics is not None:
             self.metrics.observe_failure(impact)
             self.metrics.observe_group_failure(impact, len(failed))

@@ -22,26 +22,42 @@ packet* (also carrying the primary's ``LSET``) that unwinds the
 registrations made upstream.  :func:`register_backup_path` performs
 the walk and the unwind atomically from the caller's perspective.
 
+Every walk commits through :mod:`repro.kernels.apply` — validate the
+whole route with pure reads, then mutate it in one fused loop with one
+change notification — so a rejection mutates nothing and a broken
+precondition (a key already registered, an unknown link) raises
+:class:`~repro.network.state.ResourceError` before anything is
+touched.
+
 Under fault injection (:mod:`repro.faults`) the walk stops being
 atomic: register packets can be dropped or duplicated between hops,
 and a router can crash right after registering — both strand *partial*
-registrations along the route.  :func:`register_backup_path` then
-behaves like a real signaling source: its timeout fires, it sends an
-idempotent source-initiated release (:func:`unwind_backup_path`) that
-rolls the partial walk back exactly, and it retries under the caller's
+registrations along the route.  An attempt is then a *prefix* of the
+same transaction: validate once (which hop would reject), draw the
+fault script hop by hop (pure accounting — the injector's streams are
+consumed draw for draw as a hop-by-hop walk would), commit the prefix
+the packet reached, and release that prefix again on a rejection.
+After a fault :func:`register_backup_path` behaves like a real
+signaling source: its timeout fires, it sends an idempotent
+source-initiated release (:func:`unwind_backup_path`) that rolls the
+partial walk back exactly, and it retries under the caller's
 :class:`~repro.faults.retry.RetryPolicy` until success, a genuine
-resource rejection, or exhaustion.  Duplicated deliveries are absorbed
-by checking the link's backup table before registering, so signaling
-is idempotent end to end.
+resource rejection, or exhaustion.  A duplicated delivery is one more
+message on the wire and nothing else: the router already holds the
+registration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Tuple
 
-from ..kernels.apply import batch_register_walk, batch_release_walk
-from ..network.state import BW_EPSILON, NetworkState
+from ..kernels.apply import (
+    batch_register_walk,
+    batch_release_walk,
+    rejecting_hop,
+)
+from ..network.state import NetworkState
 from ..topology.graph import Route
 from .errors import SignalingError
 from .multiplexing import ResizeOutcome, SparePolicy
@@ -212,15 +228,9 @@ def _register_walk(
     policy: SparePolicy,
     packet: BackupRegisterPacket,
 ) -> RegistrationResult:
-    """The fault-free atomic walk.
-
-    Dispatches to the batched validate-then-apply commit
-    (:func:`repro.kernels.apply.batch_register_walk`) — one fused
-    loop and one dirty-set transaction per admission, bit-identical
-    to the per-hop walk below, which remains both the fallback for
-    routes the batch cannot prove equivalent and the reference the
-    lockstep regression suite diffs against."""
-    batched = batch_register_walk(
+    """The fault-free atomic walk: one validate-then-apply transaction
+    (:func:`repro.kernels.apply.batch_register_walk`)."""
+    rejected_link, hops, resizes = batch_register_walk(
         state,
         policy,
         packet.registration_key,
@@ -228,33 +238,12 @@ def _register_walk(
         packet.primary_lset,
         packet.bw_req,
     )
-    if batched is not None:
-        rejected_link, hops, resizes = batched
-        if rejected_link is None:
-            return RegistrationResult(
-                success=True, resizes=resizes, hops_signaled=hops
-            )
-        return RegistrationResult(
-            success=False, rejected_link=rejected_link, hops_signaled=hops
-        )
-    result = RegistrationResult(success=True)
-    registered: List[int] = []
-    for link_id in packet.backup_route.link_ids:
-        ledger = state.ledger(link_id)
-        result.hops_signaled += 1
-        if ledger.backup_headroom() + BW_EPSILON < packet.bw_req:
-            # Reject here; send the release packet back upstream.
-            _unwind(state, policy, packet.registration_key, registered)
-            result.success = False
-            result.rejected_link = link_id
-            result.resizes = []
-            return result
-        ledger.register_backup(
-            packet.registration_key, packet.primary_lset, packet.bw_req
-        )
-        result.resizes.append(policy.resize(ledger))
-        registered.append(link_id)
-    return result
+    return RegistrationResult(
+        success=rejected_link is None,
+        rejected_link=rejected_link,
+        resizes=resizes,
+        hops_signaled=hops,
+    )
 
 
 def _register_with_faults(
@@ -279,15 +268,13 @@ def _register_with_faults(
     while True:
         result.attempts += 1
         if trace is None:
-            status = _walk_once(state, policy, packet, injector, result)
+            status = _attempt(state, policy, packet, injector, result)
         else:
             with trace.span(
                 "signal.attempt", category="signaling",
                 attempt=result.attempts,
             ) as span:
-                status = _walk_once(
-                    state, policy, packet, injector, result
-                )
+                status = _attempt(state, policy, packet, injector, result)
                 span.tag(outcome=status)
         if status != _FAULTED:
             return result
@@ -306,46 +293,63 @@ _REJECTED = "rejected"
 _FAULTED = "faulted"
 
 
-def _walk_once(
+def _attempt(
     state: NetworkState,
     policy: SparePolicy,
     packet: BackupRegisterPacket,
     injector,
     result: RegistrationResult,
 ) -> str:
-    """One lossy walk attempt; mutates ``result`` fault accounting."""
+    """One lossy attempt, as a prefix of the fused transaction:
+    validate, draw the faults, commit the hops the packet reached and
+    — when a hop rejected — release them again (the upstream release
+    packet).  A faulted prefix stays for the source's unwind."""
     route = packet.backup_route.link_ids
-    crash_at = injector.crash_hop(len(route))
-    result.resizes = []
-    result.success = False
-    for hop, link_id in enumerate(route):
+    key = packet.registration_key
+    rejecting = rejecting_hop(
+        state, key, route, packet.primary_lset, packet.bw_req
+    )
+    status, reached = _walk_once(injector, len(route), rejecting, result)
+    prefix = route[:reached]
+    _, _, resizes = batch_register_walk(
+        state, policy, key, prefix, packet.primary_lset, packet.bw_req
+    )
+    if status == _REJECTED:
+        batch_release_walk(state, policy, key, prefix)
+        result.rejected_link = route[reached]
+        resizes = []
+    result.resizes = resizes
+    result.success = status == _OK
+    return status
+
+
+def _walk_once(
+    injector, hops: int, rejecting: Optional[int], result: RegistrationResult
+) -> Tuple[str, int]:
+    """Draw one attempt's fault script; pure accounting into
+    ``result``.  Returns the status and how many hops registered: the
+    crash point first, then one verdict per hop until a drop (the hop
+    never sees the packet), the rejecting hop, a crash (the hop
+    registers, then dies) or the end of the route."""
+    crash_at = injector.crash_hop(hops)
+    for hop in range(hops):
         event, delay = injector.sample_hop()
         result.delay += delay
         result.hops_signaled += 1
         if event == "drop":
             result.drops += 1
-            return _FAULTED
+            return _FAULTED, hop
         if event == "duplicate":
             # Second delivery of the same packet: one more message on
-            # the wire; the registration below absorbs it idempotently.
+            # the wire, absorbed by the router that already registered.
             result.duplicates += 1
             result.hops_signaled += 1
-        ledger = state.ledger(link_id)
-        if not ledger.has_backup(packet.registration_key):
-            if ledger.backup_headroom() + BW_EPSILON < packet.bw_req:
-                unwind_backup_path(state, policy, packet)
-                result.rejected_link = link_id
-                result.resizes = []
-                return _REJECTED
-            ledger.register_backup(
-                packet.registration_key, packet.primary_lset, packet.bw_req
-            )
-        result.resizes.append(policy.resize(ledger))
+        if hop == rejecting:
+            return _REJECTED, hop
         if crash_at == hop:
             result.crashes += 1
-            return _FAULTED
-    result.success = True
-    return _OK
+            return _FAULTED, hop + 1
+    return _OK, hops
 
 
 def release_backup_path(
@@ -364,17 +368,9 @@ def release_backup_path(
             hops=len(packet.backup_route.link_ids),
         ):
             return release_backup_path(state, policy, packet)
-    batched = batch_release_walk(
+    return batch_release_walk(
         state, policy, packet.registration_key, packet.backup_route.link_ids
     )
-    if batched is not None:
-        return batched
-    outcomes = []
-    for link_id in packet.backup_route.link_ids:
-        ledger = state.ledger(link_id)
-        ledger.release_backup(packet.registration_key)
-        outcomes.append(policy.resize(ledger))
-    return outcomes
 
 
 def unwind_backup_path(
@@ -403,25 +399,11 @@ def unwind_backup_path(
             released = unwind_backup_path(state, policy, packet)
             span.tag(released=released)
             return released
-    released = 0
-    for link_id in packet.backup_route.link_ids:
-        ledger = state.ledger(link_id)
-        if ledger.has_backup(packet.registration_key):
-            ledger.release_backup(packet.registration_key)
-            policy.resize(ledger)
-            released += 1
-    return released
-
-
-def _unwind(
-    state: NetworkState,
-    policy: SparePolicy,
-    registration_key,
-    registered: List[int],
-) -> None:
-    """Model the upstream release packet: undo registrations in
-    reverse hop order, resizing each spare pool back down."""
-    for link_id in reversed(registered):
-        ledger = state.ledger(link_id)
-        ledger.release_backup(registration_key)
-        policy.resize(ledger)
+    key = packet.registration_key
+    holding = [
+        link_id
+        for link_id in packet.backup_route.link_ids
+        if state.ledger(link_id).has_backup(key)
+    ]
+    batch_release_walk(state, policy, key, holding)
+    return len(holding)

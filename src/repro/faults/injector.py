@@ -5,7 +5,7 @@ The :class:`FaultInjector` turns a declarative
 
 * per-hop signaling verdicts (deliver / drop / duplicate, plus a
   sampled processing delay) consumed by the faulty register walk in
-  :mod:`repro.core.signaling` and :mod:`repro.core.router`;
+  :mod:`repro.core.signaling`;
 * per-walk router-crash points that strand partial registrations;
 * a pre-sampled schedule of link flaps, correlated failure bursts and
   link-state staleness windows for the campaign runner to replay.

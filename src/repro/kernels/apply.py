@@ -1,44 +1,55 @@
-"""Batched admission apply — the signaling commit path as one
-dirty-set transaction per walk.
+"""The commit — Section 2.2's four ledger walks, each one transaction.
 
-The per-hop register walk (:mod:`repro.core.signaling`) and primary
-reservation loop (:mod:`repro.core.admission`) mutate one ledger at a
-time, paying a ``_touch`` notification, a spare resize and several
-attribute lookups per hop.  Profiles after the PR 7 kernels show both
-benchmark arms bottlenecked on exactly this shared bookkeeping.  The
-entry points here rebuild each walk as *validate-then-apply*:
+Reserving a primary, walking the backup-path register packet,
+releasing a registration and releasing a primary all mutate one ledger
+per hop of a route.  The four entry points here are the only way
+production does that (``recovery._promote`` — backup activation, a
+different single-ledger operation — aside), each as
+*validate-then-apply*:
 
 1. a read-only validation pass over the whole route decides the
-   outcome (including which hop rejects) without mutating anything;
+   outcome (including which hop rejects) and raises
+   :class:`~repro.network.state.ResourceError` for any broken
+   precondition — non-positive bandwidth, unknown link id,
+   out-of-range LSET position, key already registered, key not
+   registered / APLV underflow on release, primary over-release —
+   *before the first mutation*, so an error never strands a prefix;
 2. an apply pass fuses the APLV/CV/demand updates, backup-registry
    writes and spare-pool resizes into one tight loop over the route;
 3. all change notifications are deferred to a single
    :meth:`~repro.network.state.NetworkState.publish_changes` call —
-   one dirty-set transaction per admission, mirroring the kernels'
+   one dirty-set transaction per walk, mirroring the kernels'
    batch-refresh discipline.
 
+Fault injection replays *prefixes* of the same transaction
+(:mod:`repro.core.signaling`): :func:`rejecting_hop` is the validation
+pass on its own, a walk that reached hop *k* is
+``batch_register_walk`` over ``link_ids[:k]``, and its unwind is
+``batch_release_walk`` over the same prefix.
+
 Bit-exactness contract (the same discipline as
-:mod:`repro.routing.costs`): every float comparison and update copies
+:mod:`repro.kernels.arrays`): every float comparison and update copies
 the ledger expressions *verbatim* — ``backup_headroom`` is
 ``(capacity − prime − spare) + spare``, never the algebraically equal
 ``capacity − prime`` — and every mutation replicates the exact
-per-hop sequence of ``version`` bumps, running-maximum updates and
-staleness resolutions.  Equivalence rests on per-link independence:
-routes are simple paths, and each hop's headroom check and resize
-read only that hop's own ledger, so no earlier hop's mutation can
-change a later hop's decision.  Whenever a precondition for that
-argument fails (duplicate link ids in a route, an already-registered
-key, an out-of-range LSET position, a mismatched per-ledger SRLG
-view), the entry point returns ``None`` and the caller falls back to
-the per-hop walk, which reproduces the legacy behavior — including
-its exception semantics — exactly.
+sequence of ``version`` bumps, running-maximum updates and staleness
+resolutions of :class:`~repro.network.state.LinkLedger`'s public
+mutators, whose per-hop spelling (:mod:`repro.testing.commit`) the
+lockstep suite diffs these walks against.  Equivalence rests on
+per-link independence: ``link_ids`` is (a slice or a subsequence of)
+a :class:`~repro.topology.graph.Route`'s, which cannot repeat a link,
+and each hop's headroom check and resize read only that hop's own
+ledger, so no earlier hop's mutation can change a later hop's
+decision.  Group accounting reads ``state.risk_groups``:
+:meth:`~repro.network.state.NetworkState.install_risk_groups` is the
+one installer, so every ledger shares that view.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..network.state import BW_EPSILON, NetworkState
+from ..network.state import BW_EPSILON, NetworkState, ResourceError
 
 #: Lazily resolved ``(ResizeOutcome, SharedSparePolicy)`` — imported at
 #: first use so ``repro.kernels.apply`` can be imported before
@@ -56,25 +67,88 @@ def _core_types():
     return _CORE_TYPES
 
 
-def _batchable_route(link_ids: Sequence[int]) -> bool:
-    """Routes with repeated link ids void the per-link independence
-    argument; hand them back to the per-hop walk."""
-    return len(set(link_ids)) == len(link_ids)
+def _route_ledgers(state: NetworkState, link_ids: Sequence[int]) -> list:
+    """The ledgers along ``link_ids``; an unknown id is an error."""
+    ledgers = state._ledgers
+    try:
+        if link_ids and min(link_ids) < 0:
+            raise IndexError
+        return [ledgers[link_id] for link_id in link_ids]
+    except IndexError:
+        raise ResourceError(
+            "unknown link id in route {}".format(tuple(link_ids))
+        ) from None
 
 
-def _uniform_groups(state: NetworkState, ledgers, link_ids) -> bool:
-    """Every touched ledger must share the network-wide SRLG view for
-    the fused group accounting to be exact."""
-    groups = state._risk_groups
-    for link_id in link_ids:
-        if ledgers[link_id]._risk_groups is not groups:
-            return False
-    return True
+def _resize_shared(ledger) -> Tuple[float, float]:
+    """``SharedSparePolicy.resize`` inlined; returns ``(target,
+    achieved)``.  The target is ``max_demand`` (staleness resolved
+    exactly as the property does); the clamp and the no-op skip copy
+    ``set_spare`` verbatim.  Its growth guard is provably dead here:
+    achieved ≤ ceiling means growth ≤ free_bw."""
+    if ledger._demand_max_stale:
+        demand = ledger._demand
+        ledger._demand_max = max(demand.values()) if demand else 0.0
+        ledger._demand_max_stale = False
+    target = ledger._demand_max
+    ceiling = ledger.capacity - ledger._prime_bw
+    achieved = min(target, max(0.0, ceiling))
+    if achieved != ledger._spare_bw:
+        ledger._spare_bw = achieved
+        ledger.version += 1
+    return target, achieved
 
 
 # ----------------------------------------------------------------------
 # Backup registration (the signaling register walk)
 # ----------------------------------------------------------------------
+def _validate_register(
+    state: NetworkState, key, link_ids: Sequence[int], lset, bw: float
+) -> Tuple[list, Optional[int]]:
+    """Pure reads: the route's ledgers and the index of the first hop
+    whose backup headroom cannot carry ``bw`` (``None``: all accept).
+    Per-link independence means each hop's headroom here equals what a
+    hop-by-hop walk would see on arriving there, so the rejecting hop —
+    and therefore ``hops_signaled`` — is exact.  Hops past a rejection
+    are never reached, so only the hops before it are held to the
+    unregistered-key precondition."""
+    if bw <= 0:
+        raise ResourceError("backup bandwidth must be positive")
+    if lset and not 0 <= min(lset) <= max(lset) < state.network.num_links:
+        raise ResourceError(
+            "primary LSET {} names a link outside the network".format(
+                sorted(lset)
+            )
+        )
+    ledgers = _route_ledgers(state, link_ids)
+    for hop, ledger in enumerate(ledgers):
+        # backup_headroom() verbatim: free_bw + spare, with
+        # free_bw = capacity - prime - spare.  NOT capacity - prime.
+        headroom = (
+            ledger.capacity - ledger._prime_bw - ledger._spare_bw
+        ) + ledger._spare_bw
+        if headroom + BW_EPSILON < bw:
+            return ledgers, hop
+        if key in ledger._backups:
+            raise ResourceError(
+                "link {}: backup for connection {} already registered".format(
+                    ledger.link_id, key
+                )
+            )
+    return ledgers, None
+
+
+def rejecting_hop(
+    state: NetworkState, key, link_ids: Sequence[int], primary_lset, bw: float
+) -> Optional[int]:
+    """The validation pass of :func:`batch_register_walk` on its own:
+    index into ``link_ids`` of the hop that would reject the register
+    packet, ``None`` when every hop accepts.  Mutates nothing."""
+    return _validate_register(
+        state, key, link_ids, frozenset(primary_lset), bw
+    )[1]
+
+
 def batch_register_walk(
     state: NetworkState,
     policy,
@@ -82,53 +156,19 @@ def batch_register_walk(
     link_ids: Sequence[int],
     primary_lset,
     bw: float,
-) -> Optional[Tuple[Optional[int], int, list]]:
-    """Fault-free register walk, batched.
+) -> Tuple[Optional[int], int, list]:
+    """The register walk as one transaction.
 
-    Returns ``None`` when the batched path cannot guarantee exact
-    equivalence (caller falls back to the per-hop walk), else
-    ``(rejected_link, hops_signaled, resizes)`` with
-    ``rejected_link is None`` on success.  A rejection mutates
-    nothing — observably identical to the per-hop register/unwind
-    cycle, whose fingerprint is unchanged by construction.
+    Returns ``(rejected_link, hops_signaled, resizes)`` with
+    ``rejected_link is None`` on success.  A rejection mutates nothing
+    — what the hop-by-hop register/unwind cycle leaves behind.
     """
-    if bw <= 0:
-        return None
-    n = len(link_ids)
-    if n == 0:
-        return (None, 0, [])
-    if not _batchable_route(link_ids):
-        return None
-    ledgers = state._ledgers
-    num_links = state.network.num_links
     lset = frozenset(primary_lset)
-    if lset and (min(lset) < 0 or max(lset) >= num_links):
-        return None
-
-    # Validation pass: pure reads.  Per-link independence means each
-    # hop's headroom here equals what the per-hop walk would see at
-    # that hop, so the first failing hop — and therefore
-    # ``hops_signaled`` — matches exactly.
-    hops = 0
-    try:
-        for link_id in link_ids:
-            ledger = ledgers[link_id]
-            hops += 1
-            # backup_headroom() verbatim: free_bw + spare, with
-            # free_bw = capacity - prime - spare.  NOT capacity - prime.
-            headroom = (
-                ledger.capacity - ledger._prime_bw - ledger._spare_bw
-            ) + ledger._spare_bw
-            if headroom + BW_EPSILON < bw:
-                return (link_id, hops, [])
-            if key in ledger._backups:
-                # Duplicate registration raises in the per-hop walk;
-                # let it reproduce the exact error.
-                return None
-    except IndexError:
-        return None
-    if not _uniform_groups(state, ledgers, link_ids):
-        return None
+    ledgers, rejecting = _validate_register(state, key, link_ids, lset, bw)
+    if rejecting is not None:
+        return (link_ids[rejecting], rejecting + 1, [])
+    if not ledgers:
+        return (None, 0, [])
 
     ResizeOutcome, SharedSparePolicy = _core_types()
     shared = type(policy) is SharedSparePolicy
@@ -146,8 +186,7 @@ def batch_register_walk(
     # notifications deferred to one publish below.
     resizes: List = []
     append_resize = resizes.append
-    for link_id in link_ids:
-        ledger = ledgers[link_id]
+    for ledger in ledgers:
         aplv = ledger._aplv
         counts = aplv._counts
         demand = ledger._demand
@@ -182,31 +221,12 @@ def batch_register_walk(
         ledger._backups[key] = (lset, bw)
         ledger.version += 1
         if shared:
-            # SharedSparePolicy.resize inlined: target is max_demand
-            # (staleness resolved exactly as the property does), the
-            # clamp and the no-op-skip copy set_spare verbatim.  The
-            # growth guard is provably dead here: achieved ≤ ceiling
-            # means growth ≤ free_bw.
-            if ledger._demand_max_stale:
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
-                )
-                ledger._demand_max_stale = False
-            target = ledger._demand_max
-            ceiling = ledger.capacity - ledger._prime_bw
-            achieved = min(target, max(0.0, ceiling))
-            if achieved != ledger._spare_bw:
-                ledger._spare_bw = achieved
-                ledger.version += 1
-            append_resize(
-                ResizeOutcome(
-                    link_id=link_id, target=target, achieved=achieved
-                )
-            )
+            target, achieved = _resize_shared(ledger)
+            append_resize(ResizeOutcome(ledger.link_id, target, achieved))
         else:
             append_resize(policy.resize(ledger))
     state.publish_changes(link_ids)
-    return (None, hops, resizes)
+    return (None, len(ledgers), resizes)
 
 
 # ----------------------------------------------------------------------
@@ -217,33 +237,32 @@ def batch_release_walk(
     policy,
     key,
     link_ids: Sequence[int],
-) -> Optional[list]:
-    """Fused backup-release walk; ``None`` falls back to per-hop.
+) -> list:
+    """The backup-release walk as one transaction; returns the resize
+    outcomes.
 
     Validation requires every hop to hold the registration with
     positive APLV counts on every stored LSET position, so the fused
-    decrement can never underflow where the per-hop walk would have
-    raised instead.
+    decrement can never underflow.
     """
     if not link_ids:
         return []
-    if not _batchable_route(link_ids):
-        return None
-    ledgers = state._ledgers
-    try:
-        for link_id in link_ids:
-            ledger = ledgers[link_id]
-            stored = ledger._backups.get(key)
-            if stored is None:
-                return None
-            counts = ledger._aplv._counts
-            for pos in stored[0]:
-                if counts.get(pos, 0) <= 0:
-                    return None
-    except IndexError:
-        return None
-    if not _uniform_groups(state, ledgers, link_ids):
-        return None
+    ledgers = _route_ledgers(state, link_ids)
+    for ledger in ledgers:
+        stored = ledger._backups.get(key)
+        if stored is None:
+            raise ResourceError(
+                "link {}: no backup registered for connection {}".format(
+                    ledger.link_id, key
+                )
+            )
+        counts = ledger._aplv._counts
+        for pos in stored[0]:
+            if counts.get(pos, 0) <= 0:
+                raise ResourceError(
+                    "link {}: releasing primary link {} not present in "
+                    "APLV".format(ledger.link_id, pos)
+                )
 
     ResizeOutcome, SharedSparePolicy = _core_types()
     shared = type(policy) is SharedSparePolicy
@@ -251,8 +270,7 @@ def batch_release_walk(
 
     outcomes: List = []
     append_outcome = outcomes.append
-    for link_id in link_ids:
-        ledger = ledgers[link_id]
+    for ledger in ledgers:
         lset, bw = ledger._backups.pop(key)
         aplv = ledger._aplv
         counts = aplv._counts
@@ -295,22 +313,8 @@ def batch_release_walk(
                     gdemand[group] = remaining
         ledger.version += 1
         if shared:
-            if ledger._demand_max_stale:
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
-                )
-                ledger._demand_max_stale = False
-            target = ledger._demand_max
-            ceiling = ledger.capacity - ledger._prime_bw
-            achieved = min(target, max(0.0, ceiling))
-            if achieved != ledger._spare_bw:
-                ledger._spare_bw = achieved
-                ledger.version += 1
-            append_outcome(
-                ResizeOutcome(
-                    link_id=link_id, target=target, achieved=achieved
-                )
-            )
+            target, achieved = _resize_shared(ledger)
+            append_outcome(ResizeOutcome(ledger.link_id, target, achieved))
         else:
             append_outcome(policy.resize(ledger))
     state.publish_changes(link_ids)
@@ -324,29 +328,20 @@ def batch_reserve_primary(
     state: NetworkState,
     link_ids: Sequence[int],
     bw: float,
-) -> Optional[bool]:
-    """Batched primary reservation: validate every hop's headroom,
-    then apply in one fused loop.  Returns ``None`` to fall back,
-    ``False`` for an infeasible route (nothing mutated — identical to
-    the per-hop reserve/undo cycle), ``True`` once reserved."""
+) -> bool:
+    """Primary reservation as one transaction: validate every hop's
+    headroom, then apply in one fused loop.  ``False`` for an
+    infeasible route (nothing mutated — what the hop-by-hop
+    reserve/undo cycle leaves behind), ``True`` once reserved."""
     if bw <= 0:
-        return None
-    if not _batchable_route(link_ids):
-        return None
-    ledgers = state._ledgers
-    try:
-        for link_id in link_ids:
-            ledger = ledgers[link_id]
-            # primary_headroom() verbatim: free_bw.
-            headroom = (
-                ledger.capacity - ledger._prime_bw - ledger._spare_bw
-            )
-            if headroom + BW_EPSILON < bw:
-                return False
-    except IndexError:
-        return None
-    for link_id in link_ids:
-        ledger = ledgers[link_id]
+        raise ResourceError("primary reservation must be positive")
+    ledgers = _route_ledgers(state, link_ids)
+    for ledger in ledgers:
+        # primary_headroom() verbatim: free_bw.
+        headroom = ledger.capacity - ledger._prime_bw - ledger._spare_bw
+        if headroom + BW_EPSILON < bw:
+            return False
+    for ledger in ledgers:
         ledger._prime_bw += bw
         ledger.version += 1
     state.publish_changes(link_ids)
@@ -359,41 +354,28 @@ def batch_release_primary(
     link_ids: Sequence[int],
     bw: float,
 ) -> bool:
-    """Batched primary release with per-hop spare replenishment.
-    Returns ``False`` to fall back to the per-hop loop (which
-    reproduces the exact :class:`~repro.network.state.ResourceError`
-    on over-release)."""
+    """Primary release as one transaction, with per-hop spare
+    replenishment (freed bandwidth may cover a spare deficit on the
+    link).  Always ``True``; releasing more than a hop holds is an
+    error."""
     if bw <= 0:
-        return False
-    if not _batchable_route(link_ids):
-        return False
-    ledgers = state._ledgers
-    try:
-        for link_id in link_ids:
-            if bw > ledgers[link_id]._prime_bw + BW_EPSILON:
-                return False
-    except IndexError:
-        return False
+        raise ResourceError("primary release must be positive")
+    ledgers = _route_ledgers(state, link_ids)
+    for ledger in ledgers:
+        if bw > ledger._prime_bw + BW_EPSILON:
+            raise ResourceError(
+                "link {}: releasing {} primary bw but only {} reserved".format(
+                    ledger.link_id, bw, ledger._prime_bw
+                )
+            )
 
-    ResizeOutcome, SharedSparePolicy = _core_types()
+    _, SharedSparePolicy = _core_types()
     shared = type(policy) is SharedSparePolicy
-    for link_id in link_ids:
-        ledger = ledgers[link_id]
+    for ledger in ledgers:
         ledger._prime_bw = max(0.0, ledger._prime_bw - bw)
         ledger.version += 1
         if shared:
-            if ledger._demand_max_stale:
-                demand = ledger._demand
-                ledger._demand_max = (
-                    max(demand.values()) if demand else 0.0
-                )
-                ledger._demand_max_stale = False
-            target = ledger._demand_max
-            ceiling = ledger.capacity - ledger._prime_bw
-            achieved = min(target, max(0.0, ceiling))
-            if achieved != ledger._spare_bw:
-                ledger._spare_bw = achieved
-                ledger.version += 1
+            _resize_shared(ledger)
         else:
             policy.resize(ledger)
     state.publish_changes(link_ids)

@@ -11,6 +11,9 @@ This package keeps them honest:
   set-based destination selection the flat-table flood replaced;
 * :mod:`repro.testing.link_state` — the per-edge cost closures and
   the closure planner the array kernel replaced;
+* :mod:`repro.testing.commit` — the hop-by-hop commit over the
+  ledgers' public mutators (fault-injected walk included) that the
+  fused walks of :mod:`repro.kernels.apply` replaced;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
   wrapper that replays every operation into a naive shadow service
   (:func:`make_reference_service`) and asserts bit-identical

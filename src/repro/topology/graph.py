@@ -299,6 +299,10 @@ class Route:
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("route revisits a node: {}".format(self.nodes))
         object.__setattr__(self, "_lset", frozenset(self.link_ids))
+        if len(self._lset) != len(self.link_ids):
+            raise TopologyError(
+                "route repeats a link: {}".format(self.link_ids)
+            )
 
     @classmethod
     def from_nodes(cls, network: Network, nodes: Iterable[int]) -> "Route":

@@ -1,25 +1,20 @@
-"""Batched signaling apply vs. the per-hop walk — exact equivalence.
+"""The fused commit vs. the hop-by-hop walk — seeded regression scripts.
 
-The batched commit path (:mod:`repro.kernels.apply`) promises
-*bit-identical* observable behavior to the legacy per-hop register /
-release / reserve loops: same decisions, same ``rejected_link``, same
+:mod:`repro.kernels.apply` promises *bit-identical* observable
+behavior to the hop-by-hop register / release / reserve loops it
+replaced: same decisions, same ``rejected_link``, same
 ``hops_signaled``, same resize outcomes, same ``NetworkState``
-fingerprints — and same ledger ``version`` counters, which the
-compiled cost caches key on.  These tests run both in lockstep and
-compare after every operation; the per-hop reference is reached the
-way production reaches it — a batched entry point answering "fall
-back" — by patching the four names the callers import to always say
-so (:func:`per_hop`).
-
-The fault-injected walk intentionally stays per-hop; the mid-walk
-fault cases here pin the interop instead: registrations committed by
-the batched path must unwind through the legacy
-``repro.faults``-driven crash/unwind machinery to the pristine
-fingerprint.
+fingerprints — and, wherever nothing is rejected, the same ledger
+``version`` counters, which the compiled cost caches key on.  These
+tests replay fixed seeded scripts through production
+(:mod:`repro.core.signaling` / :mod:`repro.kernels.apply`) and through
+the reference spelling (:mod:`repro.testing.commit`) and compare; the
+randomized function-level lockstep, fault injection included, is
+``tests/test_commit_lockstep.py``.
 """
 
 import random
-from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,8 +27,10 @@ from repro.core import (
 )
 from repro.core.multiplexing import GroupAwareSparePolicy
 from repro.core.signaling import release_backup_path
-from repro.network import NetworkState
+from repro.kernels.apply import batch_reserve_primary
+from repro.network import NetworkState, ResourceError
 from repro.routing import DLSRScheme
+from repro.testing import commit
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
 ROWS, COLS = 4, 4
@@ -63,34 +60,19 @@ class ScriptedInjector:
         return None
 
 
-#: The batched entry points, at the names their callers resolve.
-BATCH_ENTRY_POINTS = (
-    "repro.core.signaling.batch_register_walk",
-    "repro.core.signaling.batch_release_walk",
-    "repro.core.admission.batch_reserve_primary",
-    "repro.core.admission.batch_release_primary",
+#: The two spellings of the commit, behind one shape.
+FUSED = SimpleNamespace(
+    register=register_backup_path,
+    release=release_backup_path,
+    reserve=batch_reserve_primary,
 )
-
-
-@contextmanager
-def per_hop():
-    """Every batched entry point reports "fall back" (``None``), so
-    each walk inside the block takes the per-hop loop."""
-    asked = []
-
-    def fall_back(*args, **kwargs):
-        asked.append(args)
-        return None
-
-    with pytest.MonkeyPatch.context() as patch:
-        for target in BATCH_ENTRY_POINTS:
-            patch.setattr(target, fall_back)
-        yield
-    assert asked, "the per-hop arm never reached a batched entry point"
-
-
-def batching(flag):
-    return nullcontext() if flag else per_hop()
+HOP_BY_HOP = SimpleNamespace(
+    register=commit.register_backup_path,
+    release=lambda state, policy, pkt: commit.release_walk(
+        state, policy, pkt.registration_key, pkt.backup_route.link_ids
+    ),
+    reserve=commit.reserve_primary,
+)
 
 
 def _random_packet(net, rng, conn_id, bw=1.0):
@@ -125,28 +107,31 @@ def _versions(state):
     return [ledger.version for ledger in state.ledgers()]
 
 
-def _run_script(net, policy_factory, script, batched):
+def _run_script(net, policy_factory, script, walks, busy_links=()):
     """Replay a register/release script against a fresh state; returns
-    the per-step results plus the final fingerprint and versions."""
+    the per-step results plus the final fingerprint and versions.
+    ``busy_links`` carry a primary reservation that starves backups."""
     state = NetworkState(net)
     policy = policy_factory()
+    for link_id in busy_links:
+        assert walks.reserve(state, (link_id,), 2.0)
     outcomes = []
-    with batching(batched):
-        for op, pkt in script:
-            if op == "register":
-                result = register_backup_path(state, policy, pkt)
-                outcomes.append(
-                    (
-                        result.success,
-                        result.rejected_link,
-                        result.hops_signaled,
-                        tuple(result.resizes),
-                    )
+    rejected = set()
+    for op, pkt in script:
+        if op == "register":
+            result = walks.register(state, policy, pkt)
+            outcomes.append(
+                (
+                    result.success,
+                    result.rejected_link,
+                    result.hops_signaled,
+                    tuple(result.resizes),
                 )
-            else:
-                outcomes.append(
-                    tuple(release_backup_path(state, policy, pkt))
-                )
+            )
+            if not result.success:
+                rejected.add(pkt.connection_id)
+        elif pkt.connection_id not in rejected:
+            outcomes.append(tuple(walks.release(state, policy, pkt)))
     return outcomes, state.fingerprint(), _versions(state)
 
 
@@ -175,31 +160,34 @@ class TestWalkEquivalence:
     def test_register_release_script_lockstep(self, policy_factory):
         """Every step outcome (success flag, rejected hop, signaled
         hops, resize list) and the final fingerprint + version vector
-        match between the batched and per-hop modes."""
+        match between the fused and hop-by-hop spellings."""
         net = mesh_network(ROWS, COLS, 8.0)
         script = _script(net, 40)
-        batched = _run_script(net, policy_factory, script, True)
-        per_hop = _run_script(net, policy_factory, script, False)
-        assert batched == per_hop
+        fused = _run_script(net, policy_factory, script, FUSED)
+        assert fused == _run_script(net, policy_factory, script, HOP_BY_HOP)
 
     def test_rejection_script_lockstep(self):
         """Under capacity pressure rejections appear mid-walk; the
-        rejecting hop and the untouched state must match exactly."""
+        rejecting hop and the state left behind must match exactly.
+        (Versions are not compared: the hop-by-hop walk registers and
+        unwinds the hops before the rejection, the fused one never
+        touches them.)"""
         net = mesh_network(ROWS, COLS, 3.0)
         script = _script(net, 60, capacity_pressure_bw=2.0)
-        batched = _run_script(net, SharedSparePolicy, script, True)
-        per_hop = _run_script(net, SharedSparePolicy, script, False)
-        assert batched == per_hop
+        busy = range(0, net.num_links, 5)
+        fused = _run_script(net, SharedSparePolicy, script, FUSED, busy)
+        per_hop = _run_script(
+            net, SharedSparePolicy, script, HOP_BY_HOP, busy
+        )
+        assert fused[:2] == per_hop[:2]
         rejected = [
-            step
-            for step in batched[0]
-            if len(step) == 4 and step[1] is not None
+            step for step in fused[0] if step[0] is False and step[2] > 1
         ]
-        assert rejected, "pressure script must actually reject"
+        assert rejected, "pressure script must actually reject mid-walk"
 
     def test_rejection_mutates_nothing(self):
-        """A batched rejection is validate-only: fingerprint and
-        versions are byte-identical to before the attempt."""
+        """A rejection is validate-only: fingerprint and versions are
+        byte-identical to before the attempt."""
         net = mesh_network(ROWS, COLS, 1.0)
         state = NetworkState(net)
         policy = SharedSparePolicy()
@@ -214,27 +202,27 @@ class TestWalkEquivalence:
         # A primary reservation mid-route starves the third hop:
         # backup headroom there drops to 0.5 < 0.75.
         state.ledger(doomed_route.link_ids[2]).reserve_primary(0.5)
-        with batching(True):
-            assert register_backup_path(state, policy, blocker).success
-            before = (state.fingerprint(), _versions(state))
-            doomed = BackupRegisterPacket(
-                connection_id=2,
-                backup_route=doomed_route,
-                primary_lset=frozenset([21]),
-                bw_req=0.75,
-            )
-            result = register_backup_path(state, policy, doomed)
+        assert register_backup_path(state, policy, blocker).success
+        before = (state.fingerprint(), _versions(state))
+        doomed = BackupRegisterPacket(
+            connection_id=2,
+            backup_route=doomed_route,
+            primary_lset=frozenset([21]),
+            bw_req=0.75,
+        )
+        result = register_backup_path(state, policy, doomed)
         assert not result.success
         assert result.rejected_link == doomed_route.link_ids[2]
         assert result.hops_signaled == 3
         assert (state.fingerprint(), _versions(state)) == before
 
-    def test_duplicate_key_falls_back_to_per_hop_error(self):
-        """An already-registered key voids the batch precondition; both
-        modes must surface the identical per-hop exception."""
+    def test_duplicate_key_raises_the_per_hop_error(self):
+        """An already-registered key is a caller bug: both spellings
+        surface the identical exception — the fused one before
+        mutating anything."""
         net = mesh_network(ROWS, COLS, 8.0)
         outcomes = []
-        for flag in (True, False):
+        for walks in (FUSED, HOP_BY_HOP):
             state = NetworkState(net)
             policy = SharedSparePolicy()
             pkt = BackupRegisterPacket(
@@ -243,10 +231,9 @@ class TestWalkEquivalence:
                 primary_lset=frozenset([30]),
                 bw_req=1.0,
             )
-            with batching(flag):
-                assert register_backup_path(state, policy, pkt).success
-                with pytest.raises(Exception) as excinfo:
-                    register_backup_path(state, policy, pkt)
+            assert walks.register(state, policy, pkt).success
+            with pytest.raises(ResourceError) as excinfo:
+                walks.register(state, policy, pkt)
             outcomes.append((type(excinfo.value), str(excinfo.value)))
         assert outcomes[0] == outcomes[1]
 
@@ -259,22 +246,21 @@ class TestGroupAccounting:
         groups = mesh_conduit_groups(net, ROWS, COLS)
         script = _script(net, 40, seed=13)
 
-        def run(batched):
+        def run(walks):
             state = NetworkState(net)
             state.install_risk_groups(groups)
             policy = GroupAwareSparePolicy()
             outcomes = []
-            with batching(batched):
-                for op, pkt in script:
-                    if op == "register":
-                        result = register_backup_path(state, policy, pkt)
-                        outcomes.append(
-                            (result.success, tuple(result.resizes))
-                        )
-                    else:
-                        outcomes.append(
-                            tuple(release_backup_path(state, policy, pkt))
-                        )
+            for op, pkt in script:
+                if op == "register":
+                    result = walks.register(state, policy, pkt)
+                    outcomes.append(
+                        (result.success, tuple(result.resizes))
+                    )
+                else:
+                    outcomes.append(
+                        tuple(walks.release(state, policy, pkt))
+                    )
             tables = [
                 (
                     ledger.group_aplv_l1(),
@@ -285,56 +271,61 @@ class TestGroupAccounting:
             ]
             return outcomes, state.fingerprint(), tables
 
-        assert run(True) == run(False)
+        assert run(FUSED) == run(HOP_BY_HOP)
 
 
 class TestServiceLockstep:
     def test_admission_churn_fingerprints_match(self):
-        """Full-service lockstep: admissions, releases and a fail /
-        repair cycle produce the same decisions, counters and
-        fingerprints in both modes (primary reservation and release
-        ride the batched path here too)."""
-
-        def run(batched):
-            net = mesh_network(5, 5, 6.0)
-            service = DRTPService(net, DLSRScheme())
-            rng = random.Random(23)
-            log = []
-            live = []
-            with batching(batched):
-                for _ in range(80):
-                    src, dst = rng.sample(range(net.num_nodes), 2)
-                    decision = service.request(src, dst, 1.0)
-                    log.append((decision.accepted, decision.reason))
-                    if decision.connection is not None:
-                        live.append(decision.connection.connection_id)
-                    if live and rng.random() < 0.3:
-                        service.release(live.pop(0))
-                    log.append(service.state.fingerprint())
-                impact = service.fail_link(0)
-                log.append(
-                    tuple(
-                        (o.connection_id, o.success, o.reason)
-                        for o in impact.outcomes
-                    )
+        """Full-service lockstep: every admission and release the
+        service commits (primary reservation and release ride the
+        fused path here too) is mirrored hop by hop onto a twin state,
+        which must match after each request; a fail / repair cycle
+        then runs recovery's fused releases over that state."""
+        net = mesh_network(5, 5, 6.0)
+        service = DRTPService(net, DLSRScheme())
+        twin = NetworkState(net)
+        policy = service.spare_policy
+        rng = random.Random(23)
+        live = []
+        for _ in range(80):
+            src, dst = rng.sample(range(net.num_nodes), 2)
+            conn = service.request(src, dst, 1.0).connection
+            if conn is not None:
+                live.append(conn)
+                primary = conn.primary_route
+                assert commit.reserve_primary(twin, primary.link_ids, 1.0)
+                assert commit.register_backup_path(
+                    twin,
+                    policy,
+                    BackupRegisterPacket(
+                        conn.connection_id, conn.backup.route,
+                        primary.lset, 1.0,
+                    ),
+                ).success
+            if live and rng.random() < 0.3:
+                conn = live.pop(0)
+                service.release(conn.connection_id)
+                commit.release_primary(
+                    twin, policy, conn.primary_route.link_ids, 1.0
                 )
-                service.repair_link(0)
-                log.append(service.state.fingerprint())
-            return (
-                log,
-                service.counters.accepted,
-                service.counters.rejected,
-            )
-
-        assert run(True) == run(False)
+                commit.release_walk(
+                    twin, policy, conn.connection_id,
+                    conn.backup.route.link_ids,
+                )
+            assert service.state.fingerprint() == twin.fingerprint()
+        assert service.counters.accepted > 40
+        impact = service.fail_link(0)
+        assert impact.affected
+        service.check_invariants()
+        service.repair_link(0)
+        service.check_invariants()
 
 
 class TestFaultInterop:
     def test_crash_unwinds_batched_survivor_intact(self):
-        """A per-hop crash/unwind cycle (the fault path never batches)
-        must coexist with registrations committed by the batched path:
-        the survivor's state is untouched and the crashed walk leaves
-        the fingerprint where it started."""
+        """A crash/unwind cycle must coexist with registrations other
+        walks committed: the survivor's state is untouched and the
+        crashed walk leaves the fingerprint where it started."""
         net = mesh_network(3, 3, 10.0)
         state = NetworkState(net)
         policy = SharedSparePolicy()
@@ -344,66 +335,63 @@ class TestFaultInterop:
             primary_lset=Route.from_nodes(net, [0, 1, 2]).lset,
             bw_req=1.0,
         )
-        with batching(True):
-            result = register_backup_path(state, policy, survivor)
-            assert result.success
-            with_survivor = (state.fingerprint(), _versions(state))
-            doomed = BackupRegisterPacket(
-                connection_id=2,
-                backup_route=Route.from_nodes(net, [0, 3, 4, 5, 2]),
-                primary_lset=Route.from_nodes(net, [0, 1, 2]).lset,
-                bw_req=1.0,
-            )
-            last_hop = len(doomed.backup_route.link_ids) - 1
-            injector = ScriptedInjector(crash_script=[last_hop])
-            crashed = register_backup_path(
-                state, policy, doomed, injector, retry_policy=None
-            )
-            assert not crashed.success and crashed.crashes == 1
-            # Fingerprints exclude version counters, so the unwound
-            # state must land exactly back on the survivor-only print.
-            assert state.fingerprint() == with_survivor[0]
-            for link_id in survivor.backup_route.link_ids:
-                assert state.ledger(link_id).has_backup(1)
-            # And the batched release still tears the survivor down to
-            # the pristine fingerprint.
-            pristine_state = NetworkState(net)
-            release_backup_path(state, policy, survivor)
-            assert state.fingerprint() == pristine_state.fingerprint()
+        result = register_backup_path(state, policy, survivor)
+        assert result.success
+        with_survivor = state.fingerprint()
+        doomed = BackupRegisterPacket(
+            connection_id=2,
+            backup_route=Route.from_nodes(net, [0, 3, 4, 5, 2]),
+            primary_lset=Route.from_nodes(net, [0, 1, 2]).lset,
+            bw_req=1.0,
+        )
+        last_hop = len(doomed.backup_route.link_ids) - 1
+        injector = ScriptedInjector(crash_script=[last_hop])
+        crashed = register_backup_path(
+            state, policy, doomed, injector, retry_policy=None
+        )
+        assert not crashed.success and crashed.crashes == 1
+        # Fingerprints exclude version counters, so the unwound
+        # state must land exactly back on the survivor-only print.
+        assert state.fingerprint() == with_survivor
+        for link_id in survivor.backup_route.link_ids:
+            assert state.ledger(link_id).has_backup(1)
+        # And the release still tears the survivor down to the
+        # pristine fingerprint.
+        pristine_state = NetworkState(net)
+        release_backup_path(state, policy, survivor)
+        assert state.fingerprint() == pristine_state.fingerprint()
 
     def test_mid_walk_fault_then_batched_retry_equivalence(self):
-        """A drop mid-walk (per-hop unwind) followed by a clean retry
-        lands on the same fingerprint whether the clean walks around it
-        committed batched or per-hop."""
+        """A drop mid-walk (prefix committed, then unwound) followed
+        by a clean retry lands on the same fingerprint and the same
+        version counters in both spellings."""
 
-        def run(batched):
+        def run(walks):
             net = mesh_network(3, 3, 10.0)
             state = NetworkState(net)
             policy = SharedSparePolicy()
-            with batching(batched):
-                first = BackupRegisterPacket(
-                    connection_id=1,
-                    backup_route=Route.from_nodes(net, [0, 1, 4, 7]),
-                    primary_lset=frozenset([0]),
-                    bw_req=1.0,
-                )
-                assert register_backup_path(state, policy, first).success
-                faulty = BackupRegisterPacket(
-                    connection_id=2,
-                    backup_route=Route.from_nodes(net, [0, 3, 4, 5, 2]),
-                    primary_lset=frozenset([1]),
-                    bw_req=1.0,
-                )
-                injector = ScriptedInjector(
-                    hop_events=[(None, 0.0), (None, 0.0), ("drop", 0.0)]
-                )
-                dropped = register_backup_path(
-                    state, policy, faulty, injector, retry_policy=None
-                )
-                assert not dropped.success and dropped.drops == 1
-                # Clean (fault-free) retry takes the batched path again.
-                retry = register_backup_path(state, policy, faulty)
-                assert retry.success
+            first = BackupRegisterPacket(
+                connection_id=1,
+                backup_route=Route.from_nodes(net, [0, 1, 4, 7]),
+                primary_lset=frozenset([0]),
+                bw_req=1.0,
+            )
+            assert walks.register(state, policy, first).success
+            faulty = BackupRegisterPacket(
+                connection_id=2,
+                backup_route=Route.from_nodes(net, [0, 3, 4, 5, 2]),
+                primary_lset=frozenset([1]),
+                bw_req=1.0,
+            )
+            injector = ScriptedInjector(
+                hop_events=[(None, 0.0), (None, 0.0), ("drop", 0.0)]
+            )
+            dropped = walks.register(
+                state, policy, faulty, injector, retry_policy=None
+            )
+            assert not dropped.success and dropped.drops == 1
+            retry = walks.register(state, policy, faulty)
+            assert retry.success
             return state.fingerprint(), _versions(state)
 
-        assert run(True) == run(False)
+        assert run(FUSED) == run(HOP_BY_HOP)

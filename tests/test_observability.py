@@ -413,6 +413,31 @@ class TestServiceSpanTree:
         releases = collector.spans("signal.release")
         assert releases
 
+    def test_reprotection_walks_are_spanned_and_counted(self):
+        """DRTP step 4 under ``fail_link``: the walk that re-protects
+        a connection whose backup the failure broke is a
+        ``signal.register`` span under the failure's span, and reaches
+        the signaling counters like an admission's walk does."""
+        from repro.metrics import ServiceMetrics
+
+        metrics = ServiceMetrics()
+        service, collector = self.make_service(metrics=metrics)
+        connection = service.request(
+            source=0, destination=15, bw_req=1.0
+        ).connection
+        walks = metrics.signaling_walks.value()
+        hops = metrics.signaling_hops.value()
+        service.fail_link(connection.backup_route.link_ids[0])
+        assert connection.backup is not None  # re-protected
+        (fail,) = collector.spans("service.fail_link")
+        (_, reprotect) = collector.spans("signal.register")
+        assert reprotect.parent_id == fail.span_id
+        assert reprotect.tags["success"] is True
+        assert metrics.signaling_walks.value() == walks + 1
+        assert metrics.signaling_hops.value() == hops + len(
+            connection.backup_route.link_ids
+        )
+
 
 # ----------------------------------------------------------------------
 # The traced server: concurrent batches keep separate trees

@@ -228,3 +228,29 @@ class TestOneEngine:
             if re.search(r"\b(environ|getenv)\b", path.read_text())
         ]
         assert offenders == []
+
+    def test_ledgers_are_walked_in_one_place(self):
+        """Section 2.2's commit is spelled once: outside ``testing/``
+        (the hop-by-hop reference), nothing calls a ledger's route
+        mutators except ``recovery._promote`` — backup activation, a
+        different, single-ledger operation.  Everything else goes
+        through the four fused walks of ``repro.kernels.apply``."""
+        root = Path(repro.__file__).parent
+        mutator = re.compile(
+            r"\.(register_backup|release_backup|reserve_primary"
+            r"|release_primary)\("
+        )
+        callers = set()
+        for path in sorted(root.rglob("*.py")):
+            if path.relative_to(root).parts[0] == "testing":
+                continue
+            function = None
+            for line in path.read_text().splitlines():
+                header = re.match(r"\s*def (\w+)", line)
+                if header:
+                    function = header.group(1)
+                if mutator.search(line):
+                    callers.add(
+                        "{}::{}".format(path.relative_to(root), function)
+                    )
+        assert callers == {"core/recovery.py::_promote"}

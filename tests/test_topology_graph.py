@@ -165,6 +165,12 @@ class TestRoute:
         with pytest.raises(TopologyError):
             Route(nodes=(0, 1, 2), link_ids=(0,))
 
+    def test_rejects_repeated_link(self):
+        # Distinct nodes, but hand-picked link ids that repeat: the
+        # commit's per-link independence rests on this being refused.
+        with pytest.raises(TopologyError):
+            Route(nodes=(0, 1, 2), link_ids=(3, 3))
+
     def test_rejects_missing_edge(self, net):
         with pytest.raises(TopologyError):
             Route.from_nodes(net, [0, 2])
