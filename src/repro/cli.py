@@ -57,6 +57,7 @@ from .analysis import (
 from .core import DRTPService
 from .experiments import make_scheme
 from .experiments.run_all import main as campaign_main
+from .kernels.search import ANSWERS
 from .simulation import Scenario, ScenarioSimulator, generate_scenario
 from .topology import (
     load_network,
@@ -739,6 +740,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 "backup searches: {} warm hit(s), {} cold miss(es) "
                 "({} total)".format(warm_hits, cold_misses, len(searches))
             )
+        # Which step of the search answered (docs/performance.md: a
+        # rising "exhaustive" share is the unit phase falling through).
+        for search in ("primary", "backup"):
+            answers = [
+                span.tags["answer"]
+                for span in collector.spans("route.{}_search".format(search))
+                if "answer" in span.tags
+            ]
+            if answers:
+                print("{} searches answered by: {}".format(
+                    search,
+                    ", ".join(
+                        "{} {}".format(answer, answers.count(answer))
+                        for answer in ANSWERS
+                    ),
+                ))
     print("open the trace in https://ui.perfetto.dev or chrome://tracing")
     return 0
 

@@ -15,10 +15,12 @@ that hot path in contiguous arrays instead:
   pass per search (bit-AND + popcount of the packed ``uint64``
   bit-matrix against the primary's ``LSET`` mask), producing a scalar
   cost array;
-* Dijkstra runs over that array with flat ``(dst, link_id)`` pair
+* the searches run over that array with flat ``(dst, link_id)`` pair
   adjacency (:mod:`repro.kernels.search`), no cost closures and no
-  tuple arithmetic — and the unbounded unit-cost primary search
-  degenerates (provably bit-identically) to a deque BFS;
+  tuple arithmetic — and an unbounded search first looks for its
+  answer over unit-cost links with a hop-bounded BFS, running the
+  exhaustive Dijkstra only when the destination is not reachable that
+  way (provably the same route, tie-breaks included);
 * the admission commit is one validate-then-apply transaction per walk
   (:mod:`repro.kernels.apply`).
 

@@ -288,11 +288,13 @@ def batch_release_walk(
             aplv._support_mask = mask
             aplv._support_version += zeroed
         aplv._l1 -= len(lset)
-        ledger._demand_max_stale = True
-        ledger._group_demand_max_stale = True
         demand = ledger._demand
+        peak = ledger._demand_max
         for pos in lset:
-            remaining = demand[pos] - bw
+            held = demand[pos]
+            if held >= peak:
+                ledger._demand_max_stale = True
+            remaining = held - bw
             if remaining <= BW_EPSILON:
                 del demand[pos]
             else:
@@ -300,13 +302,17 @@ def batch_release_walk(
         if groups is not None:
             gaplv = ledger._group_aplv
             gdemand = ledger._group_demand
+            peak = ledger._group_demand_max
             for group in groups.groups_of(lset):
                 count = gaplv[group] - 1
                 if count <= 0:
                     del gaplv[group]
                 else:
                     gaplv[group] = count
-                remaining = gdemand[group] - bw
+                held = gdemand[group]
+                if held >= peak:
+                    ledger._group_demand_max_stale = True
+                remaining = held - bw
                 if remaining <= BW_EPSILON:
                     del gdemand[group]
                 else:

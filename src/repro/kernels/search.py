@@ -1,4 +1,4 @@
-"""Flat-array Dijkstra searches over batch-built cost arrays.
+"""Flat-array searches over batch-built cost arrays.
 
 These searches consume a *cost array* — one float per link id, built
 in a single batch pass by
@@ -11,14 +11,86 @@ negative entry excludes the link from the search (the closure path's
 Bit-exactness contract: the closure searches' lexicographic cost
 tuples ``(conflict, hops)`` are encoded as ``conflict * scale + hops`` with
 ``scale`` computed by :func:`encode_scale`.  Both components are
-integer-valued floats and every partial-path sum stays far below
-2**53, so tuple order and encoded order coincide *exactly* — every
-relaxation decision, every heap comparison and therefore every
-returned route (tie-breaks included) matches
+integer-valued floats and every partial-path sum stays below 2**53
+(:func:`encode_scale` refuses a network where it might not), so tuple
+order and encoded order coincide *exactly* — every relaxation
+decision, every heap comparison and therefore every returned route
+(tie-breaks included) matches
 :func:`repro.routing.dijkstra.shortest_path` /
 :func:`~repro.routing.dijkstra.bounded_shortest_path` run over the
 equivalent closure.  The differential suite
 (``tests/test_kernel_equivalence.py``) pins this.
+
+Searches that stop at the answer
+--------------------------------
+
+The reference search is an exhaustive Dijkstra: it pops nodes in
+``(cost, push counter)`` order until the destination comes up.  Most
+answers need far less.  A link costing exactly ``1.0`` — a feasible
+link for a primary, a link with no ``Q`` and no conflict charge for a
+backup — is a *unit* link, and the unbounded searches first run a
+**unit phase** over unit links only:
+
+1. *endpoint shift* (:func:`_shift_endpoints`) prices the cheapest
+   allowed link out of the source and the cheapest allowed link into
+   the destination down to ``1.0`` on a private copy, so a conflict
+   that no route can avoid stops hiding the destination behind the
+   whole zero-conflict region;
+2. a *hop-bounded* FIFO breadth-first search
+   (:func:`_bounded_unit_bfs`) over unit links, pruned by the
+   destination's hop column
+   (:meth:`~repro.routing.dijkstra.SearchWorkspace.hops_to`), first at
+   the topology's own hop count — it then walks only the min-hop DAG;
+3. when that finds nothing, a two-ended reachability test
+   (:func:`_unit_distance`) returns the exact unit distance, or
+   ``None`` the moment either side runs dry, and the bounded search
+   runs once more at exactly that distance.
+
+Only when the destination is not reachable over unit links does
+:func:`flat_shortest_path` run the exhaustive bucket-queue Dijkstra
+(:func:`_flat_heap_search`), on the same shifted array.  How a search
+was answered (:data:`ANSWERS`) is left on the workspace for the
+caller's span tags and metrics.  Every returned route stays identical
+to the reference's because of four facts:
+
+*A pruned FIFO BFS equals the unpruned one on every survivor.*  Call a
+node a survivor when ``depth(v) + hops_to(t)[v] <= bound``, with
+``depth`` its unit BFS depth.  A link ``u -> v`` gives ``hops_to(t)[u]
+<= 1 + hops_to(t)[v]`` (full-topology hop counts are a consistent
+lower bound), so the BFS parent of a survivor is a survivor: survivors
+are closed under BFS parents.  By induction over pop order the pruned
+queue is the unpruned queue restricted to survivors, each discovered
+by the same parent over the same link.  The destination is a survivor
+iff ``bound`` is at least its unit distance; its parent is fixed at
+discovery, so returning there returns the reference's route.
+
+*The first meeting of the two-ended BFS is the exact distance.*  With
+``a`` forward and ``b`` backward levels fully grown and disjoint, the
+distance exceeds ``a + b`` (the node ``min(a, D)`` steps along a
+shortest path would lie in both).  A link scanned while growing level
+``a + 1`` that lands on the other side therefore closes a path of
+exactly ``a + b + 1`` links, whichever end grew.
+
+*The endpoint shift is a uniform shift that keeps costs ≥ 1.*  Every
+loop-free route uses exactly one link out of the source and one into
+the destination, so subtracting ``floor - 1.0`` from each allowed link
+of either set (the destination's floor taken after the source's
+shift, which matters only for a direct link) lowers every
+source-to-node cost by one constant and every candidate cost of the
+destination by another: all comparisons among other nodes, and among
+the destination's candidates, are unchanged; the destination only pops
+earlier, and each candidate parent achieving its optimum still pops
+before it because every link still costs at least ``1.0``.
+Builder-made costs are ``k * scale + 1`` with integer ``k``, the
+floors too, so the subtraction is exact and keeps that form.
+
+*A unit route beats every route with a non-unit link.*  On such an
+array a non-unit link costs at least ``scale + 1 > num_nodes - 1``,
+more than any loop-free unit route in full.  So when the destination
+is reachable over unit links the Dijkstra never pops a node through a
+non-unit link before answering; among unit-cost pops its ``(cost,
+counter)`` order is FIFO order (see :func:`_bounded_unit_bfs`), which
+is the unit BFS.
 """
 
 from __future__ import annotations
@@ -26,15 +98,23 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+from ..routing.costs import Q_PENALTY
 from ..routing.dijkstra import SearchWorkspace, _unwind, search_workspace
 from ..topology.graph import Network, Route
 
-#: Integer-valued path costs must stay exactly representable; with the
-#: conservative bound ``V * (Q + E) * scale`` this still leaves the
-#: whole 10^4-node regime inside 2**53.
+#: Integer-valued path costs must stay exactly representable: the
+#: bucket queue keys on them, the endpoint shift subtracts them and
+#: "a non-unit link costs at least ``scale + 1``" reads them back.
 _EXACT_LIMIT = float(1 << 53)
+
+#: How an unbounded flat search was answered, in the order tried: by
+#: the first hop-bounded pass, by the second one at the two-ended
+#: test's exact distance, by the exhaustive Dijkstra, or not at all.
+PROBE, BOUNDED, EXHAUSTIVE, NONE = ANSWERS = (
+    "probe", "bounded", "exhaustive", "none"
+)
 
 
 def encode_scale(network: Network, max_hops: Optional[int] = None) -> float:
@@ -42,10 +122,24 @@ def encode_scale(network: Network, max_hops: Optional[int] = None) -> float:
 
     Any strict upper bound on a search's hop counts works; simple
     paths have at most ``num_nodes - 1`` hops and the layered bounded
-    search never exceeds ``max_hops``."""
+    search never exceeds ``max_hops``.
+
+    Raises :class:`ValueError` when the conservative path-cost bound
+    ``num_nodes * (Q + num_links) * scale`` could reach 2**53, where
+    encoded sums stop being exact integers."""
     scale = network.num_nodes
     if max_hops is not None and max_hops + 1 > scale:
         scale = max_hops + 1
+    if (
+        network.num_nodes * (Q_PENALTY + network.num_links) * scale
+        >= _EXACT_LIMIT
+    ):
+        raise ValueError(
+            "cannot encode (cost, hops) exactly: {} nodes, {} links and "
+            "hop scale {} could reach 2**53".format(
+                network.num_nodes, network.num_links, scale
+            )
+        )
     return float(scale)
 
 
@@ -57,9 +151,36 @@ def flat_shortest_path(
 ) -> Optional[Route]:
     """Minimum-cost loop-free path over a per-link scalar cost array.
 
-    Mirrors :func:`repro.routing.dijkstra.shortest_path` exactly —
-    same workspace, same epoch-stamped arrays, same heap tie-breaking
-    by insertion counter over the identical adjacency order."""
+    Returns exactly the route of
+    :func:`repro.routing.dijkstra.shortest_path` over the equivalent
+    closure — the unit phase first, the exhaustive Dijkstra only when
+    the destination is not reachable over unit links (module
+    docstring).  ``costs`` must be a builder-made array: every entry
+    ``-1.0`` (excluded) or ``k * scale + 1`` with integer ``k >= 0``
+    and ``scale >= num_nodes``.  It is never written to."""
+    return _search(network, source, destination, costs, exhaustive=True)
+
+
+def flat_min_hop_path(
+    network: Network,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+) -> Optional[Route]:
+    """Unit-cost specialization of :func:`flat_shortest_path`: every
+    allowed link costs exactly ``1.0`` (the primary cost array's only
+    non-excluded value), so the unit phase is the whole search — no
+    unit route means no route."""
+    return _search(network, source, destination, costs, exhaustive=False)
+
+
+def _search(
+    network: Network,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+    exhaustive: bool,
+) -> Optional[Route]:
     network._check_node(source)
     network._check_node(destination)
     if source == destination:
@@ -70,9 +191,194 @@ def flat_shortest_path(
         workspace = SearchWorkspace(network)
     workspace.in_use = True
     try:
-        return _flat_heap_search(workspace, source, destination, costs)
+        route, workspace.answer = _answer(
+            workspace, source, destination, costs, exhaustive
+        )
+        return route
     finally:
         workspace.in_use = False
+
+
+def _answer(
+    workspace: SearchWorkspace,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+    exhaustive: bool,
+) -> Tuple[Optional[Route], str]:
+    """The route and which step produced it (see the module
+    docstring); each step runs only when the one before it observed
+    that it cannot answer."""
+    hops = workspace.hops_to(destination)
+    bound = hops[source]
+    if bound == len(hops):
+        return None, NONE  # not even the bare topology connects them
+    costs = _shift_endpoints(workspace, source, destination, costs)
+    if costs is None:
+        return None, NONE
+    route = _bounded_unit_bfs(
+        workspace, source, destination, costs, hops, bound
+    )
+    if route is not None:
+        return route, PROBE
+    distance = _unit_distance(workspace, source, destination, costs)
+    if distance is not None:
+        return _bounded_unit_bfs(
+            workspace, source, destination, costs, hops, distance
+        ), BOUNDED
+    if exhaustive:
+        route = _flat_heap_search(workspace, source, destination, costs)
+        if route is not None:
+            return route, EXHAUSTIVE
+    return None, NONE
+
+
+def _shift_endpoints(
+    workspace: SearchWorkspace,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+) -> Optional[Sequence[float]]:
+    """``costs`` with the cheapest allowed link out of ``source`` and
+    the cheapest allowed link into ``destination`` priced down to
+    ``1.0`` — a copy when anything moves, ``costs`` itself when both
+    already are, ``None`` when either end has no allowed link (no
+    route exists; only the two endpoints' entries have been read).
+
+    A link from ``source`` straight to ``destination`` is in both
+    sets: the destination's floor is taken over the costs the source's
+    shift leaves, so it too stays at or above ``1.0``."""
+    leaving = workspace.flat_adjacency()[source]
+    entering = workspace.reverse_adjacency()[destination]
+    floor = -1.0
+    for _dst, link_id in leaving:
+        cost = costs[link_id]
+        if cost >= 0.0 and (cost < floor or floor < 0.0):
+            floor = cost
+    if floor < 0.0:
+        return None
+    out_shift = floor - 1.0
+    floor = -1.0
+    for src, link_id in entering:
+        cost = costs[link_id]
+        if cost < 0.0:
+            continue
+        if src == source:
+            cost -= out_shift
+        if cost < floor or floor < 0.0:
+            floor = cost
+    if floor < 0.0:
+        return None
+    in_shift = floor - 1.0
+    if not out_shift and not in_shift:
+        return costs
+    shifted = list(costs)
+    for pairs, shift in ((leaving, out_shift), (entering, in_shift)):
+        if shift:
+            for _node, link_id in pairs:
+                if shifted[link_id] >= 0.0:
+                    shifted[link_id] -= shift
+    return shifted
+
+
+def _bounded_unit_bfs(
+    workspace: SearchWorkspace,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+    hops: Sequence[int],
+    bound: int,
+) -> Optional[Route]:
+    """FIFO breadth-first search over unit links that refuses to
+    discover ``v`` when ``depth(v) + hops[v] > bound`` and returns at
+    the destination's discovery: the reference's route when the unit
+    distance is at most ``bound``, ``None`` otherwise.
+
+    Why BFS *is* the reference on unit links: with unit steps the
+    heap orders entries by ``(depth, insertion counter)``; every
+    depth-``d`` push happens while popping depth-``d−1`` entries,
+    which all precede any depth-``d`` pop, so heap order is FIFO push
+    order.  Each node is pushed at most once (a second relaxation at
+    equal depth fails the strict ``<`` test) and keeps the parent of
+    its first discovery.  Growing one whole level per round from a
+    list visits nodes in that same FIFO order; why pruning changes
+    nothing for the nodes it keeps is in the module docstring.
+    """
+    workspace.epoch += 1
+    epoch = workspace.epoch
+    pairs = workspace.flat_adjacency()
+    parent = workspace.parent
+    # dist_stamp doubles as the discovered marker, matching what
+    # _unwind asserts along the returned route.
+    seen = workspace.dist_stamp
+    seen[source] = epoch
+    frontier = [source]
+    budget = bound  # hops a node discovered this round may still need
+    while frontier and budget:
+        budget -= 1
+        level: List[int] = []
+        for node in frontier:
+            for dst, link_id in pairs[node]:
+                if (
+                    hops[dst] > budget
+                    or seen[dst] == epoch
+                    or costs[link_id] != 1.0
+                ):
+                    continue
+                seen[dst] = epoch
+                parent[dst] = (node, link_id)
+                if dst == destination:
+                    return _unwind(workspace, epoch, source, destination)
+                level.append(dst)
+        frontier = level
+    return None
+
+
+def _unit_distance(
+    workspace: SearchWorkspace,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+) -> Optional[int]:
+    """Exact hop distance from ``source`` to ``destination`` over unit
+    links, or ``None`` when there is no such path.
+
+    Two level-synchronous searches, forward from the source and
+    backward from the destination; each round grows whichever frontier
+    is smaller by one whole level.  The first scanned link that lands
+    on the other side's territory closes a shortest path (module
+    docstring), and an empty frontier on either side proves there is
+    none — a destination whose in-links are all taken costs its
+    in-degree, not the source's whole reachable set."""
+    workspace.epoch += 1
+    epoch = workspace.epoch
+    # The side about to grow (frontier, its adjacency, its marks) and
+    # the side waiting; they trade places whenever the other is smaller.
+    frontier, pairs, mine = (
+        [source], workspace.flat_adjacency(), workspace.dist_stamp
+    )
+    waiting, waiting_pairs, theirs = (
+        [destination], workspace.reverse_adjacency(), workspace.visited_stamp
+    )
+    mine[source] = theirs[destination] = epoch
+    distance = 0
+    while frontier and waiting:
+        if len(waiting) < len(frontier):
+            frontier, pairs, mine, waiting, waiting_pairs, theirs = (
+                waiting, waiting_pairs, theirs, frontier, pairs, mine
+            )
+        distance += 1
+        level: List[int] = []
+        for node in frontier:
+            for peer, link_id in pairs[node]:
+                if mine[peer] == epoch or costs[link_id] != 1.0:
+                    continue
+                if theirs[peer] == epoch:
+                    return distance
+                mine[peer] = epoch
+                level.append(peer)
+        frontier = level
+    return None
 
 
 def _flat_heap_search(
@@ -163,125 +469,6 @@ def _flat_heap_search(
         pop(cost_heap)
         del buckets[cost]
     return None
-
-
-def _flat_tuple_heap_search(
-    workspace: SearchWorkspace,
-    source: int,
-    destination: int,
-    costs: Sequence[float],
-) -> Optional[Route]:
-    """Tuple-heap fallback of :func:`_flat_heap_search` — identical
-    relaxations and ``(cost, counter)`` tie-breaking, used when packed
-    floats could lose exactness."""
-    workspace.epoch += 1
-    epoch = workspace.epoch
-    pairs = workspace.flat_adjacency()
-    dist = workspace.dist
-    parent = workspace.parent
-    dist_stamp = workspace.dist_stamp
-    visited_stamp = workspace.visited_stamp
-
-    counter = count()
-    dist[source] = 0.0
-    dist_stamp[source] = epoch
-    heap = [(0.0, next(counter), source)]
-    while heap:
-        cost, _, node = heappop(heap)
-        if visited_stamp[node] == epoch:
-            continue
-        visited_stamp[node] = epoch
-        if node == destination:
-            return _unwind(workspace, epoch, source, destination)
-        for dst, link_id in pairs[node]:
-            if visited_stamp[dst] == epoch:
-                continue
-            step = costs[link_id]
-            if step < 0.0:
-                continue
-            new_cost = cost + step
-            if dist_stamp[dst] != epoch or new_cost < dist[dst]:
-                dist[dst] = new_cost
-                dist_stamp[dst] = epoch
-                parent[dst] = (node, link_id)
-                heappush(heap, (new_cost, next(counter), dst))
-    return None
-
-
-def flat_min_hop_path(
-    network: Network,
-    source: int,
-    destination: int,
-    costs: Sequence[float],
-) -> Optional[Route]:
-    """Unit-cost specialization of :func:`flat_shortest_path`: every
-    allowed link costs exactly ``1.0`` (the primary cost array's only
-    non-excluded value), so Dijkstra degenerates to breadth-first
-    search — *bit-identically*.
-
-    Equivalence argument: with unit steps the heap orders entries by
-    ``(depth, insertion counter)``; every depth-``d`` push happens
-    while popping depth-``d−1`` entries, which all precede any
-    depth-``d`` pop, so heap order *is* FIFO push order.  Each node is
-    pushed at most once (a second relaxation at equal depth fails the
-    strict ``<`` test), parents are assigned at first discovery, and
-    the destination is recognized at pop — all exactly as a deque BFS
-    with a discovered-set does.  The deque replaces the heap's
-    O(log n) pushes with O(1) appends, roughly tripling primary-search
-    throughput.
-    """
-    network._check_node(source)
-    network._check_node(destination)
-    if source == destination:
-        raise ValueError("source and destination must differ")
-
-    workspace = search_workspace(network)
-    if workspace.in_use:
-        workspace = SearchWorkspace(network)
-    workspace.in_use = True
-    try:
-        workspace.epoch += 1
-        epoch = workspace.epoch
-        pairs = workspace.flat_adjacency()
-        parent = workspace.parent
-        # dist_stamp doubles as the discovered marker, matching what
-        # _unwind asserts along the returned route.
-        seen = workspace.dist_stamp
-        seen[source] = epoch
-        queue = deque((source,))
-        popleft = queue.popleft
-        append = queue.append
-        if min(costs) >= 0.0:
-            # No excluded links, so the per-edge cost test is vacuous
-            # and the loop is pure BFS.  This is the common case:
-            # primary arrays only go negative for failed or
-            # bandwidth-short links.
-            while queue:
-                node = popleft()
-                if node == destination:
-                    return _unwind(workspace, epoch, source, destination)
-                for dst, link_id in pairs[node]:
-                    if seen[dst] == epoch:
-                        continue
-                    seen[dst] = epoch
-                    parent[dst] = (node, link_id)
-                    append(dst)
-            return None
-        while queue:
-            node = popleft()
-            if node == destination:
-                return _unwind(workspace, epoch, source, destination)
-            for dst, link_id in pairs[node]:
-                if seen[dst] == epoch:
-                    continue
-                if costs[link_id] < 0.0:
-                    continue
-                seen[dst] = epoch
-                parent[dst] = (node, link_id)
-                append(dst)
-        return None
-    finally:
-        workspace.in_use = False
 
 
 def flat_bounded_shortest_path(

@@ -9,7 +9,9 @@ and is the single object threaded through the instrumented layers:
 * :mod:`repro.core.signaling` records register-walk outcomes (walks,
   retries, drops, duplicates, crashes, hops, give-ups);
 * :mod:`repro.routing.base` records planning calls, planning latency
-  and candidate-route counts per scheme.
+  and candidate-route counts per scheme;
+* :mod:`repro.routing.link_state` records, per primary and backup
+  search, which step of the search answered it.
 
 Derived values the service already tracks — active connections, the
 backup re-establishment queue depth, the acceptance ratio, the
@@ -68,6 +70,13 @@ class ServiceMetrics:
         self.plan_candidates = registry.counter(
             "drtp_route_candidates_total",
             "candidate routes considered by plan()", labels=("scheme",),
+        )
+        self.route_searches = registry.counter(
+            "drtp_route_searches_total",
+            "link-state route searches by the step that answered them "
+            "(probe: first hop-bounded pass; bounded: second pass at the "
+            "two-ended distance; exhaustive: full Dijkstra; none: no route)",
+            labels=("search", "answer"),
         )
 
         # -- signaling ------------------------------------------------
@@ -211,6 +220,9 @@ class ServiceMetrics:
         self.plans.inc(1, scheme)
         self.plan_latency.observe(seconds)
         self.plan_candidates.inc(plan.candidates_considered, scheme)
+
+    def observe_search(self, search: str, answer: str) -> None:
+        self.route_searches.inc(1, search, answer)
 
     def observe_signaling(self, registration) -> None:
         self.signaling_walks.inc()

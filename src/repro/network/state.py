@@ -93,8 +93,9 @@ class LinkLedger:
         self._gmask_cache_version = -1
         # Running maxima of the demand maps.  Registrations only ever
         # raise entries, so the maxima update in O(1) on the admission
-        # fast path; releases mark them stale for a lazy O(support)
-        # recompute on the next read.
+        # fast path; a release that lowers an entry holding the maximum
+        # marks it stale for a lazy O(support) recompute on the next
+        # read.
         self._demand_max = 0.0
         self._demand_max_stale = False
         self._group_demand_max = 0.0
@@ -355,22 +356,30 @@ class LinkLedger:
                 )
             )
         self._aplv.remove_primary(lset)
-        self._demand_max_stale = True
-        self._group_demand_max_stale = True
+        # A running maximum can only have dropped when an entry that
+        # held it is decremented; every other release leaves it exact.
+        peak = self._demand_max
         for position in lset:
-            remaining = self._demand[position] - bw
+            held = self._demand[position]
+            if held >= peak:
+                self._demand_max_stale = True
+            remaining = held - bw
             if remaining <= BW_EPSILON:
                 del self._demand[position]
             else:
                 self._demand[position] = remaining
         if self._risk_groups is not None:
+            peak = self._group_demand_max
             for group in self._risk_groups.groups_of(lset):
                 count = self._group_aplv[group] - 1
                 if count <= 0:
                     del self._group_aplv[group]
                 else:
                     self._group_aplv[group] = count
-                remaining = self._group_demand[group] - bw
+                held = self._group_demand[group]
+                if held >= peak:
+                    self._group_demand_max_stale = True
+                remaining = held - bw
                 if remaining <= BW_EPSILON:
                     del self._group_demand[group]
                 else:
@@ -448,7 +457,25 @@ class LinkLedger:
                     self.link_id
                 )
             )
+        if not self._demand_max_stale and self._demand_max != max(
+            self._demand.values(), default=0.0
+        ):
+            raise ResourceError(
+                "link {}: running demand maximum {} is not the demand "
+                "map's".format(self.link_id, self._demand_max)
+            )
         if self._risk_groups is not None:
+            if (
+                not self._group_demand_max_stale
+                and self._group_demand_max
+                != max(self._group_demand.values(), default=0.0)
+            ):
+                raise ResourceError(
+                    "link {}: running group-demand maximum {} is not the "
+                    "group demand map's".format(
+                        self.link_id, self._group_demand_max
+                    )
+                )
             expected_aplv: Dict[int, int] = {}
             expected_demand: Dict[int, float] = {}
             for lset, bw in self._backups.values():

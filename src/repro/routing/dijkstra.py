@@ -33,9 +33,10 @@ differential-testing oracle asserts exactly that.
 from __future__ import annotations
 
 import weakref
+from array import array
 from heapq import heappop, heappush
 from itertools import count
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..topology.graph import Link, Network, Route
 
@@ -57,6 +58,15 @@ class SearchWorkspace:
     visited arrays are validated per search by ``epoch`` stamps, so
     starting a new search costs two list reads per touched node instead
     of O(V) clearing or fresh dict allocations.
+
+    The workspace also keeps what the flat searches
+    (:mod:`repro.kernels.search`) know about the *topology alone* and
+    therefore never invalidate: the pair adjacencies in both directions
+    and, per destination first searched for, its hop column
+    (:meth:`hops_to`).  ``answer`` names how the most recent flat
+    search on this workspace was answered (one of
+    :data:`repro.kernels.search.ANSWERS`) — the searches return only
+    the route, their caller reads the rest here.
     """
 
     __slots__ = (
@@ -67,7 +77,10 @@ class SearchWorkspace:
         "visited_stamp",
         "epoch",
         "in_use",
+        "answer",
         "_flat",
+        "_reverse",
+        "_hop_columns",
     )
 
     def __init__(self, network: Network) -> None:
@@ -81,7 +94,10 @@ class SearchWorkspace:
         self.visited_stamp = [0] * num_nodes
         self.epoch = 0
         self.in_use = False
+        self.answer = ""
         self._flat: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
+        self._reverse: Optional[Tuple[Tuple[Tuple[int, int], ...], ...]] = None
+        self._hop_columns: Dict[int, "array[int]"] = {}
 
     def flat_adjacency(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """Link-object-free form of :attr:`adjacency` for the compiled
@@ -97,6 +113,51 @@ class SearchWorkspace:
                 for out_links in self.adjacency
             )
         return self._flat
+
+    def reverse_adjacency(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """The in-link twin of :meth:`flat_adjacency`: per node, a
+        tuple of ``(src, link_id)`` pairs, one per link entering it.
+        Only order-free questions are asked of it (hop columns, the
+        two-ended reachability test, the endpoint shift), so it carries
+        no tie-breaking contract.  Built lazily once per workspace."""
+        if self._reverse is None:
+            incoming: List[List[Tuple[int, int]]] = [
+                [] for _ in self.adjacency
+            ]
+            for out_links in self.adjacency:
+                for link in out_links:
+                    incoming[link.dst].append((link.src, link.link_id))
+            self._reverse = tuple(tuple(pairs) for pairs in incoming)
+        return self._reverse
+
+    def hops_to(self, destination: int) -> "array[int]":
+        """The hop column of ``destination``: ``hops_to(t)[v]`` is the
+        minimum hop count from ``v`` to ``t`` over *every* link of the
+        topology (Section 4.1's distance-table entry ``D_t^v``), and
+        ``num_nodes`` — one more than any hop count — where ``t``
+        cannot be reached from ``v``.  It depends on the topology
+        only, so it is a lower bound under any cost array and is never
+        invalidated.  One reverse breadth-first pass per destination
+        first asked for, kept as a compact unsigned array."""
+        column = self._hop_columns.get(destination)
+        if column is None:
+            unreachable = len(self.adjacency)
+            hops = [unreachable] * unreachable
+            hops[destination] = 0
+            reverse = self.reverse_adjacency()
+            frontier = [destination]
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for node in frontier:
+                    for src, _link_id in reverse[node]:
+                        if hops[src] == unreachable:
+                            hops[src] = depth
+                            reached.append(src)
+                frontier = reached
+            column = self._hop_columns[destination] = array("I", hops)
+        return column
 
 
 #: Frozen topologies are immutable, so their adjacency (and the sized

@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Sequence
 
 from ..kernels.search import (
+    EXHAUSTIVE,
+    NONE,
     encode_scale,
     flat_bounded_shortest_path,
     flat_min_hop_path,
@@ -26,34 +28,46 @@ from ..kernels.search import (
 from ..topology.graph import Route
 from .base import RoutePlan, RouteQuery, RoutingScheme
 from .costs import Q_PENALTY
+from .dijkstra import search_workspace
 
 
 def _flat_search(
     scheme: RoutingScheme,
     query: RouteQuery,
     costs: Sequence[float],
-    unit: bool = False,
+    search: str,
 ):
-    """Dispatch one search over an already-built cost array: the
-    layered hop-bounded search when the query carries a delay bound,
-    the unbounded flat search otherwise.
+    """Dispatch one search over an already-built cost array and return
+    the route with how it was answered (one of
+    :data:`repro.kernels.search.ANSWERS`), counting the answer into
+    the scheme's metrics when it has any: the layered hop-bounded
+    search when the query carries a delay bound, the unbounded flat
+    search otherwise.
 
-    ``unit`` marks cost arrays whose only allowed value is ``1.0``
-    (primary searches), unlocking the BFS specialization for the
-    unbounded case; the bounded layered search stays on the heap,
-    whose re-expansions BFS cannot replicate."""
+    ``search`` is ``"primary"`` or ``"backup"``.  A primary cost
+    array's only allowed value is ``1.0``, which is what
+    :func:`flat_min_hop_path` requires; the bounded layered search
+    stays on the heap, whose re-expansions BFS cannot replicate — it
+    has no unit phase, so whatever it finds it found exhaustively."""
     network = scheme.context.network
-    if query.max_hops is None:
-        if unit:
-            return flat_min_hop_path(
+    if query.max_hops is not None:
+        route = flat_bounded_shortest_path(
+            network, query.source, query.destination, costs, query.max_hops
+        )
+        answer = NONE if route is None else EXHAUSTIVE
+    else:
+        if search == "primary":
+            route = flat_min_hop_path(
                 network, query.source, query.destination, costs
             )
-        return flat_shortest_path(
-            network, query.source, query.destination, costs
-        )
-    return flat_bounded_shortest_path(
-        network, query.source, query.destination, costs, query.max_hops
-    )
+        else:
+            route = flat_shortest_path(
+                network, query.source, query.destination, costs
+            )
+        answer = search_workspace(network).answer
+    if scheme.metrics is not None:
+        scheme.metrics.observe_search(search, answer)
+    return route, answer
 
 
 def _cost_breakdown_flat(costs: Sequence[float], route: Route, scale: float):
@@ -84,28 +98,33 @@ def _traced_flat_search(
     query: RouteQuery,
     costs: Sequence[float],
     scale: Optional[float],
-    name: str,
+    search: str,
     detail: bool = False,
-    unit: bool = False,
     served=_SEARCH,
     **tags,
 ):
     """:func:`_flat_search` — or, given ``served``, a warm candidate
-    standing in for it — wrapped in a routing span when the scheme has
-    a trace collector bound; ``detail`` adds the conflict-cost
-    breakdown of the chosen route (the backup-search evaluation the
-    walkthrough in ``EXPERIMENTS.md`` reads) when the collector opted
-    into detail-level tags (``scale is None`` for primary searches,
-    whose single-component cost has no breakdown to report)."""
+    standing in for it — wrapped in a ``route.<search>_search`` span
+    when the scheme has a trace collector bound.  The span says
+    whether a route was found, its hop count and — when a search ran —
+    which step answered it (``answer``); ``detail`` adds the
+    conflict-cost breakdown of the chosen route (the backup-search
+    evaluation the walkthrough in ``EXPERIMENTS.md`` reads) when the
+    collector opted into detail-level tags (``scale is None`` for
+    primary searches, whose single-component cost has no breakdown to
+    report)."""
     trace = scheme.trace
     if trace is None:
         if served is not _SEARCH:
             return served
-        return _flat_search(scheme, query, costs, unit=unit)
-    with trace.span(name, category="routing", **tags) as span:
+        return _flat_search(scheme, query, costs, search)[0]
+    with trace.span(
+        "route.{}_search".format(search), category="routing", **tags
+    ) as span:
         route = served
         if route is _SEARCH:
-            route = _flat_search(scheme, query, costs, unit=unit)
+            route, answer = _flat_search(scheme, query, costs, search)
+            span.tag(answer=answer)
         if route is None:
             span.tag(found=False)
         else:
@@ -129,7 +148,7 @@ def _warm_flat_search(
     scale: Optional[float],
     avoid_lset: FrozenSet[int],
     primary_lset: FrozenSet[int],
-    name: str,
+    search: str,
     detail: bool = False,
     **tags,
 ):
@@ -147,7 +166,7 @@ def _warm_flat_search(
     cache = scheme.context.database.warmstart_cache()
     if cache is None:
         return _traced_flat_search(
-            scheme, query, costs, scale, name, detail=detail, **tags
+            scheme, query, costs, scale, search, detail=detail, **tags
         )
     key = (
         scheme.conflict_kind,
@@ -161,11 +180,12 @@ def _warm_flat_search(
     probe = cache.probe(key, costs)
     if probe.hit:
         return _traced_flat_search(
-            scheme, query, costs, scale, name, detail=detail,
+            scheme, query, costs, scale, search, detail=detail,
             served=probe.route, warm=True, **tags
         )
     route = _traced_flat_search(
-        scheme, query, costs, scale, name, detail=detail, warm=False, **tags
+        scheme, query, costs, scale, search, detail=detail, warm=False,
+        **tags
     )
     cache.store(probe, route)
     return route
@@ -198,8 +218,7 @@ class LinkStateScheme(RoutingScheme):
             query,
             self.context.database.kernel_arrays().primary_costs(query.bw_req),
             None,
-            "route.primary_search",
-            unit=True,
+            "primary",
         )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary within QoS")
@@ -246,7 +265,7 @@ class LinkStateScheme(RoutingScheme):
             scale,
             avoid_lset,
             primary_lset,
-            "route.backup_search",
+            "backup",
             detail=True,
             **tags,
         )

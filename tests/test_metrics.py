@@ -22,6 +22,7 @@ from repro.metrics import (
 from repro.metrics.registry import DEFAULT_BUCKETS
 from repro.metrics.textformat import PrometheusFormatError
 from repro.core import DRTPService
+from repro.kernels.search import ANSWERS
 from repro.routing import DLSRScheme
 from repro.topology import mesh_network
 
@@ -307,6 +308,25 @@ class TestServiceInstrumentation:
             assert required in families, required
         assert families["drtp_admission_latency_seconds"]["type"] == (
             "histogram"
+        )
+
+    def test_route_searches_counted_by_the_step_that_answered(self):
+        """One scrape says whether the searches' unit phase is
+        answering or falling through to the exhaustive Dijkstra."""
+        net, service, metrics = instrumented_service()
+        assert service.request(0, 15, 1.0).accepted
+        assert not service.request(0, 15, 100.0).accepted
+        searches = metrics.route_searches
+        assert searches.value("primary", "probe") == 1.0
+        assert searches.value("primary", "none") == 1.0
+        # The accepted request's one backup search, by whichever step.
+        assert searches.total() == 3.0
+        assert sum(
+            searches.value("backup", answer) for answer in ANSWERS
+        ) == 1.0
+        assert (
+            'drtp_route_searches_total{search="primary",answer="none"} 1'
+            in metrics.registry.render_prometheus()
         )
 
     def test_uninstrumented_service_records_nothing(self):

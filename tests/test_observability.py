@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import DRTPService
+from repro.kernels.search import ANSWERS
 from repro.observability import (
     TraceCollector,
     TraceFormatError,
@@ -363,12 +364,15 @@ class TestServiceSpanTree:
         (primary,) = collector.spans("route.primary_search")
         assert primary.parent_id == plan.span_id
         assert primary.tags["found"] is True
+        # An empty network: the first hop-bounded pass finds it.
+        assert primary.tags["answer"] == "probe"
         backups = collector.spans("route.backup_search")
         assert backups and all(
             span.parent_id == plan.span_id for span in backups
         )
         found = [span for span in backups if span.tags["found"]]
         assert found
+        assert all(span.tags["answer"] in ANSWERS for span in backups)
         # detail=True searches carry the cost decomposition the
         # EXPERIMENTS.md walkthrough reads.
         for span in found:
@@ -570,6 +574,8 @@ class TestTraceCli:
         assert meta["spans"] == len(spans) > 0
         captured = capsys.readouterr().out
         assert "service.admit" in captured
+        assert "primary searches answered by: probe " in captured
+        assert "backup searches answered by: probe " in captured
         assert "ui.perfetto.dev" in captured
 
     def test_trace_respects_max_spans(self, inputs, tmp_path, capsys):

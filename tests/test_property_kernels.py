@@ -1,6 +1,6 @@
 """Property-based tests for the array-kernel primitives.
 
-Three layers, each diffed against a deliberately-naive oracle:
+Four layers, each diffed against a deliberately-naive oracle:
 
 * the bitset primitives of :mod:`repro.kernels.bitset` (popcount,
   AND/OR folds, packed little-endian serialization) against their
@@ -11,14 +11,21 @@ Three layers, each diffed against a deliberately-naive oracle:
 * the batch cost builders of
   :class:`~repro.kernels.arrays.CompiledLinkArrays` against the
   per-link cost closures of :mod:`repro.testing.link_state`, element
-  for element.
+  for element;
+* the flat searches of :mod:`repro.kernels.search` — endpoint shift,
+  hop-bounded unit BFS, two-ended distance, exhaustive fall-through —
+  against :func:`repro.testing.reference.naive_shortest_path` over
+  the equivalent closure, ``Route`` for ``Route``.
 
 Bandwidths are drawn from dyadic rationals so every running sum is
 exactly representable — the equality assertions are bitwise, never
 approximate, matching the kernel's bit-exactness contract.
 """
 
+from collections.abc import Sequence
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,10 +45,19 @@ from repro.kernels.bitset import (
 )
 from repro.core import DRTPService
 from repro.experiments import make_scheme
+from repro.kernels.search import (
+    ANSWERS,
+    encode_scale,
+    flat_min_hop_path,
+    flat_shortest_path,
+)
 from repro.network.state import LinkLedger
-from repro.routing import primary_link_cost
+from repro.routing import Q_PENALTY, primary_link_cost
+from repro.routing.dijkstra import search_workspace
 from repro.testing.link_state import backup_cost
+from repro.testing.reference import naive_shortest_path
 from repro.topology import mesh_network
+from repro.topology.graph import Network, Route
 from repro.topology.srlg import RiskGroupSet
 
 masks = st.integers(min_value=0, max_value=(1 << 160) - 1)
@@ -155,6 +171,13 @@ def test_ledger_demand_max_matches_rebuild(regs, data):
         else st.just([])
     ):
         ledger.release_backup(connection_id)
+        # Reading clears the stale flag, so the next release starts
+        # from an exact maximum; not reading leaves it to stack up.
+        if data.draw(st.booleans()):
+            assert ledger.max_demand == _naive_max_demand(
+                ledger, key_of=lambda lset: lset
+            )
+        ledger.check_invariants()
     assert ledger.max_demand == _naive_max_demand(
         ledger, key_of=lambda lset: lset
     )
@@ -199,6 +222,11 @@ def test_ledger_group_demand_max_matches_rebuild(regs, data):
         else st.just([])
     ):
         ledger.release_backup(connection_id)
+        if data.draw(st.booleans()):
+            assert ledger.max_group_demand == _naive_max_demand(
+                ledger, key_of=groups.groups_of
+            )
+        ledger.check_invariants()
     assert ledger.max_group_demand == _naive_max_demand(
         ledger, key_of=groups.groups_of
     )
@@ -263,3 +291,191 @@ def test_cost_arrays_match_the_reference_closures(data):
             backup_cost(kind, database, bw_req, lset, avoid), net, scale
         )
     service.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# Flat searches vs the naive reference search
+# ----------------------------------------------------------------------
+def _directed_network(rng):
+    """A small directed topology: mixed one-way / two-way links in
+    shuffled insertion order (the tie-breaking order), sometimes over
+    a one-way ring, sometimes cut into pieces no link crosses."""
+    num_nodes = rng.randint(2, 9)
+    links = set()
+    shape = rng.choice(("mixed", "ring", "pieces"))
+    if shape == "ring":
+        links.update((n, (n + 1) % num_nodes) for n in range(num_nodes))
+    density = rng.uniform(0.05, 0.5)
+    for u in range(num_nodes):
+        for v in range(num_nodes):
+            if u != v and rng.random() < density:
+                links.add((u, v))
+                if rng.random() < 0.5:
+                    links.add((v, u))
+    if shape == "pieces":
+        cut = rng.randint(1, num_nodes - 1)
+        links = {(u, v) for u, v in links if (u < cut) == (v < cut)}
+    net = Network(num_nodes)
+    for u, v in rng.sample(sorted(links), len(links)):
+        net.add_directed_link(u, v, 1.0)
+    return net.freeze()
+
+
+#: Cost-array styles: (share excluded, share unit); the rest draws a
+#: conflict or ``Q`` charge.  All unit with exclusions (a primary
+#: array), sparse conflicts, dense conflicts, nothing unit (P-LSR on a
+#: loaded network).
+COST_STYLES = ((0.3, 0.7), (0.1, 0.75), (0.1, 0.2), (0.05, 0.0))
+
+
+def _cost_array(rng, num_links, scale, style):
+    excluded, unit = style
+    costs = []
+    for _ in range(num_links):
+        draw = rng.random()
+        if draw < excluded:
+            costs.append(-1.0)
+        elif draw < excluded + unit:
+            costs.append(1.0)
+        else:
+            charge = rng.choice((1, 2, 3, Q_PENALTY, Q_PENALTY + 2))
+            costs.append(charge * scale + 1.0)
+    return costs
+
+
+def _reference_route(net, source, destination, costs, scale):
+    """The naive search over the closure ``costs`` encodes."""
+    def closure(link):
+        cost = costs[link.link_id]
+        return None if cost < 0.0 else ((cost - 1.0) / scale, 1.0)
+
+    return naive_shortest_path(net, source, destination, closure)
+
+
+@pytest.mark.oracle
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_flat_searches_return_the_reference_route(rng):
+    """Every (source, destination) of a random directed topology under
+    each cost style: the flat searches return the naive Dijkstra's
+    ``Route`` — same nodes, same links, so same tie-breaks — whichever
+    step answers, and never write to the caller's array."""
+    net = _directed_network(rng)
+    scale = encode_scale(net)
+    workspace = search_workspace(net)
+    for style in COST_STYLES:
+        costs = _cost_array(rng, net.num_links, scale, style)
+        pristine = list(costs)
+        for source in net.nodes():
+            for destination in net.nodes():
+                if source == destination:
+                    continue
+                want = _reference_route(net, source, destination, costs, scale)
+                assert flat_shortest_path(
+                    net, source, destination, costs
+                ) == want
+                assert workspace.answer in ANSWERS
+                assert (workspace.answer == "none") == (want is None)
+                if style is COST_STYLES[0]:
+                    assert flat_min_hop_path(
+                        net, source, destination, costs
+                    ) == want
+                    assert workspace.answer in ("probe", "bounded", "none")
+        assert costs == pristine
+
+
+class _CountingCosts(Sequence):
+    """A cost array that counts its element reads."""
+
+    def __init__(self, costs):
+        self._costs = list(costs)
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self._costs[index]
+
+    def __len__(self):
+        return len(self._costs)
+
+
+def _diamond():
+    """``0 -> 3`` directly, over ``1`` and over ``2``; ``4`` hangs off
+    ``3`` one way, so nothing leads from ``4`` back."""
+    net = Network(5)
+    ids = {
+        (u, v): net.add_directed_link(u, v, 1.0)
+        for u, v in ((0, 3), (0, 1), (1, 3), (0, 2), (2, 3), (3, 4))
+    }
+    return net.freeze(), ids
+
+
+@pytest.mark.parametrize("search", (flat_shortest_path, flat_min_hop_path))
+def test_flat_search_endpoint_cases(search):
+    net, ids = _diamond()
+    workspace = search_workspace(net)
+    unit = [1.0] * net.num_links
+
+    # The topology itself has no path: not one cost entry is read.
+    costs = _CountingCosts(unit)
+    assert search(net, 4, 0, costs) is None
+    assert (workspace.answer, costs.reads) == ("none", 0)
+
+    # Source with no allowed out-link: its out-degree is all it costs.
+    costs = _CountingCosts(unit)
+    for pair in ((0, 3), (0, 1), (0, 2)):
+        costs._costs[ids[pair]] = -1.0
+    assert search(net, 0, 3, costs) is None
+    assert (workspace.answer, costs.reads) == ("none", 3)
+
+    # Destination with every in-link excluded: out-degree + in-degree
+    # reads, however much of the network the source could reach.
+    costs = _CountingCosts(unit)
+    for pair in ((0, 3), (1, 3), (2, 3)):
+        costs._costs[ids[pair]] = -1.0
+    assert search(net, 0, 3, costs) is None
+    assert workspace.answer == "none"
+    assert costs.reads <= net.degree(0) + len(net.in_links(3))
+
+
+def test_flat_shortest_path_direct_link_is_in_both_endpoint_sets():
+    """``0 -> 3`` leaves the source *and* enters the destination, so
+    the endpoint shift prices it twice; it must still stay at or
+    above ``1.0`` and every route must keep its rank."""
+    net, ids = _diamond()
+    scale = encode_scale(net)
+    workspace = search_workspace(net)
+
+    def costs_with(**charges):
+        costs = [3 * scale + 1.0] * net.num_links
+        for name, charge in charges.items():
+            u, v = int(name[1]), int(name[2])
+            costs[ids[(u, v)]] = charge * scale + 1.0
+        return costs
+
+    # Everything charged alike: the one-hop route wins on hops, and
+    # after the shift it is a unit route the first pass finds.
+    costs = costs_with()
+    assert flat_shortest_path(net, 0, 3, costs) == Route(
+        nodes=(0, 3), link_ids=(ids[(0, 3)],)
+    )
+    assert workspace.answer == "probe"
+    # The direct link is Q-charged, the detour over 2 is cheapest.
+    costs = costs_with(l03=Q_PENALTY, l02=1, l23=2)
+    for source, destination in ((0, 3), (0, 4)):
+        assert flat_shortest_path(
+            net, source, destination, costs
+        ) == _reference_route(net, source, destination, costs, scale)
+    assert flat_shortest_path(net, 0, 3, costs).nodes == (0, 2, 3)
+    # The direct link is the only allowed one at either end.
+    costs = [-1.0] * net.num_links
+    costs[ids[(0, 3)]] = (Q_PENALTY + 5) * scale + 1.0
+    assert flat_shortest_path(net, 0, 3, costs).nodes == (0, 3)
+
+
+def test_encode_scale_refuses_networks_too_large_to_stay_exact():
+    net = mesh_network(2, 2, capacity=1.0)
+    assert encode_scale(net) == 4.0
+    assert encode_scale(net, max_hops=9) == 10.0
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        encode_scale(net, max_hops=1 << 40)

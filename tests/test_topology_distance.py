@@ -22,6 +22,7 @@ from repro.topology import (
     save_network,
     waxman_network,
 )
+from repro.routing.dijkstra import search_workspace
 from repro.topology.graph import Network
 
 
@@ -57,6 +58,28 @@ class TestHopCounts:
         net.freeze()
         with pytest.raises(TopologyError):
             network_diameter(net)
+
+    def test_workspace_hop_column_is_the_all_pairs_column(self):
+        """``SearchWorkspace.hops_to(t)`` — the searches' lazily built
+        per-destination column — reads what column ``t`` of the
+        all-pairs matrix does, direction included: a one-way ring with
+        a one-way spur and a node nothing leads out of."""
+        net = Network(7)
+        for node in range(5):
+            net.add_directed_link(node, (node + 1) % 5, 1.0)
+        net.add_directed_link(2, 5, 1.0)   # spur: 5 reaches nobody
+        net.add_edge(0, 3, 1.0)            # a two-way chord
+        net.add_directed_link(6, 0, 1.0)   # 6 is reached by nobody
+        net.freeze()
+        pairs = all_pairs_hop_counts(net)
+        workspace = search_workspace(net)
+        for target in net.nodes():
+            column = workspace.hops_to(target)
+            assert workspace.hops_to(target) is column  # built once
+            assert [
+                UNREACHABLE if hops == net.num_nodes else hops
+                for hops in column
+            ] == [pairs[node][target] for node in net.nodes()]
 
     def test_average_path_length_ring(self):
         # Ring of 4: distances 1,2,1 from every node -> mean 4/3.
