@@ -43,7 +43,7 @@ def cpu_info() -> Dict[str, int]:
     """How much parallelism this host actually offers.
 
     Multi-process benchmarks must archive this next to their numbers:
-    a 1.7x-at-2-workers gate is meaningless on a 1-CPU container, and
+    a parallel-speedup gate is meaningless on a 1-CPU container, and
     silently green numbers from an unknown host are worse than a
     recorded skip.  ``available`` honours the scheduling affinity mask
     (containers often restrict it below ``os.cpu_count()``).
@@ -59,11 +59,11 @@ def cpu_info() -> Dict[str, int]:
 def pin_process_to_one_cpu(pid: int) -> bool:
     """Pin ``pid`` to a single CPU; True when the pin actually took.
 
-    The single-process arm of a scaling benchmark must not silently
-    benefit from kernel threads or the asyncio event loop drifting to
-    a second core — the speedup ratio it anchors would then understate
-    the cluster.  Best-effort: returns False where affinity control is
-    unavailable (non-Linux) so callers can record honest metadata.
+    A single-process throughput reading must not silently benefit
+    from kernel threads or the asyncio event loop drifting to a second
+    core — it would not compare across hosts.  Best-effort: returns
+    False where affinity control is unavailable (non-Linux) so callers
+    can record honest metadata.
     """
     try:
         cpus = os.sched_getaffinity(pid)

@@ -397,42 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="collect request/batch spans and write "
                        "server_trace.json/.ndjson into DIR on shutdown")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="admission-shard processes (0 = classic "
-                       "single-process server)")
-    serve.add_argument("--cluster-batch", type=int, default=32,
-                       help="commits per replicated link-state epoch")
-    serve.add_argument("--cluster-lookahead", type=int, default=2,
-                       help="epochs of planning pipeline depth")
-    serve.add_argument("--cluster-dir", default=None, metavar="DIR",
-                       help="write per-shard metrics manifests into DIR "
-                       "on drain")
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="run the cluster differential oracle campaign",
-    )
-    cluster.add_argument("--workers", type=int, default=2)
-    cluster.add_argument("--scheme", choices=SCHEME_CHOICES, default="D-LSR")
-    cluster.add_argument("--rows", type=int, default=6, help="mesh rows")
-    cluster.add_argument("--cols", type=int, default=6, help="mesh cols")
-    cluster.add_argument("--capacity", type=float, default=8.0)
-    cluster.add_argument("--rate", type=float, default=40.0,
-                         help="Poisson arrival rate (requests per "
-                         "virtual second)")
-    cluster.add_argument("--duration", type=float, default=15.0,
-                         help="virtual seconds of load")
-    cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument("--batch", type=int, default=32,
-                         help="commits per replicated epoch")
-    cluster.add_argument("--lookahead", type=int, default=2,
-                         help="epochs of planning pipeline depth")
-    cluster.add_argument("--no-kill", action="store_true",
-                         help="skip the mid-load SIGKILL of one shard")
-    cluster.add_argument("--out",
-                         default="benchmarks/results/cluster_oracle.json",
-                         metavar="PATH",
-                         help="archive the oracle report JSON here")
 
     load = sub.add_parser(
         "loadtest", help="drive a running server with deterministic load"
@@ -904,10 +868,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .metrics import ServiceMetrics
     from .server import ControlPlaneServer
 
-    if args.workers > 0 and args.snapshot_db:
-        print("repro serve: --workers needs the live link-state database "
-              "(drop --snapshot-db)", file=sys.stderr)
-        return 2
     network, risk_groups = _serving_network_with_groups(args)
     scheme = make_scheme(args.scheme)
     metrics = ServiceMetrics()
@@ -918,51 +878,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         risk_groups=risk_groups,
     )
 
-    def _build_server() -> ControlPlaneServer:
-        if args.workers > 0:
-            from .cluster import ClusterControlPlaneServer
-
-            return ClusterControlPlaneServer(
-                service, metrics,
-                scheme_name=args.scheme,
-                workers=args.workers,
-                batch=args.cluster_batch,
-                lookahead=args.cluster_lookahead,
-                risk_groups=risk_groups,
-                cluster_dir=args.cluster_dir,
-                manifest_path=args.manifest,
-                trace_dir=args.trace_dir,
-                **_endpoint_kwargs(args),
-            )
-        return ControlPlaneServer(
+    async def _run() -> ControlPlaneServer:
+        server = ControlPlaneServer(
             service, metrics,
             manifest_path=args.manifest,
             trace_dir=args.trace_dir,
             **_endpoint_kwargs(args),
         )
-
-    async def _run() -> ControlPlaneServer:
-        server = _build_server()
         await server.start()
         # Readiness line for scripts that wait on our stdout.
         print(
-            "serving {} on {} ({} nodes, {} links{})".format(
+            "serving {} on {} ({} nodes, {} links)".format(
                 scheme.name, server.endpoint,
                 network.num_nodes, network.num_links,
-                ", {} workers".format(args.workers)
-                if args.workers > 0 else "",
             ),
             flush=True,
         )
         await server.serve_until_shutdown()
         return server
 
-    try:
-        server = asyncio.run(_run())
-    except ValueError as exc:
-        # e.g. a scheme the cluster refuses to shard ("random")
-        print("repro serve: {}".format(exc), file=sys.stderr)
-        return 2
+    server = asyncio.run(_run())
     stats = server.stats
     print(
         "drained: {} requests ({} protocol errors) over {} connections, "
@@ -1064,26 +999,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     ]
     print(format_table(("metric", "value"), rows))
 
-    final_cluster = (report.final_status or {}).get("cluster")
-    if final_cluster is not None:
-        # Per-shard breakdown from the server's closing status answer.
-        print("cluster: {} workers, epoch {} ({} requeues, {} authority "
-              "replans)".format(
-                  final_cluster["workers"], final_cluster["epoch"],
-                  final_cluster["requeues"], final_cluster["replans"]))
-        shard_rows = [
-            (shard["shard"], shard["generation"],
-             "yes" if shard["alive"] else "no",
-             shard["planned"], shard["requeued"], shard["resyncs"],
-             shard["restarts"])
-            for shard in final_cluster["shards"]
-        ]
-        print(format_table(
-            ("shard", "gen", "alive", "admissions", "requeues",
-             "resyncs", "restarts"),
-            shard_rows,
-        ))
-
     failures = 0
     if report.protocol_error_total:
         print("FAIL: {} protocol errors: {}".format(
@@ -1094,7 +1009,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print("FAIL: sustained {:.0f} req/s < required {:.0f}".format(
             report.requests_per_second, args.min_rps), file=sys.stderr)
         failures += 1
-    cluster_status = status.get("cluster")
     if args.verify:
         # The twin must see the same risk groups as the server: an
         # SRLG-aware server routes (and therefore decides) differently.
@@ -1103,21 +1017,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             live_database=status.get("live_database", True),
             risk_groups=risk_groups,
         )
-        if cluster_status is not None:
-            # A sharded server plans against replicated epochs; replay
-            # the same epoch discipline (batch/lookahead advertised in
-            # the status op) — the decision trace must match exactly,
-            # whatever the worker count or kill schedule was.
-            from .cluster import run_cluster_reference
-
-            reference = run_cluster_reference(
-                network, args.scheme, timeline,
-                batch=cluster_status["batch"],
-                lookahead=cluster_status["lookahead"],
-                service=twin,
-            )
-        else:
-            reference = run_sequential_reference(twin, timeline)
+        reference = run_sequential_reference(twin, timeline)
         delta = abs(
             reference["acceptance_ratio"] - report.acceptance_ratio
         )
@@ -1131,11 +1031,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                   "reference by {:.4f} > {:.4f}".format(
                       delta, args.tolerance), file=sys.stderr)
             failures += 1
-        if cluster_status is not None and not exact:
-            print("FAIL: decision trace differs from the cluster's "
-                  "sequential epoch replay", file=sys.stderr)
-            failures += 1
-        elif status.get("live_database", True) and not exact:
+        if status.get("live_database", True) and not exact:
             print("FAIL: decision trace differs from the sequential "
                   "reference despite a live link-state database",
                   file=sys.stderr)
@@ -1153,55 +1049,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             "max_inflight": args.max_inflight,
             "fault_plan": plan.name if plan else None,
         }
-        if final_cluster is not None:
-            payload["cluster"] = final_cluster
         with open(args.report, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print("wrote load report to {}".format(args.report))
     return 1 if failures else 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Run the cluster differential oracle and archive its report."""
-    from .cluster import ClusterOracleDivergence, run_cluster_oracle
-
-    try:
-        result = run_cluster_oracle(
-            workers=args.workers,
-            scheme=args.scheme,
-            rows=args.rows,
-            cols=args.cols,
-            capacity=args.capacity,
-            arrival_rate=args.rate,
-            duration=args.duration,
-            seed=args.seed,
-            batch=args.batch,
-            lookahead=args.lookahead,
-            kill_shard=not args.no_kill,
-            out_path=args.out,
-        )
-    except ClusterOracleDivergence as exc:
-        print("FAIL: {}".format(exc), file=sys.stderr)
-        print("report archived to {}".format(args.out), file=sys.stderr)
-        return 1
-    print(
-        "cluster oracle: {} ops ({} admits, {:.4f} accepted) over {} "
-        "workers — zero divergences".format(
-            result["ops"], result["admits"], result["acceptance_ratio"],
-            args.workers,
-        )
-    )
-    kill = result["kill"]
-    if kill["requested"]:
-        print(
-            "killed pid {} mid-load: {} restart(s), {} requeued plans, "
-            "{} stale replies dropped".format(
-                kill["pid"], kill["worker_restarts"], kill["requeues"],
-                kill["stale_results"],
-            )
-        )
-    print("report archived to {}".format(args.out))
-    return 0
 
 
 def _parse_list(raw: str, convert) -> tuple:
@@ -1488,8 +1339,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_loadtest(args)
     if args.command == "soak":
         return _cmd_soak(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
     raise AssertionError("unhandled command {!r}".format(args.command))
 
 

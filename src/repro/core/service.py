@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..network.database import LinkStateDatabase
 from ..network.state import NetworkState
-from ..routing.base import RoutePlan, RouteQuery, RoutingContext, RoutingScheme
+from ..routing.base import RouteQuery, RoutingContext, RoutingScheme
 from ..topology.graph import Network
 from ..topology.srlg import RiskGroupSet
 from .admission import AdmissionController, AdmissionDecision
@@ -130,7 +130,6 @@ class DRTPService:
         scheme: RoutingScheme,
         spare_policy: Optional[SparePolicy] = None,
         require_backup: bool = True,
-        database: Optional[LinkStateDatabase] = None,
         live_database: bool = True,
         qos_slack: Optional[int] = None,
         fault_injector=None,
@@ -184,10 +183,7 @@ class DRTPService:
             # Before the database: a snapshot database built afterwards
             # would otherwise miss the group tables on its first flood.
             self.state.install_risk_groups(risk_groups)
-        if database is not None:
-            self.database = database
-        else:
-            self.database = LinkStateDatabase(self.state, live=live_database)
+        self.database = LinkStateDatabase(self.state, live=live_database)
         self.scheme = scheme
         scheme.bind(RoutingContext(network, self.state, self.database))
         self.spare_policy = spare_policy or SharedSparePolicy()
@@ -278,68 +274,6 @@ class DRTPService:
         """The admission transaction proper (tracing handled above)."""
         started = perf_counter() if self.metrics is not None else 0.0
         self.counters.requests += 1
-        plan = self._plan_admission(req)
-        return self._finish_admission(req, plan, started)
-
-    def request_planned(
-        self,
-        source: int,
-        destination: int,
-        bw_req: float,
-        plan: RoutePlan,
-        arrival_time: float = 0.0,
-        holding_time: float = float("inf"),
-        request_id: Optional[int] = None,
-    ) -> AdmissionDecision:
-        """Admit with an externally computed plan — the cluster commit
-        authority's entry point, where admission shards plan against
-        replicated epochs and only the reserve/register transaction
-        runs here.  Mirrors :meth:`request`'s id bookkeeping."""
-        if request_id is None:
-            request_id = self._next_request_id
-        self._next_request_id = max(self._next_request_id, request_id) + 1
-        req = ConnectionRequest(
-            request_id=request_id,
-            source=source,
-            destination=destination,
-            bw_req=bw_req,
-            arrival_time=arrival_time,
-            holding_time=holding_time,
-        )
-        return self.admit_planned(req, plan)
-
-    def admit_planned(
-        self, req: ConnectionRequest, plan: RoutePlan
-    ) -> AdmissionDecision:
-        """Admit a pre-built request with a pre-computed plan."""
-        if self.trace is None:
-            return self._admit_planned(req, plan)
-        with self.trace.span(
-            "service.admit",
-            category="service",
-            scheme=self.scheme.name,
-            request=req.request_id,
-            source=req.source,
-            destination=req.destination,
-            bw=req.bw_req,
-        ) as span:
-            decision = self._admit_planned(req, plan)
-            span.tag(
-                accepted=decision.accepted,
-                reason=decision.reason,
-                degraded=decision.degraded,
-            )
-            return decision
-
-    def _admit_planned(
-        self, req: ConnectionRequest, plan: RoutePlan
-    ) -> AdmissionDecision:
-        started = perf_counter() if self.metrics is not None else 0.0
-        self.counters.requests += 1
-        return self._finish_admission(req, plan, started)
-
-    def _plan_admission(self, req: ConnectionRequest) -> RoutePlan:
-        """Run the scheme's planner for a request (no state mutation)."""
         query = RouteQuery(
             req.source,
             req.destination,
@@ -352,13 +286,9 @@ class DRTPService:
             planner = getattr(
                 self.scheme, "plan_instrumented", self.scheme.plan
             )
-            return planner(query)
-        return self.scheme.plan(query)
-
-    def _finish_admission(
-        self, req: ConnectionRequest, plan: RoutePlan, started: float
-    ) -> AdmissionDecision:
-        """Commit a planned admission: reserve, register, count."""
+            plan = planner(query)
+        else:
+            plan = self.scheme.plan(query)
         self.counters.control_messages += plan.control_messages
         decision = self._admission.admit(req, plan)
         for registration in decision.registrations:

@@ -3,8 +3,8 @@
 A long-horizon soak churns through millions of admissions while only
 thousands are concurrently active.  A plain ``dict[int, DRConnection]``
 already frees the *objects* on release, but its internal table keeps
-growing amortization slack, and — more importantly for the cluster and
-kernel layers — there is no stable small-integer identity for a live
+growing amortization slack, and — more importantly for the kernel
+layer — there is no stable small-integer identity for a live
 connection that array-oriented bookkeeping could index by.
 
 :class:`SlabConnectionStore` provides both: connections live in an
@@ -15,8 +15,8 @@ plans in it (``reconfigure_unprotected`` iterates
 ``connections.values()``; the broken-backup sweep in
 ``apply_failed_links`` visits its subset through
 :meth:`SlabConnectionStore.ordered`), so the store must be a drop-in
-for a dict or the golden traces, the differential oracle, and the
-cluster decision-trace invariant would all shift.
+for a dict or the golden traces and the differential oracle would
+both shift.
 
 Safety property (hypothesis-tested in ``tests/test_slab_store.py``):
 slot reuse never aliases a live connection — a slot is only handed out

@@ -7,10 +7,8 @@ that hot path in contiguous arrays instead:
 
 * per-link APLV L1 norms, Conflict-Vector bitsets, headrooms and the
   SRLG group columns live in flat tables
-  (:class:`~repro.kernels.arrays.LinkTables`) — refreshed in batch
-  from the ledgers' dirty set on the authority
-  (:class:`~repro.kernels.arrays.CompiledLinkArrays`), written row by
-  row from the delta stream on a cluster replica;
+  (:class:`~repro.kernels.arrays.CompiledLinkArrays`), refreshed in
+  batch from the ledgers' dirty set;
 * the backup cost of *every* link is computed in one vectorized numpy
   pass per search (bit-AND + popcount of the packed ``uint64``
   bit-matrix against the primary's ``LSET`` mask), producing a scalar
@@ -37,7 +35,7 @@ closures over a rebuild-per-read database, dict Dijkstra) is kept in
 
 from __future__ import annotations
 
-from .arrays import CompiledLinkArrays, LinkTables
+from .arrays import CompiledLinkArrays
 from .bitset import (
     and_popcount,
     bits_of,
@@ -55,7 +53,6 @@ from .search import (
 
 __all__ = [
     "CompiledLinkArrays",
-    "LinkTables",
     "and_popcount",
     "bits_of",
     "encode_scale",

@@ -1,25 +1,25 @@
 """Per-link state tables and batch cost builders.
 
-:class:`LinkTables` holds the six advertised per-link columns — APLV
-L1 norm, Conflict-Vector bitset, primary/backup headroom and the SRLG
-group aggregates — in flat buffers, and builds the *entire* per-link
-cost array for a search in one vectorized pass.  It is the storage of
-a cluster replica (:class:`~repro.cluster.replica.ReplicaDatabase`
-writes rows as deltas arrive) and the base of
-:class:`CompiledLinkArrays`, which keeps the same tables in step with
-a :class:`~repro.network.database.LinkStateDatabase`'s ledgers.
+:class:`CompiledLinkArrays` holds the six advertised per-link columns
+— APLV L1 norm, Conflict-Vector bitset, primary/backup headroom and
+the SRLG group aggregates — in flat buffers, keeps them in step with a
+:class:`~repro.network.database.LinkStateDatabase`'s ledgers, and
+builds the *entire* per-link cost array for a search in one vectorized
+pass.
 
-The ledger-fed tables are the database's snapshot.  They hold their
-own change subscription and dirty set (never the database's, which
-counts re-advertisements from refresh to refresh):
+The tables are the database's snapshot, and their dirty set — the
+links whose ledgers changed since the last flush — is the only one
+there is:
 
 * **live serving** — every cost build flushes the dirty links from
   the ledgers first, so builds read exactly what the live database
-  would serve;
+  would serve and nothing waits to be re-advertised;
 * **snapshot / injected staleness** — builds do *not* flush; the
   tables stay frozen at the last :meth:`CompiledLinkArrays.flush`,
-  which only :meth:`LinkStateDatabase.refresh` calls then, and the
-  database serves its per-link reads from them.
+  which only :meth:`LinkStateDatabase.refresh` calls then, the
+  database serves its per-link reads from them, and the dirty set is
+  what :meth:`LinkStateDatabase.dirty_links` reports as awaiting
+  re-advertisement.
 
 Cost encoding: each builder returns a plain list of floats, one per
 link id — ``-1.0`` excludes the link (failed links, bandwidth-short
@@ -69,8 +69,8 @@ CONFLICT_KINDS = ("plsr", "dlsr", "disjoint")
 
 
 def _ledger_row(ledger) -> tuple:
-    """A ledger's advertised quantities, in :meth:`LinkTables.row`
-    order."""
+    """A ledger's advertised quantities, in
+    :meth:`CompiledLinkArrays.row` order."""
     return (
         ledger.aplv.l1_norm,
         ledger.support_mask(),
@@ -86,20 +86,21 @@ def _word_padded(num_bytes: int) -> int:
     return ((num_bytes + 7) // 8) * 8
 
 
-class LinkTables:
-    """The advertised per-link columns plus the batch cost builders.
+class CompiledLinkArrays:
+    """The advertised per-link columns, kept in step with a link-state
+    database's ledgers through a dirty-set flush, plus the batch cost
+    builders.  Link health and risk groups are never stored: the
+    builders read them live from the
+    :class:`~repro.network.state.NetworkState`.
 
-    ``view`` is what the tables are priced against: anything answering
-    ``failed_links()`` and ``risk_groups`` — the authoritative
-    :class:`~repro.network.state.NetworkState` for ledger-fed tables
-    (health and groups always read live), the replica itself for a
-    shard's tables (both frozen at its epoch).  Whoever owns the
-    tables writes rows; the builders only read.
+    Create via :meth:`LinkStateDatabase.kernel_arrays` (which caches
+    one instance per database) rather than directly.
     """
 
-    def __init__(self, num_links: int, view) -> None:
-        self._num_links = num_links
-        self._view = view
+    def __init__(self, database) -> None:
+        self._database = database
+        self._state = state = database._state
+        self._num_links = num_links = state.network.num_links
         # Scalar columns live in stdlib arrays (C-speed per-element
         # writes on the row-write path — numpy scalar assignment costs
         # ~10x more) with numpy views sharing the same buffer for the
@@ -127,13 +128,27 @@ class LinkTables:
         self._gmask = _np.frombuffer(
             self._gmask_buf, dtype=_np.uint64
         ).reshape(num_links, 1)
-        #: Set by the owner once the group columns hold rows written
-        #: while an SRLG assignment was visible; conflict terms over
-        #: risk groups refuse to price from columns never written.
+        #: True once the group columns hold rows written while an SRLG
+        #: assignment was visible; conflict terms over risk groups
+        #: refuse to price from columns never written.
         self.have_group_tables = False
+        #: The assignment the group columns were last built under.
+        self._group_table_token = None
         #: Identity key for the cached group-of mapping.
         self._groups_token = None
         self._group_of = None
+        self._dirty: set = set()
+        state.subscribe(self._mark_dirty)
+        # Created while serving live or by a refresh — either way the
+        # ledgers are what the tables must hold right now.
+        self._rebuild_from_ledgers()
+
+    def _mark_dirty(self, link_id: int) -> None:
+        self._dirty.add(link_id)
+
+    def dirty_links(self) -> frozenset:
+        """Links whose ledgers changed since the last :meth:`flush`."""
+        return frozenset(self._dirty)
 
     # ------------------------------------------------------------------
     # Rows
@@ -199,7 +214,7 @@ class LinkTables:
     def group_conflict_count(self, link_id: int, primary_lset) -> int:
         """The same term over risk groups: how many groups of
         ``primary_lset`` already have an interested backup here."""
-        groups = self._view.risk_groups
+        groups = self._state.risk_groups
         if groups is None:
             raise ResourceError("no risk groups installed")
         return and_popcount(
@@ -219,16 +234,10 @@ class LinkTables:
             self.group_mask(link_id),
         )
 
-    def rows(self, columns: int = 6) -> List[tuple]:
-        """The first ``columns`` columns of every :meth:`row`."""
-        return [
-            self.row(link_id)[:columns] for link_id in range(self._num_links)
-        ]
-
     def _live_group_of(self):
-        """The view's link→group mapping, cached per
+        """The state's link→group mapping, cached per
         :class:`~repro.topology.srlg.RiskGroupSet` identity."""
-        groups = self._view.risk_groups
+        groups = self._state.risk_groups
         if groups is not self._groups_token:
             self._groups_token = groups
             self._group_of = (
@@ -239,14 +248,16 @@ class LinkTables:
         return groups
 
     # ------------------------------------------------------------------
-    # Batch cost builders
+    # Batch cost builders: flush first while the database serves live
     # ------------------------------------------------------------------
     def primary_costs(self, bw_req: float) -> List[float]:
         """Per-link primary costs: ``1.0`` per feasible link, ``-1.0``
         for failed or bandwidth-short links (hard feasibility: a
         primary without bandwidth is useless)."""
+        if self._database._serving_live():
+            self.flush()
         costs = _np.where(self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0)
-        failed = self._view.failed_links()
+        failed = self._state.failed_links()
         if failed:
             costs[list(failed)] = -1.0
         return costs.tolist()
@@ -270,6 +281,8 @@ class LinkTables:
         aggregates: ``Q`` charges sharing a risk group with the avoided
         set, and the conflict counts per group.
         """
+        if self._database._serving_live():
+            self.flush()
         if kind not in CONFLICT_KINDS:
             raise ValueError(
                 "unknown conflict kind {!r} (want one of {})".format(
@@ -278,13 +291,13 @@ class LinkTables:
             )
         lset = frozenset(primary_lset)
         avoid = frozenset(avoid_lset) if avoid_lset is not None else lset
-        if self._view.risk_groups is not None:
+        if self._state.risk_groups is not None:
             costs = self._group_backup_costs(
                 kind, bw_req, lset, avoid, scale
             )
         else:
             costs = self._link_backup_costs(kind, bw_req, lset, avoid, scale)
-        failed = self._view.failed_links()
+        failed = self._state.failed_links()
         if failed:
             for link_id in failed:
                 costs[link_id] = -1.0
@@ -364,31 +377,6 @@ class LinkTables:
         else:
             conflict = 0
         return ((q + conflict) * scale + 1.0).tolist()
-
-
-class CompiledLinkArrays(LinkTables):
-    """:class:`LinkTables` kept in step with a link-state database's
-    ledgers through a dirty-set flush.
-
-    Create via :meth:`LinkStateDatabase.kernel_arrays` (which caches
-    one instance per database) rather than directly.
-    """
-
-    def __init__(self, database) -> None:
-        state = database._state
-        super().__init__(state.network.num_links, state)
-        self._database = database
-        self._state = state
-        #: The assignment the group columns were last built under.
-        self._group_table_token = None
-        self._dirty: set = set()
-        state.subscribe(self._mark_dirty)
-        # Created while serving live or by a refresh — either way the
-        # ledgers are what the tables must hold right now.
-        self._rebuild_from_ledgers()
-
-    def _mark_dirty(self, link_id: int) -> None:
-        self._dirty.add(link_id)
 
     # ------------------------------------------------------------------
     # Table maintenance
@@ -480,25 +468,3 @@ class CompiledLinkArrays(LinkTables):
                     "kernel table row {} is {} but its ledger says "
                     "{}".format(link_id, stored, expected)
                 )
-
-    # ------------------------------------------------------------------
-    # Batch cost builders: flush first while the database serves live
-    # ------------------------------------------------------------------
-    def primary_costs(self, bw_req: float) -> List[float]:
-        if self._database._serving_live():
-            self.flush()
-        return super().primary_costs(bw_req)
-
-    def backup_costs(
-        self,
-        kind: str,
-        bw_req: float,
-        primary_lset,
-        avoid_lset,
-        scale: float,
-    ) -> List[float]:
-        if self._database._serving_live():
-            self.flush()
-        return super().backup_costs(
-            kind, bw_req, primary_lset, avoid_lset, scale
-        )

@@ -7,7 +7,7 @@ D-LSR's cost term ``Σ_{L_j ∈ LSET_P} c_{i,j}`` then collapses to
 of ``|LSET_P|`` dict probes.  The same layout, serialized little-endian
 (bit ``j`` lives in byte ``j // 8`` at weight ``1 << (j % 8)``), is the
 row format of the numpy packed bit-matrix the cost builds run over,
-so ledgers, replica records and table rows agree byte for byte — the
+so ledgers and table rows agree byte for byte — the
 property suite (``tests/test_property_kernels.py``) checks these
 primitives against the deliberately-naive ``*_naive`` oracles kept
 alongside them.

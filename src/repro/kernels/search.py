@@ -2,7 +2,7 @@
 
 These searches consume a *cost array* — one float per link id, built
 in a single batch pass by
-:class:`~repro.kernels.arrays.LinkTables` — instead of a cost
+:class:`~repro.kernels.arrays.CompiledLinkArrays` — instead of a cost
 closure, and walk the workspace's flat pair adjacency
 (:meth:`~repro.routing.dijkstra.SearchWorkspace.flat_adjacency`).  A
 negative entry excludes the link from the search (the closure path's

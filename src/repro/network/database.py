@@ -16,17 +16,20 @@ Two refresh modes are supported:
   :meth:`LinkStateDatabase.refresh` call, which lets ablation
   experiments quantify the cost of stale link-state information.
 
-Refreshes are **incremental**: the database subscribes to its
-:class:`~repro.network.state.NetworkState`'s change notifications and
-keeps an explicit dirty-link set, so a re-flood rescans only the links
-whose ledgers actually changed since the previous refresh — O(|dirty|)
-instead of O(N) — exactly the delta a real router would learn from the
-flooded advertisements.  The first refresh (and only the first) builds
-the full snapshot.  ``links_rescanned`` counts per-link record rebuilds
-so tests and benchmarks can assert the fast path stays incremental.
-The snapshot is not a copy of its own: it is the kernel table
+Refreshes are **incremental**: the snapshot is not a copy of the
+database's own but the kernel table
 (:meth:`LinkStateDatabase.kernel_arrays`) the link-state schemes plan
-from, which outside live serving stays frozen at the last refresh.
+from, which subscribes to its
+:class:`~repro.network.state.NetworkState`'s change notifications and
+keeps an explicit dirty-link set.  Outside live serving the table
+stays frozen at the last refresh, so a re-flood rescans only the links
+whose ledgers actually changed since then — O(|dirty|) instead of
+O(N) — exactly the delta a real router would learn from the flooded
+advertisements.  The first refresh (and only the first) builds the
+full snapshot.  ``links_rescanned`` counts per-link re-advertisements
+so tests and benchmarks can assert the fast path stays incremental; a
+database that is serving live has nothing awaiting re-advertisement
+(:meth:`LinkStateDatabase.dirty_links` is empty).
 
 Fault injection adds a third, transient regime:
 :meth:`LinkStateDatabase.inject_staleness` freezes reads at the
@@ -54,9 +57,6 @@ class LinkStateDatabase:
         self._live = live
         self._stale = False
         self.staleness_injections = 0
-        #: Links whose ledgers mutated since the last refresh — the
-        #: incremental-refresh work list.
-        self._dirty_links: set = set()
         self.refreshes = 0
         self.links_rescanned = 0
         #: Lazily-created compiled mirror of this database's records
@@ -66,16 +66,17 @@ class LinkStateDatabase:
         #: Lazily-created warm backup-candidate cache (see
         #: :meth:`warmstart_cache`).
         self._warmstart_cache = None
-        state.subscribe(self._mark_dirty)
         if not live:
             self.refresh()
 
-    def _mark_dirty(self, link_id: int) -> None:
-        self._dirty_links.add(link_id)
-
     def dirty_links(self) -> frozenset:
-        """Links awaiting re-advertisement at the next refresh."""
-        return frozenset(self._dirty_links)
+        """Links awaiting re-advertisement at the next refresh: those
+        whose ledgers changed while reads are frozen (snapshot mode, or
+        an injected staleness window).  A database serving live
+        advertises every change at once and has none."""
+        if self._serving_live():
+            return frozenset()
+        return self._kernel_arrays.dirty_links()
 
     @property
     def live(self) -> bool:
@@ -108,15 +109,16 @@ class LinkStateDatabase:
 
         Only the links in the dirty set are rescanned; the first call
         builds the complete snapshot."""
-        self._stale = False
         self.refreshes += 1
+        # Counted before a staleness window closes: once it has, a
+        # live database reports nothing awaiting re-advertisement.
         self.links_rescanned += (
-            self.num_links if self.refreshes == 1 else len(self._dirty_links)
+            self.num_links if self.refreshes == 1 else len(self.dirty_links())
         )
-        self._dirty_links.clear()
-        # The kernel table is the snapshot: its own dirty set is
-        # rescanned exactly here (and, while serving live, before
-        # every cost build).
+        self._stale = False
+        # The kernel table is the snapshot: its dirty set is rescanned
+        # exactly here (and, while serving live, before every cost
+        # build).
         self.kernel_arrays().flush()
 
     def inject_staleness(self) -> None:

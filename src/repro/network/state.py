@@ -544,8 +544,8 @@ class NetworkState:
     def subscribe(self, callback: Callable[[int], None]) -> None:
         """Register a callback invoked with a ``link_id`` on every
         ledger mutation (reservation, registration, spare resize).
-        Incremental link-state databases subscribe to maintain their
-        dirty-link sets instead of rescanning every link on refresh."""
+        The database's kernel tables subscribe to maintain their
+        dirty-link set instead of rescanning every link on refresh."""
         self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[int], None]) -> None:
@@ -564,11 +564,12 @@ class NetworkState:
         The batched apply path (:mod:`repro.kernels.apply`) mutates
         ledger fields directly and defers change notification to one
         call per admission — a single dirty-set transaction.  Every
-        subscriber is an idempotent dirty-set add, so collapsing the
-        per-mutation ``_touch`` notifications into one notification
-        per touched link leaves all downstream dirty sets (incremental
-        databases, compiled kernel arrays, cluster delta streams)
-        exactly as the per-hop walk would."""
+        subscriber only records *that* a link changed (the kernel
+        tables' dirty-set add, the warm-candidate cache's change
+        stamp), so collapsing the per-mutation ``_touch``
+        notifications into one notification per touched link leaves
+        what they do next — which rows to rescan, which candidates to
+        drop — exactly as the per-hop walk would."""
         subscribers = self._subscribers
         if not subscribers:
             return

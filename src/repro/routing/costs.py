@@ -16,10 +16,11 @@ Both LSR backup costs have the shape ``C_i = Q + conflict_term + eps``
   identically to any ``0 < eps < 1`` without floating-point hazards.
 
 The link-state schemes evaluate that cost for every link at once
-(:meth:`repro.kernels.arrays.LinkTables.backup_costs`); the per-link
-closure form of the same three costs is the oracle's reference planner
-(:mod:`repro.testing.link_state`).  What stays here is what both — and
-the closure-searching baselines — share: ``Q`` and the primary cost.
+(:meth:`repro.kernels.arrays.CompiledLinkArrays.backup_costs`); the
+per-link closure form of the same three costs is the oracle's
+reference planner (:mod:`repro.testing.link_state`).  What stays here
+is what both — and the closure-searching baselines — share: ``Q`` and
+the primary cost.
 """
 
 from __future__ import annotations

@@ -164,10 +164,6 @@ def _warm_flat_search(
     ``warm=True``; a miss runs the cold search (``warm=False``) and
     stores its result.  Decisions are bit-identical either way."""
     cache = scheme.context.database.warmstart_cache()
-    if cache is None:
-        return _traced_flat_search(
-            scheme, query, costs, scale, search, detail=detail, **tags
-        )
     key = (
         scheme.conflict_kind,
         query.source,
@@ -193,12 +189,11 @@ def _warm_flat_search(
 
 class LinkStateScheme(RoutingScheme):
     """Base for schemes that route from the link-state database's
-    array tables (:meth:`LinkStateDatabase.kernel_arrays`, or a
-    cluster replica's)."""
+    array tables (:meth:`LinkStateDatabase.kernel_arrays`)."""
 
     #: Which conflict term of
-    #: :meth:`~repro.kernels.arrays.LinkTables.backup_costs` is this
-    #: scheme's backup link cost (Eq. 4 / Section 3.2).
+    #: :meth:`~repro.kernels.arrays.CompiledLinkArrays.backup_costs` is
+    #: this scheme's backup link cost (Eq. 4 / Section 3.2).
     conflict_kind: str = ""
 
     def __init__(self, num_backups: int = 1) -> None:

@@ -33,8 +33,8 @@ unchanged.  Two validity proofs are accepted:
 Independently of serving, candidates are **eagerly invalidated**: a
 probe drops any candidate whose route crosses a link that failed or
 mutated after the candidate was stored (per-link change epochs come
-from the same dirty-set subscription that maintains the incremental
-databases and cluster delta streams).  Dropping is always safe — the
+from the same dirty-set subscription that maintains the database's
+kernel tables).  Dropping is always safe — the
 next cold search simply repopulates — and it is what the hypothesis
 property in ``tests/test_warmstart.py`` pins: a served candidate never
 crosses a failed or changed link.
@@ -110,7 +110,7 @@ class WarmstartCache:
         self._entries: Dict[object, List[_Candidate]] = {}
         #: Global mutation epoch and per-link last-change epochs, fed
         #: by the same NetworkState subscription that maintains the
-        #: incremental databases and cluster delta streams.
+        #: database's kernel tables.
         self._epoch = 0
         self._last_changed = array(
             "q", bytes(8 * state.network.num_links)

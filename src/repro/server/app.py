@@ -373,16 +373,28 @@ class ControlPlaneServer:
                 if not chunk:
                     break
                 buffer += chunk
-                if b"\n" not in chunk:
-                    continue
-                lines = buffer.split(b"\n")
-                buffer = lines.pop()  # partial trailing line, if any
-                state.busy = True
-                payload = await self._dispatch_batch(lines)
-                if payload:
-                    writer.write(payload)
+                if b"\n" in chunk:
+                    lines = buffer.split(b"\n")
+                    buffer = lines.pop()  # partial trailing line, if any
+                    state.busy = True
+                    payload = await self._dispatch_batch(lines)
+                    if payload:
+                        writer.write(payload)
+                        await writer.drain()
+                    state.busy = False
+                if len(buffer) > protocol.MAX_LINE_BYTES:
+                    # Still no newline: answer once and hang up rather
+                    # than buffer whatever else the peer sends.
+                    self.stats.protocol_errors += 1
+                    self._m_protocol_errors.inc()
+                    writer.write(protocol.encode_response(
+                        None, False,
+                        error_kind=protocol.ERR_BAD_REQUEST,
+                        error_message="request line exceeds {} "
+                        "bytes".format(protocol.MAX_LINE_BYTES),
+                    ))
                     await writer.drain()
-                state.busy = False
+                    break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -585,8 +597,7 @@ class ControlPlaneServer:
     # -- mutating ops ---------------------------------------------------
     def _parse_admit(self, request: Request) -> Dict[str, Any]:
         """Validate an admit's arguments into the canonical args dict
-        consumed by :mod:`repro.server.ops` (and, in cluster mode, by
-        the admission shards before any plan is attempted)."""
+        consumed by :func:`repro.server.ops.apply_admit`."""
         args = request.args
         source = protocol.require_int(args, "source", request.id)
         destination = protocol.require_int(args, "destination", request.id)

@@ -1,11 +1,10 @@
-"""Service-level mutation commits shared by every control-plane shape.
+"""Service-level mutation commits: per mutating op, one call into the
+:class:`~repro.core.service.DRTPService` plus the shaping of its
+protocol result.
 
-The single-process :class:`~repro.server.app.ControlPlaneServer` and
-the sharded :mod:`repro.cluster` commit authority must produce
-byte-identical protocol results for the same operation against the
-same service state — that equality is what the cluster differential
-oracle checks.  Keeping the service-call-plus-result-shaping here, in
-one place, makes it true by construction rather than by duplication.
+:class:`~repro.server.app.ControlPlaneServer` validates a request's
+arguments and its writer task hands the canonical values here, in
+arrival order.
 """
 
 from __future__ import annotations
@@ -14,11 +13,17 @@ from typing import Any, Dict
 
 from ..core.errors import ConnectionStateError
 from ..core.service import DRTPService
-from ..routing.base import RoutePlan
 
 
-def admit_result(decision) -> Dict[str, Any]:
-    """The protocol result payload for an admission decision."""
+def apply_admit(service: DRTPService, args: Dict[str, Any]) -> Dict[str, Any]:
+    """Commit an admission the single-writer way: the service plans
+    against its own database and reserves in one step."""
+    hold = args.get("hold")
+    decision = service.request(
+        args["source"], args["destination"], args["bw"],
+        holding_time=float("inf") if hold is None else hold,
+        request_id=args.get("request_id"),
+    )
     result: Dict[str, Any] = {
         "accepted": decision.accepted,
         "reason": decision.reason,
@@ -35,32 +40,6 @@ def admit_result(decision) -> Dict[str, Any]:
             ),
         )
     return result
-
-
-def apply_admit(service: DRTPService, args: Dict[str, Any]) -> Dict[str, Any]:
-    """Commit an admission the single-writer way: the service plans
-    against its own (live) database and reserves in one step."""
-    hold = args.get("hold")
-    decision = service.request(
-        args["source"], args["destination"], args["bw"],
-        holding_time=float("inf") if hold is None else hold,
-        request_id=args.get("request_id"),
-    )
-    return admit_result(decision)
-
-
-def apply_admit_planned(
-    service: DRTPService, args: Dict[str, Any], plan: RoutePlan
-) -> Dict[str, Any]:
-    """Commit an admission whose plan was computed elsewhere (an
-    admission shard's epoch replica, or the authority's own replan)."""
-    hold = args.get("hold")
-    decision = service.request_planned(
-        args["source"], args["destination"], args["bw"], plan,
-        holding_time=float("inf") if hold is None else hold,
-        request_id=args.get("request_id"),
-    )
-    return admit_result(decision)
 
 
 def apply_release(service: DRTPService, connection_id: int) -> Dict[str, Any]:

@@ -36,6 +36,7 @@ from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_LINE_BYTES",
     "OPS",
     "MUTATING_OPS",
     "READ_OPS",
@@ -48,6 +49,13 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: Most bytes of one request line the server buffers while waiting for
+#: its newline.  A connection that sends more is answered one
+#: ``bad-request`` and closed, so a peer cannot make the server hold
+#: memory without bound.  (The largest legitimate request is a few
+#: hundred bytes.)
+MAX_LINE_BYTES = 1 << 20
 
 #: Operations that mutate the shared service — serialized through the
 #: server's single writer task.

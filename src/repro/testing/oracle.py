@@ -80,7 +80,6 @@ def make_reference_service(service: DRTPService) -> DRTPService:
         live_database=True,
         qos_slack=service.qos_slack,
     )
-    shadow.state.unsubscribe(shadow.database._mark_dirty)
     shadow.database = ReferenceDatabase(shadow.state)
     scheme.bind(RoutingContext(service.network, shadow.state, shadow.database))
     return shadow

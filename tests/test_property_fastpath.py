@@ -19,7 +19,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DRTPService
+from repro.metrics import ServiceMetrics
 from repro.network import APLV, LinkStateDatabase, NetworkState
+from repro.routing import PLSRScheme
 from repro.routing.dijkstra import (
     bounded_shortest_path,
     search_workspace,
@@ -134,6 +137,40 @@ def test_incremental_snapshot_refresh_equals_full_rebuild(steps, refresh_plan):
                 fresh.backup_headroom(link_id)
             )
         assert not incremental.dirty_links()
+
+
+def test_live_database_has_nothing_awaiting_readvertisement():
+    """A database serving live advertises every change at once: its
+    dirty set (and the gauge scraping it) reads 0 however much churn
+    went by, and fills only while reads are frozen — with exactly the
+    links touched since the freeze — until the next refresh."""
+    metrics = ServiceMetrics()
+    service = DRTPService(
+        mesh_network(8, 8, 30.0), PLSRScheme(), metrics=metrics
+    )
+    rng = random.Random(3)
+    for _ in range(400):
+        src, dst = rng.sample(range(64), 2)
+        decision = service.request(src, dst, 1.0)
+        assert decision.accepted
+        service.release(decision.connection.connection_id)
+    assert service.active_connection_count == 0
+    assert service.database.dirty_links() == frozenset()
+    assert metrics.db_dirty_links.value() == 0.0
+
+    service.database.inject_staleness()
+    assert service.database.dirty_links() == frozenset()
+    connection = service.request(0, 63, 1.0).connection
+    touched = frozenset(
+        connection.primary_route.link_ids + connection.backup_route.link_ids
+    )
+    assert service.database.dirty_links() == touched
+    assert metrics.db_dirty_links.value() == len(touched)
+    rescanned = service.database.links_rescanned
+    service.database.refresh()
+    assert service.database.dirty_links() == frozenset()
+    assert service.database.links_rescanned == rescanned + len(touched)
+    service.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -223,7 +223,7 @@ class TestOneEngine:
         root = Path(repro.__file__).parent
         offenders = [
             str(path.relative_to(root))
-            for package in ("kernels", "routing", "network", "core", "cluster")
+            for package in ("kernels", "routing", "network", "core")
             for path in sorted((root / package).rglob("*.py"))
             if re.search(r"\b(environ|getenv)\b", path.read_text())
         ]

@@ -10,6 +10,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -207,6 +208,74 @@ class TestServerRoundTrips:
         assert server.stats.protocol_errors == 9
         assert server.stats.internal_errors == 0
 
+    def test_oversized_line_answered_and_connection_closed(self, tmp_path):
+        # A peer that never sends a newline must not make the server
+        # buffer without bound: past the cap it is answered once and
+        # hung up on, and nobody else notices.
+        async def _run():
+            net = mesh_network(4, 4, 10.0)
+            sock = str(tmp_path / "ctl.sock")
+            server = ControlPlaneServer(
+                DRTPService(net, DLSRScheme()), socket_path=sock
+            )
+            await server.start()
+            other_reader, other_writer = await asyncio.open_unix_connection(
+                sock
+            )
+
+            def flood():
+                # A blocking client: the kernel hands it the queued
+                # answer before the reset its unread bytes provoke.
+                received = b""
+                with socket.socket(socket.AF_UNIX) as client:
+                    client.settimeout(10)
+                    client.connect(sock)
+                    try:
+                        client.sendall(b"x" * (2 * protocol.MAX_LINE_BYTES))
+                    except (BrokenPipeError, ConnectionResetError):
+                        pass  # the server hung up before taking it all
+                    try:
+                        while True:
+                            data = client.recv(65536)
+                            if not data:
+                                break
+                            received += data
+                    except ConnectionResetError:
+                        pass
+                return received
+
+            received = await asyncio.get_event_loop().run_in_executor(
+                None, flood
+            )
+            # The same server still parses a long-but-legal line ...
+            padded = json.dumps({
+                "op": "admit", "id": 1,
+                "args": {"source": 0, "destination": 15, "bw": 1.0,
+                         "pad": "p" * (512 * 1024)},
+            }).encode() + b"\n"
+            other_writer.write(padded + encode_request("ping", request_id=2))
+            await other_writer.drain()
+            admit = decode_response(
+                (await asyncio.wait_for(other_reader.readline(), 10)).decode()
+            )
+            pong = decode_response(
+                (await asyncio.wait_for(other_reader.readline(), 10)).decode()
+            )
+            other_writer.close()
+            await server.shutdown()
+            return received, admit, pong, server
+
+        received, admit, pong, server = asyncio.run(_run())
+        # Closed after exactly one answer.
+        assert received.count(b"\n") == 1 and received.endswith(b"\n")
+        rid, ok, body = decode_response(received.decode())
+        assert (rid, ok) == (None, False)
+        assert body["type"] == protocol.ERR_BAD_REQUEST
+        assert admit[:2] == (1, True) and admit[2]["accepted"]
+        assert pong[:2] == (2, True) and pong[2]["pong"]
+        assert server.stats.protocol_errors == 1
+        assert server.stats.drained_clean
+
     def test_read_op_internal_error_answered_not_fatal(self, tmp_path):
         # A failing gauge collector must surface as an ERR_INTERNAL
         # response, not kill the handler task and strand the rest of
@@ -332,6 +401,34 @@ class TestServerRoundTrips:
         assert manifest["service"]["accepted"] == 1
         assert manifest["service"]["acceptance_ratio"] == 1.0
         assert "drtp_admissions_total" in manifest["metrics"]
+
+    def test_status_and_manifest_carry_what_the_harness_reads(self, tmp_path):
+        # benchmarks/e2e/ledger.py:status_counts indexes these keys by
+        # name on every serve-* workload; there is one server, so no
+        # answer has a per-deployment section.
+        responses, server = run_session(tmp_path, [
+            encode_request("admit", {"source": 0, "destination": 15,
+                                     "bw": 1.0}, request_id=1),
+            encode_request("admit", {"source": 0, "destination": 15,
+                                     "bw": 99.0}, request_id=2),
+            encode_request("release", {"connection": 0}, request_id=3),
+            b"not json\n",
+            encode_request("status", request_id=4),
+        ])
+        status = responses[-1][2]
+        counters = status["counters"]
+        assert (
+            counters["requests"], counters["accepted"],
+            sum(counters["rejected"].values()), counters["released"],
+            counters["degraded_admissions"],
+        ) == (2, 1, 1, 1, 0)
+        stats = status["server"]
+        assert stats["ops"] == {"admit": 2, "release": 1, "status": 1}
+        assert stats["batches"] >= 1
+        assert (stats["protocol_errors"], stats["internal_errors"]) == (1, 0)
+        manifest = server.manifest()
+        assert manifest["server"]["drained_clean"] is True
+        assert "cluster" not in status and "cluster" not in manifest
 
     def test_stale_socket_replaced_live_socket_refused(self, tmp_path):
         async def _run():

@@ -9,8 +9,8 @@ result.  These tests pin that bar three ways:
   or mutated links;
 * a service-level lockstep: identical churn workloads with the cache
   and without it (the cold arm's ``database.warmstart_cache`` is
-  patched to answer ``None``, as a replica's does) produce identical
-  decisions and fingerprints;
+  patched to answer a cache whose every probe misses) produce
+  identical decisions and fingerprints;
 * a hypothesis property that instruments every probe: each *hit* is
   re-checked against a cold flat search under the live cost array, and
   a served route must never cross a currently-failed link.
@@ -29,7 +29,7 @@ from repro.kernels.search import (
 )
 from repro.network import NetworkState
 from repro.routing import DLSRScheme, PLSRScheme
-from repro.routing.warmstart import WarmstartCache
+from repro.routing.warmstart import WarmProbe, WarmstartCache
 from repro.topology import mesh_network
 
 ROWS, COLS = 4, 4
@@ -176,6 +176,16 @@ _ops = st.lists(
 )
 
 
+class _NeverWarm:
+    """The cold arm's cache: every probe misses, nothing is kept."""
+
+    def probe(self, key, costs):
+        return WarmProbe(False, None, None, None, costs, False)
+
+    def store(self, probe, route):
+        pass
+
+
 class TestLockstep:
     def _services(self, scheme_cls, capacity=4.0):
         warm = DRTPService(
@@ -184,7 +194,7 @@ class TestLockstep:
         cold = DRTPService(
             mesh_network(ROWS, COLS, capacity), scheme_cls()
         )
-        cold.database.warmstart_cache = lambda: None
+        cold.database.warmstart_cache = _NeverWarm
         return warm, cold
 
     def test_saturated_churn_identical_and_warm_hits(self):
