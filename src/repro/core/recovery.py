@@ -447,6 +447,7 @@ def reconfigure_unprotected(
     connections: Dict[int, DRConnection],
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
+    counters=None,
     metrics=None,
     trace=None,
 ) -> int:
@@ -456,9 +457,10 @@ def reconfigure_unprotected(
     its backup-selection machinery is reused by planning against the
     existing primary.  ``hop_bound(source, destination)`` is the
     delay-QoS bound a replacement backup must keep, exactly as at
-    admission; ``None`` plans unbounded.  ``metrics`` / ``trace``
-    receive each re-protection walk's signaling accounting and
-    ``signal.register`` span, as at admission.  Returns how many
+    admission; ``None`` plans unbounded.  ``counters`` (the service's
+    :class:`~repro.core.service.ServiceCounters`) / ``metrics`` /
+    ``trace`` receive each re-protection walk's signaling accounting
+    and ``signal.register`` span, as at admission.  Returns how many
     connections were re-protected.
     """
     from .signaling import BackupRegisterPacket, register_backup_path
@@ -485,9 +487,12 @@ def reconfigure_unprotected(
             primary_lset=conn.primary_route.lset,
             bw_req=conn.bw_req,
         )
-        if register_backup_path(
+        registration = register_backup_path(
             state, policy, packet, metrics=metrics, trace=trace
-        ).success:
+        )
+        if counters is not None:
+            counters.record_signaling(registration)
+        if registration.success:
             conn.backup = Channel(
                 role=ChannelRole.BACKUP, route=backup, registration_index=0
             )

@@ -506,7 +506,7 @@ class DRTPService:
         return reconfigure_unprotected(
             self.state, self.spare_policy, self._connections,
             self.scheme, self._qos_bound,
-            metrics=self.metrics, trace=self.trace,
+            counters=self.counters, metrics=self.metrics, trace=self.trace,
         )
 
     def _fail_link(self, link_id: int, reconfigure: bool) -> FailureImpact:

@@ -47,6 +47,7 @@ from .bitset import (
 from .search import (
     encode_scale,
     flat_bounded_shortest_path,
+    flat_dijkstra,
     flat_min_hop_path,
     flat_shortest_path,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "bits_of",
     "encode_scale",
     "flat_bounded_shortest_path",
+    "flat_dijkstra",
     "flat_min_hop_path",
     "flat_shortest_path",
     "mask_from_ids",

@@ -3,23 +3,24 @@
 These searches consume a *cost array* — one float per link id, built
 in a single batch pass by
 :class:`~repro.kernels.arrays.CompiledLinkArrays` — instead of a cost
-closure, and walk the workspace's flat pair adjacency
-(:meth:`~repro.routing.dijkstra.SearchWorkspace.flat_adjacency`).  A
-negative entry excludes the link from the search (the closure path's
-``None``).
+closure, and walk the flat pair adjacency of a per-network
+:class:`SearchWorkspace`.  A negative entry excludes the link from the
+search (a reference cost closure's ``None``).  They are the only route
+searches outside :mod:`repro.testing`.
 
-Bit-exactness contract: the closure searches' lexicographic cost
-tuples ``(conflict, hops)`` are encoded as ``conflict * scale + hops`` with
-``scale`` computed by :func:`encode_scale`.  Both components are
-integer-valued floats and every partial-path sum stays below 2**53
-(:func:`encode_scale` refuses a network where it might not), so tuple
-order and encoded order coincide *exactly* — every relaxation
-decision, every heap comparison and therefore every returned route
-(tie-breaks included) matches
-:func:`repro.routing.dijkstra.shortest_path` /
-:func:`~repro.routing.dijkstra.bounded_shortest_path` run over the
-equivalent closure.  The differential suite
-(``tests/test_kernel_equivalence.py``) pins this.
+Bit-exactness contract: the paper's ``Q + conflict + eps`` link cost
+is the lexicographic tuple ``(conflict, hops)``, encoded as
+``conflict * scale + hops`` with ``scale`` computed by
+:func:`encode_scale`.  Both components are integer-valued floats and
+every partial-path sum stays below 2**53 (:func:`encode_scale` refuses
+a network where it might not), so tuple order and encoded order
+coincide *exactly* — every relaxation decision, every heap comparison
+and therefore every returned route (tie-breaks included) matches
+:func:`repro.testing.reference.naive_shortest_path` /
+:func:`~repro.testing.reference.naive_bounded_shortest_path` run over
+the equivalent tuple-cost closure.  ``tests/test_property_kernels.py``
+pins the searches, ``tests/test_kernel_equivalence.py`` the planner
+built on them.
 
 Searches that stop at the answer
 --------------------------------
@@ -38,8 +39,7 @@ backup — is a *unit* link, and the unbounded searches first run a
    whole zero-conflict region;
 2. a *hop-bounded* FIFO breadth-first search
    (:func:`_bounded_unit_bfs`) over unit links, pruned by the
-   destination's hop column
-   (:meth:`~repro.routing.dijkstra.SearchWorkspace.hops_to`), first at
+   destination's hop column (:meth:`SearchWorkspace.hops_to`), first at
    the topology's own hop count — it then walks only the min-hop DAG;
 3. when that finds nothing, a two-ended reachability test
    (:func:`_unit_distance`) returns the exact unit distance, or
@@ -95,13 +95,14 @@ is the unit BFS.
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..routing.costs import Q_PENALTY
-from ..routing.dijkstra import SearchWorkspace, _unwind, search_workspace
 from ..topology.graph import Network, Route
 
 #: Integer-valued path costs must stay exactly representable: the
@@ -115,6 +116,138 @@ _EXACT_LIMIT = float(1 << 53)
 PROBE, BOUNDED, EXHAUSTIVE, NONE = ANSWERS = (
     "probe", "bounded", "exhaustive", "none"
 )
+
+#: Per node, its ``(peer, link_id)`` pairs.
+_Pairs = Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+class SearchWorkspace:
+    """Per-network reusable search state.
+
+    The distance, parent and visited arrays are validated per search
+    by ``epoch`` stamps, so starting a new search costs two list reads
+    per touched node instead of O(V) clearing or fresh dict
+    allocations.
+
+    The workspace also keeps what the searches know about the
+    *topology alone* and therefore never invalidate: the pair
+    adjacencies in both directions and, per destination first searched
+    for, its hop column (:meth:`hops_to`).  ``answer`` names how the
+    most recent :func:`flat_shortest_path` / :func:`flat_min_hop_path`
+    on this workspace was answered (one of :data:`ANSWERS`) — they
+    return only the route, their caller reads the rest here.
+    """
+
+    __slots__ = (
+        "dist",
+        "parent",
+        "dist_stamp",
+        "visited_stamp",
+        "epoch",
+        "answer",
+        "_flat",
+        "_reverse",
+        "_hop_columns",
+    )
+
+    def __init__(self, network: Network) -> None:
+        self._flat: _Pairs = tuple(
+            tuple((link.dst, link.link_id) for link in network.out_links(node))
+            for node in network.nodes()
+        )
+        num_nodes = network.num_nodes
+        self.dist: List[float] = [0.0] * num_nodes
+        self.parent: List[Optional[Tuple[int, int]]] = [None] * num_nodes
+        self.dist_stamp = [0] * num_nodes
+        self.visited_stamp = [0] * num_nodes
+        self.epoch = 0
+        self.answer = ""
+        self._reverse: Optional[_Pairs] = None
+        self._hop_columns: Dict[int, "array[int]"] = {}
+
+    def flat_adjacency(self) -> _Pairs:
+        """Per node, a tuple of ``(dst, link_id)`` pairs in link
+        insertion order — ``network.out_links`` order, the order the
+        naive reference expands edges in, so both break ties
+        identically.  Pair tuples unpack in one bytecode step per
+        edge, the hottest operation of the searches."""
+        return self._flat
+
+    def reverse_adjacency(self) -> _Pairs:
+        """The in-link twin of :meth:`flat_adjacency`: per node, a
+        tuple of ``(src, link_id)`` pairs, one per link entering it.
+        Only order-free questions are asked of it (hop columns, the
+        two-ended reachability test, the endpoint shift), so it carries
+        no tie-breaking contract.  Built lazily once per workspace."""
+        if self._reverse is None:
+            incoming: List[List[Tuple[int, int]]] = [[] for _ in self._flat]
+            for src, pairs in enumerate(self._flat):
+                for dst, link_id in pairs:
+                    incoming[dst].append((src, link_id))
+            self._reverse = tuple(tuple(pairs) for pairs in incoming)
+        return self._reverse
+
+    def hops_to(self, destination: int) -> "array[int]":
+        """The hop column of ``destination``: ``hops_to(t)[v]`` is the
+        minimum hop count from ``v`` to ``t`` over *every* link of the
+        topology (Section 4.1's distance-table entry ``D_t^v``), and
+        ``num_nodes`` — one more than any hop count — where ``t``
+        cannot be reached from ``v``.  It depends on the topology
+        only, so it is a lower bound under any cost array and is never
+        invalidated.  One reverse breadth-first pass per destination
+        first asked for, kept as a compact unsigned array."""
+        column = self._hop_columns.get(destination)
+        if column is None:
+            unreachable = len(self._flat)
+            hops = [unreachable] * unreachable
+            hops[destination] = 0
+            reverse = self.reverse_adjacency()
+            frontier = [destination]
+            depth = 0
+            while frontier:
+                depth += 1
+                reached = []
+                for node in frontier:
+                    for src, _link_id in reverse[node]:
+                        if hops[src] == unreachable:
+                            hops[src] = depth
+                            reached.append(src)
+                frontier = reached
+            column = self._hop_columns[destination] = array("I", hops)
+        return column
+
+
+#: Frozen topologies are immutable, so their adjacency (and the sized
+#: search arrays) can be cached for the network's lifetime.
+_WORKSPACES: "weakref.WeakKeyDictionary[Network, SearchWorkspace]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def search_workspace(network: Network) -> SearchWorkspace:
+    """The cached workspace for a frozen network (created on first
+    use).  Unfrozen networks get a fresh, uncached workspace — their
+    adjacency may still change."""
+    if not network.frozen:
+        return SearchWorkspace(network)
+    workspace = _WORKSPACES.get(network)
+    if workspace is None:
+        workspace = SearchWorkspace(network)
+        _WORKSPACES[network] = workspace
+    return workspace
+
+
+def _workspace_for(
+    network: Network, source: int, destination: int
+) -> SearchWorkspace:
+    """Validate a search's endpoints and fetch its workspace.  A flat
+    search calls nothing it was not handed as data, so the one cached
+    workspace is never re-entered."""
+    network._check_node(source)
+    network._check_node(destination)
+    if source == destination:
+        raise ValueError("source and destination must differ")
+    return search_workspace(network)
 
 
 def encode_scale(network: Network, max_hops: Optional[int] = None) -> float:
@@ -152,9 +285,9 @@ def flat_shortest_path(
     """Minimum-cost loop-free path over a per-link scalar cost array.
 
     Returns exactly the route of
-    :func:`repro.routing.dijkstra.shortest_path` over the equivalent
-    closure — the unit phase first, the exhaustive Dijkstra only when
-    the destination is not reachable over unit links (module
+    :func:`repro.testing.reference.naive_shortest_path` over the
+    equivalent closure — the unit phase first, the exhaustive Dijkstra
+    only when the destination is not reachable over unit links (module
     docstring).  ``costs`` must be a builder-made array: every entry
     ``-1.0`` (excluded) or ``k * scale + 1`` with integer ``k >= 0``
     and ``scale >= num_nodes``.  It is never written to."""
@@ -174,6 +307,25 @@ def flat_min_hop_path(
     return _search(network, source, destination, costs, exhaustive=False)
 
 
+def flat_dijkstra(
+    network: Network,
+    source: int,
+    destination: int,
+    costs: Sequence[float],
+) -> Optional[Route]:
+    """The exhaustive step of :func:`flat_shortest_path` on its own,
+    for cost arrays that are *not* builder-made: every entry negative
+    (excluded) or any positive float.  The unit phase's proofs need
+    the ``k * scale + 1`` form; :func:`_flat_heap_search`'s FIFO-bucket
+    argument only needs every step cost to be positive, so this is the
+    naive Dijkstra's route (tie-breaks included) for arbitrary
+    weights."""
+    return _flat_heap_search(
+        _workspace_for(network, source, destination),
+        source, destination, costs,
+    )
+
+
 def _search(
     network: Network,
     source: int,
@@ -181,22 +333,11 @@ def _search(
     costs: Sequence[float],
     exhaustive: bool,
 ) -> Optional[Route]:
-    network._check_node(source)
-    network._check_node(destination)
-    if source == destination:
-        raise ValueError("source and destination must differ")
-
-    workspace = search_workspace(network)
-    if workspace.in_use:
-        workspace = SearchWorkspace(network)
-    workspace.in_use = True
-    try:
-        route, workspace.answer = _answer(
-            workspace, source, destination, costs, exhaustive
-        )
-        return route
-    finally:
-        workspace.in_use = False
+    workspace = _workspace_for(network, source, destination)
+    route, workspace.answer = _answer(
+        workspace, source, destination, costs, exhaustive
+    )
+    return route
 
 
 def _answer(
@@ -471,6 +612,24 @@ def _flat_heap_search(
     return None
 
 
+def _unwind(
+    workspace: SearchWorkspace, epoch: int, source: int, destination: int
+) -> Route:
+    nodes = [destination]
+    links = []
+    node = destination
+    parent = workspace.parent
+    while node != source:
+        assert workspace.dist_stamp[node] == epoch
+        prev, link_id = parent[node]
+        nodes.append(prev)
+        links.append(link_id)
+        node = prev
+    nodes.reverse()
+    links.reverse()
+    return Route(nodes=tuple(nodes), link_ids=tuple(links))
+
+
 def flat_bounded_shortest_path(
     network: Network,
     source: int,
@@ -478,17 +637,21 @@ def flat_bounded_shortest_path(
     costs: Sequence[float],
     max_hops: int,
 ) -> Optional[Route]:
-    """Hop-bounded variant over the layered ``(node, hops)`` space —
-    the scalar-cost mirror of
-    :func:`repro.routing.dijkstra.bounded_shortest_path`."""
-    network._check_node(source)
-    network._check_node(destination)
-    if source == destination:
-        raise ValueError("source and destination must differ")
+    """Minimum-cost path using at most ``max_hops`` links — the
+    delay-QoS constraint of DR-connections (Section 2: a backup whose
+    "QoS requirement (e.g., end-to-end delay) is too tight to use the
+    longer path" cannot take it).  Dijkstra over the layered state
+    space ``(node, hops_used)``, so a cheaper-but-longer route never
+    shadows a compliant one; the scalar-cost mirror of
+    :func:`repro.testing.reference.naive_bounded_shortest_path`, and
+    like it correct for any non-negative costs.  The layered space is
+    keyed by dict (its size depends on the hop bound) and costs
+    ``O(max_hops · E · log(max_hops · V))`` — the bound is small
+    (network diameter plus slack), so this stays cheap."""
+    pairs = _workspace_for(network, source, destination).flat_adjacency()
     if max_hops < 1:
         return None
 
-    pairs = search_workspace(network).flat_adjacency()
     counter = count()
     dist: dict = {(source, 0): 0.0}
     parent: dict = {}
@@ -530,7 +693,8 @@ def flat_bounded_shortest_path(
     nodes.reverse()
     links.reverse()
     if len(set(nodes)) != len(nodes):
-        # Same guard as the closure search: unreachable with non-negative
-        # costs, kept for exact behavioral parity.
+        # The layered search could thread a node twice at different
+        # hop counts only if revisiting were cheaper; unreachable with
+        # non-negative costs, kept for parity with the reference.
         return None
     return Route(nodes=tuple(nodes), link_ids=tuple(links))

@@ -1,8 +1,7 @@
 """Routing schemes: P-LSR, D-LSR, bounded flooding, and baselines."""
 
 from .base import RoutePlan, RouteQuery, RoutingContext, RoutingScheme
-from .costs import Q_PENALTY, primary_link_cost
-from .dijkstra import hop_cost, min_hop_path, path_cost, shortest_path
+from .costs import Q_PENALTY
 from .bellman_ford import bellman_ford_vectors, next_hop_table
 from .link_state import LinkStateScheme
 from .plsr import PLSRScheme
@@ -28,11 +27,6 @@ __all__ = [
     "RouteQuery",
     "RoutePlan",
     "Q_PENALTY",
-    "primary_link_cost",
-    "shortest_path",
-    "min_hop_path",
-    "path_cost",
-    "hop_cost",
     "bellman_ford_vectors",
     "next_hop_table",
     "LinkStateScheme",

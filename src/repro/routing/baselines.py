@@ -16,13 +16,11 @@
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Optional
 
-from ..topology.graph import Link, Route
+from ..kernels.search import flat_bounded_shortest_path, flat_dijkstra
 from .base import RoutePlan, RouteQuery, RoutingScheme
-from .costs import Q_PENALTY, primary_link_cost
-from .dijkstra import search
-from .link_state import LinkStateScheme
+from .link_state import LinkStateScheme, plan_primary
 
 
 class NoBackupScheme(RoutingScheme):
@@ -31,14 +29,7 @@ class NoBackupScheme(RoutingScheme):
     name = "no-backup"
 
     def plan(self, query: RouteQuery) -> RoutePlan:
-        ctx = self.context
-        primary = search(
-            ctx.network,
-            query.source,
-            query.destination,
-            primary_link_cost(ctx.database, query.bw_req),
-            query.max_hops,
-        )
+        primary = plan_primary(self, query)
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")
         return RoutePlan(primary=primary, note="scheme provides no backups")
@@ -62,36 +53,31 @@ class RandomBackupScheme(RoutingScheme):
         self._rng = rng or random.Random(0)
 
     def plan(self, query: RouteQuery) -> RoutePlan:
-        ctx = self.context
-        primary = search(
-            ctx.network,
-            query.source,
-            query.destination,
-            primary_link_cost(ctx.database, query.bw_req),
-            query.max_hops,
-        )
+        primary = plan_primary(self, query)
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")
-        lset = primary.lset
-        database = ctx.database
+        # The conflict-blind builder at hop scale 1: ``Q + 1`` on the
+        # primary's links and bandwidth-short links, ``1`` elsewhere,
+        # ``-1`` on failed links — then one weight in ``[0, 1)`` per
+        # link, drawn in link-id order whatever the search will visit.
+        ctx = self.context
         rng = self._rng
-        weights = {}
-
-        def cost(link: Link) -> Optional[Tuple[float, ...]]:
-            if database.is_failed(link.link_id):
-                return None
-            q = 0.0
-            if link.link_id in lset:
-                q = Q_PENALTY
-            elif database.backup_headroom(link.link_id) < query.bw_req:
-                q = Q_PENALTY
-            if link.link_id not in weights:
-                weights[link.link_id] = 1.0 + rng.random()
-            return (q + weights[link.link_id],)
-
-        backup = search(
-            ctx.network, query.source, query.destination, cost, query.max_hops
-        )
+        costs = [
+            cost + rng.random() if cost >= 0.0 else cost
+            for cost in ctx.database.kernel_arrays().backup_costs(
+                "disjoint", query.bw_req, primary.lset, primary.lset, 1.0
+            )
+        ]
+        # Arbitrary positive floats: no unit phase applies.
+        if query.max_hops is None:
+            backup = flat_dijkstra(
+                ctx.network, query.source, query.destination, costs
+            )
+        else:
+            backup = flat_bounded_shortest_path(
+                ctx.network, query.source, query.destination, costs,
+                query.max_hops,
+            )
         if backup is None:
             return RoutePlan(primary=primary, note="no backup route")
         return RoutePlan(primary=primary, backup=backup)

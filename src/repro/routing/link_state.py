@@ -3,7 +3,9 @@
 P-LSR and D-LSR differ *only* in the conflict term of their backup
 link cost (Sections 3.1 vs. 3.2); everything else — min-hop primary
 selection, Q/epsilon handling, and the extension to multiple backups —
-is common and lives here.
+is common and lives here.  The primary step (:func:`plan_primary`) is
+also what the primary-only and random baselines plan with: every
+scheme that searches for its primary searches here.
 
 Multi-backup planning (Section 2 allows "one or more backup
 channels"): the k-th backup is planned with the ``Q`` penalty extended
@@ -24,11 +26,11 @@ from ..kernels.search import (
     flat_bounded_shortest_path,
     flat_min_hop_path,
     flat_shortest_path,
+    search_workspace,
 )
 from ..topology.graph import Route
 from .base import RoutePlan, RouteQuery, RoutingScheme
 from .costs import Q_PENALTY
-from .dijkstra import search_workspace
 
 
 def _flat_search(
@@ -187,6 +189,23 @@ def _warm_flat_search(
     return route
 
 
+def plan_primary(scheme: RoutingScheme, query: RouteQuery) -> Optional[Route]:
+    """The primary step of every scheme that searches for one: the
+    database's tables price each link ``1.0`` (feasible) or ``-1.0``
+    (failed, or short of ``bw_req`` — hard feasibility, a primary
+    without bandwidth is useless) in one pass, and the min-hop search
+    — the layered one under a delay bound — runs over that array
+    inside the ``route.primary_search`` span, counted into
+    ``drtp_route_searches_total{search="primary"}``."""
+    return _traced_flat_search(
+        scheme,
+        query,
+        scheme.context.database.kernel_arrays().primary_costs(query.bw_req),
+        None,
+        "primary",
+    )
+
+
 class LinkStateScheme(RoutingScheme):
     """Base for schemes that route from the link-state database's
     array tables (:meth:`LinkStateDatabase.kernel_arrays`)."""
@@ -208,13 +227,7 @@ class LinkStateScheme(RoutingScheme):
     # Planning
     # ------------------------------------------------------------------
     def plan(self, query: RouteQuery) -> RoutePlan:
-        primary = _traced_flat_search(
-            self,
-            query,
-            self.context.database.kernel_arrays().primary_costs(query.bw_req),
-            None,
-            "primary",
-        )
+        primary = plan_primary(self, query)
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary within QoS")
         backups = self._plan_backups(query, primary)

@@ -18,15 +18,15 @@ ones, modeling the paper's recovery contention).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable
 
 from ..core.connection import DRConnection
 from ..core.recovery import ActivationOutcome, FailureImpact
+from ..kernels.search import flat_min_hop_path
 from ..network.state import BW_EPSILON, NetworkState
-from ..topology.graph import Link, Network
+from ..topology.graph import Network
 from .base import RoutePlan, RouteQuery, RoutingScheme
-from .costs import primary_link_cost
-from .dijkstra import search, shortest_path
+from .link_state import plan_primary
 
 #: Outcome reason for a successful reactive re-route.
 REROUTED = "rerouted"
@@ -40,14 +40,7 @@ class ReactiveScheme(RoutingScheme):
     name = "reactive"
 
     def plan(self, query: RouteQuery) -> RoutePlan:
-        ctx = self.context
-        primary = search(
-            ctx.network,
-            query.source,
-            query.destination,
-            primary_link_cost(ctx.database, query.bw_req),
-            query.max_hops,
-        )
+        primary = plan_primary(self, query)
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary")
         return RoutePlan(primary=primary, note="reactive: no backup reserved")
@@ -80,27 +73,23 @@ def assess_reactive_recovery(
     if not affected:
         return impact
 
-    # Residual free bandwidth, lazily seeded from the ledgers; each
-    # victim first returns its own primary bandwidth to the pool.
-    residual: Dict[int, float] = {}
-
-    def free(b: int) -> float:
-        if b not in residual:
-            residual[b] = state.ledger(b).free_bw
-        return residual[b]
+    # Residual free bandwidth per link id; each victim first returns
+    # its own primary bandwidth to the pool.
+    residual = [ledger.free_bw for ledger in state.ledgers()]
+    down = state.failed_links() | {link_id}
 
     for conn in affected:
         for b in conn.primary_route.link_ids:
-            residual[b] = free(b) + conn.bw_req
-
-        def cost(link: Link) -> Optional[Tuple[float, ...]]:
-            if link.link_id == link_id or state.is_link_failed(link.link_id):
-                return None
-            if free(link.link_id) + BW_EPSILON < conn.bw_req:
-                return None
-            return (1.0,)
-
-        route = shortest_path(network, conn.source, conn.destination, cost)
+            residual[b] += conn.bw_req
+        costs = [
+            -1.0 if free + BW_EPSILON < conn.bw_req else 1.0
+            for free in residual
+        ]
+        for b in down:
+            costs[b] = -1.0
+        route = flat_min_hop_path(
+            network, conn.source, conn.destination, costs
+        )
         if route is None:
             impact.outcomes.append(
                 ActivationOutcome(conn.connection_id, False, NO_RESTORATION_PATH)
@@ -108,7 +97,7 @@ def assess_reactive_recovery(
             # The failed victim's bandwidth stays released.
             continue
         for b in route.link_ids:
-            residual[b] = free(b) - conn.bw_req
+            residual[b] -= conn.bw_req
         impact.outcomes.append(
             ActivationOutcome(conn.connection_id, True, REROUTED)
         )

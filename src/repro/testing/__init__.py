@@ -1,6 +1,6 @@
 """Differential-testing harness for the fast-path routing engine.
 
-The incremental APLV/CV maintenance and the cached-workspace Dijkstra
+The incremental APLV/CV maintenance and the cached-workspace searches
 buy their speed with exactly the kind of state that drifts silently.
 This package keeps them honest:
 
@@ -9,8 +9,9 @@ This package keeps them honest:
   no-cache database) preserved from before the optimization;
 * :mod:`repro.testing.flooding` — the object-per-CDP bounded flood and
   set-based destination selection the flat-table flood replaced;
-* :mod:`repro.testing.link_state` — the per-edge cost closures and
-  the closure planner the array kernel replaced;
+* :mod:`repro.testing.link_state` — the per-edge cost closures
+  (primary and backup) and the closure planner the array kernel
+  replaced;
 * :mod:`repro.testing.commit` — the hop-by-hop commit over the
   ledgers' public mutators (fault-injected walk included) that the
   fused walks of :mod:`repro.kernels.apply` replaced;
@@ -26,6 +27,7 @@ from .link_state import (
     disjoint_backup_cost,
     dlsr_backup_cost,
     plsr_backup_cost,
+    primary_link_cost,
 )
 from .oracle import (
     DifferentialOracle,
@@ -53,5 +55,6 @@ __all__ = [
     "naive_bounded_shortest_path",
     "naive_shortest_path",
     "plsr_backup_cost",
+    "primary_link_cost",
     "rebuilt_aplv",
 ]

@@ -31,11 +31,32 @@ from ..kernels.arrays import CONFLICT_KINDS
 from ..network.database import LinkStateDatabase
 from ..network.state import BW_EPSILON
 from ..routing.base import RoutePlan, RouteQuery, RoutingScheme
-from ..routing.costs import Q_PENALTY, primary_link_cost
-from ..routing.dijkstra import LinkCost
+from ..routing.costs import Q_PENALTY
 from ..routing.link_state import LinkStateScheme
 from ..topology.graph import Link, Route
-from .reference import naive_bounded_shortest_path, naive_shortest_path
+from .reference import (
+    LinkCost,
+    naive_bounded_shortest_path,
+    naive_shortest_path,
+)
+
+
+def primary_link_cost(database: LinkStateDatabase, bw_req: float) -> LinkCost:
+    """Minimum-hop primary routing over bandwidth-feasible links.
+
+    Primaries get *hard* feasibility (a primary without bandwidth is
+    useless), matching the CDP ``primary_flag`` semantics: the link
+    must have ``total_bw − prime_bw − spare_bw ≥ bw_req``.
+    """
+
+    def cost(link: Link) -> Optional[Tuple[float, ...]]:
+        if database.is_failed(link.link_id):
+            return None
+        if database.primary_headroom(link.link_id) + BW_EPSILON < bw_req:
+            return None
+        return (1.0,)
+
+    return cost
 
 
 def _q_penalty(
@@ -127,7 +148,9 @@ disjoint_backup_cost = partial(backup_cost, "disjoint")
 
 class ReferenceLinkStateScheme(RoutingScheme):
     """A link-state scheme planned with cost closures and the naive
-    searches, against whatever database it is bound to."""
+    searches, against whatever database it is bound to.  With
+    ``num_backups=0`` it is the planner's primary half alone — the
+    reference of the primary-only baselines."""
 
     def __init__(self, name: str, conflict_kind: str, num_backups: int = 1):
         super().__init__()
@@ -250,6 +273,8 @@ class ReferenceLinkStateScheme(RoutingScheme):
     def plan_backup(self, query: RouteQuery, primary: Route) -> Optional[Route]:
         """Single-backup search against an established primary (the
         reconfiguration entry point)."""
+        if not self.num_backups:
+            return None
         return self._backup_search(
             query, primary.lset, primary.lset, reconfigure=True
         )

@@ -36,8 +36,10 @@ from typing import Optional
 
 from ..core.service import DRTPService
 from ..routing.base import RoutingContext
+from ..routing.baselines import NoBackupScheme
 from ..routing.flooding import BoundedFloodingScheme
 from ..routing.link_state import LinkStateScheme
+from ..routing.reactive import ReactiveScheme
 from .flooding import ReferenceFloodingScheme
 from .link_state import ReferenceLinkStateScheme
 from .reference import ReferenceDatabase, rebuilt_aplv
@@ -55,9 +57,10 @@ def make_reference_service(service: DRTPService) -> DRTPService:
     (immutable) topology, a :class:`ReferenceDatabase`, a copy of the
     spare policy, and the *reference* planner of the routing scheme —
     the closure planner of :mod:`repro.testing.link_state` for the
-    link-state schemes, the object flood of
-    :mod:`repro.testing.flooding` for bounded flooding, a plain copy
-    for the baselines (which have one closure-search implementation).
+    link-state schemes and, its primary half alone, for the
+    primary-only baselines; the object flood of
+    :mod:`repro.testing.flooding` for bounded flooding; a plain copy
+    only for the random baseline, whose decisions are its generator's.
     Replaying the same operations through both must produce
     bit-identical decisions and state fingerprints.
 
@@ -68,6 +71,8 @@ def make_reference_service(service: DRTPService) -> DRTPService:
     """
     if isinstance(service.scheme, LinkStateScheme):
         scheme = ReferenceLinkStateScheme.shadowing(service.scheme)
+    elif isinstance(service.scheme, (NoBackupScheme, ReactiveScheme)):
+        scheme = ReferenceLinkStateScheme(service.scheme.name, "", 0)
     elif isinstance(service.scheme, BoundedFloodingScheme):
         scheme = ReferenceFloodingScheme.shadowing(service.scheme)
     else:

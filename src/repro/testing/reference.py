@@ -2,7 +2,7 @@
 
 The fast-path routing engine earns its speed from three pieces of
 incrementally-maintained state: per-ledger APLVs updated by deltas,
-support-versioned Conflict-Vector caches, and per-network Dijkstra
+support-versioned Conflict-Vector caches, and per-network search
 workspaces with cached adjacency.  Each of those is exactly the kind
 of state that can silently drift from the truth.  This module keeps
 the *truth*: rebuild-from-scratch counterparts with no caches and no
@@ -13,8 +13,13 @@ after every operation.
 ``naive_shortest_path`` and ``naive_bounded_shortest_path`` are the
 pre-optimization searches, preserved verbatim (dict-based distance
 maps, adjacency re-materialized from the topology on every expansion).
-Their tie-breaking — heap insertion counter over ``network.out_links``
-order — is the contract the fast searches must reproduce bit for bit.
+They are the only searches left that ask a *closure* for each link's
+cost (:data:`LinkCost`): a tuple, summed component-wise and compared
+lexicographically, so ``(Q_penalties + conflicts, 1)`` per link orders
+routes exactly as the paper's ``Q + conflicts + epsilon`` does for any
+epsilon in ``(0, 1)``.  Their tie-breaking — heap insertion counter
+over ``network.out_links`` order — is the contract the array searches
+of :mod:`repro.kernels.search` must reproduce bit for bit.
 The planners that search with them live next door
 (:mod:`repro.testing.link_state`, :mod:`repro.testing.flooding`); the
 shadow service that binds it all together is
@@ -25,14 +30,23 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from ..network.aplv import APLV
 from ..network.conflict_vector import ConflictVector
 from ..network.database import LinkStateDatabase
 from ..network.state import LinkLedger
-from ..topology.graph import Network, Route
-from ..routing.dijkstra import LinkCost, hop_cost
+from ..topology.graph import Link, Network, Route
+
+#: A link-cost function: maps a link to an additive cost tuple, or to
+#: ``None`` to exclude the link from the search entirely.  All
+#: returned tuples must have the same arity.
+LinkCost = Callable[[Link], Optional[Tuple[float, ...]]]
+
+
+def hop_cost(_link: Link) -> Tuple[float, ...]:
+    """Unit cost — plain minimum-hop routing."""
+    return (1.0,)
 
 
 def naive_shortest_path(

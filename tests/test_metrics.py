@@ -10,6 +10,7 @@ depth).
 """
 
 import math
+import random
 
 import pytest
 
@@ -22,8 +23,14 @@ from repro.metrics import (
 from repro.metrics.registry import DEFAULT_BUCKETS
 from repro.metrics.textformat import PrometheusFormatError
 from repro.core import DRTPService
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy, SignalingFaults
 from repro.kernels.search import ANSWERS
-from repro.routing import DLSRScheme
+from repro.routing import (
+    DLSRScheme,
+    NoBackupScheme,
+    RandomBackupScheme,
+    ReactiveScheme,
+)
 from repro.topology import mesh_network
 
 
@@ -329,6 +336,24 @@ class TestServiceInstrumentation:
             in metrics.registry.render_prometheus()
         )
 
+    @pytest.mark.parametrize(
+        "scheme_cls",
+        [NoBackupScheme, ReactiveScheme, RandomBackupScheme],
+        ids=lambda cls: cls.name,
+    )
+    def test_baselines_count_their_primary_searches(self, scheme_cls):
+        metrics = ServiceMetrics()
+        service = DRTPService(
+            mesh_network(4, 4, 10.0), scheme_cls(), metrics=metrics,
+            require_backup=False,
+        )
+        assert service.request(0, 15, 1.0).accepted
+        assert not service.request(0, 15, 100.0).accepted
+        searches = metrics.route_searches
+        assert searches.value("primary", "probe") == 1.0
+        assert searches.value("primary", "none") == 1.0
+        assert searches.total() == 2.0
+
     def test_uninstrumented_service_records_nothing(self):
         metrics = ServiceMetrics()
         net = mesh_network(3, 3, 10.0)
@@ -336,6 +361,71 @@ class TestServiceInstrumentation:
         assert service.request(0, 8, 1.0).accepted
         assert metrics.admissions.total() == 0.0
         assert metrics.admission_latency.count == 0
+
+
+class TestSignalingSurfacesAgree:
+    """``ServiceCounters`` and the registry count every backup walk
+    once each, whoever asked for it: admission, the reconfiguration
+    after a failure, or the re-establishment queue."""
+
+    FIELDS = ("walks", "retries", "drops", "duplicates", "crashes", "gave_up")
+
+    def assert_agree(self, service, metrics):
+        counted = {
+            field: getattr(service.counters, "signaling_" + field)
+            for field in self.FIELDS
+        }
+        scraped = {
+            field: int(getattr(metrics, "signaling_" + field).value())
+            for field in self.FIELDS
+        }
+        assert counted == scraped
+        return counted
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "lossy"])
+    def test_counters_equal_registry_through_recovery(self, faulted):
+        from repro.topology import mesh_conduit_groups
+
+        metrics = ServiceMetrics()
+        net = mesh_network(4, 4, 10.0)
+        groups = mesh_conduit_groups(net, 4, 4)
+        faults = {}
+        if faulted:
+            plan = FaultPlan(signaling=SignalingFaults(
+                drop_prob=0.1, duplicate_prob=0.1, crash_prob=0.1
+            ))
+            faults = {
+                "fault_injector": FaultInjector(plan, seed=3),
+                "retry_policy": RetryPolicy(max_attempts=2),
+            }
+        service = DRTPService(
+            net, DLSRScheme(), metrics=metrics, risk_groups=groups, **faults
+        )
+        rng = random.Random(5)
+        for _ in range(40):
+            source, destination = rng.sample(range(16), 2)
+            service.request(source, destination, 1.0)
+        admitted = self.assert_agree(service, metrics)
+        assert (admitted["retries"] > 0) == faulted
+
+        service.fail_link(service.links_carrying_primaries()[0])
+        reconfigured = self.assert_agree(service, metrics)
+        assert reconfigured["walks"] > admitted["walks"]
+
+        service.fail_group(
+            groups.group_of(service.links_carrying_primaries()[0]),
+            reconfigure=False,
+        )
+        bare = [
+            conn.connection_id for conn in service.connections()
+            if service.queue_backup_reestablishment(conn.connection_id)
+        ]
+        assert bare
+        for connection_id in bare:
+            service.reestablish_backup(connection_id)
+        assert self.assert_agree(service, metrics)["walks"] > (
+            reconfigured["walks"]
+        )
 
 
 class TestGroupFailureInstrumentation:

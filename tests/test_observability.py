@@ -28,7 +28,13 @@ from repro.observability import (
     write_chrome_trace,
     write_ndjson,
 )
-from repro.routing import DLSRScheme, PLSRScheme
+from repro.routing import (
+    DLSRScheme,
+    NoBackupScheme,
+    PLSRScheme,
+    RandomBackupScheme,
+    ReactiveScheme,
+)
 from repro.server import ControlPlaneServer, decode_response, encode_request
 from repro.topology import mesh_network
 
@@ -381,6 +387,32 @@ class TestServiceSpanTree:
         (register,) = collector.spans("signal.register")
         assert register.parent_id == admit.span_id
         assert register.tags["success"] is True
+
+    @pytest.mark.parametrize(
+        "scheme_cls",
+        [NoBackupScheme, ReactiveScheme, RandomBackupScheme],
+        ids=lambda cls: cls.name,
+    )
+    def test_baselines_trace_their_primary_search(self, scheme_cls):
+        """The baselines plan their primary through the link-state
+        schemes' step, so a traced admission shows the same
+        ``route.primary_search`` child under ``route.plan``."""
+        collector = TraceCollector()
+        service = DRTPService(
+            mesh_network(4, 4, 10.0), scheme_cls(), trace=collector,
+            require_backup=False,
+        )
+        assert service.request(source=0, destination=15, bw_req=1.0).accepted
+        assert not service.request(
+            source=0, destination=15, bw_req=100.0
+        ).accepted
+        plans = collector.spans("route.plan")
+        found, missed = collector.spans("route.primary_search")
+        assert [found.parent_id, missed.parent_id] == [
+            plan.span_id for plan in plans
+        ]
+        assert found.tags == {"answer": "probe", "found": True, "hops": 6}
+        assert missed.tags == {"answer": "none", "found": False}
 
     def test_detail_off_skips_cost_decomposition(self):
         service, collector = self.make_service(detail=False)

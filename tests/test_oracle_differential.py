@@ -1,8 +1,8 @@
 """Differential-oracle campaigns: fast path vs naive reference.
 
 The acceptance bar for the fast-path routing engine (incremental
-APLV/CV maintenance, dirty-set database refresh, cached-workspace
-Dijkstra): **zero divergences over ≥ 500 randomized operations per
+APLV/CV maintenance, dirty-set database refresh, array cost builds and
+searches): **zero divergences over ≥ 500 randomized operations per
 scheme** on the 8x8 mesh, with every operation diffed bit-for-bit
 against the rebuild-from-scratch shadow service.  The campaign totals
 are recorded to ``benchmarks/results/oracle_differential.json`` so CI
@@ -21,6 +21,7 @@ import pytest
 from repro.core import DRTPService
 from repro.experiments import make_scheme
 from repro.faults import FaultInjector, FaultPlan
+from repro.routing import NoBackupScheme, ReactiveScheme
 from repro.testing import DifferentialOracle, OracleDivergence
 from repro.topology import mesh_network
 
@@ -33,11 +34,17 @@ RESULTS_PATH = (
 
 SCHEMES = ("P-LSR", "D-LSR", "BF")
 
+#: The primary-only baselines, shadowed by the reference planner's
+#: primary half (they reserve no backup, so none may be required).
+BASELINES = {"no-backup": NoBackupScheme, "reactive": ReactiveScheme}
+
 #: Randomized operations per scheme (the acceptance bar is >= 500).
 CAMPAIGN_OPS = 520
 
 
-def run_campaign(scheme_name, rows, cols, num_ops, seed, check_database):
+def run_campaign(
+    scheme_name, rows, cols, num_ops, seed, check_database, qos_slack=None
+):
     """Drive ``num_ops`` randomized operations through an
     oracle-wrapped service; returns the oracle for inspection.
 
@@ -46,7 +53,15 @@ def run_campaign(scheme_name, rows, cols, num_ops, seed, check_database):
     snapshot refreshes.
     """
     net = mesh_network(rows, cols, capacity=12.0)
-    service = DRTPService(net, make_scheme(scheme_name))
+    if scheme_name in BASELINES:
+        service = DRTPService(
+            net, BASELINES[scheme_name](), require_backup=False,
+            qos_slack=qos_slack,
+        )
+    else:
+        service = DRTPService(
+            net, make_scheme(scheme_name), qos_slack=qos_slack
+        )
     oracle = DifferentialOracle(service, check_database=check_database)
     rng = random.Random(seed)
     live = []
@@ -105,6 +120,22 @@ def test_oracle_campaign_8x8(scheme_name, tmp_path_factory):
     existing[scheme_name] = record
     RESULTS_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True)
                             + "\n")
+
+
+@pytest.mark.oracle
+@pytest.mark.slow
+@pytest.mark.parametrize("qos_slack", (None, 1))
+@pytest.mark.parametrize("scheme_name", sorted(BASELINES))
+def test_oracle_campaign_baselines(scheme_name, qos_slack):
+    """The same ≥ 500 operations for the primary-only baselines —
+    array cost build + flat search against primary closure + naive
+    search — unbounded and under a delay bound."""
+    oracle = run_campaign(
+        scheme_name, rows=8, cols=8, num_ops=CAMPAIGN_OPS, seed=2026,
+        check_database=False, qos_slack=qos_slack,
+    )
+    assert oracle.operations >= 500
+    assert not isinstance(oracle.shadow.scheme, tuple(BASELINES.values()))
 
 
 @pytest.mark.oracle

@@ -2,7 +2,7 @@
 
 Three incremental mechanisms carry the fast path — delta-maintained
 APLVs, support-versioned CV caches, dirty-set database refreshes, and
-the cached-workspace Dijkstra — and each has a rebuild-from-scratch
+the cached-workspace searches — and each has a rebuild-from-scratch
 twin in :mod:`repro.testing.reference`.  The metamorphic relations:
 
 * ``teardown(setup(x))`` is the identity on every observable piece of
@@ -20,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DRTPService
+from repro.kernels.search import (
+    encode_scale,
+    flat_bounded_shortest_path,
+    flat_dijkstra,
+    flat_min_hop_path,
+    flat_shortest_path,
+    search_workspace,
+)
 from repro.metrics import ServiceMetrics
 from repro.network import APLV, LinkStateDatabase, NetworkState
 from repro.routing import PLSRScheme
-from repro.routing.dijkstra import (
-    bounded_shortest_path,
-    search_workspace,
-    shortest_path,
-)
 from repro.testing import (
     naive_bounded_shortest_path,
     naive_shortest_path,
@@ -219,8 +222,13 @@ def test_fast_search_bit_identical_to_naive(net_index, data):
             return None
         return (float(w), 1.0)
 
-    fast = shortest_path(net, src, dst, cost)
+    def encoded(scale):
+        return [-1.0 if w is None else w * scale + 1.0 for w in weights]
+
+    fast = flat_shortest_path(net, src, dst, encoded(encode_scale(net)))
     naive = naive_shortest_path(net, src, dst, cost)
+    # The exhaustive step alone answers the same, unit phase or not.
+    assert flat_dijkstra(net, src, dst, encoded(encode_scale(net))) == naive
     if naive is None:
         assert fast is None
     else:
@@ -229,7 +237,9 @@ def test_fast_search_bit_identical_to_naive(net_index, data):
         assert fast.link_ids == naive.link_ids
 
     max_hops = data.draw(st.integers(min_value=1, max_value=8), label="hops")
-    fast_bounded = bounded_shortest_path(net, src, dst, cost, max_hops)
+    fast_bounded = flat_bounded_shortest_path(
+        net, src, dst, encoded(encode_scale(net, max_hops)), max_hops
+    )
     naive_bounded = naive_bounded_shortest_path(net, src, dst, cost, max_hops)
     if naive_bounded is None:
         assert fast_bounded is None
@@ -244,25 +254,6 @@ def test_workspace_is_cached_and_reused():
     ws = search_workspace(net)
     assert search_workspace(net) is ws
     epoch_before = ws.epoch
-    shortest_path(net, 0, 15)
+    flat_min_hop_path(net, 0, 15, [1.0] * net.num_links)
     assert search_workspace(net) is ws
     assert ws.epoch > epoch_before  # arrays were reused, not rebuilt
-
-
-def test_reentrant_search_falls_back_to_ephemeral_workspace():
-    net = mesh_network(3, 3, 10.0)
-    outer_ws = search_workspace(net)
-    inner_routes = []
-
-    def recursive_cost(link):
-        if not inner_routes:
-            # Route recursively from inside the outer search's cost
-            # function; must not corrupt the outer workspace arrays.
-            inner_routes.append(shortest_path(net, 8, 0))
-        return (1.0,)
-
-    route = shortest_path(net, 0, 8, recursive_cost)
-    assert route is not None
-    assert inner_routes[0] is not None
-    assert route.link_ids == naive_shortest_path(net, 0, 8).link_ids
-    assert not outer_ws.in_use

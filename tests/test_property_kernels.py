@@ -50,11 +50,11 @@ from repro.kernels.search import (
     encode_scale,
     flat_min_hop_path,
     flat_shortest_path,
+    search_workspace,
 )
 from repro.network.state import LinkLedger
-from repro.routing import Q_PENALTY, primary_link_cost
-from repro.routing.dijkstra import search_workspace
-from repro.testing.link_state import backup_cost
+from repro.routing import Q_PENALTY
+from repro.testing.link_state import backup_cost, primary_link_cost
 from repro.testing.reference import naive_shortest_path
 from repro.topology import mesh_network
 from repro.topology.graph import Network, Route

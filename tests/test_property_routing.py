@@ -5,6 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels.search import (
+    encode_scale,
+    flat_bounded_shortest_path,
+    flat_min_hop_path,
+)
 from repro.network import NetworkState
 from repro.routing import (
     BoundedFloodingScheme,
@@ -12,7 +17,6 @@ from repro.routing import (
     PLSRScheme,
     RouteQuery,
     RoutingContext,
-    shortest_path,
 )
 from repro.routing.flooding import BFParameters
 from repro.topology import all_pairs_hop_counts, waxman_network
@@ -23,6 +27,7 @@ _NETWORKS = {
     for seed in range(3)
 }
 _PAIRS = {seed: all_pairs_hop_counts(net) for seed, net in _NETWORKS.items()}
+_UNIT = {seed: [1.0] * net.num_links for seed, net in _NETWORKS.items()}
 
 
 def _bound(scheme, network):
@@ -42,7 +47,7 @@ pairs = st.tuples(
 def test_dijkstra_route_valid_and_optimal(case):
     seed, src, dst = case
     net = _NETWORKS[seed]
-    route = shortest_path(net, src, dst)
+    route = flat_min_hop_path(net, src, dst, _UNIT[seed])
     assert route is not None
     # Route validity: consecutive links exist in the topology.
     for u, v in zip(route.nodes, route.nodes[1:]):
@@ -102,15 +107,13 @@ def test_flood_invariants(case):
 )
 @settings(max_examples=50, deadline=None)
 def test_bounded_search_properties(case, max_hops):
-    """bounded_shortest_path: respects the bound, agrees with the
+    """flat_bounded_shortest_path: respects the bound, agrees with the
     unbounded search when slack allows, and never misses a feasible
     route (cross-checked against BFS distance)."""
-    from repro.routing.dijkstra import bounded_shortest_path, hop_cost
-
     seed, src, dst = case
     net = _NETWORKS[seed]
     min_dist = _PAIRS[seed][src][dst]
-    route = bounded_shortest_path(net, src, dst, hop_cost, max_hops)
+    route = flat_bounded_shortest_path(net, src, dst, _UNIT[seed], max_hops)
     if max_hops < min_dist:
         assert route is None
     else:
@@ -127,26 +130,18 @@ def test_bounded_search_with_conflict_costs(case, slack):
     """With two-component (conflict, hop) costs the bounded route must
     never exceed bound nor be beaten by another compliant route the
     plain search finds."""
-    import random as random_module
-
-    from repro.routing.dijkstra import bounded_shortest_path
-
     seed, src, dst = case
     net = _NETWORKS[seed]
-    weight_rng = random_module.Random(seed * 1000 + src * 20 + dst)
-    weights = {
-        link.link_id: float(weight_rng.randrange(3)) for link in net.links()
-    }
-
-    def cost(link):
-        return (weights[link.link_id], 1.0)
-
+    weight_rng = random.Random(seed * 1000 + src * 20 + dst)
+    weights = [float(weight_rng.randrange(3)) for _ in net.links()]
     bound_hops = int(_PAIRS[seed][src][dst]) + slack
-    route = bounded_shortest_path(net, src, dst, cost, bound_hops)
+    scale = encode_scale(net, bound_hops)
+    costs = [weight * scale + 1.0 for weight in weights]
+    route = flat_bounded_shortest_path(net, src, dst, costs, bound_hops)
     assert route is not None
     assert route.hop_count <= bound_hops
     # Sanity: route cost is no worse than the direct min-hop path's.
-    direct = shortest_path(net, src, dst)
+    direct = flat_min_hop_path(net, src, dst, _UNIT[seed])
     if direct.hop_count <= bound_hops:
         route_cost = sum(weights[l] for l in route.link_ids)
         direct_cost = sum(weights[l] for l in direct.link_ids)

@@ -5,6 +5,11 @@ import random
 import pytest
 
 from repro.core import DRTPService
+from repro.kernels.search import (
+    encode_scale,
+    flat_bounded_shortest_path,
+    flat_min_hop_path,
+)
 from repro.network import NetworkState
 from repro.routing import (
     BoundedFloodingScheme,
@@ -16,7 +21,6 @@ from repro.routing import (
     RouteQuery,
     RoutingContext,
 )
-from repro.routing.dijkstra import bounded_shortest_path, hop_cost
 from repro.topology import all_pairs_hop_counts, mesh_network, ring_network
 
 
@@ -25,24 +29,29 @@ def bound(scheme, net):
     return scheme
 
 
+def unit(net):
+    return [1.0] * net.num_links
+
+
 class TestBoundedShortestPath:
     def test_respects_bound(self):
         net = ring_network(8, 1.0)
-        route = bounded_shortest_path(net, 0, 4, hop_cost, max_hops=4)
+        route = flat_bounded_shortest_path(net, 0, 4, unit(net), max_hops=4)
         assert route is not None
         assert route.hop_count == 4
 
     def test_infeasible_bound_returns_none(self):
         net = ring_network(8, 1.0)
-        assert bounded_shortest_path(net, 0, 4, hop_cost, max_hops=3) is None
-        assert bounded_shortest_path(net, 0, 4, hop_cost, max_hops=0) is None
+        costs = unit(net)
+        assert flat_bounded_shortest_path(net, 0, 4, costs, max_hops=3) is None
+        assert flat_bounded_shortest_path(net, 0, 4, costs, max_hops=0) is None
 
     def test_matches_unbounded_when_loose(self):
-        from repro.routing import shortest_path
-
         net = mesh_network(4, 4, 1.0)
-        free = shortest_path(net, 0, 15)
-        bounded = bounded_shortest_path(net, 0, 15, hop_cost, max_hops=99)
+        free = flat_min_hop_path(net, 0, 15, unit(net))
+        bounded = flat_bounded_shortest_path(
+            net, 0, 15, unit(net), max_hops=99
+        )
         assert bounded.hop_count == free.hop_count
 
     def test_prefers_cheap_within_bound(self):
@@ -50,21 +59,22 @@ class TestBoundedShortestPath:
         search must take the compliant expensive one instead of
         failing."""
         net = ring_network(6, 1.0)
-        direct = net.link_between(0, 1).link_id
-
-        def cost(link):
-            return (5.0 if link.link_id == direct else 0.0, 1.0)
-
-        unbounded_route = bounded_shortest_path(net, 0, 1, cost, max_hops=5)
+        costs = unit(net)
+        costs[net.link_between(0, 1).link_id] = (
+            5.0 * encode_scale(net, 5) + 1.0
+        )
+        unbounded_route = flat_bounded_shortest_path(
+            net, 0, 1, costs, max_hops=5
+        )
         assert unbounded_route.hop_count == 5  # detour wins when allowed
-        tight = bounded_shortest_path(net, 0, 1, cost, max_hops=2)
+        tight = flat_bounded_shortest_path(net, 0, 1, costs, max_hops=2)
         assert tight is not None
         assert tight.hop_count == 1  # forced onto the expensive link
 
     def test_same_endpoints_rejected(self):
         net = ring_network(4, 1.0)
         with pytest.raises(ValueError):
-            bounded_shortest_path(net, 1, 1, hop_cost, max_hops=3)
+            flat_bounded_shortest_path(net, 1, 1, unit(net), max_hops=3)
 
 
 class TestRouteQueryQoS:
@@ -138,11 +148,11 @@ class TestServiceQoS:
     @pytest.mark.parametrize(
         "scheme_cls", [NoBackupScheme, ReactiveScheme, RandomBackupScheme]
     )
-    def test_closure_searching_schemes_keep_the_bound(self, scheme_cls):
+    def test_baseline_schemes_keep_the_bound(self, scheme_cls):
         """With the direct link saturated every other route 0 -> 1 is
         a 3-hop detour; slack 0 allows 1 hop, so no primary (and, for
-        the random scheme, no backup) may take it — the schemes that
-        search over cost closures used to ignore ``max_hops``."""
+        the random scheme, no backup) may take it — the baselines
+        once ignored ``max_hops``."""
         net = mesh_network(3, 3, 10.0)
         service = DRTPService(
             net, scheme_cls(), qos_slack=0, require_backup=False

@@ -1,10 +1,11 @@
 """Negative/edge-case coverage for Bellman–Ford and the reactive
-baseline, pinned against ``dijkstra.shortest_path`` parity.
+baseline, pinned against the min-hop search (and the hop columns its
+workspace keeps).
 
 Two corners that previously had no direct tests:
 
 * **unreachable destinations** — the distance-vector fixed point, the
-  next-hop tables, Dijkstra and the reactive scheme must all agree
+  next-hop tables, the searches and the reactive scheme must all agree
   that no route exists (and reject cleanly rather than loop or leak);
 * **hop limits exactly equal to the shortest path** — the bounded
   search's boundary: ``max_hops == len(shortest)`` must return the
@@ -18,19 +19,23 @@ import pytest
 
 from repro.core import DRTPService
 from repro.core.admission import REASON_NO_PRIMARY
+from repro.kernels.search import (
+    flat_bounded_shortest_path,
+    flat_min_hop_path,
+    search_workspace,
+)
 from repro.routing import (
     ReactiveScheme,
     bellman_ford_vectors,
     next_hop_table,
 )
-from repro.routing.dijkstra import (
-    bounded_shortest_path,
-    hop_cost,
-    shortest_path,
-)
 from repro.topology import line_network, mesh_network, waxman_network
 from repro.topology.distance import UNREACHABLE
 from repro.topology.graph import Network
+
+
+def unit(net):
+    return [1.0] * net.num_links
 
 
 def split_network():
@@ -47,15 +52,18 @@ class TestUnreachableDestination:
     def test_bellman_ford_agrees_with_dijkstra(self):
         net = split_network()
         vectors, _ = bellman_ford_vectors(net)
+        workspace = search_workspace(net)
         for src in net.nodes():
             for dst in net.nodes():
                 if src == dst:
                     continue
-                route = shortest_path(net, src, dst, hop_cost)
+                route = flat_min_hop_path(net, src, dst, unit(net))
+                hops = workspace.hops_to(dst)[src]
                 if route is None:
                     assert vectors[src][dst] == UNREACHABLE
+                    assert hops == net.num_nodes
                 else:
-                    assert vectors[src][dst] == route.hop_count
+                    assert vectors[src][dst] == route.hop_count == hops
 
     def test_next_hop_table_omits_unreachable(self):
         net = split_network()
@@ -64,7 +72,7 @@ class TestUnreachableDestination:
 
     def test_bounded_search_returns_none(self):
         net = split_network()
-        assert bounded_shortest_path(net, 0, 4, hop_cost, 10) is None
+        assert flat_bounded_shortest_path(net, 0, 4, unit(net), 10) is None
 
     def test_reactive_rejects_cleanly(self):
         net = split_network()
@@ -79,7 +87,7 @@ class TestUnreachableDestination:
         net = waxman_network(20, 30.0, rng=random.Random(4))
         service = DRTPService(net, ReactiveScheme(), require_backup=False)
         for src, dst in ((0, 13), (5, 17), (19, 2)):
-            expected = shortest_path(net, src, dst, hop_cost)
+            expected = flat_min_hop_path(net, src, dst, unit(net))
             decision = service.request(src, dst, 1.0)
             if expected is None:
                 assert not decision.accepted
@@ -96,9 +104,9 @@ class TestExactHopLimit:
     @pytest.mark.parametrize("src,dst", [(0, 5), (1, 4), (0, 3)])
     def test_limit_equal_to_shortest_returns_shortest(self, src, dst):
         net = line_network(6, 10.0)
-        shortest = shortest_path(net, src, dst, hop_cost)
-        bounded = bounded_shortest_path(
-            net, src, dst, hop_cost, shortest.hop_count
+        shortest = flat_min_hop_path(net, src, dst, unit(net))
+        bounded = flat_bounded_shortest_path(
+            net, src, dst, unit(net), shortest.hop_count
         )
         assert bounded is not None
         assert bounded.link_ids == shortest.link_ids
@@ -107,10 +115,10 @@ class TestExactHopLimit:
     @pytest.mark.parametrize("src,dst", [(0, 5), (1, 4), (0, 2)])
     def test_limit_one_below_shortest_returns_none(self, src, dst):
         net = line_network(6, 10.0)
-        shortest = shortest_path(net, src, dst, hop_cost)
+        shortest = flat_min_hop_path(net, src, dst, unit(net))
         assert (
-            bounded_shortest_path(
-                net, src, dst, hop_cost, shortest.hop_count - 1
+            flat_bounded_shortest_path(
+                net, src, dst, unit(net), shortest.hop_count - 1
             )
             is None
         )
@@ -121,13 +129,13 @@ class TestExactHopLimit:
             for dst in net.nodes():
                 if src == dst:
                     continue
-                shortest = shortest_path(net, src, dst, hop_cost)
-                bounded = bounded_shortest_path(
-                    net, src, dst, hop_cost, shortest.hop_count
+                shortest = flat_min_hop_path(net, src, dst, unit(net))
+                bounded = flat_bounded_shortest_path(
+                    net, src, dst, unit(net), shortest.hop_count
                 )
                 assert bounded.hop_count == shortest.hop_count
 
     def test_zero_and_negative_limits_reject(self):
         net = line_network(3, 10.0)
-        assert bounded_shortest_path(net, 0, 2, hop_cost, 0) is None
-        assert bounded_shortest_path(net, 0, 2, hop_cost, -1) is None
+        assert flat_bounded_shortest_path(net, 0, 2, unit(net), 0) is None
+        assert flat_bounded_shortest_path(net, 0, 2, unit(net), -1) is None

@@ -17,10 +17,14 @@ from repro.routing import (
     RandomBackupScheme,
     RouteQuery,
     RoutingContext,
+)
+from repro.testing import (
+    dlsr_backup_cost,
+    plsr_backup_cost,
     primary_link_cost,
 )
-from repro.testing import dlsr_backup_cost, plsr_backup_cost
 from repro.topology import Route, line_network, mesh_network, ring_network
+from repro.topology.graph import Network
 
 
 def bound(scheme, network):
@@ -207,6 +211,25 @@ class TestBaselines:
         assert plan_a.backup.nodes == plan_b.backup.nodes
         assert plan_a.backup_overlap == 0
 
+    def test_random_scheme_tests_bandwidth_like_everyone_else(self):
+        """Feasibility is ``headroom + BW_EPSILON < bw_req`` everywhere:
+        a link whose backup headroom churned down to ``bw_req - 1e-12``
+        still carries the backup, so the random scheme takes the 2-hop
+        route over it rather than the ``Q``-free 5-hop one."""
+        net = Network(8)
+        for u, v in ((0, 2), (2, 1), (0, 3), (3, 1),
+                     (0, 4), (4, 5), (5, 6), (6, 7), (7, 1)):
+            net.add_edge(u, v, 10.0)
+        net.freeze()
+        scheme = RandomBackupScheme()
+        state = bound(scheme, net)
+        state.ledger(net.link_between(0, 3).link_id).reserve_primary(
+            10.0 - (1.0 - 1e-12)
+        )
+        plan = scheme.plan(RouteQuery(0, 1, 1.0))
+        assert plan.primary.nodes == (0, 2, 1)
+        assert plan.backup.nodes == (0, 3, 1)
+
     def test_no_backup_with_service_counts_unprotected(self):
         net = mesh_network(2, 2, 2.0)
         service = DRTPService(net, NoBackupScheme(), require_backup=False)
@@ -254,3 +277,30 @@ class TestOneEngine:
                         "{}::{}".format(path.relative_to(root), function)
                     )
         assert callers == {"core/recovery.py::_promote"}
+
+    def test_routes_are_searched_over_cost_arrays_only(self):
+        """One route search: outside ``testing/`` (the naive
+        reference) no module speaks the per-link cost-closure
+        vocabulary, and the only heaps besides the searches' are the
+        two event queues."""
+        root = Path(repro.__file__).parent
+        closure = re.compile(
+            r"\bLinkCost\b|\blink_cost\b|\blink_allowed\b"
+            r"|Callable\[\[Link\]"
+        )
+        speakers, heaps = [], []
+        for path in sorted(root.rglob("*.py")):
+            name = str(path.relative_to(root))
+            text = path.read_text()
+            if not name.startswith("testing/") and closure.search(text):
+                speakers.append(name)
+            if re.search(r"^\s*(import heapq|from heapq import)", text, re.M):
+                heaps.append(name)
+        assert speakers == []
+        assert heaps == [
+            "kernels/search.py",
+            "loadmodel/soak.py",
+            "simulation/engine.py",
+            "testing/reference.py",
+        ]
+        assert not (root / "routing" / "dijkstra.py").exists()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.kernels.search import search_workspace
 from repro.topology import (
     UNREACHABLE,
     DistanceTable,
@@ -22,7 +23,6 @@ from repro.topology import (
     save_network,
     waxman_network,
 )
-from repro.routing.dijkstra import search_workspace
 from repro.topology.graph import Network
 
 
