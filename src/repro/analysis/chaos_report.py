@@ -126,16 +126,20 @@ class ChaosReport:
             return 1.0
         return self.group_activations_won / contested
 
-    def absorb_group_impact(self, impact, links: int) -> None:
-        """Fold one applied correlated failure into the tallies."""
-        self.group_failures += 1
-        self.group_links_failed += links
-        self.group_activations_won += impact.activated
-        self.group_activations_lost += impact.failed
-        for reason, count in impact.reasons().items():
-            self.group_activation_reasons[reason] = (
-                self.group_activation_reasons.get(reason, 0) + count
-            )
+    def absorb_counters(self, counted: Dict[str, Any]) -> None:
+        """Take what the service counted
+        (:meth:`~repro.core.service.ServiceCounters.to_dict`): every
+        tally this report shares by name, and the correlated-failure
+        section from the service's group tallies."""
+        for name in vars(self).keys() & counted.keys():
+            setattr(self, name, counted[name])
+        outcomes = counted["group_recovery_outcomes"]
+        self.group_links_failed = counted["group_failed_links"]
+        self.group_activation_reasons = outcomes
+        self.group_activations_won = outcomes.get("activated", 0)
+        self.group_activations_lost = (
+            sum(outcomes.values()) - self.group_activations_won
+        )
 
     # ------------------------------------------------------------------
     # Rendering / serialization

@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--max-spans", type=int, default=200_000,
                        metavar="N",
                        help="span ring-buffer bound; oldest spans are "
-                       "evicted and counted once exceeded")
+                       "evicted and counted once exceeded (the search "
+                       "digest is read from the service's counters, "
+                       "which eviction cannot undercount)")
     trace.add_argument("--warmup", type=float, default=None,
                        help="seconds before measurement (default: half)")
     trace.add_argument("--rejections", type=int, default=5, metavar="N",
@@ -705,18 +707,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 "({} total)".format(warm_hits, cold_misses, len(searches))
             )
         # Which step of the search answered (docs/performance.md: a
-        # rising "exhaustive" share is the unit phase falling through).
+        # rising "exhaustive" share is the unit phase falling through),
+        # read from the service's counters: the span ring buffer may
+        # have evicted the searches' spans, the tally forgets nothing.
+        answered = service.counters.searches
         for search in ("primary", "backup"):
-            answers = [
-                span.tags["answer"]
-                for span in collector.spans("route.{}_search".format(search))
-                if "answer" in span.tags
-            ]
-            if answers:
+            if any(key[0] == search for key in answered):
                 print("{} searches answered by: {}".format(
                     search,
                     ", ".join(
-                        "{} {}".format(answer, answers.count(answer))
+                        "{} {}".format(
+                            answer, answered.get((search, answer), 0)
+                        )
                         for answer in ANSWERS
                     ),
                 ))

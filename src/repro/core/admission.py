@@ -25,7 +25,7 @@ then counts against the scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..kernels.apply import batch_release_primary, batch_reserve_primary
@@ -38,7 +38,6 @@ from .multiplexing import SparePolicy
 from .signaling import (
     BackupRegisterPacket,
     BackupReleasePacket,
-    RegistrationResult,
     register_backup_path,
     release_backup_path,
 )
@@ -52,8 +51,7 @@ class AdmissionDecision:
     backup signaling exhausted its retries under injected faults (not
     because resources were missing) — the caller is expected to queue
     it for background backup re-establishment (Section 2.3 under
-    adversity).  ``registrations`` collects the signaling outcome of
-    every backup walk attempted, for fault/retry accounting.
+    adversity).
     """
 
     request: ConnectionRequest
@@ -62,7 +60,6 @@ class AdmissionDecision:
     reason: str = "ok"
     backup_registration_deficit: float = 0.0
     degraded: bool = False
-    registrations: List[RegistrationResult] = field(default_factory=list)
 
     @property
     def accepted(self) -> bool:
@@ -88,7 +85,7 @@ class AdmissionController:
         injector=None,
         retry_policy=None,
         degrade_on_fault: Optional[bool] = None,
-        metrics=None,
+        counters=None,
         trace=None,
     ) -> None:
         """``injector``/``retry_policy`` subject backup signaling to
@@ -98,8 +95,9 @@ class AdmissionController:
         unprotected when its backup signaling exhausts retries, instead
         of rejecting it — the decision is flagged ``degraded`` so the
         service can re-establish the backup in the background.
-        ``metrics`` (a :class:`~repro.metrics.ServiceMetrics`) receives
-        per-walk signaling accounting when present; ``trace`` (a
+        ``counters`` (the service's
+        :class:`~repro.core.service.ServiceCounters`) receives per-walk
+        signaling accounting when present; ``trace`` (a
         :class:`~repro.observability.TraceCollector`) receives spans
         for every register/release walk."""
         self._state = state
@@ -107,7 +105,7 @@ class AdmissionController:
         self._require_backup = require_backup
         self._injector = injector
         self._retry_policy = retry_policy
-        self._metrics = metrics
+        self._counters = counters
         self._trace = trace
         if degrade_on_fault is None:
             degrade_on_fault = injector is not None
@@ -153,9 +151,8 @@ class AdmissionController:
             registration = register_backup_path(
                 self._state, self._policy, packet,
                 self._injector, self._retry_policy,
-                metrics=self._metrics, trace=self._trace,
+                counters=self._counters, trace=self._trace,
             )
-            decision.registrations.append(registration)
             if not registration.success:
                 if registration.gave_up and self._degrade_on_fault:
                     # Signaling faults, not resources, defeated the
@@ -186,9 +183,8 @@ class AdmissionController:
                     outcome = register_backup_path(
                         self._state, self._policy, extra,
                         self._injector, self._retry_policy,
-                        metrics=self._metrics, trace=self._trace,
+                        counters=self._counters, trace=self._trace,
                     )
-                    decision.registrations.append(outcome)
                     if outcome.success:
                         decision.backup_registration_deficit += (
                             outcome.total_deficit

@@ -41,7 +41,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..kernels.apply import batch_release_primary, batch_release_walk
 from ..network.state import BW_EPSILON, NetworkState
-from .channel import Channel
+from ..routing.base import RouteQuery
+from . import signaling
+from .channel import Channel, ChannelRole
 from .connection import ConnectionState, DRConnection
 from .errors import RecoveryError
 from .multiplexing import SparePolicy
@@ -441,6 +443,48 @@ def apply_failed_links(
     return impact
 
 
+def reprotect(
+    state: NetworkState,
+    policy: SparePolicy,
+    conn: DRConnection,
+    scheme,
+    max_hops: Optional[int] = None,
+    injector=None,
+    retry_policy=None,
+    counters=None,
+    trace=None,
+) -> bool:
+    """Give one unprotected connection a backup: plan it against the
+    standing primary (``max_hops`` is the delay-QoS bound, as at
+    admission), walk its register packet, attach the channel.
+    ``injector`` / ``retry_policy`` make the walk lossy — only the
+    re-establishment queue passes them; ``counters`` / ``trace``
+    receive the walk's signaling accounting and ``signal.register``
+    span.  Returns whether the connection is protected afterwards."""
+    backup = scheme.plan_backup(
+        RouteQuery(conn.source, conn.destination, conn.bw_req, max_hops),
+        conn.primary_route,
+    )
+    if backup is None or backup.lset == conn.primary_route.lset:
+        return False
+    packet = signaling.BackupRegisterPacket(
+        connection_id=conn.connection_id,
+        backup_route=backup,
+        primary_lset=conn.primary_route.lset,
+        bw_req=conn.bw_req,
+    )
+    # Resolved through the module at call time: the e2e harness wraps
+    # this binding to count the re-protection walks.
+    registration = signaling.register_backup_path(
+        state, policy, packet, injector, retry_policy,
+        counters=counters, trace=trace,
+    )
+    if registration.success:
+        conn.backup = Channel(role=ChannelRole.BACKUP, route=backup)
+        conn.state = ConnectionState.ACTIVE
+    return registration.success
+
+
 def reconfigure_unprotected(
     state: NetworkState,
     policy: SparePolicy,
@@ -448,7 +492,6 @@ def reconfigure_unprotected(
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
     counters=None,
-    metrics=None,
     trace=None,
 ) -> int:
     """DRTP step 4: find new backups for unprotected connections.
@@ -457,16 +500,10 @@ def reconfigure_unprotected(
     its backup-selection machinery is reused by planning against the
     existing primary.  ``hop_bound(source, destination)`` is the
     delay-QoS bound a replacement backup must keep, exactly as at
-    admission; ``None`` plans unbounded.  ``counters`` (the service's
-    :class:`~repro.core.service.ServiceCounters`) / ``metrics`` /
-    ``trace`` receive each re-protection walk's signaling accounting
-    and ``signal.register`` span, as at admission.  Returns how many
-    connections were re-protected.
+    admission; ``None`` plans unbounded.  The walks are fault-free;
+    ``counters`` / ``trace`` are handed to :func:`reprotect`.  Returns
+    how many connections were re-protected.
     """
-    from .signaling import BackupRegisterPacket, register_backup_path
-    from ..routing.base import RouteQuery
-    from .channel import ChannelRole
-
     restored = 0
     for conn in connections.values():
         if conn.backup is not None or not conn.is_active:
@@ -475,29 +512,10 @@ def reconfigure_unprotected(
             hop_bound(conn.source, conn.destination)
             if hop_bound is not None else None
         )
-        backup = scheme.plan_backup(
-            RouteQuery(conn.source, conn.destination, conn.bw_req, max_hops),
-            conn.primary_route,
+        restored += reprotect(
+            state, policy, conn, scheme, max_hops,
+            counters=counters, trace=trace,
         )
-        if backup is None or backup.lset == conn.primary_route.lset:
-            continue
-        packet = BackupRegisterPacket(
-            connection_id=conn.connection_id,
-            backup_route=backup,
-            primary_lset=conn.primary_route.lset,
-            bw_req=conn.bw_req,
-        )
-        registration = register_backup_path(
-            state, policy, packet, metrics=metrics, trace=trace
-        )
-        if counters is not None:
-            counters.record_signaling(registration)
-        if registration.success:
-            conn.backup = Channel(
-                role=ChannelRole.BACKUP, route=backup, registration_index=0
-            )
-            conn.state = ConnectionState.ACTIVE
-            restored += 1
     return restored
 
 

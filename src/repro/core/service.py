@@ -19,9 +19,9 @@ comparison methodology) is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
 from ..network.state import NetworkState
@@ -29,11 +29,11 @@ from ..routing.base import RouteQuery, RoutingContext, RoutingScheme
 from ..topology.graph import Network
 from ..topology.srlg import RiskGroupSet
 from .admission import AdmissionController, AdmissionDecision
-from .channel import Channel, ChannelRole
-from .connection import ConnectionRequest, ConnectionState, DRConnection
+from .connection import ConnectionRequest, DRConnection
 from .errors import ConnectionStateError
 from .multiplexing import SharedSparePolicy, SparePolicy
-from .signaling import BackupRegisterPacket, register_backup_path
+# Not called from here; the e2e harness's span table names this binding.
+from .signaling import register_backup_path  # noqa: F401
 from .slab import SlabConnectionStore
 from .recovery import (
     FailureImpact,
@@ -46,18 +46,33 @@ from .recovery import (
     assess_node_failure,
     incident_link_ids,
     reconfigure_unprotected,
+    reprotect,
 )
+
+
+def _tally(totals: Dict[Any, int], key, count: int = 1) -> None:
+    totals[key] = totals.get(key, 0) + count
 
 
 @dataclass
 class ServiceCounters:
-    """Cumulative service-level statistics.
+    """Cumulative service-level statistics — the one place each of
+    these counts is kept.  The service, its admission controller, the
+    signaling walk and the bound routing scheme increment them; the
+    simulator, the chaos report, ``status`` and the manifest read them
+    directly, and :class:`~repro.metrics.ServiceMetrics` collects
+    every ``drtp_*_total`` family from them at scrape time.
 
-    The ``signaling_*`` block only moves under fault injection: it
-    accumulates what the backup-register walks survived (retries,
-    drops, crashes, duplicate deliveries, injected latency), and the
-    degraded-admission ledger tracks Section 2.3 backup
-    re-establishment under adversity.
+    The ``signaling_*`` block only moves beyond walks and hops under
+    fault injection: it accumulates what the backup-register walks
+    survived (retries, drops, crashes, duplicate deliveries, injected
+    latency), and the degraded-admission ledger tracks Section 2.3
+    backup re-establishment under adversity.  ``searches`` is keyed
+    ``(search, answer)`` — which step of which link-state search
+    answered (:data:`repro.kernels.search.ANSWERS`); the
+    ``*recovery_outcomes`` by activation-outcome reason.
+    ``failure_events`` counts applied failures (a node or a group is
+    one event), ``links_repaired`` only links that were down.
     """
 
     requests: int = 0
@@ -65,6 +80,8 @@ class ServiceCounters:
     rejected: Dict[str, int] = field(default_factory=dict)
     released: int = 0
     control_messages: int = 0
+    plan_candidates: int = 0
+    searches: Dict[Tuple[str, str], int] = field(default_factory=dict)
     backup_overlap_links: int = 0
     backups_with_overlap: int = 0
     primary_hops_total: int = 0
@@ -73,12 +90,19 @@ class ServiceCounters:
     backups_reestablished: int = 0
     reestablish_attempts: int = 0
     signaling_walks: int = 0
+    signaling_hops: int = 0
     signaling_retries: int = 0
     signaling_drops: int = 0
     signaling_crashes: int = 0
     signaling_duplicates: int = 0
     signaling_gave_up: int = 0
     signaling_delay: float = 0.0
+    failure_events: int = 0
+    links_repaired: int = 0
+    recovery_outcomes: Dict[str, int] = field(default_factory=dict)
+    group_failures: int = 0
+    group_failed_links: int = 0
+    group_recovery_outcomes: Dict[str, int] = field(default_factory=dict)
 
     @property
     def acceptance_ratio(self) -> float:
@@ -107,11 +131,15 @@ class ServiceCounters:
         return self.signaling_retries / self.signaling_walks
 
     def record_rejection(self, reason: str) -> None:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
+        _tally(self.rejected, reason)
+
+    def record_search(self, search: str, answer: str) -> None:
+        _tally(self.searches, (search, answer))
 
     def record_signaling(self, registration) -> None:
-        """Fold one backup walk's fault accounting into the totals."""
+        """Fold one backup walk's accounting into the totals."""
         self.signaling_walks += 1
+        self.signaling_hops += registration.hops_signaled
         self.signaling_retries += registration.retries
         self.signaling_drops += registration.drops
         self.signaling_crashes += registration.crashes
@@ -119,6 +147,37 @@ class ServiceCounters:
         self.signaling_delay += registration.delay
         if registration.gave_up:
             self.signaling_gave_up += 1
+
+    def record_failure(
+        self, impact: FailureImpact, group_links: Optional[int] = None
+    ) -> None:
+        """One applied failure event; ``group_links`` (how many links
+        it took down) marks a correlated one — a risk-group cut or a
+        regional burst — which the group tallies see as well."""
+        self.failure_events += 1
+        tallies = [self.recovery_outcomes]
+        if group_links is not None:
+            self.group_failures += 1
+            self.group_failed_links += group_links
+            tallies.append(self.group_recovery_outcomes)
+        for reason, count in impact.reasons().items():
+            for outcomes in tallies:
+                _tally(outcomes, reason, count)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Every tally plus the derived ratios as one JSON-safe
+        document (``searches`` nested ``{search: {answer: n}}``) —
+        what ``status``, the manifest and the chaos report carry."""
+        document = asdict(self)
+        searches: Dict[str, Dict[str, int]] = {}
+        for (search, answer), count in sorted(self.searches.items()):
+            searches.setdefault(search, {})[answer] = count
+        document.update(
+            searches=searches,
+            acceptance_ratio=self.acceptance_ratio,
+            reestablish_success_ratio=self.reestablish_success_ratio,
+        )
+        return document
 
 
 class DRTPService:
@@ -161,15 +220,15 @@ class DRTPService:
         background.
 
         ``metrics`` (a :class:`~repro.metrics.ServiceMetrics`) makes
-        the service observable: admissions, rejections by reason,
-        admission latency, signaling and recovery counters flow into
-        its registry.  ``None`` (the default, and what every batch
-        experiment uses) records nothing and costs nothing.
+        the service scrapeable: its registry collects every count from
+        :attr:`counters` (always kept, registry or not) when read, and
+        the service times each admission and its planning step into
+        the two latency histograms — the only thing ``None`` (the
+        default, and what every batch experiment uses) turns off.
 
         ``trace`` (a :class:`~repro.observability.TraceCollector`)
         records hierarchical spans for every admit/release/recover —
-        including the route searches and signaling walks they contain —
-        under the same optional-dependency discipline as ``metrics``:
+        including the route searches and signaling walks they contain;
         ``None`` records nothing and costs nothing.
 
         ``risk_groups`` (a :class:`~repro.topology.srlg.RiskGroupSet`)
@@ -192,10 +251,10 @@ class DRTPService:
         self.qos_slack = qos_slack
         self.fault_injector = fault_injector
         self.retry_policy = retry_policy
+        self.counters = scheme.counters = ServiceCounters()
         self.metrics = metrics
         if metrics is not None:
             metrics.bind_service(self)
-            scheme.metrics = metrics
         self.trace = trace
         if trace is not None:
             scheme.trace = trace
@@ -205,7 +264,7 @@ class DRTPService:
             require_backup=require_backup,
             injector=fault_injector,
             retry_policy=retry_policy,
-            metrics=metrics,
+            counters=self.counters,
             trace=trace,
         )
         # Hot connection state lives in a slab store: dict-identical
@@ -214,7 +273,6 @@ class DRTPService:
         self._connections: SlabConnectionStore = SlabConnectionStore()
         self._pending_backup: set = set()
         self._next_request_id = 0
-        self.counters = ServiceCounters()
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -272,16 +330,18 @@ class DRTPService:
 
     def _admit(self, req: ConnectionRequest) -> AdmissionDecision:
         """The admission transaction proper (tracing handled above)."""
-        started = perf_counter() if self.metrics is not None else 0.0
-        self.counters.requests += 1
+        timed = self.metrics is not None
+        started = perf_counter() if timed else 0.0
+        counters = self.counters
+        counters.requests += 1
         query = RouteQuery(
             req.source,
             req.destination,
             req.bw_req,
             max_hops=self._qos_bound(req.source, req.destination),
         )
-        if self.metrics is not None or self.trace is not None:
-            # Instrumented planning path when the scheme provides it
+        if self.trace is not None:
+            # Traced planning path when the scheme provides it
             # (duck-typed test schemes may not inherit RoutingScheme).
             planner = getattr(
                 self.scheme, "plan_instrumented", self.scheme.plan
@@ -289,30 +349,30 @@ class DRTPService:
             plan = planner(query)
         else:
             plan = self.scheme.plan(query)
-        self.counters.control_messages += plan.control_messages
+        planned = perf_counter() if timed else 0.0
+        counters.control_messages += plan.control_messages
+        counters.plan_candidates += plan.candidates_considered
         decision = self._admission.admit(req, plan)
-        for registration in decision.registrations:
-            self.counters.record_signaling(registration)
         if decision.accepted:
             connection = decision.connection
             assert connection is not None
             self._connections[connection.connection_id] = connection
-            self.counters.accepted += 1
+            counters.accepted += 1
             if decision.degraded:
-                self.counters.degraded_admissions += 1
+                counters.degraded_admissions += 1
                 self._pending_backup.add(connection.connection_id)
             overlap = connection.backup_overlap_with_primary()
             if overlap:
-                self.counters.backups_with_overlap += 1
-                self.counters.backup_overlap_links += overlap
-            self.counters.primary_hops_total += connection.primary_route.hop_count
+                counters.backups_with_overlap += 1
+                counters.backup_overlap_links += overlap
+            counters.primary_hops_total += connection.primary_route.hop_count
             if connection.backup_route is not None:
-                self.counters.backup_hops_total += connection.backup_route.hop_count
+                counters.backup_hops_total += connection.backup_route.hop_count
         else:
-            self.counters.record_rejection(decision.reason)
-        if self.metrics is not None:
+            counters.record_rejection(decision.reason)
+        if timed:
             self.metrics.observe_admission(
-                self.scheme.name, decision, perf_counter() - started
+                perf_counter() - started, planned - started
             )
         return decision
 
@@ -349,8 +409,6 @@ class DRTPService:
         self._pending_backup.discard(connection_id)
         self._admission.release(connection)
         self.counters.released += 1
-        if self.metrics is not None:
-            self.metrics.observe_release(self.scheme.name)
 
     # ------------------------------------------------------------------
     # Degraded-mode protection (Section 2.3 under adversity)
@@ -407,42 +465,15 @@ class DRTPService:
             self._pending_backup.discard(connection_id)
             return True
         self.counters.reestablish_attempts += 1
-        backup = self.scheme.plan_backup(
-            RouteQuery(
-                conn.source,
-                conn.destination,
-                conn.bw_req,
-                max_hops=self._qos_bound(conn.source, conn.destination),
-            ),
-            conn.primary_route,
-        )
-        if backup is None or backup.lset == conn.primary_route.lset:
-            if self.metrics is not None:
-                self.metrics.observe_reestablish(False)
-            return False
-        packet = BackupRegisterPacket(
-            connection_id=conn.connection_id,
-            backup_route=backup,
-            primary_lset=conn.primary_route.lset,
-            bw_req=conn.bw_req,
-        )
-        registration = register_backup_path(
-            self.state, self.spare_policy, packet,
+        if not reprotect(
+            self.state, self.spare_policy, conn, self.scheme,
+            self._qos_bound(conn.source, conn.destination),
             self.fault_injector, self.retry_policy,
-            metrics=self.metrics, trace=self.trace,
-        )
-        self.counters.record_signaling(registration)
-        if not registration.success:
-            if self.metrics is not None:
-                self.metrics.observe_reestablish(False)
+            counters=self.counters, trace=self.trace,
+        ):
             return False
-        conn.backup = Channel(role=ChannelRole.BACKUP, route=backup)
-        if conn.state is ConnectionState.UNPROTECTED:
-            conn.state = ConnectionState.ACTIVE
         self._pending_backup.discard(connection_id)
         self.counters.backups_reestablished += 1
-        if self.metrics is not None:
-            self.metrics.observe_reestablish(True)
         return True
 
     # ------------------------------------------------------------------
@@ -499,26 +530,31 @@ class DRTPService:
             )
             return impact
 
-    def _reconfigure(self) -> int:
-        """DRTP step 4 after a failure: re-protect what it stripped.
-        The walks are fault-free on purpose — the injector's streams
-        belong to admissions and the re-establishment queue."""
-        return reconfigure_unprotected(
-            self.state, self.spare_policy, self._connections,
-            self.scheme, self._qos_bound,
-            counters=self.counters, metrics=self.metrics, trace=self.trace,
-        )
+    def _settle(
+        self,
+        impact: FailureImpact,
+        reconfigure: bool,
+        group_links: Optional[int] = None,
+    ) -> FailureImpact:
+        """The tail every applied failure shares: DRTP step 4 —
+        re-protect what it stripped; the walks are fault-free on
+        purpose, the injector's streams belong to admissions and the
+        re-establishment queue — then tally the event."""
+        if reconfigure:
+            reconfigure_unprotected(
+                self.state, self.spare_policy, self._connections,
+                self.scheme, self._qos_bound,
+                counters=self.counters, trace=self.trace,
+            )
+        self.counters.record_failure(impact, group_links)
+        return impact
 
     def _fail_link(self, link_id: int, reconfigure: bool) -> FailureImpact:
         self.state.mark_link_failed(link_id)
         impact = apply_link_failure(
             self.state, self.spare_policy, self._connections, link_id
         )
-        if reconfigure:
-            self._reconfigure()
-        if self.metrics is not None:
-            self.metrics.observe_failure(impact)
-        return impact
+        return self._settle(impact, reconfigure)
 
     def fail_node(self, node: int, reconfigure: bool = True) -> FailureImpact:
         """Fail a switch for real: every adjacent link dies, transit
@@ -552,11 +588,7 @@ class DRTPService:
             node,
             self.network,
         )
-        if reconfigure:
-            self._reconfigure()
-        if self.metrics is not None:
-            self.metrics.observe_failure(impact)
-        return impact
+        return self._settle(impact, reconfigure)
 
     # ------------------------------------------------------------------
     # Correlated (shared-risk) failures
@@ -632,14 +664,9 @@ class DRTPService:
             group_id,
             groups,
         )
-        if reconfigure:
-            self._reconfigure()
-        if self.metrics is not None:
-            self.metrics.observe_failure(impact)
-            self.metrics.observe_group_failure(
-                impact, len(groups.members(group_id))
-            )
-        return impact
+        return self._settle(
+            impact, reconfigure, len(groups.members(group_id))
+        )
 
     def fail_link_set(
         self, link_ids: Iterable[int], reconfigure: bool = True
@@ -677,39 +704,27 @@ class DRTPService:
             failed,
             label_link=min(failed) if len(failed) == 1 else -1,
         )
-        if reconfigure:
-            self._reconfigure()
-        if self.metrics is not None:
-            self.metrics.observe_failure(impact)
-            self.metrics.observe_group_failure(impact, len(failed))
-        return impact
+        return self._settle(impact, reconfigure, len(failed))
+
+    def _repair(self, link_ids: Iterable[int]) -> None:
+        """Return links to service, counting those that were down."""
+        for link_id in link_ids:
+            self.counters.links_repaired += self.state.is_link_failed(link_id)
+            self.state.mark_link_repaired(link_id)
 
     def repair_group(self, group_id: int) -> None:
         """Return every link of a shared-risk group to service."""
-        members = self._require_risk_groups().members(group_id)
-        for link_id in members:
-            self.state.mark_link_repaired(link_id)
-        if self.metrics is not None:
-            self.metrics.observe_repair(len(members))
+        self._repair(self._require_risk_groups().members(group_id))
 
     def repair_link(self, link_id: int) -> None:
         """Return a previously failed link to service; its bandwidth
         becomes routable again immediately.  Repairing a healthy link
         is an idempotent no-op."""
-        self.state.mark_link_repaired(link_id)
-        if self.metrics is not None:
-            self.metrics.observe_repair()
+        self._repair((link_id,))
 
     def repair_node(self, node: int) -> None:
         """Return a switch (all its links) to service."""
-        repaired = 0
-        for link in (
-            self.network.out_links(node) + self.network.in_links(node)
-        ):
-            self.state.mark_link_repaired(link.link_id)
-            repaired += 1
-        if self.metrics is not None:
-            self.metrics.observe_repair(repaired)
+        self._repair(incident_link_ids(self.network, node))
 
     def refresh_database(self) -> None:
         """Re-flood link state (no-op effect for live databases)."""

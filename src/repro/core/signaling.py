@@ -149,7 +149,7 @@ def register_backup_path(
     packet: BackupRegisterPacket,
     injector=None,
     retry_policy=None,
-    metrics=None,
+    counters=None,
     trace=None,
 ) -> RegistrationResult:
     """Walk the register packet hop by hop; unwind on rejection.
@@ -162,16 +162,19 @@ def register_backup_path(
     A faulted walk with no retry policy is unwound and reported with
     ``gave_up=True`` after the single attempt.
 
-    ``metrics`` (a :class:`~repro.metrics.ServiceMetrics`) receives
-    the walk's accounting — walks, hops, retries, drops, duplicates,
-    crashes, give-ups — once, after the outcome is final.  ``trace``
+    ``counters`` (the service's
+    :class:`~repro.core.service.ServiceCounters`) receives the walk's
+    accounting — walks, hops, retries, drops, duplicates, crashes,
+    give-ups — once, after the outcome is final; every walk the
+    service causes passes here, so this is the one place they are
+    tallied.  ``trace``
     (a :class:`~repro.observability.TraceCollector`) records the walk
     as a ``signal.register`` span with one ``signal.attempt`` child
     per retransmission under fault injection.
     """
     if trace is None:
         return _register(
-            state, policy, packet, injector, retry_policy, metrics
+            state, policy, packet, injector, retry_policy, counters
         )
     with trace.span(
         "signal.register",
@@ -181,7 +184,7 @@ def register_backup_path(
         hops=len(packet.backup_route.link_ids),
     ) as span:
         result = _register(
-            state, policy, packet, injector, retry_policy, metrics,
+            state, policy, packet, injector, retry_policy, counters,
             trace=trace,
         )
         span.tag(
@@ -208,18 +211,18 @@ def _register(
     packet: BackupRegisterPacket,
     injector,
     retry_policy,
-    metrics,
+    counters,
     trace=None,
 ) -> RegistrationResult:
-    """Dispatch to the fault-free or lossy walk; publish metrics."""
+    """Dispatch to the fault-free or lossy walk; tally the outcome."""
     if injector is None:
         result = _register_walk(state, policy, packet)
     else:
         result = _register_with_faults(
             state, policy, packet, injector, retry_policy, trace=trace
         )
-    if metrics is not None:
-        metrics.observe_signaling(result)
+    if counters is not None:
+        counters.record_signaling(result)
     return result
 
 

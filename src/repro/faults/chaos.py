@@ -254,8 +254,7 @@ def run_campaign(
                     if not service.state.is_link_failed(link_id)
                 ]
                 if fresh:
-                    impact = service.fail_link_set(fresh, reconfigure=True)
-                    report.absorb_group_impact(impact, len(fresh))
+                    service.fail_link_set(fresh, reconfigure=True)
             elif fault.kind in (FLAP_UP, BURST_UP, REGIONAL_UP):
                 for link_id in fault.links:
                     if service.state.is_link_failed(link_id):
@@ -324,21 +323,8 @@ def run_campaign(
         report.invariant_checks += 1
 
     # -- fill the report --------------------------------------------------
-    counters = service.counters
-    report.requests = counters.requests
-    report.accepted = counters.accepted
-    report.rejected = dict(counters.rejected)
-    report.released = counters.released
+    report.absorb_counters(service.counters.to_dict())
     report.final_active = service.active_connection_count
-    report.signaling_walks = counters.signaling_walks
-    report.signaling_retries = counters.signaling_retries
-    report.signaling_drops = counters.signaling_drops
-    report.signaling_crashes = counters.signaling_crashes
-    report.signaling_duplicates = counters.signaling_duplicates
-    report.signaling_delay = counters.signaling_delay
-    report.degraded_admissions = counters.degraded_admissions
-    report.reestablish_attempts = counters.reestablish_attempts
-    report.backups_reestablished = counters.backups_reestablished
     report.degraded_reprotected = sum(
         1
         for connection_id in degraded_admitted

@@ -1,27 +1,22 @@
 """DRTP metric families and their binding into the service.
 
-:class:`ServiceMetrics` owns every metric the control plane exposes
-and is the single object threaded through the instrumented layers:
+:class:`ServiceMetrics` declares every family the control plane
+exposes and keeps none of the counts itself: the service tallies each
+event once, on its :class:`~repro.core.service.ServiceCounters` (the
+slab store and the link-state database keep their own), and
+:meth:`ServiceMetrics.bind_service` points every counter and gauge at
+those objects, to be read when the registry is scraped — so a scrape,
+``status``, the manifest and a chaos report cannot disagree.
 
-* :mod:`repro.core.service` records admissions, rejections (by
-  reason), releases, admission latency, failures/repairs and backup
-  re-establishment attempts;
-* :mod:`repro.core.signaling` records register-walk outcomes (walks,
-  retries, drops, duplicates, crashes, hops, give-ups);
-* :mod:`repro.routing.base` records planning calls, planning latency
-  and candidate-route counts per scheme;
-* :mod:`repro.routing.link_state` records, per primary and backup
-  search, which step of the search answered it.
-
-Derived values the service already tracks — active connections, the
-backup re-establishment queue depth, the acceptance ratio, the
-link-state database's refresh/rescan counters — are exported as
-collect-on-scrape gauges so they are always exact and never need a
-second bookkeeping path.
+The two latency histograms are the exception, because nobody else
+keeps a distribution: :meth:`ServiceMetrics.observe_admission` is the
+one event-time write, called by
+:meth:`~repro.core.service.DRTPService.admit`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from .registry import MetricsRegistry
@@ -109,10 +104,14 @@ class ServiceMetrics:
 
         # -- recovery -------------------------------------------------
         self.link_failures = registry.counter(
-            "drtp_link_failures_total", "links failed via the service",
+            "drtp_link_failures_total",
+            "failure events applied via the service (a node or a "
+            "risk group is one event; drtp_links_down has the level)",
         )
         self.link_repairs = registry.counter(
-            "drtp_link_repairs_total", "links repaired via the service",
+            "drtp_link_repairs_total",
+            "failed links returned to service (repairing a healthy "
+            "link counts nothing)",
         )
         self.recoveries = registry.counter(
             "drtp_recovery_outcomes_total",
@@ -144,7 +143,19 @@ class ServiceMetrics:
             labels=("outcome",),
         )
 
-        # -- collected gauges (bound to a service later) ---------------
+        # -- levels ---------------------------------------------------
+        self.links_down = registry.gauge(
+            "drtp_links_down", "links currently failed",
+        )
+        self.slab_slots = registry.gauge(
+            "drtp_connection_slab_slots",
+            "connection-store slots by state (live + free = allocated)",
+            labels=("state",),
+        )
+        self.slab_high_water = registry.gauge(
+            "drtp_connection_slab_high_water",
+            "most connections the store ever held at once",
+        )
         self.active_connections = registry.gauge(
             "drtp_active_connections", "currently established DR-connections",
         )
@@ -161,10 +172,10 @@ class ServiceMetrics:
             "accepted / requested over the service lifetime",
             labels=("scheme",),
         )
-        self.db_refreshes = registry.gauge(
+        self.db_refreshes = registry.counter(
             "drtp_db_refreshes_total", "link-state database re-floods",
         )
-        self.db_links_rescanned = registry.gauge(
+        self.db_links_rescanned = registry.counter(
             "drtp_db_links_rescanned_total",
             "per-link record rebuilds (conflict-vector rescans) during "
             "refreshes",
@@ -178,8 +189,54 @@ class ServiceMetrics:
     # Binding
     # ------------------------------------------------------------------
     def bind_service(self, service) -> "ServiceMetrics":
-        """Point the collected gauges at a live service."""
+        """Point every counter and gauge at a live service: each is
+        read from the object that owns the count when scraped."""
         scheme = service.scheme.name
+        counters = service.counters
+        database = service.database
+        for family, owner, tally in (
+            (self.degraded_admissions, counters, "degraded_admissions"),
+            (self.signaling_walks, counters, "signaling_walks"),
+            (self.signaling_hops, counters, "signaling_hops"),
+            (self.signaling_retries, counters, "signaling_retries"),
+            (self.signaling_drops, counters, "signaling_drops"),
+            (self.signaling_duplicates, counters, "signaling_duplicates"),
+            (self.signaling_crashes, counters, "signaling_crashes"),
+            (self.signaling_gave_up, counters, "signaling_gave_up"),
+            (self.link_failures, counters, "failure_events"),
+            (self.link_repairs, counters, "links_repaired"),
+            (self.reestablish_attempts, counters, "reestablish_attempts"),
+            (self.reestablished, counters, "backups_reestablished"),
+            (self.group_failures, counters, "group_failures"),
+            (self.group_failed_links, counters, "group_failed_links"),
+            (self.db_refreshes, database, "refreshes"),
+            (self.db_links_rescanned, database, "links_rescanned"),
+        ):
+            family.collect_with(partial(getattr, owner, tally))
+        for family, tally in (
+            (self.admissions, "accepted"),
+            (self.releases, "released"),
+            # One plan() per request: _admit is the only caller.
+            (self.plans, "requests"),
+            (self.plan_candidates, "plan_candidates"),
+            (self.acceptance_ratio, "acceptance_ratio"),
+        ):
+            family.collect_with(
+                lambda tally=tally: {(scheme,): getattr(counters, tally)}
+            )
+        self.rejections.collect_with(lambda: {
+            (scheme, reason): count
+            for reason, count in counters.rejected.items()
+        })
+        self.route_searches.collect_with(lambda: counters.searches)
+        for family, outcomes in (
+            (self.recoveries, counters.recovery_outcomes),
+            (self.group_recoveries, counters.group_recovery_outcomes),
+        ):
+            family.collect_with(lambda outcomes=outcomes: {
+                (reason,): count for reason, count in outcomes.items()
+            })
+
         self.active_connections.collect_with(
             lambda: service.active_connection_count
         )
@@ -189,70 +246,24 @@ class ServiceMetrics:
         self.reestablish_queue_depth.collect_with(
             lambda: len(service.pending_backup_ids())
         )
-        self.acceptance_ratio.collect_with(
-            lambda: {(scheme,): service.counters.acceptance_ratio}
+        self.links_down.collect_with(
+            lambda: len(service.state.failed_links())
         )
-        self.db_refreshes.collect_with(lambda: service.database.refreshes)
-        self.db_links_rescanned.collect_with(
-            lambda: service.database.links_rescanned
+        slab = service.connection_store_stats
+        self.slab_slots.collect_with(
+            lambda: {(state,): slab()[state] for state in ("live", "free")}
         )
+        self.slab_high_water.collect_with(lambda: slab()["high_water"])
         self.db_dirty_links.collect_with(
-            lambda: len(service.database.dirty_links())
+            lambda: len(database.dirty_links())
         )
         return self
 
     # ------------------------------------------------------------------
-    # Recording hooks (called from the instrumented layers)
+    # The one event-time write
     # ------------------------------------------------------------------
-    def observe_admission(self, scheme: str, decision, seconds: float) -> None:
+    def observe_admission(self, seconds: float, plan_seconds: float) -> None:
+        """One ``admit()`` finished: its wall-clock time and the part
+        of it the routing scheme's ``plan()`` took."""
         self.admission_latency.observe(seconds)
-        if decision.accepted:
-            self.admissions.inc(1, scheme)
-            if decision.degraded:
-                self.degraded_admissions.inc()
-        else:
-            self.rejections.inc(1, scheme, decision.reason)
-
-    def observe_release(self, scheme: str) -> None:
-        self.releases.inc(1, scheme)
-
-    def observe_plan(self, scheme: str, plan, seconds: float) -> None:
-        self.plans.inc(1, scheme)
-        self.plan_latency.observe(seconds)
-        self.plan_candidates.inc(plan.candidates_considered, scheme)
-
-    def observe_search(self, search: str, answer: str) -> None:
-        self.route_searches.inc(1, search, answer)
-
-    def observe_signaling(self, registration) -> None:
-        self.signaling_walks.inc()
-        self.signaling_hops.inc(registration.hops_signaled)
-        self.signaling_retries.inc(registration.retries)
-        self.signaling_drops.inc(registration.drops)
-        self.signaling_duplicates.inc(registration.duplicates)
-        self.signaling_crashes.inc(registration.crashes)
-        if registration.gave_up:
-            self.signaling_gave_up.inc()
-
-    def observe_failure(self, impact) -> None:
-        self.link_failures.inc()
-        for outcome in impact.outcomes:
-            self.recoveries.inc(1, outcome.reason)
-
-    def observe_group_failure(self, impact, links: int) -> None:
-        """One correlated multi-link failure event (a risk-group cut or
-        a regional neighborhood burst) was applied; ``observe_failure``
-        is still called separately so the aggregate recovery families
-        include these events too."""
-        self.group_failures.inc()
-        self.group_failed_links.inc(links)
-        for outcome in impact.outcomes:
-            self.group_recoveries.inc(1, outcome.reason)
-
-    def observe_repair(self, links: int = 1) -> None:
-        self.link_repairs.inc(links)
-
-    def observe_reestablish(self, restored: bool) -> None:
-        self.reestablish_attempts.inc()
-        if restored:
-            self.reestablished.inc()
+        self.plan_latency.observe(plan_seconds)

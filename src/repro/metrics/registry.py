@@ -3,8 +3,9 @@
 Design constraints, in order:
 
 1. **No dependencies** — the server must run on the bare toolchain.
-2. **Zero cost when absent** — the core records through these objects
-   only when a registry was explicitly wired in.
+2. **No count kept twice** — a value another object already owns is
+   *collected* from it at every read (``collect_with``); only
+   distributions, which nobody else keeps, are written at event time.
 3. **Prometheus-compatible exposition** — ``render_prometheus``
    produces the text format (``# HELP`` / ``# TYPE`` / sample lines)
    so the ``metrics`` endpoint can be scraped by standard tooling, and
@@ -108,79 +109,40 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    """Monotonically increasing value, optionally labeled."""
-
-    kind = "counter"
-
-    def __init__(self, name, help_text, labels=()):
-        super().__init__(name, help_text, labels)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
-    def inc(self, amount: float = 1.0, *label_values: object) -> None:
-        if amount < 0:
-            raise MetricsError(
-                "counter {} cannot decrease (inc {})".format(self.name, amount)
-            )
-        key = self._key(tuple(str(v) for v in label_values))
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, *label_values: object) -> float:
-        key = self._key(tuple(str(v) for v in label_values))
-        return self._values.get(key, 0.0)
-
-    def total(self) -> float:
-        """Sum over every label combination."""
-        return sum(self._values.values())
-
-    def _samples(self):
-        if not self._values and not self.label_names:
-            return [((self.label_names, ()), self.name, 0.0)]
-        return [
-            ((self.label_names, key), self.name, value)
-            for key, value in sorted(self._values.items())
-        ]
-
-    def snapshot(self) -> Dict[str, Any]:
-        return _kv_snapshot(self)
-
-
-class Gauge(_Metric):
-    """A value that can go up and down — or be *collected* at scrape
-    time from a callback (for values the service already tracks, e.g.
-    queue depths and database counters)."""
-
-    kind = "gauge"
+class _Keyed(_Metric):
+    """What counters and gauges share: one value per label tuple, kept
+    by the family's own mutators — or *collected* at scrape time from
+    a callback, for values another object already owns (the service's
+    counters, queue depths, database tallies), so no count is kept
+    twice."""
 
     def __init__(self, name, help_text, labels=()):
         super().__init__(name, help_text, labels)
         self._values: Dict[Tuple[str, ...], float] = {}
         self._collector: Optional[Callable[[], Any]] = None
 
-    def set(self, value: float, *label_values: object) -> None:
-        key = self._key(tuple(str(v) for v in label_values))
-        self._values[key] = float(value)
+    def collect_with(self, collector: Callable[[], Any]):
+        """Source the family from ``collector`` at every read.
+
+        For an unlabeled family the callback returns a number; for a
+        labeled one it returns ``{label_values_tuple: number}``.
+        """
+        self._collector = collector
+        return self
 
     def inc(self, amount: float = 1.0, *label_values: object) -> None:
         key = self._key(tuple(str(v) for v in label_values))
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, *label_values: object) -> None:
-        self.inc(-amount, *label_values)
-
-    def collect_with(self, collector: Callable[[], Any]) -> "Gauge":
-        """Source the gauge from ``collector`` at every scrape.
-
-        For an unlabeled gauge the callback returns a number; for a
-        labeled gauge it returns ``{label_values_tuple: number}``.
-        """
-        self._collector = collector
-        return self
-
     def value(self, *label_values: object) -> float:
         self._collect()
         key = self._key(tuple(str(v) for v in label_values))
         return self._values.get(key, 0.0)
+
+    def total(self) -> float:
+        """Sum over every label combination."""
+        self._collect()
+        return sum(self._values.values())
 
     def _collect(self) -> None:
         if self._collector is None:
@@ -205,7 +167,47 @@ class Gauge(_Metric):
 
     def snapshot(self) -> Dict[str, Any]:
         self._collect()
-        return _kv_snapshot(self)
+        values = self._values
+        if not self.label_names:
+            return {
+                "type": self.kind,
+                "help": self.help,
+                "value": values.get((), 0.0),
+            }
+        return {
+            "type": self.kind,
+            "help": self.help,
+            "values": [
+                {"labels": dict(zip(self.label_names, key)), "value": value}
+                for key, value in sorted(values.items())
+            ],
+        }
+
+
+class Counter(_Keyed):
+    """Monotonically increasing value, optionally labeled."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, *label_values: object) -> None:
+        if amount < 0:
+            raise MetricsError(
+                "counter {} cannot decrease (inc {})".format(self.name, amount)
+            )
+        super().inc(amount, *label_values)
+
+
+class Gauge(_Keyed):
+    """A value that can go up and down."""
+
+    kind = "gauge"
+
+    def set(self, value: float, *label_values: object) -> None:
+        key = self._key(tuple(str(v) for v in label_values))
+        self._values[key] = float(value)
+
+    def dec(self, amount: float = 1.0, *label_values: object) -> None:
+        self.inc(-amount, *label_values)
 
 
 class Histogram(_Metric):
@@ -283,27 +285,6 @@ class Histogram(_Metric):
                 for bound, cumulative in zip(self.buckets, self._counts)
             ],
         }
-
-
-def _kv_snapshot(metric: _Metric) -> Dict[str, Any]:
-    metric_values = metric._values  # noqa: SLF001 - module-private peer
-    if not metric.label_names:
-        return {
-            "type": metric.kind,
-            "help": metric.help,
-            "value": metric_values.get((), 0.0),
-        }
-    return {
-        "type": metric.kind,
-        "help": metric.help,
-        "values": [
-            {
-                "labels": dict(zip(metric.label_names, key)),
-                "value": value,
-            }
-            for key, value in sorted(metric_values.items())
-        ],
-    }
 
 
 class MetricsRegistry:

@@ -18,10 +18,9 @@ and failure-recovery into an inspectable timeline:
 
 Instrumented layers (:mod:`repro.core.service`,
 :mod:`repro.core.signaling`, :mod:`repro.routing`,
-:mod:`repro.server`, :mod:`repro.campaign`) follow the
-:mod:`repro.metrics` optional-dependency discipline: tracing is off
-unless a collector is passed in, and the untraced path executes the
-exact pre-tracing instruction stream.  The span taxonomy and the
+:mod:`repro.server`, :mod:`repro.campaign`) keep tracing off unless
+a collector is passed in, and the untraced path executes the exact
+pre-tracing instruction stream.  The span taxonomy and the
 "debugging a rejected DR-connection" walkthrough live in
 ``docs/tracing.md``.
 """

@@ -14,10 +14,10 @@ interleaving their parents.  Each independent stack (task, thread of
 work, worker process) gets its own ``tid`` lane so Chrome's trace
 viewer renders concurrent trees on separate rows.
 
-Instrumented layers follow the :mod:`repro.metrics` discipline: a
-``trace=None`` default that records nothing and costs nothing — every
-call site guards with ``if trace is not None`` so the untraced hot
-path executes exactly the pre-tracing instruction stream.
+Instrumented layers take a ``trace=None`` default that records
+nothing and costs nothing — every call site guards with ``if trace is
+not None`` so the untraced hot path executes exactly the pre-tracing
+instruction stream.
 
 Synchronous usage::
 

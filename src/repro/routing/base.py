@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from time import perf_counter
 from typing import List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
@@ -136,11 +135,11 @@ class RoutingScheme(abc.ABC):
     #: Short identifier used in reports ("P-LSR", "D-LSR", "BF", ...).
     name: str = "abstract"
 
-    #: Optional :class:`~repro.metrics.ServiceMetrics`; set by an
-    #: instrumented service so :meth:`plan_instrumented` can record
-    #: planning counters and latency without touching the scheme
-    #: implementations.
-    metrics = None
+    #: The owning service's
+    #: :class:`~repro.core.service.ServiceCounters` (``None`` while the
+    #: scheme plans for no service): the link-state searches tally
+    #: which step answered them there.
+    counters = None
 
     #: Optional :class:`~repro.observability.TraceCollector`; set by a
     #: tracing service.  :meth:`plan_instrumented` wraps the plan in a
@@ -170,20 +169,12 @@ class RoutingScheme(abc.ABC):
         """Select primary and backup routes for a new DR-connection."""
 
     def plan_instrumented(self, query: RouteQuery) -> RoutePlan:
-        """Plan with metrics and/or tracing: count the call, time it,
-        and tally the candidate routes considered.  Identical decisions
-        to :meth:`plan` — the instrumentation never touches routing
-        state — and a plain :meth:`plan` call when neither metrics nor
-        a trace collector is bound."""
-        if self.metrics is None and self.trace is None:
-            return self.plan(query)
+        """Plan inside a ``route.plan`` span.  Identical decisions to
+        :meth:`plan` — the instrumentation never touches routing
+        state — and a plain :meth:`plan` call when no trace collector
+        is bound."""
         if self.trace is None:
-            started = perf_counter()
-            plan = self.plan(query)
-            self.metrics.observe_plan(
-                self.name, plan, perf_counter() - started
-            )
-            return plan
+            return self.plan(query)
         with self.trace.span(
             "route.plan",
             category="routing",
@@ -191,12 +182,7 @@ class RoutingScheme(abc.ABC):
             source=query.source,
             destination=query.destination,
         ) as span:
-            started = perf_counter()
             plan = self.plan(query)
-            if self.metrics is not None:
-                self.metrics.observe_plan(
-                    self.name, plan, perf_counter() - started
-                )
             span.tag(
                 accepted=plan.accepted,
                 backup_found=plan.backup is not None,

@@ -41,10 +41,10 @@ def _flat_search(
 ):
     """Dispatch one search over an already-built cost array and return
     the route with how it was answered (one of
-    :data:`repro.kernels.search.ANSWERS`), counting the answer into
-    the scheme's metrics when it has any: the layered hop-bounded
-    search when the query carries a delay bound, the unbounded flat
-    search otherwise.
+    :data:`repro.kernels.search.ANSWERS`), tallying the answer on the
+    owning service's counters when the scheme has one: the layered
+    hop-bounded search when the query carries a delay bound, the
+    unbounded flat search otherwise.
 
     ``search`` is ``"primary"`` or ``"backup"``.  A primary cost
     array's only allowed value is ``1.0``, which is what
@@ -67,8 +67,8 @@ def _flat_search(
                 network, query.source, query.destination, costs
             )
         answer = search_workspace(network).answer
-    if scheme.metrics is not None:
-        scheme.metrics.observe_search(search, answer)
+    if scheme.counters is not None:
+        scheme.counters.record_search(search, answer)
     return route, answer
 
 

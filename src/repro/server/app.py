@@ -40,7 +40,8 @@ import os
 import signal
 import socket as socket_module
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
@@ -69,8 +70,9 @@ MANIFEST_VERSION = 1
 
 @dataclass
 class ServerStats:
-    """Plain counters mirrored into the metrics registry and the
-    final manifest."""
+    """The server's own counts, kept here only: the registry collects
+    its ``drtp_server_*`` families from this object when scraped, and
+    ``status`` and the final manifest carry :meth:`to_dict`."""
 
     ops: Dict[str, int] = field(default_factory=dict)
     protocol_errors: int = 0
@@ -89,17 +91,11 @@ class ServerStats:
         return sum(self.ops.values())
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "requests_total": self.requests_total,
-            "ops": dict(sorted(self.ops.items())),
-            "protocol_errors": self.protocol_errors,
-            "internal_errors": self.internal_errors,
-            "connections_total": self.connections_total,
-            "refreshes": self.refreshes,
-            "refreshes_coalesced": self.refreshes_coalesced,
-            "batches": self.batches,
-            "drained_clean": self.drained_clean,
-        }
+        return dict(
+            asdict(self),
+            requests_total=self.requests_total,
+            ops=dict(sorted(self.ops.items())),
+        )
 
 
 class ControlPlaneServer:
@@ -122,11 +118,13 @@ class ControlPlaneServer:
                 "exactly one of socket_path or host must be given"
             )
         self.service = service
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        if getattr(service, "metrics", None) is None:
-            # The service was built un-instrumented; bind the collected
-            # gauges at least, so status/metrics read something real.
-            self.metrics.bind_service(service)
+        if metrics is None:
+            metrics = getattr(service, "metrics", None) or ServiceMetrics()
+        # Every count lives on the service's counters, so whichever
+        # registry this is, a scrape reads the same numbers as
+        # ``status``; only the latency histograms need the service to
+        # have been built with it.
+        self.metrics = metrics.bind_service(service)
         if trace is None and trace_dir is not None:
             # Bounded by default: a long-lived server must not grow its
             # trace without limit (evictions are counted, not silent).
@@ -146,27 +144,6 @@ class ControlPlaneServer:
         self.manifest_path = manifest_path
         self.stats = ServerStats()
 
-        registry = self.metrics.registry
-        self._m_requests = registry.counter(
-            "drtp_server_requests_total",
-            "protocol requests received", labels=("op",),
-        )
-        self._m_protocol_errors = registry.counter(
-            "drtp_server_protocol_errors_total",
-            "malformed or invalid protocol requests",
-        )
-        self._m_connections = registry.counter(
-            "drtp_server_connections_total", "client connections accepted",
-        )
-        self._m_refreshes_coalesced = registry.counter(
-            "drtp_server_db_refreshes_coalesced_total",
-            "redundant link-state refreshes avoided by batch coalescing",
-        )
-        self._m_queue_depth = registry.gauge(
-            "drtp_server_mutation_queue_depth",
-            "mutations queued for the writer task",
-        )
-
         self._server: Optional[asyncio.AbstractServer] = None
         self._mutations: "asyncio.Queue" = asyncio.Queue()
         self._writer_task: Optional[asyncio.Task] = None
@@ -185,7 +162,41 @@ class ControlPlaneServer:
             "fail_link": self._op_fail_link,
             "repair_link": self._op_repair_link,
         }
-        self._m_queue_depth.collect_with(self._mutations.qsize)
+        self._bind_metrics()
+
+    def _bind_metrics(self) -> None:
+        """Declare the ``drtp_server_*`` families, each collected from
+        :attr:`stats` (or the mutation queue) when scraped."""
+        registry, stats = self.metrics.registry, self.stats
+        registry.counter(
+            "drtp_server_requests_total",
+            "protocol requests received", labels=("op",),
+        ).collect_with(
+            lambda: {(op,): count for op, count in stats.ops.items()}
+        )
+        for tally, name, help_text in (
+            ("protocol_errors", "drtp_server_protocol_errors_total",
+             "malformed or invalid protocol requests"),
+            ("internal_errors", "drtp_server_internal_errors_total",
+             "requests that failed inside the server"),
+            ("connections_total", "drtp_server_connections_total",
+             "client connections accepted"),
+            ("batches", "drtp_server_batches_total",
+             "mutation batches drained by the writer task"),
+            ("refreshes", "drtp_server_db_refreshes_total",
+             "link-state refreshes run ahead of a batch's admissions "
+             "(snapshot-mode databases only)"),
+            ("refreshes_coalesced",
+             "drtp_server_db_refreshes_coalesced_total",
+             "redundant link-state refreshes avoided by batch coalescing"),
+        ):
+            registry.counter(name, help_text).collect_with(
+                partial(getattr, stats, tally)
+            )
+        registry.gauge(
+            "drtp_server_mutation_queue_depth",
+            "mutations queued for the writer task",
+        ).collect_with(self._mutations.qsize)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -302,7 +313,6 @@ class ControlPlaneServer:
     # Manifest
     # ------------------------------------------------------------------
     def manifest(self) -> Dict[str, Any]:
-        counters = self.service.counters
         return {
             "version": MANIFEST_VERSION,
             "endpoint": self.endpoint,
@@ -311,19 +321,12 @@ class ControlPlaneServer:
             "wall_seconds": time.monotonic() - self._started_monotonic,
             "exit_reason": self._exit_reason,
             "server": self.stats.to_dict(),
-            "service": {
-                "requests": counters.requests,
-                "accepted": counters.accepted,
-                "rejected": dict(counters.rejected),
-                "released": counters.released,
-                "acceptance_ratio": counters.acceptance_ratio,
-                "degraded_admissions": counters.degraded_admissions,
-                "backups_reestablished": counters.backups_reestablished,
-                "reestablish_attempts": counters.reestablish_attempts,
-                "active_connections": self.service.active_connection_count,
-                "unprotected": len(self.service.unprotected_ids()),
-                "pending_backups": len(self.service.pending_backup_ids()),
-            },
+            "service": dict(
+                self.service.counters.to_dict(),
+                active_connections=self.service.active_connection_count,
+                unprotected=len(self.service.unprotected_ids()),
+                pending_backups=len(self.service.pending_backup_ids()),
+            ),
             "metrics": self.metrics.registry.snapshot(),
         }
 
@@ -358,7 +361,6 @@ class ControlPlaneServer:
         self._client_tasks.add(task)
         self._clients.add(state)
         self.stats.connections_total += 1
-        self._m_connections.inc()
         buffer = b""
         try:
             # Chunked reads instead of per-line reads: a pipelined
@@ -386,7 +388,6 @@ class ControlPlaneServer:
                     # Still no newline: answer once and hang up rather
                     # than buffer whatever else the peer sends.
                     self.stats.protocol_errors += 1
-                    self._m_protocol_errors.inc()
                     writer.write(protocol.encode_response(
                         None, False,
                         error_kind=protocol.ERR_BAD_REQUEST,
@@ -443,14 +444,12 @@ class ControlPlaneServer:
                 )
             except ProtocolError as exc:
                 self.stats.protocol_errors += 1
-                self._m_protocol_errors.inc()
                 entries.append((None, None, None, protocol.encode_response(
                     exc.request_id, False,
                     error_kind=exc.kind, error_message=str(exc),
                 )))
                 continue
             self.stats.record_op(request.op)
-            self._m_requests.inc(1, request.op)
             op_span = None
             if trace is not None:
                 # Two-phase: started here, finished when the response
@@ -477,7 +476,6 @@ class ControlPlaneServer:
                 except ProtocolError as exc:
                     ok = False
                     self.stats.protocol_errors += 1
-                    self._m_protocol_errors.inc()
                     encoded = protocol.encode_response(
                         request.id, False,
                         error_kind=exc.kind, error_message=str(exc),
@@ -515,7 +513,6 @@ class ControlPlaneServer:
             except ProtocolError as exc:
                 ok = False
                 self.stats.protocol_errors += 1
-                self._m_protocol_errors.inc()
                 out.append(protocol.encode_response(
                     request.id, False,
                     error_kind=exc.kind, error_message=str(exc),
@@ -589,7 +586,6 @@ class ControlPlaneServer:
         self.stats.refreshes += 1
         if admits > 1:
             self.stats.refreshes_coalesced += admits - 1
-            self._m_refreshes_coalesced.inc(admits - 1)
 
     def _apply_mutation(self, request: Request) -> Dict[str, Any]:
         return self._mutation_handlers[request.op](request)
@@ -666,7 +662,6 @@ class ControlPlaneServer:
         return self._op_metrics(request)
 
     def _op_status(self) -> Dict[str, Any]:
-        counters = self.service.counters
         network = self.service.network
         return {
             "protocol": protocol.PROTOCOL_VERSION,
@@ -679,18 +674,7 @@ class ControlPlaneServer:
             "pending_backups": len(self.service.pending_backup_ids()),
             "draining": self._stopping,
             "uptime_seconds": time.monotonic() - self._started_monotonic,
-            "counters": {
-                "requests": counters.requests,
-                "accepted": counters.accepted,
-                "rejected": dict(counters.rejected),
-                "released": counters.released,
-                "acceptance_ratio": counters.acceptance_ratio,
-                "degraded_admissions": counters.degraded_admissions,
-                "reestablish_attempts": counters.reestablish_attempts,
-                "backups_reestablished": counters.backups_reestablished,
-                "reestablish_success_ratio":
-                    counters.reestablish_success_ratio,
-            },
+            "counters": self.service.counters.to_dict(),
             "server": self.stats.to_dict(),
         }
 

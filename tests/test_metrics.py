@@ -354,6 +354,27 @@ class TestServiceInstrumentation:
         assert searches.value("primary", "none") == 1.0
         assert searches.total() == 2.0
 
+    def test_repairs_count_links_that_were_down(self):
+        """One scrape answers "how many links are down": a repair that
+        finds a healthy link — directly, or as a member of a repaired
+        node — counts nothing, and the level has its own gauge."""
+        metrics = ServiceMetrics()
+        service = DRTPService(
+            mesh_network(3, 3, 10.0), DLSRScheme(), metrics=metrics
+        )
+        service.fail_node(4)
+        assert metrics.links_down.value() == 8.0
+        service.repair_node(4)
+        service.repair_link(0)
+        service.repair_link(0)
+        assert metrics.link_failures.value() == 1.0  # one event
+        assert metrics.link_repairs.value() == 8.0
+        assert metrics.links_down.value() == 0.0
+        families = parse_prometheus_text(
+            metrics.registry.render_prometheus()
+        )
+        assert families["drtp_links_down"]["type"] == "gauge"
+
     def test_uninstrumented_service_records_nothing(self):
         metrics = ServiceMetrics()
         net = mesh_network(3, 3, 10.0)
@@ -364,11 +385,43 @@ class TestServiceInstrumentation:
 
 
 class TestSignalingSurfacesAgree:
-    """``ServiceCounters`` and the registry count every backup walk
-    once each, whoever asked for it: admission, the reconfiguration
-    after a failure, or the re-establishment queue."""
+    """``ServiceCounters`` and the registry agree on every count,
+    whoever caused it: admission, the reconfiguration after a failure,
+    the re-establishment queue, a repair."""
 
     FIELDS = ("walks", "retries", "drops", "duplicates", "crashes", "gave_up")
+
+    #: Family -> the ``ServiceCounters`` field it is collected from.
+    UNLABELED = {
+        "drtp_degraded_admissions_total": "degraded_admissions",
+        "drtp_signaling_walks_total": "signaling_walks",
+        "drtp_signaling_hops_total": "signaling_hops",
+        "drtp_signaling_retries_total": "signaling_retries",
+        "drtp_signaling_drops_total": "signaling_drops",
+        "drtp_signaling_duplicates_total": "signaling_duplicates",
+        "drtp_signaling_crashes_total": "signaling_crashes",
+        "drtp_signaling_gave_up_total": "signaling_gave_up",
+        "drtp_link_failures_total": "failure_events",
+        "drtp_link_repairs_total": "links_repaired",
+        "drtp_backup_reestablish_attempts_total": "reestablish_attempts",
+        "drtp_backups_reestablished_total": "backups_reestablished",
+        "drtp_group_failures_total": "group_failures",
+        "drtp_group_failed_links_total": "group_failed_links",
+    }
+    PER_SCHEME = {
+        "drtp_admissions_total": "accepted",
+        "drtp_releases_total": "released",
+        "drtp_route_plans_total": "requests",
+        "drtp_route_candidates_total": "plan_candidates",
+    }
+    BY_OUTCOME = {
+        "drtp_recovery_outcomes_total": "recovery_outcomes",
+        "drtp_group_recovery_outcomes_total": "group_recovery_outcomes",
+    }
+    DATABASE = {
+        "drtp_db_refreshes_total": "refreshes",
+        "drtp_db_links_rescanned_total": "links_rescanned",
+    }
 
     def assert_agree(self, service, metrics):
         counted = {
@@ -380,7 +433,61 @@ class TestSignalingSurfacesAgree:
             for field in self.FIELDS
         }
         assert counted == scraped
+        self.assert_every_family_agrees(service, metrics)
         return counted
+
+    def assert_every_family_agrees(self, service, metrics):
+        """Each ``drtp_*_total`` sample of a parsed scrape equals the
+        tally it is collected from."""
+        families = parse_prometheus_text(
+            metrics.registry.render_prometheus()
+        )
+        counters = service.counters
+        scheme = service.scheme.name
+
+        def scraped(name, *label_names):
+            assert families[name]["type"] == "counter", name
+            return {
+                tuple(sample.labels[label] for label in label_names):
+                    sample.value
+                for sample in families[name]["samples"]
+            }
+
+        expected = {}
+        for name, tally in self.UNLABELED.items():
+            expected[name] = scraped(name), {(): getattr(counters, tally)}
+        for name, tally in self.PER_SCHEME.items():
+            expected[name] = (
+                scraped(name, "scheme"), {(scheme,): getattr(counters, tally)}
+            )
+        for name, tally in self.BY_OUTCOME.items():
+            expected[name] = scraped(name, "outcome"), {
+                (reason,): count
+                for reason, count in getattr(counters, tally).items()
+            }
+        for name, tally in self.DATABASE.items():
+            expected[name] = (
+                scraped(name), {(): getattr(service.database, tally)}
+            )
+        expected["drtp_rejections_total"] = (
+            scraped("drtp_rejections_total", "scheme", "reason"),
+            {(scheme, reason): count
+             for reason, count in counters.rejected.items()},
+        )
+        expected["drtp_route_searches_total"] = (
+            scraped("drtp_route_searches_total", "search", "answer"),
+            counters.searches,
+        )
+        for name, (samples, tallies) in expected.items():
+            assert samples == tallies, name
+        # No counter family escapes the comparison.
+        assert set(expected) == {
+            name for name in families if name.endswith("_total")
+        }
+        assert families["drtp_links_down"]["samples"][0].value == len(
+            service.state.failed_links()
+        )
+        assert families["drtp_db_dirty_links"]["type"] == "gauge"
 
     @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "lossy"])
     def test_counters_equal_registry_through_recovery(self, faulted):
@@ -408,14 +515,13 @@ class TestSignalingSurfacesAgree:
         admitted = self.assert_agree(service, metrics)
         assert (admitted["retries"] > 0) == faulted
 
-        service.fail_link(service.links_carrying_primaries()[0])
+        first_victim = service.links_carrying_primaries()[0]
+        service.fail_link(first_victim)
         reconfigured = self.assert_agree(service, metrics)
         assert reconfigured["walks"] > admitted["walks"]
 
-        service.fail_group(
-            groups.group_of(service.links_carrying_primaries()[0]),
-            reconfigure=False,
-        )
+        group_id = groups.group_of(service.links_carrying_primaries()[0])
+        service.fail_group(group_id, reconfigure=False)
         bare = [
             conn.connection_id for conn in service.connections()
             if service.queue_backup_reestablishment(conn.connection_id)
@@ -426,6 +532,28 @@ class TestSignalingSurfacesAgree:
         assert self.assert_agree(service, metrics)["walks"] > (
             reconfigured["walks"]
         )
+
+        # A switch outage, then everything repaired — twice over, so
+        # the repairs that find a healthy link are in the script too.
+        service.fail_node(5)
+        service.request(0, 15, 100.0)  # a rejection, for its family
+        for conn in list(service.connections())[:3]:
+            service.release(conn.connection_id)
+        self.assert_agree(service, metrics)
+        down = len(service.state.failed_links())
+        assert down > len(groups.members(group_id))
+        service.repair_link(first_victim)
+        service.repair_group(group_id)
+        service.repair_node(5)
+        service.repair_link(first_victim)
+        self.assert_agree(service, metrics)
+        assert service.state.failed_links() == frozenset()
+        assert service.counters.links_repaired == down
+        assert service.counters.failure_events == 3
+        assert service.counters.released == 3
+        assert {search for search, _ in service.counters.searches} == {
+            "primary", "backup",
+        }
 
 
 class TestGroupFailureInstrumentation:

@@ -1,5 +1,6 @@
 """Tests for the LSR routing schemes and baselines."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -304,3 +305,40 @@ class TestOneEngine:
             "testing/reference.py",
         ]
         assert not (root / "routing" / "dijkstra.py").exists()
+
+    def test_every_count_is_kept_once(self):
+        """One tally: outside ``metrics/`` the only event-time write to
+        a registry family is the latency pair in ``_admit``; below
+        ``DRTPService`` nothing takes a ``metrics`` argument — the
+        layers count on ``ServiceCounters``, the registry reads it —
+        and every backup walk is tallied at the one place all of them
+        pass."""
+        root = Path(repro.__file__).parent
+        write = re.compile(r"\.(inc|dec|observe|observe_\w+)\(")
+        tally = re.compile(r"\.record_signaling\(")
+        writes, walk_tallies, takers = [], [], []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root)
+            text = path.read_text()
+            for line in text.splitlines():
+                if name.parts[0] != "metrics" and write.search(line):
+                    writes.append("{}: {}".format(name, line.strip()))
+                if tally.search(line):
+                    walk_tallies.append(str(name))
+            if name.parts[0] in ("core", "routing", "kernels", "network"):
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(node, ast.FunctionDef) and "metrics" in [
+                        arg.arg for arg in (
+                            node.args.posonlyargs + node.args.args
+                            + node.args.kwonlyargs
+                        )
+                    ]:
+                        takers.append("{}::{}".format(name, node.name))
+        assert writes == ["core/service.py: self.metrics.observe_admission("]
+        assert walk_tallies == ["core/signaling.py"]
+        assert takers == ["core/service.py::__init__"]
+        assert not hasattr(repro.routing.RoutingScheme, "metrics")
+        assert [
+            name for name in vars(repro.metrics.ServiceMetrics)
+            if name.startswith("observe_")
+        ] == ["observe_admission"]

@@ -430,6 +430,48 @@ class TestServerRoundTrips:
         assert manifest["server"]["drained_clean"] is True
         assert "cluster" not in status and "cluster" not in manifest
 
+    def test_scrape_equals_status_without_a_service_registry(self, tmp_path):
+        # The service was built without metrics=: its counts are still
+        # kept, once, so the server's scrape and its status agree.
+        responses, _ = run_session(tmp_path, [
+            encode_request("admit", {"source": 0, "destination": 15,
+                                     "bw": 1.0}, request_id=1),
+            encode_request("admit", {"source": 0, "destination": 15,
+                                     "bw": 99.0}, request_id=2),
+            encode_request("admit", {"source": 1, "destination": 14,
+                                     "bw": 1.0}, request_id=3),
+            encode_request("release", {"connection": 0}, request_id=4),
+            encode_request("metrics", request_id=5),
+            encode_request("status", request_id=6),
+        ])
+        families = parse_prometheus_text(responses[-2][2]["body"])
+        counters = responses[-1][2]["counters"]
+
+        def scraped(name):
+            return {
+                tuple(sorted(sample.labels.items())): sample.value
+                for sample in families[name]["samples"]
+            }
+
+        assert scraped("drtp_admissions_total") == {
+            (("scheme", "D-LSR"),): counters["accepted"]
+        }
+        assert counters["accepted"] == 2
+        assert scraped("drtp_rejections_total") == {
+            (("reason", reason), ("scheme", "D-LSR")): count
+            for reason, count in counters["rejected"].items()
+        }
+        assert sum(counters["rejected"].values()) == 1
+        assert scraped("drtp_releases_total") == {
+            (("scheme", "D-LSR"),): counters["released"]
+        }
+        assert counters["released"] == 1
+        assert scraped("drtp_acceptance_ratio") == {
+            (("scheme", "D-LSR"),): counters["acceptance_ratio"]
+        }
+        assert scraped("drtp_server_internal_errors_total") == {(): 0.0}
+        assert scraped("drtp_server_batches_total")[()] >= 1.0
+
     def test_stale_socket_replaced_live_socket_refused(self, tmp_path):
         async def _run():
             sock = str(tmp_path / "ctl.sock")
