@@ -267,11 +267,6 @@ def point_from_dict(data: Dict) -> PointResult:
     )
 
 
-#: Per-worker span bound: a cell is one span today, but the bound
-#: keeps future deeper instrumentation from bloating result payloads.
-WORKER_TRACE_MAX_SPANS = 20_000
-
-
 def execute_job(job_data: Dict) -> Dict:
     """Run one shard (worker-process entry point).
 
@@ -282,14 +277,12 @@ def execute_job(job_data: Dict) -> Dict:
     for the orchestrator to merge under its own collector.
     """
     job = CellJob.from_dict(job_data)
-    trace = (
-        TraceCollector(max_spans=WORKER_TRACE_MAX_SPANS)
-        if job_data.get("trace") else None
-    )
-    if trace is None:
-        points = _run_cell_for_job(job)
-    else:
-        with trace.span(
+    cell = None
+    if job_data.get("trace"):
+        # Two-phase, so never the open span: the cell's services stay
+        # untraced and the payload carries this one span per cell.
+        trace = TraceCollector()
+        cell = trace.span(
             "campaign.cell",
             category="campaign",
             job=job.job_id,
@@ -297,9 +290,13 @@ def execute_job(job_data: Dict) -> Dict:
             pattern=job.pattern,
             lam=job.lam,
             scale=job.scale,
-        ) as span:
-            points = _run_cell_for_job(job)
-            span.tag(schemes=len(points))
+        ).start_now()
+    points = run_cell(
+        job.cell_spec,
+        schemes=job.schemes,
+        scale=SCALES[job.scale],
+        master_seed=job.master_seed,
+    )
     payload = {
         "job_id": job.job_id,
         "index": job.index,
@@ -308,17 +305,8 @@ def execute_job(job_data: Dict) -> Dict:
             name: point_to_dict(points[name]) for name in job.schemes
         },
     }
-    if trace is not None:
+    if cell is not None:
+        cell.finish(schemes=len(points))
         payload["spans"] = trace.to_dicts()
         payload["spans_dropped"] = trace.dropped
     return payload
-
-
-def _run_cell_for_job(job: CellJob) -> Dict[str, PointResult]:
-    """The shard's actual work: one sweep cell at the job's scale."""
-    return run_cell(
-        job.cell_spec,
-        schemes=job.schemes,
-        scale=SCALES[job.scale],
-        master_seed=job.master_seed,
-    )

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Dict, IO, List, Optional, Union
 
 from ..faults.retry import RetryPolicy
+from ..observability import UNTRACED
 from ..simulation.rng import seeded_rng
 from .jobs import CampaignError, CampaignSpec, execute_job
 from .journal import CampaignJournal
@@ -214,11 +215,9 @@ def run_campaign_jobs(
     _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
 
     job_dicts = [
-        dict(job.to_dict(), job_id=job.job_id) for job in todo
+        dict(job.to_dict(), job_id=job.job_id, trace=trace is not None)
+        for job in todo
     ]
-    if trace is not None:
-        for job_dict in job_dicts:
-            job_dict["trace"] = True
     if jobs == 1:
         _run_inline(
             job_dicts, on_result, events, retry_policy,
@@ -245,18 +244,15 @@ def run_campaign_jobs(
         wall_clock_seconds=wall_clock,
     )
     if complete:
-        if trace is None:
+        with (
+            trace.span(
+                "campaign.merge", category="campaign", cells=len(completed)
+            )
+            if trace is not None else UNTRACED
+        ):
             points = restore_points(spec, completed)
             result.points = points
             result.outputs = write_outputs(directory, spec, points)
-        else:
-            with trace.span(
-                "campaign.merge", category="campaign",
-                cells=len(completed),
-            ):
-                points = restore_points(spec, completed)
-                result.points = points
-                result.outputs = write_outputs(directory, spec, points)
         if prime_caches:
             prime_sweep_caches(spec, points)
         manifest = manifest_dict(STATUS_COMPLETE)

@@ -84,41 +84,28 @@ class AdmissionController:
         require_backup: bool = True,
         injector=None,
         retry_policy=None,
-        degrade_on_fault: Optional[bool] = None,
         counters=None,
-        trace=None,
     ) -> None:
         """``injector``/``retry_policy`` subject backup signaling to
         fault injection with retransmission (see
-        :mod:`repro.core.signaling`).  ``degrade_on_fault`` (default:
-        on whenever an injector is present) admits a connection
-        unprotected when its backup signaling exhausts retries, instead
-        of rejecting it — the decision is flagged ``degraded`` so the
-        service can re-establish the backup in the background.
-        ``counters`` (the service's
+        :mod:`repro.core.signaling`).  Under an injector, a connection
+        whose backup signaling exhausts its retries is admitted
+        unprotected instead of rejected — the decision is flagged
+        ``degraded`` so the service can re-establish the backup in the
+        background.  ``counters`` (the service's
         :class:`~repro.core.service.ServiceCounters`) receives per-walk
-        signaling accounting when present; ``trace`` (a
-        :class:`~repro.observability.TraceCollector`) receives spans
-        for every register/release walk."""
+        signaling accounting when present."""
         self._state = state
         self._policy = spare_policy
         self._require_backup = require_backup
         self._injector = injector
         self._retry_policy = retry_policy
         self._counters = counters
-        self._trace = trace
-        if degrade_on_fault is None:
-            degrade_on_fault = injector is not None
-        self._degrade_on_fault = degrade_on_fault
         self._next_seq = 0
 
     @property
     def spare_policy(self) -> SparePolicy:
         return self._policy
-
-    def bind_trace(self, trace) -> None:
-        """Attach a span collector after construction."""
-        self._trace = trace
 
     # ------------------------------------------------------------------
     # Establishment
@@ -151,12 +138,13 @@ class AdmissionController:
             registration = register_backup_path(
                 self._state, self._policy, packet,
                 self._injector, self._retry_policy,
-                counters=self._counters, trace=self._trace,
+                counters=self._counters,
             )
             if not registration.success:
-                if registration.gave_up and self._degrade_on_fault:
+                if registration.gave_up:
                     # Signaling faults, not resources, defeated the
-                    # backup: admit unprotected and let the service
+                    # backup (only an injector makes a walk give up):
+                    # admit unprotected and let the service
                     # re-establish protection in the background.
                     decision.degraded = True
                 elif self._require_backup:
@@ -183,7 +171,7 @@ class AdmissionController:
                     outcome = register_backup_path(
                         self._state, self._policy, extra,
                         self._injector, self._retry_policy,
-                        counters=self._counters, trace=self._trace,
+                        counters=self._counters,
                     )
                     if outcome.success:
                         decision.backup_registration_deficit += (
@@ -230,7 +218,6 @@ class AdmissionController:
                     primary_lset=connection.primary_route.lset,
                     backup_index=channel.registration_index,
                 ),
-                trace=self._trace,
             )
         connection.terminate()
 

@@ -452,15 +452,14 @@ def reprotect(
     injector=None,
     retry_policy=None,
     counters=None,
-    trace=None,
 ) -> bool:
     """Give one unprotected connection a backup: plan it against the
     standing primary (``max_hops`` is the delay-QoS bound, as at
     admission), walk its register packet, attach the channel.
     ``injector`` / ``retry_policy`` make the walk lossy — only the
-    re-establishment queue passes them; ``counters`` / ``trace``
-    receive the walk's signaling accounting and ``signal.register``
-    span.  Returns whether the connection is protected afterwards."""
+    re-establishment queue passes them; ``counters`` receives the
+    walk's signaling accounting.  Returns whether the connection is
+    protected afterwards."""
     backup = scheme.plan_backup(
         RouteQuery(conn.source, conn.destination, conn.bw_req, max_hops),
         conn.primary_route,
@@ -476,8 +475,7 @@ def reprotect(
     # Resolved through the module at call time: the e2e harness wraps
     # this binding to count the re-protection walks.
     registration = signaling.register_backup_path(
-        state, policy, packet, injector, retry_policy,
-        counters=counters, trace=trace,
+        state, policy, packet, injector, retry_policy, counters=counters
     )
     if registration.success:
         conn.backup = Channel(role=ChannelRole.BACKUP, route=backup)
@@ -492,7 +490,6 @@ def reconfigure_unprotected(
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
     counters=None,
-    trace=None,
 ) -> int:
     """DRTP step 4: find new backups for unprotected connections.
 
@@ -501,8 +498,8 @@ def reconfigure_unprotected(
     existing primary.  ``hop_bound(source, destination)`` is the
     delay-QoS bound a replacement backup must keep, exactly as at
     admission; ``None`` plans unbounded.  The walks are fault-free;
-    ``counters`` / ``trace`` are handed to :func:`reprotect`.  Returns
-    how many connections were re-protected.
+    ``counters`` is handed to :func:`reprotect`.  Returns how many
+    connections were re-protected.
     """
     restored = 0
     for conn in connections.values():
@@ -513,8 +510,7 @@ def reconfigure_unprotected(
             if hop_bound is not None else None
         )
         restored += reprotect(
-            state, policy, conn, scheme, max_hops,
-            counters=counters, trace=trace,
+            state, policy, conn, scheme, max_hops, counters=counters
         )
     return restored
 

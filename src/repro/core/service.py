@@ -19,13 +19,17 @@ comparison methodology) is exact.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
 from ..network.state import NetworkState
+from ..observability.spans import spanned
 from ..routing.base import RouteQuery, RoutingContext, RoutingScheme
+from ..routing.base import plan_route
 from ..topology.graph import Network
 from ..topology.srlg import RiskGroupSet
 from .admission import AdmissionController, AdmissionDecision
@@ -180,6 +184,36 @@ class ServiceCounters:
         return document
 
 
+def _operation(name: str, opened, closed=None):
+    """The span of one :class:`DRTPService` operation, said once:
+    ``service.<name>``, tagged with the scheme and what
+    ``opened(*arguments)`` adds when it opens and what
+    ``closed(result)`` adds when it closes — a child of the open span
+    (a traced server's ``server.apply``), else a root in the service's
+    own collector, else nothing at all."""
+
+    def tags(service, *args, **kwargs):
+        return dict(scheme=service.scheme.name, **opened(*args, **kwargs))
+
+    return spanned(
+        "service." + name, "service", tags, closed, root=attrgetter("trace")
+    )
+
+
+def _failure(name: str, what: str, count=lambda failed: failed):
+    """:func:`_operation` for the four ways to fail something: tagged
+    ``what`` with (``count`` of) the first argument, then the impact."""
+    return _operation(
+        name,
+        lambda failed, reconfigure=True: {what: count(failed)},
+        lambda impact: dict(
+            affected=impact.affected,
+            activated=impact.activated,
+            lost=impact.failed,
+        ),
+    )
+
+
 class DRTPService:
     """Admission, teardown and recovery for DR-connections."""
 
@@ -228,8 +262,13 @@ class DRTPService:
 
         ``trace`` (a :class:`~repro.observability.TraceCollector`)
         records hierarchical spans for every admit/release/recover —
-        including the route searches and signaling walks they contain;
-        ``None`` records nothing and costs nothing.
+        including the route searches and signaling walks they contain.
+        The service only *starts* trees there: an operation called
+        under an open span (a traced server's) joins that span's tree
+        and collector instead, and the layers below are handed no
+        collector at all — they extend whatever span is open.  With
+        ``None`` and nothing open, nothing is recorded and each site
+        costs one guard.
 
         ``risk_groups`` (a :class:`~repro.topology.srlg.RiskGroupSet`)
         installs a shared-risk-link-group assignment before any route
@@ -256,8 +295,6 @@ class DRTPService:
         if metrics is not None:
             metrics.bind_service(self)
         self.trace = trace
-        if trace is not None:
-            scheme.trace = trace
         self._admission = AdmissionController(
             self.state,
             self.spare_policy,
@@ -265,7 +302,6 @@ class DRTPService:
             injector=fault_injector,
             retry_policy=retry_policy,
             counters=self.counters,
-            trace=trace,
         )
         # Hot connection state lives in a slab store: dict-identical
         # iteration order (golden traces depend on it) with slot reuse
@@ -300,36 +336,22 @@ class DRTPService:
         )
         return self.admit(req)
 
-    def bind_trace(self, trace) -> None:
-        """Attach a span collector after construction (the server does
-        this when it is handed an un-traced service)."""
-        self.trace = trace
-        self.scheme.trace = trace
-        self._admission.bind_trace(trace)
-
-    def admit(self, req: ConnectionRequest) -> AdmissionDecision:
-        """Admit a pre-built request (the simulator's entry point)."""
-        if self.trace is None:
-            return self._admit(req)
-        with self.trace.span(
-            "service.admit",
-            category="service",
-            scheme=self.scheme.name,
+    @_operation(
+        "admit",
+        lambda req: dict(
             request=req.request_id,
             source=req.source,
             destination=req.destination,
             bw=req.bw_req,
-        ) as span:
-            decision = self._admit(req)
-            span.tag(
-                accepted=decision.accepted,
-                reason=decision.reason,
-                degraded=decision.degraded,
-            )
-            return decision
-
-    def _admit(self, req: ConnectionRequest) -> AdmissionDecision:
-        """The admission transaction proper (tracing handled above)."""
+        ),
+        lambda decision: dict(
+            accepted=decision.accepted,
+            reason=decision.reason,
+            degraded=decision.degraded,
+        ),
+    )
+    def admit(self, req: ConnectionRequest) -> AdmissionDecision:
+        """Admit a pre-built request (the simulator's entry point)."""
         timed = self.metrics is not None
         started = perf_counter() if timed else 0.0
         counters = self.counters
@@ -340,15 +362,7 @@ class DRTPService:
             req.bw_req,
             max_hops=self._qos_bound(req.source, req.destination),
         )
-        if self.trace is not None:
-            # Traced planning path when the scheme provides it
-            # (duck-typed test schemes may not inherit RoutingScheme).
-            planner = getattr(
-                self.scheme, "plan_instrumented", self.scheme.plan
-            )
-            plan = planner(query)
-        else:
-            plan = self.scheme.plan(query)
+        plan = plan_route(self.scheme, query)
         planned = perf_counter() if timed else 0.0
         counters.control_messages += plan.control_messages
         counters.plan_candidates += plan.candidates_considered
@@ -387,19 +401,9 @@ class DRTPService:
             return 1  # unreachable; any bound rejects cleanly
         return int(distance) + self.qos_slack
 
+    @_operation("release", lambda connection_id: dict(connection=connection_id))
     def release(self, connection_id: int) -> None:
         """Terminate a connection and return all its resources."""
-        if self.trace is None:
-            return self._release(connection_id)
-        with self.trace.span(
-            "service.release",
-            category="service",
-            scheme=self.scheme.name,
-            connection=connection_id,
-        ):
-            return self._release(connection_id)
-
-    def _release(self, connection_id: int) -> None:
         try:
             connection = self._connections.pop(connection_id)
         except KeyError:
@@ -435,6 +439,11 @@ class DRTPService:
         self._pending_backup.add(connection_id)
         return True
 
+    @_operation(
+        "reestablish",
+        lambda connection_id: dict(connection=connection_id),
+        lambda restored: dict(restored=restored),
+    )
     def reestablish_backup(self, connection_id: int) -> bool:
         """One background attempt to restore a queued connection's
         protection: plan a fresh backup against the standing primary
@@ -444,19 +453,6 @@ class DRTPService:
         Returns True when the connection is protected afterwards —
         including "already was" — and False when it remains
         unprotected (caller reschedules) or no longer exists."""
-        if self.trace is None:
-            return self._reestablish_backup(connection_id)
-        with self.trace.span(
-            "service.reestablish",
-            category="service",
-            scheme=self.scheme.name,
-            connection=connection_id,
-        ) as span:
-            restored = self._reestablish_backup(connection_id)
-            span.tag(restored=restored)
-            return restored
-
-    def _reestablish_backup(self, connection_id: int) -> bool:
         conn = self._connections.get(connection_id)
         if conn is None or not conn.is_active:
             self._pending_backup.discard(connection_id)
@@ -469,7 +465,7 @@ class DRTPService:
             self.state, self.spare_policy, conn, self.scheme,
             self._qos_bound(conn.source, conn.destination),
             self.fault_injector, self.retry_policy,
-            counters=self.counters, trace=self.trace,
+            counters=self.counters,
         ):
             return False
         self._pending_backup.discard(connection_id)
@@ -509,27 +505,6 @@ class DRTPService:
             count_endpoint_losses=count_endpoint_losses,
         )
 
-    def fail_link(self, link_id: int, reconfigure: bool = True) -> FailureImpact:
-        """Fail a link for real: activate surviving backups, tear down
-        casualties, and (optionally) re-protect unprotected survivors
-        via DRTP's resource-reconfiguration step.  The link stays out
-        of every route search until :meth:`repair_link`."""
-        if self.trace is None:
-            return self._fail_link(link_id, reconfigure)
-        with self.trace.span(
-            "service.fail_link",
-            category="service",
-            scheme=self.scheme.name,
-            link=link_id,
-        ) as span:
-            impact = self._fail_link(link_id, reconfigure)
-            span.tag(
-                affected=impact.affected,
-                activated=impact.activated,
-                lost=impact.failed,
-            )
-            return impact
-
     def _settle(
         self,
         impact: FailureImpact,
@@ -543,40 +518,28 @@ class DRTPService:
         if reconfigure:
             reconfigure_unprotected(
                 self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound,
-                counters=self.counters, trace=self.trace,
+                self.scheme, self._qos_bound, counters=self.counters,
             )
         self.counters.record_failure(impact, group_links)
         return impact
 
-    def _fail_link(self, link_id: int, reconfigure: bool) -> FailureImpact:
+    @_failure("fail_link", "link")
+    def fail_link(self, link_id: int, reconfigure: bool = True) -> FailureImpact:
+        """Fail a link for real: activate surviving backups, tear down
+        casualties, and (optionally) re-protect unprotected survivors
+        via DRTP's resource-reconfiguration step.  The link stays out
+        of every route search until :meth:`repair_link`."""
         self.state.mark_link_failed(link_id)
         impact = apply_link_failure(
             self.state, self.spare_policy, self._connections, link_id
         )
         return self._settle(impact, reconfigure)
 
+    @_failure("fail_node", "node")
     def fail_node(self, node: int, reconfigure: bool = True) -> FailureImpact:
         """Fail a switch for real: every adjacent link dies, transit
         connections recover via surviving backups, connections
         terminating at the node are torn down."""
-        if self.trace is None:
-            return self._fail_node(node, reconfigure)
-        with self.trace.span(
-            "service.fail_node",
-            category="service",
-            scheme=self.scheme.name,
-            node=node,
-        ) as span:
-            impact = self._fail_node(node, reconfigure)
-            span.tag(
-                affected=impact.affected,
-                activated=impact.activated,
-                lost=impact.failed,
-            )
-            return impact
-
-    def _fail_node(self, node: int, reconfigure: bool) -> FailureImpact:
         for link in (
             self.network.out_links(node) + self.network.in_links(node)
         ):
@@ -629,6 +592,7 @@ class DRTPService:
             use_free_bandwidth=use_free_bandwidth,
         )
 
+    @_failure("fail_group", "group")
     def fail_group(
         self, group_id: int, reconfigure: bool = True
     ) -> FailureImpact:
@@ -637,23 +601,6 @@ class DRTPService:
         single activation round (simultaneous semantics — unlike
         calling :meth:`fail_link` per member, which would let earlier
         casualties re-protect before later links die)."""
-        if self.trace is None:
-            return self._fail_group(group_id, reconfigure)
-        with self.trace.span(
-            "service.fail_group",
-            category="service",
-            scheme=self.scheme.name,
-            group=group_id,
-        ) as span:
-            impact = self._fail_group(group_id, reconfigure)
-            span.tag(
-                affected=impact.affected,
-                activated=impact.activated,
-                lost=impact.failed,
-            )
-            return impact
-
-    def _fail_group(self, group_id: int, reconfigure: bool) -> FailureImpact:
         groups = self._require_risk_groups()
         for link_id in groups.members(group_id):
             self.state.mark_link_failed(link_id)
@@ -668,33 +615,15 @@ class DRTPService:
             impact, reconfigure, len(groups.members(group_id))
         )
 
+    @_failure("fail_link_set", "links", lambda link_ids: len(set(link_ids)))
     def fail_link_set(
-        self, link_ids: Iterable[int], reconfigure: bool = True
+        self, link_ids: Collection[int], reconfigure: bool = True
     ) -> FailureImpact:
-        """Fail an arbitrary set of links simultaneously (one
-        activation round) — the regional-fault primitive for
-        neighborhood cuts that do not coincide with a named risk
-        group."""
+        """Fail an arbitrary set of links (any collection; duplicates
+        count once) simultaneously, in one activation round — the
+        regional-fault primitive for neighborhood cuts that do not
+        coincide with a named risk group."""
         failed = frozenset(link_ids)
-        if self.trace is None:
-            return self._fail_link_set(failed, reconfigure)
-        with self.trace.span(
-            "service.fail_link_set",
-            category="service",
-            scheme=self.scheme.name,
-            links=len(failed),
-        ) as span:
-            impact = self._fail_link_set(failed, reconfigure)
-            span.tag(
-                affected=impact.affected,
-                activated=impact.activated,
-                lost=impact.failed,
-            )
-            return impact
-
-    def _fail_link_set(
-        self, failed: frozenset, reconfigure: bool
-    ) -> FailureImpact:
         for link_id in failed:
             self.state.mark_link_failed(link_id)
         impact = apply_failed_links(
@@ -706,11 +635,20 @@ class DRTPService:
         )
         return self._settle(impact, reconfigure, len(failed))
 
-    def _repair(self, link_ids: Iterable[int]) -> None:
-        """Return links to service, counting those that were down."""
+    @_operation(
+        "repair",
+        lambda link_ids: dict(links=len(link_ids)),
+        lambda repaired: dict(links_repaired=repaired),
+    )
+    def _repair(self, link_ids: Collection[int]) -> int:
+        """Return links to service; counts (and returns) how many of
+        them were down."""
+        repaired = 0
         for link_id in link_ids:
-            self.counters.links_repaired += self.state.is_link_failed(link_id)
+            repaired += self.state.is_link_failed(link_id)
             self.state.mark_link_repaired(link_id)
+        self.counters.links_repaired += repaired
+        return repaired
 
     def repair_group(self, group_id: int) -> None:
         """Return every link of a shared-risk group to service."""

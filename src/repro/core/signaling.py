@@ -58,6 +58,7 @@ from ..kernels.apply import (
     rejecting_hop,
 )
 from ..network.state import NetworkState
+from ..observability.spans import spanned
 from ..topology.graph import Route
 from .errors import SignalingError
 from .multiplexing import ResizeOutcome, SparePolicy
@@ -143,6 +144,37 @@ class RegistrationResult:
         return self.attempts - 1
 
 
+def _walk_tags(state, policy, packet, *_, **__):
+    """Open tags of a register or release walk's span."""
+    return dict(
+        connection=packet.connection_id,
+        backup_index=packet.backup_index,
+        hops=len(packet.backup_route.link_ids),
+    )
+
+
+def _registration_tags(result: RegistrationResult):
+    """Close tags of a ``signal.register`` span: the outcome, plus the
+    fault accounting when the walk met any."""
+    tags = dict(
+        success=result.success,
+        attempts=result.attempts,
+        hops_signaled=result.hops_signaled,
+        gave_up=result.gave_up,
+    )
+    if result.rejected_link is not None:
+        tags["rejected_link"] = result.rejected_link
+    if result.drops or result.duplicates or result.crashes:
+        tags.update(
+            drops=result.drops,
+            duplicates=result.duplicates,
+            crashes=result.crashes,
+            delay=result.delay,
+        )
+    return tags
+
+
+@spanned("signal.register", "signaling", _walk_tags, _registration_tags)
 def register_backup_path(
     state: NetworkState,
     policy: SparePolicy,
@@ -150,7 +182,6 @@ def register_backup_path(
     injector=None,
     retry_policy=None,
     counters=None,
-    trace=None,
 ) -> RegistrationResult:
     """Walk the register packet hop by hop; unwind on rejection.
 
@@ -167,59 +198,15 @@ def register_backup_path(
     accounting — walks, hops, retries, drops, duplicates, crashes,
     give-ups — once, after the outcome is final; every walk the
     service causes passes here, so this is the one place they are
-    tallied.  ``trace``
-    (a :class:`~repro.observability.TraceCollector`) records the walk
-    as a ``signal.register`` span with one ``signal.attempt`` child
-    per retransmission under fault injection.
+    tallied.  Under an open span the walk is a ``signal.register``
+    span, with one ``signal.attempt`` child per (re)transmission under
+    fault injection.
     """
-    if trace is None:
-        return _register(
-            state, policy, packet, injector, retry_policy, counters
-        )
-    with trace.span(
-        "signal.register",
-        category="signaling",
-        connection=packet.connection_id,
-        backup_index=packet.backup_index,
-        hops=len(packet.backup_route.link_ids),
-    ) as span:
-        result = _register(
-            state, policy, packet, injector, retry_policy, counters,
-            trace=trace,
-        )
-        span.tag(
-            success=result.success,
-            attempts=result.attempts,
-            hops_signaled=result.hops_signaled,
-            gave_up=result.gave_up,
-        )
-        if result.rejected_link is not None:
-            span.tag(rejected_link=result.rejected_link)
-        if result.drops or result.duplicates or result.crashes:
-            span.tag(
-                drops=result.drops,
-                duplicates=result.duplicates,
-                crashes=result.crashes,
-                delay=result.delay,
-            )
-    return result
-
-
-def _register(
-    state: NetworkState,
-    policy: SparePolicy,
-    packet: BackupRegisterPacket,
-    injector,
-    retry_policy,
-    counters,
-    trace=None,
-) -> RegistrationResult:
-    """Dispatch to the fault-free or lossy walk; tally the outcome."""
     if injector is None:
         result = _register_walk(state, policy, packet)
     else:
         result = _register_with_faults(
-            state, policy, packet, injector, retry_policy, trace=trace
+            state, policy, packet, injector, retry_policy
         )
     if counters is not None:
         counters.record_signaling(result)
@@ -255,7 +242,6 @@ def _register_with_faults(
     packet: BackupRegisterPacket,
     injector,
     retry_policy,
-    trace=None,
 ) -> RegistrationResult:
     """Lossy register walk with retransmission.
 
@@ -270,18 +256,9 @@ def _register_with_faults(
     result.attempts = 0
     while True:
         result.attempts += 1
-        if trace is None:
-            status = _attempt(state, policy, packet, injector, result)
-        else:
-            with trace.span(
-                "signal.attempt", category="signaling",
-                attempt=result.attempts,
-            ) as span:
-                status = _attempt(state, policy, packet, injector, result)
-                span.tag(outcome=status)
-        if status != _FAULTED:
+        if _attempt(state, policy, packet, injector, result) != _FAULTED:
             return result
-        unwind_backup_path(state, policy, packet, trace=trace)
+        unwind_backup_path(state, policy, packet)
         if retry_policy is None or retry_policy.gives_up(
             result.attempts, result.delay
         ):
@@ -296,6 +273,14 @@ _REJECTED = "rejected"
 _FAULTED = "faulted"
 
 
+@spanned(
+    "signal.attempt",
+    "signaling",
+    lambda state, policy, packet, injector, result: dict(
+        attempt=result.attempts
+    ),
+    lambda status: dict(outcome=status),
+)
 def _attempt(
     state: NetworkState,
     policy: SparePolicy,
@@ -355,32 +340,31 @@ def _walk_once(
     return _OK, hops
 
 
+@spanned("signal.release", "signaling", _walk_tags)
 def release_backup_path(
     state: NetworkState,
     policy: SparePolicy,
     packet: BackupReleasePacket,
-    trace=None,
 ) -> List[ResizeOutcome]:
     """Walk a release packet along the backup route, shrinking spare
     pools as registrations disappear."""
-    if trace is not None:
-        with trace.span(
-            "signal.release", category="signaling",
-            connection=packet.connection_id,
-            backup_index=packet.backup_index,
-            hops=len(packet.backup_route.link_ids),
-        ):
-            return release_backup_path(state, policy, packet)
     return batch_release_walk(
         state, policy, packet.registration_key, packet.backup_route.link_ids
     )
 
 
+@spanned(
+    "signal.unwind",
+    "signaling",
+    lambda state, policy, packet: dict(
+        connection=packet.connection_id, backup_index=packet.backup_index
+    ),
+    lambda released: dict(released=released),
+)
 def unwind_backup_path(
     state: NetworkState,
     policy: SparePolicy,
     packet: BackupRegisterPacket,
-    trace=None,
 ) -> int:
     """Source-initiated idempotent unwind of a (possibly partial) walk.
 
@@ -393,15 +377,6 @@ def unwind_backup_path(
 
     Returns the number of registrations released.
     """
-    if trace is not None:
-        with trace.span(
-            "signal.unwind", category="signaling",
-            connection=packet.connection_id,
-            backup_index=packet.backup_index,
-        ) as span:
-            released = unwind_backup_path(state, policy, packet)
-            span.tag(released=released)
-            return released
     key = packet.registration_key
     holding = [
         link_id

@@ -11,15 +11,15 @@ The tables are the database's snapshot, and their dirty set — the
 links whose ledgers changed since the last flush — is the only one
 there is:
 
-* **live serving** — every cost build flushes the dirty links from
-  the ledgers first, so builds read exactly what the live database
-  would serve and nothing waits to be re-advertised;
-* **snapshot / injected staleness** — builds do *not* flush; the
+* **live serving** — every read (:meth:`CompiledLinkArrays.sync`)
+  flushes the dirty links from the ledgers first, so cost builds and
+  the database's per-link records read exactly what the ledgers say
+  and nothing waits to be re-advertised;
+* **snapshot / injected staleness** — reads do *not* flush; the
   tables stay frozen at the last :meth:`CompiledLinkArrays.flush`,
-  which only :meth:`LinkStateDatabase.refresh` calls then, the
-  database serves its per-link reads from them, and the dirty set is
-  what :meth:`LinkStateDatabase.dirty_links` reports as awaiting
-  re-advertisement.
+  which only :meth:`LinkStateDatabase.refresh` calls then, and the
+  dirty set is what :meth:`LinkStateDatabase.dirty_links` reports as
+  awaiting re-advertisement.
 
 Cost encoding: each builder returns a plain list of floats, one per
 link id — ``-1.0`` excludes the link (failed links, bandwidth-short
@@ -248,14 +248,22 @@ class CompiledLinkArrays:
         return groups
 
     # ------------------------------------------------------------------
-    # Batch cost builders: flush first while the database serves live
+    # Reads: synced first, whoever reads
     # ------------------------------------------------------------------
+    def sync(self) -> "CompiledLinkArrays":
+        """What every reader of the tables — the cost builders, the
+        database's per-link records, the flood's bandwidth tests —
+        calls first: flush while the database serves live, leave a
+        snapshot or staleness window frozen at its last refresh."""
+        if self._database._serving_live():
+            self.flush()
+        return self
+
     def primary_costs(self, bw_req: float) -> List[float]:
         """Per-link primary costs: ``1.0`` per feasible link, ``-1.0``
         for failed or bandwidth-short links (hard feasibility: a
         primary without bandwidth is useless)."""
-        if self._database._serving_live():
-            self.flush()
+        self.sync()
         costs = _np.where(self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0)
         failed = self._state.failed_links()
         if failed:
@@ -281,8 +289,7 @@ class CompiledLinkArrays:
         aggregates: ``Q`` charges sharing a risk group with the avoided
         set, and the conflict counts per group.
         """
-        if self._database._serving_live():
-            self.flush()
+        self.sync()
         if kind not in CONFLICT_KINDS:
             raise ValueError(
                 "unknown conflict kind {!r} (want one of {})".format(
@@ -397,8 +404,8 @@ class CompiledLinkArrays:
         self._dirty.clear()
 
     def flush(self) -> None:
-        """Rescan every dirty link from its ledger.  Called before each
-        cost build while the database serves live, and by
+        """Rescan every dirty link from its ledger.  Called by
+        :meth:`sync` while the database serves live, and by
         :meth:`LinkStateDatabase.refresh` — never during a snapshot or
         staleness window, which must keep serving frozen tables."""
         state = self._state

@@ -216,7 +216,7 @@ class ServiceMetrics:
         for family, tally in (
             (self.admissions, "accepted"),
             (self.releases, "released"),
-            # One plan() per request: _admit is the only caller.
+            # One plan() per request: admit is the only caller.
             (self.plans, "requests"),
             (self.plan_candidates, "plan_candidates"),
             (self.acceptance_ratio, "acceptance_ratio"),

@@ -158,20 +158,28 @@ class LinkStateDatabase:
         return self._warmstart_cache
 
     # ------------------------------------------------------------------
-    # Per-link records
+    # Per-link records: every read is served from the kernel table
     # ------------------------------------------------------------------
+    def _records(self, link_id: int, groups: bool = False):
+        """The kernel table, synced to serve a read of ``link_id``:
+        flushed while the database serves live, frozen at the last
+        refresh otherwise (``groups``: the read needs the SRLG
+        columns, which a frozen table only has once a refresh has
+        seen the assignment)."""
+        if not 0 <= link_id < self.num_links:
+            raise ResourceError("unknown link id {}".format(link_id))
+        tables = self.kernel_arrays().sync()
+        if groups and not (tables.have_group_tables or self._serving_live()):
+            raise ResourceError("snapshot database never refreshed")
+        return tables
+
     def aplv_l1(self, link_id: int) -> int:
         """P-LSR's advertised scalar ``||APLV_i||_1``."""
-        if self._serving_live():
-            return self._state.ledger(link_id).aplv.l1_norm
-        return self._snapshot(link_id).l1[link_id]
+        return self._records(link_id).l1[link_id]
 
     def conflict_vector(self, link_id: int) -> ConflictVector:
-        """D-LSR's advertised bit-vector ``CV_i`` (live reads serve the
-        ledger's support-versioned CV cache)."""
-        if self._serving_live():
-            return self._state.ledger(link_id).conflict_vector()
-        return self._snapshot(link_id).conflict_vector(link_id)
+        """D-LSR's advertised bit-vector ``CV_i``."""
+        return self._records(link_id).conflict_vector(link_id)
 
     def is_failed(self, link_id: int) -> bool:
         """Link health is topology-change information, flooded
@@ -186,53 +194,28 @@ class LinkStateDatabase:
 
     def conflict_count(self, link_id: int, primary_lset) -> int:
         """D-LSR's cost term: how many links of ``primary_lset`` have
-        their Conflict-Vector bit set on ``link_id``.  In live mode the
-        count is read straight off the authoritative APLV (identical
-        result, no bit-vector materialization)."""
-        if self._serving_live():
-            return self._state.ledger(link_id).aplv.conflict_count(primary_lset)
-        return self._snapshot(link_id).conflict_count(link_id, primary_lset)
+        their Conflict-Vector bit set on ``link_id``."""
+        return self._records(link_id).conflict_count(link_id, primary_lset)
 
     def group_aplv_l1(self, link_id: int) -> int:
         """P-LSR's scalar generalized to risk groups: Σ_g (# backups on
         ``link_id`` whose primary touches group g).  Equal to
         :meth:`aplv_l1` under singleton groups."""
-        if self._serving_live():
-            return self._state.ledger(link_id).group_aplv_l1()
-        return self._snapshot(link_id, groups=True).gl1[link_id]
+        return self._records(link_id, groups=True).gl1[link_id]
 
     def group_conflict_count(self, link_id: int, primary_lset) -> int:
         """D-LSR's cost term generalized to risk groups: how many
         distinct risk groups of ``primary_lset`` already have an
         interested backup on ``link_id``.  Equal to
         :meth:`conflict_count` under singleton groups."""
-        if self._serving_live():
-            return self._state.ledger(link_id).group_conflict_count(
-                primary_lset
-            )
-        return self._snapshot(link_id, groups=True).group_conflict_count(
+        return self._records(link_id, groups=True).group_conflict_count(
             link_id, primary_lset
         )
 
     def primary_headroom(self, link_id: int) -> float:
         """Bandwidth a new primary could reserve on the link."""
-        if self._serving_live():
-            return self._state.ledger(link_id).primary_headroom()
-        return self._snapshot(link_id).ph[link_id]
+        return self._records(link_id).ph[link_id]
 
     def backup_headroom(self, link_id: int) -> float:
         """Bandwidth visible to a backup route search on the link."""
-        if self._serving_live():
-            return self._state.ledger(link_id).backup_headroom()
-        return self._snapshot(link_id).bh[link_id]
-
-    def _snapshot(self, link_id: int, groups: bool = False):
-        """The frozen table a snapshot / staleness read of ``link_id``
-        is served from (``groups``: the read needs its SRLG columns,
-        which exist only once a refresh has seen the assignment)."""
-        if not 0 <= link_id < self.num_links:
-            raise ResourceError("unknown link id {}".format(link_id))
-        tables = self._kernel_arrays
-        if groups and not tables.have_group_tables:
-            raise ResourceError("snapshot database never refreshed")
-        return tables
+        return self._records(link_id).bh[link_id]

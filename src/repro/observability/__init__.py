@@ -10,22 +10,26 @@ and failure-recovery into an inspectable timeline:
   with monotonic timings, tags and parent links) and
   :class:`TraceCollector` (a bounded ring buffer with drop counting);
   nesting rides on :mod:`contextvars`, so concurrent asyncio batches
-  keep their span trees separate;
+  keep their span trees separate; :func:`current_span` and
+  :func:`spanned` are what the instrumented layers use;
 * :mod:`repro.observability.export` — Chrome ``trace_event`` JSON
   (loadable in ``chrome://tracing`` / Perfetto) and a structured
   NDJSON stream, plus :func:`validate_chrome_trace`, the schema check
   run before anything is written.
 
-Instrumented layers (:mod:`repro.core.service`,
-:mod:`repro.core.signaling`, :mod:`repro.routing`,
-:mod:`repro.server`, :mod:`repro.campaign`) keep tracing off unless
-a collector is passed in, and the untraced path executes the exact
-pre-tracing instruction stream.  The span taxonomy and the
-"debugging a rejected DR-connection" walkthrough live in
+One binding: a collector is handed to a
+:class:`~repro.core.service.DRTPService`, a
+:class:`~repro.server.app.ControlPlaneServer` or a campaign — the
+only things that start a trace — and every layer below
+(:mod:`repro.routing`, :mod:`repro.core.signaling`,
+:mod:`repro.core.recovery`) extends whatever span is open, in that
+span's collector, or does nothing when none is: untraced, a site
+costs one ``current_span() is None`` guard.  The span taxonomy and
+the "debugging a rejected DR-connection" walkthrough live in
 ``docs/tracing.md``.
 """
 
-from .spans import Span, TraceCollector
+from .spans import UNTRACED, Span, TraceCollector, current_span, spanned
 from .export import (
     TraceFormatError,
     chrome_trace,
@@ -39,8 +43,11 @@ __all__ = [
     "Span",
     "TraceCollector",
     "TraceFormatError",
+    "UNTRACED",
     "chrome_trace",
+    "current_span",
     "read_ndjson",
+    "spanned",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_ndjson",

@@ -14,10 +14,14 @@ interleaving their parents.  Each independent stack (task, thread of
 work, worker process) gets its own ``tid`` lane so Chrome's trace
 viewer renders concurrent trees on separate rows.
 
-Instrumented layers take a ``trace=None`` default that records
-nothing and costs nothing — every call site guards with ``if trace is
-not None`` so the untraced hot path executes exactly the pre-tracing
-instruction stream.
+One binding: the *open span* carries the collector.  Only what may
+start a trace — a :class:`~repro.core.service.DRTPService`, a
+:class:`~repro.server.app.ControlPlaneServer`, a campaign — is handed
+one.  Every layer below asks :func:`current_span` for the context's
+innermost open span and opens a :meth:`Span.child` of it, recorded
+into *that span's* collector, or does nothing when none is open: an
+untraced site costs that one guard and never builds a tag.
+Function-shaped operations say so once, with :func:`spanned`.
 
 Synchronous usage::
 
@@ -39,10 +43,28 @@ from __future__ import annotations
 import contextvars
 import itertools
 from collections import deque
+from contextlib import nullcontext
+from functools import wraps
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["Span", "TraceCollector"]
+__all__ = ["Span", "TraceCollector", "UNTRACED", "current_span", "spanned"]
+
+# The innermost open span per context: every asyncio task (and the
+# synchronous main flow) sees its own value, so concurrent trees never
+# interleave parents — whichever collectors they record into.
+_OPEN: "contextvars.ContextVar[Optional[Span]]" = contextvars.ContextVar(
+    "drtp_open_span", default=None
+)
+
+#: The calling context's innermost open span, or ``None`` — the one
+#: question an instrumented layer asks before it opens a child.
+current_span = _OPEN.get
+
+#: What an inline site enters in place of a span when none is open
+#: (``with parent.child(...) if parent is not None else UNTRACED as
+#: span``); binds ``None``.
+UNTRACED = nullcontext()
 
 
 class Span:
@@ -88,13 +110,13 @@ class Span:
     def __enter__(self) -> "Span":
         collector = self._collector
         self.start = collector._clock() - collector.epoch
-        self._token = collector._current.set(self)
+        self._token = _OPEN.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         collector = self._collector
         self.duration = (collector._clock() - collector.epoch) - self.start
-        collector._current.reset(self._token)
+        _OPEN.reset(self._token)
         self._token = None
         if exc_type is not None:
             self.status = "error"
@@ -124,6 +146,17 @@ class Span:
         """Attach or overwrite tags (chainable)."""
         self.tags.update(tags)
         return self
+
+    # -- what the layers below a root need from the open span ------------
+    def child(self, name: str, category: str = "", **tags: Any) -> "Span":
+        """A span under this one, recorded into this span's collector."""
+        return self._collector.span(name, category, self, **tags)
+
+    @property
+    def detail(self) -> bool:
+        """Whether this span's collector asked for debug-level tags
+        (:attr:`TraceCollector.detail`)."""
+        return self._collector.detail
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -185,12 +218,8 @@ class TraceCollector:
         self.dropped = 0
         self._ids = itertools.count(1)
         self._lanes = itertools.count(0)
-        # Per-context span stack + lane: every asyncio task (and the
-        # synchronous main flow) sees its own values, so concurrent
-        # trees never interleave parents.
-        self._current: "contextvars.ContextVar[Optional[Span]]" = (
-            contextvars.ContextVar("drtp_current_span", default=None)
-        )
+        # Per-context lane: the roots one task (or the synchronous
+        # main flow) opens here share a row of the trace viewer.
         self._lane: "contextvars.ContextVar[Optional[int]]" = (
             contextvars.ContextVar("drtp_span_lane", default=None)
         )
@@ -208,30 +237,32 @@ class TraceCollector:
         """Create a span (use as a context manager, or two-phase via
         :meth:`Span.start_now`/:meth:`Span.finish`).
 
-        The parent is the context's current span unless ``parent``
+        The parent is the context's open span unless ``parent``
         overrides it (cross-task correlation: a writer-task span can
-        claim a handler-task span as parent).  Root spans of each
-        context get their own ``tid`` lane; children inherit theirs.
+        claim a handler-task span as parent), and a span with a parent
+        joins *the parent's* collector — so one tree is never split
+        across two, whichever collector was asked.  Only with nothing
+        open does this collector start a root, on the context's own
+        ``tid`` lane; children inherit their parent's.
         """
         if parent is None:
-            parent = self._current.get()
+            parent = _OPEN.get()
         if parent is not None:
-            parent_id: Optional[int] = parent.span_id
-            tid = parent.tid
-        else:
-            parent_id = None
-            lane = self._lane.get()
-            if lane is None:
-                lane = next(self._lanes)
-                self._lane.set(lane)
-            tid = lane
-        return Span(
-            self, name, category, tags, next(self._ids), parent_id, tid
-        )
+            collector = parent._collector
+            return Span(
+                collector, name, category, tags, next(collector._ids),
+                parent.span_id, parent.tid,
+            )
+        lane = self._lane.get()
+        if lane is None:
+            lane = next(self._lanes)
+            self._lane.set(lane)
+        return Span(self, name, category, tags, next(self._ids), None, lane)
 
     def current(self) -> Optional[Span]:
-        """The context's innermost open span, if any."""
-        return self._current.get()
+        """The context's innermost open span, if any
+        (:func:`current_span`)."""
+        return _OPEN.get()
 
     # ------------------------------------------------------------------
     # Recording and views
@@ -304,3 +335,41 @@ class TraceCollector:
             self._record(span)
         self.dropped += dropped
         return len(batch)
+
+
+def spanned(
+    name: str,
+    category: str,
+    opened: Callable[..., Dict[str, Any]],
+    closed: Optional[Callable[[Any], Dict[str, Any]]] = None,
+    root: Optional[Callable[[Any], Optional[TraceCollector]]] = None,
+):
+    """Decorator: run each call inside a span ``name`` — a child of
+    the context's open span, in that span's collector.  With none open
+    the call is made as is, unless the function may start a trace:
+    ``root`` then reads the collector for a root off the call's first
+    argument (``None``: untraced).  ``opened(*args, **kwargs)`` gives
+    the tags known at opening, ``closed(result)`` those only the
+    result tells; neither runs for a call that opens no span."""
+
+    def decorate(function):
+        @wraps(function)
+        def traced(*args, **kwargs):
+            parent = _OPEN.get()
+            collector = (
+                parent._collector if parent is not None
+                else root and root(args[0])
+            )
+            if collector is None:
+                return function(*args, **kwargs)
+            with collector.span(
+                name, category, parent, **opened(*args, **kwargs)
+            ) as span:
+                result = function(*args, **kwargs)
+                if closed is not None:
+                    span.tags.update(closed(result))
+                return result
+
+        return traced
+
+    return decorate

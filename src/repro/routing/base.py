@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
 from ..network.state import NetworkState
+from ..observability.spans import spanned
 from ..topology.distance import (
     DistanceTable,
     all_pairs_hop_counts,
@@ -141,12 +142,6 @@ class RoutingScheme(abc.ABC):
     #: which step answered them there.
     counters = None
 
-    #: Optional :class:`~repro.observability.TraceCollector`; set by a
-    #: tracing service.  :meth:`plan_instrumented` wraps the plan in a
-    #: ``route.plan`` span, and scheme implementations that check
-    #: ``self.trace`` add search/flood child spans.
-    trace = None
-
     def __init__(self) -> None:
         self._context: Optional[RoutingContext] = None
 
@@ -168,31 +163,6 @@ class RoutingScheme(abc.ABC):
     def plan(self, query: RouteQuery) -> RoutePlan:
         """Select primary and backup routes for a new DR-connection."""
 
-    def plan_instrumented(self, query: RouteQuery) -> RoutePlan:
-        """Plan inside a ``route.plan`` span.  Identical decisions to
-        :meth:`plan` — the instrumentation never touches routing
-        state — and a plain :meth:`plan` call when no trace collector
-        is bound."""
-        if self.trace is None:
-            return self.plan(query)
-        with self.trace.span(
-            "route.plan",
-            category="routing",
-            scheme=self.name,
-            source=query.source,
-            destination=query.destination,
-        ) as span:
-            plan = self.plan(query)
-            span.tag(
-                accepted=plan.accepted,
-                backup_found=plan.backup is not None,
-                control_messages=plan.control_messages,
-                candidates=plan.candidates_considered,
-            )
-            if plan.note:
-                span.tag(note=plan.note)
-        return plan
-
     def plan_backup(self, query: RouteQuery, primary: Route) -> Optional[Route]:
         """Select a backup for an *already established* primary.
 
@@ -210,3 +180,33 @@ class RoutingScheme(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "{}(name={!r})".format(type(self).__name__, self.name)
+
+
+def _plan_tags(plan: RoutePlan) -> dict:
+    tags = dict(
+        accepted=plan.accepted,
+        backup_found=plan.backup is not None,
+        control_messages=plan.control_messages,
+        candidates=plan.candidates_considered,
+    )
+    if plan.note:
+        tags["note"] = plan.note
+    return tags
+
+
+@spanned(
+    "route.plan",
+    "routing",
+    lambda scheme, query: dict(
+        scheme=scheme.name,
+        source=query.source,
+        destination=query.destination,
+    ),
+    _plan_tags,
+)
+def plan_route(scheme, query: RouteQuery) -> RoutePlan:
+    """``scheme.plan(query)`` for a new DR-connection — the service's
+    planning step, a ``route.plan`` span under an open one (the
+    searches and floods the scheme runs become its children).
+    ``scheme`` is anything with ``name`` and ``plan``."""
+    return scheme.plan(query)

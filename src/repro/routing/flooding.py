@@ -40,6 +40,7 @@ from typing import List, Optional, Tuple
 
 from ..kernels.bitset import mask_from_ids
 from ..network.state import BW_EPSILON
+from ..observability.spans import spanned
 from ..topology.distance import UNREACHABLE
 from ..topology.graph import Route
 from .base import RoutePlan, RouteQuery, RoutingContext, RoutingScheme
@@ -172,7 +173,6 @@ class BoundedFloodingScheme(RoutingScheme):
     max_deliveries = 500_000
 
     def __init__(self, parameters: Optional[BFParameters] = None,
-                 average_link_delay: float = 0.01,
                  num_backups: int = 1) -> None:
         super().__init__()
         if num_backups < 1:
@@ -180,10 +180,6 @@ class BoundedFloodingScheme(RoutingScheme):
                 "num_backups must be >= 1, got {}".format(num_backups)
             )
         self.parameters = parameters or BFParameters()
-        #: Section 4.1 sizes the PCT/CRT timeouts from it ("no less
-        #: than the average link delay times the hop limit"); the
-        #: synchronous flood never lets one expire.
-        self.average_link_delay = average_link_delay
         #: Backup channels to pick from the CRT (Section 2's "one or
         #: more"); 1 matches the paper's evaluation.
         self.num_backups = num_backups
@@ -209,28 +205,22 @@ class BoundedFloodingScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # Flooding
     # ------------------------------------------------------------------
+    @spanned(
+        "route.flood",
+        "routing",
+        lambda self, query, conn_id=0: dict(
+            source=query.source, destination=query.destination
+        ),
+        lambda result: dict(
+            hc_limit=result.hc_limit,
+            cdp_transmissions=result.cdp_transmissions,
+            deliveries=result.deliveries,
+            nodes_reached=result.nodes_reached,
+            candidates=len(result.candidates),
+        ),
+    )
     def flood(self, query: RouteQuery, conn_id: int = 0) -> FloodResult:
-        """Run one CDP flood and collect the destination's CRT."""
-        if self.trace is None:
-            return self._flood(query, conn_id)
-        with self.trace.span(
-            "route.flood",
-            category="routing",
-            source=query.source,
-            destination=query.destination,
-        ) as span:
-            result = self._flood(query, conn_id)
-            span.tag(
-                hc_limit=result.hc_limit,
-                cdp_transmissions=result.cdp_transmissions,
-                deliveries=result.deliveries,
-                nodes_reached=result.nodes_reached,
-                candidates=len(result.candidates),
-            )
-        return result
-
-    def _flood(self, query: RouteQuery, conn_id: int) -> FloodResult:
-        """The untraced flood.
+        """Run one CDP flood and collect the destination's CRT.
 
         A CDP in flight is the tuple ``(node, hc_curr, primary_flag,
         path, link_ids, path_mask, link_mask)`` — ``path`` the paper's
@@ -263,8 +253,10 @@ class BoundedFloodingScheme(RoutingScheme):
         # Failed links carry nothing (topology-change information
         # propagates immediately in the fault model).
         failed = database.failed_links()
-        backup_headroom = database.backup_headroom
-        primary_headroom = database.primary_headroom
+        # The advertised headroom columns, synced once for the flood.
+        tables = database.kernel_arrays().sync()
+        backup_headroom = tables.bh
+        primary_headroom = tables.ph
         # Neither the bandwidth test nor the primary_flag update
         # depends on the copy, so each link is judged once per flood.
         verdicts = [0] * self._num_links
@@ -321,10 +313,10 @@ class BoundedFloodingScheme(RoutingScheme):
                     # where a primary fits too.
                     if (
                         link_id in failed
-                        or backup_headroom(link_id) + BW_EPSILON < bw_req
+                        or backup_headroom[link_id] + BW_EPSILON < bw_req
                     ):
                         verdict = _BLOCKED
-                    elif primary_headroom(link_id) + BW_EPSILON >= bw_req:
+                    elif primary_headroom[link_id] + BW_EPSILON >= bw_req:
                         verdict = _PRIMARY_OK
                     else:
                         verdict = _BACKUP_ONLY
@@ -420,6 +412,16 @@ class BoundedFloodingScheme(RoutingScheme):
         return primary_entry.route, backup
 
     @staticmethod
+    @spanned(
+        "route.select",
+        "routing",
+        lambda candidates, num_backups, risk_groups=None: dict(
+            candidates=len(candidates)
+        ),
+        lambda picked: dict(
+            primary_found=picked[0] is not None, backups=len(picked[1])
+        ),
+    )
     def select_routes_multi(
         candidates: List[CRTEntry], num_backups: int, risk_groups=None
     ) -> Tuple[Optional[Route], List[Route]]:
@@ -471,24 +473,9 @@ class BoundedFloodingScheme(RoutingScheme):
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         result = self.flood(query)
-        risk_groups = self._risk_groups()
-        if self.trace is None:
-            primary, backups = self.select_routes_multi(
-                result.candidates, self.num_backups, risk_groups
-            )
-        else:
-            with self.trace.span(
-                "route.select",
-                category="routing",
-                candidates=len(result.candidates),
-            ) as span:
-                primary, backups = self.select_routes_multi(
-                    result.candidates, self.num_backups, risk_groups
-                )
-                span.tag(
-                    primary_found=primary is not None,
-                    backups=len(backups),
-                )
+        primary, backups = self.select_routes_multi(
+            result.candidates, self.num_backups, self._risk_groups()
+        )
         plan = RoutePlan(
             primary=primary,
             backup=backups[0] if backups else None,

@@ -28,6 +28,7 @@ from ..kernels.search import (
     flat_shortest_path,
     search_workspace,
 )
+from ..observability.spans import current_span
 from ..topology.graph import Route
 from .base import RoutePlan, RouteQuery, RoutingScheme
 from .costs import Q_PENALTY
@@ -107,21 +108,21 @@ def _traced_flat_search(
 ):
     """:func:`_flat_search` — or, given ``served``, a warm candidate
     standing in for it — wrapped in a ``route.<search>_search`` span
-    when the scheme has a trace collector bound.  The span says
+    under whatever span is open.  The span says
     whether a route was found, its hop count and — when a search ran —
     which step answered it (``answer``); ``detail`` adds the
     conflict-cost breakdown of the chosen route (the backup-search
     evaluation the walkthrough in ``EXPERIMENTS.md`` reads) when the
-    collector opted into detail-level tags (``scale is None`` for
+    span's collector opted into detail-level tags (``scale is None`` for
     primary searches, whose single-component cost has no breakdown to
     report)."""
-    trace = scheme.trace
-    if trace is None:
+    parent = current_span()
+    if parent is None:
         if served is not _SEARCH:
             return served
         return _flat_search(scheme, query, costs, search)[0]
-    with trace.span(
-        "route.{}_search".format(search), category="routing", **tags
+    with parent.child(
+        "route.{}_search".format(search), "routing", **tags
     ) as span:
         route = served
         if route is _SEARCH:
@@ -131,7 +132,7 @@ def _traced_flat_search(
             span.tag(found=False)
         else:
             span.tag(found=True, hops=len(route.link_ids))
-            if detail and trace.detail and scale is not None:
+            if detail and span.detail and scale is not None:
                 total, conflict, q_links = _cost_breakdown_flat(
                     costs, route, scale
                 )

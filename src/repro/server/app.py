@@ -46,7 +46,12 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..metrics import ServiceMetrics
-from ..observability import TraceCollector, write_chrome_trace, write_ndjson
+from ..observability import (
+    UNTRACED,
+    TraceCollector,
+    write_chrome_trace,
+    write_ndjson,
+)
 from . import ops, protocol
 from .protocol import ProtocolError, Request
 
@@ -129,15 +134,11 @@ class ControlPlaneServer:
             # Bounded by default: a long-lived server must not grow its
             # trace without limit (evictions are counted, not silent).
             trace = TraceCollector(max_spans=100_000)
+        # Bound here and nowhere below: the service's spans nest under
+        # the writer's ``server.apply`` because that span is open when
+        # the service is called, whatever collector it was built with.
         self.trace = trace
         self.trace_dir = trace_dir
-        if trace is not None and getattr(service, "trace", None) is None:
-            binder = getattr(service, "bind_trace", None)
-            if binder is not None:
-                # Thread the collector through the whole service stack
-                # (routing scheme, admission, signaling) so server op
-                # spans nest the core's spans under them.
-                binder(trace)
         self.socket_path = socket_path
         self.host = host
         self.port = port
@@ -303,7 +304,7 @@ class ControlPlaneServer:
                 Path(self.socket_path).unlink()
             except OSError:
                 pass
-        if self.trace is not None and self.trace_dir is not None:
+        if self.trace_dir is not None:
             self.write_trace(self.trace_dir)
         if self.manifest_path is not None:
             self.write_manifest(self.manifest_path)
@@ -411,123 +412,113 @@ class ControlPlaneServer:
     async def _dispatch_batch(self, lines) -> bytes:
         """Decode and answer one pipelined burst, in order.
 
-        With a trace collector bound the burst becomes a
-        ``server.batch`` span; each handler task carries its own
-        contextvar copy, so concurrently dispatched batches keep their
-        span trees separate."""
-        if self.trace is None:
-            return await self._run_batch(lines)
-        with self.trace.span(
-            "server.batch", category="server", lines=len(lines)
-        ) as span:
-            payload = await self._run_batch(lines)
-            span.tag(response_bytes=len(payload))
-        return payload
-
-    async def _run_batch(self, lines) -> bytes:
-        """Mutations are enqueued up front so the writer task drains
+        Mutations are enqueued up front so the writer task drains
         them as one batch; read ops wait for the connection's own
         pending mutations first, preserving per-connection program
-        order.  Each op carries a two-phase ``server.op`` span from
-        enqueue to response; the writer parents its ``server.apply``
-        span to it across the task boundary."""
+        order.
+
+        With a trace collector bound the burst is a ``server.batch``
+        span — each handler task carries its own contextvar copy, so
+        concurrently dispatched batches keep their span trees separate
+        — and each op a two-phase ``server.op`` span from enqueue to
+        response; the writer parents its ``server.apply`` span to it
+        across the task boundary."""
         trace = self.trace
-        entries = []  # (request, future, op span, pre-encoded response)
-        pending_last = None
-        for raw in lines:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                request = protocol.decode_request(
-                    raw.decode("utf-8", errors="replace")
-                )
-            except ProtocolError as exc:
-                self.stats.protocol_errors += 1
-                entries.append((None, None, None, protocol.encode_response(
-                    exc.request_id, False,
-                    error_kind=exc.kind, error_message=str(exc),
-                )))
-                continue
-            self.stats.record_op(request.op)
-            op_span = None
-            if trace is not None:
-                # Two-phase: started here, finished when the response
-                # is known — for mutations that is after the writer
-                # task resolved the future.  The label name ``op``
-                # matches the drtp_server_requests_total{op=} metric.
-                op_span = trace.span(
-                    "server.op", category="server", op=request.op
-                ).start_now()
-            if request.op in protocol.READ_OPS:
-                if pending_last is not None:
-                    # FIFO writer: once the connection's most recent
-                    # mutation resolved, all its earlier ones have too.
-                    try:
-                        await pending_last
-                    except Exception:
-                        pass  # reported via its own response below
-                ok = True
+        with (
+            trace.span("server.batch", category="server", lines=len(lines))
+            if trace is not None else UNTRACED
+        ) as batch_span:
+            entries = []  # (request, future, op span, encoded response)
+            pending_last = None
+            for raw in lines:
+                raw = raw.strip()
+                if not raw:
+                    continue
                 try:
-                    result = self._apply_read(request)
-                    encoded = protocol.encode_response(
-                        request.id, True, result
+                    request = protocol.decode_request(
+                        raw.decode("utf-8", errors="replace")
                     )
                 except ProtocolError as exc:
-                    ok = False
-                    self.stats.protocol_errors += 1
-                    encoded = protocol.encode_response(
-                        request.id, False,
-                        error_kind=exc.kind, error_message=str(exc),
-                    )
+                    entries.append((None, None, None, self._error_response(
+                        exc.request_id, exc
+                    )))
+                    continue
+                self.stats.record_op(request.op)
+                op_span = None
+                if batch_span is not None:
+                    # Two-phase: started here, finished when the
+                    # response is known — for mutations that is after
+                    # the writer task resolved the future.  The label
+                    # name ``op`` matches the
+                    # drtp_server_requests_total{op=} metric.
+                    op_span = batch_span.child(
+                        "server.op", "server", op=request.op
+                    ).start_now()
+                if request.op in protocol.READ_OPS:
+                    if pending_last is not None:
+                        # FIFO writer: once the connection's most
+                        # recent mutation resolved, all its earlier
+                        # ones have too.
+                        try:
+                            await pending_last
+                        except Exception:
+                            pass  # reported via its own response below
+                    ok, encoded = self._answer_read(request)
+                    if op_span is not None:
+                        op_span.finish(ok=ok)
+                    entries.append((None, None, None, encoded))
+                    continue
+                future = self._loop.create_future()
+                pending_last = future
+                await self._mutations.put((request, future, op_span))
+                entries.append((request, future, op_span, None))
+            out = []
+            for request, future, op_span, encoded in entries:
+                if encoded is not None:
+                    out.append(encoded)
+                    continue
+                ok = True
+                try:
+                    out.append(protocol.encode_response(
+                        request.id, True, await future
+                    ))
                 except Exception as exc:
-                    # A failing gauge collector or status counter must
-                    # not kill the handler task: the pipelined client
-                    # would wait forever for its remaining responses.
                     ok = False
-                    self.stats.internal_errors += 1
-                    encoded = protocol.encode_response(
-                        request.id, False,
-                        error_kind=protocol.ERR_INTERNAL,
-                        error_message=repr(exc),
-                    )
+                    out.append(self._error_response(request.id, exc))
                 if op_span is not None:
                     op_span.finish(ok=ok)
-                entries.append((None, None, None, encoded))
-                continue
-            future = self._loop.create_future()
-            pending_last = future
-            await self._mutations.put((request, future, op_span))
-            entries.append((request, future, op_span, None))
-        out = []
-        for request, future, op_span, encoded in entries:
-            if encoded is not None:
-                out.append(encoded)
-                continue
-            ok = True
-            try:
-                result = await future
-                out.append(protocol.encode_response(
-                    request.id, True, result
-                ))
-            except ProtocolError as exc:
-                ok = False
-                self.stats.protocol_errors += 1
-                out.append(protocol.encode_response(
-                    request.id, False,
-                    error_kind=exc.kind, error_message=str(exc),
-                ))
-            except Exception as exc:  # pragma: no cover - defensive
-                ok = False
-                self.stats.internal_errors += 1
-                out.append(protocol.encode_response(
-                    request.id, False,
-                    error_kind=protocol.ERR_INTERNAL,
-                    error_message=repr(exc),
-                ))
-            if op_span is not None:
-                op_span.finish(ok=ok)
-        return b"".join(out)
+            payload = b"".join(out)
+            if batch_span is not None:
+                batch_span.tag(response_bytes=len(payload))
+        return payload
+
+    def _answer_read(self, request: Request) -> Tuple[bool, bytes]:
+        """``(ok, encoded response)`` of one read op.  A failing gauge
+        collector or status counter must not kill the handler task:
+        the pipelined client would wait forever for its remaining
+        responses."""
+        try:
+            return True, protocol.encode_response(
+                request.id, True, self._apply_read(request)
+            )
+        except Exception as exc:
+            return False, self._error_response(request.id, exc)
+
+    def _error_response(self, request_id, exc: Exception) -> bytes:
+        """The reply to a request that raised, counted: a
+        :class:`ProtocolError` is the client's doing and says what
+        kind; anything else is ours — ``ERR_INTERNAL``."""
+        if isinstance(exc, ProtocolError):
+            self.stats.protocol_errors += 1
+            return protocol.encode_response(
+                request_id, False,
+                error_kind=exc.kind, error_message=str(exc),
+            )
+        self.stats.internal_errors += 1
+        return protocol.encode_response(
+            request_id, False,
+            error_kind=protocol.ERR_INTERNAL, error_message=repr(exc),
+        )
 
     # ------------------------------------------------------------------
     # The single writer
@@ -551,22 +542,16 @@ class ControlPlaneServer:
                 if future.cancelled():  # pragma: no cover - defensive
                     continue
                 try:
-                    if op_span is None:
-                        future.set_result(self._apply_mutation(request))
-                    else:
-                        # Explicit parent: this span lives on the
-                        # writer task but belongs to the handler's
-                        # server.op — the core's service.* spans then
-                        # nest under it via the writer's contextvars.
-                        with self.trace.span(
-                            "server.apply", category="server",
-                            parent=op_span, op=request.op,
-                        ):
-                            result = self._apply_mutation(request)
-                        future.set_result(result)
-                except ProtocolError as exc:
-                    future.set_exception(exc)
-                except Exception as exc:  # pragma: no cover - defensive
+                    # A child of the handler task's server.op, opened
+                    # on this one: the service's spans nest under it
+                    # because it is the writer context's open span.
+                    with (
+                        op_span.child("server.apply", "server", op=request.op)
+                        if op_span is not None else UNTRACED
+                    ):
+                        result = self._apply_mutation(request)
+                    future.set_result(result)
+                except Exception as exc:
                     future.set_exception(exc)
             if stop_after_batch:
                 return

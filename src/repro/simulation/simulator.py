@@ -16,7 +16,6 @@ ordering) makes those comparisons exact.
 from __future__ import annotations
 
 import abc
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,13 +46,6 @@ class SimulationResult:
     control_messages: int = 0
     active_samples: List[Tuple[float, int]] = field(default_factory=list)
     final_active: int = 0
-    #: Exact running totals over every snapshot recorded through
-    #: :meth:`record_active_sample` — what keeps the mean correct when
-    #: ``active_samples`` is a bounded window.  Derived caches, so they
-    #: do not participate in equality (serialized results rebuild the
-    #: mean from the sample list instead).
-    active_total: int = field(default=0, compare=False)
-    active_seen: int = field(default=0, compare=False)
 
     @property
     def acceptance_ratio(self) -> float:
@@ -63,25 +55,10 @@ class SimulationResult:
             return 0.0
         return self.accepted / self.requests
 
-    def record_active_sample(self, time: float, count: int) -> None:
-        """Record one snapshot's active-connection count, keeping the
-        running totals in step with the (possibly windowed) sample
-        retention."""
-        self.active_samples.append((time, count))
-        self.active_total += count
-        self.active_seen += 1
-
     @property
     def mean_active_connections(self) -> float:
         """Mean concurrently-active connections over the snapshots —
-        the quantity Figure 5's capacity overhead compares.
-
-        Integer counts sum exactly, so the running-total mean is
-        bit-identical to the historical ``sum/len`` over the full
-        sample list; results reconstructed from serialized samples
-        (campaign merges) fall back to that list."""
-        if self.active_seen:
-            return self.active_total / self.active_seen
+        the quantity Figure 5's capacity overhead compares."""
         if not self.active_samples:
             return 0.0
         return sum(count for _, count in self.active_samples) / len(
@@ -101,7 +78,6 @@ class ScenarioSimulator:
         check_invariants: bool = False,
         database_refresh_interval: Optional[float] = None,
         backup_retry_interval: Optional[float] = None,
-        active_window: Optional[int] = None,
     ) -> None:
         """``database_refresh_interval`` (seconds) schedules periodic
         link-state re-floods for services built with
@@ -115,13 +91,7 @@ class ScenarioSimulator:
         that call :meth:`~repro.core.service.DRTPService.reestablish_backup`
         every interval until the connection is protected or departs —
         the paper's Section 2.3 re-establishment loop, under
-        adversity.
-
-        ``active_window`` bounds how many ``(time, count)`` snapshot
-        samples the result retains (exact running totals keep
-        ``mean_active_connections`` unaffected); ``None`` — the
-        default, and what every paper-scale campaign uses — retains
-        them all."""
+        adversity."""
         self.service = service
         self.scenario = scenario
         self.warmup = warmup if warmup is not None else 0.5 * scenario.duration
@@ -133,9 +103,6 @@ class ScenarioSimulator:
         if backup_retry_interval is not None and backup_retry_interval <= 0:
             raise ValueError("backup_retry_interval must be positive")
         self.backup_retry_interval = backup_retry_interval
-        if active_window is not None and active_window <= 0:
-            raise ValueError("active_window must be positive")
-        self.active_window = active_window
 
     def run(self, observers: Sequence[Observer] = ()) -> SimulationResult:
         engine = Engine()
@@ -145,10 +112,6 @@ class ScenarioSimulator:
             duration=self.scenario.duration,
             warmup=self.warmup,
         )
-        if self.active_window is not None:
-            # Bounded retention for long-horizon runs; the running
-            # totals in record_active_sample keep the mean exact.
-            result.active_samples = deque(maxlen=self.active_window)
 
         def arrive(request):
             def action() -> None:
@@ -236,8 +199,8 @@ class ScenarioSimulator:
     def _snapshot(self, engine: Engine, observers, result: SimulationResult):
         def action() -> None:
             time = engine.now
-            result.record_active_sample(
-                time, self.service.active_connection_count
+            result.active_samples.append(
+                (time, self.service.active_connection_count)
             )
             for observer in observers:
                 observer.on_snapshot(self.service, time)

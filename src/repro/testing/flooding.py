@@ -58,20 +58,24 @@ class PendingEntry:
 
 class ReferenceFloodingScheme(BoundedFloodingScheme):
     """Bounded flooding with the object flood and set-based selection;
-    everything else (parameters, tracing, :meth:`plan`) is inherited."""
+    everything else (parameters, :meth:`plan`) is inherited."""
+
+    #: Section 4.1 sizes the PCT/CRT timeouts from it ("no less than
+    #: the average link delay times the hop limit"); the synchronous
+    #: flood never lets one expire.
+    average_link_delay = 0.01
 
     @classmethod
     def shadowing(cls, scheme: BoundedFloodingScheme) -> "ReferenceFloodingScheme":
         """An unbound reference scheme configured like ``scheme``."""
         shadow = cls(
             parameters=scheme.parameters,
-            average_link_delay=scheme.average_link_delay,
             num_backups=scheme.num_backups,
         )
         shadow.max_deliveries = scheme.max_deliveries
         return shadow
 
-    def _flood(self, query: RouteQuery, conn_id: int) -> FloodResult:
+    def flood(self, query: RouteQuery, conn_id: int = 0) -> FloodResult:
         """The object flood: one :class:`CDP` per transmitted copy, one
         :class:`PendingEntry` per node reached, one
         :class:`~repro.topology.graph.Route` per candidate."""

@@ -10,8 +10,7 @@ the link-state database link by link as Dijkstra expands
 Dijkstra of :mod:`repro.testing.reference`.  The differential oracle's
 shadow service (:func:`~repro.testing.oracle.make_reference_service`)
 and the conformance suite (``tests/test_kernel_equivalence.py``) hold
-the production planner to it: same routes, same tie-breaks, same span
-tags.
+the production planner to it: same routes, same tie-breaks.
 
 **Bit-exactness contract:** the batch builders in
 :mod:`repro.kernels.arrays` evaluate these closures as array passes.
@@ -173,62 +172,13 @@ class ReferenceLinkStateScheme(RoutingScheme):
             network, query.source, query.destination, cost, query.max_hops
         )
 
-    def _cost_breakdown(self, cost: LinkCost, route: Route):
-        """Decompose a chosen route's cost: total of the first
-        (conflict) component, the summed conflict with ``Q`` penalties
-        subtracted out, and how many links were ``Q``-charged.  Pure
-        re-evaluation of the cost closure — never touches routing
-        state."""
-        network = self.context.network
-        total = 0.0
-        q_links = 0
-        for link_id in route.link_ids:
-            value = cost(network.link(link_id))
-            if value is None:
-                continue
-            total += value[0]
-            if value[0] >= Q_PENALTY:
-                q_links += 1
-        return total, total - q_links * Q_PENALTY, q_links
-
-    def _traced_search(
-        self,
-        query: RouteQuery,
-        cost: LinkCost,
-        name: str,
-        detail: bool = False,
-        **tags,
-    ) -> Optional[Route]:
-        """:meth:`_search` under the span the production planner opens
-        (same name, same tags; never ``warm`` — nothing is cached)."""
-        trace = self.trace
-        if trace is None:
-            return self._search(query, cost)
-        with trace.span(name, category="routing", **tags) as span:
-            route = self._search(query, cost)
-            if route is None:
-                span.tag(found=False)
-            else:
-                span.tag(found=True, hops=len(route.link_ids))
-                if detail and trace.detail:
-                    total, conflict, q_links = self._cost_breakdown(
-                        cost, route
-                    )
-                    span.tag(
-                        cost=round(total, 6),
-                        conflict=round(conflict, 6),
-                        q_links=q_links,
-                    )
-        return route
-
     def _backup_search(
         self,
         query: RouteQuery,
         primary_lset: FrozenSet[int],
         avoid_lset: FrozenSet[int],
-        **tags,
     ) -> Optional[Route]:
-        return self._traced_search(
+        return self._search(
             query,
             backup_cost(
                 self.conflict_kind,
@@ -237,26 +187,19 @@ class ReferenceLinkStateScheme(RoutingScheme):
                 primary_lset,
                 avoid_lset,
             ),
-            "route.backup_search",
-            detail=True,
-            **tags,
         )
 
     def plan(self, query: RouteQuery) -> RoutePlan:
-        primary = self._traced_search(
-            query,
-            primary_link_cost(self.context.database, query.bw_req),
-            "route.primary_search",
+        primary = self._search(
+            query, primary_link_cost(self.context.database, query.bw_req)
         )
         if primary is None:
             return RoutePlan(note="no bandwidth-feasible primary within QoS")
         backups: List[Route] = []
         avoid = set(primary.lset)
         seen = {primary.lset}
-        for index in range(self.num_backups):
-            route = self._backup_search(
-                query, primary.lset, frozenset(avoid), backup_index=index
-            )
+        for _ in range(self.num_backups):
+            route = self._backup_search(query, primary.lset, frozenset(avoid))
             if route is None or route.lset in seen:
                 break
             backups.append(route)
@@ -275,6 +218,4 @@ class ReferenceLinkStateScheme(RoutingScheme):
         reconfiguration entry point)."""
         if not self.num_backups:
             return None
-        return self._backup_search(
-            query, primary.lset, primary.lset, reconfigure=True
-        )
+        return self._backup_search(query, primary.lset, primary.lset)

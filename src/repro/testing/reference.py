@@ -190,9 +190,10 @@ class ReferenceDatabase(LinkStateDatabase):
 
     Every APLV/CV read rebuilds the vector from the ledger's backup
     registry — the naive O(|registry|·|LSET|) path the incremental
-    engine replaced.  Reads are slow and always exact, which is the
-    point: a shadow service routing from this database computes the
-    ground-truth decision.
+    engine replaced — and every other per-link read asks the ledger,
+    never the production database's kernel table.  Reads are slow and
+    always exact, which is the point: a shadow service routing from
+    this database computes the ground-truth decision.
     """
 
     def __init__(self, state) -> None:
@@ -210,3 +211,15 @@ class ReferenceDatabase(LinkStateDatabase):
         return rebuilt_aplv(self._state.ledger(link_id)).conflict_count(
             primary_lset
         )
+
+    def group_aplv_l1(self, link_id: int) -> int:
+        return self._state.ledger(link_id).group_aplv_l1()
+
+    def group_conflict_count(self, link_id: int, primary_lset) -> int:
+        return self._state.ledger(link_id).group_conflict_count(primary_lset)
+
+    def primary_headroom(self, link_id: int) -> float:
+        return self._state.ledger(link_id).primary_headroom()
+
+    def backup_headroom(self, link_id: int) -> float:
+        return self._state.ledger(link_id).backup_headroom()

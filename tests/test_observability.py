@@ -12,12 +12,15 @@ parents), and the ``repro trace`` CLI end to end.
 import asyncio
 import contextvars
 import json
+import os
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core import DRTPService
+from repro.faults.retry import RetryPolicy
 from repro.kernels.search import ANSWERS
 from repro.observability import (
     TraceCollector,
@@ -29,6 +32,7 @@ from repro.observability import (
     write_ndjson,
 )
 from repro.routing import (
+    BoundedFloodingScheme,
     DLSRScheme,
     NoBackupScheme,
     PLSRScheme,
@@ -39,6 +43,7 @@ from repro.server import ControlPlaneServer, decode_response, encode_request
 from repro.topology import mesh_network
 
 GOLDEN = Path(__file__).parent / "golden" / "chrome_trace_sample.json"
+SPAN_FOREST = Path(__file__).parent / "golden" / "span_forest.jsonl"
 
 
 class FakeClock:
@@ -442,12 +447,56 @@ class TestServiceSpanTree:
         service, collector = self.make_service()
         decision = service.request(source=0, destination=15, bw_req=1.0)
         connection = decision.connection
-        service.fail_link(connection.primary_route.link_ids[0])
+        link = connection.primary_route.link_ids[0]
+        service.fail_link(link)
+        service.repair_link(link)
+        service.repair_link(link)  # idempotent: nothing left to repair
         service.release(connection.connection_id)
         assert collector.spans("service.fail_link")
         assert collector.spans("service.release")
         releases = collector.spans("signal.release")
         assert releases
+        # A trace that shows a link going down shows it coming back.
+        assert [span.tags for span in collector.spans("service.repair")] == [
+            {"scheme": "D-LSR", "links": 1, "links_repaired": 1},
+            {"scheme": "D-LSR", "links": 1, "links_repaired": 0},
+        ]
+        service.fail_node(5)
+        service.repair_node(5)
+        assert collector.spans("service.repair")[-1].tags == {
+            "scheme": "D-LSR", "links": 8, "links_repaired": 8,
+        }
+
+    def test_untraced_service_allocates_no_span(self, monkeypatch):
+        """With no collector bound and no span open, every site's cost
+        is its guard: 200 admissions (and the releases between them)
+        construct no :class:`Span` at all."""
+        from repro.observability import Span
+
+        constructed = []
+        init = Span.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args[1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        service = DRTPService(mesh_network(4, 4, 10.0), DLSRScheme())
+        for index in range(200):
+            decision = service.request(
+                source=index % 16, destination=(index + 5) % 16, bw_req=0.5
+            )
+            if decision.accepted and index % 2:
+                service.release(decision.connection.connection_id)
+        assert service.counters.accepted > 100
+        assert constructed == []
+        # The count is live: the same service under an open span does
+        # record — as that span's children, in its collector.
+        collector = TraceCollector()
+        with collector.span("caller"):
+            service.request(source=0, destination=15, bw_req=0.5)
+        assert "service.admit" in constructed
+        assert collector.spans("service.admit")
 
     def test_reprotection_walks_are_spanned_and_counted(self):
         """DRTP step 4 under ``fail_link``: the walk that re-protects
@@ -479,12 +528,14 @@ class TestServiceSpanTree:
 # The traced server: concurrent batches keep separate trees
 # ----------------------------------------------------------------------
 class TestTracedServer:
-    def run_two_clients(self, tmp_path, trace_dir=None):
+    def run_two_clients(self, tmp_path, trace_dir=None, service_trace=None):
         collector = TraceCollector()
 
         async def _run():
             network = mesh_network(4, 4, 10.0)
-            service = DRTPService(network, PLSRScheme())
+            service = DRTPService(
+                network, PLSRScheme(), trace=service_trace
+            )
             sock = str(tmp_path / "traced.sock")
             server = ControlPlaneServer(
                 service, socket_path=sock, trace=collector,
@@ -557,6 +608,22 @@ class TestTracedServer:
         # the server.apply it opened.
         assert all(span.parent_id in apply_ids for span in admits)
 
+    def test_service_with_its_own_collector_still_nests(self, tmp_path):
+        """A server handed a collector serves a service built with
+        another one: the tree is not split — every span of the
+        service joins the ``server.apply`` open around it, in the
+        server's collector, and the service's own stays empty."""
+        own = TraceCollector()
+        collector, _ = self.run_two_clients(tmp_path, service_trace=own)
+        assert len(own) == 0
+        apply_ids = {
+            span.span_id for span in collector.spans("server.apply")
+        }
+        admits = collector.spans("service.admit")
+        assert len(admits) == 8
+        assert all(span.parent_id in apply_ids for span in admits)
+        assert len(collector.spans("route.plan")) == 8
+
     def test_trace_dir_written_on_shutdown(self, tmp_path):
         trace_dir = tmp_path / "traces"
         collector, _ = self.run_two_clients(
@@ -566,6 +633,154 @@ class TestTracedServer:
         assert validate_chrome_trace(chrome) > 0
         meta, spans = read_ndjson(trace_dir / "server_trace.ndjson")
         assert meta["spans"] == len(spans) == len(collector)
+
+
+# ----------------------------------------------------------------------
+# The span forest of one scripted run, pinned
+# ----------------------------------------------------------------------
+class ScriptedDrops:
+    """Signaling faults on cue: the next ``drops`` register packets
+    are lost at their first hop, everything else is delivered."""
+
+    def __init__(self):
+        self.drops = 0
+        self.retry_rng = random.Random(0)
+
+    def crash_hop(self, hops):
+        return None
+
+    def sample_hop(self):
+        if self.drops:
+            self.drops -= 1
+            return "drop", 0.0
+        return "deliver", 0.0
+
+
+def forest_rows(run, collector):
+    """One row per finished span, in completion order: the trace
+    minus ids, lanes and timings."""
+    names = {span.span_id: span.name for span in collector}
+    return [
+        {
+            "run": run,
+            "name": span.name,
+            "parent": names.get(span.parent_id),
+            "category": span.category,
+            "tags": span.tags,
+        }
+        for span in collector
+    ]
+
+
+def scripted_service_forest(scheme_cls):
+    """Admit, a rejected admit, release, ``fail_link`` with
+    reconfiguration, repair, a node failure and repair, then — on a
+    second service whose signaling drops packets on cue — a register
+    walk that needs one retry and one that gives up, is admitted
+    degraded and re-protected from the queue."""
+    collector = TraceCollector(clock=FakeClock(), detail=True)
+    service = DRTPService(
+        mesh_network(4, 4, 2.0), scheme_cls(), trace=collector
+    )
+    first = service.request(source=0, destination=15, bw_req=1.0)
+    second = service.request(source=5, destination=10, bw_req=1.0)
+    assert first.accepted and second.accepted
+    assert not service.request(source=0, destination=15, bw_req=9.0).accepted
+    service.release(first.connection.connection_id)
+    link = second.connection.backup_route.link_ids[0]
+    service.fail_link(link)
+    assert second.connection.backup is not None  # reconfigured
+    service.repair_link(link)
+    service.fail_node(6)
+    service.repair_node(6)
+
+    faults = ScriptedDrops()
+    lossy = DRTPService(
+        mesh_network(4, 4, 2.0), scheme_cls(), trace=collector,
+        fault_injector=faults,
+        retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
+    )
+    faults.drops = 1
+    retried = lossy.request(source=0, destination=15, bw_req=1.0)
+    assert retried.accepted and not retried.degraded
+    faults.drops = 2
+    degraded = lossy.request(source=3, destination=12, bw_req=1.0)
+    assert degraded.degraded
+    assert lossy.reestablish_backup(degraded.connection.connection_id)
+    return forest_rows(scheme_cls.name, collector)
+
+
+def pipelined_server_forest(tmp_path):
+    """One pipelined burst — two admits, a read, a release, a line
+    that does not decode — through a traced server over a service
+    that was built without a collector."""
+    collector = TraceCollector(clock=FakeClock())
+
+    async def _run():
+        service = DRTPService(mesh_network(4, 4, 2.0), PLSRScheme())
+        sock = str(tmp_path / "forest.sock")
+        server = ControlPlaneServer(
+            service, socket_path=sock, trace=collector
+        )
+        await server.start()
+        reader, writer = await asyncio.open_unix_connection(sock)
+        admit = {"source": 0, "destination": 15, "bw": 1.0}
+        writer.write(b"".join((
+            encode_request("admit", admit, request_id=1),
+            encode_request("admit", admit, request_id=2),
+            encode_request("ping", {}, request_id=3),
+            encode_request("release", {"connection": 0}, request_id=4),
+            b"not json\n",
+        )))
+        await writer.drain()
+        for _ in range(5):
+            await reader.readline()
+        writer.close()
+        await server.shutdown()
+
+    asyncio.run(_run())
+    return forest_rows("server", collector)
+
+
+def repair_row(run, links):
+    return {
+        "run": run, "name": "service.repair", "parent": None,
+        "category": "service",
+        "tags": {"scheme": run, "links": links, "links_repaired": links},
+    }
+
+
+#: Spans the committed forest predates (it was generated before repairs
+#: were spanned, and is kept as generated): each scripted service run
+#: repairs the link it failed, then the eight links of node 6.
+REPAIR_ROWS = [
+    repair_row(run, links)
+    for run in ("D-LSR", "BF") for links in (1, 8)
+]
+
+
+class TestSpanForest:
+    """Span names, parents, categories and tags of one scripted run,
+    compared with the committed forest byte for byte.  Regenerate
+    (after an *intentional* change to what is traced) with
+    ``REGEN_GOLDEN=1``, as for the golden decision traces."""
+
+    def test_scripted_run_reproduces_the_committed_forest(self, tmp_path):
+        forest = (
+            scripted_service_forest(DLSRScheme)
+            + scripted_service_forest(BoundedFloodingScheme)
+            + pipelined_server_forest(tmp_path)
+        )
+        assert [
+            row for row in forest if row["name"] == "service.repair"
+        ] == REPAIR_ROWS
+        text = "".join(
+            json.dumps(row, sort_keys=True) + "\n"
+            for row in forest if row["name"] != "service.repair"
+        )
+        if os.environ.get("REGEN_GOLDEN"):
+            SPAN_FOREST.write_text(text)
+        assert text == SPAN_FOREST.read_text()
 
 
 # ----------------------------------------------------------------------

@@ -342,3 +342,51 @@ class TestOneEngine:
             name for name in vars(repro.metrics.ServiceMetrics)
             if name.startswith("observe_")
         ] == ["observe_admission"]
+
+    def test_one_binding_for_tracing(self):
+        """One binding: the open span carries the collector.  A
+        collector is a parameter of the four things that may start a
+        trace and of nothing else; below ``DRTPService`` no layer
+        holds one (``DRTPService.trace`` is the only such attribute),
+        nothing rebinds one after construction, and no service
+        operation exists twice — once to open a span, once to work."""
+        root = Path(repro.__file__).parent
+        takers, holders = [], []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root)
+            if name.parts[0] == "observability" or str(name) == "cli.py":
+                continue
+            text = path.read_text()
+            assert "bind_trace" not in text, name
+            assert "plan_instrumented" not in text, name
+            tree = ast.parse(text)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and {
+                    "trace", "_trace"
+                } & {
+                    arg.arg for arg in (
+                        node.args.posonlyargs + node.args.args
+                        + node.args.kwonlyargs
+                    )
+                }:
+                    takers.append("{}::{}".format(name, node.name))
+                if (
+                    name.parts[0] in (
+                        "core", "routing", "kernels", "network", "testing"
+                    )
+                    and isinstance(node, ast.Attribute)
+                    and node.attr in ("trace", "_trace")
+                ):
+                    holders.append("{}: {}".format(name, ast.unparse(node)))
+        assert takers == [
+            "campaign/orchestrator.py::run_campaign_jobs",
+            "campaign/orchestrator.py::resume_campaign",
+            "core/service.py::__init__",
+            "server/app.py::__init__",
+        ]
+        assert holders == ["core/service.py: self.trace"]
+        methods = {
+            name for name, member in vars(DRTPService).items()
+            if callable(member)
+        }
+        assert {name for name in methods if "_" + name in methods} == set()
