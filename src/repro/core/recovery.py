@@ -39,13 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
-from ..kernels.apply import batch_release_primary, batch_release_walk
+from ..kernels.apply import (
+    batch_activate_walk,
+    batch_release_primary,
+    batch_release_walk,
+)
 from ..network.state import BW_EPSILON, NetworkState
 from ..routing.base import RouteQuery
 from . import signaling
 from .channel import Channel, ChannelRole
 from .connection import ConnectionState, DRConnection
-from .errors import RecoveryError
 from .multiplexing import SparePolicy
 from .slab import SlabConnectionStore
 
@@ -331,8 +334,9 @@ def apply_link_failure(
     * releases every affected primary's reservations (the failed link's
       ledger keeps honest books even though the link is dead);
     * for winners, converts their backup registration into a primary
-      reservation hop by hop, drawing first on free bandwidth and then
-      on the spare pool the backup was multiplexed on;
+      reservation along the backup route, drawing first on free
+      bandwidth and then on the spare pool the backup was multiplexed
+      on (:func:`~repro.kernels.apply.batch_activate_walk`);
     * for losers, tears the whole connection down;
     * drops (releases) backups of *unaffected* connections that crossed
       the failed link — their primaries still run, but they are now
@@ -433,7 +437,15 @@ def apply_failed_links(
             conn.select_backup(outcome.backup_index)
             for channel in list(conn.extra_backups):
                 _drop_channel(state, policy, conn, channel)
-            _promote(state, policy, conn)
+            channel = conn.backup
+            batch_activate_walk(
+                state,
+                policy,
+                channel.registration_key(conn_id),
+                channel.route.link_ids,
+                conn.bw_req,
+            )
+            conn.promote_backup()
             connections.reindex(conn_id)
         else:
             for channel in list(conn.all_backups):
@@ -541,26 +553,3 @@ def _drop_channel(
     if conn.backup is None and conn.state is ConnectionState.ACTIVE:
         conn.state = ConnectionState.UNPROTECTED
 
-
-def _promote(
-    state: NetworkState, policy: SparePolicy, conn: DRConnection
-) -> None:
-    """Turn the first backup's registration into a primary reservation."""
-    channel = conn.backup
-    assert channel is not None
-    key = channel.registration_key(conn.connection_id)
-    for b in channel.route.link_ids:
-        ledger = state.ledger(b)
-        ledger.release_backup(key)
-        # Claim the connection's bandwidth: free first, spare covers
-        # the shortfall (that is what the spare was reserved for).
-        shortfall = conn.bw_req - ledger.free_bw
-        if shortfall > BW_EPSILON:
-            if ledger.spare_bw + BW_EPSILON < shortfall:
-                raise RecoveryError(
-                    "link {}: assessment promised spare that is missing".format(b)
-                )
-            ledger.set_spare(ledger.spare_bw - shortfall)
-        ledger.reserve_primary(conn.bw_req)
-        policy.resize(ledger)
-    conn.promote_backup()

@@ -509,18 +509,22 @@ class DRTPService:
         self,
         impact: FailureImpact,
         reconfigure: bool,
+        started: float,
         group_links: Optional[int] = None,
     ) -> FailureImpact:
         """The tail every applied failure shares: DRTP step 4 —
         re-protect what it stripped; the walks are fault-free on
         purpose, the injector's streams belong to admissions and the
-        re-establishment queue — then tally the event."""
+        re-establishment queue — then tally the event and, under
+        metrics, its recovery time since ``started``."""
         if reconfigure:
             reconfigure_unprotected(
                 self.state, self.spare_policy, self._connections,
                 self.scheme, self._qos_bound, counters=self.counters,
             )
         self.counters.record_failure(impact, group_links)
+        if self.metrics is not None:
+            self.metrics.observe_recovery(perf_counter() - started)
         return impact
 
     @_failure("fail_link", "link")
@@ -529,17 +533,19 @@ class DRTPService:
         casualties, and (optionally) re-protect unprotected survivors
         via DRTP's resource-reconfiguration step.  The link stays out
         of every route search until :meth:`repair_link`."""
+        started = perf_counter()
         self.state.mark_link_failed(link_id)
         impact = apply_link_failure(
             self.state, self.spare_policy, self._connections, link_id
         )
-        return self._settle(impact, reconfigure)
+        return self._settle(impact, reconfigure, started)
 
     @_failure("fail_node", "node")
     def fail_node(self, node: int, reconfigure: bool = True) -> FailureImpact:
         """Fail a switch for real: every adjacent link dies, transit
         connections recover via surviving backups, connections
         terminating at the node are torn down."""
+        started = perf_counter()
         for link in (
             self.network.out_links(node) + self.network.in_links(node)
         ):
@@ -551,7 +557,7 @@ class DRTPService:
             node,
             self.network,
         )
-        return self._settle(impact, reconfigure)
+        return self._settle(impact, reconfigure, started)
 
     # ------------------------------------------------------------------
     # Correlated (shared-risk) failures
@@ -601,6 +607,7 @@ class DRTPService:
         single activation round (simultaneous semantics — unlike
         calling :meth:`fail_link` per member, which would let earlier
         casualties re-protect before later links die)."""
+        started = perf_counter()
         groups = self._require_risk_groups()
         for link_id in groups.members(group_id):
             self.state.mark_link_failed(link_id)
@@ -612,7 +619,7 @@ class DRTPService:
             groups,
         )
         return self._settle(
-            impact, reconfigure, len(groups.members(group_id))
+            impact, reconfigure, started, len(groups.members(group_id))
         )
 
     @_failure("fail_link_set", "links", lambda link_ids: len(set(link_ids)))
@@ -623,6 +630,7 @@ class DRTPService:
         count once) simultaneously, in one activation round — the
         regional-fault primitive for neighborhood cuts that do not
         coincide with a named risk group."""
+        started = perf_counter()
         failed = frozenset(link_ids)
         for link_id in failed:
             self.state.mark_link_failed(link_id)
@@ -633,7 +641,7 @@ class DRTPService:
             failed,
             label_link=min(failed) if len(failed) == 1 else -1,
         )
-        return self._settle(impact, reconfigure, len(failed))
+        return self._settle(impact, reconfigure, started, len(failed))
 
     @_operation(
         "repair",

@@ -1,21 +1,24 @@
-"""The commit — Section 2.2's four ledger walks, each one transaction.
+"""The commit — Section 2.2's ledger walks, each one transaction.
 
 Reserving a primary, walking the backup-path register packet,
-releasing a registration and releasing a primary all mutate one ledger
-per hop of a route.  The four entry points here are the only way
-production does that (``recovery._promote`` — backup activation, a
-different single-ledger operation — aside), each as
-*validate-then-apply*:
+releasing a registration, releasing a primary and activating a backup
+(DRTP step 3: the backup's registration becomes a primary reservation,
+drawing on the spare it was multiplexed on) all mutate one ledger per
+hop of a route.  The five entry points here are the only way
+production does that, each as *validate-then-apply*:
 
 1. a read-only validation pass over the whole route decides the
    outcome (including which hop rejects) and raises
    :class:`~repro.network.state.ResourceError` for any broken
    precondition — non-positive bandwidth, unknown link id,
    out-of-range LSET position, key already registered, key not
-   registered / APLV underflow on release, primary over-release —
-   *before the first mutation*, so an error never strands a prefix;
+   registered / APLV underflow on release, primary over-release — or
+   :class:`~repro.core.errors.RecoveryError` for an activation whose
+   spare cannot cover it, *before the first mutation*, so an error
+   never strands a prefix;
 2. an apply pass fuses the APLV/CV/demand updates, backup-registry
-   writes and spare-pool resizes into one tight loop over the route;
+   writes, reservations and spare-pool resizes into one tight loop
+   over the route;
 3. all change notifications are deferred to a single
    :meth:`~repro.network.state.NetworkState.publish_changes` call —
    one dirty-set transaction per walk, mirroring the kernels'
@@ -32,10 +35,10 @@ Bit-exactness contract (the same discipline as
 the ledger expressions *verbatim* — ``backup_headroom`` is
 ``(capacity − prime − spare) + spare``, never the algebraically equal
 ``capacity − prime`` — and every mutation replicates the exact
-sequence of ``version`` bumps, running-maximum updates and staleness
-resolutions of :class:`~repro.network.state.LinkLedger`'s public
-mutators, whose per-hop spelling (:mod:`repro.testing.commit`) the
-lockstep suite diffs these walks against.  Equivalence rests on
+sequence of ``version`` bumps, running-maximum and peak-holder updates
+and staleness resolutions of :class:`~repro.network.state.LinkLedger`'s
+public mutators, whose per-hop spelling (:mod:`repro.testing.commit`)
+the lockstep suite diffs these walks against.  Equivalence rests on
 per-link independence: ``link_ids`` is (a slice or a subsequence of)
 a :class:`~repro.topology.graph.Route`'s, which cannot repeat a link,
 and each hop's headroom check and resize read only that hop's own
@@ -51,19 +54,20 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..network.state import BW_EPSILON, NetworkState, ResourceError
 
-#: Lazily resolved ``(ResizeOutcome, SharedSparePolicy)`` — imported at
-#: first use so ``repro.kernels.apply`` can be imported before
-#: ``repro.core`` finishes initializing (core.signaling imports this
-#: module at its own import time).
+#: Lazily resolved ``(ResizeOutcome, SharedSparePolicy, RecoveryError)``
+#: — imported at first use so ``repro.kernels.apply`` can be imported
+#: before ``repro.core`` finishes initializing (core.signaling imports
+#: this module at its own import time).
 _CORE_TYPES = None
 
 
 def _core_types():
     global _CORE_TYPES
     if _CORE_TYPES is None:
+        from ..core.errors import RecoveryError
         from ..core.multiplexing import ResizeOutcome, SharedSparePolicy
 
-        _CORE_TYPES = (ResizeOutcome, SharedSparePolicy)
+        _CORE_TYPES = (ResizeOutcome, SharedSparePolicy, RecoveryError)
     return _CORE_TYPES
 
 
@@ -82,15 +86,13 @@ def _route_ledgers(state: NetworkState, link_ids: Sequence[int]) -> list:
 
 def _resize_shared(ledger) -> Tuple[float, float]:
     """``SharedSparePolicy.resize`` inlined; returns ``(target,
-    achieved)``.  The target is ``max_demand`` (staleness resolved
-    exactly as the property does); the clamp and the no-op skip copy
-    ``set_spare`` verbatim.  Its growth guard is provably dead here:
-    achieved ≤ ceiling means growth ≤ free_bw."""
-    if ledger._demand_max_stale:
-        demand = ledger._demand
-        ledger._demand_max = max(demand.values()) if demand else 0.0
-        ledger._demand_max_stale = False
-    target = ledger._demand_max
+    achieved)``.  The target is ``max_demand`` (read through the
+    property only when stale, which resolves it); the clamp and the
+    no-op skip copy ``set_spare`` verbatim.  Its growth guard is
+    provably dead here: achieved ≤ ceiling means growth ≤ free_bw."""
+    target = (
+        ledger.max_demand if ledger._demand_max_stale else ledger._demand_max
+    )
     ceiling = ledger.capacity - ledger._prime_bw
     achieved = min(target, max(0.0, ceiling))
     if achieved != ledger._spare_bw:
@@ -170,7 +172,7 @@ def batch_register_walk(
     if not ledgers:
         return (None, 0, [])
 
-    ResizeOutcome, SharedSparePolicy = _core_types()
+    ResizeOutcome, SharedSparePolicy, _ = _core_types()
     shared = type(policy) is SharedSparePolicy
     groups = state._risk_groups
     glist = tuple(groups.groups_of(lset)) if groups is not None else ()
@@ -192,6 +194,7 @@ def batch_register_walk(
         demand = ledger._demand
         demand_get = demand.get
         dmax = ledger._demand_max
+        holders = ledger._demand_max_holders
         # Counter.update runs the increment loop in C; fresh positions
         # (0 -> 1 crossings) are exactly the length growth.
         before = len(counts)
@@ -201,23 +204,36 @@ def batch_register_walk(
             aplv._support_mask |= lset_mask
             aplv._support_version += fresh
         for pos in lset:
-            total = demand_get(pos, 0.0) + bw
+            held = demand_get(pos, 0.0)
+            total = held + bw
             demand[pos] = total
-            if total > dmax:
-                dmax = total
+            if total >= dmax:
+                if total > dmax:
+                    dmax = total
+                    holders = 1
+                elif held != total:
+                    holders += 1
         aplv._l1 += llen
         ledger._demand_max = dmax
+        ledger._demand_max_holders = holders
         if groups is not None:
             gaplv = ledger._group_aplv
             gdemand = ledger._group_demand
             gdmax = ledger._group_demand_max
+            gholders = ledger._group_demand_max_holders
             for group in glist:
                 gaplv[group] = gaplv.get(group, 0) + 1
-                gtotal = gdemand.get(group, 0.0) + bw
+                gheld = gdemand.get(group, 0.0)
+                gtotal = gheld + bw
                 gdemand[group] = gtotal
-                if gtotal > gdmax:
-                    gdmax = gtotal
+                if gtotal >= gdmax:
+                    if gtotal > gdmax:
+                        gdmax = gtotal
+                        gholders = 1
+                    elif gheld != gtotal:
+                        gholders += 1
             ledger._group_demand_max = gdmax
+            ledger._group_demand_max_holders = gholders
         ledger._backups[key] = (lset, bw)
         ledger.version += 1
         if shared:
@@ -230,24 +246,12 @@ def batch_register_walk(
 
 
 # ----------------------------------------------------------------------
-# Backup release (teardown walk)
+# Backup release (teardown walk) and activation
 # ----------------------------------------------------------------------
-def batch_release_walk(
-    state: NetworkState,
-    policy,
-    key,
-    link_ids: Sequence[int],
-) -> list:
-    """The backup-release walk as one transaction; returns the resize
-    outcomes.
-
-    Validation requires every hop to hold the registration with
-    positive APLV counts on every stored LSET position, so the fused
-    decrement can never underflow.
-    """
-    if not link_ids:
-        return []
-    ledgers = _route_ledgers(state, link_ids)
+def _validate_release(ledgers: list, key):
+    """Pure reads: every hop holds the registration with positive APLV
+    counts on every stored LSET position, so the fused decrement can
+    never underflow.  Returns the first hop's stored LSET."""
     for ledger in ledgers:
         stored = ledger._backups.get(key)
         if stored is None:
@@ -263,60 +267,97 @@ def batch_release_walk(
                     "link {}: releasing primary link {} not present in "
                     "APLV".format(ledger.link_id, pos)
                 )
+    return ledgers[0]._backups[key][0] if ledgers else frozenset()
 
-    ResizeOutcome, SharedSparePolicy = _core_types()
+
+def _bit_pairs(lset) -> list:
+    return [(pos, 1 << pos) for pos in lset]
+
+
+def _unregister(ledger, key, walk_lset, walk_pairs: list, groups) -> None:
+    """``release_backup``'s bookkeeping on one validated hop, minus its
+    version bump: one loop decrements the APLV, clears support bits
+    and lowers the demand map.  ``walk_pairs`` are the ``(position,
+    1 << position)`` pairs of ``walk_lset``, built once per walk: a
+    walk registered the same stored LSET object on every hop."""
+    lset, bw = ledger._backups.pop(key)
+    pairs = walk_pairs if lset is walk_lset else _bit_pairs(lset)
+    aplv = ledger._aplv
+    counts = aplv._counts
+    drop = counts.pop  # dict's, in C: Counter.__delitem__ is Python
+    mask = aplv._support_mask
+    demand = ledger._demand
+    peak = ledger._demand_max
+    holders = ledger._demand_max_holders
+    zeroed = 0
+    for pos, bit in pairs:
+        count = counts[pos] - 1
+        if count:
+            counts[pos] = count
+        else:
+            drop(pos)
+            mask &= ~bit
+            zeroed += 1
+        held = demand[pos]
+        if held >= peak:
+            holders -= 1
+        held -= bw
+        if held <= BW_EPSILON:
+            del demand[pos]
+        else:
+            demand[pos] = held
+    if zeroed:
+        aplv._support_mask = mask
+        aplv._support_version += zeroed
+    aplv._l1 -= len(pairs)
+    ledger._demand_max_holders = holders
+    if not holders:
+        ledger._demand_max_stale = True
+    if groups is not None:
+        gaplv = ledger._group_aplv
+        gdemand = ledger._group_demand
+        peak = ledger._group_demand_max
+        holders = ledger._group_demand_max_holders
+        for group in groups.groups_of(lset):
+            count = gaplv[group] - 1
+            if count <= 0:
+                del gaplv[group]
+            else:
+                gaplv[group] = count
+            held = gdemand[group]
+            if held >= peak:
+                holders -= 1
+            held -= bw
+            if held <= BW_EPSILON:
+                del gdemand[group]
+            else:
+                gdemand[group] = held
+        ledger._group_demand_max_holders = holders
+        if not holders:
+            ledger._group_demand_max_stale = True
+
+
+def batch_release_walk(
+    state: NetworkState,
+    policy,
+    key,
+    link_ids: Sequence[int],
+) -> list:
+    """The backup-release walk as one transaction; returns the resize
+    outcomes."""
+    if not link_ids:
+        return []
+    ledgers = _route_ledgers(state, link_ids)
+    lset = _validate_release(ledgers, key)
+
+    ResizeOutcome, SharedSparePolicy, _ = _core_types()
     shared = type(policy) is SharedSparePolicy
     groups = state._risk_groups
-
+    pairs = _bit_pairs(lset)
     outcomes: List = []
     append_outcome = outcomes.append
     for ledger in ledgers:
-        lset, bw = ledger._backups.pop(key)
-        aplv = ledger._aplv
-        counts = aplv._counts
-        mask = aplv._support_mask
-        zeroed = 0
-        for pos in lset:
-            remaining = counts[pos] - 1
-            if remaining:
-                counts[pos] = remaining
-            else:
-                del counts[pos]
-                mask &= ~(1 << pos)
-                zeroed += 1
-        if zeroed:
-            aplv._support_mask = mask
-            aplv._support_version += zeroed
-        aplv._l1 -= len(lset)
-        demand = ledger._demand
-        peak = ledger._demand_max
-        for pos in lset:
-            held = demand[pos]
-            if held >= peak:
-                ledger._demand_max_stale = True
-            remaining = held - bw
-            if remaining <= BW_EPSILON:
-                del demand[pos]
-            else:
-                demand[pos] = remaining
-        if groups is not None:
-            gaplv = ledger._group_aplv
-            gdemand = ledger._group_demand
-            peak = ledger._group_demand_max
-            for group in groups.groups_of(lset):
-                count = gaplv[group] - 1
-                if count <= 0:
-                    del gaplv[group]
-                else:
-                    gaplv[group] = count
-                held = gdemand[group]
-                if held >= peak:
-                    ledger._group_demand_max_stale = True
-                remaining = held - bw
-                if remaining <= BW_EPSILON:
-                    del gdemand[group]
-                else:
-                    gdemand[group] = remaining
+        _unregister(ledger, key, lset, pairs, groups)
         ledger.version += 1
         if shared:
             target, achieved = _resize_shared(ledger)
@@ -325,6 +366,74 @@ def batch_release_walk(
             append_outcome(policy.resize(ledger))
     state.publish_changes(link_ids)
     return outcomes
+
+
+def batch_activate_walk(
+    state: NetworkState,
+    policy,
+    key,
+    link_ids: Sequence[int],
+    bw: float,
+) -> None:
+    """Backup activation as one transaction: on every hop of the
+    backup route, release the registration, claim ``bw`` as primary
+    bandwidth — free bandwidth first, the spare pool covering the
+    shortfall (that is what the spare was reserved for) — and resize
+    the spare.
+
+    Validation holds every hop to the release preconditions and to
+    ``reserve_primary``'s, and raises
+    :class:`~repro.core.errors.RecoveryError` where the spare cannot
+    cover the shortfall, all before the first mutation.  The
+    registration release moves no reservation, so each hop's
+    shortfall is computed before it.
+    """
+    _, SharedSparePolicy, RecoveryError = _core_types()
+    if bw <= 0:
+        raise ResourceError("primary reservation must be positive")
+    ledgers = _route_ledgers(state, link_ids)
+    lset = _validate_release(ledgers, key)
+    spares = []  # each hop's spare once it has covered the shortfall
+    for ledger in ledgers:
+        # free_bw, set_spare(spare - shortfall) and reserve_primary's
+        # test, verbatim.
+        spare = ledger._spare_bw
+        shortfall = bw - (ledger.capacity - ledger._prime_bw - spare)
+        if shortfall > BW_EPSILON:
+            if spare + BW_EPSILON < shortfall:
+                raise RecoveryError(
+                    "link {}: assessment promised spare that is "
+                    "missing".format(ledger.link_id)
+                )
+            spare -= shortfall
+            if spare < -BW_EPSILON:
+                raise ResourceError("spare bandwidth cannot be negative")
+            spare = max(0.0, spare)
+        free = ledger.capacity - ledger._prime_bw - spare
+        if bw > free + BW_EPSILON:
+            raise ResourceError(
+                "link {}: primary needs {} but only {} free".format(
+                    ledger.link_id, bw, free
+                )
+            )
+        spares.append(spare)
+
+    shared = type(policy) is SharedSparePolicy
+    groups = state._risk_groups
+    pairs = _bit_pairs(lset)
+    for ledger, spare in zip(ledgers, spares):
+        _unregister(ledger, key, lset, pairs, groups)
+        ledger.version += 1
+        if spare != ledger._spare_bw:
+            ledger._spare_bw = spare
+            ledger.version += 1
+        ledger._prime_bw += bw
+        ledger.version += 1
+        if shared:
+            _resize_shared(ledger)
+        else:
+            policy.resize(ledger)
+    state.publish_changes(link_ids)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +484,7 @@ def batch_release_primary(
                 )
             )
 
-    _, SharedSparePolicy = _core_types()
+    _, SharedSparePolicy, _ = _core_types()
     shared = type(policy) is SharedSparePolicy
     for ledger in ledgers:
         ledger._prime_bw = max(0.0, ledger._prime_bw - bw)

@@ -97,7 +97,6 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -532,13 +531,14 @@ def _flat_heap_search(
 
     The tuple heap's entries are ``(cost, counter, node)`` where the
     counter realizes first-pushed-wins tie-breaking.  Here entries
-    sharing a cost live in one FIFO deque keyed by the exact cost
-    float, and a small heap orders only the *distinct* cost values.
-    Draining the minimum bucket front-to-back pops entries in exactly
-    ``(cost, counter)`` order: FIFO order within a bucket *is* global
-    push-counter order, and every step cost is strictly positive, so
-    a node expanded at cost ``c`` only ever pushes into buckets
-    ``> c`` — the bucket being drained never grows.  Path costs that
+    sharing a cost live in one list keyed by the exact cost float, in
+    push order, and a small heap orders only the *distinct* cost
+    values.  Draining the minimum bucket front-to-back pops entries in
+    exactly ``(cost, counter)`` order: push order within a bucket *is*
+    global push-counter order, and every step cost is strictly
+    positive, so a node expanded at cost ``c`` only ever pushes into
+    buckets ``> c`` — the bucket being drained never grows, and is
+    taken out of the map and iterated as a plain list.  Path costs that
     are equal as real numbers collide as float keys because the
     encoded sums are exact (see the module docstring), so this is
     bit-identical to the tuple heap while doing one heap operation
@@ -554,9 +554,10 @@ def _flat_heap_search(
 
     dist[source] = 0.0
     dist_stamp[source] = epoch
-    buckets = {0.0: deque((source,))}
+    buckets = {0.0: [source]}
     cost_heap = [0.0]
     get_bucket = buckets.get
+    take_bucket = buckets.pop
     push = heappush
     pop = heappop
     # When no entry is negative the per-edge exclusion test is vacuous
@@ -565,10 +566,8 @@ def _flat_heap_search(
     # failed or explicitly avoided links — rare in steady state.
     exclusions = min(costs) < 0.0
     while cost_heap:
-        cost = cost_heap[0]
-        bucket = buckets[cost]
-        while bucket:
-            node = bucket.popleft()
+        cost = pop(cost_heap)
+        for node in take_bucket(cost):
             if visited_stamp[node] == epoch:
                 continue
             visited_stamp[node] = epoch
@@ -588,7 +587,7 @@ def _flat_heap_search(
                         parent[dst] = (node, link_id)
                         target = get_bucket(new_cost)
                         if target is None:
-                            buckets[new_cost] = deque((dst,))
+                            buckets[new_cost] = [dst]
                             push(cost_heap, new_cost)
                         else:
                             target.append(dst)
@@ -603,12 +602,10 @@ def _flat_heap_search(
                         parent[dst] = (node, link_id)
                         target = get_bucket(new_cost)
                         if target is None:
-                            buckets[new_cost] = deque((dst,))
+                            buckets[new_cost] = [dst]
                             push(cost_heap, new_cost)
                         else:
                             target.append(dst)
-        pop(cost_heap)
-        del buckets[cost]
     return None
 
 

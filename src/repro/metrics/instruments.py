@@ -8,10 +8,11 @@ slab store and the link-state database keep their own), and
 those objects, to be read when the registry is scraped — so a scrape,
 ``status``, the manifest and a chaos report cannot disagree.
 
-The two latency histograms are the exception, because nobody else
-keeps a distribution: :meth:`ServiceMetrics.observe_admission` is the
-one event-time write, called by
-:meth:`~repro.core.service.DRTPService.admit`.
+The latency histograms are the exception, because nobody else keeps a
+distribution: :meth:`ServiceMetrics.observe_admission` and
+:meth:`ServiceMetrics.observe_recovery` are the event-time writes,
+called by :meth:`~repro.core.service.DRTPService.admit` and at the end
+of every applied failure.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class ServiceMetrics:
         self.reestablished = registry.counter(
             "drtp_backups_reestablished_total",
             "backups restored by background re-establishment",
+        )
+        self.recovery_latency = registry.histogram(
+            "drtp_recovery_seconds",
+            "wall-clock time from the start of an applied failure to the "
+            "end of its re-protection wave (activation + reconfiguration)",
         )
 
         # -- correlated (shared-risk) failures ------------------------
@@ -260,10 +266,15 @@ class ServiceMetrics:
         return self
 
     # ------------------------------------------------------------------
-    # The one event-time write
+    # The event-time writes
     # ------------------------------------------------------------------
     def observe_admission(self, seconds: float, plan_seconds: float) -> None:
         """One ``admit()`` finished: its wall-clock time and the part
         of it the routing scheme's ``plan()`` took."""
         self.admission_latency.observe(seconds)
         self.plan_latency.observe(plan_seconds)
+
+    def observe_recovery(self, seconds: float) -> None:
+        """One applied failure finished recovering: the wall-clock time
+        from its start to the end of its re-protection wave."""
+        self.recovery_latency.observe(seconds)

@@ -18,6 +18,7 @@ shortage) lives in :mod:`repro.core.multiplexing`.
 
 from __future__ import annotations
 
+from operator import countOf
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from ..topology.graph import Network
@@ -31,6 +32,16 @@ BW_EPSILON = 1e-9
 
 class ResourceError(RuntimeError):
     """Raised when a reservation would violate a ledger invariant."""
+
+
+def _peak(demand: Dict[int, float]) -> tuple:
+    """A demand map's maximum and how many entries hold it (``(0.0,
+    0)`` when empty) — the recount behind a ledger's running maxima."""
+    if not demand:
+        return 0.0, 0
+    values = demand.values()
+    peak = max(values)
+    return peak, countOf(values, peak)
 
 
 class LinkLedger:
@@ -54,8 +65,10 @@ class LinkLedger:
         "_gmask_cache",
         "_gmask_cache_version",
         "_demand_max",
+        "_demand_max_holders",
         "_demand_max_stale",
         "_group_demand_max",
+        "_group_demand_max_holders",
         "_group_demand_max_stale",
     )
 
@@ -91,14 +104,20 @@ class LinkLedger:
         self._cv_cache_version = -1
         self._gmask_cache = 0
         self._gmask_cache_version = -1
-        # Running maxima of the demand maps.  Registrations only ever
-        # raise entries, so the maxima update in O(1) on the admission
-        # fast path; a release that lowers an entry holding the maximum
-        # marks it stale for a lazy O(support) recompute on the next
-        # read.
+        # Running maxima of the demand maps and their *peak holders*
+        # (how many entries equal the maximum).  Registrations only
+        # ever raise entries, so the maxima update in O(1) on the
+        # admission fast path: passing the maximum resets the holders
+        # to 1, tying it adds one.  A release that lowers a holder
+        # takes one away, and only the last holder's release marks the
+        # maximum stale for a lazy O(support) recompute on the next
+        # read.  While stale, the maximum is an upper bound and the
+        # holder count means nothing.
         self._demand_max = 0.0
+        self._demand_max_holders = 0
         self._demand_max_stale = False
         self._group_demand_max = 0.0
+        self._group_demand_max_holders = 0
         self._group_demand_max_stale = False
 
     def _touch(self) -> None:
@@ -189,9 +208,7 @@ class LinkLedger:
         this equals ``max(APLV) · bw_req`` — the Section 5 sizing rule.
         """
         if self._demand_max_stale:
-            self._demand_max = (
-                max(self._demand.values()) if self._demand else 0.0
-            )
+            self._demand_max, self._demand_max_holders = _peak(self._demand)
             self._demand_max_stale = False
         return self._demand_max
 
@@ -238,10 +255,8 @@ class LinkLedger:
         if self._risk_groups is None:
             return self.max_demand
         if self._group_demand_max_stale:
-            self._group_demand_max = (
-                max(self._group_demand.values())
-                if self._group_demand
-                else 0.0
+            self._group_demand_max, self._group_demand_max_holders = _peak(
+                self._group_demand
             )
             self._group_demand_max_stale = False
         return self._group_demand_max
@@ -330,18 +345,28 @@ class LinkLedger:
         self._aplv.add_primary(lset)
         demand = self._demand
         for position in lset:
-            total = demand.get(position, 0.0) + bw
+            held = demand.get(position, 0.0)
+            total = held + bw
             demand[position] = total
-            if total > self._demand_max:
-                self._demand_max = total
+            if total >= self._demand_max:
+                if total > self._demand_max:
+                    self._demand_max = total
+                    self._demand_max_holders = 1
+                elif held != total:  # else bw vanished in the sum
+                    self._demand_max_holders += 1
         if self._risk_groups is not None:
             group_demand = self._group_demand
             for group in self._risk_groups.groups_of(lset):
                 self._group_aplv[group] = self._group_aplv.get(group, 0) + 1
-                total = group_demand.get(group, 0.0) + bw
+                held = group_demand.get(group, 0.0)
+                total = held + bw
                 group_demand[group] = total
-                if total > self._group_demand_max:
-                    self._group_demand_max = total
+                if total >= self._group_demand_max:
+                    if total > self._group_demand_max:
+                        self._group_demand_max = total
+                        self._group_demand_max_holders = 1
+                    elif held != total:
+                        self._group_demand_max_holders += 1
         self._backups[connection_id] = (lset, bw)
         self._touch()
 
@@ -356,18 +381,21 @@ class LinkLedger:
                 )
             )
         self._aplv.remove_primary(lset)
-        # A running maximum can only have dropped when an entry that
-        # held it is decremented; every other release leaves it exact.
+        # A running maximum can only have dropped when the last entry
+        # that held it is decremented; every other release leaves it
+        # exact.
         peak = self._demand_max
         for position in lset:
             held = self._demand[position]
             if held >= peak:
-                self._demand_max_stale = True
+                self._demand_max_holders -= 1
             remaining = held - bw
             if remaining <= BW_EPSILON:
                 del self._demand[position]
             else:
                 self._demand[position] = remaining
+        if not self._demand_max_holders:
+            self._demand_max_stale = True
         if self._risk_groups is not None:
             peak = self._group_demand_max
             for group in self._risk_groups.groups_of(lset):
@@ -378,12 +406,14 @@ class LinkLedger:
                     self._group_aplv[group] = count
                 held = self._group_demand[group]
                 if held >= peak:
-                    self._group_demand_max_stale = True
+                    self._group_demand_max_holders -= 1
                 remaining = held - bw
                 if remaining <= BW_EPSILON:
                     del self._group_demand[group]
                 else:
                     self._group_demand[group] = remaining
+            if not self._group_demand_max_holders:
+                self._group_demand_max_stale = True
         self._touch()
 
     # ------------------------------------------------------------------
@@ -457,23 +487,25 @@ class LinkLedger:
                     self.link_id
                 )
             )
-        if not self._demand_max_stale and self._demand_max != max(
-            self._demand.values(), default=0.0
-        ):
+        if not self._demand_max_stale and (
+            self._demand_max, self._demand_max_holders
+        ) != _peak(self._demand):
             raise ResourceError(
-                "link {}: running demand maximum {} is not the demand "
-                "map's".format(self.link_id, self._demand_max)
+                "link {}: running demand maximum {} ({} holders) is not "
+                "the demand map's".format(
+                    self.link_id, self._demand_max, self._demand_max_holders
+                )
             )
         if self._risk_groups is not None:
-            if (
-                not self._group_demand_max_stale
-                and self._group_demand_max
-                != max(self._group_demand.values(), default=0.0)
-            ):
+            if not self._group_demand_max_stale and (
+                self._group_demand_max, self._group_demand_max_holders
+            ) != _peak(self._group_demand):
                 raise ResourceError(
-                    "link {}: running group-demand maximum {} is not the "
-                    "group demand map's".format(
-                        self.link_id, self._group_demand_max
+                    "link {}: running group-demand maximum {} ({} holders) "
+                    "is not the group demand map's".format(
+                        self.link_id,
+                        self._group_demand_max,
+                        self._group_demand_max_holders,
                     )
                 )
             expected_aplv: Dict[int, int] = {}

@@ -100,7 +100,9 @@ def decode_request(line: str) -> Request:
     matched by the client."""
     try:
         payload = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
+        # Nesting deeper than the decoder's recursion limit is as
+        # undecodable as a syntax error.
         raise ProtocolError(ERR_BAD_JSON, "request is not valid JSON")
     if not isinstance(payload, dict):
         raise ProtocolError(ERR_BAD_REQUEST, "request must be a JSON object")

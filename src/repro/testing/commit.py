@@ -6,19 +6,23 @@ module keeps the spelling it replaced, written the way Section 2.2
 states it: each router in turn checks its link, calls one of
 :class:`~repro.network.state.LinkLedger`'s public mutators, resizes the
 spare pool and forwards the packet; a rejecting router's release packet
-undoes the upstream hops in reverse; under fault injection the walk
+undoes the upstream hops in reverse; an activating router turns the
+registration into a primary reservation, spare covering what free
+bandwidth cannot; under fault injection the walk
 consults the injector at every hop *while* it mutates, and the source's
 unwind visits the whole route.  ``tests/test_commit_lockstep.py`` runs
 both on twin states and demands equal results, equal fault accounting
 (the injector streams consumed draw for draw) and equal fingerprints.
 
 Only valid inputs are comparable: a broken precondition raises
-:class:`~repro.network.state.ResourceError` here too, but mid-walk,
-with the hops before it already mutated.
+:class:`~repro.network.state.ResourceError` (an activation's missing
+spare :class:`~repro.core.errors.RecoveryError`) here too, but
+mid-walk, with the hops before it already mutated.
 """
 
 from __future__ import annotations
 
+from ..core.errors import RecoveryError
 from ..core.signaling import BackupRegisterPacket, RegistrationResult
 from ..network.state import BW_EPSILON, NetworkState
 
@@ -53,6 +57,25 @@ def release_walk(state: NetworkState, policy, key, link_ids) -> list:
         ledger.release_backup(key)
         outcomes.append(policy.resize(ledger))
     return outcomes
+
+
+def activate(state: NetworkState, policy, key, link_ids, bw: float) -> None:
+    """Backup activation hop by hop: each router releases the
+    registration, lets spare cover the shortfall of free bandwidth and
+    reserves the connection's bandwidth as primary."""
+    for link_id in link_ids:
+        ledger = state.ledger(link_id)
+        ledger.release_backup(key)
+        shortfall = bw - ledger.free_bw
+        if shortfall > BW_EPSILON:
+            if ledger.spare_bw + BW_EPSILON < shortfall:
+                raise RecoveryError(
+                    "link {}: assessment promised spare that is "
+                    "missing".format(link_id)
+                )
+            ledger.set_spare(ledger.spare_bw - shortfall)
+        ledger.reserve_primary(bw)
+        policy.resize(ledger)
 
 
 def unwind(state: NetworkState, policy, packet: BackupRegisterPacket) -> int:

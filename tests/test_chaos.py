@@ -180,6 +180,7 @@ class TestTracingAndCli:
 
     def test_cli_chaos_writes_report(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
+        log = tmp_path / "chaos.log"
         code = cli_main(
             [
                 "chaos",
@@ -189,6 +190,7 @@ class TestTracingAndCli:
                 "--intensity", "3.0",
                 "--seed", "9",
                 "--report", str(out),
+                "--log", str(log),
             ]
         )
         assert code == 0
@@ -196,6 +198,7 @@ class TestTracingAndCli:
         assert payload["seed"] == 9
         assert "degraded" in payload
         assert "fault plan" in capsys.readouterr().out
+        assert "fault plan" in log.read_text()
 
     def test_cli_chaos_srlg_conduits(self, tmp_path, capsys):
         plan_path = tmp_path / "cut.json"

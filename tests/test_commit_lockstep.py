@@ -6,8 +6,8 @@ prefix replay in :mod:`repro.core.signaling`); the spelling they
 replaced — one public ``LinkLedger`` mutator per hop, the injector
 consulted *while* mutating — lives on in :mod:`repro.testing.commit`.
 These tests run random scripts of register / release / reserve-primary
-/ release-primary / unwind on twin ``NetworkState``s, one per spelling,
-and demand after every step: equal results (every
+/ release-primary / unwind / activate on twin ``NetworkState``s, one
+per spelling, and demand after every step: equal results (every
 ``RegistrationResult`` field, resize lists, booleans), equal
 fingerprints and group tables, clean invariants, and — with two
 identically seeded ``FaultInjector``s — equal stream positions, i.e.
@@ -15,9 +15,12 @@ the draws were consumed one for one.
 
 Bandwidths are dyadic so the reference's register/unwind cycle on a
 rejection is exact in floating point (the fused rejection mutates
-nothing at all).  The twins are only comparable on valid inputs; what
-a broken precondition does is pinned at the bottom: a
-``ResourceError`` and an untouched state.
+nothing at all).  Mixed bandwidths — non-dyadic ones, whose sums drift
+and near-tie — run on links wide enough that nothing is ever rejected.
+The twins are only comparable on valid inputs; what a broken
+precondition does is pinned at the bottom: a ``ResourceError`` (an
+activation's missing spare a ``RecoveryError``) and an untouched
+state.
 """
 
 import random
@@ -33,6 +36,7 @@ from repro.core import (
     SharedSparePolicy,
 )
 from repro.core import signaling
+from repro.core.errors import RecoveryError
 from repro.core.multiplexing import GroupAwareSparePolicy
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.faults.plan import SignalingFaults
@@ -43,6 +47,8 @@ from repro.topology import Route, mesh_conduit_groups, mesh_network
 
 ROWS = COLS = 4
 NET = mesh_network(ROWS, COLS, 2.0)
+#: The same mesh with links no 30-step script can fill.
+WIDE_NET = mesh_network(ROWS, COLS, 64.0)
 GROUPS = mesh_conduit_groups(NET, ROWS, COLS)
 POLICIES = {
     "shared": SharedSparePolicy,
@@ -122,6 +128,10 @@ def _streams(injector):
     )
 
 
+def _versions(state):
+    return [ledger.version for ledger in state.ledgers()]
+
+
 def _group_tables(state):
     return [
         (ledger.group_aplv_l1(), ledger.group_support(), ledger.max_group_demand)
@@ -132,8 +142,9 @@ def _group_tables(state):
 class Twins:
     """One state per spelling, driven in lockstep."""
 
-    def __init__(self, policy, srlg, seed=0):
-        self.fused, self.reference = NetworkState(NET), NetworkState(NET)
+    def __init__(self, policy, srlg, seed=0, network=NET):
+        self.fused = NetworkState(network)
+        self.reference = NetworkState(network)
         if srlg:
             self.fused.install_risk_groups(GROUPS)
             self.reference.install_risk_groups(GROUPS)
@@ -217,9 +228,41 @@ class Twins:
         commit.release_primary(self.reference, self.policy, route.link_ids, bw)
         self.check()
 
+    def activate(self, index):
+        """Switch a registered backup to primary.  A walk whose spare
+        falls short raises before mutating anything, so the reference
+        — which would strand a prefix — only runs when it succeeds."""
+        packet = self.registered.pop(index % len(self.registered))
+        route, bw = packet.backup_route, packet.bw_req
+        before = self._ledger_view()
+        versions = (_versions(self.fused), _versions(self.reference))
+        try:
+            apply.batch_activate_walk(
+                self.fused, self.policy, packet.registration_key,
+                route.link_ids, bw,
+            )
+        except RecoveryError:
+            assert self._ledger_view() == before
+            self.registered.append(packet)
+            return False
+        commit.activate(
+            self.reference, self.policy, packet.registration_key,
+            route.link_ids, bw,
+        )
+        # Every hop bumps its version exactly as the four mutators do.
+        fused, reference = (
+            [now - was for now, was in zip(_versions(state), old)]
+            for state, old in zip((self.fused, self.reference), versions)
+        )
+        assert fused == reference
+        self.primaries.append((route, bw))
+        self.check()
+        return True
+
 
 routes = st.integers(min_value=0, max_value=len(ROUTES) - 1)
 bandwidths = st.sampled_from((0.5, 0.75, 1.0, 2.0))
+mixed_bandwidths = st.sampled_from((0.1, 0.2, 0.3, 0.5, 1.0))
 picks = st.integers(min_value=0, max_value=63)
 faults = st.one_of(
     st.none(),
@@ -229,29 +272,56 @@ faults = st.one_of(
         st.integers(min_value=0, max_value=6),
     ),
 )
-operations = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("register"), routes, routes, bandwidths, faults,
-            st.sampled_from((None, RETRY)),
+
+
+def operations(bandwidths):
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("register"), routes, routes, bandwidths, faults,
+                st.sampled_from((None, RETRY)),
+            ),
+            st.tuples(st.just("reserve"), routes, bandwidths),
+            st.tuples(st.just("release"), picks),
+            st.tuples(st.just("unwind"), picks),
+            st.tuples(st.just("release-primary"), picks),
+            st.tuples(st.just("activate"), picks),
         ),
-        st.tuples(st.just("reserve"), routes, bandwidths),
-        st.tuples(st.just("release"), picks),
-        st.tuples(st.just("unwind"), picks),
-        st.tuples(st.just("release-primary"), picks),
-    ),
-    min_size=1,
-    max_size=30,
-)
+        min_size=1,
+        max_size=30,
+    )
 
 
 @pytest.mark.oracle
 @pytest.mark.parametrize("srlg", (False, True), ids=("links", "srlg"))
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-@given(script=operations, seed=st.integers(min_value=0, max_value=2**16))
+@given(
+    script=operations(bandwidths),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
 @settings(max_examples=60, deadline=None)
 def test_fused_commit_equals_hop_by_hop(policy, srlg, script, seed):
-    twins = Twins(policy, srlg, seed)
+    run_script(Twins(policy, srlg, seed), script)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("srlg", (False, True), ids=("links", "srlg"))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@given(
+    script=operations(mixed_bandwidths),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_fused_commit_equals_hop_by_hop_mixed_bandwidths(
+    policy, srlg, script, seed
+):
+    """Non-dyadic sums tie and drift (0.1 + 0.2 != 0.3): the walks
+    still match the reference bit for bit, and every running maximum's
+    peak holders match a recount."""
+    run_script(Twins(policy, srlg, seed, network=WIDE_NET), script)
+
+
+def run_script(twins, script):
     for step, (kind, *args) in enumerate(script):
         if kind == "register":
             backup, primary, bw, fault, retry = args
@@ -277,6 +347,8 @@ def test_fused_commit_equals_hop_by_hop(policy, srlg, script, seed):
             assert twins.unwind(packet) == 0
         elif kind == "release-primary" and twins.primaries:
             twins.release_primary(args[0])
+        elif kind == "activate" and twins.registered:
+            twins.activate(args[0])
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +447,10 @@ BROKEN = {
         apply.batch_release_primary(
             state, policy,
             ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids, 1.0)),
+    "activation of an unregistered hop": lambda state, policy: (
+        apply.batch_activate_walk(
+            state, policy, 1,
+            ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids, 0.5)),
 }
 
 
@@ -389,6 +465,69 @@ def test_precondition_error_mutates_nothing(kind):
     assert (state.fingerprint(), [l.version for l in state.ledgers()]) == before
     assert changed == []
     state.check_invariants()
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("hop", range(HOPS))
+def test_activation_draws_on_spare(policy, hop):
+    """Free bandwidth short at one hop: the spare pays the shortfall
+    there, then the resize settles it for the backup that stays —
+    equal to the reference, version bump for version bump."""
+    twins = Twins(policy, srlg=False)
+    twins.register(_packet(1))
+    twins.register(BackupRegisterPacket(
+        connection_id=2,
+        backup_route=ROUTE,
+        primary_lset=Route.from_nodes(NET, [12, 13, 14, 15]).lset,
+        bw_req=0.25,
+    ))
+    link = ROUTE.link_ids[hop]
+    assert twins.reserve(Route.from_nodes(NET, ROUTE.nodes[hop:hop + 2]), 0.5)
+    ledger = twins.fused.ledger(link)
+    assert ledger.free_bw < 1.0 <= ledger.free_bw + ledger.spare_bw
+    assert twins.activate(0)
+    assert ledger.prime_bw == 1.5 and ledger.spare_bw == 0.25
+    assert not ledger.has_backup(1) and ledger.has_backup(2)
+
+
+@pytest.mark.parametrize("hop", range(1, HOPS))
+def test_activation_spare_miss_mutates_nothing(hop):
+    """The regression: a spare pool that cannot cover an activation's
+    shortfall at hop *k* used to raise with the hops before *k*
+    already promoted.  The walk raises before its first mutation; the
+    hop-by-hop spelling still strands the prefix, the failing hop's
+    released registration included."""
+    twins = Twins("shared", srlg=False)
+    packet = _packet(1)
+    twins.register(packet)
+    for state in (twins.fused, twins.reference):
+        ledger = state.ledger(ROUTE.link_ids[hop])
+        ledger.set_spare(0.5)
+        ledger.reserve_primary(1.5)  # no free bandwidth left
+    before = (
+        twins.fused.fingerprint(), [l.version for l in twins.fused.ledgers()]
+    )
+    changed = []
+    twins.fused.subscribe(changed.append)
+    with pytest.raises(RecoveryError):
+        apply.batch_activate_walk(
+            twins.fused, twins.policy, packet.registration_key,
+            ROUTE.link_ids, 1.0,
+        )
+    assert (
+        twins.fused.fingerprint(), [l.version for l in twins.fused.ledgers()]
+    ) == before
+    assert changed == []
+    assert all(twins.fused.ledger(b).has_backup(1) for b in ROUTE.link_ids)
+    with pytest.raises(RecoveryError):
+        commit.activate(
+            twins.reference, twins.policy, packet.registration_key,
+            ROUTE.link_ids, 1.0,
+        )
+    assert [
+        twins.reference.ledger(b).has_backup(1) for b in ROUTE.link_ids
+    ] == [False] * (hop + 1) + [True] * (HOPS - hop - 1)
 
 
 def test_aplv_underflow_on_release_is_an_error():

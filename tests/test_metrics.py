@@ -317,6 +317,26 @@ class TestServiceInstrumentation:
             "histogram"
         )
 
+    def test_recovery_time_observed_once_per_applied_failure(self):
+        """``drtp_recovery_seconds`` exists before any failure and gets
+        one sample per applied failure, however many links it took
+        down; a service without metrics observes nothing."""
+        net, service, metrics = instrumented_service()
+        latency = metrics.recovery_latency
+        families = parse_prometheus_text(metrics.registry.render_prometheus())
+        assert families["drtp_recovery_seconds"]["type"] == "histogram"
+        assert latency.count == 0
+        assert service.request(0, 15, 1.0).accepted
+        service.fail_link(service.connection(0).primary_route.link_ids[0])
+        service.fail_node(5)
+        service.fail_link_set((1, 2, 3))
+        assert latency.count == 3
+        assert latency.sum > 0.0
+        bare = DRTPService(net, DLSRScheme())
+        assert bare.request(0, 15, 1.0).accepted
+        bare.fail_link(bare.connection(0).primary_route.link_ids[0])
+        assert latency.count == 3
+
     def test_route_searches_counted_by_the_step_that_answered(self):
         """One scrape says whether the searches' unit phase is
         answering or falling through to the exhaustive Dijkstra."""

@@ -52,7 +52,7 @@ from repro.kernels.search import (
     flat_shortest_path,
     search_workspace,
 )
-from repro.network.state import LinkLedger
+from repro.network.state import BW_EPSILON, LinkLedger
 from repro.routing import Q_PENALTY
 from repro.testing.link_state import backup_cost, primary_link_cost
 from repro.testing.reference import naive_shortest_path
@@ -233,6 +233,61 @@ def test_ledger_group_demand_max_matches_rebuild(regs, data):
     assert ledger.group_support_mask() == mask_from_ids(
         ledger.group_support()
     )
+
+
+#: Mixed bandwidths, non-dyadic ones included: sums drift and near-tie
+#: (0.1 + 0.2 != 0.3) while equal registrations tie exactly.
+mixed_bandwidths = st.one_of(
+    bandwidths, st.sampled_from((0.1, 0.2, 0.3, 1.0))
+)
+
+#: Few positions, so registrations overlap and peaks are shared.
+crowded_positions = st.frozensets(
+    st.integers(min_value=0, max_value=5), min_size=1, max_size=4
+)
+
+ledger_scripts = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), crowded_positions, mixed_bandwidths),
+        st.tuples(st.just("release"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("read")),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("srlg", (False, True), ids=("links", "groups"))
+@settings(max_examples=60)
+@given(ledger_scripts, st.data())
+def test_peak_holders_match_a_recount_under_mixed_bandwidths(
+    srlg, script, data
+):
+    """Whatever the interleaving of registrations, releases and reads,
+    a running maximum that is not stale equals its map's maximum and
+    its peak-holder count equals a recount (``check_invariants``), and
+    a read agrees with a rebuild from the registry up to the drift of
+    non-dyadic sums."""
+    net = mesh_network(2, 3, capacity=1000.0)
+    ledger = LinkLedger(0, capacity=1000.0, num_links=net.num_links)
+    if srlg:
+        groups = RiskGroupSet(net.num_links, _partition(data, net.num_links))
+        ledger.install_risk_groups(groups)
+    live = []
+    for step, (kind, *args) in enumerate(script):
+        if kind == "register":
+            ledger.register_backup(step, *args)
+            live.append(step)
+        elif kind == "release" and live:
+            ledger.release_backup(live.pop(args[0] % len(live)))
+        elif kind == "read":
+            assert abs(ledger.max_demand - _naive_max_demand(
+                ledger, key_of=lambda lset: lset
+            )) <= BW_EPSILON
+            if srlg:
+                assert abs(ledger.max_group_demand - _naive_max_demand(
+                    ledger, key_of=groups.groups_of
+                )) <= BW_EPSILON
+        ledger.check_invariants()
 
 
 # ----------------------------------------------------------------------

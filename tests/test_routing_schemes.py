@@ -256,9 +256,8 @@ class TestOneEngine:
     def test_ledgers_are_walked_in_one_place(self):
         """Section 2.2's commit is spelled once: outside ``testing/``
         (the hop-by-hop reference), nothing calls a ledger's route
-        mutators except ``recovery._promote`` — backup activation, a
-        different, single-ledger operation.  Everything else goes
-        through the four fused walks of ``repro.kernels.apply``."""
+        mutators.  Everything — backup activation included — goes
+        through the five fused walks of ``repro.kernels.apply``."""
         root = Path(repro.__file__).parent
         mutator = re.compile(
             r"\.(register_backup|release_backup|reserve_primary"
@@ -277,7 +276,7 @@ class TestOneEngine:
                     callers.add(
                         "{}::{}".format(path.relative_to(root), function)
                     )
-        assert callers == {"core/recovery.py::_promote"}
+        assert callers == set()
 
     def test_routes_are_searched_over_cost_arrays_only(self):
         """One route search: outside ``testing/`` (the naive
@@ -307,8 +306,9 @@ class TestOneEngine:
         assert not (root / "routing" / "dijkstra.py").exists()
 
     def test_every_count_is_kept_once(self):
-        """One tally: outside ``metrics/`` the only event-time write to
-        a registry family is the latency pair in ``_admit``; below
+        """One tally: outside ``metrics/`` the only event-time writes
+        to a registry family are the latency histograms — the pair in
+        ``admit`` and the recovery time in ``_settle``; below
         ``DRTPService`` nothing takes a ``metrics`` argument — the
         layers count on ``ServiceCounters``, the registry reads it —
         and every backup walk is tallied at the one place all of them
@@ -334,14 +334,18 @@ class TestOneEngine:
                         )
                     ]:
                         takers.append("{}::{}".format(name, node.name))
-        assert writes == ["core/service.py: self.metrics.observe_admission("]
+        assert writes == [
+            "core/service.py: self.metrics.observe_admission(",
+            "core/service.py: self.metrics.observe_recovery("
+            "perf_counter() - started)",
+        ]
         assert walk_tallies == ["core/signaling.py"]
         assert takers == ["core/service.py::__init__"]
         assert not hasattr(repro.routing.RoutingScheme, "metrics")
         assert [
             name for name in vars(repro.metrics.ServiceMetrics)
             if name.startswith("observe_")
-        ] == ["observe_admission"]
+        ] == ["observe_admission", "observe_recovery"]
 
     def test_one_binding_for_tracing(self):
         """One binding: the open span carries the collector.  A

@@ -71,6 +71,13 @@ class TestProtocol:
             decode_request('{"op": "admit", "args": []}')
         assert exc.value.kind == protocol.ERR_BAD_REQUEST
 
+    def test_deep_nesting_is_bad_json(self):
+        # The decoder gives up on nesting with a RecursionError, which
+        # is no ValueError.
+        with pytest.raises(ProtocolError) as exc:
+            decode_request("[" * 50000)
+        assert exc.value.kind == protocol.ERR_BAD_JSON
+
     def test_require_int_rejects_bools_and_floats(self):
         with pytest.raises(ProtocolError):
             protocol.require_int({"n": True}, "n", None)
@@ -275,6 +282,38 @@ class TestServerRoundTrips:
         assert pong[:2] == (2, True) and pong[2]["pong"]
         assert server.stats.protocol_errors == 1
         assert server.stats.drained_clean
+
+    def test_deeply_nested_line_answered_connection_kept(self, tmp_path):
+        # A line nested past the decoder's recursion limit is answered
+        # like any other bad JSON, and the same connection is served on.
+        async def _run():
+            net = mesh_network(4, 4, 10.0)
+            sock = str(tmp_path / "ctl.sock")
+            server = ControlPlaneServer(
+                DRTPService(net, DLSRScheme()), socket_path=sock
+            )
+            await server.start()
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                b"[" * 50000 + b"\n" + encode_request("ping", request_id=2)
+            )
+            await writer.drain()
+            answers = [
+                decode_response(
+                    (await asyncio.wait_for(reader.readline(), 10)).decode()
+                )
+                for _ in range(2)
+            ]
+            writer.close()
+            await server.shutdown()
+            return answers, server
+
+        ((rid1, ok1, error), (rid2, ok2, pong)), server = asyncio.run(_run())
+        assert (rid1, ok1) == (None, False)
+        assert error["type"] == protocol.ERR_BAD_JSON
+        assert (rid2, ok2) == (2, True) and pong["pong"]
+        assert server.stats.protocol_errors == 1
+        assert server.stats.internal_errors == 0
 
     def test_read_op_internal_error_answered_not_fatal(self, tmp_path):
         # A failing gauge collector must surface as an ERR_INTERNAL
