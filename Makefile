@@ -28,7 +28,7 @@ campaign-paper:
 
 chaos-quick:
 	python -m repro chaos --rows 6 --cols 6 --rate 1.5 --duration 120 \
-		--intensity 4 --seed 7 --verify
+		--intensity 4 --seed 7 --verify --trace-dir out/chaos_trace
 
 # Correlated-failure acceptance campaign: seeded conduit cuts on the
 # 16x16 mesh with SRLG-aware spare sizing; writes the ChaosReport

@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background backup re-establishment cadence")
     chaos.add_argument("--report", default=None,
                        help="also write the report as JSON here")
-    chaos.add_argument("--trace", default=None,
-                       help="write a JSON-lines event trace here")
+    chaos.add_argument("--trace-dir", default=None, metavar="DIR",
+                       help="trace the campaign and write "
+                       "chaos_trace.json/.ndjson into DIR")
     chaos.add_argument("--log", default=None, metavar="PATH",
                        help="write the textual report here (default: "
                        "benchmarks/results/chaos_<scheme>_seed<seed>.log"
@@ -772,7 +773,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from .faults import CampaignConfig, FaultPlan, run_campaign
-    from .simulation import Tracer
+    from .observability import UNTRACED
 
     if args.plan is not None:
         plan = FaultPlan.load(args.plan)
@@ -789,8 +790,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         backup_retry_interval=args.retry_interval,
         srlg=args.srlg,
     )
-    tracer = Tracer() if args.trace else None
-    report = run_campaign(plan, config, tracer=tracer)
+    trace = _trace_collector(args)
+    # The root every chaos.* action span (and the service spans under
+    # them) hangs off; the --verify rerun below runs untraced.
+    with trace.span(
+        "chaos.campaign", "chaos",
+        plan=plan.name, scheme=config.scheme, seed=config.seed,
+    ) if trace is not None else UNTRACED:
+        report = run_campaign(plan, config)
     if args.verify:
         rerun = run_campaign(plan, config)
         if rerun.to_dict() != report.to_dict():
@@ -814,9 +821,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         log_path.parent.mkdir(parents=True, exist_ok=True)
         log_path.write_text(report.format() + "\n")
         print("wrote campaign log to {}".format(log_path))
-    if args.trace:
-        tracer.write_jsonl(args.trace)
-        print("wrote {} trace events to {}".format(len(tracer), args.trace))
+    _write_trace(trace, args, "chaos")
     if args.report:
         with open(args.report, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
@@ -1097,28 +1102,23 @@ def _report_campaign(result) -> int:
     return 0
 
 
-def _campaign_trace(args: argparse.Namespace):
+def _trace_collector(args: argparse.Namespace):
     """A collector when ``--trace-dir`` was given, else None."""
-    if getattr(args, "trace_dir", None) is None:
+    if args.trace_dir is None:
         return None
     from .observability import TraceCollector
 
     return TraceCollector()
 
 
-def _write_campaign_trace(trace, args: argparse.Namespace) -> None:
+def _write_trace(trace, args: argparse.Namespace, stem: str) -> None:
+    """Write ``trace`` (if any) into ``--trace-dir`` as
+    ``<stem>_trace.json`` / ``.ndjson``."""
     if trace is None:
         return
-    from pathlib import Path
+    from .observability import write_trace_dir
 
-    from .observability import write_chrome_trace, write_ndjson
-
-    directory = Path(args.trace_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    chrome = directory / "campaign_trace.json"
-    ndjson = directory / "campaign_trace.ndjson"
-    write_chrome_trace(chrome, trace, label="drtp-campaign")
-    write_ndjson(ndjson, trace, label="drtp-campaign")
+    chrome, ndjson = write_trace_dir(args.trace_dir, trace, stem)
     print("wrote {} spans ({} dropped) to {} and {}".format(
         len(trace), trace.dropped, chrome, ndjson,
     ))
@@ -1127,7 +1127,7 @@ def _write_campaign_trace(trace, args: argparse.Namespace) -> None:
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .campaign import run_campaign_jobs
 
-    trace = _campaign_trace(args)
+    trace = _trace_collector(args)
     status = _report_campaign(run_campaign_jobs(
         _campaign_spec(args),
         args.dir,
@@ -1136,18 +1136,18 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         stop_after_cells=args.stop_after,
         trace=trace,
     ))
-    _write_campaign_trace(trace, args)
+    _write_trace(trace, args, "campaign")
     return status
 
 
 def _cmd_campaign_resume(args: argparse.Namespace) -> int:
     from .campaign import resume_campaign
 
-    trace = _campaign_trace(args)
+    trace = _trace_collector(args)
     status = _report_campaign(
         resume_campaign(args.dir, jobs=args.jobs, trace=trace)
     )
-    _write_campaign_trace(trace, args)
+    _write_trace(trace, args, "campaign")
     return status
 
 

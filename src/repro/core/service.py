@@ -202,7 +202,8 @@ def _operation(name: str, opened, closed=None):
 
 def _failure(name: str, what: str, count=lambda failed: failed):
     """:func:`_operation` for the four ways to fail something: tagged
-    ``what`` with (``count`` of) the first argument, then the impact."""
+    ``what`` with (``count`` of) the first argument, then the impact
+    and each affected connection's activation outcome."""
     return _operation(
         name,
         lambda failed, reconfigure=True: {what: count(failed)},
@@ -210,6 +211,15 @@ def _failure(name: str, what: str, count=lambda failed: failed):
             affected=impact.affected,
             activated=impact.activated,
             lost=impact.failed,
+            outcomes=[
+                dict(
+                    connection=outcome.connection_id,
+                    success=outcome.success,
+                    reason=outcome.reason,
+                    backup_index=outcome.backup_index,
+                )
+                for outcome in impact.outcomes
+            ],
         ),
     )
 
@@ -348,6 +358,10 @@ class DRTPService:
             accepted=decision.accepted,
             reason=decision.reason,
             degraded=decision.degraded,
+            **(dict(
+                primary_hops=decision.connection.primary_route.hop_count,
+                backups=decision.connection.backup_count,
+            ) if decision.accepted else {}),
         ),
     )
     def admit(self, req: ConnectionRequest) -> AdmissionDecision:
@@ -645,7 +659,9 @@ class DRTPService:
 
     @_operation(
         "repair",
-        lambda link_ids: dict(links=len(link_ids)),
+        lambda link_ids: dict(
+            links=len(link_ids), link_ids=sorted(link_ids)
+        ),
         lambda repaired: dict(links_repaired=repaired),
     )
     def _repair(self, link_ids: Collection[int]) -> int:

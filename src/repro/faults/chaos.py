@@ -19,21 +19,28 @@ Determinism: workload and faults derive from independent streams of
 one master seed, so ``run_campaign(plan, config)`` twice yields
 ``ChaosReport.to_dict()``-identical results — asserted by the smoke
 test and by ``repro chaos --verify``.
+
+Tracing: the runner takes no collector.  Run under an open span (``repro
+chaos --trace-dir`` opens a ``chaos.campaign`` root), every engine
+action runs in a ``chaos.arrive`` / ``depart`` / ``retry`` / ``fault``
+/ ``settle`` child tagged with the simulated ``time``, and the service
+spans it causes nest under that child; with no span open it runs
+untraced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..analysis.chaos_report import ChaosReport
 from ..core.multiplexing import GroupAwareSparePolicy
 from ..core.service import DRTPService
+from ..observability import UNTRACED, current_span
 from ..simulation.arrivals import HoldingTimeDistribution
 from ..simulation.engine import Engine
 from ..simulation.rng import derive_seed
 from ..simulation.scenario import generate_scenario
-from ..simulation.tracing import Tracer, TracingService
 from ..topology.mesh import mesh_network
 from ..topology.srlg import mesh_conduit_groups
 from .injector import (
@@ -98,11 +105,20 @@ class CampaignConfig:
             )
 
 
+def _step(name: str, now: float, **tags: Any):
+    """The span one engine action runs in: ``chaos.<name>`` at
+    simulated time ``now``, a child of the open span — or
+    :data:`~repro.observability.UNTRACED` when none is open."""
+    parent = current_span()
+    if parent is None:
+        return UNTRACED
+    return parent.child("chaos." + name, "chaos", time=now, **tags)
+
+
 def run_campaign(
     plan: FaultPlan,
     config: Optional[CampaignConfig] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    tracer: Optional[Tracer] = None,
 ) -> ChaosReport:
     """Replay one seeded workload under one fault plan; return the
     measured :class:`~repro.analysis.chaos_report.ChaosReport`."""
@@ -130,7 +146,7 @@ def run_campaign(
 
     from ..experiments import make_scheme
 
-    bare = DRTPService(
+    service = DRTPService(
         network,
         make_scheme(config.scheme),
         spare_policy=spare_policy,
@@ -138,7 +154,6 @@ def run_campaign(
         retry_policy=retry_policy,
         risk_groups=risk_groups,
     )
-    service = TracingService(bare, tracer) if tracer is not None else bare
 
     report = ChaosReport(
         plan_name=plan.name,
@@ -191,12 +206,12 @@ def run_campaign(
 
         def attempt() -> None:
             now = engine.now
-            if tracer is not None:
-                service.at(now)
             if not service.has_connection(connection_id):
                 resolve(connection_id, _DEPARTED, now)
                 return
-            if service.reestablish_backup(connection_id):
+            with _step("retry", now):
+                restored = service.reestablish_backup(connection_id)
+            if restored:
                 resolve(connection_id, _REPROTECTED, now)
                 return
             if now + interval <= config.duration:
@@ -208,9 +223,8 @@ def run_campaign(
     def arrive(request):
         def action() -> None:
             now = engine.now
-            if tracer is not None:
-                service.at(now)
-            decision = service.admit(request)
+            with _step("arrive", now):
+                decision = service.admit(request)
             if decision.accepted:
                 engine.schedule(request.departure_time, depart(request))
                 if decision.degraded:
@@ -222,10 +236,9 @@ def run_campaign(
     def depart(request):
         def action() -> None:
             now = engine.now
-            if tracer is not None:
-                service.at(now)
             if service.has_connection(request.request_id):
-                service.release(request.request_id)
+                with _step("depart", now):
+                    service.release(request.request_id)
             resolve(request.request_id, _DEPARTED, now)
 
         return action
@@ -237,32 +250,30 @@ def run_campaign(
     def apply_fault(fault):
         def action() -> None:
             now = engine.now
-            if tracer is not None:
-                service.at(now)
-                service.record_fault(fault.kind, links=list(fault.links))
-            if fault.kind in (FLAP_DOWN, BURST_DOWN):
-                for link_id in fault.links:
-                    if not service.state.is_link_failed(link_id):
-                        service.fail_link(link_id, reconfigure=True)
-            elif fault.kind == REGIONAL_DOWN:
-                # The whole region dies at once: one activation round
-                # over the surviving spare (simultaneous semantics),
-                # not a per-link cascade.
-                fresh = [
-                    link_id
-                    for link_id in fault.links
-                    if not service.state.is_link_failed(link_id)
-                ]
-                if fresh:
-                    service.fail_link_set(fresh, reconfigure=True)
-            elif fault.kind in (FLAP_UP, BURST_UP, REGIONAL_UP):
-                for link_id in fault.links:
-                    if service.state.is_link_failed(link_id):
-                        service.repair_link(link_id)
-            elif fault.kind == STALENESS:
-                service.database.inject_staleness()
-            elif fault.kind == REFRESH:
-                service.database.refresh()
+            with _step("fault", now, fault=fault.kind, links=fault.links):
+                if fault.kind in (FLAP_DOWN, BURST_DOWN):
+                    for link_id in fault.links:
+                        if not service.state.is_link_failed(link_id):
+                            service.fail_link(link_id, reconfigure=True)
+                elif fault.kind == REGIONAL_DOWN:
+                    # The whole region dies at once: one activation round
+                    # over the surviving spare (simultaneous semantics),
+                    # not a per-link cascade.
+                    fresh = [
+                        link_id
+                        for link_id in fault.links
+                        if not service.state.is_link_failed(link_id)
+                    ]
+                    if fresh:
+                        service.fail_link_set(fresh, reconfigure=True)
+                elif fault.kind in (FLAP_UP, BURST_UP, REGIONAL_UP):
+                    for link_id in fault.links:
+                        if service.state.is_link_failed(link_id):
+                            service.repair_link(link_id)
+                elif fault.kind == STALENESS:
+                    service.database.inject_staleness()
+                elif fault.kind == REFRESH:
+                    service.database.refresh()
             report.faults_injected[fault.kind] = (
                 report.faults_injected.get(fault.kind, 0) + 1
             )
@@ -304,23 +315,22 @@ def run_campaign(
     # -- settle: adversity over, drain the re-protection queue ------------
     sweep_waiting(config.duration)
     if config.settle and waiting_since:
-        if tracer is not None:
-            service.at(config.duration)
-        for link_id in sorted(service.state.failed_links()):
-            service.repair_link(link_id)
-        service.database.refresh()
-        progress = True
-        while progress and waiting_since:
-            progress = False
-            for connection_id in sorted(waiting_since):
-                if not service.has_connection(connection_id):
-                    resolve(connection_id, _DEPARTED, config.duration)
-                    progress = True
-                elif service.reestablish_backup(connection_id):
-                    resolve(connection_id, _REPROTECTED, config.duration)
-                    progress = True
-        service.check_invariants()
-        report.invariant_checks += 1
+        with _step("settle", config.duration):
+            for link_id in sorted(service.state.failed_links()):
+                service.repair_link(link_id)
+            service.database.refresh()
+            progress = True
+            while progress and waiting_since:
+                progress = False
+                for connection_id in sorted(waiting_since):
+                    if not service.has_connection(connection_id):
+                        resolve(connection_id, _DEPARTED, config.duration)
+                        progress = True
+                    elif service.reestablish_backup(connection_id):
+                        resolve(connection_id, _REPROTECTED, config.duration)
+                        progress = True
+            service.check_invariants()
+            report.invariant_checks += 1
 
     # -- fill the report --------------------------------------------------
     report.absorb_counters(service.counters.to_dict())

@@ -15,7 +15,8 @@ and failure-recovery into an inspectable timeline:
 * :mod:`repro.observability.export` — Chrome ``trace_event`` JSON
   (loadable in ``chrome://tracing`` / Perfetto) and a structured
   NDJSON stream, plus :func:`validate_chrome_trace`, the schema check
-  run before anything is written.
+  run before anything is written, and :func:`write_trace_dir`, which
+  writes both for one collector.
 
 One binding: a collector is handed to a
 :class:`~repro.core.service.DRTPService`, a
@@ -37,6 +38,7 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
     write_ndjson,
+    write_trace_dir,
 )
 
 __all__ = [
@@ -51,4 +53,5 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_ndjson",
+    "write_trace_dir",
 ]

@@ -13,6 +13,9 @@ Two formats, two audiences:
   header) for programmatic analysis: ``jq``, pandas, or the
   walkthroughs in ``docs/tracing.md``.
 
+:func:`write_trace_dir` writes both for one collector, side by side
+(what ``serve``, ``campaign`` and ``chaos`` do with ``--trace-dir``).
+
 :func:`validate_chrome_trace` is the schema check both the test
 suite's golden fixture and ``repro trace`` run before anything touches
 disk: it enforces the ``trace_event`` invariants Perfetto relies on
@@ -35,6 +38,7 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_ndjson",
+    "write_trace_dir",
     "read_ndjson",
 ]
 
@@ -230,6 +234,24 @@ def write_ndjson(
         lines.append(json.dumps(record, sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
     return len(spans)
+
+
+def write_trace_dir(
+    directory: Union[str, Path],
+    collector: TraceCollector,
+    stem: str,
+) -> Tuple[Path, Path]:
+    """Write ``collector`` into ``directory`` (created if missing) as
+    ``<stem>_trace.json`` (Chrome) and ``<stem>_trace.ndjson``, both
+    labelled ``drtp-<stem>``; returns the two paths."""
+    target = Path(directory)
+    target.mkdir(parents=True, exist_ok=True)
+    chrome = target / "{}_trace.json".format(stem)
+    ndjson = target / "{}_trace.ndjson".format(stem)
+    label = "drtp-" + stem
+    write_chrome_trace(chrome, collector, label=label)
+    write_ndjson(ndjson, collector, label=label)
+    return chrome, ndjson
 
 
 def read_ndjson(

@@ -4,8 +4,8 @@ A :class:`Span` measures one operation — an admission, a route search,
 a signaling walk — with a monotonic start/duration, free-form tags and
 a link to its parent span.  A :class:`TraceCollector` accumulates
 finished spans in a bounded ring buffer (oldest spans are evicted and
-counted in :attr:`TraceCollector.dropped`, the same discipline as
-:class:`~repro.simulation.tracing.Tracer`).
+counted in :attr:`TraceCollector.dropped`); it is the package's only
+trace.
 
 Parent tracking rides on :mod:`contextvars`, so nesting is automatic
 *and* concurrency-safe: every asyncio task carries its own span stack,

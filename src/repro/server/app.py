@@ -46,12 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..metrics import ServiceMetrics
-from ..observability import (
-    UNTRACED,
-    TraceCollector,
-    write_chrome_trace,
-    write_ndjson,
-)
+from ..observability import UNTRACED, TraceCollector, write_trace_dir
 from . import ops, protocol
 from .protocol import ProtocolError, Request
 
@@ -305,7 +300,7 @@ class ControlPlaneServer:
             except OSError:
                 pass
         if self.trace_dir is not None:
-            self.write_trace(self.trace_dir)
+            write_trace_dir(self.trace_dir, self.trace, "server")
         if self.manifest_path is not None:
             self.write_manifest(self.manifest_path)
         self._finished.set()
@@ -330,20 +325,6 @@ class ControlPlaneServer:
             ),
             "metrics": self.metrics.registry.snapshot(),
         }
-
-    def write_trace(self, directory: str) -> Dict[str, str]:
-        """Export the collected spans into ``directory`` as both a
-        Perfetto-loadable Chrome trace and an NDJSON stream; returns
-        the paths written (empty when no collector is bound)."""
-        if self.trace is None:
-            return {}
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        chrome = target / "server_trace.json"
-        ndjson = target / "server_trace.ndjson"
-        write_chrome_trace(chrome, self.trace, label="drtp-server")
-        write_ndjson(ndjson, self.trace, label="drtp-server")
-        return {"chrome": str(chrome), "ndjson": str(ndjson)}
 
     def write_manifest(self, path: str) -> None:
         """Atomic write so a reader never sees a torn manifest."""

@@ -14,7 +14,6 @@ from .workload import (
 from .scenario import LinkEvent, Scenario, generate_scenario
 from .snapshots import snapshot_times
 from .simulator import Observer, ScenarioSimulator, SimulationResult
-from .tracing import TraceEvent, Tracer, TracingService
 
 __all__ = [
     "Engine",
@@ -36,7 +35,4 @@ __all__ = [
     "Observer",
     "ScenarioSimulator",
     "SimulationResult",
-    "Tracer",
-    "TraceEvent",
-    "TracingService",
 ]

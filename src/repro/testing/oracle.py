@@ -1,9 +1,8 @@
 """Differential-testing oracle for the fast-path routing engine.
 
 :class:`DifferentialOracle` wraps a :class:`~repro.core.service.DRTPService`
-the way :class:`~repro.simulation.tracing.TracingService` does — same
-lifecycle surface, attribute pass-through for everything else — but
-mirrors every operation into a shadow service built by
+— same lifecycle surface, attribute pass-through for everything
+else — and mirrors every operation into a shadow service built by
 :func:`make_reference_service`: the scheme's reference planner, naive
 searches, rebuild-per-read database, independent ledgers.  After each operation the oracle asserts the two worlds are
 **bit-identical**:

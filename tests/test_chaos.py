@@ -24,7 +24,11 @@ from repro.faults import (
     RetryPolicy,
     run_campaign,
 )
-from repro.simulation import Tracer
+from repro.observability import (
+    TraceCollector,
+    read_ndjson,
+    validate_chrome_trace,
+)
 
 PLAN = FaultPlan.everything(intensity=5.0)
 CONFIG = CampaignConfig(rows=6, cols=6, duration=150.0, arrival_rate=1.5,
@@ -170,13 +174,32 @@ class TestConduitCampaign:
 
 
 class TestTracingAndCli:
-    def test_tracer_records_faults_and_recoveries(self):
-        tracer = Tracer()
-        run_campaign(PLAN, CONFIG, retry_policy=POLICY, tracer=tracer)
-        counts = tracer.counts()
-        assert counts.get("fault-injected", 0) > 0
-        assert counts.get("degraded-admit", 0) > 0
-        assert counts.get("backup-reestablished", 0) > 0
+    def test_tracer_records_faults_and_recoveries(self, report):
+        """Under an open span the campaign records its faults, degraded
+        admissions and re-protections, each engine action stamped with
+        its simulated time — and the traced report is the untraced
+        one."""
+        collector = TraceCollector()
+        with collector.span("chaos.campaign", "chaos") as root:
+            traced = run_campaign(PLAN, CONFIG, retry_policy=POLICY)
+        assert traced.to_dict() == report.to_dict()
+        by_id = {span.span_id: span for span in collector}
+        faults = collector.spans("chaos.fault")
+        assert faults
+        assert all(span.parent_id == root.span_id for span in faults)
+        assert any(
+            span.tags["degraded"] for span in collector.spans("service.admit")
+        )
+        restored = [
+            span for span in collector.spans("service.reestablish")
+            if span.tags["restored"]
+        ]
+        assert restored
+        for span in collector.spans():
+            if span.name.startswith("service."):
+                parent = by_id[span.parent_id]
+                assert parent.name.startswith("chaos."), span
+                assert "time" in parent.tags, parent
 
     def test_cli_chaos_writes_report(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
@@ -191,14 +214,26 @@ class TestTracingAndCli:
                 "--seed", "9",
                 "--report", str(out),
                 "--log", str(log),
+                "--verify",
+                "--trace-dir", str(tmp_path / "trace"),
             ]
         )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["seed"] == 9
         assert "degraded" in payload
-        assert "fault plan" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "fault plan" in printed
+        assert "reproducible" in printed
         assert "fault plan" in log.read_text()
+        meta, spans = read_ndjson(tmp_path / "trace" / "chaos_trace.ndjson")
+        assert meta["dropped"] == 0
+        (root,) = [span for span in spans if span["parent_id"] is None]
+        assert root["name"] == "chaos.campaign"
+        assert root["tags"]["seed"] == 9
+        validate_chrome_trace(json.loads(
+            (tmp_path / "trace" / "chaos_trace.json").read_text()
+        ))
 
     def test_cli_chaos_srlg_conduits(self, tmp_path, capsys):
         plan_path = tmp_path / "cut.json"

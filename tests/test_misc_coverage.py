@@ -1,5 +1,5 @@
 """Coverage for small helpers not exercised elsewhere: figure
-formatters, chart helpers, CLI campaign pass-through, tracing edges."""
+formatters, chart helpers, CLI campaign pass-through."""
 
 import pytest
 
@@ -97,22 +97,6 @@ class TestCliCampaign:
         code = cli.main(["replay", str(top), str(scen),
                          "--scheme", "no-backup", "--num-backups", "2"])
         assert code == 2
-
-
-class TestTracerEdges:
-    def test_empty_tracer_jsonl(self, tmp_path):
-        from repro.simulation import Tracer
-
-        tracer = Tracer()
-        path = tmp_path / "empty.jsonl"
-        tracer.write_jsonl(path)
-        assert Tracer.read_jsonl(path) == []
-
-    def test_event_json_sorted_keys(self):
-        from repro.simulation.tracing import TraceEvent
-
-        event = TraceEvent(time=1.0, kind="k", details={"b": 2, "a": 1})
-        assert event.to_json() == '{"a": 1, "b": 2, "kind": "k", "time": 1.0}'
 
 
 class TestEngineRunUntilExactBoundary:

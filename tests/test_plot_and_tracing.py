@@ -5,15 +5,7 @@ import pytest
 from repro.analysis import ascii_chart
 from repro.core import DRTPService
 from repro.routing import DLSRScheme
-from repro.simulation import Tracer, TracingService
-from repro.simulation.tracing import (
-    ADMITTED,
-    LINK_FAILED,
-    RECOVERY,
-    REJECTED,
-    RELEASED,
-    TraceEvent,
-)
+from repro.observability import TraceCollector
 from repro.topology import line_network, mesh_network
 
 
@@ -61,96 +53,52 @@ class TestAsciiChart:
         assert "legend:" in chart
 
 
-class TestTracer:
-    def test_record_and_query(self):
-        tracer = Tracer()
-        tracer.record(1.0, "a", x=1)
-        tracer.record(2.0, "b", y=2)
-        assert len(tracer) == 2
-        assert tracer.events("a")[0].details == {"x": 1}
-        assert tracer.counts() == {"a": 1, "b": 1}
-
-    def test_kind_filter(self):
-        tracer = Tracer(kinds=["keep"])
-        tracer.record(0.0, "keep")
-        tracer.record(0.0, "drop")
-        assert tracer.counts() == {"keep": 1}
-
-    def test_ring_buffer_evicts_oldest_and_counts_drops(self):
-        tracer = Tracer(max_events=3)
-        for step in range(5):
-            tracer.record(float(step), "tick", n=step)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [event.details["n"] for event in tracer] == [2, 3, 4]
-        # Filtered-out kinds never enter the ring, so never evict.
-        filtered = Tracer(kinds=["keep"], max_events=2)
-        for step in range(4):
-            filtered.record(float(step), "drop")
-        assert len(filtered) == 0 and filtered.dropped == 0
-
-    def test_unbounded_tracer_never_drops(self):
-        tracer = Tracer()
-        for step in range(100):
-            tracer.record(float(step), "tick")
-        assert len(tracer) == 100
-        assert tracer.dropped == 0
-
-    def test_max_events_validated(self):
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer()
-        tracer.record(1.5, "admitted", connection=7)
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        events = Tracer.read_jsonl(path)
-        assert events == [
-            TraceEvent(time=1.5, kind="admitted", details={"connection": 7})
-        ]
-
-
 class TestTracingService:
+    """A service's operations, as its span forest records them."""
+
     @pytest.fixture
     def traced(self):
-        service = DRTPService(mesh_network(3, 3, 10.0), DLSRScheme())
-        tracer = Tracer()
-        return TracingService(service, tracer), tracer
+        collector = TraceCollector()
+        service = DRTPService(
+            mesh_network(3, 3, 10.0), DLSRScheme(), trace=collector
+        )
+        return service, collector
 
     def test_admission_traced(self, traced):
-        service, tracer = traced
-        service.at(10.0)
-        decision = service.admit(_request(0, 0, 8))
+        service, collector = traced
+        with collector.span("step", time=10.0) as step:
+            decision = service.admit(_request(0, 0, 8))
         assert decision.accepted
-        event = tracer.events(ADMITTED)[0]
-        assert event.time == 10.0
-        assert event.details["source"] == 0
-        assert event.details["backups"] == 1
+        (span,) = collector.spans("service.admit")
+        assert span.parent_id == step.span_id
+        assert step.tags["time"] == 10.0
+        assert span.tags["source"] == 0
+        assert span.tags["backups"] == 1
 
     def test_rejection_traced(self):
-        service = DRTPService(line_network(3, 1.0), DLSRScheme())
-        traced = TracingService(service, Tracer())
-        traced.admit(_request(0, 0, 2))   # takes the only path (no backup)
-        assert traced.tracer.events(REJECTED)
+        collector = TraceCollector()
+        service = DRTPService(
+            line_network(3, 1.0), DLSRScheme(), trace=collector
+        )
+        service.admit(_request(0, 0, 2))   # takes the only path (no backup)
+        assert [
+            span.tags["accepted"] for span in collector.spans("service.admit")
+        ] == [False]
         # (line network: no distinct backup route exists at all)
 
     def test_release_and_failure_traced(self, traced):
-        service, tracer = traced
+        service, collector = traced
         decision = service.admit(_request(0, 0, 8))
-        service.at(20.0).fail_link(
-            decision.connection.primary_route.link_ids[0]
-        )
-        assert tracer.events(LINK_FAILED)[0].details["activated"] == 1
-        recovery = tracer.events(RECOVERY)[0]
-        assert recovery.details["success"] is True
-        service.at(30.0).release(decision.connection.connection_id)
-        assert tracer.events(RELEASED)[0].time == 30.0
-
-    def test_pass_through(self, traced):
-        service, _ = traced
-        assert service.active_connection_count == 0
-        assert service.network.num_nodes == 9
+        service.fail_link(decision.connection.primary_route.link_ids[0])
+        (failure,) = collector.spans("service.fail_link")
+        assert failure.tags["activated"] == 1
+        (outcome,) = failure.tags["outcomes"]
+        assert outcome["success"] is True
+        with collector.span("step", time=30.0) as step:
+            service.release(decision.connection.connection_id)
+        (release,) = collector.spans("service.release")
+        assert release.parent_id == step.span_id
+        assert release.tags["connection"] == decision.connection.connection_id
 
 
 def _request(request_id, source, destination, bw=1.0):

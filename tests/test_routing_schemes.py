@@ -348,13 +348,16 @@ class TestOneEngine:
         ] == ["observe_admission", "observe_recovery"]
 
     def test_one_binding_for_tracing(self):
-        """One binding: the open span carries the collector.  A
-        collector is a parameter of the four things that may start a
-        trace and of nothing else; below ``DRTPService`` no layer
-        holds one (``DRTPService.trace`` is the only such attribute),
-        nothing rebinds one after construction, and no service
-        operation exists twice — once to open a span, once to work."""
+        """One binding, one trace: the open span carries the collector.
+        A collector (or a tracer) is a parameter of the four things
+        that may start a trace and of nothing else; below
+        ``DRTPService`` no layer holds one (``DRTPService.trace`` is
+        the only such attribute), nothing rebinds one after
+        construction or sets a service's clock (``.at(``), no service
+        operation exists twice — once to open a span, once to work —
+        and the second tracing system is gone."""
         root = Path(repro.__file__).parent
+        assert not (root / "simulation" / "tracing.py").exists()
         takers, holders = [], []
         for path in sorted(root.rglob("*.py")):
             name = path.relative_to(root)
@@ -363,10 +366,11 @@ class TestOneEngine:
             text = path.read_text()
             assert "bind_trace" not in text, name
             assert "plan_instrumented" not in text, name
+            assert ".at(" not in text, name
             tree = ast.parse(text)
             for node in ast.walk(tree):
                 if isinstance(node, ast.FunctionDef) and {
-                    "trace", "_trace"
+                    "trace", "_trace", "tracer"
                 } & {
                     arg.arg for arg in (
                         node.args.posonlyargs + node.args.args
