@@ -26,7 +26,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..network.database import LinkStateDatabase
-from ..network.state import NetworkState
+from ..network.state import BW_EPSILON, NetworkState
 from ..observability.spans import spanned
 from ..routing.base import RouteQuery, RoutingContext, RoutingScheme
 from ..routing.base import plan_route
@@ -756,13 +756,25 @@ class DRTPService:
     def check_invariants(self) -> None:
         """Cross-check ledgers against the live connection table, the
         table's incidence index against a rebuild from it, and the
-        routing kernel's link tables (once built) against the ledgers."""
+        routing kernel's link tables (once built) against the ledgers.
+
+        Per link, against the connection table: ``prime_bw`` is the
+        sum of ``bw_req`` over the active primaries crossing it; every
+        live backup channel is registered there and every registration
+        belongs to one (no leaked registration); and ``spare_bw`` is
+        Section 5's sizing rule as :meth:`SparePolicy.resize` applies
+        it, ``min(target, max(0, capacity - prime_bw))``."""
         self.state.check_invariants()
         self._connections.check()
         arrays = getattr(self.database, "_kernel_arrays", None)
         if arrays is not None:
             arrays.check()
+        prime_bw = [0.0] * self.network.num_links
+        crossings = [0] * self.network.num_links
         for conn in self._connections.values():
+            if conn.is_active:
+                for link_id in conn.primary_route.link_ids:
+                    prime_bw[link_id] += conn.bw_req
             for channel in conn.all_backups:
                 key = channel.registration_key(conn.connection_id)
                 for link_id in channel.route.link_ids:
@@ -771,3 +783,34 @@ class DRTPService:
                             "connection {} backup missing from link {} "
                             "registry".format(conn.connection_id, link_id)
                         )
+                    crossings[link_id] += 1
+        for ledger in self.state.ledgers():
+            link_id = ledger.link_id
+            if abs(ledger.prime_bw - prime_bw[link_id]) > BW_EPSILON:
+                raise ConnectionStateError(
+                    "link {} holds prime_bw {} but its active primaries "
+                    "reserve {}".format(
+                        link_id, ledger.prime_bw, prime_bw[link_id]
+                    )
+                )
+            # Every crossing is registered (above), so a surplus
+            # registration belongs to no live channel.
+            if ledger.backup_count != crossings[link_id]:
+                raise ConnectionStateError(
+                    "link {} registers {} backups but live backup channels "
+                    "cross it {} times".format(
+                        link_id, ledger.backup_count, crossings[link_id]
+                    )
+                )
+            sized = min(
+                self.spare_policy.target(ledger),
+                max(0.0, ledger.capacity - ledger.prime_bw),
+            )
+            if abs(ledger.spare_bw - sized) > BW_EPSILON:
+                raise ConnectionStateError(
+                    "link {} holds spare_bw {} but its {} policy sizes "
+                    "it to {}".format(
+                        link_id, ledger.spare_bw, self.spare_policy.name,
+                        sized,
+                    )
+                )

@@ -16,9 +16,13 @@ This package keeps them honest:
   ledgers' public mutators (fault-injected walk included) that the
   fused walks of :mod:`repro.kernels.apply` replaced;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
-  wrapper that replays every operation into a naive shadow service
-  (:func:`make_reference_service`) and asserts bit-identical
-  decisions, routes and state fingerprints.
+  wrapper that replays every operation — link, node, risk-group and
+  link-set failures and repairs included — into a naive shadow service
+  (:func:`make_reference_service`, same risk groups) and asserts
+  bit-identical decisions, routes and state fingerprints; a mutator
+  it does not mirror is refused.  ``repro replay --oracle`` runs a
+  scenario under it, and the service state machine of
+  ``tests/test_service_machine.py`` uses it as its model.
 """
 
 from .flooding import CDP, PendingEntry, ReferenceFloodingScheme
@@ -32,7 +36,10 @@ from .link_state import (
 from .oracle import (
     DifferentialOracle,
     OracleDivergence,
+    decision_key,
+    impact_key,
     make_reference_service,
+    route_key,
 )
 from .reference import (
     ReferenceDatabase,
@@ -49,12 +56,15 @@ __all__ = [
     "ReferenceDatabase",
     "ReferenceFloodingScheme",
     "ReferenceLinkStateScheme",
+    "decision_key",
     "disjoint_backup_cost",
     "dlsr_backup_cost",
+    "impact_key",
     "make_reference_service",
     "naive_bounded_shortest_path",
     "naive_shortest_path",
     "plsr_backup_cost",
     "primary_link_cost",
     "rebuilt_aplv",
+    "route_key",
 ]

@@ -9,7 +9,8 @@ searches, rebuild-per-read database, independent ledgers.  After each operation 
 
 * the admission decision (accepted/reason/degraded) and every route in
   the plan, link id for link id;
-* the failure-impact outcomes of ``fail_link``/``fail_node``;
+* the failure-impact outcomes of ``fail_link`` / ``fail_node`` /
+  ``fail_group`` / ``fail_link_set``;
 * the full network-state fingerprint (every ledger's reservations,
   spare pool, backup registry and APLV, plus link health);
 * the incrementally-maintained APLV of every ledger against a
@@ -19,9 +20,16 @@ searches, rebuild-per-read database, independent ledgers.  After each operation 
 
 Any mismatch raises :class:`OracleDivergence` naming the operation and
 the first differing component.  Zero divergences over a long random
-operation stream is the acceptance bar for the fast path; the
-simulator grows a ``--oracle`` flag that runs whole scenario replays
-under this wrapper.
+operation stream is the acceptance bar for the fast path;
+``repro replay --oracle`` runs whole scenario replays under this
+wrapper, and ``tests/test_service_machine.py`` drives it as the system
+under test of a hypothesis state machine.
+
+Every state-changing :class:`~repro.core.service.DRTPService` method is
+either mirrored here or refused: the attribute pass-through raises for
+a mutator it does not mirror (:data:`UNMIRRORED_MUTATORS`) rather than
+change the fast world alone and let the next mirrored operation take
+the blame for the divergence.
 
 The oracle refuses services with a fault injector attached: injected
 faults draw from a shared RNG, so fast and shadow services would see
@@ -48,16 +56,24 @@ class OracleDivergence(AssertionError):
     """The fast path and the naive reference disagreed."""
 
 
+#: ``DRTPService`` mutators the oracle does not mirror; the pass-through
+#: refuses them by name.
+UNMIRRORED_MUTATORS = frozenset(
+    {"install_risk_groups", "queue_backup_reestablishment"}
+)
+
+
 def make_reference_service(service: DRTPService) -> DRTPService:
     """A shadow :class:`DRTPService` computing ground truth.
 
     The shadow shares nothing mutable with ``service``: it owns a
     fresh :class:`~repro.network.state.NetworkState` over the same
-    (immutable) topology, a :class:`ReferenceDatabase`, a copy of the
-    spare policy, and the *reference* planner of the routing scheme —
-    the closure planner of :mod:`repro.testing.link_state` for the
-    link-state schemes and, its primary half alone, for the
-    primary-only baselines; the object flood of
+    (immutable) topology and risk groups, a :class:`ReferenceDatabase`,
+    a copy of the spare policy, and the *reference* planner of the
+    routing scheme — the closure planner of
+    :mod:`repro.testing.link_state` for the link-state schemes and, its
+    primary half alone, for the primary-only baselines; the object
+    flood of
     :mod:`repro.testing.flooding` for bounded flooding; a plain copy
     only for the random baseline, whose decisions are its generator's.
     Replaying the same operations through both must produce
@@ -83,19 +99,35 @@ def make_reference_service(service: DRTPService) -> DRTPService:
         require_backup=service._admission._require_backup,
         live_database=True,
         qos_slack=service.qos_slack,
+        risk_groups=service.risk_groups,
     )
     shadow.database = ReferenceDatabase(shadow.state)
     scheme.bind(RoutingContext(service.network, shadow.state, shadow.database))
     return shadow
 
 
-def _route_key(route) -> Optional[tuple]:
+def route_key(route) -> Optional[tuple]:
+    """A route as comparable data: its nodes and link ids."""
     if route is None:
         return None
     return (route.nodes, route.link_ids)
 
 
-def _impact_key(impact) -> tuple:
+def decision_key(decision) -> tuple:
+    """An admission decision as comparable data: the verdict and
+    every planned route."""
+    return (
+        decision.accepted,
+        decision.reason,
+        decision.degraded,
+        route_key(decision.plan.primary),
+        tuple(route_key(r) for r in decision.plan.all_backups),
+    )
+
+
+def impact_key(impact) -> tuple:
+    """A failure impact as comparable data: its label and every
+    victim's outcome, in order."""
     return (
         impact.link_id,
         tuple(
@@ -174,39 +206,44 @@ class DifferentialOracle:
         self._shadow.release(connection_id)
         self._compare_state("release")
 
-    def fail_link(self, link_id: int, reconfigure: bool = True):
-        impact = self._service.fail_link(link_id, reconfigure=reconfigure)
-        shadow_impact = self._shadow.fail_link(
-            link_id, reconfigure=reconfigure
+    def _fail(self, op: str, target, reconfigure: bool):
+        """Apply one failure (``op`` names the service method) to both
+        worlds; the impacts must agree victim for victim."""
+        impact = getattr(self._service, op)(target, reconfigure=reconfigure)
+        shadow_impact = getattr(self._shadow, op)(
+            target, reconfigure=reconfigure
         )
         self._expect(
-            "fail_link", "impact", _impact_key(impact),
-            _impact_key(shadow_impact),
+            op, "impact", impact_key(impact), impact_key(shadow_impact)
         )
-        self._compare_state("fail_link")
+        self._compare_state(op)
         return impact
+
+    def fail_link(self, link_id: int, reconfigure: bool = True):
+        return self._fail("fail_link", link_id, reconfigure)
 
     def fail_node(self, node: int, reconfigure: bool = True):
-        impact = self._service.fail_node(node, reconfigure=reconfigure)
-        shadow_impact = self._shadow.fail_node(
-            node, reconfigure=reconfigure
-        )
-        self._expect(
-            "fail_node", "impact", _impact_key(impact),
-            _impact_key(shadow_impact),
-        )
-        self._compare_state("fail_node")
-        return impact
+        return self._fail("fail_node", node, reconfigure)
+
+    def fail_group(self, group_id: int, reconfigure: bool = True):
+        return self._fail("fail_group", group_id, reconfigure)
+
+    def fail_link_set(self, link_ids, reconfigure: bool = True):
+        return self._fail("fail_link_set", tuple(link_ids), reconfigure)
+
+    def _repair(self, op: str, target) -> None:
+        getattr(self._service, op)(target)
+        getattr(self._shadow, op)(target)
+        self._compare_state(op)
 
     def repair_link(self, link_id: int) -> None:
-        self._service.repair_link(link_id)
-        self._shadow.repair_link(link_id)
-        self._compare_state("repair_link")
+        self._repair("repair_link", link_id)
 
     def repair_node(self, node: int) -> None:
-        self._service.repair_node(node)
-        self._shadow.repair_node(node)
-        self._compare_state("repair_node")
+        self._repair("repair_node", node)
+
+    def repair_group(self, group_id: int) -> None:
+        self._repair("repair_group", group_id)
 
     def reestablish_backup(self, connection_id: int) -> bool:
         restored = self._service.reestablish_backup(connection_id)
@@ -244,13 +281,13 @@ class DifferentialOracle:
                      shadow_decision.degraded)
         self._expect(
             op, "primary route",
-            _route_key(decision.plan.primary),
-            _route_key(shadow_decision.plan.primary),
+            route_key(decision.plan.primary),
+            route_key(shadow_decision.plan.primary),
         )
         self._expect(
             op, "backup routes",
-            tuple(_route_key(r) for r in decision.plan.all_backups),
-            tuple(_route_key(r) for r in shadow_decision.plan.all_backups),
+            tuple(route_key(r) for r in decision.plan.all_backups),
+            tuple(route_key(r) for r in shadow_decision.plan.all_backups),
         )
 
     def _compare_state(self, op: str) -> None:
@@ -304,4 +341,9 @@ class DifferentialOracle:
     # Pass-through
     # ------------------------------------------------------------------
     def __getattr__(self, name: str):
+        if name in UNMIRRORED_MUTATORS:
+            raise AttributeError(
+                "DifferentialOracle does not mirror {}(); calling it on the "
+                "fast service alone would diverge the shadow".format(name)
+            )
         return getattr(self._service, name)

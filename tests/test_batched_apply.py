@@ -33,31 +33,9 @@ from repro.routing import DLSRScheme
 from repro.testing import commit
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
+from .scripted import ScriptedInjector
+
 ROWS, COLS = 4, 4
-
-
-class ScriptedInjector:
-    """Deterministic injector (same shape as the one in
-    ``test_signaling_unwind``): per-hop events and per-attempt crashes
-    come from scripts instead of random draws."""
-
-    def __init__(self, hop_events=(), crash_script=()):
-        self._hop_events = list(hop_events)
-        self._crash_script = list(crash_script)
-        self.retry_rng = random.Random(0)
-
-    def sample_hop(self):
-        if self._hop_events:
-            return self._hop_events.pop(0)
-        return (None, 0.0)
-
-    def crash_hop(self, hops):
-        if self._crash_script:
-            crash_at = self._crash_script.pop(0)
-            if crash_at is not None and crash_at >= hops:
-                raise AssertionError("crash scripted past route end")
-            return crash_at
-        return None
 
 
 #: The two spellings of the commit, behind one shape.

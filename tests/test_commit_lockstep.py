@@ -45,6 +45,8 @@ from repro.network import NetworkState, ResourceError
 from repro.testing import commit
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
+from .scripted import ScriptedInjector
+
 ROWS = COLS = 4
 NET = mesh_network(ROWS, COLS, 2.0)
 #: The same mesh with links no 30-step script can fill.
@@ -79,25 +81,6 @@ def _route_pool(count, rng):
 
 
 ROUTES = _route_pool(48, random.Random(15))
-
-
-class ScriptedInjector:
-    """Per-hop verdicts and per-attempt crash points from scripts;
-    clean once they run out."""
-
-    def __init__(self, hop_events=(), crash_script=()):
-        self._hop_events = list(hop_events)
-        self._crash_script = list(crash_script)
-        self.retry_rng = random.Random(0)
-
-    def sample_hop(self):
-        if self._hop_events:
-            return self._hop_events.pop(0)
-        return (None, 0.0)
-
-    def crash_hop(self, hops):
-        crash_at = self._crash_script.pop(0) if self._crash_script else None
-        return crash_at if crash_at is not None and crash_at < hops else None
 
 
 def scripted(kind, hop):

@@ -110,7 +110,10 @@ class TestViews:
         with pytest.raises(ResourceError):
             service.check_invariants()
         # A row awaiting its flush is allowed to lag: dirty, not wrong.
+        # (Reserve and give back: the ledger itself must still agree
+        # with the connection table.)
         service.state.ledger(link_id).reserve_primary(1.0)
+        service.state.ledger(link_id).release_primary(1.0)
         service.check_invariants()
 
     def test_repair_link_restores_routing(self, service):

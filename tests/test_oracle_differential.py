@@ -4,138 +4,66 @@ The acceptance bar for the fast-path routing engine (incremental
 APLV/CV maintenance, dirty-set database refresh, array cost builds and
 searches): **zero divergences over ≥ 500 randomized operations per
 scheme** on the 8x8 mesh, with every operation diffed bit-for-bit
-against the rebuild-from-scratch shadow service.  The campaign totals
-are recorded to ``benchmarks/results/oracle_differential.json`` so CI
-keeps an auditable artifact of the run.
+against the rebuild-from-scratch shadow service.  Each campaign is a
+seeded walk over the rules of the service state machine
+(``tests/test_service_machine.py``), which records its totals to
+``benchmarks/results/oracle_differential.json`` so CI keeps an
+auditable artifact of the run.
 
 Marked ``oracle`` so CI can run just this suite (``pytest -m
 oracle``); the small smoke cases run with the default suite too.
 """
-
-import json
-import random
-from pathlib import Path
 
 import pytest
 
 from repro.core import DRTPService
 from repro.experiments import make_scheme
 from repro.faults import FaultInjector, FaultPlan
-from repro.routing import NoBackupScheme, ReactiveScheme
-from repro.testing import DifferentialOracle, OracleDivergence
-from repro.topology import mesh_network
-
-RESULTS_PATH = (
-    Path(__file__).parent.parent
-    / "benchmarks"
-    / "results"
-    / "oracle_differential.json"
+from repro.testing import (
+    DifferentialOracle,
+    OracleDivergence,
+    make_reference_service,
 )
+from repro.topology import mesh_conduit_groups, mesh_network
+
+from .test_service_machine import PRIMARY_ONLY, Config, walk
 
 SCHEMES = ("P-LSR", "D-LSR", "BF")
-
-#: The primary-only baselines, shadowed by the reference planner's
-#: primary half (they reserve no backup, so none may be required).
-BASELINES = {"no-backup": NoBackupScheme, "reactive": ReactiveScheme}
 
 #: Randomized operations per scheme (the acceptance bar is >= 500).
 CAMPAIGN_OPS = 520
 
 
-def run_campaign(
-    scheme_name, rows, cols, num_ops, seed, check_database, qos_slack=None
-):
-    """Drive ``num_ops`` randomized operations through an
-    oracle-wrapped service; returns the oracle for inspection.
-
-    The operation mix covers the whole mirrored surface: admissions,
-    releases, link failures with backup activation, repairs, and
-    snapshot refreshes.
-    """
-    net = mesh_network(rows, cols, capacity=12.0)
-    if scheme_name in BASELINES:
-        service = DRTPService(
-            net, BASELINES[scheme_name](), require_backup=False,
-            qos_slack=qos_slack,
-        )
-    else:
-        service = DRTPService(
-            net, make_scheme(scheme_name), qos_slack=qos_slack
-        )
-    oracle = DifferentialOracle(service, check_database=check_database)
-    rng = random.Random(seed)
-    live = []
-    failed = []
-    while oracle.operations < num_ops:
-        roll = rng.random()
-        if roll < 0.55 or not live:
-            src, dst = rng.sample(range(net.num_nodes), 2)
-            decision = oracle.request(src, dst, 1.0)
-            if decision.accepted:
-                live.append(decision.connection.connection_id)
-        elif roll < 0.80:
-            oracle.release(live.pop(rng.randrange(len(live))))
-        elif roll < 0.90 and len(failed) < 3:
-            link_id = rng.randrange(net.num_links)
-            if not service.state.is_link_failed(link_id):
-                oracle.fail_link(link_id)
-                failed.append(link_id)
-                live = [c for c in live if service.has_connection(c)]
-        elif failed:
-            oracle.repair_link(failed.pop(rng.randrange(len(failed))))
-        else:
-            oracle.refresh_database()
-    return oracle
-
-
 @pytest.mark.oracle
 @pytest.mark.slow
 @pytest.mark.parametrize("scheme_name", SCHEMES)
-def test_oracle_campaign_8x8(scheme_name, tmp_path_factory):
+def test_oracle_campaign_8x8(scheme_name):
     """≥ 500 randomized operations per scheme on the 8x8 mesh, zero
-    divergences; totals recorded under benchmarks/results/."""
-    oracle = run_campaign(
-        scheme_name,
-        rows=8,
-        cols=8,
-        num_ops=CAMPAIGN_OPS,
-        seed=2026,
-        # The per-link database sweep is O(num_links) per op; on the
-        # 8x8 mesh (224 links) the fingerprint diff already covers
-        # every ledger, so sample the sweep via the smoke test below.
-        check_database=False,
+    divergences."""
+    machine = walk(
+        Config(scheme_name, rows=8, cols=8, capacity=12.0),
+        CAMPAIGN_OPS, seed=2026,
     )
-    assert oracle.operations >= 500
-    record = {
-        "scheme": scheme_name,
-        "mesh": "8x8",
-        "operations": oracle.operations,
-        "checks": oracle.checks,
-        "divergences": 0,
-    }
-    RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
-    existing = {}
-    if RESULTS_PATH.exists():
-        existing = json.loads(RESULTS_PATH.read_text())
-    existing[scheme_name] = record
-    RESULTS_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                            + "\n")
+    assert machine.driver.operations >= 500
 
 
 @pytest.mark.oracle
 @pytest.mark.slow
 @pytest.mark.parametrize("qos_slack", (None, 1))
-@pytest.mark.parametrize("scheme_name", sorted(BASELINES))
+@pytest.mark.parametrize("scheme_name", sorted(PRIMARY_ONLY))
 def test_oracle_campaign_baselines(scheme_name, qos_slack):
     """The same ≥ 500 operations for the primary-only baselines —
     array cost build + flat search against primary closure + naive
     search — unbounded and under a delay bound."""
-    oracle = run_campaign(
-        scheme_name, rows=8, cols=8, num_ops=CAMPAIGN_OPS, seed=2026,
-        check_database=False, qos_slack=qos_slack,
+    machine = walk(
+        Config(scheme_name, qos_slack=qos_slack, rows=8, cols=8,
+               capacity=12.0),
+        CAMPAIGN_OPS, seed=2026,
     )
-    assert oracle.operations >= 500
-    assert not isinstance(oracle.shadow.scheme, tuple(BASELINES.values()))
+    assert machine.driver.operations >= 500
+    assert not isinstance(
+        machine.driver.shadow.scheme, tuple(PRIMARY_ONLY.values())
+    )
 
 
 @pytest.mark.oracle
@@ -144,11 +72,9 @@ def test_oracle_smoke_with_database_sweep(scheme_name):
     """Small campaign with the full per-link database sweep enabled
     (every APLV, CV, headroom diffed against rebuild truth after
     every operation)."""
-    oracle = run_campaign(
-        scheme_name, rows=4, cols=4, num_ops=60, seed=5, check_database=True
-    )
-    assert oracle.operations >= 60
-    assert oracle.checks > oracle.operations
+    machine = walk(Config(scheme_name), 60, seed=5)
+    assert machine.driver.operations >= 60
+    assert machine.driver.checks > machine.driver.operations
 
 
 @pytest.mark.oracle
@@ -176,3 +102,33 @@ def test_oracle_detects_seeded_divergence():
     service.state.ledger(0).register_backup(999, frozenset({1, 2}), 1.0)
     with pytest.raises(OracleDivergence):
         oracle.request(1, 7, 1.0)
+
+
+@pytest.mark.oracle
+def test_oracle_mirrors_correlated_failures_and_refuses_the_rest():
+    """``fail_link_set`` / ``fail_group`` / ``repair_group`` reach the
+    shadow too (the next request used to take the blame for a
+    half-applied failure); an unmirrored mutator is refused."""
+    net = mesh_network(4, 4, 10.0)
+    service = DRTPService(
+        net, make_scheme("D-LSR"),
+        risk_groups=mesh_conduit_groups(net, 4, 4),
+    )
+    oracle = DifferentialOracle(service)
+    assert oracle.request(0, 15, 1.0).accepted
+    oracle.fail_link_set([0, 1])
+    assert oracle.request(2, 13, 1.0).accepted
+    oracle.fail_group(3)
+    oracle.repair_group(3)
+    assert oracle.operations == 5
+    assert oracle.shadow.state.fingerprint() == service.state.fingerprint()
+    with pytest.raises(AttributeError, match="does not mirror"):
+        oracle.install_risk_groups(mesh_conduit_groups(net, 4, 4, 2))
+
+
+def test_shadow_keeps_the_risk_groups():
+    service = DRTPService(
+        mesh_network(4, 4, 10.0), make_scheme("P-LSR"),
+        risk_groups=mesh_conduit_groups(mesh_network(4, 4, 10.0), 4, 4),
+    )
+    assert make_reference_service(service).risk_groups is service.risk_groups

@@ -1,104 +1,35 @@
-"""Property-based tests of DRTP service invariants under random
-admission / release / failure interleavings (model-based testing)."""
+"""Entry points into the service state machine
+(``tests/test_service_machine.py``), each over one slice of its
+configuration space."""
 
-import random
+from hypothesis.stateful import run_state_machine_as_test
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.core import DRTPService
-from repro.routing import BoundedFloodingScheme, DLSRScheme, PLSRScheme
-from repro.topology import waxman_network
-
-_NET = waxman_network(16, 6.0, rng=random.Random(42))
-
-# An operation is (kind, a, b) where kind selects request/release/fail.
-operations = st.lists(
-    st.tuples(
-        st.sampled_from(["request", "release", "fail", "repair"]),
-        st.integers(min_value=0, max_value=15),
-        st.integers(min_value=0, max_value=15),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-schemes = st.sampled_from([DLSRScheme, PLSRScheme, BoundedFloodingScheme])
+from .test_service_machine import SLICE, ServiceMachine
 
 
-@given(operations, schemes)
-@settings(max_examples=30, deadline=None)
-def test_ledgers_always_consistent(ops, scheme_cls):
-    """After any interleaving of requests, releases, failures and
-    repairs: ledgers balance, every live backup is registered, and no
-    bandwidth leaks below zero."""
-    service = DRTPService(_NET, scheme_cls())
-    admitted = []
-    failed_links = []
-    for kind, a, b in ops:
-        if kind == "request" and a != b:
-            decision = service.request(a, b, 1.0)
-            if decision.accepted:
-                admitted.append(decision.connection.connection_id)
-        elif kind == "release" and admitted:
-            cid = admitted.pop(a % len(admitted))
-            if service.has_connection(cid):
-                service.release(cid)
-        elif kind == "fail":
-            link_id = (a * 16 + b) % _NET.num_links
-            if not service.state.is_link_failed(link_id):
-                service.fail_link(link_id, reconfigure=bool(b % 2))
-                failed_links.append(link_id)
-        elif kind == "repair" and failed_links:
-            service.repair_link(failed_links.pop())
-        service.check_invariants()
-
-    # Terminal cleanup must return every reserved unit.
-    for conn in list(service.connections()):
-        service.release(conn.connection_id)
-    assert service.state.total_prime_bw() < 1e-6
-    assert service.state.total_spare_bw() < 1e-6
-    for ledger in service.state.ledgers():
-        assert ledger.backup_count == 0
-        assert ledger.aplv.is_zero()
+def test_ledgers_always_consistent():
+    """Under lossy, crashing, duplicating signaling (no oracle: the
+    injector's draws are not mirrored) every ledger still balances
+    against the connection table after every rule."""
+    run_state_machine_as_test(
+        lambda: ServiceMachine(faulted=True), settings=SLICE
+    )
 
 
-@given(operations)
-@settings(max_examples=20, deadline=None)
-def test_spare_never_below_max_demand_when_room(ops):
-    """Wherever the link has room, the shared policy keeps
-    spare == max_demand (Section 5's sizing rule)."""
-    service = DRTPService(_NET, DLSRScheme())
-    for kind, a, b in ops:
-        if kind == "request" and a != b:
-            service.request(a, b, 1.0)
-        elif kind == "release":
-            live = [c.connection_id for c in service.connections()]
-            if live:
-                service.release(live[a % len(live)])
-    for ledger in service.state.ledgers():
-        target = ledger.max_demand
-        room = ledger.capacity - ledger.prime_bw
-        assert ledger.spare_bw <= target + 1e-9
-        expected = min(target, room)
-        assert abs(ledger.spare_bw - expected) < 1e-9
+def test_spare_never_below_max_demand_when_room():
+    """Section 5's sizing rule in the paper's own setting — the shared
+    policy, one failure at a time, no risk groups — checked by
+    ``check_invariants`` after every rule, differentially."""
+    run_state_machine_as_test(
+        lambda: ServiceMachine(policy="shared", srlg=False, faulted=False),
+        settings=SLICE,
+    )
 
 
-@given(operations)
-@settings(max_examples=15, deadline=None)
-def test_assessment_never_mutates(ops):
-    service = DRTPService(_NET, PLSRScheme())
-    for kind, a, b in ops:
-        if kind == "request" and a != b:
-            service.request(a, b, 1.0)
-    snapshot = [
-        (l.prime_bw, l.spare_bw, l.backup_count)
-        for l in service.state.ledgers()
-    ]
-    for link_id in range(_NET.num_links):
-        service.assess_link_failure(link_id)
-    after = [
-        (l.prime_bw, l.spare_bw, l.backup_count)
-        for l in service.state.ledgers()
-    ]
-    assert snapshot == after
+def test_assessment_never_mutates():
+    """Every what-if (link, conduit group, node) answers like the full
+    scan and leaves the state fingerprint alone, with conduit groups
+    installed so all three kinds are asked."""
+    run_state_machine_as_test(
+        lambda: ServiceMachine(srlg=True, faulted=False), settings=SLICE
+    )

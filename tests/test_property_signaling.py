@@ -23,6 +23,8 @@ from repro.faults import RetryPolicy
 from repro.network import NetworkState
 from repro.topology import Route, mesh_network
 
+from .scripted import ScriptedInjector
+
 _NET = mesh_network(4, 4, 10.0)
 
 
@@ -46,29 +48,6 @@ def _random_routes(count, rng):
 
 
 ROUTES = _random_routes(40, random.Random(2024))
-
-
-class ScriptedInjector:
-    """A FaultInjector stand-in whose per-hop verdicts are a script;
-    once the script runs out every hop delivers cleanly."""
-
-    def __init__(self, events=(), crashes=()):
-        self._events = list(events)
-        self._crashes = list(crashes)
-        self.retry_rng = random.Random(0)
-
-    def sample_hop(self):
-        if self._events:
-            return self._events.pop(0)
-        return "deliver", 0.0
-
-    def crash_hop(self, hops):
-        if self._crashes:
-            crash = self._crashes.pop(0)
-            if crash is not None and crash < hops:
-                return crash
-            return None
-        return None
 
 
 def _packet(route_index, connection_id, bw=1.0):
@@ -116,10 +95,10 @@ def test_prefix_fault_unwind_restores_state_exactly(
     fault_hop %= hops
     if mode == "drop":
         injector = ScriptedInjector(
-            events=[("deliver", 0.0)] * fault_hop + [("drop", 0.0)]
+            hop_events=[("deliver", 0.0)] * fault_hop + [("drop", 0.0)]
         )
     else:
-        injector = ScriptedInjector(crashes=[fault_hop])
+        injector = ScriptedInjector(crash_script=[fault_hop])
 
     before = state.fingerprint()
     result = register_backup_path(
@@ -166,7 +145,7 @@ def test_retried_success_matches_fault_free_registration(
             events.append(("deliver", 0.0))
             crashes.append(0)
     events.extend([("duplicate", 0.0)] * duplicate_hops)
-    injector = ScriptedInjector(events=events, crashes=crashes)
+    injector = ScriptedInjector(hop_events=events, crash_script=crashes)
 
     result = register_backup_path(
         state,

@@ -1,119 +1,29 @@
-"""Property-based tests for correlated multi-link failure recovery.
+"""Correlated multi-link failure recovery, as slices of the service
+state machine (``tests/test_service_machine.py``).
 
 The central safety property: however many links die at once, the
-activation race never *double-spends* spare — the total backup
-bandwidth activated across a link never exceeds the spare that link
-actually held when the failure struck.  Per-link recovery enforces
-this trivially (one race per link); the simultaneous multi-link race
-shares one residual pool across all affected connections, so the
-property is worth attacking with random workloads and random blast
-radii.
+activation race never *double-spends* spare — the backup bandwidth
+activated across a link never exceeds the spare that link held when the
+failure struck.  Every failure rule of the machine asserts it of the
+full-table assessment it takes before applying the failure.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis.stateful import run_state_machine_as_test
 
-from repro.core import DRTPService
-from repro.core.multiplexing import GroupAwareSparePolicy
-from repro.core.recovery import assess_failed_links
-from repro.network.state import BW_EPSILON
-from repro.routing import DLSRScheme, PLSRScheme
-from repro.topology import mesh_conduit_groups, mesh_network
-
-_ROWS = _COLS = 4
-_NODES = _ROWS * _COLS
-_NUM_LINKS = mesh_network(_ROWS, _COLS, 6.0).num_links
-
-requests = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=_NODES - 1),
-        st.integers(min_value=0, max_value=_NODES - 1),
-    ),
-    min_size=5,
-    max_size=40,
-)
-
-link_sets = st.sets(
-    st.integers(min_value=0, max_value=_NUM_LINKS - 1),
-    min_size=1,
-    max_size=8,
-)
-
-schemes = st.sampled_from([DLSRScheme, PLSRScheme])
+from .test_service_machine import SLICE, ServiceMachine
 
 
-def _loaded_service(reqs, scheme_cls, srlg_aware=False):
-    net = mesh_network(_ROWS, _COLS, 6.0)
-    kwargs = {}
-    if srlg_aware:
-        kwargs = dict(
-            spare_policy=GroupAwareSparePolicy(),
-            risk_groups=mesh_conduit_groups(net, _ROWS, _COLS),
-        )
-    service = DRTPService(net, scheme_cls(), **kwargs)
-    for src, dst in reqs:
-        if src != dst:
-            service.request(src, dst, 1.0)
-    return service
-
-
-def _assert_no_double_spend(service, impact, failed, spare_before):
-    """Total activated backup bandwidth per link <= spare held there."""
-    activated_bw = {}
-    for outcome in impact.outcomes:
-        if not outcome.success:
-            continue
-        conn = service.connection(outcome.connection_id)
-        channel = conn.all_backups[outcome.backup_index]
-        assert not (channel.route.lset & failed)  # survivor routes only
-        for link_id in channel.route.link_ids:
-            activated_bw[link_id] = (
-                activated_bw.get(link_id, 0.0) + conn.bw_req
-            )
-    for link_id, total in activated_bw.items():
-        assert total <= spare_before[link_id] + BW_EPSILON
-
-
-@given(requests, link_sets, schemes)
-@settings(max_examples=40, deadline=None)
-def test_simultaneous_activation_never_double_spends(reqs, failed, scheme_cls):
-    service = _loaded_service(reqs, scheme_cls)
-    failed = frozenset(failed)
-    spare_before = {
-        link_id: service.state.ledger(link_id).spare_bw
-        for link_id in range(_NUM_LINKS)
-    }
-    impact = assess_failed_links(
-        service.state, service.connections(), failed
+def test_simultaneous_activation_never_double_spends():
+    """Regional cuts, node and link failures over the per-link model."""
+    run_state_machine_as_test(
+        lambda: ServiceMachine(srlg=False, faulted=False), settings=SLICE
     )
-    _assert_no_double_spend(service, impact, failed, spare_before)
-    # The assessment is pure: the spare pools are untouched.
-    for link_id, spare in spare_before.items():
-        assert service.state.ledger(link_id).spare_bw == spare
 
 
-@given(requests, st.integers(min_value=0, max_value=7))
-@settings(max_examples=25, deadline=None)
-def test_group_cut_never_double_spends_and_state_stays_sound(reqs, pick):
-    """Whole-conduit cuts through the mutating path: the assessed
-    outcomes respect the spare bound, and applying the same cut leaves
-    every ledger invariant intact."""
-    service = _loaded_service(reqs, DLSRScheme, srlg_aware=True)
-    groups = service.risk_groups
-    group_id = pick % groups.num_groups
-    failed = frozenset(groups.members(group_id))
-    spare_before = {
-        link_id: service.state.ledger(link_id).spare_bw
-        for link_id in range(_NUM_LINKS)
-    }
-    impact = service.assess_group_failure(group_id)
-    _assert_no_double_spend(service, impact, failed, spare_before)
-
-    applied = service.fail_group(group_id)
-    assert applied.group_id == group_id
-    assert [o.connection_id for o in applied.outcomes] == [
-        o.connection_id for o in impact.outcomes
-    ]
-    service.check_invariants()
-    service.repair_group(group_id)
-    service.check_invariants()
+def test_group_cut_never_double_spends_and_state_stays_sound():
+    """Whole-conduit cuts under group-aware spare sizing, with every
+    ledger invariant checked after each rule."""
+    run_state_machine_as_test(
+        lambda: ServiceMachine(srlg=True, policy="group-aware"),
+        settings=SLICE,
+    )

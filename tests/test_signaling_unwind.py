@@ -8,8 +8,6 @@ which hop duplicates, drops, or crashes — and then asserts the unwind
 restores the pristine state fingerprint and stays idempotent.
 """
 
-import random
-
 import pytest
 
 from repro.core import (
@@ -22,33 +20,7 @@ from repro.faults.retry import RetryPolicy
 from repro.network import NetworkState
 from repro.topology import Route, mesh_network
 
-
-class ScriptedInjector:
-    """Deterministic injector: per-hop events and per-attempt crashes
-    come from scripts instead of random draws.
-
-    ``hop_events`` feeds :meth:`sample_hop` (one ``(event, delay)``
-    pair per delivery, then clean); ``crash_script`` feeds
-    :meth:`crash_hop` (one entry per walk attempt, then no crash).
-    """
-
-    def __init__(self, hop_events=(), crash_script=()):
-        self._hop_events = list(hop_events)
-        self._crash_script = list(crash_script)
-        self.retry_rng = random.Random(0)
-
-    def sample_hop(self):
-        if self._hop_events:
-            return self._hop_events.pop(0)
-        return (None, 0.0)
-
-    def crash_hop(self, hops):
-        if self._crash_script:
-            crash_at = self._crash_script.pop(0)
-            if crash_at is not None and crash_at >= hops:
-                raise AssertionError("crash scripted past route end")
-            return crash_at
-        return None
+from .scripted import ScriptedInjector
 
 
 @pytest.fixture
