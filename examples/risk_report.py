@@ -26,6 +26,7 @@ from repro.analysis import (
     format_table,
     rank_link_risks,
 )
+from repro.core import ENDPOINT_FAILED
 
 
 def main() -> None:
@@ -126,6 +127,10 @@ def main() -> None:
     worst_node = None
     for node in network.nodes():
         impact = service.assess_node_failure(node)
+        # Connections ending at the dead switch make no recovery attempt.
+        impact.outcomes = [
+            o for o in impact.outcomes if o.reason != ENDPOINT_FAILED
+        ]
         if worst_node is None or impact.failed > worst_node[1].failed:
             worst_node = (node, impact)
     node, impact = worst_node

@@ -54,7 +54,7 @@ from .analysis import (
     SpareShareObserver,
     format_table,
 )
-from .core import DRTPService
+from .core import ENDPOINT_FAILED, DRTPService
 from .experiments import make_scheme
 from .experiments.run_all import main as campaign_main
 from .kernels.search import ANSWERS
@@ -750,6 +750,10 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         sweep = [("link", l, service.assess_link_failure(l))
                  for l in service.links_carrying_primaries()]
     for _kind, _ident, impact in sweep:
+        # A connection ending at a dead switch makes no recovery attempt.
+        impact.outcomes = [
+            o for o in impact.outcomes if o.reason != ENDPOINT_FAILED
+        ]
         total_attempts += impact.affected
         total_success += impact.activated
         if worst is None or impact.failed > worst[2].failed:

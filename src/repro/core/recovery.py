@@ -9,16 +9,22 @@ to minimize.
 
 Two entry points:
 
-* :func:`assess_link_failure` — *pure*: computes which activations
-  would succeed for a hypothetical single-link failure, without
-  touching any state.  The paper's ``P_act-bk`` metric aggregates this
-  over every link and many steady-state snapshots.
+* :func:`assess_failed_links` — *pure*: computes which activations
+  would succeed if a set of links failed at once, without touching any
+  state.  A single link, a shared-risk group and a switch (every link
+  touching it, with the switch named as ``dead_node``) are all link
+  sets.  The paper's ``P_act-bk`` metric aggregates this over every
+  link and many steady-state snapshots.
 
-* :func:`apply_link_failure` — *mutating*: actually switches the
-  survivors to their backups (backup bandwidth becomes primary
-  bandwidth), tears down casualties, drops backups broken by the
-  failure, and optionally re-establishes backups for connections left
-  unprotected (DRTP step 4, resource reconfiguration).
+* :func:`apply_failed_links` — *mutating*: runs that same assessment
+  on the state as it stands, then switches the winners to their
+  backups (backup bandwidth becomes primary bandwidth), tears down the
+  losers — the connections ending at a dead switch among them — and
+  drops backups broken by the failure.  Every applied failure's
+  outcomes are therefore the assessment of its failure on the standing
+  state.  Re-establishing backups for connections left unprotected
+  (DRTP step 4, resource reconfiguration) is
+  :func:`reconfigure_unprotected`.
 
 Contention order: affected connections activate in establishment
 order (``established_seq``), a deterministic stand-in for the paper's
@@ -81,9 +87,10 @@ class ActivationOutcome:
 class FailureImpact:
     """Everything one failure event would do to the DR-state.
 
-    ``link_id`` labels single-link failures (negative encodes a node
-    failure); ``group_id`` is set instead when the event was a whole
-    shared-risk group going down at once.
+    ``link_id`` labels the event: the failed link when exactly one
+    link failed, ``-node - 1`` for a switch failure and -1 for any
+    other link set; ``group_id`` is set as well when the event was a
+    whole shared-risk group going down at once.
     """
 
     link_id: int
@@ -130,7 +137,6 @@ def assess_link_failure(
         state,
         connections,
         frozenset({link_id}),
-        label_link=link_id,
         use_free_bandwidth=use_free_bandwidth,
     )
 
@@ -151,35 +157,23 @@ def assess_node_failure(
     node: int,
     network,
     use_free_bandwidth: bool = False,
-    count_endpoint_losses: bool = False,
 ) -> FailureImpact:
     """A switch failure kills every link touching the node (Section 1
     lists "breakdown of network components (links and switches)").
 
     Connections *terminating at* the dead node are unrecoverable by
-    any routing (their endpoint is gone); they are excluded from the
-    impact unless ``count_endpoint_losses`` is set, in which case they
-    appear with reason :data:`ENDPOINT_FAILED` — keeping the
-    fault-tolerance metric about routing quality, not topology luck.
+    any routing (their endpoint is gone); they appear with reason
+    :data:`ENDPOINT_FAILED`.  The same call with ``dead_node`` is what
+    :func:`apply_failed_links` runs when the switch fails for real, so
+    the what-if and the failure report the same outcomes.
     """
-    failed = incident_link_ids(network, node)
-    impact = assess_failed_links(
+    return assess_failed_links(
         state,
         connections,
-        failed,
-        label_link=-node - 1,  # negative label marks a node failure
+        incident_link_ids(network, node),
         use_free_bandwidth=use_free_bandwidth,
-        skip_endpoint=node,
+        dead_node=node,
     )
-    if count_endpoint_losses:
-        for conn in connections:
-            if conn.is_active and node in (conn.source, conn.destination):
-                impact.outcomes.append(
-                    ActivationOutcome(
-                        conn.connection_id, False, ENDPOINT_FAILED
-                    )
-                )
-    return impact
 
 
 def assess_group_failure(
@@ -202,7 +196,6 @@ def assess_group_failure(
         state,
         connections,
         frozenset(members),
-        label_link=min(members) if len(members) == 1 else -1,
         use_free_bandwidth=use_free_bandwidth,
     )
     impact.group_id = group_id
@@ -222,11 +215,7 @@ def apply_group_failure(
     single-link recoveries."""
     members = risk_groups.members(group_id)
     impact = apply_failed_links(
-        state,
-        policy,
-        connections,
-        frozenset(members),
-        label_link=min(members) if len(members) == 1 else -1,
+        state, policy, connections, frozenset(members)
     )
     impact.group_id = group_id
     return impact
@@ -236,28 +225,32 @@ def assess_failed_links(
     state: NetworkState,
     connections: Iterable[DRConnection],
     failed_links: FrozenSet[int],
-    label_link: int = -1,
     use_free_bandwidth: bool = False,
-    skip_endpoint: Optional[int] = None,
+    dead_node: Optional[int] = None,
 ) -> FailureImpact:
     """Core activation-contention assessment for a set of dead links.
 
-    Affected connections (active, primary crossing any failed link,
-    endpoints alive) attempt activation in establishment order; a
-    backup activates iff its route avoids *every* failed link and all
-    its links retain enough residual spare.
+    Affected connections (active, primary crossing any failed link)
+    attempt activation in establishment order; a backup activates iff
+    its route avoids *every* failed link and all its links retain
+    enough residual spare.  ``dead_node`` names the switch whose links
+    these are, if any: a connection ending there takes its place in
+    that order as :data:`ENDPOINT_FAILED`.  It draws no spare — every
+    backup of it leaves or enters the dead switch — so the race runs
+    on the spare reserved at the moment of failure.
     """
-    impact = FailureImpact(link_id=label_link)
+    if dead_node is not None:
+        label = -dead_node - 1
+    elif len(failed_links) == 1:
+        (label,) = failed_links
+    else:
+        label = -1
+    impact = FailureImpact(link_id=label)
     affected = sorted(
         (
             conn
             for conn in connections
-            if conn.is_active
-            and not (
-                skip_endpoint is not None
-                and skip_endpoint in (conn.source, conn.destination)
-            )
-            and (conn.primary_route.lset & failed_links)
+            if conn.is_active and (conn.primary_route.lset & failed_links)
         ),
         key=lambda conn: conn.established_seq,
     )
@@ -277,6 +270,11 @@ def assess_failed_links(
         return residual[backup_link]
 
     for conn in affected:
+        if dead_node in (conn.source, conn.destination):
+            impact.outcomes.append(
+                ActivationOutcome(conn.connection_id, False, ENDPOINT_FAILED)
+            )
+            continue
         channels = conn.all_backups
         if not channels:
             impact.outcomes.append(
@@ -344,52 +342,7 @@ def apply_link_failure(
 
     Returns the same :class:`FailureImpact` the assessment produced.
     """
-    return apply_failed_links(
-        state, policy, connections, frozenset({link_id}), label_link=link_id
-    )
-
-
-def apply_node_failure(
-    state: NetworkState,
-    policy: SparePolicy,
-    connections: SlabConnectionStore,
-    node: int,
-    network,
-) -> FailureImpact:
-    """Mutating switch outage: every link touching ``node`` dies.
-
-    Connections terminating at the dead switch are unrecoverable by
-    any routing; they are torn down (their resources elsewhere return
-    to the pool) and reported with :data:`ENDPOINT_FAILED` appended to
-    the transit-impact outcomes.
-    """
-    failed = incident_link_ids(network, node)
-    # Endpoint casualties first: release everything they hold.  They
-    # all cross a link of ``failed`` (see :func:`incident_link_ids`).
-    endpoint_outcomes = []
-    for conn in connections.crossing(failed):
-        if not conn.is_active:
-            continue
-        if node in (conn.source, conn.destination):
-            batch_release_primary(
-                state, policy, conn.primary_route.link_ids, conn.bw_req
-            )
-            for channel in list(conn.all_backups):
-                _drop_channel(state, policy, conn, channel)
-            conn.mark_failed()
-            del connections[conn.connection_id]
-            endpoint_outcomes.append(
-                ActivationOutcome(conn.connection_id, False, ENDPOINT_FAILED)
-            )
-    impact = apply_failed_links(
-        state,
-        policy,
-        connections,
-        failed,
-        label_link=-node - 1,
-    )
-    impact.outcomes.extend(endpoint_outcomes)
-    return impact
+    return apply_failed_links(state, policy, connections, frozenset({link_id}))
 
 
 def apply_failed_links(
@@ -397,14 +350,18 @@ def apply_failed_links(
     policy: SparePolicy,
     connections: SlabConnectionStore,
     failed_links: FrozenSet[int],
-    label_link: int = -1,
+    dead_node: Optional[int] = None,
 ) -> FailureImpact:
-    """Core mutating recovery for a set of simultaneously dead links."""
+    """Core mutating recovery for a set of simultaneously dead links —
+    one link, a shared-risk group, a regional cut or every link of the
+    switch ``dead_node`` (as in :func:`assess_failed_links`).  The race
+    runs first, on the state as it stands; the teardown of its losers
+    then includes the connections ending at a dead switch."""
     impact = assess_failed_links(
         state,
         connections.crossing(failed_links),
         failed_links,
-        label_link=label_link,
+        dead_node=dead_node,
     )
     outcome_by_id = {o.connection_id: o for o in impact.outcomes}
 

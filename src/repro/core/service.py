@@ -44,7 +44,6 @@ from .recovery import (
     apply_failed_links,
     apply_group_failure,
     apply_link_failure,
-    apply_node_failure,
     assess_group_failure,
     assess_link_failure,
     assess_node_failure,
@@ -501,13 +500,12 @@ class DRTPService:
         )
 
     def assess_node_failure(
-        self,
-        node: int,
-        use_free_bandwidth: bool = False,
-        count_endpoint_losses: bool = False,
+        self, node: int, use_free_bandwidth: bool = False
     ) -> FailureImpact:
         """What would happen if this switch failed right now (pure):
-        all of its links die at once."""
+        all of its links die at once, and the connections ending at it
+        are lost as ``ENDPOINT_FAILED`` — the outcomes :meth:`fail_node`
+        would report."""
         return assess_node_failure(
             self.state,
             self._connections.crossing(
@@ -516,7 +514,6 @@ class DRTPService:
             node,
             self.network,
             use_free_bandwidth=use_free_bandwidth,
-            count_endpoint_losses=count_endpoint_losses,
         )
 
     def _settle(
@@ -557,19 +554,16 @@ class DRTPService:
     @_failure("fail_node", "node")
     def fail_node(self, node: int, reconfigure: bool = True) -> FailureImpact:
         """Fail a switch for real: every adjacent link dies, transit
-        connections recover via surviving backups, connections
+        connections race for their surviving backups on the spare
+        standing at the failure, then the losers and the connections
         terminating at the node are torn down."""
         started = perf_counter()
-        for link in (
-            self.network.out_links(node) + self.network.in_links(node)
-        ):
-            self.state.mark_link_failed(link.link_id)
-        impact = apply_node_failure(
-            self.state,
-            self.spare_policy,
-            self._connections,
-            node,
-            self.network,
+        failed = incident_link_ids(self.network, node)
+        for link_id in failed:
+            self.state.mark_link_failed(link_id)
+        impact = apply_failed_links(
+            self.state, self.spare_policy, self._connections, failed,
+            dead_node=node,
         )
         return self._settle(impact, reconfigure, started)
 
@@ -649,11 +643,7 @@ class DRTPService:
         for link_id in failed:
             self.state.mark_link_failed(link_id)
         impact = apply_failed_links(
-            self.state,
-            self.spare_policy,
-            self._connections,
-            failed,
-            label_link=min(failed) if len(failed) == 1 else -1,
+            self.state, self.spare_policy, self._connections, failed
         )
         return self._settle(impact, reconfigure, started, len(failed))
 

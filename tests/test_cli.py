@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -143,9 +144,20 @@ class TestAssessCommand:
         assert "P_act-bk" in out
 
     def test_node_sweep(self, topology_file, capsys):
-        assert main(["assess", str(topology_file), "--connections", "15",
-                     "--nodes"]) == 0
-        assert "P_act-bk" in capsys.readouterr().out
+        """A connection is a recovery attempt once per transit switch of
+        its primary: one fewer than the links of the link sweep.  A
+        connection ending at a dead switch makes no attempt."""
+        def attempts(*extra):
+            assert main(["assess", str(topology_file),
+                         "--connections", "15", *extra]) == 0
+            out = capsys.readouterr().out
+            assert "P_act-bk" in out
+            established = int(re.search(r"(\d+) DR-connections", out)[1])
+            return established, int(re.search(r"(\d+) recovery", out)[1])
+
+        established, link_attempts = attempts()
+        assert established == 15
+        assert attempts("--nodes") == (15, link_attempts - established)
 
 
 class TestArgumentValidation:

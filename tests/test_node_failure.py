@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     BACKUP_CROSSES_FAILURE,
     ENDPOINT_FAILED,
+    ActivationOutcome,
     DRTPService,
     assess_node_failure,
 )
@@ -53,16 +54,38 @@ class TestNodeFailure:
         assert impact.outcomes[0].reason == BACKUP_CROSSES_FAILURE
 
     def test_endpoint_failures_excluded_by_default(self, service):
-        service.request(0, 2, 1.0)
-        impact = service.assess_node_failure(0)
-        assert impact.affected == 0
+        """A connection ending at the dead switch stays out of the backup
+        race: it activates nothing, and a connection merely passing
+        through the switch fares exactly as it would without it."""
+        service.request(1, 7, 1.0)
+        transit = service.request(0, 2, 1.0).connection
+        assert 1 in transit.primary_route.nodes[1:-1]
+        impact = service.assess_node_failure(1)
+        assert impact.activated == 1
+        alone = DRTPService(mesh_network(3, 3, 10.0), DLSRScheme())
+        alone.request(0, 2, 1.0)
+        lone = alone.assess_node_failure(1).outcomes[0]
+        raced = next(
+            o for o in impact.outcomes
+            if o.connection_id == transit.connection_id
+        )
+        assert (raced.success, raced.reason, raced.backup_index) == (
+            lone.success, lone.reason, lone.backup_index
+        )
 
     def test_endpoint_losses_counted_when_asked(self, service):
+        """The what-if reports a connection ending at the dead switch as
+        lost to ENDPOINT_FAILED, the outcome fail_node reports for it."""
         service.request(0, 2, 1.0)
-        impact = service.assess_node_failure(0, count_endpoint_losses=True)
+        impact = service.assess_node_failure(0)
         assert impact.affected == 1
-        assert impact.outcomes[0].reason == ENDPOINT_FAILED
+        assert impact.outcomes == [
+            ActivationOutcome(0, False, ENDPOINT_FAILED)
+        ]
         assert impact.failed == 1
+        assert service.fail_node(0, reconfigure=False).outcomes == (
+            impact.outcomes
+        )
 
     def test_node_disjoint_second_backup_survives(self):
         """With two backups in a rich topology, at least one tends to
@@ -81,7 +104,7 @@ class TestNodeFailure:
     def test_label_distinguishes_node_failures(self, service):
         service.request(0, 2, 1.0)
         impact = service.assess_node_failure(1)
-        assert impact.link_id < 0  # node-failure label convention
+        assert impact.link_id == -2  # node-failure label: -node - 1
 
     def test_free_function_matches_service(self, service):
         service.request(0, 2, 1.0)

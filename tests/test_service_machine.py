@@ -10,7 +10,6 @@ the entry points of other suites; :func:`walk` drives the same rules as
 a seeded random walk for the long campaigns and records their totals.
 """
 
-import copy
 import json
 import random
 from pathlib import Path
@@ -188,48 +187,29 @@ class ServiceMachine(RuleBasedStateMachine):
         self.driver.refresh_database()
 
     def _fail(self, failed, apply, node=None):
-        """Apply one failure: its victims are the full-table assessment
-        taken just before (same order, same reasons, same backups) and
-        no surviving backup crosses a dead link.  The assessment never
-        double-spends: the backups it activates over a link fit in the
-        spare that link holds.
-
-        A node failure first tears down the connections ending at the
-        node, and what they release can change how a transit victim
-        fares, so its victims are assessed on a copy of the service
-        with those connections released.  (The what-if,
-        ``assess_node_failure``, races on the state as it stands and so
-        can disagree: see ``test_node_what_if_ignores_endpoint_teardown``.)
-        """
+        """Apply one failure of the links ``failed`` (those of switch
+        ``node``, when it names one): its outcomes are the full-table
+        assessment taken just before — same victims in the same order,
+        same reasons, same backups, the connections ending at a dead
+        switch included — and no surviving backup crosses a dead link.
+        The assessment never double-spends: the backups it activates
+        over a link fit in the spare that link holds."""
         if len(self.state.failed_links()) > MAX_DOWN:
             return
-        before = self.service
-        casualties = [
-            conn.connection_id for conn in before.connections()
-            if conn.is_active and node in (conn.source, conn.destination)
-        ]
-        if casualties:
-            before = copy.deepcopy(before)
-            for connection_id in casualties:
-                before.release(connection_id)
         expected = recovery.assess_failed_links(
-            before.state, list(before.connections()), failed,
-            skip_endpoint=node,
+            self.state, list(self.service.connections()), failed,
+            dead_node=node,
         ).outcomes
         claimed = {}
         for outcome in expected:
             if outcome.success:
-                conn = before.connection(outcome.connection_id)
+                conn = self.service.connection(outcome.connection_id)
                 backup = conn.all_backups[outcome.backup_index]
                 for link_id in backup.route.link_ids:
                     claimed[link_id] = claimed.get(link_id, 0.0) + conn.bw_req
         for link_id, bw in claimed.items():
-            assert bw <= before.state.ledger(link_id).spare_bw + BW_EPSILON
-        transit = [
-            outcome for outcome in apply().outcomes
-            if outcome.reason != recovery.ENDPOINT_FAILED
-        ]
-        assert transit == expected
+            assert bw <= self.state.ledger(link_id).spare_bw + BW_EPSILON
+        assert apply().outcomes == expected
         for conn in self.service.connections():
             for channel in conn.all_backups:
                 assert not channel.route.lset & failed
@@ -305,12 +285,9 @@ class ServiceMachine(RuleBasedStateMachine):
                 self.state, everyone, index, self.service.risk_groups
             )
         else:
-            answer = self.driver.assess_node_failure(
-                index, count_endpoint_losses=True
-            )
+            answer = self.driver.assess_node_failure(index)
             scan = recovery.assess_node_failure(
-                self.state, everyone, index, self.network,
-                count_endpoint_losses=True,
+                self.state, everyone, index, self.network
             )
         return answer.outcomes, scan.outcomes
 
@@ -460,23 +437,30 @@ def test_each_invariant_catches_its_corruption(corrupt, message):
         service.check_invariants()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "fail_node releases the connections ending at the node before the "
-    "activation race; assess_node_failure races on the state as it "
-    "stands (ROADMAP: decide which one the metric should mean)"
-))
-def test_node_what_if_ignores_endpoint_teardown():
-    """Connections 1 and 3 (0 -> 5) back up over link 0 -> 3, whose
-    spare connection 0's primary (1 -> 0 -> 3) caps at 1.  Connection 0
-    dies with node 1; fail_node releases its primary first, the spare
-    grows to 2 and both activate, while the what-if calls connection 3
-    spare-exhausted."""
-    service = DRTPService(mesh_network(2, 3, 2.0), make_scheme("P-LSR"))
-    for source, destination in ((1, 3), (0, 5), (5, 3), (0, 5)):
+@pytest.mark.parametrize("shape, requests, node", [
+    ((2, 3), ((1, 3), (0, 5), (5, 3), (0, 5)), 1),
+    ((3, 3), ((5, 6), (4, 6), (7, 0)), 4),
+], ids=["endpoint-primary-caps-spare", "endpoint-backup-sizes-spare"])
+def test_node_failure_races_on_the_standing_state(shape, requests, node):
+    """A switch failure's activation race runs on the spare reserved at
+    the moment of failure, before the connections ending at the switch
+    are torn down, so ``fail_node`` reports what the what-if does.
+
+    In the first case connections 1 and 3 (0 -> 5) back up over link
+    0 -> 3, whose spare connection 0's primary (1 -> 0 -> 3) caps at 1.
+    Connection 0 ends at node 1; releasing its primary first would grow
+    that spare to 2 and let connection 3 activate too.
+
+    In the second, connections 0 (5 -> 6) and 1 (4 -> 6) share primary
+    links 4 -> 3 -> 6, so their backups size link 7 -> 6's spare to 2,
+    and connection 2 (7 -> 0) backs up over 7 -> 6 as well.  Node 4
+    cuts the primaries of 0 and 2 and ends connection 1: the spare of 2
+    covers both activations.  Dropping connection 1's registration
+    first would shrink it to 1 and strand connection 2."""
+    service = DRTPService(mesh_network(*shape, 2.0), make_scheme("P-LSR"))
+    for source, destination in requests:
         service.request(source, destination, 1.0)
-    what_if = service.assess_node_failure(1).outcomes
-    applied = service.fail_node(1, reconfigure=False).outcomes
-    assert [
-        outcome for outcome in applied
-        if outcome.reason != recovery.ENDPOINT_FAILED
-    ] == what_if
+    what_if = service.assess_node_failure(node).outcomes
+    applied = service.fail_node(node, reconfigure=False).outcomes
+    assert applied == what_if
+    assert recovery.ENDPOINT_FAILED in {o.reason for o in applied}
