@@ -1,6 +1,6 @@
 # Convenience targets for the DSN 2001 reproduction.
 
-.PHONY: install test bench bench-smoke campaign campaign-sharded campaign-paper chaos-quick chaos-regional serve-demo examples docs-check clean
+.PHONY: install test bench bench-smoke bench-pairs campaign campaign-sharded campaign-paper chaos-quick chaos-regional serve-demo examples docs-check clean
 
 install:
 	pip install -e '.[test]'
@@ -16,6 +16,13 @@ bench:
 bench-smoke:
 	python3 benchmarks/e2e/run.py --smoke
 	python -m pytest benchmarks/e2e/tests -q
+
+# Alternating parent/change pairs of one e2e workload, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=serve-wax500-serial
+# (medians, quartiles and wins per metric; see docs/performance.md).
+bench-pairs:
+	python3 tools/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 campaign:
 	python -m repro.experiments.run_all --scale quick

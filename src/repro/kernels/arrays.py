@@ -21,7 +21,8 @@ there is:
   dirty set is what :meth:`LinkStateDatabase.dirty_links` reports as
   awaiting re-advertisement.
 
-Cost encoding: each builder returns a plain list of floats, one per
+Cost encoding: each builder returns a fresh float64 buffer
+(``array("d")``, copied once from the numpy result), one entry per
 link id — ``-1.0`` excludes the link (failed links, bandwidth-short
 primaries), anything else is the encoded scalar
 ``(Q + conflict) * scale + 1.0`` consumed by
@@ -38,7 +39,7 @@ holds it there).
 from __future__ import annotations
 
 from array import array
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Tuple
 
 import numpy as _np
 
@@ -259,16 +260,14 @@ class CompiledLinkArrays:
             self.flush()
         return self
 
-    def primary_costs(self, bw_req: float) -> List[float]:
+    def primary_costs(self, bw_req: float) -> "array[float]":
         """Per-link primary costs: ``1.0`` per feasible link, ``-1.0``
         for failed or bandwidth-short links (hard feasibility: a
         primary without bandwidth is useless)."""
         self.sync()
-        costs = _np.where(self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0)
-        failed = self._state.failed_links()
-        if failed:
-            costs[list(failed)] = -1.0
-        return costs.tolist()
+        return self._excluding_failed(
+            _np.where(self._ph_np + BW_EPSILON < bw_req, -1.0, 1.0)
+        )
 
     def backup_costs(
         self,
@@ -277,7 +276,7 @@ class CompiledLinkArrays:
         primary_lset,
         avoid_lset,
         scale: float,
-    ) -> List[float]:
+    ) -> "array[float]":
         """Per-link encoded backup costs
         ``(Q + conflict) * scale + 1.0`` (``-1.0`` for failed links).
 
@@ -304,11 +303,16 @@ class CompiledLinkArrays:
             )
         else:
             costs = self._link_backup_costs(kind, bw_req, lset, avoid, scale)
+        return self._excluding_failed(costs)
+
+    def _excluding_failed(self, costs) -> "array[float]":
+        """``costs`` (a fresh float64 ndarray) with every failed link
+        priced ``-1.0``, copied in one pass into the buffer the
+        searches read."""
         failed = self._state.failed_links()
         if failed:
-            for link_id in failed:
-                costs[link_id] = -1.0
-        return costs
+            costs[list(failed)] = -1.0
+        return array("d", costs.tobytes())
 
     def _link_backup_costs(
         self,
@@ -317,7 +321,7 @@ class CompiledLinkArrays:
         lset: FrozenSet[int],
         avoid: FrozenSet[int],
         scale: float,
-    ) -> List[float]:
+    ) -> _np.ndarray:
         q = _np.where(self._bh_np + BW_EPSILON < bw_req, Q_PENALTY, 0.0)
         if avoid:
             # Avoided links get Q regardless of bandwidth — one charge,
@@ -342,7 +346,7 @@ class CompiledLinkArrays:
         _np.add(q, conflict, out=q)
         _np.multiply(q, scale, out=q)
         _np.add(q, 1.0, out=q)
-        return q.tolist()
+        return q
 
     def _group_backup_costs(
         self,
@@ -351,7 +355,7 @@ class CompiledLinkArrays:
         lset: FrozenSet[int],
         avoid: FrozenSet[int],
         scale: float,
-    ) -> List[float]:
+    ) -> _np.ndarray:
         groups = self._live_group_of()
         if kind != "disjoint" and not self.have_group_tables:
             # The conflict aggregates would come from group columns
@@ -383,7 +387,7 @@ class CompiledLinkArrays:
             conflict = _row_popcounts(self._gmask & grow)
         else:
             conflict = 0
-        return ((q + conflict) * scale + 1.0).tolist()
+        return (q + conflict) * scale + 1.0
 
     # ------------------------------------------------------------------
     # Table maintenance

@@ -2,7 +2,8 @@
 
 These searches consume a *cost array* — one float per link id, built
 in a single batch pass by
-:class:`~repro.kernels.arrays.CompiledLinkArrays` — instead of a cost
+:class:`~repro.kernels.arrays.CompiledLinkArrays` as a float64 buffer
+(``array("d")``; any float sequence is accepted) — instead of a cost
 closure, and walk the flat pair adjacency of a per-network
 :class:`SearchWorkspace`.  A negative entry excludes the link from the
 search (a reference cost closure's ``None``).  They are the only route
@@ -381,9 +382,10 @@ def _shift_endpoints(
 ) -> Optional[Sequence[float]]:
     """``costs`` with the cheapest allowed link out of ``source`` and
     the cheapest allowed link into ``destination`` priced down to
-    ``1.0`` — a copy when anything moves, ``costs`` itself when both
-    already are, ``None`` when either end has no allowed link (no
-    route exists; only the two endpoints' entries have been read).
+    ``1.0`` — a float64 copy when anything moves, ``costs`` itself
+    when both already are, ``None`` when either end has no allowed
+    link (no route exists; only the two endpoints' entries have been
+    read).
 
     A link from ``source`` straight to ``destination`` is in both
     sets: the destination's floor is taken over the costs the source's
@@ -412,7 +414,7 @@ def _shift_endpoints(
     in_shift = floor - 1.0
     if not out_shift and not in_shift:
         return costs
-    shifted = list(costs)
+    shifted = array("d", costs)
     for pairs, shift in ((leaving, out_shift), (entering, in_shift)):
         if shift:
             for _node, link_id in pairs:
@@ -543,6 +545,10 @@ def _flat_heap_search(
     encoded sums are exact (see the module docstring), so this is
     bit-identical to the tuple heap while doing one heap operation
     per distinct cost instead of per push.
+
+    ``costs`` is read one entry per relaxed link and never scanned
+    whole: the builders' float64 buffer, or any float sequence (the
+    ``random`` scheme's and reactive recovery's lists).
     """
     workspace.epoch += 1
     epoch = workspace.epoch
@@ -560,11 +566,8 @@ def _flat_heap_search(
     take_bucket = buckets.pop
     push = heappush
     pop = heappop
-    # When no entry is negative the per-edge exclusion test is vacuous
-    # (no ``step < 0.0`` branch could ever fire), so each expansion
-    # takes the check-free relax loop.  Exclusions only appear for
-    # failed or explicitly avoided links — rare in steady state.
-    exclusions = min(costs) < 0.0
+    # One relax loop: the per-edge ``step < 0.0`` test is cheaper than
+    # any whole-array scan that could prove it vacuous.
     while cost_heap:
         cost = pop(cost_heap)
         for node in take_bucket(cost):
@@ -573,39 +576,23 @@ def _flat_heap_search(
             visited_stamp[node] = epoch
             if node == destination:
                 return _unwind(workspace, epoch, source, destination)
-            if exclusions:
-                for dst, link_id in pairs[node]:
-                    if visited_stamp[dst] == epoch:
-                        continue
-                    step = costs[link_id]
-                    if step < 0.0:
-                        continue
-                    new_cost = cost + step
-                    if dist_stamp[dst] != epoch or new_cost < dist[dst]:
-                        dist[dst] = new_cost
-                        dist_stamp[dst] = epoch
-                        parent[dst] = (node, link_id)
-                        target = get_bucket(new_cost)
-                        if target is None:
-                            buckets[new_cost] = [dst]
-                            push(cost_heap, new_cost)
-                        else:
-                            target.append(dst)
-            else:
-                for dst, link_id in pairs[node]:
-                    if visited_stamp[dst] == epoch:
-                        continue
-                    new_cost = cost + costs[link_id]
-                    if dist_stamp[dst] != epoch or new_cost < dist[dst]:
-                        dist[dst] = new_cost
-                        dist_stamp[dst] = epoch
-                        parent[dst] = (node, link_id)
-                        target = get_bucket(new_cost)
-                        if target is None:
-                            buckets[new_cost] = [dst]
-                            push(cost_heap, new_cost)
-                        else:
-                            target.append(dst)
+            for dst, link_id in pairs[node]:
+                if visited_stamp[dst] == epoch:
+                    continue
+                step = costs[link_id]
+                if step < 0.0:
+                    continue
+                new_cost = cost + step
+                if dist_stamp[dst] != epoch or new_cost < dist[dst]:
+                    dist[dst] = new_cost
+                    dist_stamp[dst] = epoch
+                    parent[dst] = (node, link_id)
+                    target = get_bucket(new_cost)
+                    if target is None:
+                        buckets[new_cost] = [dst]
+                        push(cost_heap, new_cost)
+                    else:
+                        target.append(dst)
     return None
 
 

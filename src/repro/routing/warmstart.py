@@ -48,16 +48,16 @@ from __future__ import annotations
 
 from array import array
 from hashlib import blake2b
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..network.state import NetworkState
 from ..topology.graph import Route
 
-def _digest(costs: Sequence[float]) -> bytes:
-    """16-byte ``blake2b`` over the exact float bytes of a cost array
-    — collision-safe enough to treat equality as proof (``hash()``
-    would not be)."""
-    return blake2b(array("d", costs).tobytes(), digest_size=16).digest()
+def _digest(costs: array) -> bytes:
+    """16-byte ``blake2b`` over the exact float bytes of a float64 cost
+    buffer, hashed in place — collision-safe enough to treat equality
+    as proof (``hash()`` would not be)."""
+    return blake2b(costs, digest_size=16).digest()
 
 
 class _Candidate:
@@ -143,7 +143,7 @@ class WarmstartCache:
     # ------------------------------------------------------------------
     # Probe / store
     # ------------------------------------------------------------------
-    def probe(self, key, costs: Sequence[float]) -> WarmProbe:
+    def probe(self, key, costs: array) -> WarmProbe:
         """Look for a provably-identical candidate for ``key`` under
         the current cost array.  Always returns a probe; on a miss the
         caller runs the cold search and calls :meth:`store`."""

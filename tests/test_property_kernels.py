@@ -22,6 +22,7 @@ exactly representable — the equality assertions are bitwise, never
 approximate, matching the kernel's bit-exactness contract.
 """
 
+from array import array
 from collections.abc import Sequence
 
 import numpy as np
@@ -336,13 +337,15 @@ def test_cost_arrays_match_the_reference_closures(data):
         st.frozensets(st.integers(0, net.num_links - 1), max_size=4)
     )
     scale = float(net.num_nodes)
-    assert arrays.primary_costs(bw_req) == _encoded(
+    # The builders return ``array("d")`` buffers, which never compare
+    # equal to a list: compare element by element.
+    assert list(arrays.primary_costs(bw_req)) == _encoded(
         primary_link_cost(database, bw_req), net, scale
     )
     for kind in CONFLICT_KINDS:
-        assert arrays.backup_costs(
+        assert list(arrays.backup_costs(
             kind, bw_req, lset, avoid, scale
-        ) == _encoded(
+        )) == _encoded(
             backup_cost(kind, database, bw_req, lset, avoid), net, scale
         )
     service.check_invariants()
@@ -412,31 +415,36 @@ def _reference_route(net, source, destination, costs, scale):
 @given(st.randoms(use_true_random=False))
 def test_flat_searches_return_the_reference_route(rng):
     """Every (source, destination) of a random directed topology under
-    each cost style: the flat searches return the naive Dijkstra's
-    ``Route`` — same nodes, same links, so same tie-breaks — whichever
-    step answers, and never write to the caller's array."""
+    each cost style, handed as a list and as the builders' float64
+    buffer: the flat searches return the naive Dijkstra's ``Route`` —
+    same nodes, same links, so same tie-breaks — whichever step
+    answers, and never write to the caller's buffer."""
     net = _directed_network(rng)
     scale = encode_scale(net)
     workspace = search_workspace(net)
     for style in COST_STYLES:
-        costs = _cost_array(rng, net.num_links, scale, style)
-        pristine = list(costs)
-        for source in net.nodes():
-            for destination in net.nodes():
-                if source == destination:
-                    continue
-                want = _reference_route(net, source, destination, costs, scale)
-                assert flat_shortest_path(
-                    net, source, destination, costs
-                ) == want
-                assert workspace.answer in ANSWERS
-                assert (workspace.answer == "none") == (want is None)
-                if style is COST_STYLES[0]:
-                    assert flat_min_hop_path(
+        drawn = _cost_array(rng, net.num_links, scale, style)
+        for costs in (list(drawn), array("d", drawn)):
+            for source in net.nodes():
+                for destination in net.nodes():
+                    if source == destination:
+                        continue
+                    want = _reference_route(
+                        net, source, destination, drawn, scale
+                    )
+                    assert flat_shortest_path(
                         net, source, destination, costs
                     ) == want
-                    assert workspace.answer in ("probe", "bounded", "none")
-        assert costs == pristine
+                    assert workspace.answer in ANSWERS
+                    assert (workspace.answer == "none") == (want is None)
+                    if style is COST_STYLES[0]:
+                        assert flat_min_hop_path(
+                            net, source, destination, costs
+                        ) == want
+                        assert workspace.answer in (
+                            "probe", "bounded", "none"
+                        )
+            assert list(costs) == drawn
 
 
 class _CountingCosts(Sequence):

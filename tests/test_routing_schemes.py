@@ -2,12 +2,14 @@
 
 import ast
 import re
+from array import array
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.core import DRTPService
+from repro.kernels.arrays import CONFLICT_KINDS
 from repro.network import LinkStateDatabase, NetworkState
 from repro.routing import (
     DisjointBackupScheme,
@@ -24,7 +26,13 @@ from repro.testing import (
     plsr_backup_cost,
     primary_link_cost,
 )
-from repro.topology import Route, line_network, mesh_network, ring_network
+from repro.topology import (
+    Route,
+    line_network,
+    mesh_conduit_groups,
+    mesh_network,
+    ring_network,
+)
 from repro.topology.graph import Network
 
 
@@ -304,6 +312,47 @@ class TestOneEngine:
             "testing/reference.py",
         ]
         assert not (root / "routing" / "dijkstra.py").exists()
+
+    @pytest.mark.parametrize("groups", (False, True), ids=("links", "srlg"))
+    def test_cost_arrays_stay_float64_buffers(self, groups):
+        """The builders hand the searches a float64 buffer made from
+        the numpy result in one copy: every call returns a new
+        ``array("d")``, so scribbling over one result (the warm cache
+        digests the array it was handed) leaves the next build
+        unchanged — and no list conversion or whole-array scan sits
+        between the builder and the search."""
+        net = mesh_network(4, 4, capacity=6.0)
+        service = DRTPService(net, DLSRScheme(), live_database=True)
+        if groups:
+            service.state.install_risk_groups(
+                mesh_conduit_groups(net, 4, 4)
+            )
+        for src, dst in ((0, 15), (3, 12), (5, 10), (1, 14)):
+            service.request(src, dst, bw_req=1.0)
+        service.fail_link(0)
+        arrays = service.database.kernel_arrays()
+        lset = frozenset({2, 7})
+        builds = [lambda: arrays.primary_costs(1.0)] + [
+            lambda kind=kind: arrays.backup_costs(kind, 1.0, lset, lset, 16.0)
+            for kind in CONFLICT_KINDS
+        ]
+        for build in builds:
+            first, second = build(), build()
+            for costs in (first, second):
+                assert isinstance(costs, array) and costs.typecode == "d"
+            assert first is not second
+            assert list(first) == list(second)
+            assert first[0] == -1.0  # the failed link
+            expected = list(second)
+            for link_id in range(len(first)):
+                first[link_id] = 99.0
+            assert list(build()) == expected
+            assert list(second) == expected
+        root = Path(repro.__file__).parent / "kernels"
+        assert ".tolist()" not in (root / "arrays.py").read_text()
+        search = (root / "search.py").read_text()
+        assert "list(costs)" not in search
+        assert "min(costs)" not in search
 
     def test_every_count_is_kept_once(self):
         """One tally: outside ``metrics/`` the only event-time writes

@@ -17,6 +17,7 @@ result.  These tests pin that bar three ways:
 """
 
 import random
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +51,7 @@ class TestCacheUnit:
     def test_epoch_hit_serves_identical_route(self):
         net, state = _mesh_state()
         cache = WarmstartCache(state)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         route = _route(net, [0, 1, 2])
         probe = cache.probe("k", costs)
         assert not probe.hit
@@ -65,7 +66,7 @@ class TestCacheUnit:
         array is byte-identical."""
         net, state = _mesh_state()
         cache = WarmstartCache(state)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         route = _route(net, [0, 1, 2])
         cache.store(cache.probe("k", costs), route)
         # Mutate a ledger far from the route: epoch moves on.
@@ -80,14 +81,14 @@ class TestCacheUnit:
         state.ledger(net.num_links - 1).reserve_primary(1.0)
         hit = cache.probe("k", costs)
         assert hit.hit and hit.route is route
-        changed = list(costs)
+        changed = array("d", costs)
         changed[route.link_ids[0]] = 2.0
         assert not cache.probe("k", changed).hit
 
     def test_failed_link_invalidates_candidate(self):
         net, state = _mesh_state()
         cache = WarmstartCache(state)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         route = _route(net, [0, 1, 2])
         cache.store(cache.probe("k", costs), route)
         state.mark_link_failed(route.link_ids[1])
@@ -101,7 +102,7 @@ class TestCacheUnit:
         too (per-link change epochs, not just the global epoch)."""
         net, state = _mesh_state()
         cache = WarmstartCache(state)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         route = _route(net, [0, 1, 2])
         cache.store(cache.probe("k", costs), route)
         state.ledger(route.link_ids[0]).reserve_primary(1.0)
@@ -111,7 +112,7 @@ class TestCacheUnit:
     def test_cached_no_route_is_served(self):
         net, state = _mesh_state()
         cache = WarmstartCache(state)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         cache.store(cache.probe("k", costs), None)
         probe = cache.probe("k", costs)
         assert probe.hit and probe.route is None
@@ -119,7 +120,7 @@ class TestCacheUnit:
     def test_key_cap_evicts_oldest(self):
         net, state = _mesh_state()
         cache = WarmstartCache(state, max_keys=2)
-        costs = [1.0] * net.num_links
+        costs = array("d", [1.0] * net.num_links)
         for key in ("a", "b", "c"):
             cache.store(cache.probe(key, costs), None)
         assert cache.stats()["keys"] == 2
