@@ -57,7 +57,7 @@ from .analysis import (
 from .core import ENDPOINT_FAILED, DRTPService
 from .experiments import make_scheme
 from .experiments.run_all import main as campaign_main
-from .kernels.search import ANSWERS
+from .kernels.search import ANSWERS, EXHAUSTIVE
 from .simulation import Scenario, ScenarioSimulator, generate_scenario
 from .topology import (
     load_network,
@@ -711,10 +711,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # rising "exhaustive" share is the unit phase falling through),
         # read from the service's counters: the span ring buffer may
         # have evicted the searches' spans, the tally forgets nothing.
+        # The mean beside them is nodes settled per exhaustive answer
+        # (both sides of the two-ended step; docs/tracing.md).
         answered = service.counters.searches
+        settled = service.counters.exhaustive_settled
         for search in ("primary", "backup"):
             if any(key[0] == search for key in answered):
-                print("{} searches answered by: {}".format(
+                exhaustive = answered.get((search, EXHAUSTIVE), 0)
+                print("{} searches answered by: {}{}".format(
                     search,
                     ", ".join(
                         "{} {}".format(
@@ -722,6 +726,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                         )
                         for answer in ANSWERS
                     ),
+                    " (settled {:.1f} per exhaustive search)".format(
+                        settled.get(search, 0) / exhaustive
+                    ) if exhaustive else "",
                 ))
     print("open the trace in https://ui.perfetto.dev or chrome://tracing")
     return 0

@@ -72,7 +72,9 @@ class ServiceCounters:
     latency), and the degraded-admission ledger tracks Section 2.3
     backup re-establishment under adversity.  ``searches`` is keyed
     ``(search, answer)`` — which step of which link-state search
-    answered (:data:`repro.kernels.search.ANSWERS`); the
+    answered (:data:`repro.kernels.search.ANSWERS`) —
+    ``exhaustive_settled`` by search alone (the nodes the exhaustive
+    step settled, both sides, over every search it ran for), the
     ``*recovery_outcomes`` by activation-outcome reason.
     ``failure_events`` counts applied failures (a node or a group is
     one event), ``links_repaired`` only links that were down.
@@ -85,6 +87,7 @@ class ServiceCounters:
     control_messages: int = 0
     plan_candidates: int = 0
     searches: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    exhaustive_settled: Dict[str, int] = field(default_factory=dict)
     backup_overlap_links: int = 0
     backups_with_overlap: int = 0
     primary_hops_total: int = 0
@@ -136,8 +139,10 @@ class ServiceCounters:
     def record_rejection(self, reason: str) -> None:
         _tally(self.rejected, reason)
 
-    def record_search(self, search: str, answer: str) -> None:
+    def record_search(self, search: str, answer: str, settled: int) -> None:
         _tally(self.searches, (search, answer))
+        if settled:
+            _tally(self.exhaustive_settled, search, settled)
 
     def record_signaling(self, registration) -> None:
         """Fold one backup walk's accounting into the totals."""

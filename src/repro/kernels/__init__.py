@@ -17,8 +17,9 @@ that hot path in contiguous arrays instead:
   adjacency (:mod:`repro.kernels.search`), no cost closures and no
   tuple arithmetic — and an unbounded search first looks for its
   answer over unit-cost links with a hop-bounded BFS, running the
-  exhaustive Dijkstra only when the destination is not reachable that
-  way (provably the same route, tie-breaks included);
+  exhaustive Dijkstra — two-ended, the forward side pruned by what the
+  backward side proved — only when the destination is not reachable
+  that way (provably the same route, tie-breaks included);
 * the admission commit is one validate-then-apply transaction per walk
   (:mod:`repro.kernels.apply`).
 

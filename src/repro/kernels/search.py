@@ -49,7 +49,8 @@ backup — is a *unit* link, and the unbounded searches first run a
 
 Only when the destination is not reachable over unit links does
 :func:`flat_shortest_path` run the exhaustive bucket-queue Dijkstra
-(:func:`_flat_heap_search`), on the same shifted array.  How a search
+(:func:`_flat_heap_search`, two-ended: see below), on the same shifted
+array.  How a search
 was answered (:data:`ANSWERS`) is left on the workspace for the
 caller's span tags and metrics.  Every returned route stays identical
 to the reference's because of four facts:
@@ -92,6 +93,50 @@ is reachable over unit links the Dijkstra never pops a node through a
 non-unit link before answering; among unit-cost pops its ``(cost,
 counter)`` order is FIFO order (see :func:`_bounded_unit_bfs`), which
 is the unit BFS.
+
+The two-ended exhaustive step
+-----------------------------
+
+Beside the forward bucket Dijkstra from ``s`` a backward one runs from
+``t`` over :meth:`SearchWorkspace.reverse_adjacency`; whichever side
+has settled fewer nodes expands one whole bucket next.  A label either
+side sets on a node the other has labelled closes an ``s``-``t`` walk,
+and ``mu`` keeps the cheapest.  The forward side skips a label ``g`` at
+``v`` — when pushing it and again when popping it — if ``g + LB(v) >
+mu``: ``LB(v)`` is ``v``'s backward distance once the backward side has
+settled ``v``, else ``top_b``, the backward heap's minimum key (``inf``
+once it is empty).  Once ``top_f + top_b >= mu`` the backward side
+stops and the forward side runs on alone until ``t`` pops.
+
+*No label of an optimal-route node is skipped.*  For ``v`` on an
+optimal route (cost ``C*``) and its label ``d(s, v)``, ``LB(v) <= d(v,
+t) = C* - d(s, v)`` and ``mu >= C*``, so the test never fires.
+
+*The route and its ties are the reference's.*  An optimal-route node
+takes its final label only from a parent on an optimal route, over a
+relaxation that is never skipped; a node popped above its distance
+offers strictly more than the distance to every neighbour, so it never
+ties with such a parent.  Skipped entries do not reorder the others,
+so by induction over pop order the optimal-route nodes pop in the
+reference's relative order with the reference's parents — ``t``
+included.
+
+*``mu`` is ``C*`` once ``top_f + top_b >= mu``.*  Were ``C* < mu``,
+take an optimal route, ``x`` its last node with ``d(s, x) < top_f``
+and ``y`` the next: ``d(s, y) >= top_f`` forces ``d(y, t) < top_b``.
+A side settles every optimal-route node nearer than its top key (the
+first one it has not would sit in its heap below that key), so ``x``
+was settled forward, which gave ``y`` its final forward label, and
+``y`` was settled backward.  Whichever final label of ``y`` came
+second saw the other: ``mu <= C*``.  A stale key (a bucket every entry
+of which was relabelled lower) only lowers a ``top``, so the test and
+``LB`` stay true, just weaker.  Each side labels its own start, so the
+other side's first touch records ``mu``: a side running dry while
+``mu`` is ``inf`` proves there is no route.
+
+The two bounds compare sums of one route taken from both ends, which
+agree only because every sum is an exact integer;
+:func:`flat_dijkstra`'s arbitrary floats run the step one-ended.
 """
 
 from __future__ import annotations
@@ -109,6 +154,7 @@ from ..topology.graph import Network, Route
 #: bucket queue keys on them, the endpoint shift subtracts them and
 #: "a non-unit link costs at least ``scale + 1``" reads them back.
 _EXACT_LIMIT = float(1 << 53)
+_INF = float("inf")
 
 #: How an unbounded flat search was answered, in the order tried: by
 #: the first hop-bounded pass, by the second one at the two-ended
@@ -124,18 +170,20 @@ _Pairs = Tuple[Tuple[Tuple[int, int], ...], ...]
 class SearchWorkspace:
     """Per-network reusable search state.
 
-    The distance, parent and visited arrays are validated per search
-    by ``epoch`` stamps, so starting a new search costs two list reads
-    per touched node instead of O(V) clearing or fresh dict
-    allocations.
+    The distance, parent and visited arrays — and the backward side's
+    ``back_*`` twins — are validated per search by ``epoch`` stamps,
+    so starting a new search costs two list reads per touched node
+    instead of O(V) clearing or fresh dict allocations.
 
     The workspace also keeps what the searches know about the
     *topology alone* and therefore never invalidate: the pair
     adjacencies in both directions and, per destination first searched
     for, its hop column (:meth:`hops_to`).  ``answer`` names how the
     most recent :func:`flat_shortest_path` / :func:`flat_min_hop_path`
-    on this workspace was answered (one of :data:`ANSWERS`) — they
-    return only the route, their caller reads the rest here.
+    on this workspace was answered (one of :data:`ANSWERS`) and
+    ``settled`` how many nodes its exhaustive step settled (both
+    sides) — they return only the route, their caller reads the rest
+    here.
     """
 
     __slots__ = (
@@ -143,9 +191,14 @@ class SearchWorkspace:
         "parent",
         "dist_stamp",
         "visited_stamp",
+        "back_dist",
+        "back_dist_stamp",
+        "back_visited_stamp",
         "epoch",
         "answer",
+        "settled",
         "_flat",
+        "_link_src",
         "_reverse",
         "_hop_columns",
     )
@@ -157,11 +210,17 @@ class SearchWorkspace:
         )
         num_nodes = network.num_nodes
         self.dist: List[float] = [0.0] * num_nodes
-        self.parent: List[Optional[Tuple[int, int]]] = [None] * num_nodes
+        # Each node's parent link; ``_link_src`` names the node it leaves.
+        self.parent: List[int] = [-1] * num_nodes
+        self._link_src = tuple(link.src for link in network.links())
         self.dist_stamp = [0] * num_nodes
         self.visited_stamp = [0] * num_nodes
+        self.back_dist: List[float] = [0.0] * num_nodes
+        self.back_dist_stamp = [0] * num_nodes
+        self.back_visited_stamp = [0] * num_nodes
         self.epoch = 0
         self.answer = ""
+        self.settled = 0
         self._reverse: Optional[_Pairs] = None
         self._hop_columns: Dict[int, "array[int]"] = {}
 
@@ -319,10 +378,13 @@ def flat_dijkstra(
     the ``k * scale + 1`` form; :func:`_flat_heap_search`'s FIFO-bucket
     argument only needs every step cost to be positive, so this is the
     naive Dijkstra's route (tie-breaks included) for arbitrary
-    weights."""
+    weights.  It stays one-ended: arbitrary floats are not exact sums,
+    so an optimal route's forward sum plus its backward sum can round
+    above the meeting bound its own forward sum set, and the prune
+    would skip the answer."""
     return _flat_heap_search(
         _workspace_for(network, source, destination),
-        source, destination, costs,
+        source, destination, costs, False,
     )
 
 
@@ -334,6 +396,7 @@ def _search(
     exhaustive: bool,
 ) -> Optional[Route]:
     workspace = _workspace_for(network, source, destination)
+    workspace.settled = 0
     route, workspace.answer = _answer(
         workspace, source, destination, costs, exhaustive
     )
@@ -368,7 +431,9 @@ def _answer(
             workspace, source, destination, costs, hops, distance
         ), BOUNDED
     if exhaustive:
-        route = _flat_heap_search(workspace, source, destination, costs)
+        route = _flat_heap_search(
+            workspace, source, destination, costs, True
+        )
         if route is not None:
             return route, EXHAUSTIVE
     return None, NONE
@@ -468,7 +533,7 @@ def _bounded_unit_bfs(
                 ):
                     continue
                 seen[dst] = epoch
-                parent[dst] = (node, link_id)
+                parent[dst] = link_id
                 if dst == destination:
                     return _unwind(workspace, epoch, source, destination)
                 level.append(dst)
@@ -528,8 +593,12 @@ def _flat_heap_search(
     source: int,
     destination: int,
     costs: Sequence[float],
+    exact: bool,
 ) -> Optional[Route]:
-    """Scalar-cost Dijkstra with a *bucket* priority queue.
+    """Scalar-cost Dijkstra with a *bucket* priority queue — two-ended
+    and pruned when ``exact`` says every path sum is an exact integer
+    (a builder-made array; module docstring, "The two-ended exhaustive
+    step"), one-ended otherwise.
 
     The tuple heap's entries are ``(cost, counter, node)`` where the
     counter realizes first-pushed-wins tie-breaking.  Here entries
@@ -557,24 +626,53 @@ def _flat_heap_search(
     parent = workspace.parent
     dist_stamp = workspace.dist_stamp
     visited_stamp = workspace.visited_stamp
+    back_dist = workspace.back_dist
+    back_dist_stamp = workspace.back_dist_stamp
+    back_visited_stamp = workspace.back_visited_stamp
 
     dist[source] = 0.0
     dist_stamp[source] = epoch
+    # Each heap ends in an ``inf`` sentinel no bucket holds, so its
+    # minimum key is always ``heap[0]``: ``inf`` once it is drained.
     buckets = {0.0: [source]}
-    cost_heap = [0.0]
+    cost_heap = [0.0, _INF]
     get_bucket = buckets.get
     take_bucket = buckets.pop
+    if exact:
+        back_dist[destination] = 0.0
+        back_dist_stamp[destination] = epoch
+        back_buckets = {0.0: [destination]}
+        back_heap = [0.0, _INF]
+        get_back = back_buckets.get
+        take_back = back_buckets.pop
+        back_pairs = workspace.reverse_adjacency()
     push = heappush
     pop = heappop
-    # One relax loop: the per-edge ``step < 0.0`` test is cheaper than
-    # any whole-array scan that could prove it vacuous.
-    while cost_heap:
+    settled = back_settled = 0
+    # ``best`` is the meeting bound mu, ``top`` the backward side's
+    # lower bound on every node it has not settled, ``limit`` their
+    # difference: the most a forward label may cost unless the backward
+    # side knows better.  One-ended, none of them ever prunes.
+    best = limit = _INF
+    top = 0.0
+    two_ended = exact
+    while True:
         cost = pop(cost_heap)
+        if cost == _INF:
+            break
         for node in take_bucket(cost):
             if visited_stamp[node] == epoch:
                 continue
             visited_stamp[node] = epoch
+            if cost > limit:
+                if back_dist_stamp[node] != epoch:
+                    continue
+                rest = back_dist[node]
+                if cost + (rest if rest < top else top) > best:
+                    continue
+            settled += 1
             if node == destination:
+                workspace.settled = settled + back_settled
                 return _unwind(workspace, epoch, source, destination)
             for dst, link_id in pairs[node]:
                 if visited_stamp[dst] == epoch:
@@ -584,15 +682,65 @@ def _flat_heap_search(
                     continue
                 new_cost = cost + step
                 if dist_stamp[dst] != epoch or new_cost < dist[dst]:
+                    if back_dist_stamp[dst] == epoch:
+                        rest = back_dist[dst]
+                        if new_cost + rest < best:
+                            best = new_cost + rest
+                            limit = best - top
+                        if new_cost + (rest if rest < top else top) > best:
+                            continue
+                    elif new_cost > limit:
+                        continue
                     dist[dst] = new_cost
                     dist_stamp[dst] = epoch
-                    parent[dst] = (node, link_id)
+                    parent[dst] = link_id
                     target = get_bucket(new_cost)
                     if target is None:
                         buckets[new_cost] = [dst]
                         push(cost_heap, new_cost)
                     else:
                         target.append(dst)
+        # The backward side catches up, one whole bucket at a time,
+        # until the two minimum keys certify ``best``.
+        while two_ended and back_settled <= settled:
+            if cost_heap[0] + back_heap[0] >= best:
+                two_ended = False
+                if best == _INF:  # a side ran dry without a meeting
+                    workspace.settled = settled + back_settled
+                    return None
+                break
+            cost = pop(back_heap)
+            for node in take_back(cost):
+                if back_visited_stamp[node] == epoch:
+                    continue
+                back_visited_stamp[node] = epoch
+                back_settled += 1
+                for src, link_id in back_pairs[node]:
+                    if back_visited_stamp[src] == epoch:
+                        continue
+                    step = costs[link_id]
+                    if step < 0.0:
+                        continue
+                    new_cost = cost + step
+                    if (
+                        back_dist_stamp[src] != epoch
+                        or new_cost < back_dist[src]
+                    ):
+                        if dist_stamp[src] == epoch and (
+                            new_cost + dist[src] < best
+                        ):
+                            best = new_cost + dist[src]
+                        back_dist[src] = new_cost
+                        back_dist_stamp[src] = epoch
+                        target = get_back(new_cost)
+                        if target is None:
+                            back_buckets[new_cost] = [src]
+                            push(back_heap, new_cost)
+                        else:
+                            target.append(src)
+            top = back_heap[0]
+            limit = best - top
+    workspace.settled = settled + back_settled
     return None
 
 
@@ -603,12 +751,13 @@ def _unwind(
     links = []
     node = destination
     parent = workspace.parent
+    link_src = workspace._link_src
     while node != source:
         assert workspace.dist_stamp[node] == epoch
-        prev, link_id = parent[node]
-        nodes.append(prev)
+        link_id = parent[node]
+        node = link_src[link_id]
+        nodes.append(node)
         links.append(link_id)
-        node = prev
     nodes.reverse()
     links.reverse()
     return Route(nodes=tuple(nodes), link_ids=tuple(links))

@@ -74,6 +74,12 @@ class ServiceMetrics:
             "two-ended distance; exhaustive: full Dijkstra; none: no route)",
             labels=("search", "answer"),
         )
+        self.exhaustive_settled = registry.counter(
+            "drtp_route_exhaustive_settled_total",
+            "nodes the two-ended exhaustive Dijkstra settled, both sides, "
+            "summed over the link-state searches it ran for",
+            labels=("search",),
+        )
 
         # -- signaling ------------------------------------------------
         self.signaling_walks = registry.counter(
@@ -235,6 +241,10 @@ class ServiceMetrics:
             for reason, count in counters.rejected.items()
         })
         self.route_searches.collect_with(lambda: counters.searches)
+        self.exhaustive_settled.collect_with(lambda: {
+            (search,): settled
+            for search, settled in counters.exhaustive_settled.items()
+        })
         for family, outcomes in (
             (self.recoveries, counters.recovery_outcomes),
             (self.group_recoveries, counters.group_recovery_outcomes),

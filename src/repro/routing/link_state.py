@@ -42,7 +42,8 @@ def _flat_search(
 ):
     """Dispatch one search over an already-built cost array and return
     the route with how it was answered (one of
-    :data:`repro.kernels.search.ANSWERS`), tallying the answer on the
+    :data:`repro.kernels.search.ANSWERS`), tallying the answer — and
+    the nodes an unbounded search's exhaustive step settled — on the
     owning service's counters when the scheme has one: the layered
     hop-bounded search when the query carries a delay bound, the
     unbounded flat search otherwise.
@@ -53,6 +54,7 @@ def _flat_search(
     stays on the heap, whose re-expansions BFS cannot replicate — it
     has no unit phase, so whatever it finds it found exhaustively."""
     network = scheme.context.network
+    settled = 0
     if query.max_hops is not None:
         route = flat_bounded_shortest_path(
             network, query.source, query.destination, costs, query.max_hops
@@ -67,9 +69,10 @@ def _flat_search(
             route = flat_shortest_path(
                 network, query.source, query.destination, costs
             )
-        answer = search_workspace(network).answer
+        workspace = search_workspace(network)
+        answer, settled = workspace.answer, workspace.settled
     if scheme.counters is not None:
-        scheme.counters.record_search(search, answer)
+        scheme.counters.record_search(search, answer, settled)
     return route, answer
 
 

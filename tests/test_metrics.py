@@ -356,6 +356,32 @@ class TestServiceInstrumentation:
             in metrics.registry.render_prometheus()
         )
 
+    def test_exhaustive_settled_scraped_from_the_counters(self):
+        """One scrape says how much graph the exhaustive step walked:
+        the nodes it settled, both sides, per search kind — exactly
+        the service's tally, and 0 while the unit phase answers."""
+        net, service, metrics = instrumented_service()
+        family = metrics.exhaustive_settled
+        rng = random.Random(1)
+        for _ in range(30):
+            service.request(*rng.sample(range(16), 2), 1.0)
+        counters = service.counters
+        assert counters.searches.get(("backup", "exhaustive"), 0) > 0
+        assert counters.exhaustive_settled["backup"] > 0
+        assert "primary" not in counters.exhaustive_settled
+        samples = {
+            tuple(sample.labels.values()): sample.value
+            for sample in parse_prometheus_text(
+                metrics.registry.render_prometheus()
+            )["drtp_route_exhaustive_settled_total"]["samples"]
+        }
+        assert samples == {
+            ("backup",): counters.exhaustive_settled["backup"]
+        }
+        assert family.value("backup") == counters.exhaustive_settled[
+            "backup"
+        ]
+
     @pytest.mark.parametrize(
         "scheme_cls",
         [NoBackupScheme, ReactiveScheme, RandomBackupScheme],
@@ -497,6 +523,11 @@ class TestSignalingSurfacesAgree:
         expected["drtp_route_searches_total"] = (
             scraped("drtp_route_searches_total", "search", "answer"),
             counters.searches,
+        )
+        expected["drtp_route_exhaustive_settled_total"] = (
+            scraped("drtp_route_exhaustive_settled_total", "search"),
+            {(search,): settled
+             for search, settled in counters.exhaustive_settled.items()},
         )
         for name, (samples, tallies) in expected.items():
             assert samples == tallies, name

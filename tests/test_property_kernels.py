@@ -13,7 +13,8 @@ Four layers, each diffed against a deliberately-naive oracle:
   per-link cost closures of :mod:`repro.testing.link_state`, element
   for element;
 * the flat searches of :mod:`repro.kernels.search` — endpoint shift,
-  hop-bounded unit BFS, two-ended distance, exhaustive fall-through —
+  hop-bounded unit BFS, two-ended distance, the two-ended exhaustive
+  fall-through —
   against :func:`repro.testing.reference.naive_shortest_path` over
   the equivalent closure, ``Route`` for ``Route``.
 
@@ -22,6 +23,7 @@ exactly representable — the equality assertions are bitwise, never
 approximate, matching the kernel's bit-exactness contract.
 """
 
+import random
 from array import array
 from collections.abc import Sequence
 
@@ -57,9 +59,10 @@ from repro.network.state import BW_EPSILON, LinkLedger
 from repro.routing import Q_PENALTY
 from repro.testing.link_state import backup_cost, primary_link_cost
 from repro.testing.reference import naive_shortest_path
-from repro.topology import mesh_network
+from repro.topology import mesh_network, waxman_network
 from repro.topology.graph import Network, Route
 from repro.topology.srlg import RiskGroupSet
+from repro.topology.waxman import WaxmanParameters
 
 masks = st.integers(min_value=0, max_value=(1 << 160) - 1)
 
@@ -447,6 +450,90 @@ def test_flat_searches_return_the_reference_route(rng):
             assert list(costs) == drawn
 
 
+def _sized_network(rng, kind):
+    """A 20–80-node graph: Waxman (every link both ways) or directed
+    (random one- and two-way links over a one-way ring, in shuffled
+    insertion order)."""
+    num_nodes = rng.randint(20, 80)
+    if kind == "waxman":
+        return waxman_network(
+            num_nodes, capacity=10.0,
+            parameters=WaxmanParameters(target_degree=rng.choice((3.0, 4.0))),
+            rng=rng,
+        )
+    links = {(n, (n + 1) % num_nodes) for n in range(num_nodes)}
+    for _ in range(2 * num_nodes):
+        u, v = rng.sample(range(num_nodes), 2)
+        links.add((u, v))
+        if rng.random() < 0.5:
+            links.add((v, u))
+    net = Network(num_nodes)
+    for u, v in rng.sample(sorted(links), len(links)):
+        net.add_directed_link(u, v, 1.0)
+    return net.freeze()
+
+
+#: Cost styles that leave the unit phase nothing to find, so the
+#: exhaustive step and its backward side do the work.
+WALL_STYLES = ("walled destination", "walled source", "equal charges")
+
+
+def _walled_costs(net, rng, scale, style, source, destination):
+    """Unit links except charged links *into* the ring of the
+    destination's in-neighbours (or *out of* the ring of the source's
+    out-neighbours), or every link charged alike; a tenth excluded."""
+    workspace = search_workspace(net)
+    if style == "walled destination":
+        ring = {src for src, _ in workspace.reverse_adjacency()[destination]}
+    else:
+        ring = {dst for dst, _ in workspace.flat_adjacency()[source]}
+    equal = rng.choice((1, 2, Q_PENALTY))
+    costs = []
+    for link in net.links():
+        if rng.random() < 0.1:
+            costs.append(-1.0)
+        elif style == "equal charges":
+            costs.append(equal * scale + 1.0)
+        elif (
+            style == "walled destination"
+            and link.dst in ring
+            and link.src not in ring | {destination}
+        ) or (
+            style == "walled source"
+            and link.src in ring
+            and link.dst not in ring | {source}
+        ):
+            costs.append(rng.choice((1, 2)) * scale + 1.0)
+        else:
+            costs.append(1.0)
+    return costs
+
+
+@pytest.mark.oracle
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from(("waxman", "directed"))
+)
+def test_two_ended_exhaustive_step_returns_the_reference_route(seed, kind):
+    """Walls around either end and ties everywhere: whatever the
+    backward side settles and the forward side prunes, the route is
+    the naive Dijkstra's, and the caller's buffer is never written.
+    (A seed, not drawn randoms: a graph this size would exhaust
+    Hypothesis' data budget.)"""
+    rng = random.Random(seed)
+    net = _sized_network(rng, kind)
+    scale = encode_scale(net)
+    for style in WALL_STYLES:
+        for _ in range(3):
+            source, destination = rng.sample(range(net.num_nodes), 2)
+            drawn = _walled_costs(net, rng, scale, style, source, destination)
+            costs = array("d", drawn)
+            assert flat_shortest_path(
+                net, source, destination, costs
+            ) == _reference_route(net, source, destination, drawn, scale)
+            assert list(costs) == drawn
+
+
 class _CountingCosts(Sequence):
     """A cost array that counts its element reads."""
 
@@ -542,3 +629,29 @@ def test_encode_scale_refuses_networks_too_large_to_stay_exact():
     assert encode_scale(net, max_hops=9) == 10.0
     with pytest.raises(ValueError, match="2\\*\\*53"):
         encode_scale(net, max_hops=1 << 40)
+
+
+def test_walled_destination_is_searched_from_both_ends():
+    """Did the fast path run: with the destination walled in by
+    charged links, the one-ended Dijkstra settled the whole
+    zero-conflict region around the source — 548 of the 960 entries
+    read, every link pair about once — while the two-ended step meets
+    the backward side at the wall (255 reads)."""
+    net = waxman_network(
+        240, capacity=10.0, parameters=WaxmanParameters(target_degree=4.0),
+        rng=random.Random(41),
+    )
+    scale = encode_scale(net)
+    workspace = search_workspace(net)
+    destination = 0
+    hops = workspace.hops_to(destination)
+    source = max(net.nodes(), key=lambda node: hops[node])
+    drawn = _walled_costs(
+        net, random.Random(3), scale, "walled destination", source,
+        destination,
+    )
+    costs = _CountingCosts(drawn)
+    route = flat_shortest_path(net, source, destination, costs)
+    assert workspace.answer == "exhaustive"
+    assert route == _reference_route(net, source, destination, drawn, scale)
+    assert costs.reads < net.num_links / 2
