@@ -609,8 +609,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     )
     oracle = None
     if args.oracle:
-        from .testing import DifferentialOracle
+        from .testing import DifferentialOracle, require_exact
 
+        try:
+            for request in scenario.requests:
+                require_exact(request.bw_req)
+        except ValueError as error:
+            print("replay --oracle: {}".format(error), file=sys.stderr)
+            return 2
         oracle = DifferentialOracle(service)
         service = oracle
     ft = FaultToleranceObserver()

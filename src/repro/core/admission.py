@@ -10,11 +10,14 @@ admission controller performs the first three atomically:
 Route *selection* is delegated to the bound routing scheme; this
 module owns the resource transaction: reserving primary bandwidth,
 running backup registration, and rolling everything back when any
-stage fails, so a rejected request never leaks reservations.  Every
-ledger mutation along a route is one of the four validate-then-apply
-walks of :mod:`repro.kernels.apply` — an infeasible primary or a
-rejected backup mutates nothing, and a broken precondition raises
-before the first write.
+stage fails, so a rejected request never leaks reservations.  The
+controller is also the one object that walks a route's ledgers: its
+commit methods (reserve, register, release, activate) serve admission,
+teardown and recovery alike, each one of the validate-then-apply walks
+of :mod:`repro.kernels.apply` — an infeasible primary or a rejected
+backup mutates nothing, and a broken precondition raises before the
+first write.  The reference service of :mod:`repro.testing.oracle`
+overrides exactly those methods with the hop-by-hop spelling.
 
 Policy knob: ``require_backup`` (default True) rejects a request whose
 backup cannot be routed or registered — a DR-connection without a
@@ -26,18 +29,24 @@ then counts against the scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from ..kernels.apply import batch_release_primary, batch_reserve_primary
+from ..kernels.apply import (
+    batch_activate_walk,
+    batch_release_primary,
+    batch_release_walk,
+    batch_reserve_primary,
+)
 from ..network.state import NetworkState
 from ..routing.base import RoutePlan
-from ..topology.graph import Route
 from .channel import Channel, ChannelRole
 from .connection import ConnectionRequest, DRConnection
+from . import signaling
 from .multiplexing import SparePolicy
 from .signaling import (
     BackupRegisterPacket,
     BackupReleasePacket,
+    RegistrationResult,
     register_backup_path,
     release_backup_path,
 )
@@ -115,9 +124,7 @@ class AdmissionController:
         if plan.primary is None:
             decision.reason = REASON_NO_PRIMARY
             return decision
-        if not batch_reserve_primary(
-            self._state, plan.primary.link_ids, request.bw_req
-        ):
+        if not self.reserve(plan.primary.link_ids, request.bw_req):
             decision.reason = REASON_PRIMARY_RESERVATION
             return decision
 
@@ -125,7 +132,7 @@ class AdmissionController:
         extra_channels: List[Channel] = []
         if plan.backup is None:
             if self._require_backup:
-                self._release_primary(plan.primary, request.bw_req)
+                self.unreserve(plan.primary.link_ids, request.bw_req)
                 decision.reason = REASON_NO_BACKUP_ROUTE
                 return decision
         else:
@@ -135,11 +142,7 @@ class AdmissionController:
                 primary_lset=plan.primary.lset,
                 bw_req=request.bw_req,
             )
-            registration = register_backup_path(
-                self._state, self._policy, packet,
-                self._injector, self._retry_policy,
-                counters=self._counters,
-            )
+            registration = self.register(packet)
             if not registration.success:
                 if registration.gave_up:
                     # Signaling faults, not resources, defeated the
@@ -148,7 +151,7 @@ class AdmissionController:
                     # re-establish protection in the background.
                     decision.degraded = True
                 elif self._require_backup:
-                    self._release_primary(plan.primary, request.bw_req)
+                    self.unreserve(plan.primary.link_ids, request.bw_req)
                     decision.reason = REASON_BACKUP_REGISTRATION
                     return decision
                 # Otherwise admitted unprotected: primary stands.
@@ -168,11 +171,7 @@ class AdmissionController:
                         bw_req=request.bw_req,
                         backup_index=index,
                     )
-                    outcome = register_backup_path(
-                        self._state, self._policy, extra,
-                        self._injector, self._retry_policy,
-                        counters=self._counters,
-                    )
+                    outcome = self.register(extra)
                     if outcome.success:
                         decision.backup_registration_deficit += (
                             outcome.total_deficit
@@ -207,20 +206,55 @@ class AdmissionController:
         per-link resize lets deficient spare pools absorb it, per
         Section 5's replenishment rule.
         """
-        self._release_primary(connection.primary_route, connection.bw_req)
+        self.unreserve(connection.primary_route.link_ids, connection.bw_req)
         for channel in connection.all_backups:
-            release_backup_path(
-                self._state,
-                self._policy,
+            self.deregister(
                 BackupReleasePacket(
                     connection_id=connection.connection_id,
                     backup_route=channel.route,
                     primary_lset=connection.primary_route.lset,
                     backup_index=channel.registration_index,
-                ),
+                )
             )
         connection.terminate()
 
-    def _release_primary(self, route: Route, bw: float) -> None:
+    # ------------------------------------------------------------------
+    # The commit: every ledger walk the service makes
+    # ------------------------------------------------------------------
+    # Each method resolves its module-level walk binding at call time
+    # (the e2e harness wraps the bindings there).  ``reregister`` is
+    # ``register`` at the signaling module's binding, which counts the
+    # re-protection walks; ``drop`` is ``deregister`` without the span.
+    def reserve(self, link_ids: Sequence[int], bw: float) -> bool:
+        return batch_reserve_primary(self._state, link_ids, bw)
+
+    def unreserve(self, link_ids: Sequence[int], bw: float) -> None:
         # Freed bandwidth may cover a spare deficit along the route.
-        batch_release_primary(self._state, self._policy, route.link_ids, bw)
+        batch_release_primary(self._state, self._policy, link_ids, bw)
+
+    def register(self, packet: BackupRegisterPacket) -> RegistrationResult:
+        return self._tally(register_backup_path(
+            self._state, self._policy, packet, self._injector,
+            self._retry_policy,
+        ))
+
+    def reregister(self, packet, injector, retry_policy) -> RegistrationResult:
+        return self._tally(signaling.register_backup_path(
+            self._state, self._policy, packet, injector, retry_policy
+        ))
+
+    def _tally(self, result: RegistrationResult) -> RegistrationResult:
+        """Every register walk passes here: the one place the service's
+        signaling accounting is kept."""
+        if self._counters is not None:
+            self._counters.record_signaling(result)
+        return result
+
+    def deregister(self, packet: BackupReleasePacket) -> None:
+        release_backup_path(self._state, self._policy, packet)
+
+    def drop(self, key, link_ids: Sequence[int]) -> None:
+        batch_release_walk(self._state, self._policy, key, link_ids)
+
+    def activate(self, key, link_ids: Sequence[int], bw: float) -> None:
+        batch_activate_walk(self._state, self._policy, key, link_ids, bw)

@@ -45,17 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
-from ..kernels.apply import (
-    batch_activate_walk,
-    batch_release_primary,
-    batch_release_walk,
-)
 from ..network.state import BW_EPSILON, NetworkState
 from ..routing.base import RouteQuery
 from . import signaling
 from .channel import Channel, ChannelRole
 from .connection import ConnectionState, DRConnection
-from .multiplexing import SparePolicy
 from .slab import SlabConnectionStore
 
 #: Activation-outcome reason strings.
@@ -204,7 +198,7 @@ def assess_group_failure(
 
 def apply_group_failure(
     state: NetworkState,
-    policy: SparePolicy,
+    commit,
     connections: SlabConnectionStore,
     group_id: int,
     risk_groups,
@@ -215,7 +209,7 @@ def apply_group_failure(
     single-link recoveries."""
     members = risk_groups.members(group_id)
     impact = apply_failed_links(
-        state, policy, connections, frozenset(members)
+        state, commit, connections, frozenset(members)
     )
     impact.group_id = group_id
     return impact
@@ -319,7 +313,7 @@ def assess_failed_links(
 
 def apply_link_failure(
     state: NetworkState,
-    policy: SparePolicy,
+    commit,
     connections: SlabConnectionStore,
     link_id: int,
 ) -> FailureImpact:
@@ -340,14 +334,17 @@ def apply_link_failure(
       the failed link — their primaries still run, but they are now
       unprotected until reconfiguration gives them a new backup.
 
-    Returns the same :class:`FailureImpact` the assessment produced.
+    ``commit`` is the service's
+    :class:`~repro.core.admission.AdmissionController`, which walks
+    the ledgers.  Returns the same :class:`FailureImpact` the
+    assessment produced.
     """
-    return apply_failed_links(state, policy, connections, frozenset({link_id}))
+    return apply_failed_links(state, commit, connections, frozenset({link_id}))
 
 
 def apply_failed_links(
     state: NetworkState,
-    policy: SparePolicy,
+    commit,
     connections: SlabConnectionStore,
     failed_links: FrozenSet[int],
     dead_node: Optional[int] = None,
@@ -379,25 +376,21 @@ def apply_failed_links(
             continue
         for channel in list(conn.all_backups):
             if channel.route.lset & failed_links:
-                _drop_channel(state, policy, conn, channel)
+                _drop_channel(commit, conn, channel)
 
     for conn_id, outcome in outcome_by_id.items():
         conn = connections[conn_id]
         conn.mark_recovering()
-        batch_release_primary(
-            state, policy, conn.primary_route.link_ids, conn.bw_req
-        )
+        commit.unreserve(conn.primary_route.link_ids, conn.bw_req)
         if outcome.success:
             # Bring the winning backup to the front, then promote it;
             # the rest were routed against the dead primary and are
             # released (reconfiguration re-plans them).
             conn.select_backup(outcome.backup_index)
             for channel in list(conn.extra_backups):
-                _drop_channel(state, policy, conn, channel)
+                _drop_channel(commit, conn, channel)
             channel = conn.backup
-            batch_activate_walk(
-                state,
-                policy,
+            commit.activate(
                 channel.registration_key(conn_id),
                 channel.route.link_ids,
                 conn.bw_req,
@@ -406,29 +399,27 @@ def apply_failed_links(
             connections.reindex(conn_id)
         else:
             for channel in list(conn.all_backups):
-                _drop_channel(state, policy, conn, channel)
+                _drop_channel(commit, conn, channel)
             conn.mark_failed()
             del connections[conn_id]
     return impact
 
 
 def reprotect(
-    state: NetworkState,
-    policy: SparePolicy,
+    commit,
     conn: DRConnection,
     scheme,
     max_hops: Optional[int] = None,
     injector=None,
     retry_policy=None,
-    counters=None,
 ) -> bool:
     """Give one unprotected connection a backup: plan it against the
     standing primary (``max_hops`` is the delay-QoS bound, as at
     admission), walk its register packet, attach the channel.
     ``injector`` / ``retry_policy`` make the walk lossy — only the
-    re-establishment queue passes them; ``counters`` receives the
-    walk's signaling accounting.  Returns whether the connection is
-    protected afterwards."""
+    re-establishment queue passes them; ``commit`` (the service's
+    admission controller) walks the packet.  Returns whether the
+    connection is protected afterwards."""
     backup = scheme.plan_backup(
         RouteQuery(conn.source, conn.destination, conn.bw_req, max_hops),
         conn.primary_route,
@@ -441,11 +432,7 @@ def reprotect(
         primary_lset=conn.primary_route.lset,
         bw_req=conn.bw_req,
     )
-    # Resolved through the module at call time: the e2e harness wraps
-    # this binding to count the re-protection walks.
-    registration = signaling.register_backup_path(
-        state, policy, packet, injector, retry_policy, counters=counters
-    )
+    registration = commit.reregister(packet, injector, retry_policy)
     if registration.success:
         conn.backup = Channel(role=ChannelRole.BACKUP, route=backup)
         conn.state = ConnectionState.ACTIVE
@@ -453,12 +440,10 @@ def reprotect(
 
 
 def reconfigure_unprotected(
-    state: NetworkState,
-    policy: SparePolicy,
+    commit,
     connections: Dict[int, DRConnection],
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
-    counters=None,
 ) -> int:
     """DRTP step 4: find new backups for unprotected connections.
 
@@ -466,9 +451,8 @@ def reconfigure_unprotected(
     its backup-selection machinery is reused by planning against the
     existing primary.  ``hop_bound(source, destination)`` is the
     delay-QoS bound a replacement backup must keep, exactly as at
-    admission; ``None`` plans unbounded.  The walks are fault-free;
-    ``counters`` is handed to :func:`reprotect`.  Returns how many
-    connections were re-protected.
+    admission; ``None`` plans unbounded.  The walks are fault-free.
+    Returns how many connections were re-protected.
     """
     restored = 0
     for conn in connections.values():
@@ -478,25 +462,16 @@ def reconfigure_unprotected(
             hop_bound(conn.source, conn.destination)
             if hop_bound is not None else None
         )
-        restored += reprotect(
-            state, policy, conn, scheme, max_hops, counters=counters
-        )
+        restored += reprotect(commit, conn, scheme, max_hops)
     return restored
 
 
 # ----------------------------------------------------------------------
 # Mutation helpers
 # ----------------------------------------------------------------------
-def _drop_channel(
-    state: NetworkState,
-    policy: SparePolicy,
-    conn: DRConnection,
-    channel,
-) -> None:
+def _drop_channel(commit, conn: DRConnection, channel) -> None:
     """Release one backup channel's registrations and detach it."""
-    batch_release_walk(
-        state,
-        policy,
+    commit.drop(
         channel.registration_key(conn.connection_id),
         channel.route.link_ids,
     )

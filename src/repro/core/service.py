@@ -231,6 +231,11 @@ def _failure(name: str, what: str, count=lambda failed: failed):
 class DRTPService:
     """Admission, teardown and recovery for DR-connections."""
 
+    #: The controller whose commit methods walk every route's ledgers;
+    #: the reference service of :mod:`repro.testing.oracle` sets the
+    #: hop-by-hop one.
+    admission_controller = AdmissionController
+
     def __init__(
         self,
         network: Network,
@@ -309,7 +314,7 @@ class DRTPService:
         if metrics is not None:
             metrics.bind_service(self)
         self.trace = trace
-        self._admission = AdmissionController(
+        self._admission = self.admission_controller(
             self.state,
             self.spare_policy,
             require_backup=require_backup,
@@ -480,10 +485,9 @@ class DRTPService:
             return True
         self.counters.reestablish_attempts += 1
         if not reprotect(
-            self.state, self.spare_policy, conn, self.scheme,
+            self._admission, conn, self.scheme,
             self._qos_bound(conn.source, conn.destination),
             self.fault_injector, self.retry_policy,
-            counters=self.counters,
         ):
             return False
         self._pending_backup.discard(connection_id)
@@ -535,8 +539,8 @@ class DRTPService:
         metrics, its recovery time since ``started``."""
         if reconfigure:
             reconfigure_unprotected(
-                self.state, self.spare_policy, self._connections,
-                self.scheme, self._qos_bound, counters=self.counters,
+                self._admission, self._connections, self.scheme,
+                self._qos_bound,
             )
         self.counters.record_failure(impact, group_links)
         if self.metrics is not None:
@@ -552,7 +556,7 @@ class DRTPService:
         started = perf_counter()
         self.state.mark_link_failed(link_id)
         impact = apply_link_failure(
-            self.state, self.spare_policy, self._connections, link_id
+            self.state, self._admission, self._connections, link_id
         )
         return self._settle(impact, reconfigure, started)
 
@@ -567,7 +571,7 @@ class DRTPService:
         for link_id in failed:
             self.state.mark_link_failed(link_id)
         impact = apply_failed_links(
-            self.state, self.spare_policy, self._connections, failed,
+            self.state, self._admission, self._connections, failed,
             dead_node=node,
         )
         return self._settle(impact, reconfigure, started)
@@ -626,7 +630,7 @@ class DRTPService:
             self.state.mark_link_failed(link_id)
         impact = apply_group_failure(
             self.state,
-            self.spare_policy,
+            self._admission,
             self._connections,
             group_id,
             groups,
@@ -648,7 +652,7 @@ class DRTPService:
         for link_id in failed:
             self.state.mark_link_failed(link_id)
         impact = apply_failed_links(
-            self.state, self.spare_policy, self._connections, failed
+            self.state, self._admission, self._connections, failed
         )
         return self._settle(impact, reconfigure, started, len(failed))
 

@@ -181,7 +181,6 @@ def register_backup_path(
     packet: BackupRegisterPacket,
     injector=None,
     retry_policy=None,
-    counters=None,
 ) -> RegistrationResult:
     """Walk the register packet hop by hop; unwind on rejection.
 
@@ -193,24 +192,13 @@ def register_backup_path(
     A faulted walk with no retry policy is unwound and reported with
     ``gave_up=True`` after the single attempt.
 
-    ``counters`` (the service's
-    :class:`~repro.core.service.ServiceCounters`) receives the walk's
-    accounting — walks, hops, retries, drops, duplicates, crashes,
-    give-ups — once, after the outcome is final; every walk the
-    service causes passes here, so this is the one place they are
-    tallied.  Under an open span the walk is a ``signal.register``
-    span, with one ``signal.attempt`` child per (re)transmission under
-    fault injection.
+    Under an open span the walk is a ``signal.register`` span, with
+    one ``signal.attempt`` child per (re)transmission under fault
+    injection.  The service's admission controller tallies the result.
     """
     if injector is None:
-        result = _register_walk(state, policy, packet)
-    else:
-        result = _register_with_faults(
-            state, policy, packet, injector, retry_policy
-        )
-    if counters is not None:
-        counters.record_signaling(result)
-    return result
+        return _register_walk(state, policy, packet)
+    return _register_with_faults(state, policy, packet, injector, retry_policy)
 
 
 def _register_walk(

@@ -14,13 +14,16 @@ This package keeps them honest:
   replaced;
 * :mod:`repro.testing.commit` — the hop-by-hop commit over the
   ledgers' public mutators (fault-injected walk included) that the
-  fused walks of :mod:`repro.kernels.apply` replaced;
+  fused walks of :mod:`repro.kernels.apply` replaced, as the commit
+  methods of an admission controller;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
   wrapper that replays every operation — link, node, risk-group and
-  link-set failures and repairs included — into a naive shadow service
-  (:func:`make_reference_service`, same risk groups) and asserts
+  link-set failures and repairs included, fault-injected services too
+  — into a naive shadow service (:func:`make_reference_service`: same
+  risk groups, a twin injector, the hop-by-hop commit) and asserts
   bit-identical decisions, routes and state fingerprints; a mutator
-  it does not mirror is refused.  ``repro replay --oracle`` runs a
+  it does not mirror is refused, and so is a bandwidth whose sums
+  would round (:func:`require_exact`).  ``repro replay --oracle`` runs a
   scenario under it, and the service state machine of
   ``tests/test_service_machine.py`` uses it as its model.
 """
@@ -39,6 +42,7 @@ from .oracle import (
     decision_key,
     impact_key,
     make_reference_service,
+    require_exact,
     route_key,
 )
 from .reference import (
@@ -66,5 +70,6 @@ __all__ = [
     "plsr_backup_cost",
     "primary_link_cost",
     "rebuilt_aplv",
+    "require_exact",
     "route_key",
 ]

@@ -4,13 +4,16 @@
 — same lifecycle surface, attribute pass-through for everything
 else — and mirrors every operation into a shadow service built by
 :func:`make_reference_service`: the scheme's reference planner, naive
-searches, rebuild-per-read database, independent ledgers.  After each operation the oracle asserts the two worlds are
-**bit-identical**:
+searches, rebuild-per-read database, independent ledgers, ledger walks
+committed hop by hop (:mod:`repro.testing.commit`).  After each
+operation the oracle asserts the two worlds are **bit-identical**:
 
-* the admission decision (accepted/reason/degraded) and every route in
-  the plan, link id for link id;
+* the admission decision (accepted/reason/degraded, the registration
+  deficit) and every route in the plan, link id for link id, and the
+  signaling tallies (walks, hops, retries, drops, duplicates, crashes);
 * the failure-impact outcomes of ``fail_link`` / ``fail_node`` /
-  ``fail_group`` / ``fail_link_set``;
+  ``fail_group`` / ``fail_link_set``, each in full (victim, verdict,
+  reason and the backup that activated);
 * the full network-state fingerprint (every ledger's reservations,
   spare pool, backup registry and APLV, plus link health);
 * the incrementally-maintained APLV of every ledger against a
@@ -31,9 +34,9 @@ a mutator it does not mirror (:data:`UNMIRRORED_MUTATORS`) rather than
 change the fast world alone and let the next mirrored operation take
 the blame for the divergence.
 
-The oracle refuses services with a fault injector attached: injected
-faults draw from a shared RNG, so fast and shadow services would see
-different fault sequences and diverge by design, not by bug.
+A fault-injected service's shadow gets a twin injector: the two
+spellings of the register walk consume draws one for one.  A
+``bw_req`` whose sums may round is turned away (:func:`require_exact`).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from ..routing.baselines import NoBackupScheme
 from ..routing.flooding import BoundedFloodingScheme
 from ..routing.link_state import LinkStateScheme
 from ..routing.reactive import ReactiveScheme
+from .commit import HopByHopController
 from .flooding import ReferenceFloodingScheme
 from .link_state import ReferenceLinkStateScheme
 from .reference import ReferenceDatabase, rebuilt_aplv
@@ -62,6 +66,26 @@ UNMIRRORED_MUTATORS = frozenset(
     {"install_risk_groups", "queue_backup_reestablishment"}
 )
 
+#: Bandwidths the oracle accepts are multiples of ``2 ** -EXACT_BITS``:
+#: their sums and differences stay exact in float64.
+EXACT_BITS = 16
+
+
+def require_exact(bw_req: float) -> None:
+    """Raise ``ValueError`` for a bandwidth whose sums may round."""
+    if float(bw_req).as_integer_ratio()[1] > 1 << EXACT_BITS:
+        raise ValueError(
+            "bw_req {!r} is not a multiple of 2**-{}: the reference undoes "
+            "a rejected walk hop by hop, exact only while bandwidth sums "
+            "are, so rounding would read as a divergence".format(
+                bw_req, EXACT_BITS))
+
+
+class _ReferenceService(DRTPService):
+    """A service whose every ledger walk goes hop by hop."""
+
+    admission_controller = HopByHopController
+
 
 def make_reference_service(service: DRTPService) -> DRTPService:
     """A shadow :class:`DRTPService` computing ground truth.
@@ -69,8 +93,10 @@ def make_reference_service(service: DRTPService) -> DRTPService:
     The shadow shares nothing mutable with ``service``: it owns a
     fresh :class:`~repro.network.state.NetworkState` over the same
     (immutable) topology and risk groups, a :class:`ReferenceDatabase`,
-    a copy of the spare policy, and the *reference* planner of the
-    routing scheme — the closure planner of
+    a copy of the spare policy, a twin of the fault injector (same
+    plan, seed and stream positions), the hop-by-hop commit of
+    :class:`~repro.testing.commit.HopByHopController`, and the
+    *reference* planner of the routing scheme — the closure planner of
     :mod:`repro.testing.link_state` for the link-state schemes and, its
     primary half alone, for the primary-only baselines; the object
     flood of
@@ -78,11 +104,6 @@ def make_reference_service(service: DRTPService) -> DRTPService:
     only for the random baseline, whose decisions are its generator's.
     Replaying the same operations through both must produce
     bit-identical decisions and state fingerprints.
-
-    Fault injection is deliberately not carried over: the injector
-    draws from a shared RNG, so two services would observe different
-    fault sequences and diverge by design.  The oracle refuses faulted
-    services for the same reason.
     """
     if isinstance(service.scheme, LinkStateScheme):
         scheme = ReferenceLinkStateScheme.shadowing(service.scheme)
@@ -92,13 +113,15 @@ def make_reference_service(service: DRTPService) -> DRTPService:
         scheme = ReferenceFloodingScheme.shadowing(service.scheme)
     else:
         scheme = copy.copy(service.scheme)
-    shadow = DRTPService(
+    shadow = _ReferenceService(
         service.network,
         scheme,
         spare_policy=copy.copy(service.spare_policy),
         require_backup=service._admission._require_backup,
         live_database=True,
         qos_slack=service.qos_slack,
+        fault_injector=copy.deepcopy(service.fault_injector),
+        retry_policy=service.retry_policy,
         risk_groups=service.risk_groups,
     )
     shadow.database = ReferenceDatabase(shadow.state)
@@ -127,13 +150,8 @@ def decision_key(decision) -> tuple:
 
 def impact_key(impact) -> tuple:
     """A failure impact as comparable data: its label and every
-    victim's outcome, in order."""
-    return (
-        impact.link_id,
-        tuple(
-            (o.connection_id, o.success, o.reason) for o in impact.outcomes
-        ),
-    )
+    victim's full outcome, in order."""
+    return (impact.link_id, tuple(impact.outcomes))
 
 
 class DifferentialOracle:
@@ -147,12 +165,6 @@ class DifferentialOracle:
         """``check_database=False`` skips the per-link database record
         sweep (O(num_links) per operation) and keeps only the decision
         and fingerprint diffs — for long campaigns on big meshes."""
-        if service.fault_injector is not None:
-            raise ValueError(
-                "DifferentialOracle cannot wrap a fault-injected service: "
-                "fast and shadow services would draw different fault "
-                "sequences and diverge by design"
-            )
         self._service = service
         self._shadow = make_reference_service(service)
         self._check_database = check_database
@@ -160,6 +172,10 @@ class DifferentialOracle:
         self.operations = 0
         #: Individual equality assertions that passed.
         self.checks = 0
+        #: ``id(ledger) -> (version, fingerprint)``, emptied every eighth
+        #: operation: a fast-side change without its version bump shows
+        #: at once where the shadow changes that ledger too, else then.
+        self._prints = {}
 
     @property
     def service(self) -> DRTPService:
@@ -183,6 +199,7 @@ class DifferentialOracle:
         holding_time: float = float("inf"),
         request_id: Optional[int] = None,
     ):
+        require_exact(bw_req)
         decision = self._service.request(
             source, destination, bw_req, arrival_time, holding_time,
             request_id,
@@ -195,6 +212,7 @@ class DifferentialOracle:
         return decision
 
     def admit(self, request):
+        require_exact(request.bw_req)
         decision = self._service.admit(request)
         shadow_decision = self._shadow.admit(request)
         self._compare_decisions("admit", decision, shadow_decision)
@@ -279,6 +297,9 @@ class DifferentialOracle:
         self._expect(op, "reason", decision.reason, shadow_decision.reason)
         self._expect(op, "degraded", decision.degraded,
                      shadow_decision.degraded)
+        self._expect(op, "registration deficit",
+                     decision.backup_registration_deficit,
+                     shadow_decision.backup_registration_deficit)
         self._expect(
             op, "primary route",
             route_key(decision.plan.primary),
@@ -291,14 +312,31 @@ class DifferentialOracle:
         )
 
     def _compare_state(self, op: str) -> None:
+        if self.operations % 8 == 0:
+            self._prints.clear()
+        self._expect(op, "signaling tallies", *(
+            {k: v for k, v in vars(s.counters).items() if "signaling" in k}
+            for s in (self._service, self._shadow)
+        ))
         self._expect(
             op, "state fingerprint",
-            self._service.state.fingerprint(),
-            self._shadow.state.fingerprint(),
+            self._fingerprint(self._service.state),
+            self._fingerprint(self._shadow.state),
         )
         if self._check_database:
             self._verify_ledgers(op)
         self.operations += 1
+
+    def _fingerprint(self, state) -> tuple:
+        """``state.fingerprint()``, reusing prints of unmoved ledgers."""
+        prints = []
+        for ledger in state.ledgers():
+            seen = self._prints.get(id(ledger))
+            if seen is None or seen[0] != ledger.version:
+                seen = (ledger.version, ledger.fingerprint())
+                self._prints[id(ledger)] = seen
+            prints.append(seen[1])
+        return tuple(prints), tuple(sorted(state.failed_links()))
 
     def _verify_ledgers(self, op: str) -> None:
         """Diff every ledger's incremental state, and the fast

@@ -1,26 +1,15 @@
-"""The fused commit vs the hop-by-hop reference — function-level lockstep.
+"""The fused commit vs. the hop-by-hop one: machine slices, and what no
+rule can reach.
 
-Production mutates ledgers along a route only through the four walks
-of :mod:`repro.kernels.apply` (and, for the register walk, the
-prefix replay in :mod:`repro.core.signaling`); the spelling they
-replaced — one public ``LinkLedger`` mutator per hop, the injector
-consulted *while* mutating — lives on in :mod:`repro.testing.commit`.
-These tests run random scripts of register / release / reserve-primary
-/ release-primary / unwind / activate on twin ``NetworkState``s, one
-per spelling, and demand after every step: equal results (every
-``RegistrationResult`` field, resize lists, booleans), equal
-fingerprints and group tables, clean invariants, and — with two
-identically seeded ``FaultInjector``s — equal stream positions, i.e.
-the draws were consumed one for one.
-
-Bandwidths are dyadic so the reference's register/unwind cycle on a
-rejection is exact in floating point (the fused rejection mutates
-nothing at all).  Mixed bandwidths — non-dyadic ones, whose sums drift
-and near-tie — run on links wide enough that nothing is ever rejected.
-The twins are only comparable on valid inputs; what a broken
-precondition does is pinned at the bottom: a ``ResourceError`` (an
-activation's missing spare a ``RecoveryError``) and an untouched
-state.
+The oracle's shadow commits through
+:class:`~repro.testing.commit.HopByHopController`, so the service
+machine diffs every walk of :mod:`repro.kernels.apply` — results,
+fault accounting (twin injectors drawn one for one), fingerprints —
+after every rule; the first test here is a seeded slice of it.  Twin
+states under the two controllers keep what the machine cannot draw:
+non-dyadic bandwidths, which the oracle turns away, on links too wide
+to reject; a drop, crash, rejection or spare shortfall aimed at one
+chosen hop; and broken preconditions — an error, and nothing moved.
 """
 
 import random
@@ -29,34 +18,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    BackupRegisterPacket,
-    BackupReleasePacket,
-    DedicatedSparePolicy,
-    SharedSparePolicy,
-)
-from repro.core import signaling
+from repro.core import BackupRegisterPacket, signaling
+from repro.core.admission import AdmissionController
 from repro.core.errors import RecoveryError
-from repro.core.multiplexing import GroupAwareSparePolicy
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.faults.plan import SignalingFaults
 from repro.kernels import apply
 from repro.network import NetworkState, ResourceError
-from repro.testing import commit
+from repro.testing.commit import HopByHopController
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
 from .scripted import ScriptedInjector
+from .test_service_machine import POLICIES, Config, drive
 
 ROWS = COLS = 4
-NET = mesh_network(ROWS, COLS, 2.0)
-#: The same mesh with links no 30-step script can fill.
-WIDE_NET = mesh_network(ROWS, COLS, 64.0)
+#: A 4x4 mesh whose links no 30-step script can fill.
+NET = mesh_network(ROWS, COLS, 64.0)
 GROUPS = mesh_conduit_groups(NET, ROWS, COLS)
-POLICIES = {
-    "shared": SharedSparePolicy,
-    "dedicated": DedicatedSparePolicy,
-    "group-aware": GroupAwareSparePolicy,
-}
 LOSSY = FaultPlan(
     signaling=SignalingFaults(
         drop_prob=0.12, duplicate_prob=0.1, crash_prob=0.25,
@@ -83,25 +61,16 @@ def _route_pool(count, rng):
 ROUTES = _route_pool(48, random.Random(15))
 
 
-def scripted(kind, hop):
-    """The fault shapes the issue names, each aimed at hop ``hop``."""
-    clean = [(None, 0.0)] * hop
-    if kind == "drop":
-        return ScriptedInjector(hop_events=clean + [("drop", 0.125)])
-    if kind == "crash":
-        return ScriptedInjector(crash_script=[hop])
-    assert kind == "duplicate-then-crash"
-    return ScriptedInjector(
-        hop_events=clean + [("duplicate", 0.0)], crash_script=[hop]
-    )
-
-
-def _result_fields(result):
+def result_fields(result):
     return (
         result.success, result.rejected_link, result.hops_signaled,
         result.attempts, result.drops, result.duplicates, result.crashes,
         result.delay, result.gave_up, tuple(result.resizes),
     )
+
+
+def versions(state):
+    return [ledger.version for ledger in state.ledgers()]
 
 
 def _streams(injector):
@@ -111,243 +80,180 @@ def _streams(injector):
     )
 
 
-def _versions(state):
-    return [ledger.version for ledger in state.ledgers()]
-
-
-def _group_tables(state):
-    return [
-        (ledger.group_aplv_l1(), ledger.group_support(), ledger.max_group_demand)
-        for ledger in state.ledgers()
-    ]
-
-
 class Twins:
-    """One state per spelling, driven in lockstep."""
+    """One state per spelling, each committed by its controller, driven
+    in lockstep; equal results, fingerprints, group tables and ledger
+    versions (the compiled cost caches key on them) after every step —
+    valid while no walk is rejected: the reference registers and
+    undoes, the fused walk touches nothing."""
 
-    def __init__(self, policy, srlg, seed=0, network=NET):
-        self.fused = NetworkState(network)
-        self.reference = NetworkState(network)
-        if srlg:
-            self.fused.install_risk_groups(GROUPS)
-            self.reference.install_risk_groups(GROUPS)
-        self.policy = POLICIES[policy]()
+    def __init__(self, policy="shared", srlg=False, seed=0, network=NET):
+        self.states = (NetworkState(network), NetworkState(network))
+        policy = POLICIES[policy]()
+        self.fused, self.reference = (
+            controller(state, policy) for controller, state in
+            zip((AdmissionController, HopByHopController), self.states)
+        )
+        for state in self.states:
+            if srlg:
+                state.install_risk_groups(GROUPS)
         self.injectors = (FaultInjector(LOSSY, seed), FaultInjector(LOSSY, seed))
         self.registered = []
         self.primaries = []
-        self._seen = self._ledger_view()
-
-    def _ledger_view(self):
-        return [(l.fingerprint(), l.version) for l in self.fused.ledgers()]
 
     def check(self):
-        assert self.fused.fingerprint() == self.reference.fingerprint()
-        assert _group_tables(self.fused) == _group_tables(self.reference)
-        self.fused.check_invariants()
-        self.reference.check_invariants()
-        # The kernel caches key on ledger versions: a ledger whose
-        # contents moved must have bumped its counter.
-        now = self._ledger_view()
-        for (was, was_version), (is_, version) in zip(self._seen, now):
-            assert was == is_ or version != was_version
-        self._seen = now
+        fused, reference = (
+            [(state.fingerprint(), versions(state))] + [
+                (ledger.group_aplv_l1(), ledger.group_support(),
+                 ledger.max_group_demand) for ledger in state.ledgers()
+            ] for state in self.states
+        )
+        assert fused == reference
+        for state in self.states:
+            state.check_invariants()
 
     def register(self, packet, fault=None, retry=None):
-        if fault is None:
-            injectors = (None, None)
-        elif fault == "seeded":
-            injectors = self.injectors
-        else:
-            injectors = (scripted(*fault), scripted(*fault))
-        fused = signaling.register_backup_path(
-            self.fused, self.policy, packet, injectors[0], retry
+        injectors = self.injectors if fault == "seeded" else (
+            (ScriptedInjector(*fault), ScriptedInjector(*fault))
+            if fault else (None, None)
         )
-        reference = commit.register_backup_path(
-            self.reference, self.policy, packet, injectors[1], retry
-        )
-        assert _result_fields(fused) == _result_fields(reference)
+        fused = self.fused.reregister(packet, injectors[0], retry)
+        reference = self.reference.reregister(packet, injectors[1], retry)
+        assert result_fields(fused) == result_fields(reference)
         assert _streams(self.injectors[0]) == _streams(self.injectors[1])
         if fused.success:
             self.registered.append(packet)
         self.check()
         return fused
 
-    def release(self, index):
-        packet = self.registered.pop(index % len(self.registered))
-        fused = signaling.release_backup_path(
-            self.fused,
-            self.policy,
-            BackupReleasePacket(
-                packet.connection_id, packet.backup_route, packet.primary_lset
-            ),
-        )
-        assert fused == commit.release_walk(
-            self.reference, self.policy, packet.registration_key,
-            packet.backup_route.link_ids,
-        )
-        self.check()
-
-    def unwind(self, packet):
-        released = signaling.unwind_backup_path(self.fused, self.policy, packet)
-        assert released == commit.unwind(self.reference, self.policy, packet)
-        self.check()
-        return released
-
-    def reserve(self, route, bw):
-        fused = apply.batch_reserve_primary(self.fused, route.link_ids, bw)
-        assert fused is commit.reserve_primary(
-            self.reference, route.link_ids, bw
-        )
-        if fused:
-            self.primaries.append((route, bw))
+    def both(self, method, *args):
+        fused = getattr(self.fused, method)(*args)
+        assert fused == getattr(self.reference, method)(*args)
         self.check()
         return fused
 
-    def release_primary(self, index):
-        route, bw = self.primaries.pop(index % len(self.primaries))
-        assert apply.batch_release_primary(
-            self.fused, self.policy, route.link_ids, bw
-        ) is True
-        commit.release_primary(self.reference, self.policy, route.link_ids, bw)
-        self.check()
-
-    def activate(self, index):
-        """Switch a registered backup to primary.  A walk whose spare
-        falls short raises before mutating anything, so the reference
-        — which would strand a prefix — only runs when it succeeds."""
-        packet = self.registered.pop(index % len(self.registered))
-        route, bw = packet.backup_route, packet.bw_req
-        before = self._ledger_view()
-        versions = (_versions(self.fused), _versions(self.reference))
-        try:
-            apply.batch_activate_walk(
-                self.fused, self.policy, packet.registration_key,
-                route.link_ids, bw,
-            )
-        except RecoveryError:
-            assert self._ledger_view() == before
-            self.registered.append(packet)
-            return False
-        commit.activate(
-            self.reference, self.policy, packet.registration_key,
-            route.link_ids, bw,
-        )
-        # Every hop bumps its version exactly as the four mutators do.
-        fused, reference = (
-            [now - was for now, was in zip(_versions(state), old)]
-            for state, old in zip((self.fused, self.reference), versions)
-        )
-        assert fused == reference
-        self.primaries.append((route, bw))
-        self.check()
-        return True
 
 
-routes = st.integers(min_value=0, max_value=len(ROUTES) - 1)
-bandwidths = st.sampled_from((0.5, 0.75, 1.0, 2.0))
 mixed_bandwidths = st.sampled_from((0.1, 0.2, 0.3, 0.5, 1.0))
+routes = st.integers(min_value=0, max_value=len(ROUTES) - 1)
 picks = st.integers(min_value=0, max_value=63)
 faults = st.one_of(
     st.none(),
     st.just("seeded"),
     st.tuples(
-        st.sampled_from(("drop", "crash", "duplicate-then-crash")),
-        st.integers(min_value=0, max_value=6),
+        st.lists(st.tuples(st.sampled_from((None, "drop", "duplicate")),
+                           st.just(0.125)), max_size=6),
+        st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=2),
     ),
 )
-
-
-def operations(bandwidths):
-    return st.lists(
-        st.one_of(
-            st.tuples(
-                st.just("register"), routes, routes, bandwidths, faults,
-                st.sampled_from((None, RETRY)),
-            ),
-            st.tuples(st.just("reserve"), routes, bandwidths),
-            st.tuples(st.just("release"), picks),
-            st.tuples(st.just("unwind"), picks),
-            st.tuples(st.just("release-primary"), picks),
-            st.tuples(st.just("activate"), picks),
-        ),
-        min_size=1,
-        max_size=30,
-    )
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), routes, routes, mixed_bandwidths,
+                  faults, st.sampled_from((None, RETRY))),
+        st.tuples(st.just("reserve"), routes, mixed_bandwidths),
+        st.tuples(st.sampled_from(
+            ("release", "unwind", "unreserve", "activate")), picks),
+    ),
+    min_size=1, max_size=30,
+)
 
 
 @pytest.mark.oracle
 @pytest.mark.parametrize("srlg", (False, True), ids=("links", "srlg"))
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-@given(
-    script=operations(bandwidths),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=60, deadline=None)
-def test_fused_commit_equals_hop_by_hop(policy, srlg, script, seed):
-    run_script(Twins(policy, srlg, seed), script)
-
-
-@pytest.mark.oracle
-@pytest.mark.parametrize("srlg", (False, True), ids=("links", "srlg"))
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@given(
-    script=operations(mixed_bandwidths),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
+@given(script=operations, seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=30, deadline=None)
 def test_fused_commit_equals_hop_by_hop_mixed_bandwidths(
     policy, srlg, script, seed
 ):
     """Non-dyadic sums tie and drift (0.1 + 0.2 != 0.3): the walks
-    still match the reference bit for bit, and every running maximum's
-    peak holders match a recount."""
-    run_script(Twins(policy, srlg, seed, network=WIDE_NET), script)
-
-
-def run_script(twins, script):
+    still match the reference bit for bit — faulted, retried, unwound
+    and activated — and every running maximum's peak holders match a
+    recount."""
+    twins = Twins(policy, srlg, seed)
     for step, (kind, *args) in enumerate(script):
         if kind == "register":
             backup, primary, bw, fault, retry = args
-            twins.register(
-                BackupRegisterPacket(
-                    connection_id=step,
-                    backup_route=ROUTES[backup],
-                    primary_lset=ROUTES[primary].lset,
-                    bw_req=bw,
-                ),
-                fault,
-                retry,
-            )
+            twins.register(BackupRegisterPacket(
+                step, ROUTES[backup], ROUTES[primary].lset, bw
+            ), fault, retry)
         elif kind == "reserve":
-            twins.reserve(ROUTES[args[0]], args[1])
-        elif kind == "release" and twins.registered:
-            twins.release(args[0])
-        elif kind == "unwind" and twins.registered:
-            # The source-initiated release also tears down a complete
-            # registration, and a second one finds nothing.
+            if twins.both("reserve", ROUTES[args[0]].link_ids, args[1]):
+                twins.primaries.append((ROUTES[args[0]], args[1]))
+        elif kind == "unreserve" and twins.primaries:
+            route, bw = twins.primaries.pop(args[0] % len(twins.primaries))
+            twins.both("unreserve", route.link_ids, bw)
+        elif twins.registered:
             packet = twins.registered.pop(args[0] % len(twins.registered))
-            assert twins.unwind(packet) == len(packet.backup_route.link_ids)
-            assert twins.unwind(packet) == 0
-        elif kind == "release-primary" and twins.primaries:
-            twins.release_primary(args[0])
-        elif kind == "activate" and twins.registered:
-            twins.activate(args[0])
+            if kind == "release":
+                twins.both("drop", packet.registration_key,
+                           packet.backup_route.link_ids)
+            elif kind == "activate":
+                # Free bandwidth alone covers it on these links.
+                twins.both("activate", packet.registration_key,
+                           packet.backup_route.link_ids, packet.bw_req)
+                twins.primaries.append((packet.backup_route, packet.bw_req))
+            else:
+                # The source's unwind also tears down a complete
+                # registration, and a second one finds nothing.
+                for released in (len(packet.backup_route.link_ids), 0):
+                    assert signaling.unwind_backup_path(
+                        twins.states[0], twins.fused.spare_policy, packet
+                    ) == released == twins.reference.unwind(packet)
+                twins.check()
 
 
 # ----------------------------------------------------------------------
-# The named fault shapes, at every hop
+# Slices of the machine
+# ----------------------------------------------------------------------
+@pytest.mark.oracle
+@pytest.mark.parametrize("srlg", (False, True), ids=("links", "srlg"))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_fused_commit_equals_hop_by_hop(policy, srlg):
+    """Slice: two backups per connection over lossy, retried signaling
+    under each spare policy on a 5x4 mesh; failures activate backups and
+    re-protection walks register new ones."""
+    machine = drive(
+        Config(policy=policy, srlg=srlg, backups=2, faulted=True,
+               retry=True, rows=5, cols=4),
+        60, seed=11, preload=20,
+    )
+    counters = machine.service.counters
+    assert counters.signaling_retries and counters.recovery_outcomes
+    machine.teardown()
+
+
+# ----------------------------------------------------------------------
+# Broken preconditions: an error, and nothing moved
 # ----------------------------------------------------------------------
 ROUTE = Route.from_nodes(NET, [0, 1, 2, 3, 7, 11])
+LSET = Route.from_nodes(NET, [0, 4, 8, 9, 10, 11]).lset
+#: ``ROUTE`` and one more hop.
+LONGER = ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids
+
+
 HOPS = len(ROUTE.link_ids)
+#: The 4x4 mesh with links two units wide, where one primary starves a hop.
+NARROW = mesh_network(ROWS, COLS, 2.0)
 
 
-def _packet(connection_id, bw=1.0, route=ROUTE):
-    return BackupRegisterPacket(
-        connection_id=connection_id,
-        backup_route=route,
-        primary_lset=Route.from_nodes(NET, [0, 4, 8, 9, 10, 11]).lset,
-        bw_req=bw,
-    )
+def _packet(connection_id, bw=1.0):
+    return BackupRegisterPacket(connection_id, ROUTE, LSET, bw)
+
+
+# ----------------------------------------------------------------------
+# Faults and shortfalls aimed at one hop, which the machine's seeded
+# injectors cannot aim
+# ----------------------------------------------------------------------
+def aimed(kind, hop):
+    """A scripted fault of shape ``kind`` striking hop ``hop``."""
+    clean = [(None, 0.0)] * hop
+    if kind == "drop":
+        return clean + [("drop", 0.125)], []
+    if kind == "crash":
+        return [], [hop]
+    assert kind == "duplicate-then-crash"
+    return clean + [("duplicate", 0.0)], [hop]
 
 
 @pytest.mark.oracle
@@ -355,13 +261,15 @@ def _packet(connection_id, bw=1.0, route=ROUTE):
 @pytest.mark.parametrize("hop", range(HOPS))
 @pytest.mark.parametrize("kind", ("drop", "crash", "duplicate-then-crash"))
 def test_fault_at_every_hop(kind, hop, retry):
-    twins = Twins("shared", srlg=True)
+    """A walk stranded at hop ``hop`` is unwound to the loaded state
+    and given up, or retried to success, in both spellings alike."""
+    twins = Twins("shared", srlg=True, network=NARROW)
     twins.register(_packet(1))
-    loaded = twins.fused.fingerprint()
-    result = twins.register(_packet(2), (kind, hop), retry)
+    loaded = twins.states[0].fingerprint()
+    result = twins.register(_packet(2), aimed(kind, hop), retry)
     assert result.drops + result.crashes == 1
     if retry is None:
-        assert result.gave_up and twins.fused.fingerprint() == loaded
+        assert result.gave_up and twins.states[0].fingerprint() == loaded
     else:
         assert result.success and result.attempts == 2
 
@@ -372,40 +280,55 @@ def test_rejection_under_faults(hop):
     """A starved hop rejects mid-walk while the injector duplicates a
     delivery upstream and has a crash planned downstream: the crash is
     never reached, the registered prefix is released again, nothing
-    retries."""
-    twins = Twins("shared", srlg=False)
-    assert twins.reserve(Route.from_nodes(NET, ROUTE.nodes[hop:hop + 2]), 1.5)
-    before = twins.fused.fingerprint()
+    retries.  The reference registers and undoes, so only contents,
+    not versions, are compared."""
+    twins = Twins(network=NARROW)
+    twins.both("reserve", ROUTE.link_ids[hop:hop + 1], 1.5)
+    before = twins.states[0].fingerprint()
     events = [("duplicate", 0.25)] + [(None, 0.0)] * HOPS
-    fused = signaling.register_backup_path(
-        twins.fused, twins.policy, _packet(3),
-        ScriptedInjector(events, [HOPS - 1]), RETRY,
+    fused, reference = (
+        controller.reregister(
+            _packet(3), ScriptedInjector(events, [HOPS - 1]), RETRY
+        ) for controller in (twins.fused, twins.reference)
     )
-    reference = commit.register_backup_path(
-        twins.reference, twins.policy, _packet(3),
-        ScriptedInjector(events, [HOPS - 1]), RETRY,
-    )
-    assert _result_fields(fused) == _result_fields(reference)
+    assert result_fields(fused) == result_fields(reference)
     assert not fused.success and not fused.gave_up and fused.attempts == 1
     assert fused.rejected_link == ROUTE.link_ids[hop]
     assert fused.hops_signaled == hop + 2 and fused.crashes == 0
     assert fused.resizes == []
-    twins.check()
-    assert twins.fused.fingerprint() == before
+    assert [state.fingerprint() for state in twins.states] == [before] * 2
+    for state in twins.states:
+        state.check_invariants()
 
 
-# ----------------------------------------------------------------------
-# Broken preconditions: an error, and nothing moved
-# ----------------------------------------------------------------------
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("hop", range(HOPS))
+def test_activation_draws_on_spare(policy, hop):
+    """Free bandwidth short at one hop: the spare pays the shortfall
+    there, then the resize settles it for the backup that stays —
+    equal to the reference, version bump for version bump."""
+    twins = Twins(policy, network=NARROW)
+    twins.register(_packet(1))
+    twins.register(BackupRegisterPacket(
+        2, ROUTE, Route.from_nodes(NET, [12, 13, 14, 15]).lset, 0.25
+    ))
+    link = ROUTE.link_ids[hop]
+    assert twins.both("reserve", (link,), 0.5)
+    ledger = twins.states[0].ledger(link)
+    assert ledger.free_bw < 1.0 <= ledger.free_bw + ledger.spare_bw
+    twins.both("activate", 1, ROUTE.link_ids, 1.0)
+    assert ledger.prime_bw == 1.5 and ledger.spare_bw == 0.25
+    assert not ledger.has_backup(1) and ledger.has_backup(2)
+
+
 def _loaded_state():
-    state = NetworkState(NET)
-    policy = SharedSparePolicy()
-    assert signaling.register_backup_path(state, policy, _packet(1)).success
-    assert apply.batch_reserve_primary(state, ROUTE.link_ids, 1.0)
-    return state, policy
+    state = NetworkState(NARROW)
+    controller = AdmissionController(state, POLICIES["shared"]())
+    assert controller.register(_packet(1)).success
+    assert controller.reserve(ROUTE.link_ids, 1.0)
+    return state, controller.spare_policy
 
 
-LSET = _packet(0).primary_lset
 #: ``kind -> call(state, policy)``; each breaks its precondition on the
 #: *last* hop it can, so a hop-by-hop walk would have mutated a prefix.
 BROKEN = {
@@ -423,55 +346,31 @@ BROKEN = {
             Route.from_nodes(NET, [8, 9, 10, 11, 7, 3]).link_ids[:3]
             + ROUTE.link_ids[-1:], LSET, 1.0)),
     "key not registered": lambda state, policy: (
-        apply.batch_release_walk(
-            state, policy, 1,
-            ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids)),
+        apply.batch_release_walk(state, policy, 1, LONGER)),
     "primary over-release": lambda state, policy: (
-        apply.batch_release_primary(
-            state, policy,
-            ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids, 1.0)),
+        apply.batch_release_primary(state, policy, LONGER, 1.0)),
     "activation of an unregistered hop": lambda state, policy: (
-        apply.batch_activate_walk(
-            state, policy, 1,
-            ROUTE.link_ids + Route.from_nodes(NET, [11, 15]).link_ids, 0.5)),
+        apply.batch_activate_walk(state, policy, 1, LONGER, 0.5)),
 }
+
+
+def _untouched(state, call, error=ResourceError):
+    """``call()`` raises ``error`` and leaves fingerprint, versions and
+    change notifications alone."""
+    before = (state.fingerprint(), versions(state))
+    changed = []
+    state.subscribe(changed.append)
+    with pytest.raises(error):
+        call()
+    assert (state.fingerprint(), versions(state)) == before
+    assert changed == []
+    state.check_invariants()
 
 
 @pytest.mark.parametrize("kind", sorted(BROKEN))
 def test_precondition_error_mutates_nothing(kind):
     state, policy = _loaded_state()
-    before = (state.fingerprint(), [l.version for l in state.ledgers()])
-    changed = []
-    state.subscribe(changed.append)
-    with pytest.raises(ResourceError):
-        BROKEN[kind](state, policy)
-    assert (state.fingerprint(), [l.version for l in state.ledgers()]) == before
-    assert changed == []
-    state.check_invariants()
-
-
-@pytest.mark.oracle
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@pytest.mark.parametrize("hop", range(HOPS))
-def test_activation_draws_on_spare(policy, hop):
-    """Free bandwidth short at one hop: the spare pays the shortfall
-    there, then the resize settles it for the backup that stays —
-    equal to the reference, version bump for version bump."""
-    twins = Twins(policy, srlg=False)
-    twins.register(_packet(1))
-    twins.register(BackupRegisterPacket(
-        connection_id=2,
-        backup_route=ROUTE,
-        primary_lset=Route.from_nodes(NET, [12, 13, 14, 15]).lset,
-        bw_req=0.25,
-    ))
-    link = ROUTE.link_ids[hop]
-    assert twins.reserve(Route.from_nodes(NET, ROUTE.nodes[hop:hop + 2]), 0.5)
-    ledger = twins.fused.ledger(link)
-    assert ledger.free_bw < 1.0 <= ledger.free_bw + ledger.spare_bw
-    assert twins.activate(0)
-    assert ledger.prime_bw == 1.5 and ledger.spare_bw == 0.25
-    assert not ledger.has_backup(1) and ledger.has_backup(2)
+    _untouched(state, lambda: BROKEN[kind](state, policy))
 
 
 @pytest.mark.parametrize("hop", range(1, HOPS))
@@ -481,35 +380,18 @@ def test_activation_spare_miss_mutates_nothing(hop):
     already promoted.  The walk raises before its first mutation; the
     hop-by-hop spelling still strands the prefix, the failing hop's
     released registration included."""
-    twins = Twins("shared", srlg=False)
-    packet = _packet(1)
-    twins.register(packet)
-    for state in (twins.fused, twins.reference):
+    twins = Twins()
+    twins.register(_packet(1))
+    for state in twins.states:
         ledger = state.ledger(ROUTE.link_ids[hop])
         ledger.set_spare(0.5)
-        ledger.reserve_primary(1.5)  # no free bandwidth left
-    before = (
-        twins.fused.fingerprint(), [l.version for l in twins.fused.ledgers()]
-    )
-    changed = []
-    twins.fused.subscribe(changed.append)
+        ledger.reserve_primary(63.5)  # no free bandwidth left
+    _untouched(twins.states[0], lambda: twins.fused.activate(
+        1, ROUTE.link_ids, 1.0), RecoveryError)
     with pytest.raises(RecoveryError):
-        apply.batch_activate_walk(
-            twins.fused, twins.policy, packet.registration_key,
-            ROUTE.link_ids, 1.0,
-        )
-    assert (
-        twins.fused.fingerprint(), [l.version for l in twins.fused.ledgers()]
-    ) == before
-    assert changed == []
-    assert all(twins.fused.ledger(b).has_backup(1) for b in ROUTE.link_ids)
-    with pytest.raises(RecoveryError):
-        commit.activate(
-            twins.reference, twins.policy, packet.registration_key,
-            ROUTE.link_ids, 1.0,
-        )
+        twins.reference.activate(1, ROUTE.link_ids, 1.0)
     assert [
-        twins.reference.ledger(b).has_backup(1) for b in ROUTE.link_ids
+        twins.states[1].ledger(b).has_backup(1) for b in ROUTE.link_ids
     ] == [False] * (hop + 1) + [True] * (HOPS - hop - 1)
 
 
@@ -517,13 +399,11 @@ def test_aplv_underflow_on_release_is_an_error():
     """A registry entry whose LSET the APLV no longer counts (corrupt
     state) must not be decremented below zero."""
     state, policy = _loaded_state()
-    ledger = state.ledger(ROUTE.link_ids[-1])
-    position = next(iter(LSET))
-    del ledger.aplv._counts[position]
-    before = [l.version for l in state.ledgers()]
+    del state.ledger(ROUTE.link_ids[-1]).aplv._counts[next(iter(LSET))]
+    before = versions(state)
     with pytest.raises(ResourceError):
         apply.batch_release_walk(state, policy, 1, ROUTE.link_ids)
-    assert [l.version for l in state.ledgers()] == before
+    assert versions(state) == before
     assert all(state.ledger(b).has_backup(1) for b in ROUTE.link_ids)
 
 

@@ -3,10 +3,11 @@
 ``BoundedFloodingScheme`` floods over flat tables (tuple CDPs, link
 tests judged once per flood, bitmask overlap);
 ``repro.testing.ReferenceFloodingScheme`` is the flood it replaced, one
-object per CDP / PCT row / candidate and ``LSET``-set selection.  Bound
-to the *same* routing context they must agree on every flood — the
-candidates in arrival order, the four counters — and on every plan
-built from one.
+object per CDP / PCT row / candidate and ``LSET``-set selection.  The
+service machine's BF configurations diff every plan the two build (the
+shadow floods with the reference); what a plan does not show stays
+here — on the *same* routing context, under every parameter set and
+database mode, the candidates in arrival order and the four counters.
 """
 
 import random
@@ -116,17 +117,16 @@ def _counters(result):
 @given(
     network=st.sampled_from(_NETWORKS),
     parameters=st.sampled_from(_PARAMETERS),
-    num_backups=st.sampled_from((1, 2)),
     database_mode=st.sampled_from(("live", "snapshot", "stale")),
     srlg=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
 def test_flat_flood_equals_object_flood(
-    network, parameters, num_backups, database_mode, srlg, seed
+    network, parameters, database_mode, srlg, seed
 ):
     rng = random.Random(seed)
-    scheme = BoundedFloodingScheme(parameters, num_backups=num_backups)
+    scheme = BoundedFloodingScheme(parameters)
     service = _loaded_service(network, scheme, rng, database_mode, srlg)
     reference = ReferenceFloodingScheme.shadowing(scheme)
     reference.bind(scheme.context)
@@ -144,15 +144,6 @@ def test_flat_flood_equals_object_flood(
         assert _counters(flat) == _counters(naive)
         for entry in flat.candidates:
             assert entry.route == Route.from_nodes(network, entry.nodes)
-        plan = scheme.plan(query)
-        assert plan == reference.plan(query)
-        established = plan.primary or (
-            flat.candidates[0].route if flat.candidates else None
-        )
-        if established is not None:
-            assert scheme.plan_backup(query, established) == (
-                reference.plan_backup(query, established)
-            )
     service.check_invariants()
 
 

@@ -16,15 +16,20 @@ oracle``); the small smoke cases run with the default suite too.
 
 import pytest
 
+from repro.cli import main
 from repro.core import DRTPService
+from repro.core.recovery import ActivationOutcome, FailureImpact
 from repro.experiments import make_scheme
-from repro.faults import FaultInjector, FaultPlan
+from repro.simulation import BandwidthMix, generate_scenario
+from repro.simulation.workload import BandwidthClass
 from repro.testing import (
     DifferentialOracle,
     OracleDivergence,
+    impact_key,
     make_reference_service,
 )
 from repro.topology import mesh_conduit_groups, mesh_network
+from repro.topology.serialize import save_network
 
 from .test_service_machine import PRIMARY_ONLY, Config, walk
 
@@ -78,15 +83,64 @@ def test_oracle_smoke_with_database_sweep(scheme_name):
 
 
 @pytest.mark.oracle
-def test_oracle_refuses_fault_injected_service():
-    net = mesh_network(3, 3, 10.0)
-    service = DRTPService(
-        net,
-        make_scheme("D-LSR"),
-        fault_injector=FaultInjector(FaultPlan.everything(), seed=1),
+def test_oracle_diffs_a_fault_injected_service():
+    """A lossy, retrying seeded walk runs under the oracle: the shadow
+    draws from a twin injector, both spellings of the register walk
+    consume it draw for draw, and nothing diverges."""
+    machine = walk(Config("D-LSR", faulted=True, retry=True), 120, seed=5)
+    fast, shadow = machine.service, machine.driver.shadow
+    assert shadow.fault_injector is not fast.fault_injector
+    assert [
+        vars(injector)[name].getstate()
+        for injector in (fast.fault_injector, shadow.fault_injector)
+        for name in ("_hop_rng", "_crash_rng", "retry_rng")
+    ] == 2 * [
+        vars(fast.fault_injector)[name].getstate()
+        for name in ("_hop_rng", "_crash_rng", "retry_rng")
+    ]
+    assert fast.counters.signaling_retries
+    assert fast.counters.degraded_admissions
+
+
+def test_impacts_differing_in_the_activated_backup_diverge():
+    """Two failure impacts with the same victims, verdicts and reasons
+    but a different activated backup are different impacts."""
+    first, second = (
+        FailureImpact(link_id=3, outcomes=[
+            ActivationOutcome(7, True, "activated", backup_index=index)
+        ])
+        for index in (0, 1)
     )
-    with pytest.raises(ValueError):
-        DifferentialOracle(service)
+    assert impact_key(first) != impact_key(second)
+
+
+@pytest.mark.parametrize("classes", [
+    (("audio", 0.1, 2.0), ("video", 0.3, 1.0)),
+    (("thin", 1.0, 1.0), ("odd", 1.3, 1.0)),
+], ids=["all-non-dyadic", "one-non-dyadic"])
+def test_non_dyadic_bandwidths_are_turned_away(classes, tmp_path, capsys):
+    """The oracle refuses a bandwidth whose sums would round — in the
+    library as a ``ValueError``, at ``repro replay --oracle`` as a usage
+    error — and accepts the paper's constant and dyadic mixes."""
+    mix = BandwidthMix([BandwidthClass(*klass) for klass in classes])
+    scenario = generate_scenario(9, 0.5, 60.0, bw_req=mix, seed=3)
+    oracle = DifferentialOracle(
+        DRTPService(mesh_network(3, 3, 10.0), make_scheme("D-LSR"))
+    )
+    odd = next(r for r in scenario.requests if r.bw_req not in (1.0,))
+    with pytest.raises(ValueError, match="exact"):
+        oracle.admit(odd)
+    with pytest.raises(ValueError, match="exact"):
+        oracle.request(0, 8, odd.bw_req)
+    assert oracle.operations == 0
+    for bw in (1.0, 0.25, 2.0):
+        assert oracle.request(0, 8, bw).accepted
+
+    save_network(mesh_network(3, 3, 10.0), tmp_path / "net.json")
+    scenario.save(tmp_path / "scen.json")
+    assert main(["replay", str(tmp_path / "net.json"),
+                 str(tmp_path / "scen.json"), "--oracle"]) == 2
+    assert "exact" in capsys.readouterr().err
 
 
 @pytest.mark.oracle

@@ -7,11 +7,13 @@ twin in :mod:`repro.testing.reference`.  The metamorphic relations:
 
 * ``teardown(setup(x))`` is the identity on every observable piece of
   state (fingerprints, APLVs, CV caches, snapshot records);
-* a delta-maintained APLV equals the vector rebuilt from the surviving
-  registrations under *arbitrary* register/release interleavings;
+* a delta-maintained APLV, and its cached CV, equal the vector rebuilt
+  from the surviving registrations under arbitrary register/release
+  interleavings — the oracle's ledger sweep, after every rule of the
+  service machine (the first three tests are slices of it);
 * the incremental (dirty-set) snapshot refresh equals a full rebuild;
 * the cached-workspace searches return bit-identical routes to the
-  naive dict-based searches, under arbitrary link-cost censoring.
+  naive dict-based searches (a slice too).
 """
 
 import random
@@ -20,23 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DRTPService
-from repro.kernels.search import (
-    encode_scale,
-    flat_bounded_shortest_path,
-    flat_dijkstra,
-    flat_min_hop_path,
-    flat_shortest_path,
-    search_workspace,
-)
+from repro.kernels.search import flat_min_hop_path, search_workspace
 from repro.metrics import ServiceMetrics
-from repro.network import APLV, LinkStateDatabase, NetworkState
+from repro.network import LinkStateDatabase, NetworkState
 from repro.routing import PLSRScheme
-from repro.testing import (
-    naive_bounded_shortest_path,
-    naive_shortest_path,
-    rebuilt_aplv,
-)
-from repro.topology import mesh_network, waxman_network
+from repro.topology import mesh_network
+
+from .test_service_machine import Config, drive
 
 NET = mesh_network(3, 3, 10.0)
 NUM_LINKS = NET.num_links
@@ -53,62 +45,33 @@ ops = st.lists(
 )
 
 
-def _apply_interleaving(ledger, steps):
-    """Register/release connections on one ledger: a step whose id is
-    unregistered registers it, a step whose id is live releases it —
-    an arbitrary interleaving of setups and teardowns."""
-    live = {}
-    for conn_id, lset in steps:
-        if conn_id in live:
-            ledger.release_backup(conn_id)
-            del live[conn_id]
-        else:
-            ledger.register_backup(conn_id, lset, 1.0)
-            live[conn_id] = lset
-    return live
+def test_incremental_aplv_equals_rebuilt_under_interleavings():
+    """Slice: two backups per connection over the conduit groups; the
+    oracle rebuilds every ledger's APLV from its registry after each
+    rule."""
+    drive(Config(backups=2, srlg=True), 60, seed=41, preload=20).teardown()
 
 
-@given(ops)
-@settings(max_examples=60, deadline=None)
-def test_incremental_aplv_equals_rebuilt_under_interleavings(steps):
-    state = NetworkState(NET)
-    ledger = state.ledger(0)
-    _apply_interleaving(ledger, steps)
-    assert ledger.aplv == rebuilt_aplv(ledger)
-    assert ledger.aplv.to_dense() == rebuilt_aplv(ledger).to_dense()
-    assert ledger.aplv.l1_norm == rebuilt_aplv(ledger).l1_norm
+def test_teardown_of_setup_is_identity():
+    """Slice: whatever a walk set up, releasing every connection and
+    repairing every link returns the pristine fingerprint, with every
+    APLV zero and every CV empty."""
+    machine = drive(Config(scheme="P-LSR", backups=2), 60, seed=42,
+                    preload=20)
+    machine.teardown()
+    for ledger in machine.state.ledgers():
+        assert ledger.aplv.is_zero()
+        assert ledger.conflict_vector().popcount() == 0
 
 
-@given(ops)
-@settings(max_examples=60, deadline=None)
-def test_teardown_of_setup_is_identity(steps):
-    state = NetworkState(NET)
-    ledger = state.ledger(0)
-    pristine = state.fingerprint()
-    live = _apply_interleaving(ledger, steps)
-    for conn_id in list(live):
-        ledger.release_backup(conn_id)
-    assert state.fingerprint() == pristine
-    assert ledger.aplv.is_zero()
-    assert ledger.conflict_vector().popcount() == 0
-
-
-@given(ops)
-@settings(max_examples=60, deadline=None)
-def test_cached_cv_tracks_support_exactly(steps):
-    state = NetworkState(NET)
-    ledger = state.ledger(0)
-    for conn_id, lset in steps:
-        if ledger.has_backup(conn_id):
-            ledger.release_backup(conn_id)
-        else:
-            ledger.register_backup(conn_id, lset, 1.0)
-        # After *every* mutation the cached CV must equal the support
-        # of the rebuilt vector — a stale support_version would show
-        # up here immediately.
-        assert ledger.conflict_vector().bits == rebuilt_aplv(ledger).support()
-    # Unchanged support ⇒ the cache returns the same snapshot object.
-    assert ledger.conflict_vector() is ledger.conflict_vector()
+def test_cached_cv_tracks_support_exactly():
+    """Slice: the oracle diffs every cached CV against the rebuilt
+    support after each rule; an unchanged support then returns the same
+    cached snapshot object."""
+    machine = drive(Config(policy="dedicated"), 60, seed=43, preload=20)
+    for ledger in machine.state.ledgers():
+        assert ledger.conflict_vector() is ledger.conflict_vector()
+    machine.teardown()
 
 
 @given(ops, st.lists(st.booleans(), min_size=1, max_size=6))
@@ -176,77 +139,15 @@ def test_live_database_has_nothing_awaiting_readvertisement():
     service.check_invariants()
 
 
-# ----------------------------------------------------------------------
-# Fast search vs naive search
-# ----------------------------------------------------------------------
-_SEARCH_NETS = [
-    mesh_network(3, 3, 10.0),
-    mesh_network(4, 4, 10.0),
-    waxman_network(18, 10.0, rng=random.Random(11)),
-]
-
-
-@given(
-    st.integers(min_value=0, max_value=len(_SEARCH_NETS) - 1),
-    st.data(),
-)
-@settings(max_examples=80, deadline=None)
-def test_fast_search_bit_identical_to_naive(net_index, data):
-    """Same route — node for node, link for link — from the cached
-    workspace search and the dict-based reference, under arbitrary
-    per-link censoring and weights (ties included)."""
-    net = _SEARCH_NETS[net_index]
-    src = data.draw(
-        st.integers(min_value=0, max_value=net.num_nodes - 1), label="src"
-    )
-    dst = data.draw(
-        st.integers(min_value=0, max_value=net.num_nodes - 1), label="dst"
-    )
-    if src == dst:
-        dst = (dst + 1) % net.num_nodes
-    weights = data.draw(
-        st.lists(
-            st.one_of(
-                st.none(),
-                st.integers(min_value=0, max_value=3),
-            ),
-            min_size=net.num_links,
-            max_size=net.num_links,
-        ),
-        label="weights",
-    )
-
-    def cost(link):
-        w = weights[link.link_id]
-        if w is None:
-            return None
-        return (float(w), 1.0)
-
-    def encoded(scale):
-        return [-1.0 if w is None else w * scale + 1.0 for w in weights]
-
-    fast = flat_shortest_path(net, src, dst, encoded(encode_scale(net)))
-    naive = naive_shortest_path(net, src, dst, cost)
-    # The exhaustive step alone answers the same, unit phase or not.
-    assert flat_dijkstra(net, src, dst, encoded(encode_scale(net))) == naive
-    if naive is None:
-        assert fast is None
-    else:
-        assert fast is not None
-        assert fast.nodes == naive.nodes
-        assert fast.link_ids == naive.link_ids
-
-    max_hops = data.draw(st.integers(min_value=1, max_value=8), label="hops")
-    fast_bounded = flat_bounded_shortest_path(
-        net, src, dst, encoded(encode_scale(net, max_hops)), max_hops
-    )
-    naive_bounded = naive_bounded_shortest_path(net, src, dst, cost, max_hops)
-    if naive_bounded is None:
-        assert fast_bounded is None
-    else:
-        assert fast_bounded is not None
-        assert fast_bounded.nodes == naive_bounded.nodes
-        assert fast_bounded.link_ids == naive_bounded.link_ids
+def test_fast_search_bit_identical_to_naive():
+    """Slice: hop-bounded planning on a Waxman network and unbounded
+    P-LSR on the mesh — every route the flat searches return is diffed,
+    node for node and link for link, against the naive searches of the
+    shadow's planner.  Arbitrary cost arrays are
+    ``tests/test_property_kernels.py``'s."""
+    drive(Config(qos_slack=1, waxman=(16, 42)), 60, seed=44,
+          preload=20).teardown()
+    drive(Config(scheme="P-LSR"), 60, seed=45, preload=20).teardown()
 
 
 def test_workspace_is_cached_and_reused():

@@ -8,9 +8,9 @@ from .test_service_machine import SLICE, ServiceMachine
 
 
 def test_ledgers_always_consistent():
-    """Under lossy, crashing, duplicating signaling (no oracle: the
-    injector's draws are not mirrored) every ledger still balances
-    against the connection table after every rule."""
+    """Under lossy, crashing, duplicating signaling every ledger still
+    balances against the connection table after every rule, and the
+    oracle's shadow, drawing from a twin injector, agrees."""
     run_state_machine_as_test(
         lambda: ServiceMachine(faulted=True), settings=SLICE
     )

@@ -388,7 +388,7 @@ class TestOneEngine:
             "core/service.py: self.metrics.observe_recovery("
             "perf_counter() - started)",
         ]
-        assert walk_tallies == ["core/signaling.py"]
+        assert walk_tallies == ["core/admission.py"]
         assert takers == ["core/service.py::__init__"]
         assert not hasattr(repro.routing.RoutingScheme, "metrics")
         assert [

@@ -3,11 +3,12 @@
 :class:`ServiceMachine`'s rules are the only place a test writes a
 service operation.  The system under test is the production
 ``DRTPService`` wrapped in :class:`~repro.testing.DifferentialOracle`,
-so every rule is diffed against the naive shadow; a faulted
-configuration runs without the oracle (it refuses injectors), against
-the invariants alone.  Hypothesis explores the machine here and through
-the entry points of other suites; :func:`walk` drives the same rules as
-a seeded random walk for the long campaigns and records their totals.
+so every rule is diffed against the naive shadow, whose every ledger
+walk is committed hop by hop; a faulted configuration gives the shadow
+a twin injector.  Hypothesis explores the machine here and through the
+entry points of other suites; :func:`drive` runs the same rules as a
+seeded random walk — the slices other suites take of the machine — and
+:func:`walk` records a long campaign's totals as well.
 """
 
 import json
@@ -29,7 +30,7 @@ from repro.core.multiplexing import (
     SharedSparePolicy,
 )
 from repro.experiments import make_scheme
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.network.state import BW_EPSILON, NetworkState
 from repro.routing import NoBackupScheme, ReactiveScheme
 from repro.testing import DifferentialOracle
@@ -68,6 +69,8 @@ class Config(NamedTuple):
     qos_slack: Optional[int] = None
     backups: int = 1
     faulted: bool = False
+    #: Retransmit faulted register walks (up to three attempts).
+    retry: bool = False
     rows: int = 4
     cols: int = 4
     capacity: float = 6.0
@@ -77,15 +80,19 @@ class Config(NamedTuple):
 
     @property
     def key(self) -> str:
-        """Results-file key: scheme, network, backups, SRLG, QoS slack."""
+        """Results-file key: scheme, network, backups, SRLG, QoS slack
+        and, when set, the fault injection."""
         network = (
             "waxman{}/{}".format(*self.waxman) if self.waxman
             else "{0.rows}x{0.cols}".format(self)
         )
-        return (
+        key = (
             "{0.scheme} {1} backups={0.backups} srlg={0.srlg} "
             "qos_slack={0.qos_slack}".format(self, network)
         )
+        if self.faulted:
+            key += " faulted retry={}".format(self.retry)
+        return key
 
 
 configs = st.builds(
@@ -96,6 +103,7 @@ configs = st.builds(
     qos_slack=st.sampled_from((None, 1)),
     backups=st.sampled_from((1, 2)),
     faulted=st.booleans(),
+    retry=st.booleans(),
     rows=st.just(4), cols=st.just(4), capacity=st.just(6.0),
     waxman=st.sampled_from((None, (16, 42))),
 )
@@ -110,7 +118,7 @@ preloads = st.lists(st.tuples(picks, st.booleans()), min_size=20, max_size=40)
 
 def build(config: Config):
     """``(service, driver)``: the production service and the oracle
-    wrapping it (the service itself when faulted)."""
+    wrapping it."""
     if config.waxman:
         nodes, seed = config.waxman
         network = waxman_network(
@@ -131,17 +139,19 @@ def build(config: Config):
         require_backup=require_backup,
         qos_slack=config.qos_slack,
         fault_injector=(
-            FaultInjector(FaultPlan.everything(), seed=1)
+            FaultInjector(FaultPlan.everything(4.0), seed=1)
             if config.faulted else None
         ),
+        retry_policy=RetryPolicy(max_attempts=3) if config.retry else None,
         risk_groups=groups if config.srlg else None,
     )
-    if config.faulted:
-        return service, service
     # The per-link database sweep costs O(links) per operation: only
-    # the small mesh affords it.
+    # the small networks afford it, and only fault-free — a faulted run
+    # is there for the commit under faults, which the fingerprint and
+    # tally diffs cover, and the sweep would double its cost.
     return service, DifferentialOracle(
-        service, check_database=network.num_nodes <= 16
+        service,
+        check_database=network.num_nodes <= 16 and not config.faulted,
     )
 
 
@@ -387,13 +397,13 @@ WALK = {
 }
 
 
-def walk(
+def drive(
     config: Config, num_ops: int, seed: int, preload: int = 0
 ) -> ServiceMachine:
     """Make ``preload`` admissions, then run the machine's rules in a
     seeded random order until the oracle has mirrored ``num_ops``
-    operations; check the invariants, record the totals under
-    ``config.key``, tear down and return the machine."""
+    operations, checking the invariants every ``CHECK_EVERY`` rules and
+    at the end; return the machine, not yet torn down."""
     rng = random.Random(seed)
     machine = ServiceMachine()
     machine.configure(config, [
@@ -407,11 +417,23 @@ def walk(
         if steps % CHECK_EVERY == 0:
             machine.check()
     machine.check()
+    return machine
+
+
+def walk(
+    config: Config, num_ops: int, seed: int, preload: int = 0
+) -> ServiceMachine:
+    """:func:`drive`, then record the totals under ``config.key``, tear
+    down and return the machine."""
+    machine = drive(config, num_ops, seed, preload)
     results = {}
     if RESULTS_PATH.exists():
         results = json.loads(RESULTS_PATH.read_text())
+    fields = config._asdict()
+    if not config.faulted:  # records of fault-free walks predate it
+        del fields["retry"]
     results[config.key] = dict(
-        config._asdict(), seed=seed, divergences=0,
+        fields, seed=seed, divergences=0,
         operations=machine.driver.operations, checks=machine.driver.checks,
     )
     RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True)
