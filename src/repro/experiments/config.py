@@ -9,8 +9,8 @@ re-derives the free parameters (link capacity in units of ``bw_req``)
 to land the saturation points where Section 6.2 reports them —
 "the simulated network gets saturated as lambda reaches 0.5 (0.9) for
 the case of E = 3 (E = 4)" — and records the chosen values here as the
-single source of truth.  ``benchmarks/test_table1_parameters.py``
-prints this table.
+single source of truth.  ``python -m repro.experiments.run_all``
+prints this table first.
 """
 
 from __future__ import annotations

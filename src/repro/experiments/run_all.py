@@ -3,8 +3,9 @@
 Regenerates every table and figure of the paper at the chosen scale
 (``--scale paper`` for the full-weight campaign, default ``quick``)
 and prints paper-style text tables.  This is the module behind the
-numbers recorded in ``EXPERIMENTS.md``; the pytest benchmarks run
-reduced slices of the same code paths.
+numbers recorded in ``EXPERIMENTS.md``; ``benchmarks/test_paper.py``
+runs reduced slices of the same code paths and asserts the paper's
+claims on them.
 """
 
 from __future__ import annotations

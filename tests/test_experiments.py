@@ -54,6 +54,8 @@ class TestConfig:
         assert a.num_nodes == 60
         assert a.average_degree() == pytest.approx(3.0, abs=0.1)
         assert make_network(4).average_degree() == pytest.approx(4.0, abs=0.1)
+        assert all(make_network(d).is_connected()
+                   and make_network(d).num_nodes == 60 for d in (3, 4))
 
     def test_network_property_rows(self):
         rows = dict(network_property_rows())
@@ -67,6 +69,7 @@ class TestConfig:
         text = format_table1()
         assert "Table 1" in text
         assert "60" in text
+        assert "uniform [20, 60] min" in text
 
 
 class TestSchemeFactory:
