@@ -9,7 +9,7 @@ trace.
 
 Parent tracking rides on :mod:`contextvars`, so nesting is automatic
 *and* concurrency-safe: every asyncio task carries its own span stack,
-which is what keeps the spans of two pipelined server batches from
+which is what keeps the spans of two concurrent tasks from
 interleaving their parents.  Each independent stack (task, thread of
 work, worker process) gets its own ``tid`` lane so Chrome's trace
 viewer renders concurrent trees on separate rows.
@@ -30,12 +30,12 @@ Synchronous usage::
         ...
         span.tag(accepted=True)
 
-Two-phase usage (for spans that start in one task and finish in
-another, like a server op that resolves on the writer task)::
+Two-phase usage (for a span that must not become the open one, like
+a campaign cell whose services stay untraced)::
 
-    span = collector.span("server.op", op="admit").start_now()
-    ...  # later, possibly after awaits
-    span.finish(ok=True)
+    span = collector.span("campaign.cell", job=3).start_now()
+    ...  # nothing below sees it as the open span
+    span.finish(schemes=4)
 """
 
 from __future__ import annotations

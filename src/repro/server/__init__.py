@@ -9,9 +9,10 @@ something traffic can be pointed at:
   response framing (``admit``, ``release``, ``fail_link``,
   ``repair_link``, ``status``, ``metrics``, ``ping``);
 * :mod:`repro.server.app` — :class:`ControlPlaneServer`, an asyncio
-  TCP/Unix-socket server whose single writer task serializes every
-  mutation onto the shared :class:`~repro.core.service.DRTPService`
-  while coalescing redundant link-state refreshes, with graceful
+  TCP/Unix-socket server that answers each read's burst of requests
+  inside one protocol callback, so every mutation of the shared
+  :class:`~repro.core.service.DRTPService` is applied in arrival order
+  on the one event loop, with coalesced link-state refreshes, graceful
   SIGTERM drain and a final metrics manifest;
 * :mod:`repro.server.loadgen` — a deterministic async load generator
   (Poisson arrivals, hold times, fault mix via

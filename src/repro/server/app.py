@@ -3,33 +3,38 @@
 Concurrency model
 -----------------
 
-One asyncio event loop, one **writer task**.  Client connections are
-handled concurrently, but every mutating operation (``admit``,
-``release``, ``fail_link``, ``repair_link``) is enqueued onto a single
-mutation queue and applied by the writer task in arrival order — the
-shared :class:`~repro.core.service.DRTPService` and its
-:class:`~repro.network.database.LinkStateDatabase` are only ever
-touched from that one task, so the deterministic, synchronous core
-needs no locks and observes a single serialized history.  Read
-operations (``status``, ``metrics``, ``ping``) are answered directly
-from the connection handler: the loop never yields mid-mutation, so
-reads are always consistent.
+One asyncio event loop and one :class:`asyncio.Protocol` per client
+connection.  A connection's ``data_received`` answers every complete
+request line of the bytes it was handed before it returns: decode,
+then apply the mutation (``admit``, ``release``, ``fail_link``,
+``repair_link``) or answer the read (``status``, ``metrics``,
+``ping``), then encode — in arrival order, with one
+``transport.write`` for the whole burst.  No callback awaits, so the
+loop runs one burst at a time: the shared
+:class:`~repro.core.service.DRTPService` and its
+:class:`~repro.network.database.LinkStateDatabase` observe a single
+serialized history and need no locks, and a read always sees every
+mutation answered before it.
 
-The writer drains the queue in batches and performs at most **one**
-link-state refresh per batch (snapshot-mode databases re-flood before
-admissions route; back-to-back admissions in one batch share the
-refresh instead of each paying for its own) — the
+A snapshot-mode database is re-flooded once ahead of each maximal run
+of consecutive mutations in a burst that holds an admission (a read
+ends a run), so back-to-back admissions share one refresh — the
 ``drtp_server_db_refreshes_coalesced_total`` counter records how many
-redundant re-floods this saves.
+re-floods this saves.  Runs of different connections are never merged.
+
+Backpressure is the transport's: a connection whose unread answers
+pass the write buffer's high-water mark stops being read until they
+drain.
 
 Shutdown
 --------
 
 On SIGTERM/SIGINT (or :meth:`request_shutdown`) the server stops
-accepting connections, lets every in-flight request finish and be
-answered, drains the mutation queue, closes client connections, writes
-the final metrics manifest, and exits cleanly — the contract the
-load-generator drain test enforces.
+accepting connections and closes every transport — each first flushes
+the answers it holds; there is never a request in flight between
+callbacks — waits for every connection to be lost, writes the final
+metrics manifest, and exits cleanly: the contract the load-generator
+drain test enforces.
 """
 
 from __future__ import annotations
@@ -51,18 +56,6 @@ from . import ops, protocol
 from .protocol import ProtocolError, Request
 
 __all__ = ["ControlPlaneServer", "ServerStats"]
-
-_SENTINEL = object()
-
-
-class _ClientState:
-    """Per-connection drain bookkeeping."""
-
-    __slots__ = ("writer", "busy")
-
-    def __init__(self, writer) -> None:
-        self.writer = writer
-        self.busy = False
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
@@ -130,8 +123,8 @@ class ControlPlaneServer:
             # trace without limit (evictions are counted, not silent).
             trace = TraceCollector(max_spans=100_000)
         # Bound here and nowhere below: the service's spans nest under
-        # the writer's ``server.apply`` because that span is open when
-        # the service is called, whatever collector it was built with.
+        # ``server.apply`` because that span is open when the service
+        # is called, whatever collector it was built with.
         self.trace = trace
         self.trace_dir = trace_dir
         self.socket_path = socket_path
@@ -141,17 +134,14 @@ class ControlPlaneServer:
         self.stats = ServerStats()
 
         self._server: Optional[asyncio.AbstractServer] = None
-        self._mutations: "asyncio.Queue" = asyncio.Queue()
-        self._writer_task: Optional[asyncio.Task] = None
-        self._client_tasks: set = set()
-        self._clients: set = set()
+        self._connections: set = set()
+        self._all_lost = asyncio.Event()
         self._finished = asyncio.Event()
         self._stopping = False
         self._shutdown_started = False
         self._started_monotonic = 0.0
         self._started_wall = 0.0
         self._exit_reason = ""
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._mutation_handlers = {
             "admit": self._op_admit,
             "release": self._op_release,
@@ -162,7 +152,7 @@ class ControlPlaneServer:
 
     def _bind_metrics(self) -> None:
         """Declare the ``drtp_server_*`` families, each collected from
-        :attr:`stats` (or the mutation queue) when scraped."""
+        :attr:`stats` when scraped."""
         registry, stats = self.metrics.registry, self.stats
         registry.counter(
             "drtp_server_requests_total",
@@ -178,9 +168,9 @@ class ControlPlaneServer:
             ("connections_total", "drtp_server_connections_total",
              "client connections accepted"),
             ("batches", "drtp_server_batches_total",
-             "mutation batches drained by the writer task"),
+             "runs of consecutive mutations applied from one burst"),
             ("refreshes", "drtp_server_db_refreshes_total",
-             "link-state refreshes run ahead of a batch's admissions "
+             "link-state refreshes run ahead of a run's admissions "
              "(snapshot-mode databases only)"),
             ("refreshes_coalesced",
              "drtp_server_db_refreshes_coalesced_total",
@@ -189,10 +179,6 @@ class ControlPlaneServer:
             registry.counter(name, help_text).collect_with(
                 partial(getattr, stats, tally)
             )
-        registry.gauge(
-            "drtp_server_mutation_queue_depth",
-            "mutations queued for the writer task",
-        ).collect_with(self._mutations.qsize)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -209,10 +195,10 @@ class ControlPlaneServer:
         return self._stopping
 
     async def start(self) -> None:
-        """Bind the listening socket and start the writer task."""
+        """Bind the listening socket."""
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._loop = asyncio.get_event_loop()
+        loop = asyncio.get_event_loop()
         self._started_monotonic = time.monotonic()
         self._started_wall = time.time()
         if self.socket_path is not None:
@@ -226,16 +212,15 @@ class ControlPlaneServer:
                     )
                 path.unlink()
             path.parent.mkdir(parents=True, exist_ok=True)
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=str(path)
+            self._server = await loop.create_unix_server(
+                partial(_Connection, self), path=str(path)
             )
         else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.port
+            self._server = await loop.create_server(
+                partial(_Connection, self), host=self.host, port=self.port
             )
             if self.port == 0:
                 self.port = self._server.sockets[0].getsockname()[1]
-        self._writer_task = asyncio.ensure_future(self._writer_loop())
 
     def install_signal_handlers(self) -> None:
         loop = asyncio.get_event_loop()
@@ -265,35 +250,25 @@ class ControlPlaneServer:
         await self._finished.wait()
 
     async def shutdown(self) -> None:
-        """Graceful drain: refuse new connections, finish in-flight
-        requests, drain the mutation queue, write the manifest."""
+        """Graceful drain: refuse new connections, close every client
+        connection once its answers are flushed, write the manifest."""
         self._shutdown_started = True
         self._stopping = True
         if self._server is not None:
             self._server.close()
-        # Wake handlers parked in read() by closing their (idle)
-        # transports; this loop runs without awaiting, so a handler
-        # cannot become busy between the check and the close.  Busy
-        # handlers keep their sockets: they finish the request they
-        # are processing (the still-running writer task resolves its
-        # queued mutation), answer it, then exit their read loop.
-        for client in list(self._clients):
-            if not client.busy:
-                client.writer.close()
-        if self._client_tasks:
-            await asyncio.gather(
-                *tuple(self._client_tasks), return_exceptions=True
-            )
+        # Every request received has been answered into its transport
+        # (no callback awaits), so closing is all that is left: each
+        # transport flushes what it holds, then loses its connection.
+        for connection in tuple(self._connections):
+            connection.transport.close()
+        if self._connections:
+            await self._all_lost.wait()
         if self._server is not None:
-            # Only after the handlers are done: on Python >= 3.12.1
+            # Only after the connections are gone: on Python >= 3.12.1
             # wait_closed() blocks until every client connection is
-            # closed, so awaiting it before waking idle handlers would
-            # deadlock the drain on any idle-but-connected client.
+            # closed.
             await self._server.wait_closed()
-        await self._mutations.put(_SENTINEL)
-        if self._writer_task is not None:
-            await self._writer_task
-        self.stats.drained_clean = self._mutations.empty()
+        self.stats.drained_clean = not self._connections
         if self.socket_path is not None:
             try:
                 Path(self.socket_path).unlink()
@@ -335,153 +310,103 @@ class ControlPlaneServer:
         os.replace(tmp, target)
 
     # ------------------------------------------------------------------
-    # Client handling
+    # Answering a burst
     # ------------------------------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        state = _ClientState(writer)
-        self._client_tasks.add(task)
-        self._clients.add(state)
-        self.stats.connections_total += 1
-        buffer = b""
-        try:
-            # Chunked reads instead of per-line reads: a pipelined
-            # burst arrives as one chunk, is dispatched as one batch
-            # (whose mutations the writer task then drains — and
-            # refresh-coalesces — together), and is answered with one
-            # write.  Drain wake-up comes from shutdown() closing idle
-            # transports (read then returns b''); a handler mid-batch
-            # is left alone: it answers, loops, sees _stopping, exits.
-            while not self._stopping:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                buffer += chunk
-                if b"\n" in chunk:
-                    lines = buffer.split(b"\n")
-                    buffer = lines.pop()  # partial trailing line, if any
-                    state.busy = True
-                    payload = await self._dispatch_batch(lines)
-                    if payload:
-                        writer.write(payload)
-                        await writer.drain()
-                    state.busy = False
-                if len(buffer) > protocol.MAX_LINE_BYTES:
-                    # Still no newline: answer once and hang up rather
-                    # than buffer whatever else the peer sends.
-                    self.stats.protocol_errors += 1
-                    writer.write(protocol.encode_response(
-                        None, False,
-                        error_kind=protocol.ERR_BAD_REQUEST,
-                        error_message="request line exceeds {} "
-                        "bytes".format(protocol.MAX_LINE_BYTES),
-                    ))
-                    await writer.drain()
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            state.busy = False
-            self._clients.discard(state)
-            self._client_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    def _answer_burst(self, lines) -> bytes:
+        """Answer one burst of request lines, in order, as one payload.
 
-    async def _dispatch_batch(self, lines) -> bytes:
-        """Decode and answer one pipelined burst, in order.
-
-        Mutations are enqueued up front so the writer task drains
-        them as one batch; read ops wait for the connection's own
-        pending mutations first, preserving per-connection program
-        order.
+        Every line is decoded first, so a run of consecutive mutations
+        is known whole before its first one is applied (its refresh
+        goes ahead of it); then each request is answered in turn.
 
         With a trace collector bound the burst is a ``server.batch``
-        span — each handler task carries its own contextvar copy, so
-        concurrently dispatched batches keep their span trees separate
-        — and each op a two-phase ``server.op`` span from enqueue to
-        response; the writer parents its ``server.apply`` span to it
-        across the task boundary."""
+        span, each decoded request a ``server.op`` span around its
+        answer, and each mutation a ``server.apply`` span inside that:
+        the open span the service's own spans nest under."""
         trace = self.trace
         with (
             trace.span("server.batch", category="server", lines=len(lines))
             if trace is not None else UNTRACED
         ) as batch_span:
-            entries = []  # (request, future, op span, encoded response)
-            pending_last = None
+            requests = []  # a Request, or the ProtocolError of its line
             for raw in lines:
                 raw = raw.strip()
                 if not raw:
                     continue
                 try:
-                    request = protocol.decode_request(
+                    requests.append(protocol.decode_request(
                         raw.decode("utf-8", errors="replace")
-                    )
+                    ))
                 except ProtocolError as exc:
-                    entries.append((None, None, None, self._error_response(
-                        exc.request_id, exc
-                    )))
+                    requests.append(exc)
+            out = []
+            in_run = False
+            for index, request in enumerate(requests):
+                if isinstance(request, ProtocolError):
+                    out.append(
+                        self._error_response(request.request_id, request)
+                    )
                     continue
                 self.stats.record_op(request.op)
-                op_span = None
-                if batch_span is not None:
-                    # Two-phase: started here, finished when the
-                    # response is known — for mutations that is after
-                    # the writer task resolved the future.  The label
-                    # name ``op`` matches the
-                    # drtp_server_requests_total{op=} metric.
-                    op_span = batch_span.child(
-                        "server.op", "server", op=request.op
-                    ).start_now()
-                if request.op in protocol.READ_OPS:
-                    if pending_last is not None:
-                        # FIFO writer: once the connection's most
-                        # recent mutation resolved, all its earlier
-                        # ones have too.
-                        try:
-                            await pending_last
-                        except Exception:
-                            pass  # reported via its own response below
-                    ok, encoded = self._answer_read(request)
+                mutates = request.op in protocol.MUTATING_OPS
+                if mutates and not in_run:
+                    self._open_run(requests, index)
+                in_run = mutates
+                # The label name ``op`` matches the
+                # drtp_server_requests_total{op=} metric.
+                with (
+                    batch_span.child("server.op", "server", op=request.op)
+                    if batch_span is not None else UNTRACED
+                ) as op_span:
+                    ok, encoded = self._answer(request, mutates, op_span)
                     if op_span is not None:
-                        op_span.finish(ok=ok)
-                    entries.append((None, None, None, encoded))
-                    continue
-                future = self._loop.create_future()
-                pending_last = future
-                await self._mutations.put((request, future, op_span))
-                entries.append((request, future, op_span, None))
-            out = []
-            for request, future, op_span, encoded in entries:
-                if encoded is not None:
-                    out.append(encoded)
-                    continue
-                ok = True
-                try:
-                    out.append(protocol.encode_response(
-                        request.id, True, await future
-                    ))
-                except Exception as exc:
-                    ok = False
-                    out.append(self._error_response(request.id, exc))
-                if op_span is not None:
-                    op_span.finish(ok=ok)
+                        op_span.tag(ok=ok)
+                out.append(encoded)
             payload = b"".join(out)
             if batch_span is not None:
                 batch_span.tag(response_bytes=len(payload))
         return payload
 
-    def _answer_read(self, request: Request) -> Tuple[bool, bytes]:
-        """``(ok, encoded response)`` of one read op.  A failing gauge
-        collector or status counter must not kill the handler task:
-        the pipelined client would wait forever for its remaining
-        responses."""
+    def _open_run(self, requests, start: int) -> None:
+        """Count the run of mutations that starts at ``requests[start]``
+        (a read ends it) and re-flood a snapshot database once ahead
+        of it when it holds an admission.
+
+        Live databases converge instantly (refresh is a no-op), so
+        only snapshot-mode services pay, and they pay once per run
+        instead of once per admission."""
+        self.stats.batches += 1
+        if self.service.database.live:
+            return
+        admits = 0
+        for request in requests[start:]:
+            if isinstance(request, ProtocolError):
+                continue
+            if request.op in protocol.READ_OPS:
+                break
+            admits += request.op == "admit"
+        if admits:
+            self.service.refresh_database()
+            self.stats.refreshes += 1
+            self.stats.refreshes_coalesced += admits - 1
+
+    def _answer(self, request: Request, mutates: bool,
+                op_span) -> Tuple[bool, bytes]:
+        """``(ok, encoded response)`` of one request.  A failing op (a
+        bad argument, a broken gauge collector, a fault inside the
+        service) gets its own error answer and never takes the
+        connection down: a pipelined client would wait forever for
+        the rest of its answers."""
         try:
-            return True, protocol.encode_response(
-                request.id, True, self._apply_read(request)
-            )
+            if mutates:
+                with (
+                    op_span.child("server.apply", "server", op=request.op)
+                    if op_span is not None else UNTRACED
+                ):
+                    result = self._mutation_handlers[request.op](request)
+            else:
+                result = self._apply_read(request)
+            return True, protocol.encode_response(request.id, True, result)
         except Exception as exc:
             return False, self._error_response(request.id, exc)
 
@@ -500,61 +425,6 @@ class ControlPlaneServer:
             request_id, False,
             error_kind=protocol.ERR_INTERNAL, error_message=repr(exc),
         )
-
-    # ------------------------------------------------------------------
-    # The single writer
-    # ------------------------------------------------------------------
-    async def _writer_loop(self) -> None:
-        while True:
-            item = await self._mutations.get()
-            if item is _SENTINEL:
-                return
-            batch = [item]
-            stop_after_batch = False
-            while not self._mutations.empty():
-                extra = self._mutations.get_nowait()
-                if extra is _SENTINEL:
-                    stop_after_batch = True
-                    break
-                batch.append(extra)
-            self.stats.batches += 1
-            self._coalesced_refresh(batch)
-            for request, future, op_span in batch:
-                if future.cancelled():  # pragma: no cover - defensive
-                    continue
-                try:
-                    # A child of the handler task's server.op, opened
-                    # on this one: the service's spans nest under it
-                    # because it is the writer context's open span.
-                    with (
-                        op_span.child("server.apply", "server", op=request.op)
-                        if op_span is not None else UNTRACED
-                    ):
-                        result = self._apply_mutation(request)
-                    future.set_result(result)
-                except Exception as exc:
-                    future.set_exception(exc)
-            if stop_after_batch:
-                return
-
-    def _coalesced_refresh(self, batch) -> None:
-        """One re-flood serves every admission in the batch.
-
-        Live databases converge instantly (refresh is a no-op), so
-        only snapshot-mode services pay — and they pay once per batch
-        instead of once per admission."""
-        if self.service.database.live:
-            return
-        admits = sum(1 for request, _, _ in batch if request.op == "admit")
-        if admits == 0:
-            return
-        self.service.refresh_database()
-        self.stats.refreshes += 1
-        if admits > 1:
-            self.stats.refreshes_coalesced += admits - 1
-
-    def _apply_mutation(self, request: Request) -> Dict[str, Any]:
-        return self._mutation_handlers[request.op](request)
 
     # -- mutating ops ---------------------------------------------------
     def _parse_admit(self, request: Request) -> Dict[str, Any]:
@@ -663,6 +533,60 @@ class ControlPlaneServer:
             ),
             request.id,
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: the complete lines of each read are
+    answered before the callback returns, with one write."""
+
+    def __init__(self, server: ControlPlaneServer) -> None:
+        self.server = server
+        self.transport = None
+        self.buffer = b""
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        server = self.server
+        server._connections.add(self)
+        server.stats.connections_total += 1
+        if server.stopping:
+            transport.close()  # accepted while the drain closed the rest
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self.buffer + data
+        if b"\n" in data:
+            lines = buffer.split(b"\n")
+            buffer = lines.pop()  # partial trailing line, if any
+            payload = self.server._answer_burst(lines)
+            if payload:
+                self.transport.write(payload)
+        self.buffer = buffer
+        if len(buffer) > protocol.MAX_LINE_BYTES:
+            # Still no newline: answer once and hang up rather than
+            # buffer whatever else the peer sends.
+            self.buffer = b""
+            self.server.stats.protocol_errors += 1
+            self.transport.write(protocol.encode_response(
+                None, False,
+                error_kind=protocol.ERR_BAD_REQUEST,
+                error_message="request line exceeds {} bytes".format(
+                    protocol.MAX_LINE_BYTES
+                ),
+            ))
+            self.transport.close()
+
+    # Answers pile up unread: take no more requests until they drain.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        server = self.server
+        server._connections.discard(self)
+        if server.stopping and not server._connections:
+            server._all_lost.set()
 
 
 def _unix_socket_is_live(path: str) -> bool:

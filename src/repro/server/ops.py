@@ -3,8 +3,8 @@
 protocol result.
 
 :class:`~repro.server.app.ControlPlaneServer` validates a request's
-arguments and its writer task hands the canonical values here, in
-arrival order.
+arguments and hands the canonical values here from the protocol
+callback that answers the request's burst, in arrival order.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from ..core.service import DRTPService
 
 
 def apply_admit(service: DRTPService, args: Dict[str, Any]) -> Dict[str, Any]:
-    """Commit an admission the single-writer way: the service plans
-    against its own database and reserves in one step."""
+    """Commit an admission in one step: the service plans against its
+    own database and reserves, with no other mutation in between."""
     hold = args.get("hold")
     decision = service.request(
         args["source"], args["destination"], args["bw"],

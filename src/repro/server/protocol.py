@@ -57,8 +57,8 @@ PROTOCOL_VERSION = 1
 #: hundred bytes.)
 MAX_LINE_BYTES = 1 << 20
 
-#: Operations that mutate the shared service — serialized through the
-#: server's single writer task.
+#: Operations that mutate the shared service — applied in arrival order
+#: inside the callback that answers their burst.
 MUTATING_OPS = frozenset({"admit", "release", "fail_link", "repair_link"})
 
 #: Operations answered directly from the event loop (consistent reads:

@@ -29,7 +29,7 @@ from repro.server import (
     encode_request,
     encode_response,
 )
-from repro.server import protocol
+from repro.server import ops, protocol
 from repro.topology import mesh_network
 
 
@@ -378,6 +378,62 @@ class TestServerRoundTrips:
         assert server.stats.refreshes == 1
         assert server.stats.refreshes_coalesced == 7
 
+    def test_snapshot_refresh_runs_once_per_run_of_mutations(self, tmp_path):
+        # A read splits a burst's mutations into runs; each run that
+        # holds an admission is preceded by exactly one re-flood, taken
+        # before the run's first mutation (a release included).  The
+        # admissions are sized so that a stale snapshot changes the
+        # outcome: the decisions pin where the refreshes happen.
+        admit = {"source": 0, "destination": 3, "bw": 6.0}
+        burst = [
+            ("release", {"connection": 7}),
+            ("admit", admit),
+            ("admit", admit),
+            ("ping", {}),
+            ("admit", admit),
+            ("release", {"connection": 0}),
+        ]
+        responses, server = run_session(
+            tmp_path,
+            [encode_request(op, args, request_id=i)
+             for i, (op, args) in enumerate(burst)],
+            live_database=False,
+        )
+        assert [rid for rid, _, _ in responses] == list(range(len(burst)))
+        assert all(ok for _, ok, _ in responses)
+        assert (
+            server.stats.refreshes, server.stats.refreshes_coalesced,
+            server.stats.batches,
+        ) == (2, 1, 2)
+
+        # The same history on a bare service, refreshed at the head of
+        # each run, decides the same.
+        reference = DRTPService(
+            mesh_network(4, 4, 10.0), DLSRScheme(), live_database=False,
+        )
+        expected = []
+        for i, (op, args) in enumerate(burst):
+            if i in (0, 4):
+                reference.refresh_database()
+            if op == "admit":
+                expected.append(ops.apply_admit(reference, args))
+            elif op == "release":
+                expected.append(
+                    ops.apply_release(reference, args["connection"])
+                )
+            else:
+                expected.append({"pong": True, "draining": False})
+        assert [body for _, _, body in responses] == expected
+        # The second admission planned on the run's stale snapshot and
+        # failed at reservation; the third, after the next run's
+        # refresh, sees that no primary route is left.
+        assert [body.get("reason") for _, _, body in responses] == [
+            None, "ok", "primary-reservation-failed", None,
+            "no-primary-route", None,
+        ]
+        assert responses[0][2]["released"] is False
+        assert responses[-1][2]["released"] is True
+
     def test_live_database_never_refreshes(self, tmp_path):
         responses, server = run_session(tmp_path, [
             encode_request("admit", {"source": 0, "destination": 15,
@@ -562,6 +618,147 @@ class TestServerRoundTrips:
             await server.shutdown()
 
         asyncio.run(_run())
+
+
+# ----------------------------------------------------------------------
+# The hostile protocol edge: each case leaves a server that serves on
+# ----------------------------------------------------------------------
+def serve_hostile(tmp_path, hostile):
+    """Serve a 4x4 mesh, run ``hostile(server, sock)``, then require a
+    fresh client to be served with no internal error on the scrape.
+    Returns ``(hostile's result, server)``."""
+
+    async def _run():
+        sock = str(tmp_path / "edge.sock")
+        server = ControlPlaneServer(
+            DRTPService(mesh_network(4, 4, 10.0), DLSRScheme()),
+            socket_path=sock,
+        )
+        await server.start()
+        result = await hostile(server, sock)
+        reader, writer = await asyncio.open_unix_connection(sock)
+        writer.write(encode_request("ping", request_id="fresh")
+                     + encode_request("metrics", request_id="scrape"))
+        await writer.drain()
+        pong, scrape = [
+            decode_response(
+                (await asyncio.wait_for(reader.readline(), 10)).decode()
+            )
+            for _ in range(2)
+        ]
+        writer.close()
+        await server.shutdown()
+        assert pong[:2] == ("fresh", True) and pong[2]["pong"]
+        families = parse_prometheus_text(scrape[2]["body"])
+        (sample,) = families["drtp_server_internal_errors_total"]["samples"]
+        assert sample.value == 0.0
+        assert server.stats.drained_clean
+        return result, server
+
+    return asyncio.run(_run())
+
+
+class TestHostileEdge:
+    def test_non_utf8_line_is_bad_json(self, tmp_path):
+        async def hostile(server, sock):
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(b"\xff\xfe\x80 not text\n"
+                         + encode_request("ping", request_id=2))
+            await writer.drain()
+            answers = [
+                decode_response(
+                    (await asyncio.wait_for(reader.readline(), 10)).decode()
+                )
+                for _ in range(2)
+            ]
+            writer.close()
+            return answers
+
+        ((rid1, ok1, error), (rid2, ok2, pong)), server = serve_hostile(
+            tmp_path, hostile
+        )
+        assert (rid1, ok1) == (None, False)
+        assert error["type"] == protocol.ERR_BAD_JSON
+        assert (rid2, ok2) == (2, True) and pong["pong"]
+        assert server.stats.protocol_errors == 1
+
+    def test_close_mid_line_applies_complete_lines(self, tmp_path):
+        admit = {"source": 0, "destination": 15, "bw": 1.0}
+
+        async def hostile(server, sock):
+            _, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                encode_request("admit", admit, request_id=1)
+                + encode_request("admit", admit, request_id=2)
+                + encode_request("admit", admit, request_id=3)[:20]
+            )
+            await writer.drain()
+            writer.close()  # gone mid-line, replies unread
+            counters = server.service.counters
+            for _ in range(200):
+                if counters.requests == 2:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.1)  # nothing more arrives
+            return counters.to_dict()
+
+        counters, server = serve_hostile(tmp_path, hostile)
+        assert (counters["requests"], counters["accepted"]) == (2, 2)
+        assert server.stats.ops.get("admit") == 2
+        assert server.stats.protocol_errors == 0
+
+    def test_slow_reader_stalls_then_gets_every_reply_in_order(
+        self, tmp_path
+    ):
+        # Each request is padded to about 2 KB and each answer is a
+        # full Prometheus body (about 9 KB), so the answers outgrow the
+        # socket buffers long before the requests run out.
+        count = 600
+        pad = "p" * 2000
+        burst = b"".join(
+            encode_request("metrics", {"pad": pad}, request_id=i)
+            for i in range(count)
+        )
+
+        async def hostile(server, sock):
+            loop = asyncio.get_event_loop()
+            client = socket.socket(socket.AF_UNIX)
+            client.settimeout(30)
+            client.connect(sock)
+            sending = loop.run_in_executor(None, client.sendall, burst)
+            # The server stops taking requests while its answers pile
+            # up unread.
+            seen, still = -1, 0
+            while still < 5:
+                await asyncio.sleep(0.05)
+                now = server.stats.requests_total
+                still = still + 1 if now == seen else 0
+                seen = now
+            stalled = seen
+
+            def read_all():
+                received = b""
+                while received.count(b"\n") < count:
+                    data = client.recv(1 << 16)
+                    if not data:
+                        break
+                    received += data
+                return received
+
+            received = await loop.run_in_executor(None, read_all)
+            await sending
+            client.close()
+            return stalled, received
+
+        (stalled, received), server = serve_hostile(tmp_path, hostile)
+        assert 0 < stalled < count
+        answers = [
+            decode_response(line.decode())
+            for line in received.split(b"\n") if line
+        ]
+        assert [rid for rid, _, _ in answers] == list(range(count))
+        assert all(ok for _, ok, _ in answers)
+        assert server.stats.ops["metrics"] == count + 1  # + the scrape
 
 
 # ----------------------------------------------------------------------
