@@ -9,7 +9,8 @@
 * server throughput — ``repro serve`` pinned to one CPU sustains >= 300
   admissions/s under ``repro loadtest --verify``;
 * soak — ``repro soak`` holds 10^5 admissions on a 500-node Waxman graph
-  under its RSS ceiling, with flat memory and a recycling slab.
+  under its RSS ceiling, with flat memory and a peak population far
+  below the total accepted.
 
 The last two drive the real CLI in child processes, so the numbers are
 the deployment's, not pytest's.  Each gate archives its measurement as
@@ -401,11 +402,9 @@ def test_soak_memory_gate(tmp_path):
     baseline = windows[1]["rss_bytes"]
     tail_peak = max(entry["rss_bytes"] for entry in windows[2:])
     assert tail_peak <= baseline * MAX_RSS_GROWTH, (baseline, tail_peak)
-    # The slab recycles slots: its high water tracks the peak concurrent
-    # population, far below the total accepted.
-    slab = payload["slab"]
-    assert slab["high_water"] < payload["accepted"] / 10
-    assert slab["reused_slots"] > slab["high_water"]
+    # The store's high water is the peak concurrent population, far
+    # below the total accepted.
+    assert payload["connections"]["high_water"] < payload["accepted"] / 10
 
     # soak.json keeps the recorded 10^6-admission run beside this one.
     path = RESULTS / "soak.json"

@@ -15,9 +15,9 @@ the whole connection table for each would dominate the cell's run time
 (``analysis.ft_share`` in the ``benchmarks/e2e`` ledger watches it).
 Every observer here therefore asks the service, which hands the
 recovery engine only the connections whose primary crosses the failed
-links (the connection store's primary-incidence index,
-:mod:`repro.core.slab`), so a sweep costs O(sum of affected) rather
-than O(links x connections).
+links (the primary-incidence index of
+:class:`repro.core.store.ConnectionStore`), so a sweep costs O(sum of
+affected) rather than O(links x connections).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Commands:
   executes the figure grid over a multiprocessing worker pool with an
   append-only checkpoint journal, ``campaign resume`` continues an
   interrupted run from that journal, ``campaign status`` reports
-  progress from ``campaign_manifest.json``; bare ``campaign`` stays
-  an alias for ``python -m repro.experiments.run_all``;
+  progress from ``campaign_manifest.json`` (the paper's tables and
+  figures come from ``python -m repro.experiments.run_all``);
 * ``chaos``   — run a fault-injection chaos campaign (lossy signaling,
   router crashes, link flaps, correlated bursts, stale link state)
   and report recovery latency, retries and residual unprotection;
@@ -31,8 +31,9 @@ Commands:
   in-process sequential replay of the same timeline;
 * ``soak``    — long-horizon churn: stream a production trace (MMPP
   bursts, drifting hot spots) through one in-process service for
-  10^5–10^6 admissions, with windowed metrics, slab-reuse stats and
-  peak-RSS accounting (``docs/architecture.md``, memory layer).
+  10^5–10^6 admissions, with windowed metrics, the peak live
+  population and peak-RSS accounting (``docs/architecture.md``,
+  memory layer).
 
 Every command is deterministic given its ``--seed``; topology and
 scenario files round-trip through the serializers in
@@ -47,7 +48,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .analysis import (
     FaultToleranceObserver,
@@ -55,8 +56,7 @@ from .analysis import (
     format_table,
 )
 from .core import ENDPOINT_FAILED, DRTPService
-from .experiments import make_scheme
-from .experiments.run_all import main as campaign_main
+from .experiments import make_scheme, requires_backup
 from .kernels.search import ANSWERS, EXHAUSTIVE
 from .simulation import Scenario, ScenarioSimulator, generate_scenario
 from .topology import (
@@ -264,16 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     camp = sub.add_parser(
         "campaign",
-        help="sharded simulation campaigns (run / resume / status); "
-        "with no subcommand: regenerate every table and figure",
+        help="sharded simulation campaigns (run / resume / status)",
     )
-    camp.add_argument("--scale", choices=("paper", "quick", "smoke"),
-                      default="quick")
-    camp.add_argument("--seed", type=int, default=7)
-    camp.add_argument("--skip-ablations", action="store_true")
-    camp.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="worker processes for the figure campaign")
-    csub = camp.add_subparsers(dest="campaign_command")
+    csub = camp.add_subparsers(dest="campaign_command", required=True)
 
     def _grid_options(p):
         p.add_argument("--scale", choices=("paper", "quick", "smoke"),
@@ -605,7 +598,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             return 2
         scheme.num_backups = args.num_backups
     service = DRTPService(
-        network, scheme, require_backup=args.scheme != "no-backup"
+        network, scheme, require_backup=requires_backup(args.scheme)
     )
     oracle = None
     if args.oracle:
@@ -663,7 +656,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     collector = TraceCollector(max_spans=args.max_spans, detail=True)
     service = DRTPService(
         network, scheme,
-        require_backup=args.scheme != "no-backup",
+        require_backup=requires_backup(args.scheme),
         trace=collector,
     )
     warmup = args.warmup if args.warmup is not None else scenario.duration / 2
@@ -742,7 +735,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     network = load_network(args.topology)
-    service = DRTPService(network, make_scheme(args.scheme))
+    service = DRTPService(
+        network, make_scheme(args.scheme),
+        require_backup=requires_backup(args.scheme),
+    )
     rng = random.Random(args.seed)
     established = 0
     attempts = 0
@@ -897,6 +893,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics = ServiceMetrics()
     service = DRTPService(
         network, scheme,
+        require_backup=requires_backup(args.scheme),
         live_database=not args.snapshot_db,
         metrics=metrics,
         risk_groups=risk_groups,
@@ -1038,6 +1035,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         # SRLG-aware server routes (and therefore decides) differently.
         twin = DRTPService(
             network, make_scheme(args.scheme),
+            require_backup=requires_backup(args.scheme),
             live_database=status.get("live_database", True),
             risk_groups=risk_groups,
         )
@@ -1208,28 +1206,18 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.campaign_command in ("run", "resume", "status"):
-        from .campaign import CampaignError
+    from .campaign import CampaignError
 
-        handler = {
-            "run": _cmd_campaign_run,
-            "resume": _cmd_campaign_resume,
-            "status": _cmd_campaign_status,
-        }[args.campaign_command]
-        try:
-            return handler(args)
-        except CampaignError as exc:
-            print("repro campaign: {}".format(exc), file=sys.stderr)
-            return 1
-    # Legacy alias: the full table/figure reproduction.
-    campaign_argv: List[str] = ["--scale", args.scale,
-                                "--seed", str(args.seed)]
-    if args.jobs != 1:
-        campaign_argv += ["--jobs", str(args.jobs)]
-    if args.skip_ablations:
-        campaign_argv.append("--skip-ablations")
-    campaign_main(campaign_argv)
-    return 0
+    handler = {
+        "run": _cmd_campaign_run,
+        "resume": _cmd_campaign_resume,
+        "status": _cmd_campaign_status,
+    }[args.campaign_command]
+    try:
+        return handler(args)
+    except CampaignError as exc:
+        print("repro campaign: {}".format(exc), file=sys.stderr)
+        return 1
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
@@ -1255,7 +1243,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     service = DRTPService(
         network,
         make_scheme(args.scheme),
-        require_backup=args.scheme != "no-backup",
+        require_backup=requires_backup(args.scheme),
     )
     config = _production_trace_config(args, network.num_nodes)
     print(
@@ -1304,8 +1292,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         ("admissions/s", "{:.0f}".format(report.admissions_per_second)),
         ("peak RSS", "{:.1f} MiB".format(
             report.peak_rss_bytes / (1024.0 * 1024.0))),
-        ("slab slots (high water)", report.slab.get("high_water", 0)),
-        ("slab reuses", report.slab.get("reused_slots", 0)),
+        ("peak live connections", report.connections["high_water"]),
         ("decision checksum", report.decision_checksum[:16]),
     ]
     print(format_table(("metric", "value"), rows))

@@ -36,7 +36,7 @@ candidate population they are handed (active, primary crossing a failed
 link), so a caller may hand them any superset of the affected — the
 service hands them the connection store's primary-incidence index entry
 for the failed links instead of the whole table.  The ``apply_*``
-functions take the :class:`~repro.core.slab.SlabConnectionStore` itself
+functions take the :class:`~repro.core.store.ConnectionStore` itself
 and read the same index.
 """
 
@@ -50,7 +50,7 @@ from ..routing.base import RouteQuery
 from . import signaling
 from .channel import Channel, ChannelRole
 from .connection import ConnectionState, DRConnection
-from .slab import SlabConnectionStore
+from .store import ConnectionStore
 
 #: Activation-outcome reason strings.
 ACTIVATED = "activated"
@@ -199,7 +199,7 @@ def assess_group_failure(
 def apply_group_failure(
     state: NetworkState,
     commit,
-    connections: SlabConnectionStore,
+    connections: ConnectionStore,
     group_id: int,
     risk_groups,
 ) -> FailureImpact:
@@ -314,7 +314,7 @@ def assess_failed_links(
 def apply_link_failure(
     state: NetworkState,
     commit,
-    connections: SlabConnectionStore,
+    connections: ConnectionStore,
     link_id: int,
 ) -> FailureImpact:
     """Mutating recovery: switch survivors to their backups.
@@ -345,7 +345,7 @@ def apply_link_failure(
 def apply_failed_links(
     state: NetworkState,
     commit,
-    connections: SlabConnectionStore,
+    connections: ConnectionStore,
     failed_links: FrozenSet[int],
     dead_node: Optional[int] = None,
 ) -> FailureImpact:

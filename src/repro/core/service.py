@@ -38,7 +38,7 @@ from .errors import ConnectionStateError
 from .multiplexing import SharedSparePolicy, SparePolicy
 # Not called from here; the e2e harness's span table names this binding.
 from .signaling import register_backup_path  # noqa: F401
-from .slab import SlabConnectionStore
+from .store import ConnectionStore
 from .recovery import (
     FailureImpact,
     apply_failed_links,
@@ -322,10 +322,9 @@ class DRTPService:
             retry_policy=retry_policy,
             counters=self.counters,
         )
-        # Hot connection state lives in a slab store: dict-identical
-        # iteration order (golden traces depend on it) with slot reuse
-        # bounding footprint by the *peak* population, not total churn.
-        self._connections: SlabConnectionStore = SlabConnectionStore()
+        # Insertion-ordered (golden traces depend on it), with the
+        # primary-incidence index every failure site reads.
+        self._connections: ConnectionStore = ConnectionStore()
         self._pending_backup: set = set()
         self._next_request_id = 0
 
@@ -731,8 +730,8 @@ class DRTPService:
         return connection_id in self._connections
 
     def connection_store_stats(self) -> Dict[str, int]:
-        """Slab footprint/reuse counters (soak reports archive these to
-        prove steady-state memory stays flat under churn)."""
+        """Live and peak connection population (soak reports archive
+        these beside the RSS curve)."""
         return self._connections.stats()
 
     def warmstart_stats(self) -> Optional[Dict[str, int]]:

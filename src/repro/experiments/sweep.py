@@ -68,6 +68,13 @@ def make_scheme(
     raise ValueError("unknown scheme {!r}".format(name))
 
 
+def requires_backup(name: str) -> bool:
+    """The ``require_backup`` admission rule for the scheme called
+    ``name``: every scheme but the primary-only baseline admits a
+    request only once it has a backup."""
+    return name != NO_BACKUP
+
+
 @dataclass
 class PointResult:
     """One (scheme, cell) evaluation point."""

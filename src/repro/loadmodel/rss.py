@@ -9,7 +9,7 @@ probes, both dependency-free:
   soak-gate number;
 * :func:`current_rss_bytes` — the instantaneous ``VmRSS``, sampled per
   window so soak reports can show the *growth curve* (flat after
-  warm-up is the claim slab reuse has to prove).
+  warm-up is the claim a soak of the connection store has to prove).
 
 Both return 0 where the probe is unavailable (non-Linux without
 ``resource``), so callers can archive honest metadata instead of

@@ -76,7 +76,7 @@ class SoakReport:
     peak_rss_bytes: int
     decision_checksum: str
     windows: List[Dict[str, Any]] = field(default_factory=list)
-    slab: Dict[str, int] = field(default_factory=dict)
+    connections: Dict[str, int] = field(default_factory=dict)
     latency: Dict[str, float] = field(default_factory=dict)
     latency_quantiles: Dict[str, float] = field(default_factory=dict)
 
@@ -108,7 +108,7 @@ class SoakReport:
             "peak_rss_bytes": self.peak_rss_bytes,
             "decision_checksum": self.decision_checksum,
             "windows": self.windows,
-            "slab": self.slab,
+            "connections": self.connections,
             "latency": self.latency,
             "latency_quantiles": self.latency_quantiles,
         }
@@ -210,7 +210,7 @@ class SoakEngine:
             peak_rss_bytes=peak_rss_bytes(),
             decision_checksum=checksum.hexdigest(),
             windows=windows,
-            slab=service.connection_store_stats(),
+            connections=service.connection_store_stats(),
             latency=latency.as_dict(),
             latency_quantiles=reservoir.as_dict(),
         )

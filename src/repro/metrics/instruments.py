@@ -3,7 +3,7 @@
 :class:`ServiceMetrics` declares every family the control plane
 exposes and keeps none of the counts itself: the service tallies each
 event once, on its :class:`~repro.core.service.ServiceCounters` (the
-slab store and the link-state database keep their own), and
+connection store and the link-state database keep their own), and
 :meth:`ServiceMetrics.bind_service` points every counter and gauge at
 those objects, to be read when the registry is scraped — so a scrape,
 ``status``, the manifest and a chaos report cannot disagree.
@@ -159,13 +159,8 @@ class ServiceMetrics:
         self.links_down = registry.gauge(
             "drtp_links_down", "links currently failed",
         )
-        self.slab_slots = registry.gauge(
-            "drtp_connection_slab_slots",
-            "connection-store slots by state (live + free = allocated)",
-            labels=("state",),
-        )
-        self.slab_high_water = registry.gauge(
-            "drtp_connection_slab_high_water",
+        self.connections_high_water = registry.gauge(
+            "drtp_connections_high_water",
             "most connections the store ever held at once",
         )
         self.active_connections = registry.gauge(
@@ -265,11 +260,9 @@ class ServiceMetrics:
         self.links_down.collect_with(
             lambda: len(service.state.failed_links())
         )
-        slab = service.connection_store_stats
-        self.slab_slots.collect_with(
-            lambda: {(state,): slab()[state] for state in ("live", "free")}
+        self.connections_high_water.collect_with(
+            lambda: service.connection_store_stats()["high_water"]
         )
-        self.slab_high_water.collect_with(lambda: slab()["high_water"])
         self.db_dirty_links.collect_with(
             lambda: len(database.dirty_links())
         )

@@ -34,7 +34,10 @@ accepting connections and closes every transport — each first flushes
 the answers it holds; there is never a request in flight between
 callbacks — waits for every connection to be lost, writes the final
 metrics manifest, and exits cleanly: the contract the load-generator
-drain test enforces.
+drain test enforces.  A client that stops reading cannot hold the
+drain: after :data:`DRAIN_GRACE_S` the transports still open are
+aborted, their unread answers dropped, and the manifest records
+``drained_clean: false``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ __all__ = ["ControlPlaneServer", "ServerStats"]
 
 #: Manifest schema version.
 MANIFEST_VERSION = 1
+
+#: Seconds a drain waits for clients to take their last answers before
+#: it aborts the connections still holding unread ones.
+DRAIN_GRACE_S = 3.0
 
 
 @dataclass
@@ -261,14 +268,21 @@ class ControlPlaneServer:
         # transport flushes what it holds, then loses its connection.
         for connection in tuple(self._connections):
             connection.transport.close()
+        clean = True
         if self._connections:
-            await self._all_lost.wait()
+            try:
+                await asyncio.wait_for(self._all_lost.wait(), DRAIN_GRACE_S)
+            except asyncio.TimeoutError:
+                clean = False
+                for connection in tuple(self._connections):
+                    connection.transport.abort()
+                await self._all_lost.wait()
         if self._server is not None:
             # Only after the connections are gone: on Python >= 3.12.1
             # wait_closed() blocks until every client connection is
             # closed.
             await self._server.wait_closed()
-        self.stats.drained_clean = not self._connections
+        self.stats.drained_clean = clean
         if self.socket_path is not None:
             try:
                 Path(self.socket_path).unlink()

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +141,13 @@ class TestCampaignCommand:
                      str(tmp_path / "nope")]) == 1
         assert "repro campaign:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [[], ["--scale", "smoke"]])
+    def test_campaign_requires_a_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign"] + argv)
+        assert excinfo.value.code == 2
+        assert "run,resume,status" in capsys.readouterr().err
+
 
 class TestAssessCommand:
     def test_link_sweep(self, topology_file, capsys):
@@ -227,3 +240,62 @@ class TestScenarioProductionWorkload:
                      "--workload", "production",
                      "--hot-count", "10"]) == 2
         assert "hot-count" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The primary-only baseline admits without a backup in every command
+# ----------------------------------------------------------------------
+def _assess_accepts(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert main(["topology", str(net), "--kind", "mesh"]) == 0
+    assert main(["assess", str(net), "--scheme", "no-backup",
+                 "--connections", "10"]) == 0
+    out = capsys.readouterr().out
+    return int(re.search(r"(\d+) DR-connections established", out)[1])
+
+
+def _chaos_accepts(tmp_path, capsys):
+    report = tmp_path / "chaos.json"
+    assert main(["chaos", "--rows", "4", "--cols", "4", "--duration", "60",
+                 "--scheme", "no-backup", "--log", "none",
+                 "--report", str(report)]) == 0
+    return json.loads(report.read_text())["accepted"]
+
+
+def _serve_and_verify_accepts(tmp_path, capsys):
+    """``repro serve`` under the baseline, driven by ``repro loadtest
+    --verify``: the twin must decide like the server."""
+    sock = tmp_path / "ctl.sock"
+    manifest = tmp_path / "manifest.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--socket", str(sock),
+         "--rows", "4", "--cols", "4", "--scheme", "no-backup",
+         "--manifest", str(manifest)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 20
+        while not sock.exists():
+            assert serve.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert main(["loadtest", "--socket", str(sock), "--rate", "20",
+                     "--duration", "20", "--seed", "3", "--rows", "4",
+                     "--cols", "4", "--scheme", "no-backup",
+                     "--verify"]) == 0
+        serve.send_signal(signal.SIGTERM)
+        assert serve.wait(timeout=20) == 0
+    finally:
+        if serve.poll() is None:
+            serve.kill()
+            serve.wait()
+    return json.loads(manifest.read_text())["service"]["accepted"]
+
+
+@pytest.mark.parametrize(
+    "accepts", [_assess_accepts, _serve_and_verify_accepts, _chaos_accepts],
+    ids=["assess", "serve-loadtest-verify", "chaos"],
+)
+def test_no_backup_scheme_admits_without_a_backup(accepts, tmp_path, capsys):
+    assert accepts(tmp_path, capsys) > 0

@@ -54,35 +54,6 @@ class TestSchemeOverheadTotals:
 
 
 class TestCliCampaign:
-    def test_campaign_delegates_to_run_all(self, monkeypatch):
-        import repro.cli as cli
-
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-
-        monkeypatch.setattr(cli, "campaign_main", fake_main)
-        assert cli.main(["campaign", "--scale", "smoke",
-                         "--skip-ablations"]) == 0
-        assert captured["argv"] == [
-            "--scale", "smoke", "--seed", "7", "--skip-ablations",
-        ]
-
-    def test_campaign_forwards_jobs_to_run_all(self, monkeypatch):
-        import repro.cli as cli
-
-        captured = {}
-        monkeypatch.setattr(
-            cli, "campaign_main",
-            lambda argv: captured.update(argv=list(argv)),
-        )
-        assert cli.main(["campaign", "--scale", "smoke",
-                         "--jobs", "2"]) == 0
-        assert captured["argv"] == [
-            "--scale", "smoke", "--seed", "7", "--jobs", "2",
-        ]
-
     def test_replay_rejects_multi_backup_for_unsupporting_scheme(
         self, tmp_path, monkeypatch
     ):

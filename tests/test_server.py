@@ -29,6 +29,7 @@ from repro.server import (
     encode_request,
     encode_response,
 )
+from repro.server import app as app_module
 from repro.server import ops, protocol
 from repro.topology import mesh_network
 
@@ -457,6 +458,9 @@ class TestServerRoundTrips:
             await shutdown
             # The drain closed our idle connection and removed the
             # socket; new connections must be refused.
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
             assert not (tmp_path / "ctl.sock").exists()
             with pytest.raises((ConnectionRefusedError, FileNotFoundError)):
                 await asyncio.open_unix_connection(sock)
@@ -759,6 +763,43 @@ class TestHostileEdge:
         assert [rid for rid, _, _ in answers] == list(range(count))
         assert all(ok for _, ok, _ in answers)
         assert server.stats.ops["metrics"] == count + 1  # + the scrape
+
+
+    def test_stuck_reader_cannot_hold_the_drain(self, tmp_path):
+        # 300 answers of about 9 KB each outgrow the socket buffers, so
+        # the server still holds unread answers when the drain starts.
+        count = 300
+        burst = b"".join(
+            encode_request("metrics", request_id=i) for i in range(count)
+        )
+        manifest_path = tmp_path / "manifest.json"
+
+        async def _run():
+            sock = str(tmp_path / "stuck.sock")
+            server = ControlPlaneServer(
+                DRTPService(mesh_network(4, 4, 10.0), DLSRScheme()),
+                socket_path=sock, manifest_path=str(manifest_path),
+            )
+            await server.start()
+            client = socket.socket(socket.AF_UNIX)
+            client.connect(sock)
+            client.sendall(burst)  # about 12 KB: fits the socket buffer
+            try:
+                while not server.stats.ops.get("metrics"):
+                    await asyncio.sleep(0.01)
+                started = time.monotonic()
+                await asyncio.wait_for(
+                    server.shutdown(), app_module.DRAIN_GRACE_S + 5
+                )
+                return server, time.monotonic() - started
+            finally:
+                client.close()
+
+        server, took = asyncio.run(_run())
+        assert took >= app_module.DRAIN_GRACE_S - 0.1  # the grace was given
+        assert not server.stats.drained_clean
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["server"]["drained_clean"] is False
 
 
 # ----------------------------------------------------------------------

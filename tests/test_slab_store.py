@@ -1,5 +1,6 @@
-"""Slab connection store: dict-compatible semantics, slot recycling,
-and the no-aliasing invariant under random churn (model-based)."""
+"""The connection store: dict semantics and iteration order, the peak
+population, and the primary-incidence index against a plain-dict model
+under random churn."""
 
 from types import SimpleNamespace
 
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SlabConnectionStore
-from repro.core.slab import primary_link_ids
+from repro.core import ConnectionStore
+from repro.core.store import primary_link_ids
 
 
 class _Conn:
-    """Minimal stand-in carrying the one attribute the slab checks."""
+    """Minimal stand-in carrying the one attribute the store checks."""
 
     __slots__ = ("connection_id", "tag")
 
@@ -22,7 +23,7 @@ class _Conn:
 
 
 def test_basic_mapping_semantics():
-    store = SlabConnectionStore()
+    store = ConnectionStore()
     a, b = _Conn(1), _Conn(2)
     store[1] = a
     store[2] = b
@@ -50,36 +51,37 @@ def test_basic_mapping_semantics():
 
 
 def test_mismatched_id_rejected():
-    store = SlabConnectionStore()
+    store = ConnectionStore()
     with pytest.raises(ValueError):
         store[5] = _Conn(6)
 
 
 def test_replacement_preserves_iteration_position():
-    store = SlabConnectionStore()
+    store = ConnectionStore()
     for cid in (10, 20, 30):
         store[cid] = _Conn(cid)
     replacement = _Conn(20, tag=1)
     store[20] = replacement
     assert list(store) == [10, 20, 30]
     assert store[20] is replacement
-    # In-place replacement neither grows the slab nor burns a slot.
-    assert store.slot_count == 3
+    # Replacing is not an insertion: the peak population stays put.
+    assert store.high_water == 3
     store.check()
 
 
-def test_slot_reuse_bounds_high_water():
-    store = SlabConnectionStore()
+def test_high_water_is_the_peak_live_population():
+    store = ConnectionStore()
+    model = {}
+    peak = 0
     for cid in range(1000):
-        store[cid] = _Conn(cid)
-        if cid >= 10:
-            del store[cid - 10]
-    stats = store.stats()
-    assert stats["live"] == 10
-    # 1000 inserts through a 10-deep working set must recycle slots,
-    # not allocate per insert — the soak memory claim in miniature.
-    assert stats["high_water"] <= 11
-    assert stats["reused_slots"] >= 980
+        store[cid] = model[cid] = _Conn(cid)
+        peak = max(peak, len(model))
+        # The working set breathes between 10 and 30 connections.
+        while len(model) > (10 if cid % 200 < 100 else 30):
+            oldest = next(iter(model))
+            del store[oldest], model[oldest]
+    assert peak == 31
+    assert store.stats() == {"live": len(model), "high_water": peak}
     store.check()
 
 
@@ -94,10 +96,11 @@ churn = st.lists(
 @given(churn)
 @settings(max_examples=60, deadline=None)
 def test_reuse_never_aliases_live_connections(ops):
-    """Free-list recycling must never hand a live connection's slot to
-    another id: after every operation the store agrees exactly with a
-    plain dict model — same keys, same order, same object identity."""
-    store = SlabConnectionStore()
+    """Adding, deleting and replacing never hands one live id another
+    id's connection: after every operation the store agrees exactly
+    with a plain dict model — same keys, same order, same object
+    identity."""
+    store = ConnectionStore()
     model = {}
     next_id = 0
     for kind, pick in ops:
@@ -151,7 +154,7 @@ def test_connection_without_a_primary_crosses_no_link():
     stored like any other and is a candidate of no failure."""
     assert primary_link_ids(_Conn(1)) == ()
     assert primary_link_ids(_Routed(2, (4, 5))) == (4, 5)
-    store = SlabConnectionStore()
+    store = ConnectionStore()
     store[1] = _Conn(1)
     store[2] = _Routed(2, (4, 5))
     assert list(store.crossed_links()) == [4, 5]
@@ -165,8 +168,8 @@ def test_connection_without_a_primary_crosses_no_link():
 
 
 def test_crossing_answers_in_insertion_order():
-    store = SlabConnectionStore()
-    # Ids deliberately not in insertion order; 8 reuses 5's slot.
+    store = ConnectionStore()
+    # Ids deliberately not in insertion order; 8 arrives after 5 left.
     store[7] = _Routed(7, (1, 2))
     store[5] = _Routed(5, (2,))
     store[3] = _Routed(3, (2, 9))
@@ -183,7 +186,7 @@ def test_crossing_answers_in_insertion_order():
 
 
 def test_reindex_moves_links_but_not_position():
-    store = SlabConnectionStore()
+    store = ConnectionStore()
     for cid, links in ((1, (10, 11)), (2, (11,)), (3, (11, 12))):
         store[cid] = _Routed(cid, links)
     store[1].reroute((12, 13))  # what a backup promotion does
@@ -216,7 +219,10 @@ routed_churn = st.lists(
 @given(routed_churn)
 @settings(max_examples=60, deadline=None)
 def test_index_agrees_with_a_scan_under_churn(ops):
-    store = SlabConnectionStore()
+    """After every set / replace / pop / reindex the store equals a
+    plain dict in content and iteration order, and ``crossing`` equals
+    a filtered scan of that dict."""
+    store = ConnectionStore()
     model = {}
     next_id = 0
     for kind, pick, links in ops:
@@ -226,14 +232,15 @@ def test_index_agrees_with_a_scan_under_churn(ops):
         elif model:
             victim = list(model)[pick % len(model)]
             if kind == "remove":
-                del model[victim]
-                store.pop(victim)
+                assert store.pop(victim) is model.pop(victim)
+                assert store.pop(victim, None) is None
             elif kind == "replace":
                 store[victim] = model[victim] = _Routed(victim, links)
             else:
                 model[victim].reroute(links)
                 store.reindex(victim)
         store.check()
+        assert list(store.items()) == list(model.items())
         for link_id in range(8):
             assert store.crossing((link_id,)) == [
                 conn for conn in model.values()

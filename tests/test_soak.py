@@ -1,5 +1,5 @@
 """Soak engine: deterministic decision fingerprints, bounded window
-accounting, and the slab counters a long run archives."""
+accounting, and the population counters a long run archives."""
 
 import random
 
@@ -60,11 +60,10 @@ def test_soak_report_shape_and_windows():
     assert 0.0 < report.acceptance_ratio <= 1.0
     assert report.admissions_per_second > 0
     assert len(report.decision_checksum) == 64
-    # Slab counters prove recycling: the high water mark tracks the
-    # peak concurrent population, far below total churn.
-    assert report.slab["high_water"] < report.accepted
-    assert report.slab["reused_slots"] > 0
-    assert report.slab["live"] == report.final_active
+    # The store's high water mark is the peak concurrent population,
+    # far below total churn.
+    assert report.connections["high_water"] < report.accepted
+    assert report.connections["live"] == report.final_active
     # Streaming latency stats cover every admission without retention.
     assert report.latency["count"] == 1000
     assert report.latency_quantiles["seen"] == 1000
