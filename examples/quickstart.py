@@ -66,8 +66,7 @@ def main() -> None:
     # Exhaustive single-link-failure sweep (the P_act-bk measurement).
     attempts = successes = 0
     worst = None
-    for link_id in service.links_carrying_primaries():
-        impact = service.assess_link_failure(link_id)
+    for _link_id, impact in service.sweep_link_failures():
         attempts += impact.affected
         successes += impact.activated
         if worst is None or impact.failed > worst.failed:

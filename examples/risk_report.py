@@ -105,8 +105,7 @@ def main() -> None:
 
     # 3. Fault-model stress: pairs of simultaneous failures.
     single_attempts = single_success = 0
-    for link_id in service.links_carrying_primaries():
-        impact = service.assess_link_failure(link_id)
+    for _link_id, impact in service.sweep_link_failures():
         single_attempts += impact.affected
         single_success += impact.activated
     double = assess_double_failures(

@@ -53,9 +53,7 @@ def main() -> None:
     )
 
     # Baseline first: the capacity yardstick.
-    baseline_service = DRTPService(
-        network, make_scheme("no-backup"), require_backup=False
-    )
+    baseline_service = DRTPService(network, make_scheme("no-backup"))
     baseline = ScenarioSimulator(
         baseline_service, scenario, warmup=args.duration / 2,
         snapshot_count=4,

@@ -18,6 +18,12 @@ recovery engine only the connections whose primary crosses the failed
 links (the primary-incidence index of
 :class:`repro.core.store.ConnectionStore`), so a sweep costs O(sum of
 affected) rather than O(links x connections).
+
+The single-link sweep is one call,
+:meth:`~repro.core.service.DRTPService.sweep_link_failures`: it reads
+every link's activation pool once per snapshot into one column (spare,
+plus free bandwidth under the ablation), and each link's race debits
+its own copy of that column, so no failure sees another's winners.
 """
 
 from __future__ import annotations
@@ -51,13 +57,18 @@ class FaultToleranceStats:
         return self.successes / self.attempts
 
     def absorb(self, impact: FailureImpact) -> None:
-        self.attempts += impact.affected
-        self.successes += impact.activated
-        for reason, count in impact.reasons().items():
-            if reason != "activated" and reason != "rerouted":
-                self.failures_by_reason[reason] = (
-                    self.failures_by_reason.get(reason, 0) + count
-                )
+        # A success is ``activated`` or ``rerouted``, never a failure
+        # reason, so only the losers are tallied by reason.
+        outcomes = impact.outcomes
+        failures = self.failures_by_reason
+        successes = 0
+        for outcome in outcomes:
+            if outcome.success:
+                successes += 1
+            else:
+                failures[outcome.reason] = failures.get(outcome.reason, 0) + 1
+        self.attempts += len(outcomes)
+        self.successes += successes
 
     def merge(self, other: "FaultToleranceStats") -> None:
         self.attempts += other.attempts
@@ -84,13 +95,13 @@ class FaultToleranceObserver(Observer):
         self.use_free_bandwidth = use_free_bandwidth
 
     def on_snapshot(self, service: DRTPService, time: float) -> None:
-        self.stats.snapshots += 1
-        for link_id in service.links_carrying_primaries():
-            impact = service.assess_link_failure(
-                link_id, use_free_bandwidth=self.use_free_bandwidth
-            )
-            self.stats.links_swept += 1
-            self.stats.absorb(impact)
+        stats = self.stats
+        stats.snapshots += 1
+        for _link_id, impact in service.sweep_link_failures(
+            self.use_free_bandwidth
+        ):
+            stats.links_swept += 1
+            stats.absorb(impact)
 
 
 class GroupFaultToleranceObserver(Observer):

@@ -44,8 +44,7 @@ def rank_link_risks(
     Ordering: most stranded connections first, then most affected.
     """
     risks: List[LinkRisk] = []
-    for link_id in service.links_carrying_primaries():
-        impact = service.assess_link_failure(link_id)
+    for link_id, impact in service.sweep_link_failures():
         link = service.network.link(link_id)
         reasons = tuple(
             sorted(
@@ -95,13 +94,13 @@ def connection_exposures(service: DRTPService) -> List[ConnectionExposure]:
     (spare contention included, in establishment order — the same
     semantics as the fault-tolerance metric).
     """
-    impact_cache: Dict[int, Dict[int, bool]] = {}
-    for link_id in service.links_carrying_primaries():
-        impact = service.assess_link_failure(link_id)
-        impact_cache[link_id] = {
+    impact_cache: Dict[int, Dict[int, bool]] = {
+        link_id: {
             outcome.connection_id: outcome.success
             for outcome in impact.outcomes
         }
+        for link_id, impact in service.sweep_link_failures()
+    }
     exposures = []
     for conn in service.connections():
         if not conn.is_active:

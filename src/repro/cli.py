@@ -56,7 +56,7 @@ from .analysis import (
     format_table,
 )
 from .core import ENDPOINT_FAILED, DRTPService
-from .experiments import make_scheme, requires_backup
+from .experiments import make_scheme
 from .kernels.search import ANSWERS, EXHAUSTIVE
 from .simulation import Scenario, ScenarioSimulator, generate_scenario
 from .topology import (
@@ -597,9 +597,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 args.scheme), file=sys.stderr)
             return 2
         scheme.num_backups = args.num_backups
-    service = DRTPService(
-        network, scheme, require_backup=requires_backup(args.scheme)
-    )
+    service = DRTPService(network, scheme)
     oracle = None
     if args.oracle:
         from .testing import DifferentialOracle, require_exact
@@ -654,11 +652,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # detail=True: the debugging CLI affords the cost decompositions
     # (conflict/q_links per backup search) production tracing skips.
     collector = TraceCollector(max_spans=args.max_spans, detail=True)
-    service = DRTPService(
-        network, scheme,
-        require_backup=requires_backup(args.scheme),
-        trace=collector,
-    )
+    service = DRTPService(network, scheme, trace=collector)
     warmup = args.warmup if args.warmup is not None else scenario.duration / 2
     result = ScenarioSimulator(service, scenario, warmup=warmup).run()
 
@@ -735,10 +729,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_assess(args: argparse.Namespace) -> int:
     network = load_network(args.topology)
-    service = DRTPService(
-        network, make_scheme(args.scheme),
-        require_backup=requires_backup(args.scheme),
-    )
+    service = DRTPService(network, make_scheme(args.scheme))
     rng = random.Random(args.seed)
     established = 0
     attempts = 0
@@ -756,8 +747,8 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         sweep = [("node", n, service.assess_node_failure(n))
                  for n in network.nodes()]
     else:
-        sweep = [("link", l, service.assess_link_failure(l))
-                 for l in service.links_carrying_primaries()]
+        sweep = [("link", l, impact)
+                 for l, impact in service.sweep_link_failures()]
     for _kind, _ident, impact in sweep:
         # A connection ending at a dead switch makes no recovery attempt.
         impact.outcomes = [
@@ -893,7 +884,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics = ServiceMetrics()
     service = DRTPService(
         network, scheme,
-        require_backup=requires_backup(args.scheme),
         live_database=not args.snapshot_db,
         metrics=metrics,
         risk_groups=risk_groups,
@@ -1035,7 +1025,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         # SRLG-aware server routes (and therefore decides) differently.
         twin = DRTPService(
             network, make_scheme(args.scheme),
-            require_backup=requires_backup(args.scheme),
             live_database=status.get("live_database", True),
             risk_groups=risk_groups,
         )
@@ -1240,11 +1229,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    service = DRTPService(
-        network,
-        make_scheme(args.scheme),
-        require_backup=requires_backup(args.scheme),
-    )
+    service = DRTPService(network, make_scheme(args.scheme))
     config = _production_trace_config(args, network.num_nodes)
     print(
         "soak: {} nodes, {} links, scheme {}, {} admissions "

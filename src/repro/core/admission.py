@@ -23,7 +23,8 @@ Policy knob: ``require_backup`` (default True) rejects a request whose
 backup cannot be routed or registered — a DR-connection without a
 backup offers no dependability.  With ``require_backup = False`` the
 connection is admitted unprotected, which the fault-tolerance metric
-then counts against the scheme.
+then counts against the scheme.  The service sets it from its scheme's
+``plans_backups`` unless told otherwise.
 """
 
 from __future__ import annotations

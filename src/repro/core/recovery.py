@@ -31,6 +31,22 @@ order (``established_seq``), a deterministic stand-in for the paper's
 near-simultaneous races; each success consumes spare tokens that later
 activations can no longer use.
 
+The race runs on a *column*: the activation pool of every link, indexed
+by link id (:func:`activation_pools` — ``spare_bw``, plus ``free_bw``
+under the free-bandwidth ablation), copied once per failure so the
+caller's column is never debited.  A sweep over many hypothetical
+failures of one state reads the ledgers once and hands every race the
+same column.  A backup passes iff ``min(residual[b] for b in links) +
+BW_EPSILON >= bw``: rounding is monotone, so ``fl(x + BW_EPSILON)`` is
+smallest at the smallest ``x``, and the least residual passes iff every
+residual does (a route has at least one link, so the minimum is always
+defined).  The race evaluates it as the scan that stops at the first
+link with ``residual[b] + BW_EPSILON < bw`` — the same verdict, and on
+CPython 3.11 cheaper than ``min(map(...))`` over a route's few links.
+The race as first written (pools read lazily into a dict, ``all()``
+per backup) is the reference,
+:func:`repro.testing.recovery.reference_assess_failed_links`.
+
 Finding the affected: the ``assess_*`` functions filter whatever
 candidate population they are handed (active, primary crossing a failed
 link), so a caller may hand them any superset of the affected — the
@@ -43,7 +59,17 @@ and read the same index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from ..network.state import BW_EPSILON, NetworkState
 from ..routing.base import RouteQuery
@@ -60,9 +86,10 @@ SPARE_EXHAUSTED = "spare-exhausted"
 ENDPOINT_FAILED = "endpoint-failed"
 
 
-@dataclass(frozen=True)
-class ActivationOutcome:
-    """One affected connection's recovery attempt.
+class ActivationOutcome(NamedTuple):
+    """One affected connection's recovery attempt (an immutable
+    record; a sweep builds one per affected connection per failed
+    link, so it is a tuple rather than a frozen dataclass).
 
     ``backup_index`` is the position (within the connection's
     activation-preference order) of the backup that activated, or -1
@@ -115,6 +142,7 @@ def assess_link_failure(
     connections: Iterable[DRConnection],
     link_id: int,
     use_free_bandwidth: bool = False,
+    pools: Optional[Sequence[float]] = None,
 ) -> FailureImpact:
     """Judge every affected connection's activation, without mutation.
 
@@ -126,13 +154,28 @@ def assess_link_failure(
         use_free_bandwidth: When True, activations may also draw on
             unallocated link bandwidth (an ablation; the paper's
             ``SC_i`` counts reserved spare only).
+        pools: ``activation_pools(state, use_free_bandwidth)`` read
+            beforehand — a sweep passes one column to every link;
+            ``None`` reads it here.
     """
     return assess_failed_links(
         state,
         connections,
         frozenset({link_id}),
         use_free_bandwidth=use_free_bandwidth,
+        pools=pools,
     )
+
+
+def activation_pools(
+    state: NetworkState, use_free_bandwidth: bool = False
+) -> List[float]:
+    """What each link can give activations, indexed by link id: its
+    reserved ``spare_bw``, plus its unallocated ``free_bw`` under the
+    free-bandwidth ablation."""
+    if use_free_bandwidth:
+        return [ledger.spare_bw + ledger.free_bw for ledger in state.ledgers()]
+    return [ledger.spare_bw for ledger in state.ledgers()]
 
 
 def incident_link_ids(network, node: int) -> FrozenSet[int]:
@@ -221,6 +264,7 @@ def assess_failed_links(
     failed_links: FrozenSet[int],
     use_free_bandwidth: bool = False,
     dead_node: Optional[int] = None,
+    pools: Optional[Sequence[float]] = None,
 ) -> FailureImpact:
     """Core activation-contention assessment for a set of dead links.
 
@@ -232,6 +276,10 @@ def assess_failed_links(
     that order as :data:`ENDPOINT_FAILED`.  It draws no spare — every
     backup of it leaves or enters the dead switch — so the race runs
     on the spare reserved at the moment of failure.
+
+    ``pools`` is the column the race starts from (see
+    :func:`activation_pools`, which reads it when ``None``); the race
+    debits a copy.
     """
     if dead_node is not None:
         label = -dead_node - 1
@@ -240,75 +288,76 @@ def assess_failed_links(
     else:
         label = -1
     impact = FailureImpact(link_id=label)
-    affected = sorted(
-        (
-            conn
-            for conn in connections
-            if conn.is_active and (conn.primary_route.lset & failed_links)
-        ),
-        key=lambda conn: conn.established_seq,
-    )
+    active = _ACTIVE
+    isdisjoint = failed_links.isdisjoint
+    affected = [
+        conn
+        for conn in connections
+        if conn.state in active and not isdisjoint(conn.primary.route.lset)
+    ]
     if not affected:
         return impact
+    affected.sort(key=_ESTABLISHED)
 
-    # Residual activation bandwidth per backup link, consumed in order.
-    residual: Dict[int, float] = {}
-
-    def budget(backup_link: int) -> float:
-        if backup_link not in residual:
-            ledger = state.ledger(backup_link)
-            pool = ledger.spare_bw
-            if use_free_bandwidth:
-                pool += ledger.free_bw
-            residual[backup_link] = pool
-        return residual[backup_link]
-
+    # Residual activation bandwidth per link, consumed in order.
+    residual = (
+        activation_pools(state, use_free_bandwidth) if pools is None
+        else list(pools)
+    )
+    outcomes = impact.outcomes
     for conn in affected:
-        if dead_node in (conn.source, conn.destination):
-            impact.outcomes.append(
-                ActivationOutcome(conn.connection_id, False, ENDPOINT_FAILED)
+        connection_id = conn.connection_id
+        request = conn.request
+        if dead_node is not None and dead_node in (
+            request.source, request.destination
+        ):
+            outcomes.append(
+                ActivationOutcome(connection_id, False, ENDPOINT_FAILED)
             )
             continue
-        channels = conn.all_backups
-        if not channels:
-            impact.outcomes.append(
-                ActivationOutcome(conn.connection_id, False, NO_BACKUP)
+        channel = conn.backup
+        if channel is None:
+            outcomes.append(
+                ActivationOutcome(connection_id, False, NO_BACKUP)
             )
             continue
-        # Try each backup in preference order; the first whose route
-        # avoids the failure and whose links still hold spare wins.
-        activated_index = -1
-        saw_survivor = False
-        for index, channel in enumerate(channels):
-            backup = channel.route
-            if backup.lset & failed_links:
-                continue
-            saw_survivor = True
-            if all(
-                budget(b) + BW_EPSILON >= conn.bw_req
-                for b in backup.link_ids
-            ):
-                for b in backup.link_ids:
-                    residual[b] -= conn.bw_req
-                activated_index = index
+        # Try each backup in preference order — ``backup``, then
+        # ``extra_backups[index - 1]`` — the first whose route avoids
+        # the failure and whose links still hold spare wins.  (A loop
+        # over a tuple of them measured slower: it is built per victim.)
+        bw = request.bw_req
+        extras = conn.extra_backups
+        reason = BACKUP_CROSSES_FAILURE
+        index = 0
+        while True:
+            route = channel.route
+            if isdisjoint(route.lset):
+                links = route.link_ids
+                for link_id in links:
+                    if residual[link_id] + BW_EPSILON < bw:
+                        reason = SPARE_EXHAUSTED
+                        break
+                else:
+                    for link_id in links:
+                        residual[link_id] -= bw
+                    outcomes.append(ActivationOutcome(
+                        connection_id, True, ACTIVATED, index
+                    ))
+                    break
+            if index == len(extras):
+                outcomes.append(
+                    ActivationOutcome(connection_id, False, reason)
+                )
                 break
-        if activated_index >= 0:
-            impact.outcomes.append(
-                ActivationOutcome(
-                    conn.connection_id, True, ACTIVATED, activated_index
-                )
-            )
-        elif saw_survivor:
-            impact.outcomes.append(
-                ActivationOutcome(conn.connection_id, False, SPARE_EXHAUSTED)
-            )
-        else:
-            impact.outcomes.append(
-                ActivationOutcome(
-                    conn.connection_id, False, BACKUP_CROSSES_FAILURE
-                )
-            )
+            channel = extras[index]
+            index += 1
     return impact
+
+
+#: States whose primary carries traffic (``DRConnection.is_active``; a
+#: tuple, whose identity test beats hashing an enum member).
+_ACTIVE = (ConnectionState.ACTIVE, ConnectionState.UNPROTECTED)
+_ESTABLISHED = attrgetter("established_seq")
 
 
 def apply_link_failure(
@@ -441,7 +490,7 @@ def reprotect(
 
 def reconfigure_unprotected(
     commit,
-    connections: Dict[int, DRConnection],
+    connections: ConnectionStore,
     scheme,
     hop_bound: Optional[Callable[[int, int], Optional[int]]] = None,
 ) -> int:

@@ -41,6 +41,7 @@ from .signaling import register_backup_path  # noqa: F401
 from .store import ConnectionStore
 from .recovery import (
     FailureImpact,
+    activation_pools,
     apply_failed_links,
     apply_group_failure,
     apply_link_failure,
@@ -241,7 +242,7 @@ class DRTPService:
         network: Network,
         scheme: RoutingScheme,
         spare_policy: Optional[SparePolicy] = None,
-        require_backup: bool = True,
+        require_backup: Optional[bool] = None,
         live_database: bool = True,
         qos_slack: Optional[int] = None,
         fault_injector=None,
@@ -250,7 +251,14 @@ class DRTPService:
         trace=None,
         risk_groups: Optional[RiskGroupSet] = None,
     ) -> None:
-        """``live_database=False`` routes from periodically-refreshed
+        """``require_backup`` — admit a request only once it has a
+        backup — is a fact about the scheme: ``None`` (the default)
+        takes :attr:`RoutingScheme.plans_backups`.  ``False`` under a
+        scheme that plans backups admits unprotected requests too;
+        ``True`` under a primary-only scheme would reject every
+        request and raises :class:`ValueError`.
+
+        ``live_database=False`` routes from periodically-refreshed
         snapshots instead of instantly-converged link state — the
         staleness regime real link-state protocols live in.  Call
         :meth:`refresh_database` (or let the simulator schedule it) to
@@ -294,6 +302,17 @@ class DRTPService:
         is computed: routing costs, conflict accounting and spare
         sizing all become group-aware (see :mod:`repro.topology.srlg`).
         ``None`` keeps the paper's per-link model."""
+        # Any object with bind() and plan() can route (the examples
+        # script their own); one that does not say is taken to plan
+        # backups.
+        plans_backups = getattr(scheme, "plans_backups", True)
+        if require_backup is None:
+            require_backup = plans_backups
+        elif require_backup and not plans_backups:
+            raise ValueError(
+                "scheme {} plans no backups, so require_backup=True would "
+                "reject every request".format(scheme.name)
+            )
         self.network = network
         self.state = NetworkState(network)
         if risk_groups is not None:
@@ -506,6 +525,23 @@ class DRTPService:
             link_id,
             use_free_bandwidth=use_free_bandwidth,
         )
+
+    def sweep_link_failures(
+        self, use_free_bandwidth: bool = False
+    ) -> Iterator[Tuple[int, FailureImpact]]:
+        """``(link_id, impact)`` for every link carrying a primary, in
+        link order: what :meth:`assess_link_failure` answers for each,
+        with the activation pools read once for the whole sweep (the
+        ``P_act-bk`` sweep of Figure 4).  The column is read when the
+        sweep starts, so the service must not change until it ends."""
+        pools = activation_pools(self.state, use_free_bandwidth)
+        state = self.state
+        crossing = self._connections.crossing
+        for link_id in self.links_carrying_primaries():
+            yield link_id, assess_link_failure(
+                state, crossing((link_id,)), link_id,
+                use_free_bandwidth=use_free_bandwidth, pools=pools,
+            )
 
     def assess_node_failure(
         self, node: int, use_free_bandwidth: bool = False

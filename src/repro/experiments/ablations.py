@@ -72,7 +72,7 @@ def _run_variant(
     scheme,
     scale: ExperimentScale,
     spare_policy=None,
-    require_backup: bool = True,
+    require_backup: Optional[bool] = None,
     baseline_active: float = 0.0,
     use_free_bandwidth: bool = False,
     reactive: bool = False,
@@ -113,8 +113,7 @@ def _cell_fixture(
     network = make_network(spec.degree, params)
     scenario = cell_scenario(spec, scale, params, master_seed)
     baseline = replay(
-        network, scenario, make_scheme("no-backup", params), scale,
-        require_backup=False,
+        network, scenario, make_scheme("no-backup", params), scale
     )
     return params, network, scenario, baseline.mean_active_connections
 
@@ -230,9 +229,7 @@ def topology_locality_ablation(
             parameters=WaxmanParameters(alpha=alpha, target_degree=3.0),
             rng=random_module.Random(master_seed),
         )
-        baseline = replay(
-            network, scenario, NoBackupScheme(), scale, require_backup=False
-        )
+        baseline = replay(network, scenario, NoBackupScheme(), scale)
         observer = FaultToleranceObserver()
         service = DRTPService(network, DLSRScheme())
         sim = ScenarioSimulator(
@@ -444,7 +441,6 @@ def reactive_vs_proactive_ablation(
         _run_variant(
             "reactive re-routing",
             network, scenario, ReactiveScheme(), scale,
-            require_backup=False,
             baseline_active=baseline_active,
             reactive=True,
         ),

@@ -68,13 +68,6 @@ def make_scheme(
     raise ValueError("unknown scheme {!r}".format(name))
 
 
-def requires_backup(name: str) -> bool:
-    """The ``require_backup`` admission rule for the scheme called
-    ``name``: every scheme but the primary-only baseline admits a
-    request only once it has a backup."""
-    return name != NO_BACKUP
-
-
 @dataclass
 class PointResult:
     """One (scheme, cell) evaluation point."""
@@ -150,7 +143,7 @@ def replay(
     scheme: RoutingScheme,
     scale: ExperimentScale,
     spare_policy: Optional[SparePolicy] = None,
-    require_backup: bool = True,
+    require_backup: Optional[bool] = None,
     observers: Sequence = (),
     risk_groups=None,
 ) -> SimulationResult:
@@ -190,7 +183,6 @@ def run_cell(
         scenario,
         make_scheme(NO_BACKUP, params),
         scale,
-        require_backup=False,
     )
     baseline_active = baseline.mean_active_connections
 

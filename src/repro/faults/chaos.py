@@ -144,12 +144,11 @@ def run_campaign(
         risk_groups = mesh_conduit_groups(network, config.rows, config.cols)
         spare_policy = GroupAwareSparePolicy()
 
-    from ..experiments import make_scheme, requires_backup
+    from ..experiments import make_scheme
 
     service = DRTPService(
         network,
         make_scheme(config.scheme),
-        require_backup=requires_backup(config.scheme),
         spare_policy=spare_policy,
         fault_injector=injector,
         retry_policy=retry_policy,

@@ -136,6 +136,11 @@ class RoutingScheme(abc.ABC):
     #: Short identifier used in reports ("P-LSR", "D-LSR", "BF", ...).
     name: str = "abstract"
 
+    #: Whether :meth:`plan` routes backups.  A primary-only scheme sets
+    #: ``False``, and a service under it admits a request on its
+    #: primary alone (``DRTPService(require_backup=None)``).
+    plans_backups: bool = True
+
     #: The owning service's
     #: :class:`~repro.core.service.ServiceCounters` (``None`` while the
     #: scheme plans for no service): the link-state searches tally

@@ -24,9 +24,11 @@ from .link_state import LinkStateScheme, plan_primary
 
 
 class NoBackupScheme(RoutingScheme):
-    """Primary-only routing (use with ``require_backup=False``)."""
+    """Primary-only routing: a service under it admits on the primary
+    alone."""
 
     name = "no-backup"
+    plans_backups = False
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         primary = plan_primary(self, query)

@@ -38,6 +38,7 @@ class ReactiveScheme(RoutingScheme):
     """Primary-only routing; recovery is attempted post-failure."""
 
     name = "reactive"
+    plans_backups = False
 
     def plan(self, query: RouteQuery) -> RoutePlan:
         primary = plan_primary(self, query)

@@ -16,6 +16,9 @@ This package keeps them honest:
   ledgers' public mutators (fault-injected walk included) that the
   fused walks of :mod:`repro.kernels.apply` replaced, as the commit
   methods of an admission controller;
+* :mod:`repro.testing.recovery` — the activation race as first written
+  (pools read lazily into a dict, the bandwidth test made link by link)
+  that the column race of :mod:`repro.core.recovery` replaced;
 * :mod:`repro.testing.oracle` — :class:`DifferentialOracle`, a service
   wrapper that replays every operation — link, node, risk-group and
   link-set failures and repairs included, fault-injected services too
@@ -45,6 +48,7 @@ from .oracle import (
     require_exact,
     route_key,
 )
+from .recovery import reference_assess_failed_links
 from .reference import (
     ReferenceDatabase,
     naive_bounded_shortest_path,
@@ -70,6 +74,7 @@ __all__ = [
     "plsr_backup_cost",
     "primary_link_cost",
     "rebuilt_aplv",
+    "reference_assess_failed_links",
     "require_exact",
     "route_key",
 ]

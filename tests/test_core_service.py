@@ -8,7 +8,7 @@ from repro.core import (
     SharedSparePolicy,
 )
 from repro.network.state import ResourceError
-from repro.routing import DLSRScheme, NoBackupScheme, PLSRScheme
+from repro.routing import DLSRScheme, NoBackupScheme, PLSRScheme, ReactiveScheme
 from repro.topology import line_network, mesh_network
 
 
@@ -151,3 +151,26 @@ class TestPolicies:
         decision = service.request(0, 2, 1.0)
         assert decision.accepted
         assert decision.connection.backup is None
+
+    @pytest.mark.parametrize("scheme", [NoBackupScheme, ReactiveScheme])
+    def test_primary_only_scheme_admits_by_default(self, scheme):
+        """The admission rule follows the scheme: a primary-only one
+        admits on the primary without being told to."""
+        service = DRTPService(mesh_network(4, 4, 10.0), scheme())
+        decision = service.request(0, 15, 1.0)
+        assert decision.accepted
+        assert decision.connection.backup is None
+        assert not scheme.plans_backups
+
+    @pytest.mark.parametrize("scheme", [NoBackupScheme, ReactiveScheme])
+    def test_requiring_a_backup_of_a_primary_only_scheme_raises(self, scheme):
+        with pytest.raises(ValueError, match="plans no backups"):
+            DRTPService(mesh_network(4, 4, 10.0), scheme(),
+                        require_backup=True)
+
+    def test_planning_scheme_requires_a_backup_by_default(self):
+        """``None`` under a scheme that plans backups is the strict
+        rule: a request with no routable backup is rejected."""
+        service = DRTPService(line_network(3, 10.0), PLSRScheme())
+        assert not service.request(0, 2, 1.0).accepted
+        assert PLSRScheme.plans_backups

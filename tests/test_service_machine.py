@@ -33,7 +33,7 @@ from repro.experiments import make_scheme
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.network.state import BW_EPSILON, NetworkState
 from repro.routing import NoBackupScheme, ReactiveScheme
-from repro.testing import DifferentialOracle
+from repro.testing import DifferentialOracle, reference_assess_failed_links
 from repro.topology import (
     mesh_conduit_groups,
     mesh_network,
@@ -48,7 +48,7 @@ RESULTS_PATH = (
     / "benchmarks" / "results" / "oracle_differential.json"
 )
 
-#: Primary-only baselines: no backup may be required of them.
+#: Primary-only baselines: a service under them admits on the primary.
 PRIMARY_ONLY = {"no-backup": NoBackupScheme, "reactive": ReactiveScheme}
 SCHEMES = ("P-LSR", "D-LSR", "disjoint", "BF") + tuple(PRIMARY_ONLY)
 POLICIES = {"shared": SharedSparePolicy, "dedicated": DedicatedSparePolicy,
@@ -129,14 +129,13 @@ def build(config: Config):
         network = mesh_network(config.rows, config.cols, config.capacity)
         groups = mesh_conduit_groups(network, config.rows, config.cols)
     if config.scheme in PRIMARY_ONLY:
-        scheme, require_backup = PRIMARY_ONLY[config.scheme](), False
+        scheme = PRIMARY_ONLY[config.scheme]()
     else:
-        scheme, require_backup = make_scheme(config.scheme), True
+        scheme = make_scheme(config.scheme)
         scheme.num_backups = config.backups
     service = DRTPService(
         network, scheme,
         spare_policy=POLICIES[config.policy](),
-        require_backup=require_backup,
         qos_slack=config.qos_slack,
         fault_injector=(
             FaultInjector(FaultPlan.everything(4.0), seed=1)
@@ -196,20 +195,45 @@ class ServiceMachine(RuleBasedStateMachine):
     def refresh_database(self, pick, flag):
         self.driver.refresh_database()
 
+    def starved_only_on_capped_links(self, outcomes, failed):
+        """Section 5's promise for one link failing: spare sized to
+        ``SC_i >= max_j a_{i,j}`` covers every backup a single failure
+        activates, so a backup can starve only where spare could not
+        grow to its policy's target.  Every ``SPARE_EXHAUSTED`` outcome
+        has, on each of its backups that avoids the failed link, a
+        capped link (``spare_bw < target``)."""
+        policy = self.service.spare_policy
+        for outcome in outcomes:
+            if outcome.reason != recovery.SPARE_EXHAUSTED:
+                continue
+            conn = self.service.connection(outcome.connection_id)
+            for channel in conn.all_backups:
+                if channel.route.lset & failed:
+                    continue
+                assert any(
+                    ledger.spare_bw < policy.target(ledger)
+                    for ledger in map(self.state.ledger,
+                                      channel.route.link_ids)
+                ), (outcome, channel.route.link_ids)
+
     def _fail(self, failed, apply, node=None):
         """Apply one failure of the links ``failed`` (those of switch
-        ``node``, when it names one): its outcomes are the full-table
-        assessment taken just before — same victims in the same order,
-        same reasons, same backups, the connections ending at a dead
-        switch included — and no surviving backup crosses a dead link.
-        The assessment never double-spends: the backups it activates
-        over a link fit in the spare that link holds."""
+        ``node``, when it names one): its outcomes are the reference
+        race's full-table assessment taken just before — same victims
+        in the same order, same reasons, same backups, the connections
+        ending at a dead switch included — and no surviving backup
+        crosses a dead link.  The assessment never double-spends: the
+        backups it activates over a link fit in the spare that link
+        holds; and a single link starves backups only on capped
+        links."""
         if len(self.state.failed_links()) > MAX_DOWN:
             return
-        expected = recovery.assess_failed_links(
+        expected = reference_assess_failed_links(
             self.state, list(self.service.connections()), failed,
             dead_node=node,
         ).outcomes
+        if len(failed) == 1 and node is None:
+            self.starved_only_on_capped_links(expected, failed)
         claimed = {}
         for outcome in expected:
             if outcome.success:
@@ -282,34 +306,56 @@ class ServiceMachine(RuleBasedStateMachine):
                 ("group", groups.num_groups if groups is not None else 0),
                 ("node", self.network.num_nodes))
 
-    def what_if(self, kind, index):
+    def what_if(self, kind, index, use_free_bandwidth=False):
         """Fail link, group or node ``index`` hypothetically: the
-        index-backed answer and the full scan's, as outcome lists."""
+        index-backed answer and the reference race's over the full
+        table, as outcome lists."""
         everyone = list(self.service.connections())
         if kind == "link":
-            answer = self.driver.assess_link_failure(index)
-            scan = recovery.assess_link_failure(self.state, everyone, index)
+            answer = self.driver.assess_link_failure(
+                index, use_free_bandwidth=use_free_bandwidth
+            )
+            failed, node = frozenset({index}), None
         elif kind == "group":
-            answer = self.driver.assess_group_failure(index)
-            scan = recovery.assess_group_failure(
-                self.state, everyone, index, self.service.risk_groups
+            answer = self.driver.assess_group_failure(
+                index, use_free_bandwidth=use_free_bandwidth
             )
+            failed, node = self.service.risk_groups.members(index), None
         else:
-            answer = self.driver.assess_node_failure(index)
-            scan = recovery.assess_node_failure(
-                self.state, everyone, index, self.network
+            answer = self.driver.assess_node_failure(
+                index, use_free_bandwidth=use_free_bandwidth
             )
+            failed = recovery.incident_link_ids(self.network, index)
+            node = index
+        scan = reference_assess_failed_links(
+            self.state, everyone, frozenset(failed), use_free_bandwidth,
+            dead_node=node,
+        )
         return answer.outcomes, scan.outcomes
 
     @rule(pick=picks, flag=st.booleans())
     def assess(self, pick, flag):
-        """A what-if of a link, group or node failure equals the full
-        scan, and mutates nothing."""
+        """A what-if of a link, group or node failure (``flag``: on
+        spare plus free bandwidth) equals the reference race over the
+        full table, and so does every link of the ``P_act-bk`` sweep;
+        a single link starves backups only on capped links; nothing
+        is mutated."""
         before = self.state.fingerprint()
         kinds = [kind for kind in self.what_ifs() if kind[1]]
         kind, count = kinds[pick % len(kinds)]
-        answer, scan = self.what_if(kind, pick // len(kinds) % count)
+        index = pick // len(kinds) % count
+        answer, scan = self.what_if(kind, index, use_free_bandwidth=flag)
         assert answer == scan
+        if kind == "link":
+            self.starved_only_on_capped_links(answer, frozenset({index}))
+            everyone = list(self.service.connections())
+            for link_id, impact in self.driver.sweep_link_failures(flag):
+                assert impact.outcomes == reference_assess_failed_links(
+                    self.state, everyone, frozenset({link_id}), flag
+                ).outcomes
+                self.starved_only_on_capped_links(
+                    impact.outcomes, frozenset({link_id})
+                )
         assert self.state.fingerprint() == before
 
     def check(self):
