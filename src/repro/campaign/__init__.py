@@ -1,11 +1,12 @@
 """Sharded parallel campaign orchestration with checkpoint/resume.
 
-The paper's evaluation is one large grid of independent simulation
-cells; this package shards the grid over a multiprocessing worker
-pool, checkpoints every completed cell to an append-only JSONL
-journal, reports live progress (stderr + ``campaign_manifest.json``),
-and deterministically merges the shards back into figure panels and
-tables that are bit-identical to the sequential path.
+The paper's evaluation is one large grid of independent,
+deterministic simulation cells; this package runs the grid inline or
+on a :class:`concurrent.futures.ProcessPoolExecutor`, checkpoints
+every completed cell to an append-only JSONL journal (one stderr line
+and a ``campaign_manifest.json`` rewrite per cell), and merges the
+shards back into figure panels and tables that are bit-identical to
+the sequential path.
 
 Entry points: :func:`run_campaign_jobs` / :func:`resume_campaign` /
 :func:`campaign_status` (also exposed as ``repro campaign
@@ -38,8 +39,6 @@ from .orchestrator import (
     resume_campaign,
     run_campaign_jobs,
 )
-from .pool import DEFAULT_RETRY_POLICY, PoolEvents, WorkerPool
-from .progress import ProgressReporter
 
 __all__ = [
     "CampaignError",
@@ -63,8 +62,4 @@ __all__ = [
     "campaign_status",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
-    "WorkerPool",
-    "PoolEvents",
-    "DEFAULT_RETRY_POLICY",
-    "ProgressReporter",
 ]

@@ -9,7 +9,7 @@ embarrassingly parallel: a :class:`CampaignSpec` enumerates the cells
 as :class:`CellJob` shards in a deterministic order, and
 :func:`execute_job` is the module-level entry a worker process runs.
 
-Results cross process (and checkpoint-journal) boundaries as JSON:
+Results cross the checkpoint journal as JSON:
 :func:`point_to_dict` / :func:`point_from_dict` round-trip a
 :class:`~repro.experiments.sweep.PointResult` *exactly* — Python's
 JSON float encoding is shortest-round-trip, so a merged campaign is
@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.fault_tolerance import FaultToleranceStats
@@ -37,8 +39,9 @@ from ..simulation.simulator import SimulationResult
 
 
 class CampaignError(RuntimeError):
-    """Raised on unrecoverable campaign failures (exhausted retries,
-    corrupt journal, spec mismatch on resume)."""
+    """Raised on unrecoverable campaign failures (a cell that raised,
+    a pool that keeps breaking, a corrupt journal, a spec mismatch on
+    resume)."""
 
 
 @dataclass(frozen=True)
@@ -153,29 +156,6 @@ class CellJob:
         return CellSpec(degree=self.degree, pattern=self.pattern,
                         lam=self.lam)
 
-    def to_dict(self) -> Dict:
-        return {
-            "index": self.index,
-            "degree": self.degree,
-            "pattern": self.pattern,
-            "lam": self.lam,
-            "scale": self.scale,
-            "schemes": list(self.schemes),
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CellJob":
-        return cls(
-            index=data["index"],
-            degree=data["degree"],
-            pattern=data["pattern"],
-            lam=data["lam"],
-            scale=data["scale"],
-            schemes=tuple(data["schemes"]),
-            master_seed=data["master_seed"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Result serialization (exact: floats round-trip bit-for-bit via JSON)
@@ -267,18 +247,19 @@ def point_from_dict(data: Dict) -> PointResult:
     )
 
 
-def execute_job(job_data: Dict) -> Dict:
-    """Run one shard (worker-process entry point).
+def execute_job(job: CellJob, traced: bool = False) -> Dict:
+    """Run one shard (the callable a worker process runs).
 
-    Takes and returns plain dicts so the payload crosses the work
-    queue, the result queue and the checkpoint journal unchanged.
-    With ``job_data["trace"]`` set the worker collects spans locally
-    and ships them back in the payload (``spans``/``spans_dropped``)
-    for the orchestrator to merge under its own collector.
+    Returns the cell's journal payload plus two keys the orchestrator
+    pops before journalling: ``pid`` (the process that ran the cell)
+    and ``elapsed`` (its wall time).  With ``traced`` set the worker
+    collects spans locally and ships them back in the payload
+    (``spans``/``spans_dropped``) for the orchestrator to merge under
+    its own collector.
     """
-    job = CellJob.from_dict(job_data)
+    started = time.monotonic()
     cell = None
-    if job_data.get("trace"):
+    if traced:
         # Two-phase, so never the open span: the cell's services stay
         # untraced and the payload carries this one span per cell.
         trace = TraceCollector()
@@ -304,6 +285,8 @@ def execute_job(job_data: Dict) -> Dict:
         "points": {
             name: point_to_dict(points[name]) for name in job.schemes
         },
+        "pid": os.getpid(),
+        "elapsed": time.monotonic() - started,
     }
     if cell is not None:
         cell.finish(schemes=len(points))

@@ -35,6 +35,9 @@ class JournalState:
     fingerprint: Optional[str] = None
     cells: Dict[str, Dict] = field(default_factory=dict)
     dropped_tail: bool = False
+    #: Byte offset just past the last complete record: where a resumed
+    #: run's first append must start.
+    end: int = 0
 
     @property
     def completed_ids(self) -> List[str]:
@@ -72,38 +75,49 @@ class CampaignJournal:
         result: Dict,
         worker: Optional[int] = None,
         elapsed: Optional[float] = None,
-        attempts: int = 1,
-    ) -> None:
+    ) -> Dict:
         """Checkpoint one completed cell (``result`` as produced by
-        :func:`~repro.campaign.jobs.execute_job`)."""
+        :func:`~repro.campaign.jobs.execute_job`, minus the keys the
+        orchestrator pops) and return the record written."""
         record = dict(result)
         record["kind"] = CELL_KIND
         record["worker"] = worker
         record["elapsed"] = elapsed
-        record["attempts"] = attempts
         self._append(record)
+        return record
+
+    def truncate(self, end: int) -> None:
+        """Cut the file back to ``end`` bytes (a torn tail's start, as
+        :meth:`load` reports it), so the next append starts a line."""
+        with open(self.path, "r+b") as handle:
+            handle.truncate(end)
+            os.fsync(handle.fileno())
 
     def load(self) -> JournalState:
         """Parse the journal, tolerating a torn final line."""
         state = JournalState()
         if not self.exists():
             return state
-        lines = self.path.read_text().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        # Every complete line ends in "\n"; the last piece is the
+        # unterminated tail ("" when the file ends cleanly).
+        lines = self.path.read_bytes().split(b"\n")
         for number, line in enumerate(lines):
+            if number == len(lines) - 1:
+                state.dropped_tail = bool(line)
+                break
             try:
                 record = json.loads(line)
             except ValueError:
-                if number == len(lines) - 1:
+                if number == len(lines) - 2 and not lines[-1]:
                     # Torn write from an interrupted run: the cell it
                     # was checkpointing simply re-runs on resume.
                     state.dropped_tail = True
-                    continue
+                    break
                 raise CampaignError(
                     "corrupt journal {}: undecodable line {} is not the "
                     "final line".format(self.path, number + 1)
                 )
+            state.end += len(line) + 1
             kind = record.get("kind")
             if kind == HEADER_KIND:
                 if state.spec is not None:

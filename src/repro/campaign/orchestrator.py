@@ -4,41 +4,47 @@ One campaign lives in one directory:
 
 * ``campaign_journal.jsonl`` — the append-only checkpoint journal
   (header + one record per completed cell);
-* ``campaign_manifest.json`` — machine-readable telemetry, rewritten
-  atomically after every checkpoint (status, progress, per-cell
-  bookkeeping, merged stats and output paths once complete);
+* ``campaign_manifest.json`` — machine-readable status, rewritten
+  atomically after every checkpoint (per-cell bookkeeping, merged
+  stats and output paths once complete);
 * merged CSV artifacts once every cell is in.
 
-``jobs=1`` executes cells inline (no worker processes — the
-sequential path with checkpointing); ``jobs>1`` dispatches shards to
-a :class:`~repro.campaign.pool.WorkerPool`.  Either way the results
+``jobs=1`` runs the cells inline (the sequential path with
+checkpointing, and the reference the parallel path is tested
+against); ``jobs>1`` submits them to a
+:class:`concurrent.futures.ProcessPoolExecutor`.  Either way the
+orchestrating process is the journal's only writer and the results
 are bit-identical, because each cell is deterministic in the spec and
-the merger reassembles them in grid order.
+the merger reassembles them in grid order.  For the same reason a
+cell that raises ends the campaign at once — a retry would only fail
+again — while a worker that dies (``kill -9``, the OOM killer) breaks
+the pool, which is rebuilt for the cells not yet journalled.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import sys
 import time
+import traceback
+from contextlib import closing
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from ..faults.retry import RetryPolicy
 from ..observability import UNTRACED
-from ..simulation.rng import seeded_rng
-from .jobs import CampaignError, CampaignSpec, execute_job
+from .jobs import CampaignError, CampaignSpec, CellJob, execute_job
 from .journal import CampaignJournal
 from .merge import (
     CellPoints,
     merged_observer_stats,
-    prime_sweep_caches,
     restore_points,
     write_outputs,
 )
-from .pool import DEFAULT_RETRY_POLICY, PoolEvents, WorkerPool
-from .progress import ProgressReporter
 
 JOURNAL_NAME = "campaign_journal.jsonl"
 MANIFEST_NAME = "campaign_manifest.json"
@@ -46,6 +52,12 @@ MANIFEST_NAME = "campaign_manifest.json"
 STATUS_RUNNING = "running"
 STATUS_INTERRUPTED = "interrupted"
 STATUS_COMPLETE = "complete"
+
+#: Pools in a row that may break before one of them journals a cell.
+#: The first break is a worker that died; a rebuilt pool that breaks
+#: again with nothing journalled means the cells left kill their
+#: workers, and the campaign ends naming them.
+POOL_BREAKS = 2
 
 
 @dataclass
@@ -63,10 +75,74 @@ class CampaignResult:
 
 
 def _write_manifest(path: Path, manifest: Dict) -> None:
-    """Atomic replace so a kill never leaves a half-written manifest."""
+    """Atomic, durable replace so a kill never leaves a half-written
+    manifest."""
     tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with open(tmp, "w") as handle:
+        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def _cell_failed(job: CellJob, exc: BaseException) -> CampaignError:
+    return CampaignError("cell {} raised:\n{}".format(
+        job.job_id, "".join(traceback.format_exception(exc)).rstrip()
+    ))
+
+
+def _run_cells(
+    todo: Sequence[CellJob], jobs: int, traced: bool
+) -> Iterator[Dict]:
+    """Yield each cell's payload as it completes: inline in grid order
+    with ``jobs == 1``, else from a process pool in completion order.
+
+    ``execute_job`` is read from this module at call time.  Closing the
+    generator early cancels the pending cells and throws away the
+    results of those still in flight.
+    """
+    if jobs == 1:
+        for job in todo:
+            try:
+                payload = execute_job(job, traced)
+            except Exception as exc:
+                raise _cell_failed(job, exc) from exc
+            yield payload
+        return
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+    left = {job.job_id: job for job in todo}
+    breaks = 0
+    while left:
+        before = len(left)
+        pool = ProcessPoolExecutor(jobs, mp_context=context)
+        try:
+            futures = {
+                pool.submit(execute_job, job, traced): job
+                for job in left.values()
+            }
+            for future in as_completed(futures):
+                job = futures[future]
+                exc = future.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    continue  # the cell stays in ``left``
+                if exc is not None:
+                    raise _cell_failed(job, exc) from exc
+                yield future.result()
+                del left[job.job_id]  # journalled by now
+        finally:
+            pool.shutdown(cancel_futures=True)
+        if left:  # every future is back, so the pool broke
+            breaks = breaks + 1 if len(left) == before else 1
+            if breaks == POOL_BREAKS:
+                raise CampaignError(
+                    "the worker pool broke {} times in a row with no "
+                    "cell completed; cells left: {}".format(
+                        breaks, ", ".join(left)
+                    )
+                )
 
 
 def run_campaign_jobs(
@@ -74,10 +150,7 @@ def run_campaign_jobs(
     campaign_dir: Union[str, Path],
     jobs: int = 1,
     resume: bool = False,
-    progress_stream: Optional[IO[str]] = None,
     stop_after_cells: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    prime_caches: bool = False,
     trace=None,
 ) -> CampaignResult:
     """Run (or resume) a sharded campaign in ``campaign_dir``.
@@ -88,15 +161,16 @@ def run_campaign_jobs(
     interruption, used by tests and docs.  ``trace`` (a
     :class:`~repro.observability.TraceCollector`) asks every worker to
     record per-cell spans, which the orchestrator merges into the
-    collector under the worker's process lane (worker ``n`` shows up
-    as ``pid n+1``, the orchestrator itself as ``pid 0``).
+    collector under one process lane per worker process (numbered from
+    ``pid 1`` in the order its first cell comes in; the orchestrator
+    itself is ``pid 0``).  Each completed cell prints one line on
+    stderr.
     """
     if jobs < 1:
         raise CampaignError("--jobs must be >= 1")
     directory = Path(campaign_dir)
     journal = CampaignJournal(directory / JOURNAL_NAME)
     manifest_path = directory / MANIFEST_NAME
-    retry_policy = retry_policy or DEFAULT_RETRY_POLICY
 
     completed: Dict[str, Dict] = {}
     if journal.exists():
@@ -120,6 +194,8 @@ def run_campaign_jobs(
                     journal.path, state.fingerprint, spec.fingerprint()
                 )
             )
+        # A torn tail would glue itself onto the first new record.
+        journal.truncate(state.end)
         completed = dict(state.cells)
     else:
         if resume:
@@ -140,35 +216,27 @@ def run_campaign_jobs(
         for job_id, record in completed.items()
         if job_id in known_ids
     }
+    resumed = set(completed)
     todo = [job for job in all_jobs if job.job_id not in completed]
-    resumed_cells = len(completed)
-
-    progress = ProgressReporter(
-        total=len(all_jobs),
-        workers=jobs,
-        stream=progress_stream,
-        initial_done=resumed_cells,
-    )
     started = time.monotonic()
-    cell_meta: Dict[str, Dict] = {
-        job_id: {
-            "status": "done",
-            "worker": record.get("worker"),
-            "elapsed": record.get("elapsed"),
-            "attempts": record.get("attempts", 1),
-            "scenario_seed": record.get("scenario_seed"),
-            "resumed": True,
-        }
-        for job_id, record in completed.items()
-    }
 
     def manifest_dict(status: str) -> Dict:
-        cells = dict(cell_meta)
+        cells = {}
         for job in all_jobs:
-            cells.setdefault(job.job_id, {
-                "status": "pending",
-                "scenario_seed": job.scenario_seed,
-            })
+            record = completed.get(job.job_id)
+            if record is None:
+                cells[job.job_id] = {
+                    "status": "pending",
+                    "scenario_seed": job.scenario_seed,
+                }
+                continue
+            cells[job.job_id] = {
+                "status": "done",
+                "worker": record.get("worker"),
+                "elapsed": record.get("elapsed"),
+                "scenario_seed": record.get("scenario_seed"),
+                "resumed": job.job_id in resumed,
+            }
         return {
             "version": 1,
             "status": status,
@@ -176,9 +244,8 @@ def run_campaign_jobs(
             "spec": spec.to_dict(),
             "jobs": jobs,
             "cells_total": len(all_jobs),
-            "cells_done": progress.done,
-            "resumed_cells": resumed_cells,
-            "progress": progress.snapshot(),
+            "cells_done": len(completed),
+            "resumed_cells": len(resumed),
             "cells": cells,
             "journal": journal.path.name,
             "generated_at": time.strftime(
@@ -186,52 +253,28 @@ def run_campaign_jobs(
             ),
         }
 
-    def on_result(job_dict, payload, worker, elapsed, attempts) -> None:
-        # Spans travel in the payload but stay out of the journal (a
-        # resume replays results, not timelines) — pop before writing.
-        spans = payload.pop("spans", None)
-        spans_dropped = payload.pop("spans_dropped", 0)
-        if trace is not None and spans:
-            trace.ingest(spans, pid=worker + 1, dropped=spans_dropped)
-        journal.append_cell(
-            payload, worker=worker, elapsed=elapsed, attempts=attempts
-        )
-        completed[payload["job_id"]] = payload
-        cell_meta[payload["job_id"]] = {
-            "status": "done",
-            "worker": worker,
-            "elapsed": elapsed,
-            "attempts": attempts,
-            "scenario_seed": payload["scenario_seed"],
-            "resumed": False,
-        }
-        _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
-
-    events = PoolEvents(
-        on_started=progress.on_started,
-        on_completed=progress.on_completed,
-        on_retry=progress.on_retry,
-    )
     _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
-
-    job_dicts = [
-        dict(job.to_dict(), job_id=job.job_id, trace=trace is not None)
-        for job in todo
-    ]
-    if jobs == 1:
-        _run_inline(
-            job_dicts, on_result, events, retry_policy,
-            spec.master_seed, stop_after_cells,
-        )
-    elif job_dicts:
-        pool = WorkerPool(
-            runner=execute_job,
-            workers=jobs,
-            retry_policy=retry_policy,
-            retry_seed=spec.master_seed,
-            events=events,
-        )
-        pool.run(job_dicts, on_result, stop_after=stop_after_cells)
+    lanes: Dict[int, int] = {}
+    with closing(_run_cells(todo, jobs, trace is not None)) as cells:
+        for count, payload in enumerate(cells, 1):
+            # The record keeps the pid as the worker's lane number and
+            # leaves the spans out (a resume replays results, not
+            # timelines).
+            worker = lanes.setdefault(payload.pop("pid"), len(lanes))
+            elapsed = payload.pop("elapsed")
+            spans = payload.pop("spans", None)
+            spans_dropped = payload.pop("spans_dropped", 0)
+            if spans:
+                trace.ingest(spans, pid=worker + 1, dropped=spans_dropped)
+            completed[payload["job_id"]] = journal.append_cell(
+                payload, worker=worker, elapsed=elapsed
+            )
+            _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
+            print("[campaign] {}/{} cells {} {:.1f}s".format(
+                len(completed), len(all_jobs), payload["job_id"], elapsed
+            ), file=sys.stderr)
+            if stop_after_cells is not None and count >= stop_after_cells:
+                break
 
     wall_clock = time.monotonic() - started
     complete = len(completed) == len(all_jobs)
@@ -240,7 +283,7 @@ def run_campaign_jobs(
         campaign_dir=directory,
         manifest={},
         complete=complete,
-        resumed_cells=resumed_cells,
+        resumed_cells=len(resumed),
         wall_clock_seconds=wall_clock,
     )
     if complete:
@@ -253,70 +296,23 @@ def run_campaign_jobs(
             points = restore_points(spec, completed)
             result.points = points
             result.outputs = write_outputs(directory, spec, points)
-        if prime_caches:
-            prime_sweep_caches(spec, points)
         manifest = manifest_dict(STATUS_COMPLETE)
         manifest["merged"] = {
             "observer_stats": merged_observer_stats(spec, points),
             "outputs": [path.name for path in result.outputs],
         }
-        manifest["wall_clock_seconds"] = wall_clock
     else:
         manifest = manifest_dict(STATUS_INTERRUPTED)
-        manifest["wall_clock_seconds"] = wall_clock
+    manifest["wall_clock_seconds"] = wall_clock
     _write_manifest(manifest_path, manifest)
     result.manifest = manifest
     return result
 
 
-def _run_inline(
-    job_dicts, on_result, events, retry_policy, retry_seed, stop_after
-) -> None:
-    """Sequential execution with the same checkpoint/retry semantics
-    as the pool (``--jobs 1``)."""
-    rng = seeded_rng(retry_seed, "campaign", "retry")
-    done = 0
-    for job_dict in job_dicts:
-        attempts = 0
-        first_failure: Optional[float] = None
-        while True:
-            if events.on_started:
-                events.on_started(0, job_dict)
-            cell_started = time.monotonic()
-            try:
-                payload = execute_job(job_dict)
-            except Exception as exc:
-                attempts += 1
-                now = time.monotonic()
-                if first_failure is None:
-                    first_failure = now
-                if retry_policy.gives_up(attempts, now - first_failure):
-                    raise CampaignError(
-                        "job {} failed {} time(s), giving up: "
-                        "{}".format(job_dict["job_id"], attempts, exc)
-                    )
-                if events.on_retry:
-                    events.on_retry(job_dict, attempts, str(exc))
-                time.sleep(retry_policy.backoff(attempts, rng))
-                continue
-            elapsed = time.monotonic() - cell_started
-            on_result(job_dict, payload, 0, elapsed, attempts + 1)
-            if events.on_completed:
-                events.on_completed(0, job_dict, payload, elapsed,
-                                    attempts + 1)
-            done += 1
-            break
-        if stop_after is not None and done >= stop_after:
-            return
-
-
 def resume_campaign(
     campaign_dir: Union[str, Path],
     jobs: int = 1,
-    progress_stream: Optional[IO[str]] = None,
     stop_after_cells: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    prime_caches: bool = False,
     trace=None,
 ) -> CampaignResult:
     """Resume the campaign journaled in ``campaign_dir`` (the spec
@@ -326,21 +322,22 @@ def resume_campaign(
         campaign_dir,
         jobs=jobs,
         resume=True,
-        progress_stream=progress_stream,
         stop_after_cells=stop_after_cells,
-        retry_policy=retry_policy,
-        prime_caches=prime_caches,
         trace=trace,
     )
 
 
 def campaign_status(campaign_dir: Union[str, Path]) -> Dict:
     """Status of a campaign directory, from the manifest (preferred)
-    or reconstructed from the journal if the manifest is missing."""
+    or reconstructed from the journal if the manifest is missing or
+    does not decode."""
     directory = Path(campaign_dir)
     manifest_path = directory / MANIFEST_NAME
     if manifest_path.exists():
-        return json.loads(manifest_path.read_text())
+        try:
+            return json.loads(manifest_path.read_text())
+        except ValueError:
+            pass  # damaged: the journal is the evidence
     journal = CampaignJournal(directory / JOURNAL_NAME)
     if not journal.exists():
         raise CampaignError(

@@ -1170,20 +1170,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             status.get("cells_done", "?"), status.get("cells_total", "?")
         )),
     ]
-    progress = status.get("progress") or {}
-    if progress:
-        rows.append(("throughput (cells/s)", "{:.3f}".format(
-            progress.get("throughput_cells_per_second") or 0.0
-        )))
-        eta = progress.get("eta_seconds")
-        rows.append(("ETA", "{:.0f}s".format(eta) if eta else "-"))
-        rows.append(("retries", progress.get("retries", 0)))
-        workers = progress.get("workers") or {}
-        if workers:
-            rows.append(("workers", " ".join(
-                "{}={}".format(name, state)
-                for name, state in sorted(workers.items())
-            )))
     if status.get("resumed_cells"):
         rows.append(("resumed cells", status["resumed_cells"]))
     merged = status.get("merged") or {}

@@ -106,7 +106,11 @@ def main(argv: Sequence[str] = ()) -> None:
         # Shard the figure grid over a worker pool, then prime the
         # sweep cache: the figure builders below reuse the parallel
         # results and print output identical to the sequential path.
-        from ..campaign import CampaignSpec, run_campaign_jobs
+        from ..campaign import (
+            CampaignSpec,
+            prime_sweep_caches,
+            run_campaign_jobs,
+        )
 
         campaign_dir = args.campaign_dir or (
             "benchmarks/results/campaign_{}_seed{}".format(
@@ -118,8 +122,8 @@ def main(argv: Sequence[str] = ()) -> None:
             campaign_dir,
             jobs=max(1, args.jobs),
             resume=args.resume,
-            prime_caches=True,
         )
+        prime_sweep_caches(result.spec, result.points)
         print(
             "sharded campaign: {} cells over {} worker(s) in {:.1f}s "
             "({} resumed from checkpoint); manifest in {}".format(

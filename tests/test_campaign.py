@@ -1,14 +1,16 @@
 """Unit tests for the sharded campaign subsystem
 (:mod:`repro.campaign`): job model, result serialization, checkpoint
-journal, worker pool fault tolerance, and progress telemetry.
+journal, the worker pool's failure handling, torn writes, and the
+traced campaign.
 
 The end-to-end equivalence and kill/resume tests live in
 ``tests/test_campaign_equivalence.py``.
 """
 
-import io
 import json
+import multiprocessing
 import os
+from collections import Counter
 
 import pytest
 
@@ -17,17 +19,23 @@ from repro.campaign import (
     CampaignError,
     CampaignSpec,
     CampaignJournal,
-    PoolEvents,
-    ProgressReporter,
-    WorkerPool,
     campaign_status,
+    execute_job,
     point_from_dict,
     point_to_dict,
+    resume_campaign,
     run_campaign_jobs,
 )
+from repro.campaign import orchestrator
+from repro.campaign.orchestrator import (
+    JOURNAL_NAME,
+    MANIFEST_NAME,
+    POOL_BREAKS,
+)
+from repro.cli import main
 from repro.experiments.config import FIGURE_LAMBDAS
 from repro.experiments.sweep import PointResult
-from repro.faults.retry import RetryPolicy
+from repro.observability import TraceCollector
 from repro.simulation.simulator import SimulationResult
 
 
@@ -131,7 +139,7 @@ class TestJournal:
         journal = CampaignJournal(tmp_path / "j.jsonl")
         journal.write_header(spec)
         journal.append_cell(_cell_record("E3/UT/lam0.2"), worker=1,
-                            elapsed=2.5, attempts=1)
+                            elapsed=2.5)
         state = journal.load()
         assert state.spec == spec
         assert state.fingerprint == spec.fingerprint()
@@ -152,6 +160,23 @@ class TestJournal:
         state = journal.load()
         assert state.completed_ids == ["a"]
         assert state.dropped_tail
+
+    def test_torn_tail_offset_is_the_last_complete_line(self, tmp_path):
+        journal = CampaignJournal(tmp_path / "j.jsonl")
+        journal.write_header(CampaignSpec(scale="smoke"))
+        journal.append_cell(_cell_record("a"))
+        clean = journal.path.stat().st_size
+        assert journal.load().end == clean
+        # A whole record that lost its newline is torn too: the next
+        # append would glue onto it.
+        with open(journal.path, "a") as handle:
+            handle.write(json.dumps(dict(_cell_record("b"), kind="cell")))
+        state = journal.load()
+        assert state.completed_ids == ["a"]
+        assert state.dropped_tail and state.end == clean
+        journal.truncate(state.end)
+        journal.append_cell(_cell_record("b"))
+        assert journal.load().completed_ids == ["a", "b"]
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         journal = CampaignJournal(tmp_path / "j.jsonl")
@@ -174,186 +199,6 @@ class TestJournal:
         journal.append_cell(_cell_record("a"))
         with pytest.raises(CampaignError, match="before the campaign"):
             journal.load()
-
-
-# ----------------------------------------------------------------------
-# Worker pool fault tolerance
-# ----------------------------------------------------------------------
-# Module-level runners: picklable by reference under any start method.
-def _echo_runner(job):
-    return {"job_id": job["job_id"], "index": job["index"],
-            "doubled": job["value"] * 2}
-
-
-def _flaky_runner(job):
-    """Fails (raises) on the first attempt of each job, succeeds after —
-    cross-process state via marker files."""
-    marker = os.path.join(job["dir"], "attempted-{}".format(job["index"]))
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        raise RuntimeError("injected first-attempt failure")
-    return {"job_id": job["job_id"], "index": job["index"]}
-
-
-def _dying_runner(job):
-    """Kills the whole worker process on the first attempt of each job
-    (simulates OOM-kill / segfault)."""
-    marker = os.path.join(job["dir"], "died-{}".format(job["index"]))
-    if not os.path.exists(marker):
-        with open(marker, "w"):
-            pass
-        os._exit(17)
-    return {"job_id": job["job_id"], "index": job["index"]}
-
-
-def _always_failing_runner(job):
-    raise RuntimeError("permanently broken")
-
-
-def _jobs(count, **extra):
-    return [
-        dict(index=index, job_id="job-{}".format(index), value=index, **extra)
-        for index in range(count)
-    ]
-
-
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.02,
-                         jitter=0.0, deadline=30.0)
-
-
-class TestWorkerPool:
-    def test_runs_all_jobs(self):
-        results = {}
-        pool = WorkerPool(_echo_runner, workers=2)
-        done = pool.run(
-            _jobs(5),
-            lambda job, payload, w, e, a: results.update(
-                {payload["index"]: payload["doubled"]}
-            ),
-        )
-        assert done == 5
-        assert results == {i: 2 * i for i in range(5)}
-
-    def test_retries_failed_jobs(self, tmp_path):
-        retries = []
-        events = PoolEvents(on_retry=lambda job, n, why: retries.append(
-            (job["index"], n)
-        ))
-        results = {}
-        pool = WorkerPool(_flaky_runner, workers=2,
-                          retry_policy=FAST_RETRY, events=events)
-        done = pool.run(
-            _jobs(3, dir=str(tmp_path)),
-            lambda job, payload, w, e, attempts: results.update(
-                {payload["index"]: attempts}
-            ),
-        )
-        assert done == 3
-        assert sorted(index for index, _ in retries) == [0, 1, 2]
-        assert all(attempts == 2 for attempts in results.values())
-
-    def test_survives_worker_death(self, tmp_path):
-        results = {}
-        pool = WorkerPool(_dying_runner, workers=2,
-                          retry_policy=FAST_RETRY)
-        done = pool.run(
-            _jobs(3, dir=str(tmp_path)),
-            lambda job, payload, w, e, a: results.update(
-                {payload["index"]: True}
-            ),
-        )
-        assert done == 3
-        assert sorted(results) == [0, 1, 2]
-
-    def test_gives_up_after_exhausted_retries(self):
-        pool = WorkerPool(_always_failing_runner, workers=1,
-                          retry_policy=FAST_RETRY)
-        with pytest.raises(CampaignError, match="giving up"):
-            pool.run(_jobs(1), lambda *args: None)
-
-    def test_stop_after_limits_completions(self):
-        results = []
-        pool = WorkerPool(_echo_runner, workers=2)
-        done = pool.run(
-            _jobs(6),
-            lambda job, payload, w, e, a: results.append(payload["index"]),
-            stop_after=2,
-        )
-        assert done == 2
-        assert len(results) == 2
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(CampaignError):
-            WorkerPool(_echo_runner, workers=0)
-
-
-# ----------------------------------------------------------------------
-# Progress telemetry
-# ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestProgressReporter:
-    def _reporter(self, **kwargs):
-        clock = FakeClock()
-        stream = io.StringIO()
-        reporter = ProgressReporter(
-            total=4, workers=2, stream=stream, clock=clock, **kwargs
-        )
-        return reporter, clock, stream
-
-    def test_lifecycle_counters(self):
-        reporter, clock, stream = self._reporter()
-        reporter.on_started(0, {"job_id": "E3/UT/lam0.2"})
-        clock.now += 10.0
-        reporter.on_completed(0, {"job_id": "E3/UT/lam0.2"}, {}, 10.0, 1)
-        assert reporter.done == 1
-        assert reporter.throughput == pytest.approx(0.1)
-        assert reporter.eta_seconds == pytest.approx(30.0)
-        out = stream.getvalue()
-        assert "1/4 cells (25%)" in out
-        assert "w0=idle" in out
-
-    def test_render_shows_worker_status_and_retries(self):
-        reporter, clock, _ = self._reporter()
-        reporter.on_started(1, {"job_id": "E4/NT/lam0.5"})
-        reporter.on_retry({"job_id": "E4/NT/lam0.5"}, 1, "boom")
-        line = reporter.render()
-        assert "w1=E4/NT/lam0.5" in line
-        assert "1 retry" in line
-
-    def test_snapshot_machine_readable(self):
-        reporter, clock, _ = self._reporter(initial_done=1)
-        clock.now += 5.0
-        reporter.on_completed(0, {"job_id": "x"}, {}, 5.0, 1)
-        snap = reporter.snapshot()
-        assert snap["cells_done"] == 2
-        assert snap["cells_total"] == 4
-        # Resumed cells are excluded from throughput: 1 new cell / 5 s.
-        assert snap["throughput_cells_per_second"] == pytest.approx(0.2)
-        assert snap["workers"] == {"w0": "idle", "w1": "idle"}
-        assert json.dumps(snap)  # JSON-serializable as-is
-
-    def test_eta_unknown_before_first_new_completion(self):
-        reporter, clock, _ = self._reporter(initial_done=2)
-        clock.now += 5.0
-        assert reporter.eta_seconds is None
-        assert reporter.throughput == 0.0
-
-    def test_throttling(self):
-        reporter, clock, stream = self._reporter()
-        for _ in range(5):
-            reporter.on_started(0, {"job_id": "a"})  # same instant
-        assert stream.getvalue().count("\n") == 1
-        clock.now += 2.0
-        reporter.on_started(0, {"job_id": "b"})
-        assert stream.getvalue().count("\n") == 2
 
 
 # ----------------------------------------------------------------------
@@ -401,3 +246,205 @@ class TestOrchestratorGuards:
         assert status["status"] == "interrupted"
         assert status["cells_done"] == 1
         assert status["cells_total"] == 2
+
+
+# ----------------------------------------------------------------------
+# The worker pool: a dead worker, a cell that raises, an early stop; a
+# traced run; torn writes.  The orchestrator reads ``execute_job`` from
+# its module when it submits a cell, so these tests swap in the
+# module-level stand-ins below; fork hands them (and ``_MARKERS``) to
+# the workers.
+# ----------------------------------------------------------------------
+#: Two real smoke cells: E3/UT/lam0.4 and E3/UT/lam0.6.
+SMALL = CampaignSpec(scale="smoke", degrees=(3,), patterns=("UT",),
+                     lambdas=(0.4, 0.6))
+OUTPUTS = ("figure4_E3.csv", "figure5_E3.csv", "campaign_points.csv")
+
+#: Directory of the stand-ins' attempt log (set per test).
+_MARKERS = None
+
+
+def _attempts():
+    log = os.path.join(_MARKERS, "attempts")
+    if not os.path.exists(log):
+        return Counter()
+    with open(log) as handle:
+        return Counter(handle.read().split())
+
+
+def _mark(name):
+    """Log one attempt of ``name``; True if it was tried before."""
+    seen = _attempts()[name] > 0
+    with open(os.path.join(_MARKERS, "attempts"), "a") as handle:
+        handle.write(name + "\n")
+    return seen
+
+
+def _dies_once(job, traced):
+    """Cell 0 kills its worker on its first attempt (an OOM kill)."""
+    if job.index == 0 and not _mark("cell0"):
+        os._exit(17)
+    return execute_job(job, traced)
+
+
+def _always_dies(job, traced):
+    _mark("cell{}".format(job.index))
+    os._exit(17)
+
+
+def _instant(job, traced):
+    """A payload with no points, returned at once."""
+    return {"job_id": job.job_id, "index": job.index,
+            "scenario_seed": job.scenario_seed, "points": {},
+            "pid": os.getpid(), "elapsed": 0.0}
+
+
+def _cell1_raises(job, traced):
+    if job.index == 1:
+        _mark("cell1")
+        raise RuntimeError("cell one is broken")
+    return _instant(job, traced)
+
+
+def _output_bytes(directory):
+    return {name: (directory / name).read_bytes() for name in OUTPUTS}
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """``SMALL`` run inline: the bytes every other run must match."""
+    directory = tmp_path_factory.mktemp("reference")
+    assert run_campaign_jobs(SMALL, directory, jobs=1).complete
+    return directory
+
+
+@pytest.fixture
+def stand_in(tmp_path, monkeypatch):
+    """Swap the orchestrator's ``execute_job`` for a stand-in."""
+    monkeypatch.setitem(globals(), "_MARKERS", str(tmp_path))
+
+    def install(function):
+        monkeypatch.setattr(orchestrator, "execute_job", function)
+
+    return install
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the stand-ins reach the workers by fork",
+)
+class TestWorkerPool:
+    def test_runs_all_jobs(self, reference, tmp_path):
+        result = run_campaign_jobs(SMALL, tmp_path / "c", jobs=2)
+        assert result.complete and result.resumed_cells == 0
+        cells = CampaignJournal(tmp_path / "c" / JOURNAL_NAME).load().cells
+        assert sorted(cells) == [job.job_id for job in SMALL.jobs()]
+        # Worker lanes count from 0 in the order results come in.
+        assert {record["worker"] for record in cells.values()} <= {0, 1}
+        assert _output_bytes(tmp_path / "c") == _output_bytes(reference)
+
+    def test_survives_worker_death(self, reference, stand_in, tmp_path):
+        stand_in(_dies_once)
+        result = run_campaign_jobs(SMALL, tmp_path / "c", jobs=2)
+        assert result.complete and result.resumed_cells == 0
+        assert _attempts()["cell0"] == 2  # died once, then ran
+        assert _output_bytes(tmp_path / "c") == _output_bytes(reference)
+
+    def test_cell_that_always_kills_its_worker_is_named(
+        self, stand_in, tmp_path
+    ):
+        stand_in(_always_dies)
+        with pytest.raises(CampaignError, match="pool broke") as excinfo:
+            run_campaign_jobs(SMALL, tmp_path / "c", jobs=2)
+        assert "E3/UT/lam0.4" in str(excinfo.value)
+        assert "E3/UT/lam0.6" in str(excinfo.value)
+        # Each pool tries a cell once at most: the bound is the pools.
+        attempts = _attempts()
+        assert sum(attempts.values()) >= POOL_BREAKS
+        assert max(attempts.values()) <= POOL_BREAKS
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_that_raises_ends_the_campaign_at_once(
+        self, stand_in, tmp_path, jobs
+    ):
+        stand_in(_cell1_raises)
+        with pytest.raises(CampaignError, match="E3/UT/lam0.6") as excinfo:
+            run_campaign_jobs(SMALL, tmp_path / "c", jobs=jobs)
+        # The worker's traceback comes along, and nothing retried.
+        assert "cell one is broken" in str(excinfo.value)
+        assert "_cell1_raises" in str(excinfo.value)
+        assert _attempts()["cell1"] == 1
+
+    def test_stop_after_limits_completions(self, stand_in, tmp_path, capsys):
+        stand_in(_instant)
+        spec = CampaignSpec(scale="smoke", degrees=(3, 4),
+                            patterns=("UT", "NT"), lambdas=(0.4, 0.6))
+        result = run_campaign_jobs(spec, tmp_path / "c", jobs=2,
+                                   stop_after_cells=3)
+        assert not result.complete
+        assert result.manifest["cells_done"] == 3
+        journal = CampaignJournal(tmp_path / "c" / JOURNAL_NAME)
+        assert len(journal.load().cells) == 3
+        # One stderr line per journalled cell, and none for the rest.
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in lines] == ["1/8", "2/8", "3/8"]
+        assert all(line.startswith("[campaign] ") for line in lines)
+
+    def test_rejects_zero_workers(self, tmp_path):
+        for jobs in (0, -1):
+            with pytest.raises(CampaignError, match="--jobs"):
+                run_campaign_jobs(SMALL, tmp_path / "c", jobs=jobs)
+        assert not (tmp_path / "c").exists()
+
+
+class TestTracedCampaign:
+    def test_two_workers_one_span_per_cell(self, reference, tmp_path):
+        trace = TraceCollector()
+        result = run_campaign_jobs(SMALL, tmp_path / "c", jobs=2,
+                                   trace=trace)
+        assert result.complete
+        spans = trace.to_dicts()
+        cells = [span for span in spans if span["name"] == "campaign.cell"]
+        assert sorted(span["tags"]["job"] for span in cells) == [
+            job.job_id for job in SMALL.jobs()
+        ]
+        # Worker lanes count from 1; the orchestrator's is 0.
+        assert {span["pid"] for span in cells} <= {1, 2}
+        assert [span["name"] for span in spans].count("campaign.merge") == 1
+        assert trace.dropped == 0
+        assert _output_bytes(tmp_path / "c") == _output_bytes(reference)
+
+
+class TestTornWrites:
+    def test_resume_cuts_a_torn_journal_tail(self, reference, tmp_path):
+        """``kill -9`` mid-append leaves a fragment; the resumed run
+        must not write its first record onto it."""
+        lines = (reference / JOURNAL_NAME).read_text().splitlines(True)
+        directory = tmp_path / "c"
+        directory.mkdir()
+        (directory / JOURNAL_NAME).write_text(
+            lines[0] + lines[1] + '{"kind": "cell", "job_id": "E3/UT/la'
+        )
+        assert resume_campaign(directory).complete
+        state = CampaignJournal(directory / JOURNAL_NAME).load()
+        assert state.completed_ids == [job.job_id for job in SMALL.jobs()]
+        assert not state.dropped_tail
+        again = resume_campaign(directory)
+        assert again.complete and again.resumed_cells == len(SMALL.jobs())
+        assert _output_bytes(directory) == _output_bytes(reference)
+
+    def test_status_survives_a_damaged_manifest(
+        self, reference, tmp_path, capsys
+    ):
+        directory = tmp_path / "c"
+        directory.mkdir()
+        (directory / JOURNAL_NAME).write_bytes(
+            (reference / JOURNAL_NAME).read_bytes()
+        )
+        manifest = (reference / MANIFEST_NAME).read_text()
+        (directory / MANIFEST_NAME).write_text(manifest[:len(manifest) // 2])
+        status = campaign_status(directory)
+        assert status["status"] == "complete"
+        assert status["cells_done"] == len(SMALL.jobs())
+        assert main(["campaign", "status", "--dir", str(directory)]) == 0
+        assert "complete" in capsys.readouterr().out
