@@ -86,12 +86,6 @@ from .faults import (
     RetryPolicy,
     run_campaign,
 )
-from .campaign import (
-    CampaignSpec,
-    campaign_status,
-    resume_campaign,
-    run_campaign_jobs,
-)
 from .metrics import (
     MetricsRegistry,
     ServiceMetrics,
@@ -120,6 +114,25 @@ from .loadmodel import (
 )
 
 __version__ = "1.0.0"
+
+#: Exported from :mod:`repro.campaign`, which loads on first use:
+#: importing it pulls in ``multiprocessing`` and the process pool,
+#: which a server or a library caller that never runs a campaign
+#: should not pay for.
+_CAMPAIGN_NAMES = frozenset(
+    ("CampaignSpec", "campaign_status", "resume_campaign", "run_campaign_jobs")
+)
+
+
+def __getattr__(name: str):
+    """Resolve the campaign names lazily (PEP 562)."""
+    if name in _CAMPAIGN_NAMES:
+        from . import campaign
+
+        return getattr(campaign, name)
+    raise AttributeError(
+        "module {!r} has no attribute {!r}".format(__name__, name)
+    )
 
 __all__ = [
     "__version__",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import sys
 import time
 import traceback
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
+from ..durable import write_json_atomic
 from ..observability import UNTRACED
 from .jobs import CampaignError, CampaignSpec, CellJob, execute_job
 from .journal import CampaignJournal
@@ -72,17 +72,6 @@ class CampaignResult:
     wall_clock_seconds: float
     points: Optional[CellPoints] = None
     outputs: List[Path] = field(default_factory=list)
-
-
-def _write_manifest(path: Path, manifest: Dict) -> None:
-    """Atomic, durable replace so a kill never leaves a half-written
-    manifest."""
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w") as handle:
-        handle.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def _cell_failed(job: CellJob, exc: BaseException) -> CampaignError:
@@ -253,7 +242,7 @@ def run_campaign_jobs(
             ),
         }
 
-    _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
+    write_json_atomic(manifest_path, manifest_dict(STATUS_RUNNING))
     lanes: Dict[int, int] = {}
     with closing(_run_cells(todo, jobs, trace is not None)) as cells:
         for count, payload in enumerate(cells, 1):
@@ -269,7 +258,7 @@ def run_campaign_jobs(
             completed[payload["job_id"]] = journal.append_cell(
                 payload, worker=worker, elapsed=elapsed
             )
-            _write_manifest(manifest_path, manifest_dict(STATUS_RUNNING))
+            write_json_atomic(manifest_path, manifest_dict(STATUS_RUNNING))
             print("[campaign] {}/{} cells {} {:.1f}s".format(
                 len(completed), len(all_jobs), payload["job_id"], elapsed
             ), file=sys.stderr)
@@ -304,7 +293,7 @@ def run_campaign_jobs(
     else:
         manifest = manifest_dict(STATUS_INTERRUPTED)
     manifest["wall_clock_seconds"] = wall_clock
-    _write_manifest(manifest_path, manifest)
+    write_json_atomic(manifest_path, manifest)
     result.manifest = manifest
     return result
 

@@ -62,9 +62,11 @@ def _print(section: str, body: str) -> None:
     sys.stdout.flush()
 
 
-def main(argv: Sequence[str] = ()) -> None:
+def main(argv: Sequence[str] = ()) -> int:
     """Regenerate every table and figure of the paper at the chosen
-    scale, printing each section and optionally exporting CSV."""
+    scale, printing each section and optionally exporting CSV; return
+    the exit code (1, with a one-line message, when the sharded
+    campaign refuses its checkpoint directory)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scale", choices=sorted(SCALES), default="quick",
@@ -107,6 +109,7 @@ def main(argv: Sequence[str] = ()) -> None:
         # sweep cache: the figure builders below reuse the parallel
         # results and print output identical to the sequential path.
         from ..campaign import (
+            CampaignError,
             CampaignSpec,
             prime_sweep_caches,
             run_campaign_jobs,
@@ -117,12 +120,16 @@ def main(argv: Sequence[str] = ()) -> None:
                 args.scale, args.seed
             )
         )
-        result = run_campaign_jobs(
-            CampaignSpec(scale=args.scale, master_seed=args.seed),
-            campaign_dir,
-            jobs=max(1, args.jobs),
-            resume=args.resume,
-        )
+        try:
+            result = run_campaign_jobs(
+                CampaignSpec(scale=args.scale, master_seed=args.seed),
+                campaign_dir,
+                jobs=max(1, args.jobs),
+                resume=args.resume,
+            )
+        except CampaignError as exc:
+            print("run_all: {}".format(exc), file=sys.stderr)
+            return 1
         prime_sweep_caches(result.spec, result.points)
         print(
             "sharded campaign: {} cells over {} worker(s) in {:.1f}s "
@@ -231,7 +238,8 @@ def main(argv: Sequence[str] = ()) -> None:
     print("campaign finished in {:.1f}s at scale {!r}".format(
         time.time() - started, scale.name
     ))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

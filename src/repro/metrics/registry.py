@@ -110,15 +110,14 @@ class _Metric:
 
 
 class _Keyed(_Metric):
-    """What counters and gauges share: one value per label tuple, kept
-    by the family's own mutators — or *collected* at scrape time from
-    a callback, for values another object already owns (the service's
-    counters, queue depths, database tallies), so no count is kept
-    twice."""
+    """What counters and gauges share: one value per label tuple,
+    *collected* at every read from a callback, because each value is
+    already owned by another object (the service's counters, queue
+    depths, database tallies) and no count is kept twice.  A family
+    with no collector reads as empty."""
 
     def __init__(self, name, help_text, labels=()):
         super().__init__(name, help_text, labels)
-        self._values: Dict[Tuple[str, ...], float] = {}
         self._collector: Optional[Callable[[], Any]] = None
 
     def collect_with(self, collector: Callable[[], Any]):
@@ -130,44 +129,35 @@ class _Keyed(_Metric):
         self._collector = collector
         return self
 
-    def inc(self, amount: float = 1.0, *label_values: object) -> None:
-        key = self._key(tuple(str(v) for v in label_values))
-        self._values[key] = self._values.get(key, 0.0) + amount
-
     def value(self, *label_values: object) -> float:
-        self._collect()
-        key = self._key(tuple(str(v) for v in label_values))
-        return self._values.get(key, 0.0)
+        return self._collect().get(self._key(label_values), 0.0)
 
     def total(self) -> float:
         """Sum over every label combination."""
-        self._collect()
-        return sum(self._values.values())
+        return sum(self._collect().values())
 
-    def _collect(self) -> None:
+    def _collect(self) -> Dict[Tuple[str, ...], float]:
         if self._collector is None:
-            return
+            return {}
         collected = self._collector()
         if isinstance(collected, dict):
-            self._values = {
-                self._key(tuple(str(v) for v in key)): float(value)
+            return {
+                self._key(tuple(key)): float(value)
                 for key, value in collected.items()
             }
-        else:
-            self._values = {self._key(()): float(collected)}
+        return {self._key(()): float(collected)}
 
     def _samples(self):
-        self._collect()
-        if not self._values and not self.label_names:
+        values = self._collect()
+        if not values and not self.label_names:
             return [((self.label_names, ()), self.name, 0.0)]
         return [
             ((self.label_names, key), self.name, value)
-            for key, value in sorted(self._values.items())
+            for key, value in sorted(values.items())
         ]
 
     def snapshot(self) -> Dict[str, Any]:
-        self._collect()
-        values = self._values
+        values = self._collect()
         if not self.label_names:
             return {
                 "type": self.kind,
@@ -189,25 +179,11 @@ class Counter(_Keyed):
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, *label_values: object) -> None:
-        if amount < 0:
-            raise MetricsError(
-                "counter {} cannot decrease (inc {})".format(self.name, amount)
-            )
-        super().inc(amount, *label_values)
-
 
 class Gauge(_Keyed):
     """A value that can go up and down."""
 
     kind = "gauge"
-
-    def set(self, value: float, *label_values: object) -> None:
-        key = self._key(tuple(str(v) for v in label_values))
-        self._values[key] = float(value)
-
-    def dec(self, amount: float = 1.0, *label_values: object) -> None:
-        self.inc(-amount, *label_values)
 
 
 class Histogram(_Metric):

@@ -43,8 +43,6 @@ aborted, their unread answers dropped, and the manifest records
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 import signal
 import socket as socket_module
 import time
@@ -53,6 +51,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..durable import write_json_atomic
 from ..metrics import ServiceMetrics
 from ..observability import UNTRACED, TraceCollector, write_trace_dir
 from . import ops, protocol
@@ -316,12 +315,8 @@ class ControlPlaneServer:
         }
 
     def write_manifest(self, path: str) -> None:
-        """Atomic write so a reader never sees a torn manifest."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(json.dumps(self.manifest(), indent=2, sort_keys=True))
-        os.replace(tmp, target)
+        """Durable atomic write so a reader never sees a torn manifest."""
+        write_json_atomic(path, self.manifest())
 
     # ------------------------------------------------------------------
     # Answering a burst

@@ -77,21 +77,11 @@ class ScenarioSimulator:
         snapshot_count: int = 8,
         check_invariants: bool = False,
         database_refresh_interval: Optional[float] = None,
-        backup_retry_interval: Optional[float] = None,
     ) -> None:
         """``database_refresh_interval`` (seconds) schedules periodic
         link-state re-floods for services built with
         ``live_database=False`` — the knob for studying routing under
-        stale link-state information.
-
-        ``backup_retry_interval`` (seconds) arms background backup
-        re-establishment for degraded admissions: when the service
-        admits a connection unprotected because signaling faults
-        exhausted its retries, the simulator schedules engine events
-        that call :meth:`~repro.core.service.DRTPService.reestablish_backup`
-        every interval until the connection is protected or departs —
-        the paper's Section 2.3 re-establishment loop, under
-        adversity."""
+        stale link-state information."""
         self.service = service
         self.scenario = scenario
         self.warmup = warmup if warmup is not None else 0.5 * scenario.duration
@@ -100,9 +90,6 @@ class ScenarioSimulator:
         if database_refresh_interval is not None and database_refresh_interval <= 0:
             raise ValueError("database_refresh_interval must be positive")
         self.database_refresh_interval = database_refresh_interval
-        if backup_retry_interval is not None and backup_retry_interval <= 0:
-            raise ValueError("backup_retry_interval must be positive")
-        self.backup_retry_interval = backup_retry_interval
 
     def run(self, observers: Sequence[Observer] = ()) -> SimulationResult:
         engine = Engine()
@@ -115,14 +102,8 @@ class ScenarioSimulator:
 
         def arrive(request):
             def action() -> None:
-                decision = service.admit(request)
-                if decision.accepted:
+                if service.admit(request).accepted:
                     engine.schedule(request.departure_time, depart(request))
-                    if (
-                        getattr(decision, "degraded", False)
-                        and self.backup_retry_interval is not None
-                    ):
-                        self._schedule_backup_retry(engine, request.request_id)
                 if self.check_invariants:
                     service.check_invariants()
 
@@ -168,22 +149,6 @@ class ScenarioSimulator:
         result.control_messages = counters.control_messages
         result.final_active = service.active_connection_count
         return result
-
-    def _schedule_backup_retry(self, engine: Engine, connection_id: int) -> None:
-        """Arm the background re-protection loop for one degraded
-        connection: retry every ``backup_retry_interval`` until the
-        backup stands, the connection departs, or the horizon ends."""
-        interval = self.backup_retry_interval
-
-        def attempt() -> None:
-            if not self.service.has_connection(connection_id):
-                return
-            if self.service.reestablish_backup(connection_id):
-                return
-            if engine.now + interval <= self.scenario.duration:
-                engine.schedule_after(interval, attempt)
-
-        engine.schedule_after(interval, attempt)
 
     def _link_event(self, event):
         def action() -> None:

@@ -218,6 +218,27 @@ class TestOrchestratorGuards:
         with pytest.raises(CampaignError, match="resume"):
             run_campaign_jobs(spec, tmp_path / "c")
 
+    def test_run_all_rerun_into_a_journalled_dir_is_one_line(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments import run_all
+
+        spec = CampaignSpec(scale="smoke", degrees=(3,), patterns=("UT",),
+                            lambdas=(0.2,))
+        directory = tmp_path / "c"
+        journal = CampaignJournal(directory / "campaign_journal.jsonl")
+        journal.write_header(spec)
+        before = journal.path.read_bytes()
+        assert run_all.main([
+            "--scale", "smoke", "--jobs", "2",
+            "--campaign-dir", str(directory),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run_all: {} already holds a campaign "
+                              "journal".format(directory))
+        assert err.count("\n") == 1
+        assert journal.path.read_bytes() == before
+
     def test_resume_with_mismatched_spec_rejected(self, tmp_path):
         spec = CampaignSpec(scale="smoke", degrees=(3,), patterns=("UT",),
                             lambdas=(0.2,))

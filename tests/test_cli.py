@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.simulation import Scenario
 from repro.topology import load_network
@@ -299,3 +300,116 @@ def _serve_and_verify_accepts(tmp_path, capsys):
 )
 def test_no_backup_scheme_admits_without_a_backup(accepts, tmp_path, capsys):
     assert accepts(tmp_path, capsys) > 0
+
+
+# ----------------------------------------------------------------------
+# One builder: every service the commands run comes from build_service
+# ----------------------------------------------------------------------
+def _start_server(tmp_path, *serve_args):
+    """``python -m repro.cli serve`` on a Unix socket; returns the
+    process and the socket once it listens."""
+    sock = tmp_path / "ctl.sock"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--socket", str(sock),
+         *serve_args],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    deadline = time.monotonic() + 20
+    while not sock.exists():
+        assert serve.poll() is None and time.monotonic() < deadline
+        time.sleep(0.05)
+    return serve, sock
+
+
+class TestOneBuilder:
+    """A harness rebinds ``repro.cli.DRTPService`` (as the end-to-end
+    benchmark's traced server does) and sees every service a command
+    builds, with the options that command asks for."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        services = []
+
+        class Recording(repro.cli.DRTPService):
+            def __init__(self, *positional, **keyword):
+                super().__init__(*positional, **keyword)
+                services.append((self, keyword))
+
+        monkeypatch.setattr(repro.cli, "DRTPService", Recording)
+        return services
+
+    def test_replay_trace_assess_soak(
+        self, built, topology_file, scenario_file, tmp_path, capsys
+    ):
+        assert main(["replay", str(topology_file), str(scenario_file),
+                     "--scheme", "BF", "--num-backups", "2"]) == 0
+        assert main(["trace", str(topology_file), str(scenario_file),
+                     "--scheme", "P-LSR", "--out",
+                     str(tmp_path / "t.json")]) == 0
+        assert main(["assess", str(topology_file),
+                     "--connections", "5"]) == 0
+        assert main(["soak", "--nodes", "20", "--admissions", "200",
+                     "--window", "100", "--quiet"]) == 0
+        capsys.readouterr()
+        schemes = [service.scheme.name for service, _ in built]
+        assert schemes == ["BF", "P-LSR", "D-LSR", "P-LSR"]
+        assert built[0][0].scheme.num_backups == 2
+        assert built[1][1]["trace"] is not None
+        assert [service.network.num_nodes for service, _ in built] == [
+            20, 20, 20, 20,
+        ]
+
+    def test_loadtest_verify_twin_takes_the_servers_database_mode(
+        self, built, tmp_path, capsys
+    ):
+        serve, sock = _start_server(
+            tmp_path, "--rows", "4", "--cols", "4", "--snapshot-db",
+        )
+        try:
+            # A snapshot-routed server: the twin is built with
+            # live_database=False, as the server's status reports.
+            assert main(["loadtest", "--socket", str(sock), "--rate", "10",
+                         "--duration", "5", "--seed", "3", "--rows", "4",
+                         "--cols", "4", "--tolerance", "1",
+                         "--verify"]) == 0
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=20) == 0
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+        capsys.readouterr()
+        ((twin, keyword),) = built
+        assert keyword["live_database"] is False
+        assert twin.scheme.name == "P-LSR"
+        assert twin.network.num_nodes == 16
+
+    def test_one_construction_site(self):
+        root = Path(repro.cli.__file__).parent
+        calls = {
+            path.name: path.read_text().count("DRTPService(")
+            for path in root.glob("*.py")
+        }
+        assert sum(calls.values()) == 1 and calls["__init__.py"] == 1
+
+
+def test_import_loads_no_process_pool():
+    """``import repro.cli`` (the server's process) loads no
+    multiprocessing; the campaign names still resolve on first use."""
+    code = (
+        "import sys, repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "loaded = [m for m in ('multiprocessing', "
+        "'concurrent.futures.process', 'repro.campaign') "
+        "if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from repro import run_campaign_jobs\n"
+        "import repro\n"
+        "assert repro.CampaignSpec.__module__ == 'repro.campaign.jobs'\n"
+        "assert 'multiprocessing' in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -36,49 +36,43 @@ from repro.topology import mesh_network
 
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs_total", "jobs")
-        assert counter.total() == 0.0
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value() == pytest.approx(3.5)
-
-    def test_negative_increment_rejected(self):
+        box = {"n": 0.0}
         counter = MetricsRegistry().counter("jobs_total", "jobs")
-        with pytest.raises(MetricsError):
-            counter.inc(-1)
+        assert counter.total() == 0.0
+        counter.collect_with(lambda: box["n"])
+        assert counter.total() == 0.0
+        box["n"] += 1.0
+        box["n"] += 2.5
+        assert counter.value() == pytest.approx(3.5)
 
     def test_labeled_counter_tracks_series_independently(self):
         registry = MetricsRegistry()
         counter = registry.counter(
             "ops_total", "ops", labels=("op", "status")
-        )
-        counter.inc(1, "admit", "ok")
-        counter.inc(2, "admit", "ok")
-        counter.inc(5, "release", "ok")
+        ).collect_with(lambda: {("admit", "ok"): 3, ("release", "ok"): 5})
         assert counter.value("admit", "ok") == pytest.approx(3.0)
         assert counter.value("release", "ok") == pytest.approx(5.0)
         assert counter.value("admit", "error") == 0.0
         assert counter.total() == pytest.approx(8.0)
 
     def test_wrong_label_arity_rejected(self):
+        box = {"series": {("admit",): 1}}
         counter = MetricsRegistry().counter(
             "ops_total", "ops", labels=("op",)
-        )
+        ).collect_with(lambda: box["series"])
         with pytest.raises(MetricsError):
-            counter.inc(1)
+            counter.value()
         with pytest.raises(MetricsError):
-            counter.inc(1, "admit", "extra")
+            counter.value("admit", "extra")
+        box["series"] = {("admit", "extra"): 1}
+        with pytest.raises(MetricsError):
+            counter.total()
+        box["series"] = 1
+        with pytest.raises(MetricsError):
+            counter.total()
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = MetricsRegistry().gauge("depth", "queue depth")
-        gauge.set(10)
-        gauge.inc(2)
-        gauge.dec(5)
-        assert gauge.value() == pytest.approx(7.0)
-
     def test_collector_is_read_on_every_scrape(self):
         box = {"n": 0}
         gauge = MetricsRegistry().gauge("depth", "queue depth")
@@ -176,24 +170,24 @@ class TestRegistry:
 
     def test_snapshot_is_json_friendly(self):
         registry = MetricsRegistry()
-        registry.counter("jobs_total", "jobs").inc(3)
-        registry.gauge("depth", "depth").set(2)
+        registry.counter("jobs_total", "jobs").collect_with(lambda: 3)
+        registry.gauge("depth", "depth").collect_with(lambda: 2)
         registry.histogram("lat", "latency").observe(0.01)
         snapshot = registry.snapshot()
         import json
 
         json.dumps(snapshot)  # must not raise
         assert snapshot["jobs_total"]["value"] == pytest.approx(3.0)
+        assert snapshot["depth"]["value"] == pytest.approx(2.0)
 
 
 class TestPrometheusRendering:
     def test_rendered_output_parses_and_round_trips(self):
         registry = MetricsRegistry()
-        counter = registry.counter(
+        registry.counter(
             "ops_total", "operations", labels=("op",)
-        )
-        counter.inc(4, "admit")
-        registry.gauge("depth", "queue depth").set(7)
+        ).collect_with(lambda: {("admit",): 4})
+        registry.gauge("depth", "queue depth").collect_with(lambda: 7)
         histogram = registry.histogram(
             "lat_seconds", "latency", buckets=(0.01, 0.1)
         )
@@ -204,6 +198,9 @@ class TestPrometheusRendering:
         assert families["ops_total"]["type"] == "counter"
         assert families["depth"]["type"] == "gauge"
         assert families["lat_seconds"]["type"] == "histogram"
+        assert families["ops_total"]["samples"][0].labels == {"op": "admit"}
+        assert families["ops_total"]["samples"][0].value == 4.0
+        assert families["depth"]["samples"][0].value == 7.0
 
         buckets = [
             sample

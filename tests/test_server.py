@@ -501,6 +501,39 @@ class TestServerRoundTrips:
         assert manifest["service"]["acceptance_ratio"] == 1.0
         assert "drtp_admissions_total" in manifest["metrics"]
 
+    def test_manifest_temp_file_is_fsynced_before_replace(
+        self, tmp_path, monkeypatch
+    ):
+        # A crash between the rename and the data reaching the disk
+        # must not leave the manifest's name on an empty file: the
+        # temp file's bytes are fsynced before os.replace publishes it.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        server = ControlPlaneServer(
+            DRTPService(mesh_network(2, 2, 10.0), DLSRScheme()),
+            socket_path=str(tmp_path / "ctl.sock"),
+        )
+        manifest_path = tmp_path / "manifest.json"
+        server.write_manifest(str(manifest_path))
+        replaced = [ino for kind, ino in events if kind == "replace"]
+        assert len(replaced) == 1
+        assert events.index(("fsync", replaced[0])) < events.index(
+            ("replace", replaced[0])
+        )
+        assert json.loads(manifest_path.read_text())["version"] == 1
+        assert list(tmp_path.iterdir()) == [manifest_path]
+
     def test_status_and_manifest_carry_what_the_harness_reads(self, tmp_path):
         # benchmarks/e2e/ledger.py:status_counts indexes these keys by
         # name on every serve-* workload; there is one server, so no
