@@ -191,18 +191,19 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         raise UsageError("repro loadtest: --port is required for TCP "
                          "targets")
 
+    needs_topology = args.verify or (
+        plan is not None
+        and (
+            (plan.bursts.enabled and plan.bursts.correlated)
+            or plan.regional.enabled
+        )
+    )
+    network = risk_groups = None
+    if needs_topology or args.srlg != "none":
+        network, risk_groups = network_and_groups(args)
+
     async def _run():
         status = await fetch_status(**endpoint)
-        needs_topology = args.verify or (
-            plan is not None
-            and (
-                (plan.bursts.enabled and plan.bursts.correlated)
-                or plan.regional.enabled
-            )
-        )
-        network = risk_groups = None
-        if needs_topology or args.srlg != "none":
-            network, risk_groups = network_and_groups(args)
         if network is not None and (
             network.num_nodes != status["nodes"]
             or network.num_links != status["links"]
@@ -225,9 +226,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             **endpoint,
         )
         report = await generator.run()
-        return status, network, risk_groups, timeline, report
+        return status, timeline, report
 
-    status, network, risk_groups, timeline, report = asyncio.run(_run())
+    status, timeline, report = asyncio.run(_run())
 
     rows = [
         ("server scheme", status.get("scheme", "?")),

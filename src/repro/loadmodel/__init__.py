@@ -11,7 +11,7 @@ bit-identically like every other scenario:
   process (per-phase rates, exponential sojourns);
 * :mod:`repro.loadmodel.drift` — the NT hot-spot set migrating on a
   fixed epoch clock (diurnal drift);
-* :mod:`repro.loadmodel.trace` — a resumable streaming request
+* :mod:`repro.loadmodel.trace` — a streaming request
   generator plus a :class:`~repro.simulation.scenario.Scenario`
   materializer (the sequential reference);
 * :mod:`repro.loadmodel.soak` — the long-horizon churn driver behind

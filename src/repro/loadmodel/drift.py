@@ -11,8 +11,7 @@ epochs) while endpoint sampling itself stays exactly NT-shaped within
 an epoch.
 
 Every epoch's membership is a pure function of ``(seed, epoch)``, so
-the hot set at any time is recomputable from scratch — what makes
-resumed traces byte-identical to fresh ones.
+the hot set at any time is recomputable from scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Tuple
+from typing import Deque, Tuple
 
 from ..simulation.rng import seeded_rng
 from ..simulation.workload import TrafficPattern
@@ -135,15 +134,3 @@ class DriftingHotspotTraffic(TrafficPattern):
     def sample_pair(self, rng: random.Random) -> Tuple[int, int]:
         """Time-free sampling at ``t=0`` (TrafficPattern contract)."""
         return self.sample_pair_at(rng, 0.0)
-
-    # ------------------------------------------------------------------
-    # Resume support
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Snapshot of the drift position (epoch + hot-set FIFO)."""
-        return {"epoch": self._epoch, "hot": list(self._hot)}
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore a snapshot from :meth:`state`."""
-        self._epoch = state["epoch"]
-        self._hot = deque(state["hot"])

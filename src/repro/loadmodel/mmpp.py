@@ -13,18 +13,13 @@ two-phase on/off MMPP is the ``n=2`` case — so the *modulation* stream
 and the *arrival* stream stay independent named RNG streams: changing
 a phase rate never perturbs when phases switch, the same discipline
 :mod:`repro.simulation.rng` enforces everywhere else.
-
-State capture/restore (:meth:`MMPPArrivalProcess.state` /
-:meth:`~MMPPArrivalProcess.restore`) makes the process resumable: a
-trace generated in two halves is byte-identical to one generated in a
-single pass, which the determinism suite asserts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -102,8 +97,7 @@ class MMPPArrivalProcess:
 
     Mirrors :class:`~repro.simulation.arrivals.PoissonArrivalProcess`
     (``next`` interarrival draws, an ``arrival_times`` iterator, an
-    offered-load helper) and adds phase modulation plus resumable
-    state.
+    offered-load helper) and adds phase modulation.
     """
 
     def __init__(
@@ -162,24 +156,3 @@ class MMPPArrivalProcess:
         """Little's-law mean concurrent connections at the long-run
         rate — the saturation-calibration helper, as for Poisson."""
         return self.params.mean_rate * mean_holding
-
-    # ------------------------------------------------------------------
-    # Resume support
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Opaque in-process snapshot of the generator position."""
-        return {
-            "now": self._now,
-            "phase": self._phase,
-            "phase_end": self._phase_end,
-            "arrival_rng": self._arrival_rng.getstate(),
-            "phase_rng": self._phase_rng.getstate(),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Rewind/fast-forward to a snapshot from :meth:`state`."""
-        self._now = state["now"]
-        self._phase = state["phase"]
-        self._phase_end = state["phase_end"]
-        self._arrival_rng.setstate(state["arrival_rng"])
-        self._phase_rng.setstate(state["phase_rng"])

@@ -1,15 +1,11 @@
-"""Production-trace generation: streaming, resumable, materializable.
+"""Production-trace generation: streaming and materializable.
 
-Three views of the same trace, all byte-identical given one seed:
+Two views of the same trace, byte-identical given one seed:
 
 * :class:`ProductionTraceGenerator` — an *unbounded iterator* of
   :class:`~repro.core.connection.ConnectionRequest`; the soak engine
   consumes this so a 10^6-admission run never materializes its
   request list;
-* :meth:`ProductionTraceGenerator.state` / ``restore`` — capture the
-  generator mid-stream and continue in another instance, for
-  checkpointed long runs (the determinism suite proves
-  fresh == resumed);
 * :func:`generate_production_scenario` — the sequential reference: a
   bounded prefix materialized as an ordinary
   :class:`~repro.simulation.scenario.Scenario`, so production traces
@@ -21,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from ..core.connection import ConnectionRequest
 from ..simulation.arrivals import HoldingTimeDistribution
@@ -118,38 +114,6 @@ class ProductionTraceGenerator:
     def current_phase(self) -> int:
         """The MMPP phase of the last generated arrival."""
         return self._process.current_phase
-
-    # ------------------------------------------------------------------
-    # Resume support
-    # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        """Opaque in-process checkpoint of the full generator."""
-        return {
-            "next_id": self._next_id,
-            "process": self._process.state(),
-            "pattern": self._pattern.state(),
-            "endpoint_rng": self._endpoint_rng.getstate(),
-            "holding_rng": self._holding_rng.getstate(),
-            "bw_rng": self._bw_rng.getstate(),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Continue from a checkpoint taken with :meth:`state`."""
-        self._next_id = state["next_id"]
-        self._process.restore(state["process"])
-        self._pattern.restore(state["pattern"])
-        self._endpoint_rng.setstate(state["endpoint_rng"])
-        self._holding_rng.setstate(state["holding_rng"])
-        self._bw_rng.setstate(state["bw_rng"])
-
-    @classmethod
-    def resumed(
-        cls, config: ProductionTraceConfig, state: Dict[str, Any]
-    ) -> "ProductionTraceGenerator":
-        """A fresh generator fast-forwarded to ``state``."""
-        generator = cls(config)
-        generator.restore(state)
-        return generator
 
 
 def generate_production_scenario(

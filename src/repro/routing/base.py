@@ -126,9 +126,6 @@ class RoutingContext:
             )
         return self._distance_tables
 
-    def distance_table(self, node: int) -> DistanceTable:
-        return self.distance_tables[node]
-
 
 class RoutingScheme(abc.ABC):
     """Abstract primary/backup route selection strategy."""

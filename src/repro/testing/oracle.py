@@ -45,6 +45,7 @@ import copy
 from typing import Optional
 
 from ..core.service import DRTPService
+from ..kernels.bitset import mask_from_ids
 from ..routing.base import RoutingContext
 from ..routing.baselines import NoBackupScheme
 from ..routing.flooding import BoundedFloodingScheme
@@ -340,8 +341,13 @@ class DifferentialOracle:
 
     def _verify_ledgers(self, op: str) -> None:
         """Diff every ledger's incremental state, and the fast
-        database's records, against rebuild-from-scratch truth."""
+        database's records, against rebuild-from-scratch truth.  The
+        records are read off the kernel table, synced once."""
         database = self._service.database
+        table = None
+        if database.live and not database.stale:
+            table = database.kernel_arrays().sync()
+            shadow_db = self._shadow.database
         for ledger in self._service.state.ledgers():
             truth = rebuilt_aplv(ledger)
             link_id = ledger.link_id
@@ -353,26 +359,22 @@ class DifferentialOracle:
                 op, "CV of link {}".format(link_id),
                 ledger.conflict_vector().bits, truth.support(),
             )
-            if database.live and not database.stale:
+            if table is not None:
                 self._expect(
                     op, "database l1 of link {}".format(link_id),
-                    database.aplv_l1(link_id), truth.l1_norm,
+                    table.l1[link_id], truth.l1_norm,
                 )
                 self._expect(
                     op, "database CV of link {}".format(link_id),
-                    database.conflict_vector(link_id).bits,
-                    truth.support(),
+                    table.cv_mask(link_id), mask_from_ids(truth.support()),
                 )
-                shadow_db = self._shadow.database
                 self._expect(
                     op, "primary headroom of link {}".format(link_id),
-                    database.primary_headroom(link_id),
-                    shadow_db.primary_headroom(link_id),
+                    table.ph[link_id], shadow_db.primary_headroom(link_id),
                 )
                 self._expect(
                     op, "backup headroom of link {}".format(link_id),
-                    database.backup_headroom(link_id),
-                    shadow_db.backup_headroom(link_id),
+                    table.bh[link_id], shadow_db.backup_headroom(link_id),
                 )
 
     # ------------------------------------------------------------------

@@ -19,8 +19,7 @@ from repro.network import NetworkState, ResourceError
 from repro.testing.commit import HopByHopController
 from repro.topology import Route, mesh_network
 
-from .test_commit_lockstep import versions
-from .test_service_machine import Config, drive
+from .test_service_machine import Config, drive, versions
 
 ROWS, COLS = 4, 4
 
@@ -102,24 +101,4 @@ class TestServiceLockstep:
             Config(rows=5, cols=5, capacity=6.0), 80, seed=23, preload=30
         )
         assert machine.service.counters.accepted > 30
-        machine.teardown()
-
-
-class TestFaultInterop:
-    def test_crash_unwinds_batched_survivor_intact(self):
-        """Slice: lossy signaling without retransmission — crashed and
-        dropped walks are unwound beside the registrations other walks
-        committed, and the connection is admitted degraded."""
-        machine = drive(Config(faulted=True), 60, seed=5, preload=20)
-        counters = machine.service.counters
-        assert counters.signaling_crashes and counters.degraded_admissions
-        machine.teardown()
-
-    def test_mid_walk_fault_then_batched_retry_equivalence(self):
-        """Slice: drops mid-walk (prefix committed, then unwound)
-        followed by retries that succeed, on a 3x3 mesh."""
-        machine = drive(Config(rows=3, cols=3, faulted=True, retry=True),
-                        40, seed=8, preload=10)
-        counters = machine.service.counters
-        assert counters.signaling_drops and counters.signaling_retries
         machine.teardown()

@@ -413,3 +413,18 @@ def test_import_loads_no_process_pool():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_loadtest_checks_its_topology_before_connecting(tmp_path):
+    """A topology usage error is reported before the server is
+    dialled: no traceback from the missing socket."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "loadtest",
+         "--socket", str(tmp_path / "missing.sock"), "--srlg", "file"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "--srlg file needs --topology" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -5,11 +5,14 @@ The oracle's shadow commits through
 :class:`~repro.testing.commit.HopByHopController`, so the service
 machine diffs every walk of :mod:`repro.kernels.apply` — results,
 fault accounting (twin injectors drawn one for one), fingerprints —
-after every rule; the first test here is a seeded slice of it.  Twin
-states under the two controllers keep what the machine cannot draw:
-non-dyadic bandwidths, which the oracle turns away, on links too wide
-to reject; a drop, crash, rejection or spare shortfall aimed at one
-chosen hop; and broken preconditions — an error, and nothing moved.
+after every rule.  Slices here: a seeded walk, and the machine's aimed
+rules at every hop of a five-hop backup — a drop, a crash or a
+duplicate-then-crash scripted into the register walk, free bandwidth
+left short where an activation crosses.  Twin states under the two
+controllers keep what the machine cannot draw: non-dyadic bandwidths,
+which the oracle turns away, on links too wide to reject; a rejection
+at a chosen hop, which the planner never routes into; and broken
+preconditions — an error, and nothing moved.
 """
 
 import random
@@ -21,15 +24,22 @@ from hypothesis import strategies as st
 from repro.core import BackupRegisterPacket, signaling
 from repro.core.admission import AdmissionController
 from repro.core.errors import RecoveryError
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import SignalingFaults
 from repro.kernels import apply
 from repro.network import NetworkState, ResourceError
 from repro.testing.commit import HopByHopController
 from repro.topology import Route, mesh_conduit_groups, mesh_network
 
-from .scripted import ScriptedInjector
-from .test_service_machine import POLICIES, Config, drive
+from .scripted import FAULT_KINDS, ScriptedInjector
+from .test_service_machine import (
+    POLICIES,
+    RETRY,
+    Config,
+    ServiceMachine,
+    drive,
+    versions,
+)
 
 ROWS = COLS = 4
 #: A 4x4 mesh whose links no 30-step script can fill.
@@ -41,7 +51,6 @@ LOSSY = FaultPlan(
         delay_prob=0.4, delay_min=0.01, delay_max=0.3,
     )
 )
-RETRY = RetryPolicy(max_attempts=3)
 
 
 def _route_pool(count, rng):
@@ -67,10 +76,6 @@ def result_fields(result):
         result.attempts, result.drops, result.duplicates, result.crashes,
         result.delay, result.gave_up, tuple(result.resizes),
     )
-
-
-def versions(state):
-    return [ledger.version for ledger in state.ledgers()]
 
 
 def _streams(injector):
@@ -242,38 +247,53 @@ def _packet(connection_id, bw=1.0):
 
 
 # ----------------------------------------------------------------------
-# Faults and shortfalls aimed at one hop, which the machine's seeded
-# injectors cannot aim
+# The machine's aimed rules at every hop of a five-hop backup
 # ----------------------------------------------------------------------
-def aimed(kind, hop):
-    """A scripted fault of shape ``kind`` striking hop ``hop``."""
-    clean = [(None, 0.0)] * hop
-    if kind == "drop":
-        return clean + [("drop", 0.125)], []
-    if kind == "crash":
-        return [], [hop]
-    assert kind == "duplicate-then-crash"
-    return clean + [("duplicate", 0.0)], [hop]
+#: The request pick of the pair 0 -> 11 on the 4x4 mesh: five hops
+#: apart, so every route between them has at least ``HOPS`` hops.
+TO_11 = 160
+
+
+def aimed_machine(**fields):
+    """A machine on the 4x4 mesh two units wide, connection 0 -> 11
+    standing."""
+    machine = ServiceMachine()
+    machine.configure(Config(capacity=2.0, **fields), [(TO_11, False)])
+    return machine
 
 
 @pytest.mark.oracle
-@pytest.mark.parametrize("retry", (None, RETRY), ids=("single", "retry"))
+@pytest.mark.parametrize("retry", (False, True), ids=("single", "retry"))
 @pytest.mark.parametrize("hop", range(HOPS))
-@pytest.mark.parametrize("kind", ("drop", "crash", "duplicate-then-crash"))
+@pytest.mark.parametrize("kind", FAULT_KINDS)
 def test_fault_at_every_hop(kind, hop, retry):
-    """A walk stranded at hop ``hop`` is unwound to the loaded state
-    and given up, or retried to success, in both spellings alike."""
-    twins = Twins("shared", srlg=True, network=NARROW)
-    twins.register(_packet(1))
-    loaded = twins.states[0].fingerprint()
-    result = twins.register(_packet(2), aimed(kind, hop), retry)
-    assert result.drops + result.crashes == 1
-    if retry is None:
-        assert result.gave_up and twins.states[0].fingerprint() == loaded
-    else:
-        assert result.success and result.attempts == 2
+    """Slice: a second request 0 -> 11 whose walk the fault strikes at
+    hop ``hop`` — unwound, then given up or retried to success."""
+    machine = aimed_machine(srlg=True)
+    counters = machine.service.counters
+    machine.request_under_fault(kind, hop, retry, TO_11)
+    assert counters.signaling_drops + counters.signaling_crashes == 1
+    machine.teardown()
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("hop", range(HOPS))
+def test_activation_draws_on_spare(policy, hop):
+    """Slice: free bandwidth half a request short at hop ``hop`` of the
+    connection's backup when its primary fails: it activates, the spare
+    paying the shortfall there."""
+    machine = aimed_machine(policy=policy)
+    (conn,) = machine.service.connections()
+    impact = machine.short_activation(conn, hop, 0)
+    assert [o.success for o in impact.outcomes] == [True]
+    machine.teardown()
+
+
+# ----------------------------------------------------------------------
+# A rejection aimed at one hop: the planner routes a backup only over
+# hops that carry it, so no rule can
+# ----------------------------------------------------------------------
 @pytest.mark.oracle
 @pytest.mark.parametrize("hop", range(HOPS))
 def test_rejection_under_faults(hop):
@@ -299,26 +319,6 @@ def test_rejection_under_faults(hop):
     assert [state.fingerprint() for state in twins.states] == [before] * 2
     for state in twins.states:
         state.check_invariants()
-
-
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-@pytest.mark.parametrize("hop", range(HOPS))
-def test_activation_draws_on_spare(policy, hop):
-    """Free bandwidth short at one hop: the spare pays the shortfall
-    there, then the resize settles it for the backup that stays —
-    equal to the reference, version bump for version bump."""
-    twins = Twins(policy, network=NARROW)
-    twins.register(_packet(1))
-    twins.register(BackupRegisterPacket(
-        2, ROUTE, Route.from_nodes(NET, [12, 13, 14, 15]).lset, 0.25
-    ))
-    link = ROUTE.link_ids[hop]
-    assert twins.both("reserve", (link,), 0.5)
-    ledger = twins.states[0].ledger(link)
-    assert ledger.free_bw < 1.0 <= ledger.free_bw + ledger.spare_bw
-    twins.both("activate", 1, ROUTE.link_ids, 1.0)
-    assert ledger.prime_bw == 1.5 and ledger.spare_bw == 0.25
-    assert not ledger.has_backup(1) and ledger.has_backup(2)
 
 
 def _loaded_state():

@@ -5,14 +5,19 @@ service operation.  The system under test is the production
 ``DRTPService`` wrapped in :class:`~repro.testing.DifferentialOracle`,
 so every rule is diffed against the naive shadow, whose every ledger
 walk is committed hop by hop; a faulted configuration gives the shadow
-a twin injector.  Hypothesis explores the machine here and through the
-entry points of other suites; :func:`drive` runs the same rules as a
-seeded random walk — the slices other suites take of the machine — and
+a twin injector.  Two rules aim where seeded injectors cannot:
+``arm_fault`` scripts a drop, a crash or a duplicate-then-crash at one
+hop of a request's register walk in both worlds, and ``aim_shortfall``
+leaves free bandwidth short at one hop of a backup that a failure then
+activates.  Hypothesis explores the machine here and through the entry
+points of other suites; :func:`drive` runs the same rules as a seeded
+random walk — the slices other suites take of the machine — and
 :func:`walk` records a long campaign's totals as well.
 """
 
 import json
 import random
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
@@ -23,6 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine
 from hypothesis.stateful import initialize, invariant, rule
 
 from repro.core import DRTPService, recovery
+from repro.core.admission import REASON_BACKUP_REGISTRATION
 from repro.core.errors import ConnectionStateError
 from repro.core.multiplexing import (
     DedicatedSparePolicy,
@@ -41,6 +47,8 @@ from repro.topology import (
     waxman_network,
 )
 
+from .scripted import FAULT_KINDS, AimedInjector
+
 pytestmark = pytest.mark.oracle
 
 RESULTS_PATH = (
@@ -58,6 +66,17 @@ POLICIES = {"shared": SharedSparePolicy, "dedicated": DedicatedSparePolicy,
 MAX_DOWN = 8
 #: The largest regional cut ``fail_link_set`` draws.
 MAX_CUT = 8
+#: ``arm_fault`` and ``aim_shortfall`` aim at a hop below this, modulo
+#: the route's length.
+MAX_HOP = 8
+#: Retransmission of a faulted register walk: three attempts.
+RETRY = RetryPolicy(max_attempts=3)
+#: The signaling tallies ``arm_fault`` reads, as one tuple.
+SIGNALING_TALLIES = attrgetter(*(
+    "signaling_" + name
+    for name in ("walks", "drops", "duplicates", "crashes", "retries",
+                 "gave_up")
+))
 
 
 class Config(NamedTuple):
@@ -116,6 +135,11 @@ picks = st.integers(min_value=0, max_value=(1 << 16) - 1)
 preloads = st.lists(st.tuples(picks, st.booleans()), min_size=20, max_size=40)
 
 
+def versions(state):
+    """Every ledger's version counter, in link order."""
+    return [ledger.version for ledger in state.ledgers()]
+
+
 def build(config: Config):
     """``(service, driver)``: the production service and the oracle
     wrapping it."""
@@ -141,7 +165,7 @@ def build(config: Config):
             FaultInjector(FaultPlan.everything(4.0), seed=1)
             if config.faulted else None
         ),
-        retry_policy=RetryPolicy(max_attempts=3) if config.retry else None,
+        retry_policy=RETRY if config.retry else None,
         risk_groups=groups if config.srlg else None,
     )
     # The per-link database sweep costs O(links) per operation: only
@@ -172,12 +196,15 @@ class ServiceMachine(RuleBasedStateMachine):
         for pick, flag in preload:
             self.request(pick, flag)
 
-    @rule(pick=picks, flag=st.booleans())
-    def request(self, pick, flag):
+    def endpoints(self, pick):
+        """The ``(source, destination)`` pair ``pick`` names."""
         nodes = self.network.num_nodes
         source = pick % nodes
-        destination = (source + 1 + pick // nodes % (nodes - 1)) % nodes
-        self.driver.request(source, destination, 2.0 if flag else 1.0)
+        return source, (source + 1 + pick // nodes % (nodes - 1)) % nodes
+
+    @rule(pick=picks, flag=st.booleans())
+    def request(self, pick, flag):
+        self.driver.request(*self.endpoints(pick), 2.0 if flag else 1.0)
 
     @rule(pick=picks, flag=st.booleans())
     def release(self, pick, flag):
@@ -243,10 +270,12 @@ class ServiceMachine(RuleBasedStateMachine):
                     claimed[link_id] = claimed.get(link_id, 0.0) + conn.bw_req
         for link_id, bw in claimed.items():
             assert bw <= self.state.ledger(link_id).spare_bw + BW_EPSILON
-        assert apply().outcomes == expected
+        impact = apply()
+        assert impact.outcomes == expected
         for conn in self.service.connections():
             for channel in conn.all_backups:
                 assert not channel.route.lset & failed
+        return impact
 
     @rule(pick=picks, flag=st.booleans())
     def fail_link(self, pick, flag):
@@ -298,6 +327,117 @@ class ServiceMachine(RuleBasedStateMachine):
         groups = self.service.risk_groups
         if groups is not None:
             self.driver.repair_group(pick % groups.num_groups)
+
+    @rule(pick=picks, flag=st.booleans())
+    def arm_fault(self, pick, flag):
+        """``pick`` aims a drop, a crash or a duplicate-then-crash at a
+        hop of a request's register walk, retransmitted (``flag``) or
+        not: :meth:`request_under_fault`."""
+        kinds = len(FAULT_KINDS)
+        self.request_under_fault(
+            FAULT_KINDS[pick % kinds], pick // kinds % MAX_HOP, flag,
+            pick // kinds // MAX_HOP,
+        )
+
+    def request_under_fault(self, kind, hop, retry, pick):
+        """Request ``pick``'s pair at bandwidth 1, both worlds' register
+        walks under :class:`~tests.scripted.AimedInjector` ``(kind,
+        hop)`` and, when ``retry``, three attempts.  The walk the fault
+        strands is unwound, then retried or given up — the connection
+        admitted unprotected; a walk rejected short of the fault is
+        neither.  Releasing the connection then restores the state bit
+        for bit: the unwind left nothing behind, and a retried walk
+        registered exactly what a clean one does."""
+        before = self.state.fingerprint()
+        counters = self.service.counters
+        tallied = SIGNALING_TALLIES(counters)
+        sides = (self.service._admission, self.driver.shadow._admission)
+        saved = [(side._injector, side._retry_policy) for side in sides]
+        for side in sides:
+            side._injector = AimedInjector(kind, hop)
+            side._retry_policy = RETRY if retry else None
+        try:
+            decision = self.driver.request(*self.endpoints(pick), 1.0)
+        finally:
+            for side, (injector, policy) in zip(sides, saved):
+                side._injector, side._retry_policy = injector, policy
+        walks, drops, duplicates, crashes, retries, gave_up = (
+            now - then
+            for now, then in zip(SIGNALING_TALLIES(counters), tallied)
+        )
+        struck = drops + crashes
+        assert struck <= min(1, walks)
+        if struck:
+            assert duplicates == (kind == "duplicate-then-crash")
+        assert retries == (struck if retry else 0)
+        assert gave_up == (struck and not retry) == decision.degraded
+        if walks and not struck:
+            assert decision.reason == REASON_BACKUP_REGISTRATION
+        if decision.accepted:
+            self.driver.release(decision.connection.connection_id)
+        assert self.state.fingerprint() == before
+
+    @rule(pick=picks, flag=st.booleans())
+    def aim_shortfall(self, pick, flag):
+        """``pick`` names a protected connection, a hop of its backup
+        and a link of its primary: :meth:`short_activation`."""
+        protected = [
+            conn for conn in self.service.connections()
+            if conn.backup is not None
+        ]
+        if protected:
+            conn = protected[pick % len(protected)]
+            pick //= len(protected)
+            self.short_activation(conn, pick % MAX_HOP, pick // MAX_HOP)
+
+    def short_activation(self, conn, hop, pick):
+        """Leave free bandwidth at hop ``hop`` of ``conn``'s backup half
+        a request short of ``conn``'s — a reservation by both worlds'
+        admission controllers — and fail link ``pick`` of its primary
+        without re-protection (counting only the links the two routes
+        do not share, modulo their number): an activation over the hop
+        has the spare pay the rest.  Both worlds' ledger versions move
+        alike, bump for bump (the compiled cost caches key on them),
+        and a sole victim that activates its first backup holds its
+        bandwidth as primary at the hop; then the reservation is
+        lifted.  Returns the failure's impact (``None`` when none
+        applied)."""
+        primary, backup = (
+            [link for link in one if link not in other]
+            for one, other in (
+                (conn.primary_route.link_ids, conn.backup_route.lset),
+                (conn.backup_route.link_ids, conn.primary_route.lset),
+            )
+        )
+        if not primary or not backup:
+            return None
+        link_id = backup[hop % len(backup)]
+        failed = primary[pick % len(primary)]
+        ledger = self.state.ledger(link_id)
+        short = ledger.free_bw - conn.bw_req / 2
+        sides = (self.service, self.driver.shadow)
+        if short > 0:
+            for side in sides:
+                assert side._admission.reserve((link_id,), short)
+        prime = ledger.prime_bw
+        before = [versions(side.state) for side in sides]
+        impact = self._fail(
+            frozenset({failed}),
+            lambda: self.driver.fail_link(failed, reconfigure=False),
+        )
+        fast, shadow = (
+            [now - then for now, then in zip(versions(side.state), bumps)]
+            for side, bumps in zip(sides, before)
+        )
+        assert fast == shadow
+        if impact is not None and [
+            (o.connection_id, o.backup_index) for o in impact.outcomes
+        ] == [(conn.connection_id, 0)]:
+            assert ledger.prime_bw == prime + conn.bw_req
+        if short > 0:
+            for side in sides:
+                side._admission.unreserve((link_id,), short)
+        return impact
 
     def what_ifs(self):
         """``(kind, count)`` of every failure a what-if can ask about."""
