@@ -122,12 +122,10 @@ async def serve_and_drive(socket_path: str) -> None:
     await server._finished.wait()
     manifest = server.manifest()
     print(
-        "drained: clean={}, {} requests over {} batches, "
-        "{} refreshes coalesced".format(
+        "drained: clean={}, {} requests over {} batches".format(
             manifest["server"]["drained_clean"],
             manifest["server"]["requests_total"],
             manifest["server"]["batches"],
-            manifest["server"]["refreshes_coalesced"],
         )
     )
 

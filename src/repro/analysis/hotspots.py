@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.recovery import assess_failed_links
 from ..core.service import DRTPService
+from ..simulation.simulator import Observer
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class DoubleFailureStats:
         return self.successes / self.attempts
 
 
-class DoubleFailureObserver:
+class DoubleFailureObserver(Observer):
     """Snapshot observer sampling link-pair failures (the
     fault-model-violation study)."""
 

@@ -88,9 +88,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         oracle = service = DifferentialOracle(service)
     ft = FaultToleranceObserver()
     spare = SpareShareObserver()
-    warmup = args.warmup if args.warmup is not None else scenario.duration / 2
     result = ScenarioSimulator(
-        service, scenario, warmup=warmup, snapshot_count=args.snapshots
+        service, scenario, warmup=args.warmup, snapshot_count=args.snapshots
     ).run(observers=(ft, spare))
     rows = [
         ("scheme", result.scheme),
@@ -128,8 +127,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # (conflict/q_links per backup search) production tracing skips.
     collector = TraceCollector(max_spans=args.max_spans, detail=True)
     service = build_service(args, network, trace=collector)
-    warmup = args.warmup if args.warmup is not None else scenario.duration / 2
-    result = ScenarioSimulator(service, scenario, warmup=warmup).run()
+    result = ScenarioSimulator(service, scenario, warmup=args.warmup).run()
 
     label = "drtp-{}".format(service.scheme.name)
     events = write_chrome_trace(args.out, collector, label=label)

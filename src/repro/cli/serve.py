@@ -49,9 +49,6 @@ def register(sub) -> None:
     _topology_options(serve)
     _endpoint_options(serve)
     serve.add_argument("--scheme", choices=SCHEME_CHOICES, default="P-LSR")
-    serve.add_argument("--snapshot-db", action="store_true",
-                       help="route from periodically refreshed snapshots "
-                       "instead of live link state")
     serve.add_argument("--manifest", default=None, metavar="PATH",
                        help="write a final metrics manifest JSON on "
                        "shutdown")
@@ -100,8 +97,6 @@ def register(sub) -> None:
     load.add_argument("--scheme", choices=SCHEME_CHOICES, default="P-LSR",
                       help="twin scheme for --verify (must match the "
                       "server)")
-    load.add_argument("--tolerance", type=float, default=0.005,
-                      help="acceptance-ratio tolerance for --verify")
     load.set_defaults(handler=_cmd_loadtest)
 
 
@@ -119,11 +114,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     network, risk_groups = network_and_groups(args)
     metrics = ServiceMetrics()
-    service = build_service(
-        args, network, risk_groups,
-        live_database=not args.snapshot_db,
-        metrics=metrics,
-    )
+    service = build_service(args, network, risk_groups, metrics=metrics)
 
     async def _run() -> ControlPlaneServer:
         server = ControlPlaneServer(
@@ -257,26 +248,17 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             report.requests_per_second, args.min_rps), file=sys.stderr)
         failures += 1
     if args.verify:
-        # The twin must see the same risk groups and database mode as
-        # the server: either changes the decisions.
-        live = status.get("live_database", True)
-        twin = build_service(args, network, risk_groups, live_database=live)
+        # The twin must see the same risk groups as the server: they
+        # change the decisions.
+        twin = build_service(args, network, risk_groups)
         reference = run_sequential_reference(twin, timeline)
-        delta = abs(reference["acceptance_ratio"] - report.acceptance_ratio)
         exact = report.decisions == reference["decisions"]
-        print("reference acceptance ratio {:.4f} (delta {:.4f}, "
-              "decisions {})".format(
-                  reference["acceptance_ratio"], delta,
-                  "identical" if exact else "differ"))
-        if delta > args.tolerance:
-            print("FAIL: acceptance ratio deviates from the sequential "
-                  "reference by {:.4f} > {:.4f}".format(
-                      delta, args.tolerance), file=sys.stderr)
-            failures += 1
-        if live and not exact:
+        print("reference acceptance ratio {:.4f} (decisions {})".format(
+            reference["acceptance_ratio"],
+            "identical" if exact else "differ"))
+        if not exact:
             print("FAIL: decision trace differs from the sequential "
-                  "reference despite a live link-state database",
-                  file=sys.stderr)
+                  "reference", file=sys.stderr)
             failures += 1
     if args.report:
         payload = report.to_dict()

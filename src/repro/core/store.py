@@ -174,11 +174,11 @@ class ConnectionStore:
         """The live connections whose primary crosses any of
         ``link_ids`` — the candidates of that failure — in the order
         :meth:`values` yields them."""
-        crossing = self._crossing
-        connection_ids: Set[int] = set()
-        for link_id in link_ids:
-            connection_ids.update(crossing.get(link_id, ()))
-        return self.ordered(connection_ids)
+        members = [self._crossing.get(link_id, ()) for link_id in link_ids]
+        # The index holds live ids only, so one link's set is read as is.
+        ids = members[0] if len(members) == 1 else set().union(*members)
+        ids = sorted(ids, key=self._ordinal.__getitem__)
+        return list(map(self._connections.__getitem__, ids))
 
     def crossed_links(self) -> Iterator[int]:
         """Link ids crossed by at least one live primary (unordered)."""

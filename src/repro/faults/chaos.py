@@ -20,27 +20,31 @@ one master seed, so ``run_campaign(plan, config)`` twice yields
 ``ChaosReport.to_dict()``-identical results — asserted by the smoke
 test and by ``repro chaos --verify``.
 
-Tracing: the runner takes no collector.  Run under an open span (``repro
-chaos --trace-dir`` opens a ``chaos.campaign`` root), every engine
-action runs in a ``chaos.arrive`` / ``depart`` / ``retry`` / ``fault``
-/ ``settle`` child tagged with the simulated ``time``, and the service
-spans it causes nest under that child; with no span open it runs
-untraced.
+The workload replays on
+:class:`~repro.simulation.simulator.ScenarioSimulator`, with the
+campaign as an observer and event source; it settles afterwards.
+Tracing: the runner takes no collector.  Under an open ``chaos.campaign``
+span (``repro chaos --trace-dir``), every action runs in a
+``chaos.arrive`` / ``depart`` child (the loop's) or ``chaos.retry`` /
+``fault`` / ``settle`` child (the campaign's), each from
+:func:`~repro.simulation.simulator.step_span` with the simulated
+``time``; the service spans it causes nest under that child.  With no
+span open it runs untraced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from functools import partial
+from typing import Dict, Optional
 
 from ..analysis.chaos_report import ChaosReport
 from ..core.multiplexing import GroupAwareSparePolicy
 from ..core.service import DRTPService
-from ..observability import UNTRACED, current_span
 from ..simulation.arrivals import HoldingTimeDistribution
-from ..simulation.engine import Engine
 from ..simulation.rng import derive_seed
 from ..simulation.scenario import generate_scenario
+from ..simulation.simulator import Observer, ScenarioSimulator, step_span
 from ..topology.mesh import mesh_network
 from ..topology.srlg import mesh_conduit_groups
 from .injector import (
@@ -105,14 +109,154 @@ class CampaignConfig:
             )
 
 
-def _step(name: str, now: float, **tags: Any):
-    """The span one engine action runs in: ``chaos.<name>`` at
-    simulated time ``now``, a child of the open span — or
-    :data:`~repro.observability.UNTRACED` when none is open."""
-    parent = current_span()
-    if parent is None:
-        return UNTRACED
-    return parent.child("chaos." + name, "chaos", time=now, **tags)
+class _Campaign(Observer):
+    """The campaign's side of the replay: it injects the faults, takes
+    the residual-unprotection samples (the replay's snapshots) and
+    retries each connection waiting for re-protection.
+
+    ``waiting_since`` maps each waiting connection to the time it
+    became unprotected.  ``first_outcome`` has a key for each
+    connection *admitted* degraded (the set the headline recovery
+    ratio is over), ``None`` until its first wait resolves.  A
+    connection can wait more than once (a later failure may strip a
+    regained backup) — every wait is retried and timed, but the ratio
+    counts first outcomes.
+    """
+
+    def __init__(self, service: DRTPService, config: CampaignConfig,
+                 faults, report: ChaosReport) -> None:
+        self.service, self.config = service, config
+        self.faults, self.report = faults, report
+        self.waiting_since: Dict[int, float] = {}
+        self.first_outcome: Dict[int, Optional[str]] = {}
+
+    def on_start(self, engine) -> None:
+        self.engine = engine
+        for fault in self.faults:
+            if fault.time < self.config.duration:
+                engine.schedule(fault.time, partial(self._apply_fault, fault))
+
+    def on_snapshot(self, service, time) -> None:
+        self.report.unprotected_samples.append(
+            (time, len(service.unprotected_ids()),
+             service.active_connection_count)
+        )
+
+    def on_admission(self, service, request, decision, seconds) -> None:
+        if decision.accepted and decision.degraded:
+            self.first_outcome[request.request_id] = None
+            self._start_waiting(request.request_id, self.engine.now)
+
+    def on_departure(self, service, request) -> None:
+        self._resolve(request.request_id, _DEPARTED, self.engine.now)
+
+    def _resolve(self, connection_id: int, outcome: str, now: float) -> None:
+        since = self.waiting_since.pop(connection_id, None)
+        if since is None:
+            return
+        # Only a degraded admission's still-open first outcome is None.
+        if self.first_outcome.get(connection_id, outcome) is None:
+            self.first_outcome[connection_id] = outcome
+        if outcome == _REPROTECTED:
+            self.report.recovery_latencies.append(now - since)
+
+    def sweep_waiting(self, now: float) -> None:
+        """Settle any waiting connection whose fate changed sideways:
+        re-protected by failure reconfiguration, or gone."""
+        service = self.service
+        for connection_id in list(self.waiting_since):
+            conn = (service.connection(connection_id)
+                    if service.has_connection(connection_id) else None)
+            if conn is None or not conn.is_active:
+                self._resolve(connection_id, _DEPARTED, now)
+            elif conn.backup is not None:
+                self._resolve(connection_id, _REPROTECTED, now)
+
+    def _start_waiting(self, connection_id: int, now: float) -> None:
+        if connection_id not in self.waiting_since:
+            self.waiting_since[connection_id] = now
+            self.engine.schedule_after(
+                self.config.backup_retry_interval,
+                partial(self._retry, connection_id),
+            )
+
+    def _retry(self, connection_id: int) -> None:
+        engine, service = self.engine, self.service
+        now = engine.now
+        if not service.has_connection(connection_id):
+            self._resolve(connection_id, _DEPARTED, now)
+            return
+        with step_span("retry", now):
+            restored = service.reestablish_backup(connection_id)
+        interval = self.config.backup_retry_interval
+        if restored:
+            self._resolve(connection_id, _REPROTECTED, now)
+        elif now + interval <= self.config.duration:
+            engine.schedule_after(
+                interval, partial(self._retry, connection_id)
+            )
+
+    def _apply_fault(self, fault) -> None:
+        service, report = self.service, self.report
+        now = self.engine.now
+        with step_span("fault", now, fault=fault.kind, links=fault.links):
+            if fault.kind in (FLAP_DOWN, BURST_DOWN):
+                for link_id in fault.links:
+                    if not service.state.is_link_failed(link_id):
+                        service.fail_link(link_id, reconfigure=True)
+            elif fault.kind == REGIONAL_DOWN:
+                # The whole region dies at once: one activation round
+                # over the surviving spare (simultaneous semantics),
+                # not a per-link cascade.
+                fresh = [
+                    link_id
+                    for link_id in fault.links
+                    if not service.state.is_link_failed(link_id)
+                ]
+                if fresh:
+                    service.fail_link_set(fresh, reconfigure=True)
+            elif fault.kind in (FLAP_UP, BURST_UP, REGIONAL_UP):
+                for link_id in fault.links:
+                    if service.state.is_link_failed(link_id):
+                        service.repair_link(link_id)
+            elif fault.kind == STALENESS:
+                service.database.inject_staleness()
+            elif fault.kind == REFRESH:
+                service.database.refresh()
+        report.faults_injected[fault.kind] = (
+            report.faults_injected.get(fault.kind, 0) + 1
+        )
+        # The campaign's core guarantee: no injected fault may ever
+        # corrupt the cross-layer resource accounting.
+        service.check_invariants()
+        report.invariant_checks += 1
+        # Failures can strand survivors unprotected (spare shortage
+        # during reconfiguration); queue them for re-protection.
+        for connection_id in service.unprotected_ids():
+            if service.queue_backup_reestablishment(connection_id):
+                self._start_waiting(connection_id, now)
+        self.sweep_waiting(now)
+
+    def settle(self) -> None:
+        """Adversity over: repair every link, re-flood, and drain the
+        re-protection queue."""
+        service, duration = self.service, self.config.duration
+        with step_span("settle", duration):
+            for link_id in sorted(service.state.failed_links()):
+                service.repair_link(link_id)
+            service.database.refresh()
+            progress = True
+            while progress and self.waiting_since:
+                progress = False
+                for connection_id in sorted(self.waiting_since):
+                    if not service.has_connection(connection_id):
+                        self._resolve(connection_id, _DEPARTED, duration)
+                        progress = True
+                    elif service.reestablish_backup(connection_id):
+                        self._resolve(connection_id, _REPROTECTED, duration)
+                        progress = True
+            service.check_invariants()
+            self.report.invariant_checks += 1
 
 
 def run_campaign(
@@ -162,192 +306,24 @@ def run_campaign(
         duration=config.duration,
         srlg_mode=config.srlg,
     )
-    engine = Engine()
-
-    # Connection ids currently waiting for re-protection -> the time
-    # they became unprotected; which of them were *admitted* degraded
-    # (the set the headline recovery ratio is over); and each degraded
-    # admission's first-resolution outcome.  A connection can wait more
-    # than once (a later failure may strip a regained backup) — every
-    # wait is retried and timed, but the ratio counts first outcomes.
-    waiting_since: Dict[int, float] = {}
-    degraded_admitted: set = set()
-    first_outcome: Dict[int, str] = {}
-
-    def resolve(connection_id: int, outcome: str, now: float) -> None:
-        since = waiting_since.pop(connection_id, None)
-        if since is None:
-            return
-        first_outcome.setdefault(connection_id, outcome)
-        if outcome == _REPROTECTED:
-            report.recovery_latencies.append(now - since)
-
-    def sweep_waiting(now: float) -> None:
-        """Settle any waiting connection whose fate changed sideways:
-        re-protected by failure reconfiguration, or gone."""
-        for connection_id in list(waiting_since):
-            if not service.has_connection(connection_id):
-                resolve(connection_id, _DEPARTED, now)
-                continue
-            conn = service.connection(connection_id)
-            if not conn.is_active:
-                resolve(connection_id, _DEPARTED, now)
-            elif conn.backup is not None:
-                resolve(connection_id, _REPROTECTED, now)
-
-    def start_waiting(connection_id: int, now: float) -> None:
-        if connection_id in waiting_since:
-            return
-        waiting_since[connection_id] = now
-        schedule_retry(connection_id)
-
-    def schedule_retry(connection_id: int) -> None:
-        interval = config.backup_retry_interval
-
-        def attempt() -> None:
-            now = engine.now
-            if not service.has_connection(connection_id):
-                resolve(connection_id, _DEPARTED, now)
-                return
-            with _step("retry", now):
-                restored = service.reestablish_backup(connection_id)
-            if restored:
-                resolve(connection_id, _REPROTECTED, now)
-                return
-            if now + interval <= config.duration:
-                engine.schedule_after(interval, attempt)
-
-        engine.schedule_after(interval, attempt)
-
-    # -- workload ---------------------------------------------------------
-    def arrive(request):
-        def action() -> None:
-            now = engine.now
-            with _step("arrive", now):
-                decision = service.admit(request)
-            if decision.accepted:
-                engine.schedule(request.departure_time, depart(request))
-                if decision.degraded:
-                    degraded_admitted.add(request.request_id)
-                    start_waiting(request.request_id, now)
-
-        return action
-
-    def depart(request):
-        def action() -> None:
-            now = engine.now
-            if service.has_connection(request.request_id):
-                with _step("depart", now):
-                    service.release(request.request_id)
-            resolve(request.request_id, _DEPARTED, now)
-
-        return action
-
-    for request in scenario.requests:
-        engine.schedule(request.arrival_time, arrive(request))
-
-    # -- injected faults --------------------------------------------------
-    def apply_fault(fault):
-        def action() -> None:
-            now = engine.now
-            with _step("fault", now, fault=fault.kind, links=fault.links):
-                if fault.kind in (FLAP_DOWN, BURST_DOWN):
-                    for link_id in fault.links:
-                        if not service.state.is_link_failed(link_id):
-                            service.fail_link(link_id, reconfigure=True)
-                elif fault.kind == REGIONAL_DOWN:
-                    # The whole region dies at once: one activation round
-                    # over the surviving spare (simultaneous semantics),
-                    # not a per-link cascade.
-                    fresh = [
-                        link_id
-                        for link_id in fault.links
-                        if not service.state.is_link_failed(link_id)
-                    ]
-                    if fresh:
-                        service.fail_link_set(fresh, reconfigure=True)
-                elif fault.kind in (FLAP_UP, BURST_UP, REGIONAL_UP):
-                    for link_id in fault.links:
-                        if service.state.is_link_failed(link_id):
-                            service.repair_link(link_id)
-                elif fault.kind == STALENESS:
-                    service.database.inject_staleness()
-                elif fault.kind == REFRESH:
-                    service.database.refresh()
-            report.faults_injected[fault.kind] = (
-                report.faults_injected.get(fault.kind, 0) + 1
-            )
-            # The campaign's core guarantee: no injected fault may ever
-            # corrupt the cross-layer resource accounting.
-            service.check_invariants()
-            report.invariant_checks += 1
-            # Failures can strand survivors unprotected (spare shortage
-            # during reconfiguration); queue them for re-protection.
-            for connection_id in service.unprotected_ids():
-                if service.queue_backup_reestablishment(connection_id):
-                    start_waiting(connection_id, now)
-            sweep_waiting(now)
-
-        return action
-
-    for fault in injector.schedule(
-        network, config.duration, risk_groups=risk_groups
-    ):
-        if fault.time < config.duration:
-            engine.schedule(fault.time, apply_fault(fault))
-
-    # -- residual-unprotection sampling -----------------------------------
-    def sample() -> None:
-        report.unprotected_samples.append(
-            (
-                engine.now,
-                len(service.unprotected_ids()),
-                service.active_connection_count,
-            )
-        )
-
-    for index in range(config.unprotected_samples):
-        time = config.duration * (index + 1) / config.unprotected_samples
-        engine.schedule(min(time, config.duration), sample)
-
-    engine.run(until=config.duration)
-
-    # -- settle: adversity over, drain the re-protection queue ------------
-    sweep_waiting(config.duration)
-    if config.settle and waiting_since:
-        with _step("settle", config.duration):
-            for link_id in sorted(service.state.failed_links()):
-                service.repair_link(link_id)
-            service.database.refresh()
-            progress = True
-            while progress and waiting_since:
-                progress = False
-                for connection_id in sorted(waiting_since):
-                    if not service.has_connection(connection_id):
-                        resolve(connection_id, _DEPARTED, config.duration)
-                        progress = True
-                    elif service.reestablish_backup(connection_id):
-                        resolve(connection_id, _REPROTECTED, config.duration)
-                        progress = True
-            service.check_invariants()
-            report.invariant_checks += 1
+    campaign = _Campaign(
+        service, config,
+        injector.schedule(network, config.duration, risk_groups=risk_groups),
+        report,
+    )
+    ScenarioSimulator(
+        service, scenario, warmup=0.0,
+        snapshot_count=config.unprotected_samples,
+    ).run(observers=(campaign,))
+    campaign.sweep_waiting(config.duration)
+    if config.settle and campaign.waiting_since:
+        campaign.settle()
 
     # -- fill the report --------------------------------------------------
+    outcomes = list(campaign.first_outcome.values())
     report.absorb_counters(service.counters.to_dict())
     report.final_active = service.active_connection_count
-    report.degraded_reprotected = sum(
-        1
-        for connection_id in degraded_admitted
-        if first_outcome.get(connection_id) == _REPROTECTED
-    )
-    report.degraded_departed_unprotected = sum(
-        1
-        for connection_id in degraded_admitted
-        if first_outcome.get(connection_id) == _DEPARTED
-    )
-    report.degraded_unresolved = (
-        len(degraded_admitted)
-        - report.degraded_reprotected
-        - report.degraded_departed_unprotected
-    )
+    report.degraded_reprotected = outcomes.count(_REPROTECTED)
+    report.degraded_departed_unprotected = outcomes.count(_DEPARTED)
+    report.degraded_unresolved = outcomes.count(None)
     return report

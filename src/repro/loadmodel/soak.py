@@ -1,12 +1,13 @@
 """Long-horizon churn driver: the engine behind ``repro soak``.
 
-The soak loop is deliberately *not* the scenario simulator: a scenario
-materializes every request up front and pre-schedules every arrival in
-the event heap, which is exactly the memory profile a 10^6-admission
-run cannot afford.  Here requests *stream* from a
-:class:`~repro.loadmodel.trace.ProductionTraceGenerator`, only the
-departures of currently-live connections sit in a heap (bounded by the
-steady-state population), and all measurement is windowed: per-window
+The soak is an observer on the scenario simulator's one replay loop
+(:class:`~repro.simulation.simulator.ScenarioSimulator`).  Requests
+*stream* from a
+:class:`~repro.loadmodel.trace.ProductionTraceGenerator` into a
+scenario with no horizon, which the loop pulls one arrival at a time
+and ends right after the last one; only the departures of
+currently-live connections sit in its event heap (bounded by the
+steady-state population).  All measurement is windowed: per-window
 aggregates, streaming latency moments, a fixed-size latency reservoir,
 and RSS samples — nothing grows with the admission count.
 
@@ -18,14 +19,16 @@ records; the determinism tests rely on this fingerprint.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.streaming import Reservoir, StreamingMoments
 from ..core.service import DRTPService
+from ..simulation.scenario import Scenario
+from ..simulation.simulator import Observer, ScenarioSimulator
 from .rss import current_rss_bytes, peak_rss_bytes
 from .trace import ProductionTraceGenerator
 
@@ -51,16 +54,12 @@ class WindowStats:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly record for the soak report."""
-        return {
-            "index": self.index,
-            "admissions": self.admissions,
-            "accepted": self.accepted,
-            "sim_time": round(self.sim_time, 3),
-            "active": self.active,
-            "rss_bytes": self.rss_bytes,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "admissions_per_second": round(self.admissions_per_second, 1),
-        }
+        return dict(
+            asdict(self),
+            sim_time=round(self.sim_time, 3),
+            wall_seconds=round(self.wall_seconds, 3),
+            admissions_per_second=round(self.admissions_per_second, 1),
+        )
 
 
 @dataclass
@@ -96,25 +95,16 @@ class SoakReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly report (what ``soak.json`` archives)."""
-        return {
-            "admissions": self.admissions,
-            "accepted": self.accepted,
-            "acceptance_ratio": round(self.acceptance_ratio, 4),
-            "releases": self.releases,
-            "final_active": self.final_active,
-            "sim_time": round(self.sim_time, 1),
-            "wall_seconds": round(self.wall_seconds, 2),
-            "admissions_per_second": round(self.admissions_per_second, 1),
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "decision_checksum": self.decision_checksum,
-            "windows": self.windows,
-            "connections": self.connections,
-            "latency": self.latency,
-            "latency_quantiles": self.latency_quantiles,
-        }
+        return dict(
+            asdict(self),
+            acceptance_ratio=round(self.acceptance_ratio, 4),
+            sim_time=round(self.sim_time, 1),
+            wall_seconds=round(self.wall_seconds, 2),
+            admissions_per_second=round(self.admissions_per_second, 1),
+        )
 
 
-class SoakEngine:
+class SoakEngine(Observer):
     """Streams admissions through a service to a target churn count.
 
     ``window`` is the admission count per measurement window;
@@ -143,74 +133,57 @@ class SoakEngine:
         if max_admissions <= 0:
             raise ValueError("max_admissions must be positive")
         service = self.service
-        departures: List[Tuple[float, int]] = []
-        checksum = hashlib.sha256()
-        latency = StreamingMoments()
-        reservoir = Reservoir(self.reservoir_capacity, random.Random(0))
-        windows: List[Dict[str, Any]] = []
-        accepted = 0
-        releases = 0
-        sim_time = 0.0
-        window_accepted = 0
-        window_started = perf_counter()
-        run_started = window_started
+        counters = service.counters
+        before = counters.requests, counters.accepted, counters.released
+        self._checksum = hashlib.sha256()
+        self._latency = StreamingMoments()
+        self._reservoir = Reservoir(self.reservoir_capacity, random.Random(0))
+        self._windows: List[Dict[str, Any]] = []
+        self._sim_time = 0.0
+        #: Wall clock and accepted count when the open window began.
+        self._window_wall = started = perf_counter()
+        self._window_accepted = counters.accepted
 
-        for admissions in range(1, max_admissions + 1):
-            request = next(self.generator)
-            sim_time = request.arrival_time
-            while departures and departures[0][0] <= sim_time:
-                _, connection_id = heapq.heappop(departures)
-                # A failure campaign may have torn the connection down.
-                if service.has_connection(connection_id):
-                    service.release(connection_id)
-                    releases += 1
-            started = perf_counter()
-            decision = service.admit(request)
-            elapsed = perf_counter() - started
-            latency.push(elapsed)
-            reservoir.push(elapsed)
-            checksum.update(
-                "{}:{}\n".format(
-                    request.request_id, int(decision.accepted)
-                ).encode()
-            )
-            if decision.accepted:
-                accepted += 1
-                window_accepted += 1
-                heapq.heappush(
-                    departures,
-                    (request.arrival_time + request.holding_time,
-                     request.request_id),
-                )
-            if admissions % self.window == 0:
-                now = perf_counter()
-                stats = WindowStats(
-                    index=len(windows),
-                    admissions=self.window,
-                    accepted=window_accepted,
-                    sim_time=sim_time,
-                    active=service.active_connection_count,
-                    rss_bytes=current_rss_bytes(),
-                    wall_seconds=now - window_started,
-                )
-                windows.append(stats.to_dict())
-                if self.progress is not None:
-                    self.progress(stats)
-                window_accepted = 0
-                window_started = now
-
-        wall = perf_counter() - run_started
-        return SoakReport(
-            admissions=max_admissions,
-            accepted=accepted,
-            releases=releases,
-            final_active=service.active_connection_count,
-            sim_time=sim_time,
-            wall_seconds=wall,
-            peak_rss_bytes=peak_rss_bytes(),
-            decision_checksum=checksum.hexdigest(),
-            windows=windows,
-            connections=service.connection_store_stats(),
-            latency=latency.as_dict(),
-            latency_quantiles=reservoir.as_dict(),
+        stream = Scenario(
+            requests=islice(self.generator, max_admissions), duration=None
         )
+        ScenarioSimulator(service, stream).run(observers=(self,))
+        return SoakReport(
+            admissions=counters.requests - before[0],
+            accepted=counters.accepted - before[1],
+            releases=counters.released - before[2],
+            final_active=service.active_connection_count,
+            sim_time=self._sim_time,
+            wall_seconds=perf_counter() - started,
+            peak_rss_bytes=peak_rss_bytes(),
+            decision_checksum=self._checksum.hexdigest(),
+            windows=self._windows,
+            connections=service.connection_store_stats(),
+            latency=self._latency.as_dict(),
+            latency_quantiles=self._reservoir.as_dict(),
+        )
+
+    def on_admission(self, service, request, decision, seconds) -> None:
+        self._sim_time = request.arrival_time
+        self._latency.push(seconds)
+        self._reservoir.push(seconds)
+        self._checksum.update(
+            "{}:{}\n".format(
+                request.request_id, int(decision.accepted)
+            ).encode()
+        )
+        if self._latency.count % self.window == 0:
+            now, accepted = perf_counter(), service.counters.accepted
+            stats = WindowStats(
+                index=len(self._windows),
+                admissions=self.window,
+                accepted=accepted - self._window_accepted,
+                sim_time=self._sim_time,
+                active=service.active_connection_count,
+                rss_bytes=current_rss_bytes(),
+                wall_seconds=now - self._window_wall,
+            )
+            self._windows.append(stats.to_dict())
+            if self.progress is not None:
+                self.progress(stats)
+            self._window_wall, self._window_accepted = now, accepted

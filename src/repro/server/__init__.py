@@ -12,12 +12,12 @@ something traffic can be pointed at:
   TCP/Unix-socket server that answers each read's burst of requests
   inside one protocol callback, so every mutation of the shared
   :class:`~repro.core.service.DRTPService` is applied in arrival order
-  on the one event loop, with coalesced link-state refreshes, graceful
-  SIGTERM drain and a final metrics manifest;
+  on the one event loop against a live link-state database, with a
+  graceful SIGTERM drain and a final metrics manifest;
 * :mod:`repro.server.loadgen` — a deterministic async load generator
   (Poisson arrivals, hold times, fault mix via
   :class:`~repro.faults.plan.FaultPlan`) plus a sequential reference
-  replay for differential acceptance-ratio checks.
+  replay whose decisions the server's must equal exactly.
 
 Everything is stdlib-only, like the rest of the control plane.
 """

@@ -16,11 +16,8 @@ loop runs one burst at a time: the shared
 serialized history and need no locks, and a read always sees every
 mutation answered before it.
 
-A snapshot-mode database is re-flooded once ahead of each maximal run
-of consecutive mutations in a burst that holds an admission (a read
-ends a run), so back-to-back admissions share one refresh — the
-``drtp_server_db_refreshes_coalesced_total`` counter records how many
-re-floods this saves.  Runs of different connections are never merged.
+The server routes on a live link-state database only, so a decision
+never depends on how the socket stream was split into bursts.
 
 Backpressure is the transport's: a connection whose unread answers
 pass the write buffer's high-water mark stops being read until they
@@ -77,8 +74,6 @@ class ServerStats:
     protocol_errors: int = 0
     internal_errors: int = 0
     connections_total: int = 0
-    refreshes: int = 0
-    refreshes_coalesced: int = 0
     batches: int = 0
     drained_clean: bool = False
 
@@ -116,6 +111,8 @@ class ControlPlaneServer:
             raise ValueError(
                 "exactly one of socket_path or host must be given"
             )
+        if not service.database.live:
+            raise ValueError("the server routes on a live database only")
         self.service = service
         if metrics is None:
             metrics = getattr(service, "metrics", None) or ServiceMetrics()
@@ -175,12 +172,6 @@ class ControlPlaneServer:
              "client connections accepted"),
             ("batches", "drtp_server_batches_total",
              "runs of consecutive mutations applied from one burst"),
-            ("refreshes", "drtp_server_db_refreshes_total",
-             "link-state refreshes run ahead of a run's admissions "
-             "(snapshot-mode databases only)"),
-            ("refreshes_coalesced",
-             "drtp_server_db_refreshes_coalesced_total",
-             "redundant link-state refreshes avoided by batch coalescing"),
         ):
             registry.counter(name, help_text).collect_with(
                 partial(getattr, stats, tally)
@@ -322,11 +313,9 @@ class ControlPlaneServer:
     # Answering a burst
     # ------------------------------------------------------------------
     def _answer_burst(self, lines) -> bytes:
-        """Answer one burst of request lines, in order, as one payload.
-
-        Every line is decoded first, so a run of consecutive mutations
-        is known whole before its first one is applied (its refresh
-        goes ahead of it); then each request is answered in turn.
+        """Answer one burst of request lines, in order, as one payload;
+        each run of consecutive mutations (a read ends it) counts as
+        one batch.
 
         With a trace collector bound the burst is a ``server.batch``
         span, each decoded request a ``server.op`` span around its
@@ -337,29 +326,23 @@ class ControlPlaneServer:
             trace.span("server.batch", category="server", lines=len(lines))
             if trace is not None else UNTRACED
         ) as batch_span:
-            requests = []  # a Request, or the ProtocolError of its line
+            out = []
+            in_run = False
             for raw in lines:
                 raw = raw.strip()
                 if not raw:
                     continue
                 try:
-                    requests.append(protocol.decode_request(
+                    request = protocol.decode_request(
                         raw.decode("utf-8", errors="replace")
-                    ))
-                except ProtocolError as exc:
-                    requests.append(exc)
-            out = []
-            in_run = False
-            for index, request in enumerate(requests):
-                if isinstance(request, ProtocolError):
-                    out.append(
-                        self._error_response(request.request_id, request)
                     )
+                except ProtocolError as exc:
+                    out.append(self._error_response(exc.request_id, exc))
                     continue
                 self.stats.record_op(request.op)
                 mutates = request.op in protocol.MUTATING_OPS
                 if mutates and not in_run:
-                    self._open_run(requests, index)
+                    self.stats.batches += 1
                 in_run = mutates
                 # The label name ``op`` matches the
                 # drtp_server_requests_total{op=} metric.
@@ -375,29 +358,6 @@ class ControlPlaneServer:
             if batch_span is not None:
                 batch_span.tag(response_bytes=len(payload))
         return payload
-
-    def _open_run(self, requests, start: int) -> None:
-        """Count the run of mutations that starts at ``requests[start]``
-        (a read ends it) and re-flood a snapshot database once ahead
-        of it when it holds an admission.
-
-        Live databases converge instantly (refresh is a no-op), so
-        only snapshot-mode services pay, and they pay once per run
-        instead of once per admission."""
-        self.stats.batches += 1
-        if self.service.database.live:
-            return
-        admits = 0
-        for request in requests[start:]:
-            if isinstance(request, ProtocolError):
-                continue
-            if request.op in protocol.READ_OPS:
-                break
-            admits += request.op == "admit"
-        if admits:
-            self.service.refresh_database()
-            self.stats.refreshes += 1
-            self.stats.refreshes_coalesced += admits - 1
 
     def _answer(self, request: Request, mutates: bool,
                 op_span) -> Tuple[bool, bytes]:
@@ -513,7 +473,6 @@ class ControlPlaneServer:
             "scheme": self.service.scheme.name,
             "nodes": network.num_nodes,
             "links": network.num_links,
-            "live_database": self.service.database.live,
             "active_connections": self.service.active_connection_count,
             "unprotected": len(self.service.unprotected_ids()),
             "pending_backups": len(self.service.pending_backup_ids()),

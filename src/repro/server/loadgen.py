@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import ConnectionStateError
 from ..faults.injector import (
     BURST_DOWN,
     BURST_UP,
@@ -42,7 +41,7 @@ from ..simulation.arrivals import (
     PoissonArrivalProcess,
 )
 from ..simulation.rng import derive_seed, seeded_rng
-from . import protocol
+from . import ops, protocol
 
 __all__ = [
     "LoadGenConfig",
@@ -524,44 +523,29 @@ def run_sequential_reference(service, timeline) -> Dict[str, Any]:
     """Replay a timeline directly on a :class:`DRTPService`.
 
     The in-process twin of what the server does for a single pipelined
-    client: same operations, same order, same service semantics
+    client: the same :mod:`repro.server.ops` commits in the same order
     (releases of departed connections are no-ops, repairs are
-    idempotent).  With a live link-state database the decision trace
-    is *exactly* the server's; in snapshot mode the server's per-batch
-    refresh coalescing can refresh less often than this per-admit
-    replay, so compare ratios with a tolerance there.
+    idempotent), tallied as a live run tallies its answers, so the
+    decision trace is *exactly* the server's.
     """
+    report = LoadReport()
     decisions: Dict[int, int] = {}
-    admits = accepted = 0
     for event in timeline:
         if event.op == "admit":
-            service.refresh_database()
-            decision = service.request(
-                event.args["source"],
-                event.args["destination"],
-                event.args["bw"],
-                holding_time=event.args.get("hold", float("inf")),
-                request_id=event.args["request_id"],
-            )
-            admits += 1
-            if decision.accepted:
-                accepted += 1
-            decisions[event.args["request_id"]] = int(decision.accepted)
+            body = ops.apply_admit(service, event.args)
         elif event.op == "release":
-            try:
-                service.release(event.args["connection"])
-            except ConnectionStateError:
-                pass
+            body = ops.apply_release(service, event.args["connection"])
         elif event.op == "fail_link":
-            service.fail_link(event.args["link"])
+            body = ops.apply_fail_link(service, event.args["link"])
         elif event.op == "repair_link":
-            service.repair_link(event.args["link"])
+            body = ops.apply_repair_link(service, event.args["link"])
         else:  # pragma: no cover - timeline only holds the four ops
             raise ValueError("unexpected op {!r}".format(event.op))
+        _tally(report, decisions, event, body)
     return {
-        "admits": admits,
-        "accepted": accepted,
-        "acceptance_ratio": accepted / admits if admits else 0.0,
+        "admits": report.admits,
+        "accepted": report.accepted,
+        "acceptance_ratio": report.acceptance_ratio,
         "decisions": [decisions[rid] for rid in sorted(decisions)],
         "counters": {
             "requests": service.counters.requests,

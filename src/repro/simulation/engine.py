@@ -67,13 +67,13 @@ class Engine:
         action()
         return True
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: Optional[float] = None, before: bool = False) -> None:
         """Run events in order; stop when the queue empties or the
-        next event lies beyond ``until`` (clock then advances to
-        ``until``)."""
+        next event lies beyond ``until`` — or at it, with ``before``
+        (clock then advances to ``until``)."""
         while self._heap:
             time = self._heap[0][0]
-            if until is not None and time > until:
+            if until is not None and (time >= until if before else time > until):
                 break
             self.step()
         if until is not None and until > self._now:

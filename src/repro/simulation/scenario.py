@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..core.connection import ConnectionRequest
 from .arrivals import HoldingTimeDistribution, PoissonArrivalProcess
@@ -45,17 +45,17 @@ class LinkEvent:
 @dataclass
 class Scenario:
     """An immutable-by-convention request trace, optionally with a
-    schedule of link failures/repairs (for failure-injection runs)."""
+    schedule of link failures/repairs (for failure-injection runs).
 
-    requests: List[ConnectionRequest]
-    duration: float
+    ``requests`` must come in arrival order; the replay checks that as
+    it pulls them, so a streamed iterator serves as well as a list.
+    ``duration=None`` means no horizon: the replay ends right after the
+    last arrival."""
+
+    requests: Iterable[ConnectionRequest]
+    duration: Optional[float]
     metadata: Dict[str, Any] = field(default_factory=dict)
     link_events: List[LinkEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        times = [request.arrival_time for request in self.requests]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("scenario requests must be sorted by arrival time")
 
     @property
     def num_requests(self) -> int:

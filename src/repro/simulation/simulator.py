@@ -1,36 +1,62 @@
-"""ScenarioSimulator — replay a request trace against a DRTP service.
+"""ScenarioSimulator — replay a request stream against a DRTP service.
 
 The simulator is the glue between a :class:`~repro.simulation.scenario.Scenario`
 (what happens) and a :class:`~repro.core.service.DRTPService` (who
 handles it): arrivals become admission attempts, accepted connections
-get departure events, and at scheduled snapshot instants the attached
-observers measure whatever they care about (fault tolerance, load,
-spare overhead ...).
+get departure events, and the attached observers measure whatever they
+care about (fault tolerance, load, spare overhead ...).  It is the one
+loop from a request stream to service calls — the chaos campaign and
+the soak are observers on it — and it pulls arrivals one at a time, so
+a streamed scenario stays flat in memory.
 
 Replaying the *same* scenario against services that differ only in
 routing scheme is the paper's comparison methodology; determinism end
 to end (seeded scenario, deterministic routing tie-breaks, FIFO event
-ordering) makes those comparisons exact.
+ordering, an arrival ahead of every other event at its instant) makes
+those comparisons exact.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from time import perf_counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.service import DRTPService
+from ..observability import UNTRACED, current_span
 from .engine import Engine
 from .scenario import Scenario
 from .snapshots import snapshot_times
 
 
-class Observer(abc.ABC):
-    """Measurement hook invoked at every snapshot instant."""
+class Observer:
+    """Hooks a replay calls; each default does nothing."""
 
-    @abc.abstractmethod
+    def on_start(self, engine: Engine) -> None:
+        """Before the first event; an event source schedules here."""
+
     def on_snapshot(self, service: DRTPService, time: float) -> None:
-        """Inspect (never mutate) the service state."""
+        """Inspect (never mutate) the service state at a snapshot."""
+
+    def on_admission(self, service, request, decision, seconds) -> None:
+        """After each admission; ``seconds`` is its wall time."""
+
+    def on_departure(self, service, request) -> None:
+        """At each accepted request's departure."""
+
+
+def step_span(name: str, time: float, **tags: Any):
+    """The span a replay action runs in: ``<category>.<name>`` at
+    simulated ``time``, a child of the open span when that one is named
+    in its own category (``chaos.campaign``), else
+    :data:`~repro.observability.UNTRACED` (as under a test's root)."""
+    parent = current_span()
+    if parent is None or not parent.name.startswith(parent.category + "."):
+        return UNTRACED
+    return parent.child(
+        parent.category + "." + name, parent.category, time=time, **tags
+    )
 
 
 @dataclass
@@ -38,8 +64,8 @@ class SimulationResult:
     """Summary of one scenario replay."""
 
     scheme: str
-    duration: float
-    warmup: float
+    duration: Optional[float]
+    warmup: Optional[float]
     requests: int = 0
     accepted: int = 0
     rejected: Dict[str, int] = field(default_factory=dict)
@@ -81,10 +107,14 @@ class ScenarioSimulator:
         """``database_refresh_interval`` (seconds) schedules periodic
         link-state re-floods for services built with
         ``live_database=False`` — the knob for studying routing under
-        stale link-state information."""
+        stale link-state information.  ``snapshot_count=0`` takes no
+        snapshots, nor does a scenario with no horizon, which ends
+        right after its last arrival."""
         self.service = service
         self.scenario = scenario
-        self.warmup = warmup if warmup is not None else 0.5 * scenario.duration
+        if warmup is None and scenario.duration is not None:
+            warmup = 0.5 * scenario.duration
+        self.warmup = warmup
         self.snapshot_count = snapshot_count
         self.check_invariants = check_invariants
         if database_refresh_interval is not None and database_refresh_interval <= 0:
@@ -94,53 +124,81 @@ class ScenarioSimulator:
     def run(self, observers: Sequence[Observer] = ()) -> SimulationResult:
         engine = Engine()
         service = self.service
+        horizon = self.scenario.duration
+        check = self.check_invariants
         result = SimulationResult(
-            scheme=service.scheme.name,
-            duration=self.scenario.duration,
-            warmup=self.warmup,
+            scheme=service.scheme.name, duration=horizon, warmup=self.warmup
         )
 
-        def arrive(request):
-            def action() -> None:
-                if service.admit(request).accepted:
-                    engine.schedule(request.departure_time, depart(request))
-                if self.check_invariants:
-                    service.check_invariants()
-
-            return action
-
-        def depart(request):
-            def action() -> None:
-                # The connection may have died to an injected failure.
-                if service.has_connection(request.request_id):
+        def depart(request) -> None:
+            # The connection may have died to an injected failure.
+            if service.has_connection(request.request_id):
+                with step_span("depart", engine.now):
                     service.release(request.request_id)
-                if self.check_invariants:
-                    service.check_invariants()
+            if check:
+                service.check_invariants()
+            for observer in observers:
+                observer.on_departure(service, request)
 
-            return action
+        def snapshot() -> None:
+            result.active_samples.append(
+                (engine.now, service.active_connection_count)
+            )
+            for observer in observers:
+                observer.on_snapshot(service, engine.now)
 
-        for request in self.scenario.requests:
-            engine.schedule(request.arrival_time, arrive(request))
+        def link_event(event) -> None:
+            if event.action == "fail":
+                service.fail_link(event.link_id, reconfigure=True)
+            else:
+                service.repair_link(event.link_id)
+            if check:
+                service.check_invariants()
 
-        for time in snapshot_times(
-            self.scenario.duration, self.warmup, self.snapshot_count
-        ):
-            engine.schedule(time, self._snapshot(engine, observers, result))
+        interval = self.database_refresh_interval
 
+        def refresh() -> None:
+            service.refresh_database()
+            if horizon is None or engine.now + interval <= horizon:
+                engine.schedule_after(interval, refresh)
+
+        for observer in observers:
+            observer.on_start(engine)
+        if horizon is not None and self.snapshot_count:
+            for time in snapshot_times(
+                horizon, self.warmup, self.snapshot_count
+            ):
+                engine.schedule(time, snapshot)
         for event in self.scenario.link_events:
-            engine.schedule(event.time, self._link_event(event))
-
-        if self.database_refresh_interval is not None:
-            interval = self.database_refresh_interval
-
-            def refresh() -> None:
-                service.refresh_database()
-                if engine.now + interval <= self.scenario.duration:
-                    engine.schedule_after(interval, refresh)
-
+            engine.schedule(event.time, partial(link_event, event))
+        if interval is not None:
             engine.schedule(0.0, refresh)
 
-        engine.run(until=self.scenario.duration)
+        # Arrivals are pulled one at a time; each runs ahead of every
+        # other event at its instant.
+        for request in self.scenario.requests:
+            time = request.arrival_time
+            if horizon is not None and time > horizon:
+                break
+            if time < engine.now:
+                raise ValueError(
+                    "scenario requests must be sorted by arrival time"
+                )
+            engine.run(until=time, before=True)
+            with step_span("arrive", time):
+                started = perf_counter()
+                decision = service.admit(request)
+                seconds = perf_counter() - started
+            if decision.accepted:
+                engine.schedule(
+                    request.departure_time, partial(depart, request)
+                )
+            if check:
+                service.check_invariants()
+            for observer in observers:
+                observer.on_admission(service, request, decision, seconds)
+        if horizon is not None:
+            engine.run(until=horizon)
 
         counters = service.counters
         result.requests = counters.requests
@@ -149,25 +207,3 @@ class ScenarioSimulator:
         result.control_messages = counters.control_messages
         result.final_active = service.active_connection_count
         return result
-
-    def _link_event(self, event):
-        def action() -> None:
-            if event.action == "fail":
-                self.service.fail_link(event.link_id, reconfigure=True)
-            else:
-                self.service.repair_link(event.link_id)
-            if self.check_invariants:
-                self.service.check_invariants()
-
-        return action
-
-    def _snapshot(self, engine: Engine, observers, result: SimulationResult):
-        def action() -> None:
-            time = engine.now
-            result.active_samples.append(
-                (time, self.service.active_connection_count)
-            )
-            for observer in observers:
-                observer.on_snapshot(self.service, time)
-
-        return action

@@ -19,7 +19,8 @@ def snapshot_times(
 
     The first snapshot lands at ``warmup`` plus one spacing step (the
     instant ``warmup`` itself is still transient-adjacent), the last at
-    ``duration``.
+    ``duration`` exactly (a rounded step could push it past the
+    horizon, where a replay never runs it).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -31,6 +32,5 @@ def snapshot_times(
         )
     if count < 1:
         raise ValueError("need at least one snapshot")
-    span = duration - warmup
-    step = span / count
-    return [warmup + step * (index + 1) for index in range(count)]
+    step = (duration - warmup) / count
+    return [warmup + step * index for index in range(1, count)] + [duration]

@@ -8,6 +8,7 @@ backup or departs.  And running it twice from the same seed must
 produce bit-for-bit identical reports.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,19 @@ class TestDeterminism:
     def test_same_seed_is_bit_identical(self, report):
         rerun = run_campaign(PLAN, CONFIG, retry_policy=POLICY)
         assert rerun.to_dict() == report.to_dict()
+
+    def test_reports_are_pinned(self, report):
+        """Any reordering of same-time events changes these digests."""
+        cut = TestConduitCampaign.CUT_PLAN, TestConduitCampaign.CUT_CONFIG
+        digests = [
+            hashlib.sha256(json.dumps(
+                run.to_dict(), sort_keys=True).encode()).hexdigest()
+            for run in (report, run_campaign(*cut, retry_policy=POLICY))
+        ]
+        assert digests == [
+            "da05b65f205ba88320fa72b17b57a038dca69bf9fb4c06108c51506edea059ec",
+            "6a1981770cc217983d11a6bb88437f5f9fef9b0b28fb14bc3e9c5ac28e1a030e",
+        ]
 
     def test_report_round_trips_through_json(self, report):
         payload = json.loads(json.dumps(report.to_dict()))

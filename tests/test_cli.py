@@ -305,24 +305,6 @@ def test_no_backup_scheme_admits_without_a_backup(accepts, tmp_path, capsys):
 # ----------------------------------------------------------------------
 # One builder: every service the commands run comes from build_service
 # ----------------------------------------------------------------------
-def _start_server(tmp_path, *serve_args):
-    """``python -m repro.cli serve`` on a Unix socket; returns the
-    process and the socket once it listens."""
-    sock = tmp_path / "ctl.sock"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    serve = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--socket", str(sock),
-         *serve_args],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    deadline = time.monotonic() + 20
-    while not sock.exists():
-        assert serve.poll() is None and time.monotonic() < deadline
-        time.sleep(0.05)
-    return serve, sock
-
-
 class TestOneBuilder:
     """A harness rebinds ``repro.cli.DRTPService`` (as the end-to-end
     benchmark's traced server does) and sees every service a command
@@ -360,31 +342,6 @@ class TestOneBuilder:
         assert [service.network.num_nodes for service, _ in built] == [
             20, 20, 20, 20,
         ]
-
-    def test_loadtest_verify_twin_takes_the_servers_database_mode(
-        self, built, tmp_path, capsys
-    ):
-        serve, sock = _start_server(
-            tmp_path, "--rows", "4", "--cols", "4", "--snapshot-db",
-        )
-        try:
-            # A snapshot-routed server: the twin is built with
-            # live_database=False, as the server's status reports.
-            assert main(["loadtest", "--socket", str(sock), "--rate", "10",
-                         "--duration", "5", "--seed", "3", "--rows", "4",
-                         "--cols", "4", "--tolerance", "1",
-                         "--verify"]) == 0
-            serve.send_signal(signal.SIGTERM)
-            assert serve.wait(timeout=20) == 0
-        finally:
-            if serve.poll() is None:
-                serve.kill()
-                serve.wait()
-        capsys.readouterr()
-        ((twin, keyword),) = built
-        assert keyword["live_database"] is False
-        assert twin.scheme.name == "P-LSR"
-        assert twin.network.num_nodes == 16
 
     def test_one_construction_site(self):
         root = Path(repro.cli.__file__).parent

@@ -289,8 +289,8 @@ class TestOneEngine:
     def test_routes_are_searched_over_cost_arrays_only(self):
         """One route search: outside ``testing/`` (the naive
         reference) no module speaks the per-link cost-closure
-        vocabulary, and the only heaps besides the searches' are the
-        two event queues."""
+        vocabulary, and the only heap besides the searches' is the one
+        replay loop's event queue."""
         root = Path(repro.__file__).parent
         closure = re.compile(
             r"\bLinkCost\b|\blink_cost\b|\blink_allowed\b"
@@ -307,7 +307,6 @@ class TestOneEngine:
         assert speakers == []
         assert heaps == [
             "kernels/search.py",
-            "loadmodel/soak.py",
             "simulation/engine.py",
             "testing/reference.py",
         ]

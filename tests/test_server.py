@@ -1,9 +1,8 @@
 """Tests for the online control-plane server.
 
 Protocol unit tests, in-process server round-trips over a Unix
-socket, error handling for malformed input, refresh coalescing for
-snapshot-mode databases, graceful drain, and the SIGTERM-during-load
-subprocess integration test the issue requires.
+socket, error handling for malformed input, batch counting, graceful
+drain, and the SIGTERM-during-load subprocess integration test.
 """
 
 import asyncio
@@ -30,7 +29,7 @@ from repro.server import (
     encode_response,
 )
 from repro.server import app as app_module
-from repro.server import ops, protocol
+from repro.server import protocol
 from repro.topology import mesh_network
 
 
@@ -101,8 +100,7 @@ class TestProtocol:
 # ----------------------------------------------------------------------
 # In-process round-trips
 # ----------------------------------------------------------------------
-def run_session(tmp_path, raw_lines, *, live_database=True,
-                scheme=None, before_close=None):
+def run_session(tmp_path, raw_lines, *, scheme=None, before_close=None):
     """Serve a 4x4 mesh on a Unix socket, write ``raw_lines`` as one
     pipelined burst, read one response per line, shut down.  Returns
     ``(responses, server)`` where responses are decoded
@@ -111,8 +109,7 @@ def run_session(tmp_path, raw_lines, *, live_database=True,
     async def _run():
         net = mesh_network(4, 4, 10.0)
         service = DRTPService(
-            net, scheme if scheme is not None else DLSRScheme(),
-            live_database=live_database,
+            net, scheme if scheme is not None else DLSRScheme()
         )
         sock = str(tmp_path / "ctl.sock")
         server = ControlPlaneServer(service, socket_path=sock)
@@ -362,9 +359,7 @@ class TestServerRoundTrips:
             )
             for i in range(8)
         ] + [encode_request("status", request_id=99)]
-        responses, server = run_session(
-            tmp_path, lines, live_database=False, scheme=PLSRScheme(),
-        )
+        responses, server = run_session(tmp_path, lines, scheme=PLSRScheme())
         rids = [rid for rid, _, _ in responses]
         assert rids == list(range(8)) + [99]
         accepted = [body for _, ok, body in responses[:-1]
@@ -374,74 +369,14 @@ class TestServerRoundTrips:
         assert [body["connection"] for body in accepted] == list(range(8))
         status = responses[-1][2]
         assert status["counters"]["accepted"] == 8
-        # One burst -> one batch -> one snapshot refresh for all eight
-        # admissions (seven coalesced away).
-        assert server.stats.refreshes == 1
-        assert server.stats.refreshes_coalesced == 7
+        # One burst's run of eight admissions is one batch.
+        assert server.stats.batches == 1
 
-    def test_snapshot_refresh_runs_once_per_run_of_mutations(self, tmp_path):
-        # A read splits a burst's mutations into runs; each run that
-        # holds an admission is preceded by exactly one re-flood, taken
-        # before the run's first mutation (a release included).  The
-        # admissions are sized so that a stale snapshot changes the
-        # outcome: the decisions pin where the refreshes happen.
-        admit = {"source": 0, "destination": 3, "bw": 6.0}
-        burst = [
-            ("release", {"connection": 7}),
-            ("admit", admit),
-            ("admit", admit),
-            ("ping", {}),
-            ("admit", admit),
-            ("release", {"connection": 0}),
-        ]
-        responses, server = run_session(
-            tmp_path,
-            [encode_request(op, args, request_id=i)
-             for i, (op, args) in enumerate(burst)],
-            live_database=False,
-        )
-        assert [rid for rid, _, _ in responses] == list(range(len(burst)))
-        assert all(ok for _, ok, _ in responses)
-        assert (
-            server.stats.refreshes, server.stats.refreshes_coalesced,
-            server.stats.batches,
-        ) == (2, 1, 2)
-
-        # The same history on a bare service, refreshed at the head of
-        # each run, decides the same.
-        reference = DRTPService(
-            mesh_network(4, 4, 10.0), DLSRScheme(), live_database=False,
-        )
-        expected = []
-        for i, (op, args) in enumerate(burst):
-            if i in (0, 4):
-                reference.refresh_database()
-            if op == "admit":
-                expected.append(ops.apply_admit(reference, args))
-            elif op == "release":
-                expected.append(
-                    ops.apply_release(reference, args["connection"])
-                )
-            else:
-                expected.append({"pong": True, "draining": False})
-        assert [body for _, _, body in responses] == expected
-        # The second admission planned on the run's stale snapshot and
-        # failed at reservation; the third, after the next run's
-        # refresh, sees that no primary route is left.
-        assert [body.get("reason") for _, _, body in responses] == [
-            None, "ok", "primary-reservation-failed", None,
-            "no-primary-route", None,
-        ]
-        assert responses[0][2]["released"] is False
-        assert responses[-1][2]["released"] is True
-
-    def test_live_database_never_refreshes(self, tmp_path):
-        responses, server = run_session(tmp_path, [
-            encode_request("admit", {"source": 0, "destination": 15,
-                                     "bw": 1.0}, request_id=1),
-        ])
-        assert responses[0][1]
-        assert server.stats.refreshes == 0
+    def test_snapshot_database_is_refused(self):
+        service = DRTPService(mesh_network(4, 4, 10.0), DLSRScheme(),
+                              live_database=False)
+        with pytest.raises(ValueError, match="live database"):
+            ControlPlaneServer(service, socket_path="unused.sock")
 
     def test_status_reports_draining_during_shutdown(self, tmp_path):
         async def _run():

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine
 from hypothesis.stateful import initialize, invariant, rule
@@ -556,12 +556,19 @@ class ServiceMachine(RuleBasedStateMachine):
         assert self.state.fingerprint() == pristine
 
 
+#: Every phase but the shrink: the same examples run and fail, but a
+#: failure is reported as found instead of minimised through the
+#: oracle, which takes minutes.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 TestServiceMachine = ServiceMachine.TestCase
 TestServiceMachine.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
+    max_examples=40, stateful_step_count=30, deadline=None,
+    phases=NO_SHRINK,
 )
 #: The budget of an entry point that runs one slice of the machine.
-SLICE = settings(max_examples=10, stateful_step_count=30, deadline=None)
+SLICE = settings(max_examples=10, stateful_step_count=30, deadline=None,
+                 phases=NO_SHRINK)
 
 #: The walk checks the invariants after every this many rules.
 CHECK_EVERY = 25

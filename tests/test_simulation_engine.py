@@ -83,6 +83,16 @@ class TestEngine:
     def test_step_returns_false_when_empty(self):
         assert Engine().step() is False
 
+    def test_run_before_leaves_the_bound_instant(self):
+        engine = Engine()
+        log = []
+        engine.schedule(1.0, lambda: log.append("at"))
+        engine.schedule(0.5, lambda: log.append("before"))
+        engine.run(until=1.0, before=True)
+        assert log == ["before"] and engine.now == 1.0
+        engine.run(until=1.0)
+        assert log == ["before", "at"]
+
 
 class TestArrivals:
     def test_rate_validation(self):
@@ -129,6 +139,10 @@ class TestSnapshots:
     def test_evenly_spaced(self):
         times = snapshot_times(100.0, 0.0, 4)
         assert times == [25.0, 50.0, 75.0, 100.0]
+
+    def test_last_lands_on_the_horizon(self):
+        # 123.4 / 51 * 51 rounds past 123.4: a replay would skip it.
+        assert snapshot_times(123.4, 0.0, 51)[-1] == 123.4
 
     def test_validation(self):
         with pytest.raises(ValueError):

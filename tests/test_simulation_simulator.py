@@ -6,6 +6,7 @@ from repro.core import DRTPService
 from repro.routing import DLSRScheme, NoBackupScheme
 from repro.simulation import (
     Observer,
+    Scenario,
     ScenarioSimulator,
     generate_scenario,
 )
@@ -60,6 +61,31 @@ class TestReplay:
             t for t, _ in result.active_samples
         ]
 
+    def test_streamed_scenario_without_horizon_ends_at_its_last_arrival(
+        self
+    ):
+        requests = small_scenario(duration=8000.0).requests
+
+        class Hooks(Observer):
+            def __init__(self):
+                self.admitted, self.departed = [], []
+
+            def on_admission(self, service, request, decision, seconds):
+                self.admitted.append(request.request_id)
+
+            def on_departure(self, service, request):
+                self.departed.append(request.departure_time)
+
+        hooks = Hooks()
+        service = DRTPService(mesh_network(3, 3, 30.0), DLSRScheme())
+        result = ScenarioSimulator(
+            service, Scenario(requests=iter(requests), duration=None)
+        ).run(observers=(hooks,))
+        assert hooks.admitted == [r.request_id for r in requests]
+        assert max(hooks.departed) <= requests[-1].arrival_time
+        assert result.active_samples == []
+        assert result.final_active == service.active_connection_count > 0
+
     def test_invariant_checking_mode(self):
         net = mesh_network(3, 3, 30.0)
         service = DRTPService(net, DLSRScheme())
@@ -93,8 +119,6 @@ class TestReplay:
         assert result.mean_active_connections >= 0.0
 
     def test_empty_scenario(self):
-        from repro.simulation import Scenario
-
         service = DRTPService(mesh_network(3, 3, 30.0), DLSRScheme())
         result = ScenarioSimulator(
             service, Scenario(requests=[], duration=100.0), warmup=50.0

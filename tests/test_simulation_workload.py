@@ -126,11 +126,20 @@ class TestScenario:
         assert clone.requests[0] == scenario.requests[0]
 
     def test_sorted_requirement(self):
-        scenario = generate_scenario(20, 0.5, 300.0, seed=0)
+        # The replay checks the order as it pulls each arrival.
+        from repro.core import DRTPService
+        from repro.routing import DLSRScheme
+        from repro.simulation import ScenarioSimulator
+        from repro.topology import mesh_network
+
+        scenario = generate_scenario(16, 0.5, 300.0, seed=0)
         requests = list(reversed(scenario.requests))
         if len(requests) > 1:
+            service = DRTPService(mesh_network(4, 4, 30.0), DLSRScheme())
             with pytest.raises(ValueError):
-                Scenario(requests=requests, duration=300.0)
+                ScenarioSimulator(
+                    service, Scenario(requests=requests, duration=300.0)
+                ).run()
 
     def test_version_check(self):
         with pytest.raises(ValueError):

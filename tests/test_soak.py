@@ -38,6 +38,13 @@ def _engine(window=200, seed=3, progress=None):
 
 def test_soak_run_is_deterministic():
     first = _engine().run(1000)
+    # Pinned: any reordering of same-time events in the replay loop
+    # changes these.
+    assert first.decision_checksum == (
+        "cd2d5ccd8dffc7bcbd60968e01b35acb1771a4df4c9302eb81c3252b149f8aca"
+    )
+    assert (first.releases, first.final_active) == (491, 25)
+    assert first.sim_time == 146.33274807657378
     second = _engine().run(1000)
     assert first.decision_checksum == second.decision_checksum
     assert first.accepted == second.accepted
