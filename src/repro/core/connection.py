@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..network.state import BW_EPSILON
 from ..topology.graph import Route
 from .channel import Channel, ChannelRole
 from .errors import ConnectionStateError
@@ -31,9 +33,11 @@ class ConnectionRequest:
     def __post_init__(self) -> None:
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
-        if self.bw_req <= 0:
-            raise ValueError("bw_req must be positive")
-        if self.holding_time <= 0:
+        # Written so that NaN fails: every comparison with it is False.
+        if not BW_EPSILON < self.bw_req < math.inf:
+            raise ValueError("bw_req must be finite and above {}, got {!r}"
+                             .format(BW_EPSILON, self.bw_req))
+        if not self.holding_time > 0:
             raise ValueError("holding_time must be positive")
 
     @property

@@ -10,13 +10,15 @@ production does that, each as *validate-then-apply*:
 1. a read-only validation pass over the whole route decides the
    outcome (including which hop rejects) and raises
    :class:`~repro.network.state.ResourceError` for any broken
-   precondition — non-positive bandwidth, unknown link id,
-   out-of-range LSET position, key already registered, key not
-   registered / APLV underflow on release, primary over-release — or
+   precondition — a bandwidth that is not finite and above
+   ``BW_EPSILON``, unknown link id, out-of-range LSET position, key
+   already registered, key not registered / a stored LSET position
+   missing from the demand map on release, primary over-release — or
    :class:`~repro.core.errors.RecoveryError` for an activation whose
    spare cannot cover it, *before the first mutation*, so an error
    never strands a prefix;
-2. an apply pass fuses the APLV/CV/demand updates, backup-registry
+2. an apply pass fuses the demand-map updates (with ``||APLV||_1``
+   and the CV bits kept beside them), backup-registry
    writes, reservations and spare-pool resizes into one tight loop
    over the route;
 3. all change notifications are deferred to a single
@@ -52,7 +54,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..network.state import BW_EPSILON, NetworkState, ResourceError
+from ..network.state import (
+    BW_EPSILON,
+    NetworkState,
+    ResourceError,
+    require_bandwidth,
+)
 
 #: Lazily resolved ``(ResizeOutcome, SharedSparePolicy, RecoveryError)``
 #: — imported at first use so ``repro.kernels.apply`` can be imported
@@ -114,8 +121,7 @@ def _validate_register(
     and therefore ``hops_signaled`` — is exact.  Hops past a rejection
     are never reached, so only the hops before it are held to the
     unregistered-key precondition."""
-    if bw <= 0:
-        raise ResourceError("backup bandwidth must be positive")
+    require_bandwidth(bw, "backup bandwidth")
     if lset and not 0 <= min(lset) <= max(lset) < state.network.num_links:
         raise ResourceError(
             "primary LSET {} names a link outside the network".format(
@@ -177,6 +183,7 @@ def batch_register_walk(
     groups = state._risk_groups
     glist = tuple(groups.groups_of(lset)) if groups is not None else ()
     llen = len(lset)
+    glen = len(glist)
     # OR of the LSET's bits, computed once per walk: a hop's support
     # mask after registration is exactly ``mask | lset_mask`` (already
     # present positions keep their bits, fresh ones gain them).
@@ -189,20 +196,13 @@ def batch_register_walk(
     resizes: List = []
     append_resize = resizes.append
     for ledger in ledgers:
-        aplv = ledger._aplv
-        counts = aplv._counts
         demand = ledger._demand
         demand_get = demand.get
         dmax = ledger._demand_max
         holders = ledger._demand_max_holders
-        # Counter.update runs the increment loop in C; fresh positions
-        # (0 -> 1 crossings) are exactly the length growth.
-        before = len(counts)
-        counts.update(lset)
-        fresh = len(counts) - before
-        if fresh:
-            aplv._support_mask |= lset_mask
-            aplv._support_version += fresh
+        # Fresh positions (entering the support) are exactly the
+        # demand map's length growth.
+        before = len(demand)
         for pos in lset:
             held = demand_get(pos, 0.0)
             total = held + bw
@@ -213,16 +213,19 @@ def batch_register_walk(
                     holders = 1
                 elif held != total:
                     holders += 1
-        aplv._l1 += llen
+        fresh = len(demand) - before
+        if fresh:
+            ledger._support_mask |= lset_mask
+            ledger._support_version += fresh
+        ledger._l1 += llen
         ledger._demand_max = dmax
         ledger._demand_max_holders = holders
         if groups is not None:
-            gaplv = ledger._group_aplv
             gdemand = ledger._group_demand
             gdmax = ledger._group_demand_max
             gholders = ledger._group_demand_max_holders
+            ledger._group_l1 += glen
             for group in glist:
-                gaplv[group] = gaplv.get(group, 0) + 1
                 gheld = gdemand.get(group, 0.0)
                 gtotal = gheld + bw
                 gdemand[group] = gtotal
@@ -249,24 +252,11 @@ def batch_register_walk(
 # Backup release (teardown walk) and activation
 # ----------------------------------------------------------------------
 def _validate_release(ledgers: list, key):
-    """Pure reads: every hop holds the registration with positive APLV
-    counts on every stored LSET position, so the fused decrement can
+    """Pure reads: every hop holds the registration and every stored
+    LSET position is in its demand map, so the fused decrement can
     never underflow.  Returns the first hop's stored LSET."""
     for ledger in ledgers:
-        stored = ledger._backups.get(key)
-        if stored is None:
-            raise ResourceError(
-                "link {}: no backup registered for connection {}".format(
-                    ledger.link_id, key
-                )
-            )
-        counts = ledger._aplv._counts
-        for pos in stored[0]:
-            if counts.get(pos, 0) <= 0:
-                raise ResourceError(
-                    "link {}: releasing primary link {} not present in "
-                    "APLV".format(ledger.link_id, pos)
-                )
+        ledger._registered(key)
     return ledgers[0]._backups[key][0] if ledgers else frozenset()
 
 
@@ -276,54 +266,43 @@ def _bit_pairs(lset) -> list:
 
 def _unregister(ledger, key, walk_lset, walk_pairs: list, groups) -> None:
     """``release_backup``'s bookkeeping on one validated hop, minus its
-    version bump: one loop decrements the APLV, clears support bits
-    and lowers the demand map.  ``walk_pairs`` are the ``(position,
-    1 << position)`` pairs of ``walk_lset``, built once per walk: a
-    walk registered the same stored LSET object on every hop."""
+    version bump: one loop lowers the demand map, dropping the
+    positions no other backup holds and clearing their support bits.
+    ``walk_pairs`` are the ``(position, 1 << position)`` pairs of
+    ``walk_lset``, built once per walk: a walk registered the same
+    stored LSET object on every hop."""
     lset, bw = ledger._backups.pop(key)
     pairs = walk_pairs if lset is walk_lset else _bit_pairs(lset)
-    aplv = ledger._aplv
-    counts = aplv._counts
-    drop = counts.pop  # dict's, in C: Counter.__delitem__ is Python
-    mask = aplv._support_mask
+    mask = ledger._support_mask
     demand = ledger._demand
     peak = ledger._demand_max
     holders = ledger._demand_max_holders
     zeroed = 0
     for pos, bit in pairs:
-        count = counts[pos] - 1
-        if count:
-            counts[pos] = count
-        else:
-            drop(pos)
-            mask &= ~bit
-            zeroed += 1
         held = demand[pos]
         if held >= peak:
             holders -= 1
         held -= bw
         if held <= BW_EPSILON:
             del demand[pos]
+            mask &= ~bit
+            zeroed += 1
         else:
             demand[pos] = held
     if zeroed:
-        aplv._support_mask = mask
-        aplv._support_version += zeroed
-    aplv._l1 -= len(pairs)
+        ledger._support_mask = mask
+        ledger._support_version += zeroed
+    ledger._l1 -= len(pairs)
     ledger._demand_max_holders = holders
     if not holders:
         ledger._demand_max_stale = True
     if groups is not None:
-        gaplv = ledger._group_aplv
         gdemand = ledger._group_demand
         peak = ledger._group_demand_max
         holders = ledger._group_demand_max_holders
-        for group in groups.groups_of(lset):
-            count = gaplv[group] - 1
-            if count <= 0:
-                del gaplv[group]
-            else:
-                gaplv[group] = count
+        glist = groups.groups_of(lset)
+        ledger._group_l1 -= len(glist)
+        for group in glist:
             held = gdemand[group]
             if held >= peak:
                 holders -= 1
@@ -389,8 +368,7 @@ def batch_activate_walk(
     shortfall is computed before it.
     """
     _, SharedSparePolicy, RecoveryError = _core_types()
-    if bw <= 0:
-        raise ResourceError("primary reservation must be positive")
+    require_bandwidth(bw, "primary reservation")
     ledgers = _route_ledgers(state, link_ids)
     lset = _validate_release(ledgers, key)
     spares = []  # each hop's spare once it has covered the shortfall
@@ -448,8 +426,7 @@ def batch_reserve_primary(
     headroom, then apply in one fused loop.  ``False`` for an
     infeasible route (nothing mutated — what the hop-by-hop
     reserve/undo cycle leaves behind), ``True`` once reserved."""
-    if bw <= 0:
-        raise ResourceError("primary reservation must be positive")
+    require_bandwidth(bw, "primary reservation")
     ledgers = _route_ledgers(state, link_ids)
     for ledger in ledgers:
         # primary_headroom() verbatim: free_bw.
@@ -473,8 +450,7 @@ def batch_release_primary(
     replenishment (freed bandwidth may cover a spare deficit on the
     link).  Always ``True``; releasing more than a hop holds is an
     error."""
-    if bw <= 0:
-        raise ResourceError("primary release must be positive")
+    require_bandwidth(bw, "primary release")
     ledgers = _route_ledgers(state, link_ids)
     for ledger in ledgers:
         if bw > ledger._prime_bw + BW_EPSILON:

@@ -73,7 +73,7 @@ def _ledger_row(ledger) -> tuple:
     """A ledger's advertised quantities, in
     :meth:`CompiledLinkArrays.row` order."""
     return (
-        ledger.aplv.l1_norm,
+        ledger.aplv_l1(),
         ledger.support_mask(),
         ledger.primary_headroom(),
         ledger.backup_headroom(),
@@ -444,15 +444,14 @@ class CompiledLinkArrays:
                 width = self._cv_width
                 for link_id in self._dirty:
                     ledger = ledger_of(link_id)
-                    aplv = ledger._aplv
-                    l1[link_id] = aplv._l1
+                    l1[link_id] = ledger._l1
                     spare = ledger._spare_bw
                     free = ledger.capacity - ledger._prime_bw - spare
                     ph[link_id] = free
                     bh[link_id] = free + spare
                     offset = link_id * width
                     buf[offset:offset + width] = (
-                        aplv._support_mask.to_bytes(width, "little")
+                        ledger._support_mask.to_bytes(width, "little")
                     )
             else:
                 for link_id in self._dirty:

@@ -12,16 +12,23 @@ The L1-norm ``||APLV_i||_1`` drives P-LSR's link cost, the support
 maximum element sizes the spare-bandwidth reservation (Section 5: if
 any element exceeds ``SC_i``, conflicting backups share spare).
 
-The vector is maintained incrementally: when a backup is registered on
-``L_i``, the ``LSET`` of its *primary* (piggybacked on the
-backup-path register packet, Section 2.2) increments the matching
-positions; a release decrements them.  Representation is a sparse
-mapping because most of the N positions are zero in practice.
+When a backup is registered on ``L_i``, the ``LSET`` of its
+*primary* (piggybacked on the backup-path register packet, Section
+2.2) increments the matching positions; a release decrements them.
+Representation is a sparse mapping because most of the N positions
+are zero in practice.
+
+A link's ledger does not keep this vector: its bandwidth-weighted
+demand map has the same support, so the ledger keeps ``||APLV||_1``
+and the CV beside that map and rebuilds an :class:`APLV` from its
+backup registry (:meth:`APLV.from_lsets`) only for tests, fingerprints
+and the differential oracle's truth.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import FrozenSet, Iterable, Iterator, Tuple
 
 
@@ -36,28 +43,29 @@ class APLV:
         num_links: The network's total link count ``N`` (vector length).
     """
 
-    __slots__ = ("_num_links", "_counts", "_l1", "_support_version",
-                 "_support_mask")
+    __slots__ = ("_num_links", "_counts", "_l1")
 
     def __init__(self, num_links: int) -> None:
         if num_links <= 0:
             raise APLVError("num_links must be positive, got {}".format(num_links))
         self._num_links = num_links
-        # A Counter so the hot-path increment (`add_primary`) runs as
-        # one C-level update instead of a per-position Python loop.
+        # A Counter so `add_primary`'s increment runs as one C-level
+        # update instead of a per-position Python loop.
         self._counts: Counter = Counter()
         self._l1 = 0
-        self._support_version = 0
-        self._support_mask = 0
 
     @classmethod
     def from_lsets(cls, num_links: int, lsets: Iterable[Iterable[int]]) -> "APLV":
-        """Rebuild a vector from scratch out of every registered
-        primary ``LSET`` — the naive reference path the differential
-        oracle diffs the incrementally-maintained vectors against."""
+        """Build a vector from scratch out of every registered primary
+        ``LSET`` — how a ledger's APLV is read (the differential
+        oracle's truth)."""
         aplv = cls(num_links)
-        for lset in lsets:
-            aplv.add_primary(lset)
+        counts = aplv._counts
+        counts.update(chain.from_iterable(lsets))
+        if counts and not 0 <= min(counts) <= max(counts) < num_links:
+            for link_id in counts:
+                aplv._check_position(link_id)
+        aplv._l1 = sum(counts.values())
         return aplv
 
     # ------------------------------------------------------------------
@@ -66,23 +74,11 @@ class APLV:
     def add_primary(self, lset: Iterable[int]) -> None:
         """Register a backup on this link: increment every position in
         the backup's *primary* route link set."""
-        counts = self._counts
-        if type(lset) is not frozenset:
-            lset = tuple(lset)
-        # Positions crossing 0 -> 1 are exactly the ones absent from
-        # the counter; out-of-range ids can never already be counted,
-        # so bounds-checking the fresh positions checks every new id.
-        fresh = set(lset).difference(counts)
-        if fresh:
-            num_links = self._num_links
-            mask = 0
-            for link_id in fresh:
-                if not 0 <= link_id < num_links:
-                    self._check_position(link_id)
-                mask |= 1 << link_id
-            self._support_mask |= mask
-            self._support_version += len(fresh)
-        counts.update(lset)
+        lset = tuple(lset)
+        if lset and not 0 <= min(lset) <= max(lset) < self._num_links:
+            for link_id in lset:
+                self._check_position(link_id)
+        self._counts.update(lset)
         self._l1 += len(lset)
 
     def remove_primary(self, lset: Iterable[int]) -> None:
@@ -103,8 +99,6 @@ class APLV:
                 self._counts[link_id] = remaining
             else:
                 del self._counts[link_id]
-                self._support_version += 1
-                self._support_mask &= ~(1 << link_id)
             self._l1 -= 1
 
     def _check_position(self, link_id: int) -> None:
@@ -134,15 +128,6 @@ class APLV:
         return self._l1
 
     @property
-    def support_version(self) -> int:
-        """Counter that moves only when the *support* changes (a
-        position crossing 0).  Conflict Vectors depend on the support
-        alone, so a CV snapshot taken at version ``v`` stays valid for
-        as long as ``support_version == v`` — the invalidation key for
-        the cached per-link CV."""
-        return self._support_version
-
-    @property
     def max_element(self) -> int:
         """The worst-case number of simultaneous backup activations on
         this link caused by any single link failure; sizes the spare
@@ -154,14 +139,6 @@ class APLV:
     def support(self) -> FrozenSet[int]:
         """Positions with ``a_{i,j} > 0`` — the Conflict Vector bits."""
         return frozenset(self._counts)
-
-    @property
-    def support_mask(self) -> int:
-        """:meth:`support` as one int bitset (bit ``j`` set ⟺
-        ``a_{i,j} > 0``), maintained incrementally alongside the
-        counts — the O(1) row read the compiled kernel tables
-        (:mod:`repro.kernels`) sync from."""
-        return self._support_mask
 
     def conflict_count(self, lset: Iterable[int]) -> int:
         """Number of positions of ``lset`` already occupied, i.e. how
@@ -188,8 +165,6 @@ class APLV:
         clone = APLV(self._num_links)
         clone._counts = self._counts.copy()
         clone._l1 = self._l1
-        clone._support_version = self._support_version
-        clone._support_mask = self._support_mask
         return clone
 
     def __eq__(self, other: object) -> bool:

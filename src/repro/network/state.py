@@ -11,15 +11,17 @@ portion (``total_bw``, the link capacity here) is split between:
   new primaries, to spare growth, and to best-effort traffic.
 
 A ledger is mechanical: it enforces arithmetic invariants and keeps
-the link's APLV and backup registry consistent, but contains **no
-policy**.  Spare sizing policy (when to grow spare, what to do on
-shortage) lives in :mod:`repro.core.multiplexing`.
+the link's demand map (whose key set is the APLV's support) consistent
+with its backup registry, but contains **no policy**.  Spare sizing
+policy (when to grow spare, what to do on shortage) lives in
+:mod:`repro.core.multiplexing`.
 """
 
 from __future__ import annotations
 
+import math
 from operator import countOf
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..topology.graph import Network
 from ..topology.srlg import RiskGroupSet
@@ -32,6 +34,14 @@ BW_EPSILON = 1e-9
 
 class ResourceError(RuntimeError):
     """Raised when a reservation would violate a ledger invariant."""
+
+
+def require_bandwidth(bw: float, what: str) -> None:
+    """Raise unless ``bw`` is finite and above ``BW_EPSILON`` (a smaller
+    one vanishes from a demand map on release).  NaN fails too."""
+    if not BW_EPSILON < bw < math.inf:
+        raise ResourceError("{} must be finite and above {}, got {!r}"
+                            .format(what, BW_EPSILON, bw))
 
 
 def _peak(demand: Dict[int, float]) -> tuple:
@@ -51,14 +61,17 @@ class LinkLedger:
         "link_id",
         "capacity",
         "version",
+        "_num_links",
         "_prime_bw",
         "_spare_bw",
-        "_aplv",
         "_backups",
         "_demand",
+        "_l1",
+        "_support_mask",
+        "_support_version",
         "_risk_groups",
-        "_group_aplv",
         "_group_demand",
+        "_group_l1",
         "_on_change",
         "_cv_cache",
         "_cv_cache_version",
@@ -80,23 +93,30 @@ class LinkLedger:
         #: Bumped on every mutation; lets readers detect staleness
         #: without diffing the whole ledger.
         self.version = 0
+        self._num_links = num_links
         self._prime_bw = 0.0
         self._spare_bw = 0.0
-        self._aplv = APLV(num_links)
         # connection id -> (primary LSET, backup bandwidth)
         self._backups: Dict[int, tuple] = {}
         # position j -> total bandwidth of backups here whose primary
         # crosses L_j; the bandwidth-weighted APLV used to size spare.
+        # Every backup bandwidth exceeds BW_EPSILON, so its key set is
+        # the APLV's support: the CV (a bit set on entry, cleared on
+        # exit, each move bumping the CV cache's support version) and
+        # ||APLV||_1 are kept beside it.
         self._demand: Dict[int, float] = {}
+        self._l1 = 0
+        self._support_mask = 0
+        self._support_version = 0
         # Shared-risk view (populated only when an SRLG assignment is
-        # installed): group g -> number of backups here whose primary
-        # touches g, and group g -> total bandwidth those backups would
-        # claim if the whole group failed at once.  Bandwidth counts
-        # once per group however many of the group's links the primary
-        # crosses — the group failure takes them all down together.
+        # installed): group g -> total bandwidth those backups would
+        # claim if the whole group failed at once, and the group L1.
+        # Bandwidth counts once per group however many of the group's
+        # links the primary crosses — the group failure takes them all
+        # down together.
         self._risk_groups: Optional[RiskGroupSet] = None
-        self._group_aplv: Dict[int, int] = {}
         self._group_demand: Dict[int, float] = {}
+        self._group_l1 = 0
         # Change-notification hook (set by NetworkState) feeding the
         # dirty-link sets of incremental link-state databases.
         self._on_change: Optional[Callable[[int], None]] = None
@@ -144,26 +164,33 @@ class LinkLedger:
 
     @property
     def aplv(self) -> APLV:
-        """The link's live APLV (mutated only through this ledger)."""
-        return self._aplv
+        """The link's APLV, rebuilt from the backup registry on every
+        read (tests, :meth:`fingerprint`, the oracle's truth)."""
+        return APLV.from_lsets(
+            self._num_links, (lset for lset, _bw in self._backups.values())
+        )
+
+    def aplv_l1(self) -> int:
+        """``||APLV_i||_1`` — P-LSR's advertised scalar."""
+        return self._l1
 
     def conflict_vector(self) -> ConflictVector:
-        """The link's current CV, cached against the APLV's support
-        version: repeated reads on an unchanged support (the common
-        case between admissions) return the same immutable snapshot
-        instead of re-materializing the bit vector."""
-        version = self._aplv.support_version
+        """The link's current CV, cached against the support version:
+        repeated reads on an unchanged support (the common case
+        between admissions) return the same immutable snapshot instead
+        of re-materializing the bit vector."""
+        version = self._support_version
         if self._cv_cache is None or self._cv_cache_version != version:
-            self._cv_cache = ConflictVector.from_aplv(self._aplv)
+            self._cv_cache = ConflictVector(self._num_links, self._demand)
             self._cv_cache_version = version
         return self._cv_cache
 
     def support_mask(self) -> int:
         """The CV as one int bitset (bit ``j`` set ⟺ ``a_{i,j} > 0``)
         — the row format the compiled kernel tables
-        (:mod:`repro.kernels`) sync from.  O(1): the APLV maintains
-        the mask incrementally alongside its counts."""
-        return self._aplv.support_mask
+        (:mod:`repro.kernels`) sync from.  O(1): kept alongside the
+        demand map's key set."""
+        return self._support_mask
 
     def group_support_mask(self) -> int:
         """:meth:`group_support` as an int bitset over risk-group ids,
@@ -171,7 +198,7 @@ class LinkLedger:
         separate support counter)."""
         if self._gmask_cache_version != self.version:
             mask = 0
-            for group in self._group_aplv:
+            for group in self._group_demand:
                 mask |= 1 << group
             self._gmask_cache = mask
             self._gmask_cache_version = self.version
@@ -229,19 +256,41 @@ class LinkLedger:
         """Attach (or clear) the SRLG assignment and rebuild the
         per-group accounting from the live backup registry."""
         self._risk_groups = groups
-        self._group_aplv = {}
-        self._group_demand = {}
         self._group_demand_max_stale = True
-        if groups is not None:
-            for lset, bw in self._backups.values():
-                for group in groups.groups_of(lset):
-                    self._group_aplv[group] = (
-                        self._group_aplv.get(group, 0) + 1
-                    )
-                    self._group_demand[group] = (
-                        self._group_demand.get(group, 0.0) + bw
-                    )
+        if groups is None:
+            self._group_l1, self._group_demand = 0, {}
+        else:
+            self._group_l1, self._group_demand = self._registry_sums(
+                groups.groups_of
+            )
         self._touch()
+
+    def _registry_sums(self, keys_of) -> Tuple[int, Dict[int, float]]:
+        """``(L1, demand)`` rebuilt from the backup registry, with
+        ``keys_of`` mapping a primary LSET to its keys (positions or
+        risk groups)."""
+        l1 = 0
+        demand: Dict[int, float] = {}
+        for lset, bw in self._backups.values():
+            keys = keys_of(lset)
+            l1 += len(keys)
+            for key in keys:
+                demand[key] = demand.get(key, 0.0) + bw
+        return l1, demand
+
+    @property
+    def group_aplv(self) -> APLV:
+        """Per group g, # backups here whose primary touches g, rebuilt
+        from the backup registry on every read (the oracle's truth)."""
+        groups = self._risk_groups
+        if groups is None:
+            raise ResourceError(
+                "link {}: no risk groups installed".format(self.link_id)
+            )
+        return APLV.from_lsets(
+            groups.num_groups,
+            (groups.groups_of(lset) for lset, _bw in self._backups.values()),
+        )
 
     @property
     def max_group_demand(self) -> float:
@@ -263,27 +312,12 @@ class LinkLedger:
 
     def group_aplv_l1(self) -> int:
         """Group analog of the APLV's L1 mass: Σ_g (# backups whose
-        primary touches g).  Equal to ``aplv.l1()`` for singletons."""
-        return sum(self._group_aplv.values())
+        primary touches g).  Equal to :meth:`aplv_l1` for singletons."""
+        return self._group_l1
 
     def group_support(self) -> FrozenSet[int]:
         """Risk groups with at least one interested backup here."""
-        return frozenset(self._group_aplv)
-
-    def group_conflict_count(self, primary_lset: Iterable[int]) -> int:
-        """Group analog of ``aplv.conflict_count``: how many distinct
-        risk groups of ``primary_lset`` already have a backup here
-        whose primary would fail with them.  For singleton groups this
-        equals the per-link conflict count."""
-        if self._risk_groups is None:
-            raise ResourceError(
-                "link {}: no risk groups installed".format(self.link_id)
-            )
-        return sum(
-            1
-            for group in self._risk_groups.groups_of(primary_lset)
-            if self._group_aplv.get(group, 0) > 0
-        )
+        return frozenset(self._group_demand)
 
     def primary_headroom(self) -> float:
         """Bandwidth a new *primary* may claim (free bandwidth only —
@@ -301,8 +335,7 @@ class LinkLedger:
     # Primary reservations
     # ------------------------------------------------------------------
     def reserve_primary(self, bw: float) -> None:
-        if bw <= 0:
-            raise ResourceError("primary reservation must be positive")
+        require_bandwidth(bw, "primary reservation")
         if bw > self.free_bw + BW_EPSILON:
             raise ResourceError(
                 "link {}: primary needs {} but only {} free".format(
@@ -313,8 +346,7 @@ class LinkLedger:
         self._touch()
 
     def release_primary(self, bw: float) -> None:
-        if bw <= 0:
-            raise ResourceError("primary release must be positive")
+        require_bandwidth(bw, "primary release")
         if bw > self._prime_bw + BW_EPSILON:
             raise ResourceError(
                 "link {}: releasing {} primary bw but only {} reserved".format(
@@ -325,27 +357,33 @@ class LinkLedger:
         self._touch()
 
     # ------------------------------------------------------------------
-    # Backup registration (APLV bookkeeping; spare sizing is policy)
+    # Backup registration (demand bookkeeping; spare sizing is policy)
     # ------------------------------------------------------------------
     def register_backup(
         self, connection_id: int, primary_lset: Iterable[int], bw: float
     ) -> None:
-        """Record a backup crossing this link, updating the APLV (and
-        the bandwidth-weighted demand map) from the piggybacked primary
-        ``LSET`` (Section 2.2)."""
+        """Record a backup crossing this link, updating the
+        bandwidth-weighted demand map, ``||APLV||_1`` and the CV from
+        the piggybacked primary ``LSET`` (Section 2.2)."""
         if connection_id in self._backups:
             raise ResourceError(
                 "link {}: backup for connection {} already registered".format(
                     self.link_id, connection_id
                 )
             )
-        if bw <= 0:
-            raise ResourceError("backup bandwidth must be positive")
+        require_bandwidth(bw, "backup bandwidth")
         lset = frozenset(primary_lset)
-        self._aplv.add_primary(lset)
+        if lset and not 0 <= min(lset) <= max(lset) < self._num_links:
+            raise ResourceError("primary LSET {} names a link outside the "
+                                "network".format(sorted(lset)))
         demand = self._demand
+        fresh = 0
         for position in lset:
-            held = demand.get(position, 0.0)
+            held = demand.get(position)
+            if held is None:
+                held = 0.0
+                self._support_mask |= 1 << position
+                fresh += 1
             total = held + bw
             demand[position] = total
             if total >= self._demand_max:
@@ -354,10 +392,13 @@ class LinkLedger:
                     self._demand_max_holders = 1
                 elif held != total:  # else bw vanished in the sum
                     self._demand_max_holders += 1
+        self._support_version += fresh
+        self._l1 += len(lset)
         if self._risk_groups is not None:
             group_demand = self._group_demand
-            for group in self._risk_groups.groups_of(lset):
-                self._group_aplv[group] = self._group_aplv.get(group, 0) + 1
+            groups = self._risk_groups.groups_of(lset)
+            self._group_l1 += len(groups)
+            for group in groups:
                 held = group_demand.get(group, 0.0)
                 total = held + bw
                 group_demand[group] = total
@@ -370,40 +411,54 @@ class LinkLedger:
         self._backups[connection_id] = (lset, bw)
         self._touch()
 
-    def release_backup(self, connection_id: int) -> None:
-        """Remove a backup; decrements the APLV with the stored LSET."""
-        try:
-            lset, bw = self._backups.pop(connection_id)
-        except KeyError:
+    def _registered(self, connection_id) -> tuple:
+        """The stored ``(LSET, bw)`` of a registration the demand map
+        can release: every position present, else a release would
+        underflow (corrupt state).  Raises otherwise."""
+        stored = self._backups.get(connection_id)
+        if stored is None:
             raise ResourceError(
                 "link {}: no backup registered for connection {}".format(
                     self.link_id, connection_id
                 )
             )
-        self._aplv.remove_primary(lset)
+        if not self._demand.keys() >= stored[0]:
+            position = next(p for p in stored[0] if p not in self._demand)
+            raise ResourceError(
+                "link {}: releasing primary link {} not present in "
+                "APLV".format(self.link_id, position)
+            )
+        return stored
+
+    def release_backup(self, connection_id: int) -> None:
+        """Remove a backup; lowers the demand map with the stored LSET
+        and drops the positions no other backup holds."""
+        lset, bw = self._registered(connection_id)
+        demand = self._demand
+        del self._backups[connection_id]
         # A running maximum can only have dropped when the last entry
         # that held it is decremented; every other release leaves it
         # exact.
         peak = self._demand_max
         for position in lset:
-            held = self._demand[position]
+            held = demand[position]
             if held >= peak:
                 self._demand_max_holders -= 1
             remaining = held - bw
             if remaining <= BW_EPSILON:
-                del self._demand[position]
+                del demand[position]
+                self._support_mask &= ~(1 << position)
+                self._support_version += 1
             else:
-                self._demand[position] = remaining
+                demand[position] = remaining
+        self._l1 -= len(lset)
         if not self._demand_max_holders:
             self._demand_max_stale = True
         if self._risk_groups is not None:
             peak = self._group_demand_max
-            for group in self._risk_groups.groups_of(lset):
-                count = self._group_aplv[group] - 1
-                if count <= 0:
-                    del self._group_aplv[group]
-                else:
-                    self._group_aplv[group] = count
+            groups = self._risk_groups.groups_of(lset)
+            self._group_l1 -= len(groups)
+            for group in groups:
                 held = self._group_demand[group]
                 if held >= peak:
                     self._group_demand_max_holders -= 1
@@ -457,12 +512,13 @@ class LinkLedger:
                 for key, (lset, bw) in self._backups.items()
             )
         )
-        aplv = tuple(sorted(self._aplv.nonzero_items()))
+        aplv = tuple(sorted(self.aplv.nonzero_items())) if registry else ()
         return (self.link_id, self._prime_bw, self._spare_bw, registry, aplv)
 
     def check_invariants(self) -> None:
-        """Assert ledger arithmetic consistency (used by tests and the
-        simulator's self-check mode)."""
+        """Assert ledger arithmetic consistency, and that the demand
+        maps, their L1s and the CV equal a rebuild from the backup
+        registry (used by tests and the simulator's self-check mode)."""
         if self._prime_bw < -BW_EPSILON:
             raise ResourceError("negative prime_bw on link {}".format(self.link_id))
         if self._spare_bw < -BW_EPSILON:
@@ -473,64 +529,39 @@ class LinkLedger:
                     self.link_id, self._prime_bw, self._spare_bw, self.capacity
                 )
             )
-        if self._backups and self._aplv.is_zero():
+        self._check_map("demand", self._l1, self._demand, self._demand_max,
+                        self._demand_max_holders, self._demand_max_stale,
+                        lambda lset: lset)
+        if self._support_mask != sum(1 << pos for pos in self._demand):
             raise ResourceError(
-                "link {} has backups but empty APLV".format(self.link_id)
-            )
-        if not self._backups and not self._aplv.is_zero():
-            raise ResourceError(
-                "link {} has APLV entries but no backups".format(self.link_id)
-            )
-        if set(self._demand) != set(self._aplv.support()):
-            raise ResourceError(
-                "link {}: demand map out of sync with APLV support".format(
+                "link {}: CV out of sync with the demand map".format(
                     self.link_id
                 )
             )
-        if not self._demand_max_stale and (
-            self._demand_max, self._demand_max_holders
-        ) != _peak(self._demand):
-            raise ResourceError(
-                "link {}: running demand maximum {} ({} holders) is not "
-                "the demand map's".format(
-                    self.link_id, self._demand_max, self._demand_max_holders
-                )
-            )
         if self._risk_groups is not None:
-            if not self._group_demand_max_stale and (
-                self._group_demand_max, self._group_demand_max_holders
-            ) != _peak(self._group_demand):
-                raise ResourceError(
-                    "link {}: running group-demand maximum {} ({} holders) "
-                    "is not the group demand map's".format(
-                        self.link_id,
-                        self._group_demand_max,
-                        self._group_demand_max_holders,
-                    )
-                )
-            expected_aplv: Dict[int, int] = {}
-            expected_demand: Dict[int, float] = {}
-            for lset, bw in self._backups.values():
-                for group in self._risk_groups.groups_of(lset):
-                    expected_aplv[group] = expected_aplv.get(group, 0) + 1
-                    expected_demand[group] = (
-                        expected_demand.get(group, 0.0) + bw
-                    )
-            if self._group_aplv != expected_aplv:
-                raise ResourceError(
-                    "link {}: group APLV out of sync with registry".format(
-                        self.link_id
-                    )
-                )
-            if set(self._group_demand) != set(expected_demand) or any(
-                abs(self._group_demand[g] - expected_demand[g]) > BW_EPSILON
-                for g in expected_demand
-            ):
-                raise ResourceError(
-                    "link {}: group demand out of sync with registry".format(
-                        self.link_id
-                    )
-                )
+            self._check_map(
+                "group demand", self._group_l1, self._group_demand,
+                self._group_demand_max, self._group_demand_max_holders,
+                self._group_demand_max_stale, self._risk_groups.groups_of,
+            )
+
+    def _check_map(self, what: str, l1: int, demand: Dict[int, float],
+                   peak: float, holders: int, stale: bool, keys_of) -> None:
+        """A maintained map equals the registry rebuild (its L1 and keys
+        exactly, values within ``BW_EPSILON``), and a running maximum
+        not marked stale is the map's, with its holder count."""
+        expected_l1, expected = self._registry_sums(keys_of)
+        if l1 != expected_l1 or demand.keys() != expected.keys() or any(
+            abs(demand[key] - value) > BW_EPSILON
+            for key, value in expected.items()
+        ):
+            raise ResourceError("link {}: {} map out of sync with registry"
+                                .format(self.link_id, what))
+        if not stale and (peak, holders) != _peak(demand):
+            raise ResourceError(
+                "link {}: running {} maximum {} ({} holders) is not the "
+                "map's".format(self.link_id, what, peak, holders)
+            )
 
 
 class NetworkState:

@@ -40,6 +40,7 @@ aborted, their unread answers dropped, and the manifest records
 from __future__ import annotations
 
 import asyncio
+import math
 import signal
 import socket as socket_module
 import time
@@ -50,6 +51,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..durable import write_json_atomic
 from ..metrics import ServiceMetrics
+from ..network.state import BW_EPSILON
 from ..observability import UNTRACED, TraceCollector, write_trace_dir
 from . import ops, protocol
 from .protocol import ProtocolError, Request
@@ -416,15 +418,21 @@ class ControlPlaneServer:
                 protocol.ERR_BAD_REQUEST,
                 "source and destination must differ", request.id,
             )
-        if bw <= 0:
+        # Written so that NaN (which JSON decoding accepts) fails.
+        if not BW_EPSILON < bw < math.inf:
             raise ProtocolError(
-                protocol.ERR_BAD_REQUEST, "bw must be positive", request.id,
+                protocol.ERR_BAD_REQUEST,
+                "bw must be finite and above {}".format(BW_EPSILON),
+                request.id,
             )
         parsed: Dict[str, Any] = {
             "source": source, "destination": destination, "bw": bw,
         }
         if args.get("hold") is not None:
             parsed["hold"] = protocol.require_number(args, "hold", request.id)
+            if not parsed["hold"] > 0:
+                raise ProtocolError(protocol.ERR_BAD_REQUEST,
+                                    "hold must be positive", request.id)
         if args.get("request_id") is not None:
             parsed["request_id"] = protocol.require_int(
                 args, "request_id", request.id

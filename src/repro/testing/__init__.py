@@ -1,11 +1,12 @@
 """Differential-testing harness for the fast-path routing engine.
 
-The incremental APLV/CV maintenance and the cached-workspace searches
-buy their speed with exactly the kind of state that drifts silently.
+The incremental demand-map/CV maintenance and the cached-workspace
+searches buy their speed with exactly the kind of state that drifts
+silently.
 This package keeps them honest:
 
 * :mod:`repro.testing.reference` — rebuild-from-scratch counterparts
-  of every optimized component (naive searches, APLV rebuilds, a
+  of every optimized component (naive searches, demand-map rebuilds, a
   no-cache database) preserved from before the optimization;
 * :mod:`repro.testing.flooding` — the object-per-CDP bounded flood and
   set-based destination selection the flat-table flood replaced;
@@ -53,7 +54,6 @@ from .reference import (
     ReferenceDatabase,
     naive_bounded_shortest_path,
     naive_shortest_path,
-    rebuilt_aplv,
 )
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "naive_shortest_path",
     "plsr_backup_cost",
     "primary_link_cost",
-    "rebuilt_aplv",
     "reference_assess_failed_links",
     "require_exact",
     "route_key",

@@ -16,10 +16,10 @@ operation the oracle asserts the two worlds are **bit-identical**:
   reason and the backup that activated);
 * the full network-state fingerprint (every ledger's reservations,
   spare pool, backup registry and APLV, plus link health);
-* the incrementally-maintained APLV of every ledger against a
-  rebuild-from-registry vector, and every live database record
-  (``aplv_l1``, CV bits, conflict counts, headrooms) against the naive
-  rebuild.
+* every ledger's maintained ``||APLV||_1``, CV support mask, cached
+  CV and demand map against a rebuild from its backup registry, and
+  every live database record (``aplv_l1``, CV bits, conflict counts,
+  headrooms) against the naive rebuild.
 
 Any mismatch raises :class:`OracleDivergence` naming the operation and
 the first differing component.  Zero divergences over a long random
@@ -42,10 +42,12 @@ spellings of the register walk consume draws one for one.  A
 from __future__ import annotations
 
 import copy
+import math
 from typing import Optional
 
 from ..core.service import DRTPService
 from ..kernels.bitset import mask_from_ids
+from ..network.state import BW_EPSILON
 from ..routing.base import RoutingContext
 from ..routing.baselines import NoBackupScheme
 from ..routing.flooding import BoundedFloodingScheme
@@ -54,7 +56,7 @@ from ..routing.reactive import ReactiveScheme
 from .commit import HopByHopController
 from .flooding import ReferenceFloodingScheme
 from .link_state import ReferenceLinkStateScheme
-from .reference import ReferenceDatabase, rebuilt_aplv
+from .reference import ReferenceDatabase
 
 
 class OracleDivergence(AssertionError):
@@ -349,15 +351,26 @@ class DifferentialOracle:
             table = database.kernel_arrays().sync()
             shadow_db = self._shadow.database
         for ledger in self._service.state.ledgers():
-            truth = rebuilt_aplv(ledger)
+            truth = ledger.aplv
+            support = truth.support()
+            mask = mask_from_ids(support)
             link_id = ledger.link_id
+            demand = ledger._demand
+            rebuilt = ledger._registry_sums(lambda lset: lset)[1]
+            drifted = [
+                pos for pos, bw in rebuilt.items()
+                if abs(demand.get(pos, math.inf) - bw) > BW_EPSILON
+            ]
             self._expect(
-                op, "APLV of link {}".format(link_id),
-                ledger.aplv.to_dense(), truth.to_dense(),
+                op, "||APLV||_1, CV mask, demand positions and drifted "
+                "demand positions of link {}".format(link_id),
+                (ledger.aplv_l1(), ledger.support_mask(), sorted(demand),
+                 drifted),
+                (truth.l1_norm, mask, sorted(rebuilt), []),
             )
             self._expect(
                 op, "CV of link {}".format(link_id),
-                ledger.conflict_vector().bits, truth.support(),
+                ledger.conflict_vector().bits, support,
             )
             if table is not None:
                 self._expect(
@@ -366,7 +379,7 @@ class DifferentialOracle:
                 )
                 self._expect(
                     op, "database CV of link {}".format(link_id),
-                    table.cv_mask(link_id), mask_from_ids(truth.support()),
+                    table.cv_mask(link_id), mask,
                 )
                 self._expect(
                     op, "primary headroom of link {}".format(link_id),

@@ -1,14 +1,14 @@
 """Naive reference implementations for differential testing.
 
 The fast-path routing engine earns its speed from three pieces of
-incrementally-maintained state: per-ledger APLVs updated by deltas,
-support-versioned Conflict-Vector caches, and per-network search
-workspaces with cached adjacency.  Each of those is exactly the kind
-of state that can silently drift from the truth.  This module keeps
-the *truth*: rebuild-from-scratch counterparts with no caches and no
-incremental state, against which
-:class:`~repro.testing.oracle.DifferentialOracle` diffs the fast path
-after every operation.
+incrementally-maintained state: per-ledger demand maps with
+``||APLV||_1`` and the CV bits kept beside them, support-versioned
+Conflict-Vector caches, and per-network search workspaces with cached
+adjacency.  Each of those is exactly the kind of state that can
+silently drift from the truth.  This module keeps the *truth*:
+rebuild-from-scratch counterparts with no caches and no incremental
+state, against which :class:`~repro.testing.oracle.DifferentialOracle`
+diffs the fast path after every operation.
 
 ``naive_shortest_path`` and ``naive_bounded_shortest_path`` are the
 pre-optimization searches, preserved verbatim (dict-based distance
@@ -32,10 +32,8 @@ import heapq
 from itertools import count
 from typing import Callable, Optional, Tuple
 
-from ..network.aplv import APLV
 from ..network.conflict_vector import ConflictVector
 from ..network.database import LinkStateDatabase
-from ..network.state import LinkLedger
 from ..topology.graph import Link, Network, Route
 
 #: A link-cost function: maps a link to an additive cost tuple, or to
@@ -174,23 +172,14 @@ def naive_bounded_shortest_path(
     return Route(nodes=tuple(nodes), link_ids=tuple(links))
 
 
-def rebuilt_aplv(ledger: LinkLedger) -> APLV:
-    """Rebuild the ledger's APLV from first principles: re-accumulate
-    every registered backup's primary ``LSET`` into a fresh vector.
-    The incremental vector the ledger maintains must equal this
-    exactly, element for element."""
-    return APLV.from_lsets(
-        ledger.aplv.num_links,
-        (lset for lset in ledger.backups().values()),
-    )
-
-
 class ReferenceDatabase(LinkStateDatabase):
     """A link-state database with no incremental state.
 
     Every APLV/CV read rebuilds the vector from the ledger's backup
-    registry — the naive O(|registry|·|LSET|) path the incremental
-    engine replaced — and every other per-link read asks the ledger,
+    registry (:attr:`~repro.network.state.LinkLedger.aplv`, and
+    :attr:`~repro.network.state.LinkLedger.group_aplv` for groups) —
+    the naive O(|registry|·|LSET|) path the incremental engine
+    replaced — and every other per-link read asks the ledger,
     never the production database's kernel table.  Reads are slow and
     always exact, which is the point: a shadow service routing from
     this database computes the ground-truth decision.
@@ -200,23 +189,22 @@ class ReferenceDatabase(LinkStateDatabase):
         super().__init__(state, live=True)
 
     def aplv_l1(self, link_id: int) -> int:
-        return rebuilt_aplv(self._state.ledger(link_id)).l1_norm
+        return self._state.ledger(link_id).aplv.l1_norm
 
     def conflict_vector(self, link_id: int) -> ConflictVector:
-        return ConflictVector.from_aplv(
-            rebuilt_aplv(self._state.ledger(link_id))
-        )
+        return ConflictVector.from_aplv(self._state.ledger(link_id).aplv)
 
     def conflict_count(self, link_id: int, primary_lset) -> int:
-        return rebuilt_aplv(self._state.ledger(link_id)).conflict_count(
-            primary_lset
-        )
+        return self._state.ledger(link_id).aplv.conflict_count(primary_lset)
 
     def group_aplv_l1(self, link_id: int) -> int:
-        return self._state.ledger(link_id).group_aplv_l1()
+        return self._state.ledger(link_id).group_aplv.l1_norm
 
     def group_conflict_count(self, link_id: int, primary_lset) -> int:
-        return self._state.ledger(link_id).group_conflict_count(primary_lset)
+        ledger = self._state.ledger(link_id)
+        return ledger.group_aplv.conflict_count(
+            ledger.risk_groups.groups_of(primary_lset)
+        )
 
     def primary_headroom(self, link_id: int) -> float:
         return self._state.ledger(link_id).primary_headroom()

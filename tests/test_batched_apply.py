@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import BackupRegisterPacket, SharedSparePolicy
 from repro.core.admission import AdmissionController
+from repro.kernels import apply
 from repro.network import NetworkState, ResourceError
 from repro.testing.commit import HopByHopController
 from repro.topology import Route, mesh_network
@@ -81,6 +82,34 @@ class TestWalkEquivalence:
                 walks.register(packet)
             errors.append((type(raised.value), str(raised.value)))
         assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("bw", [float("nan"), 5e-10, float("inf")])
+def test_invalid_bandwidth_raises_before_mutating(bw):
+    """Every walk refuses a bandwidth that is NaN, infinite or not
+    above BW_EPSILON, before its first write."""
+    net = mesh_network(ROWS, COLS, 8.0)
+    state = NetworkState(net)
+    policy = SharedSparePolicy()
+    route = Route.from_nodes(net, [0, 1, 2])
+    assert apply.batch_reserve_primary(state, route.link_ids, 1.0)
+    apply.batch_register_walk(state, policy, 1, route.link_ids, {20}, 1.0)
+    before = (state.fingerprint(), versions(state))
+    walks = (
+        lambda: apply.batch_reserve_primary(state, route.link_ids, bw),
+        lambda: apply.batch_release_primary(
+            state, policy, route.link_ids, bw),
+        lambda: apply.batch_register_walk(
+            state, policy, 2, route.link_ids, {21}, bw),
+        lambda: apply.rejecting_hop(state, 2, route.link_ids, {21}, bw),
+        lambda: apply.batch_activate_walk(
+            state, policy, 1, route.link_ids, bw),
+    )
+    for walk in walks:
+        with pytest.raises(ResourceError):
+            walk()
+    assert (state.fingerprint(), versions(state)) == before
+    state.check_invariants()
 
 
 class TestGroupAccounting:

@@ -396,12 +396,13 @@ def test_activation_spare_miss_mutates_nothing(hop):
 
 
 def test_aplv_underflow_on_release_is_an_error():
-    """A registry entry whose LSET the APLV no longer counts (corrupt
-    state) must not be decremented below zero."""
+    """A registry entry whose LSET position the demand map no longer
+    holds (corrupt state) must not be decremented below zero: the walk
+    raises on the last hop before the first hop is touched."""
     state, policy = _loaded_state()
-    del state.ledger(ROUTE.link_ids[-1]).aplv._counts[next(iter(LSET))]
+    del state.ledger(ROUTE.link_ids[-1])._demand[next(iter(LSET))]
     before = versions(state)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="not present in APLV"):
         apply.batch_release_walk(state, policy, 1, ROUTE.link_ids)
     assert versions(state) == before
     assert all(state.ledger(b).has_backup(1) for b in ROUTE.link_ids)

@@ -51,6 +51,17 @@ class TestConnectionRequest:
         with pytest.raises(ValueError):
             ConnectionRequest(1, 0, 1, 1.0, holding_time=0.0)
 
+    @pytest.mark.parametrize(
+        "bw", [float("nan"), 5e-10, 1e-12, float("inf")]
+    )
+    def test_bandwidth_must_be_finite_and_above_epsilon(self, bw):
+        with pytest.raises(ValueError):
+            ConnectionRequest(1, 0, 1, bw)
+
+    def test_nan_holding_time_rejected(self):
+        with pytest.raises(ValueError):
+            ConnectionRequest(1, 0, 1, 1.0, holding_time=float("nan"))
+
 
 class TestChannel:
     def test_activation_promotes_backup(self, net):

@@ -39,6 +39,21 @@ class TestPrimaryReservations:
         with pytest.raises(ResourceError):
             ledger.release_primary(-1.0)
 
+    @pytest.mark.parametrize("bw", [float("nan"), 5e-10, float("inf")])
+    def test_nan_and_sub_epsilon_amounts_rejected(self, bw):
+        """NaN fails every comparison and a sub-epsilon backup would
+        vanish from the demand map on release while still registered;
+        both are refused before anything moves."""
+        ledger = make_ledger()
+        ledger.reserve_primary(1.0)
+        before = (ledger.fingerprint(), ledger.version)
+        for mutate in (ledger.reserve_primary, ledger.release_primary,
+                       lambda amount: ledger.register_backup(1, {3}, amount)):
+            with pytest.raises(ResourceError):
+                mutate(bw)
+        assert (ledger.fingerprint(), ledger.version) == before
+        ledger.check_invariants()
+
     def test_primary_cannot_take_spare(self):
         ledger = make_ledger(capacity=5.0)
         ledger.register_backup(1, {2}, 1.0)

@@ -122,7 +122,7 @@ def races(draw):
     state = NetworkState(NETWORK)
     for ledger in state.ledgers():
         primary = draw(st.floats(0.0, 40.0))
-        if primary > 0.0:
+        if primary > BW_EPSILON:  # what a ledger accepts
             ledger.reserve_primary(primary)
         pool = sum(bws)
         if ledger.link_id in hot:

@@ -654,6 +654,47 @@ class TestHostileEdge:
         assert (rid2, ok2) == (2, True) and pong["pong"]
         assert server.stats.protocol_errors == 1
 
+    def test_nan_and_sub_epsilon_amounts_are_bad_requests(self, tmp_path):
+        # Raw lines: JSON decoding accepts NaN, which fails no `<= 0`
+        # test, and a bandwidth under BW_EPSILON would vanish from the
+        # demand maps on release.  A bad `hold` used to surface as an
+        # internal error (or, as NaN, be admitted).
+        lines = [
+            b'{"op":"admit","id":1,"args":'
+            b'{"source":0,"destination":5,"bw":NaN}}\n',
+            b'{"op":"admit","id":2,"args":'
+            b'{"source":0,"destination":5,"bw":1e-12}}\n',
+            b'{"op":"admit","id":3,"args":'
+            b'{"source":0,"destination":5,"bw":5e-10}}\n',
+            b'{"op":"admit","id":4,"args":'
+            b'{"source":0,"destination":5,"bw":Infinity}}\n',
+            b'{"op":"admit","id":5,"args":'
+            b'{"source":0,"destination":5,"bw":1.0,"hold":NaN}}\n',
+            b'{"op":"admit","id":6,"args":'
+            b'{"source":0,"destination":5,"bw":1.0,"hold":-1}}\n',
+        ]
+
+        async def hostile(server, sock):
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(b"".join(lines))
+            await writer.drain()
+            answers = [
+                decode_response(
+                    (await asyncio.wait_for(reader.readline(), 10)).decode()
+                )
+                for _ in lines
+            ]
+            writer.close()
+            return answers
+
+        answers, server = serve_hostile(tmp_path, hostile)
+        assert [(rid, ok, error["type"]) for rid, ok, error in answers] == [
+            (rid, False, protocol.ERR_BAD_REQUEST) for rid in range(1, 7)
+        ]
+        assert server.service.counters.requests == 0
+        assert server.service.state.total_prime_bw() == 0.0
+        server.service.check_invariants()
+
     def test_close_mid_line_applies_complete_lines(self, tmp_path):
         admit = {"source": 0, "destination": 15, "bw": 1.0}
 
